@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "compress/bank.h"
 #include "compress/qsgd.h"
 #include "core/sweep.h"
 #include "compress/terngrad.h"
@@ -358,6 +359,26 @@ void BM_CodecTopK(benchmark::State& state) {
                           static_cast<std::int64_t>(p));
 }
 BENCHMARK(BM_CodecTopK)->Arg(13000)->Arg(130000);
+
+// One worker's push on the top-k 1% path: CompressorBank::encode with error
+// feedback (carry in, sparse encode, carry out), cycling through a few
+// gradients so the residual keeps a realistic spread.
+void BM_CodecTopKBankEncode(benchmark::State& state) {
+  const auto p = static_cast<std::size_t>(state.range(0));
+  CompressorBank bank(std::make_shared<TopKCodec>(0.01), 1, /*error_feedback=*/true);
+  Rng rng(5);
+  std::vector<std::vector<float>> grads(4, std::vector<float>(p));
+  for (auto& g : grads)
+    for (float& v : g) v = static_cast<float>(rng.gaussian());
+  std::size_t step = 0;
+  for (auto _ : state) {
+    const CompressedPush push = bank.encode(0, grads[step++ % grads.size()], rng);
+    benchmark::DoNotOptimize(push.indices.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(p));
+}
+BENCHMARK(BM_CodecTopKBankEncode)->Arg(102500);
 
 void BM_CodecTernGrad(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));

@@ -8,7 +8,7 @@ namespace ss {
 
 CompressorBank::CompressorBank(std::shared_ptr<const GradientCodec> codec,
                                std::size_t num_workers, bool error_feedback)
-    : codec_(std::move(codec)), error_feedback_(error_feedback), slots_(num_workers) {
+    : codec_(std::move(codec)), error_feedback_(error_feedback), residuals_(num_workers) {
   if (!codec_) throw ConfigError("CompressorBank: codec is required");
   if (num_workers == 0) throw ConfigError("CompressorBank: num_workers must be > 0");
 }
@@ -20,71 +20,70 @@ CompressorBank CompressorBank::with_default_feedback(std::shared_ptr<const Gradi
   return CompressorBank(std::move(codec), num_workers, feedback);
 }
 
-CompressorBank::WorkerSlot& CompressorBank::slot_for(int worker) {
-  if (worker < 0 || static_cast<std::size_t>(worker) >= slots_.size())
+std::size_t CompressorBank::slot_index(int worker) const {
+  if (worker < 0 || static_cast<std::size_t>(worker) >= residuals_.size())
     throw ConfigError("CompressorBank: worker index out of range");
-  return slots_[static_cast<std::size_t>(worker)];
+  return static_cast<std::size_t>(worker);
 }
 
-std::vector<float>& CompressorBank::residual_for(WorkerSlot& slot, std::size_t num_params) {
-  if (slot.residual.size() != num_params) slot.residual.assign(num_params, 0.0f);
-  return slot.residual;
+std::vector<float>& CompressorBank::residual_for(std::size_t slot, std::size_t num_params) {
+  std::vector<float>& residual = residuals_[slot];
+  if (residual.size() != num_params) residual.assign(num_params, 0.0f);
+  return residual;
 }
 
 std::size_t CompressorBank::transform(int worker, std::span<float> grad, Rng& rng) {
-  WorkerSlot& slot = slot_for(worker);
+  const std::size_t slot = slot_index(worker);
   if (!error_feedback_) return codec_->transform(grad, rng);
 
   auto& residual = residual_for(slot, grad.size());
-  // Carry in.
-  for (std::size_t i = 0; i < grad.size(); ++i) grad[i] += residual[i];
-  // Remember the pre-codec values so we can compute the carry out.
-  slot.carry.assign(grad.begin(), grad.end());
+  // Carry in: both buffers now hold g + residual.
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    grad[i] += residual[i];
+    residual[i] = grad[i];
+  }
   const std::size_t bytes = codec_->transform(grad, rng);
   // Carry out: what the codec failed to transmit.
-  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] = slot.carry[i] - grad[i];
+  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] -= grad[i];
   return bytes;
 }
 
 CompressedPush CompressorBank::encode(int worker, std::span<const float> grad, Rng& rng) {
-  WorkerSlot& slot = slot_for(worker);
+  const std::size_t slot = slot_index(worker);
   if (!error_feedback_) return codec_->encode(grad, rng);
 
   auto& residual = residual_for(slot, grad.size());
-  // Carry in.
-  slot.carry.resize(grad.size());
-  for (std::size_t i = 0; i < grad.size(); ++i) slot.carry[i] = grad[i] + residual[i];
-  CompressedPush push = codec_->encode(slot.carry, rng);
-  // Carry out: what the codec failed to transmit, computed from the decoded
-  // push so sparse and dense wire forms share one path (for top-k the
-  // residual at a kept coordinate is exactly zero — values travel verbatim).
-  slot.decoded.resize(grad.size());
-  push.decode_into(slot.decoded);
-  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] = slot.carry[i] - slot.decoded[i];
+  // Carry in, in place: the codec encodes g + residual straight from the slot.
+  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] = grad[i] + residual[i];
+  CompressedPush push = codec_->encode(residual, rng);
+  // Carry out: subtract what was sent.  A sparse push leaves untransmitted
+  // coordinates as they are, which is bit-identical to subtracting the +0 a
+  // decode would put there (for top-k the kept coordinates become exactly 0).
+  if (push.sparse()) {
+    for (std::size_t j = 0; j < push.indices.size(); ++j)
+      residual[push.indices[j]] -= push.values[j];
+  } else {
+    for (std::size_t i = 0; i < residual.size(); ++i) residual[i] -= push.values[i];
+  }
   return push;
 }
 
 double CompressorBank::residual_l1(int worker) const {
-  if (worker < 0 || static_cast<std::size_t>(worker) >= slots_.size())
-    throw ConfigError("CompressorBank: worker index out of range");
   double sum = 0.0;
-  for (const float v : slots_[static_cast<std::size_t>(worker)].residual) sum += std::fabs(v);
+  for (const float v : residuals_[slot_index(worker)]) sum += std::fabs(v);
   return sum;
 }
 
 std::span<const float> CompressorBank::residual(int worker) const {
-  if (worker < 0 || static_cast<std::size_t>(worker) >= slots_.size())
-    throw ConfigError("CompressorBank: worker index out of range");
-  return slots_[static_cast<std::size_t>(worker)].residual;
+  return residuals_[slot_index(worker)];
 }
 
 void CompressorBank::restore_residual(int worker, std::span<const float> residual) {
-  WorkerSlot& slot = slot_for(worker);
-  slot.residual.assign(residual.begin(), residual.end());
+  residuals_[slot_index(worker)].assign(residual.begin(), residual.end());
 }
 
 void CompressorBank::reset() {
-  for (auto& slot : slots_) slot.residual.clear();
+  for (auto& residual : residuals_) residual.clear();
 }
 
 }  // namespace ss

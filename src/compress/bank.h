@@ -13,7 +13,13 @@
 // reduces the noise floor.  The residual is transport state, so it lives
 // here, per worker slot, not in the stateless codec.
 //
-// Thread safety: all mutable state (residual + scratch) is per worker slot,
+// The carry is done in place: the slot's residual buffer first becomes
+// g + residual, the codec encodes straight from it, and what was sent is
+// subtracted back out (only the kept coordinates for a sparse push).  That is
+// the same IEEE arithmetic as computing g' - q into a fresh buffer, bit for
+// bit, but needs no scratch: a slot holds nothing but its residual.
+//
+// Thread safety: all mutable state (the residual) is per worker slot,
 // so concurrent `transform`/`encode` calls are safe as long as no two
 // threads share a worker index — exactly the discipline of the threaded
 // runtime, where worker w is one OS thread.
@@ -45,8 +51,8 @@ class CompressorBank {
   std::size_t transform(int worker, std::span<float> grad, Rng& rng);
 
   /// Encode worker `w`'s gradient into its wire form, carrying the error
-  /// feedback residual exactly like `transform` (the residual update uses
-  /// the decoded push, so sparse and dense codecs share one code path).
+  /// feedback residual exactly like `transform` (the carry out subtracts the
+  /// push's values: at its indices for a sparse push, everywhere for dense).
   /// Given equal inputs and RNG state, `encode(...).decode_into(g)` and
   /// `transform(...)` produce bit-identical gradients and residuals.
   [[nodiscard]] CompressedPush encode(int worker, std::span<const float> grad, Rng& rng);
@@ -58,7 +64,7 @@ class CompressorBank {
 
   [[nodiscard]] const GradientCodec& codec() const noexcept { return *codec_; }
   [[nodiscard]] bool error_feedback() const noexcept { return error_feedback_; }
-  [[nodiscard]] std::size_t num_workers() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t num_workers() const noexcept { return residuals_.size(); }
 
   /// Total mass currently carried in worker `w`'s residual (L1 norm).
   /// Exposed for tests and diagnostics.
@@ -80,21 +86,16 @@ class CompressorBank {
   void reset();
 
  private:
-  /// All per-worker mutable state: the carried residual plus the scratch
-  /// buffers the feedback bookkeeping needs (kept per slot so distinct
-  /// workers never share memory).
-  struct WorkerSlot {
-    std::vector<float> residual;  // lazily sized
-    std::vector<float> carry;     // g + residual (pre-codec values)
-    std::vector<float> decoded;   // decoded push, for the carry-out
-  };
-
-  WorkerSlot& slot_for(int worker);
-  std::vector<float>& residual_for(WorkerSlot& slot, std::size_t num_params);
+  /// Index of worker `w`'s slot; throws ConfigError when out of range.
+  [[nodiscard]] std::size_t slot_index(int worker) const;
+  /// Slot `slot`'s residual, (re)sized to zeros when its length differs.
+  std::vector<float>& residual_for(std::size_t slot, std::size_t num_params);
 
   std::shared_ptr<const GradientCodec> codec_;
   bool error_feedback_;
-  std::vector<WorkerSlot> slots_;
+  /// One residual per worker slot, lazily sized: the slot's only state, so
+  /// distinct workers never share memory.
+  std::vector<std::vector<float>> residuals_;
 };
 
 }  // namespace ss

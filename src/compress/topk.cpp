@@ -1,9 +1,11 @@
 #include "compress/topk.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
+#include <functional>
 #include <vector>
 
 #include "common/error.h"
@@ -40,37 +42,81 @@ std::size_t TopKCodec::wire_bytes(std::size_t num_params) const {
   return std::min(sparse, dense) + kHeaderBytes;
 }
 
+namespace {
+
+// Radix width of the first selection pass: buckets keyed by the top 12 bits
+// of the 31-bit magnitude pattern (4,096 counters, 16 KB, L1-resident).
+constexpr int kBucketShift = 31 - 12;
+constexpr std::size_t kBuckets = std::size_t{1} << 12;
+
+// |v| as an integer: for non-negative IEEE floats the bit patterns order
+// exactly like the values (denormals and +/-0 included), so magnitudes can be
+// compared and bucketed as uint32.  NaNs rank above +/-inf.
+std::uint32_t magnitude_bits(float v) noexcept {
+  return std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFu;
+}
+
+// Zero every coordinate of `v` not listed in the ascending index set `keep`.
+void zero_outside(std::span<float> v, std::span<const std::uint32_t> keep) {
+  std::size_t next = 0;  // first coordinate not yet visited
+  for (const std::uint32_t i : keep) {
+    std::fill(v.begin() + static_cast<std::ptrdiff_t>(next), v.begin() + i, 0.0f);
+    next = std::size_t{i} + 1;
+  }
+  std::fill(v.begin() + static_cast<std::ptrdiff_t>(next), v.end(), 0.0f);
+}
+
+}  // namespace
+
 std::vector<std::uint32_t> TopKCodec::select(std::span<const float> grad) const {
   const std::size_t n = grad.size();
   const std::size_t k = kept(n);
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  if (k == n) return order;
 
-  const auto greater_mag = [&grad](std::uint32_t a, std::uint32_t b) {
-    const float ma = std::fabs(grad[a]);
-    const float mb = std::fabs(grad[b]);
-    if (ma != mb) return ma > mb;
-    return a < b;  // deterministic tie-break: lower index wins
-  };
-  std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                   order.end(), greater_mag);
-  order.resize(k);
-  return order;
+  // 1. Histogram the top magnitude bits; walking buckets from the top finds
+  //    the one holding the k-th largest magnitude, and how many lie above it.
+  std::array<std::uint32_t, kBuckets> hist{};
+  for (const float v : grad) ++hist[magnitude_bits(v) >> kBucketShift];
+  std::size_t bucket = kBuckets - 1;
+  std::size_t above = 0;  // magnitudes in buckets above `bucket`
+  while (above + hist[bucket] < k) above += hist[bucket--];
+
+  // 2. Exact threshold tau: the (k - above)-th largest magnitude inside that
+  //    bucket, plus how many of the k slots go to ties at tau.
+  std::vector<std::uint32_t> mags;
+  mags.reserve(hist[bucket]);
+  for (const float v : grad) {
+    const std::uint32_t m = magnitude_bits(v);
+    if ((m >> kBucketShift) == bucket) mags.push_back(m);
+  }
+  const auto nth = mags.begin() + static_cast<std::ptrdiff_t>(k - above - 1);
+  std::nth_element(mags.begin(), nth, mags.end(), std::greater<>());
+  const std::uint32_t tau = *nth;
+  const auto strictly_above =
+      static_cast<std::size_t>(std::count_if(mags.begin(), nth, [tau](std::uint32_t m) {
+        return m > tau;
+      }));
+  std::size_t ties = k - above - strictly_above;
+
+  // 3. One ascending scan: everything above tau, and the lowest-index ties.
+  std::vector<std::uint32_t> out;
+  out.reserve(k);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t m = magnitude_bits(grad[i]);
+    if (m < tau) continue;
+    if (m == tau) {
+      if (ties == 0) continue;
+      --ties;
+    }
+    out.push_back(static_cast<std::uint32_t>(i));
+  }
+  return out;
 }
 
 std::size_t TopKCodec::transform(std::span<float> grad, Rng& /*rng*/) const {
   const std::size_t n = grad.size();
   if (n == 0) return wire_bytes(0);
-  const std::size_t k = kept(n);
-  if (k == n) return wire_bytes(n);
-
-  const std::vector<std::uint32_t> keep_idx = select(grad);
-  // Zero everything outside the top-k set.
-  std::vector<char> keep(n, 0);
-  for (const std::uint32_t i : keep_idx) keep[i] = 1;
-  for (std::size_t i = 0; i < n; ++i)
-    if (!keep[i]) grad[i] = 0.0f;
+  if (kept(n) == n) return wire_bytes(n);
+  zero_outside(grad, select(grad));
   return wire_bytes(n);
 }
 
@@ -88,17 +134,11 @@ CompressedPush TopKCodec::encode(std::span<const float> grad, Rng& /*rng*/) cons
   if (k * (sizeof(std::uint32_t) + sizeof(float)) >= n * sizeof(float)) {
     push.format = CompressedPush::Format::kDense;
     push.values.assign(grad.begin(), grad.end());
-    if (k < n) {
-      std::vector<char> keep(n, 0);
-      for (const std::uint32_t i : select(grad)) keep[i] = 1;
-      for (std::size_t i = 0; i < n; ++i)
-        if (!keep[i]) push.values[i] = 0.0f;
-    }
+    if (k < n) zero_outside(push.values, select(grad));
     return push;
   }
   push.format = CompressedPush::Format::kSparse;
-  push.indices = select(grad);
-  std::sort(push.indices.begin(), push.indices.end());  // wire order: ascending
+  push.indices = select(grad);  // already in wire order: ascending
   push.values.reserve(k);
   for (const std::uint32_t i : push.indices) push.values.push_back(grad[i]);
   return push;

@@ -8,6 +8,20 @@
 // a per-worker residual and is re-added to the next gradient, which is what
 // makes sparsified SGD converge (and what Aji & Heafield do implicitly by
 // accumulating in the sender's buffer).
+//
+// Selection is an exact radix select over the magnitude bit patterns
+// (non-negative IEEE floats order like their bits):
+//   1. one histogram pass over the top 12 bits of each |g| finds the bucket
+//      holding the k-th largest magnitude;
+//   2. `nth_element` over that bucket's magnitudes only (usually a few
+//      hundred entries) gives the exact threshold tau and how many of the k
+//      slots go to ties at tau;
+//   3. one ascending scan emits every index with |g| > tau plus the
+//      lowest-index ties at tau.
+// Cost: three linear passes plus a selection over one bucket, with no
+// allocation proportional to n beyond that bucket.  The kept set is exactly
+// "the k largest magnitudes, lower index first on equal magnitude", and it
+// comes out in ascending index order, which is the sparse wire order.
 #pragma once
 
 #include "compress/codec.h"
@@ -48,10 +62,10 @@ class TopKCodec final : public GradientCodec {
   [[nodiscard]] std::size_t kept(std::size_t num_params) const noexcept;
 
  private:
-  /// Top-k index set for `grad`, in unspecified order (nth_element prefix).
-  /// The selection and its tie-break (lower index wins on equal magnitude)
-  /// are shared by `transform` and `encode` so the two forms agree bit for
-  /// bit; only `encode` pays to sort the set into wire order.
+  /// Top-k index set for a non-empty `grad`, in ascending index order
+  /// (radix select, see the file comment).  The selection and its tie-break
+  /// (lower index wins on equal magnitude) are shared by `transform` and
+  /// `encode` so the two forms agree bit for bit.
   [[nodiscard]] std::vector<std::uint32_t> select(std::span<const float> grad) const;
 
   double keep_fraction_;

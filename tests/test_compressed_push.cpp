@@ -6,6 +6,9 @@
 //  * encode/decode fidelity — for every codec, decoding the CompressedPush
 //    reproduces the in-place transform bit for bit, with and without error
 //    feedback;
+//  * in-place error feedback — the bank's carry in / subtract-what-was-sent
+//    matches the old carry/decode/subtract loop bit for bit, pushes and
+//    residuals alike;
 //  * sparse apply — ShardedParameterServer::apply_sparse touches only the
 //    shards owning kept coordinates and is bit-identical to the equivalent
 //    dense apply, on 1 and 8 shards, and the threaded SharedParameterServer
@@ -13,8 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -255,6 +261,80 @@ TEST(Bank, EncodeMatchesTransformIncludingErrorFeedback) {
     push.decode_into(decoded);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(decoded[i], ga[i]) << "round " << round;
     ASSERT_DOUBLE_EQ(a.residual_l1(0), b.residual_l1(0)) << "round " << round;
+  }
+}
+
+// The carry/decode/subtract loop the in-place bank replaced, written out as
+// the reference: carry = g + residual into a fresh buffer, encode (or
+// transform) it, then residual = carry - decoded.
+struct ReferenceFeedback {
+  const GradientCodec& codec;
+  std::vector<float> residual;
+
+  CompressedPush encode(std::span<const float> g, Rng& rng) {
+    if (residual.size() != g.size()) residual.assign(g.size(), 0.0f);
+    std::vector<float> carry(g.size());
+    for (std::size_t i = 0; i < g.size(); ++i) carry[i] = g[i] + residual[i];
+    CompressedPush push = codec.encode(carry, rng);
+    std::vector<float> decoded(g.size());
+    push.decode_into(decoded);
+    for (std::size_t i = 0; i < g.size(); ++i) residual[i] = carry[i] - decoded[i];
+    return push;
+  }
+
+  std::size_t transform(std::span<float> g, Rng& rng) {
+    if (residual.size() != g.size()) residual.assign(g.size(), 0.0f);
+    for (std::size_t i = 0; i < g.size(); ++i) g[i] += residual[i];
+    const std::vector<float> carry(g.begin(), g.end());
+    const std::size_t bytes = codec.transform(g, rng);
+    for (std::size_t i = 0; i < g.size(); ++i) residual[i] = carry[i] - g[i];
+    return bytes;
+  }
+};
+
+bool same_bits(std::span<const float> a, std::span<const float> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](float x, float y) {
+    return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
+  });
+}
+
+TEST(Bank, InPlaceFeedbackIsBitIdenticalToTheCarryDecodeLoop) {
+  const std::size_t n = 4097;
+  const std::vector<CodecCase> cases = {
+      {"topk1", std::make_shared<TopKCodec>(0.01)},
+      {"topk75", std::make_shared<TopKCodec>(0.75)},  // dense fallback
+      {"qsgd4bit", std::make_shared<QsgdCodec>(15)},  // unbiased: feedback forced on
+  };
+  for (const CodecCase& c : cases) {
+    CompressorBank encode_bank(c.codec, 1, /*error_feedback=*/true);
+    CompressorBank transform_bank(c.codec, 1, /*error_feedback=*/true);
+    ReferenceFeedback encode_ref{*c.codec, {}};
+    ReferenceFeedback transform_ref{*c.codec, {}};
+    Rng data(7), r_enc(11), r_enc_ref(11), r_tr(13), r_tr_ref(13);
+    for (int step = 0; step < 50; ++step) {
+      // Gaussian steps with exact ties and signed zeros mixed in.
+      std::vector<float> g(n);
+      for (float& v : g) {
+        const double u = data.uniform();
+        v = u < 0.05 ? 0.5f : u < 0.1 ? -0.0f : static_cast<float>(data.gaussian());
+      }
+      const auto where = ::testing::Message() << c.label << " step " << step;
+
+      const CompressedPush got = encode_bank.encode(0, g, r_enc);
+      const CompressedPush want = encode_ref.encode(g, r_enc_ref);
+      ASSERT_EQ(got.format, want.format) << where;
+      ASSERT_EQ(got.wire_size, want.wire_size) << where;
+      ASSERT_EQ(got.indices, want.indices) << where;
+      ASSERT_TRUE(same_bits(got.values, want.values)) << where;
+      ASSERT_TRUE(same_bits(encode_bank.residual(0), encode_ref.residual)) << where;
+
+      std::vector<float> got_g = g;
+      std::vector<float> want_g = g;
+      ASSERT_EQ(transform_bank.transform(0, got_g, r_tr), transform_ref.transform(want_g, r_tr_ref))
+          << where;
+      ASSERT_TRUE(same_bits(got_g, want_g)) << where;
+      ASSERT_TRUE(same_bits(transform_bank.residual(0), transform_ref.residual)) << where;
+    }
   }
 }
 

@@ -17,6 +17,10 @@ prefix and the script selects the member matching the candidate run's
 `context.num_cpus`; when no member matches, the comparison is skipped
 (exit 0) rather than judged against the wrong hardware shape.
 
+A baseline whose `context.baseline_provenance` starts with PROVISIONAL
+(a recording restamped to another core count, not a measurement) is
+refused with exit 2.
+
 Usage:
   tools/bench_compare.py --baseline OLD.json --current NEW.json \
       [--threshold 0.20] [--metric cpu_time] [--strict]
@@ -24,7 +28,8 @@ Usage:
       --current NEW.json [...]
 
 Exit codes: 0 = ok (or warnings in non-strict mode, or no family member
-for this core count), 1 = regressions in --strict mode, 2 = bad input.
+for this core count), 1 = regressions in --strict mode, 2 = bad input
+(including a PROVISIONAL baseline).
 """
 
 import argparse
@@ -67,13 +72,18 @@ def resolve_family_baseline(family, current_path):
     return None
 
 
-def load_benchmarks(path, metric):
+def load_benchmarks(path, metric, baseline=False):
     """Return {name: metric_value} for every non-aggregate benchmark entry."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
+        sys.exit(2)
+    provenance = str(doc.get("context", {}).get("baseline_provenance", ""))
+    if baseline and provenance.startswith("PROVISIONAL"):
+        print(f"bench_compare: {path} is a PROVISIONAL restamp, not a measurement; "
+              "refusing to compare against it", file=sys.stderr)
         sys.exit(2)
     out = {}
     for entry in doc.get("benchmarks", []):
@@ -115,7 +125,7 @@ def main():
         if baseline_path is None:
             return 0
 
-    baseline = load_benchmarks(baseline_path, args.metric)
+    baseline = load_benchmarks(baseline_path, args.metric, baseline=True)
     current = load_benchmarks(args.current, args.metric)
 
     regressions, improvements, skipped = [], [], []
