@@ -2,10 +2,13 @@
 //
 // Not a paper artifact; quantifies the building blocks so users can estimate
 // simulation cost: gradient computation, PS apply, pull (snapshot copy),
-// event-queue ops, checkpoint round-trip.
+// event-queue ops, checkpoint round-trip, a wire pull + push.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <future>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -16,6 +19,8 @@
 #include "compress/topk.h"
 #include "nn/batchnorm.h"
 #include "data/synthetic.h"
+#include "net/ps_server.h"
+#include "net/socket_transport.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
 #include "ps/param_server.h"
@@ -437,6 +442,44 @@ void BM_CheckpointRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CheckpointRoundTrip);
+
+// One ASP update over a real socket with no compute: an in-process
+// ps_server session and one SocketTransport doing pull + dense push, so the
+// time is the frames, the kernel copies and the session's PS apply.  Arg 0
+// is the parameter count (a 100-class linear model, so a multiple of 100;
+// 102,500 is the socket-wide benchmark's 410 KB frame); arg 1 picks the
+// endpoint, 0 = unix socket, 1 = tcp loopback.
+void BM_NetPullPush(benchmark::State& state) {
+  PsServerConfig cfg;
+  cfg.listen = state.range(1) == 0
+                   ? "unix:/tmp/ss_bm_net_" + std::to_string(::getpid()) + ".sock"
+                   : "tcp:127.0.0.1:0";
+  cfg.num_workers = 1;
+  cfg.steps_per_worker = 1;
+  cfg.data = SyntheticSpec::cifar100_like();
+  cfg.data.feature_dim = static_cast<std::size_t>(state.range(0)) / 100 - 1;
+  cfg.data.train_size = 256;
+  cfg.data.test_size = 128;
+  std::promise<std::string> listening;
+  cfg.on_listening = [&listening](const std::string& ep) { listening.set_value(ep); };
+  std::thread server([&cfg] { (void)run_ps_server(cfg); });
+
+  AssignmentMsg a;
+  SocketTransport tx(listening.get_future().get(), a);
+  std::vector<float> params(a.num_params);
+  const std::vector<float> grad(a.num_params, 1e-6f);
+  std::vector<std::int64_t> versions;
+  for (auto _ : state) {
+    tx.pull_with_versions(params, versions);
+    benchmark::DoNotOptimize(tx.push(grad, 0.01, versions));
+  }
+  (void)tx.drain_arrive(1);
+  tx.bye();
+  server.join();
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(a.num_params * sizeof(float)));
+}
+BENCHMARK(BM_NetPullPush)->Args({102500, 0})->Args({102500, 1})->UseRealTime();
 
 }  // namespace
 

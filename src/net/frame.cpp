@@ -1,38 +1,14 @@
 #include "net/frame.h"
 
 #include <cstring>
-#include <type_traits>
+#include <stdexcept>
+#include <string>
 
 #include "common/error.h"
 
 namespace ss {
 
 namespace {
-
-/// Append-only little-endian payload writer (the checkpoint codec's `put`
-/// idiom, shared by every message encoder).
-class Writer {
- public:
-  void raw(const void* src, std::size_t n) {
-    if (n == 0) return;  // empty vectors hand over a null data()
-    const auto* p = static_cast<const std::uint8_t*>(src);
-    buf_.insert(buf_.end(), p, p + n);
-  }
-  template <typename T>
-  void scalar(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    raw(&v, sizeof(v));
-  }
-  template <typename T>
-  void vec(const std::vector<T>& v) {
-    scalar(static_cast<std::uint64_t>(v.size()));
-    raw(v.data(), v.size() * sizeof(T));
-  }
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
-};
 
 /// Strictly-validating payload reader: every read is bounds-checked, vector
 /// counts are validated against the bytes actually present before resizing,
@@ -43,7 +19,7 @@ class Reader {
       : p_(bytes.data()), remaining_(bytes.size()), what_(what) {}
 
   void raw(void* dst, std::size_t n) {
-    if (remaining_ < n) throw NetError(std::string(what_) + ": truncated payload");
+    if (remaining_ < n) fail("truncated payload");
     if (n == 0) return;
     std::memcpy(dst, p_, n);
     p_ += n;
@@ -59,13 +35,15 @@ class Reader {
   template <typename T>
   void vec(std::vector<T>& out) {
     const auto count = scalar<std::uint64_t>();
-    if (count > remaining_ / sizeof(T))
-      throw NetError(std::string(what_) + ": truncated payload");
+    if (count > remaining_ / sizeof(T)) fail("truncated payload");
     out.resize(count);
     raw(out.data(), count * sizeof(T));
   }
   void done() const {
-    if (remaining_ != 0) throw NetError(std::string(what_) + ": trailing bytes");
+    if (remaining_ != 0) fail("trailing bytes");
+  }
+  [[noreturn]] void fail(const std::string& why) const {
+    throw NetError(std::string(what_) + ": " + why);
   }
 
  private:
@@ -79,21 +57,75 @@ bool known_type(std::uint16_t t) {
          t <= static_cast<std::uint16_t>(MsgType::kError);
 }
 
-Frame finish(MsgType type, Writer&& w) { return Frame{type, std::move(w).take()}; }
+/// The prefix both dense frames share after their own leading fields:
+/// [u64 S][S x i64 versions][u64 P], with S and P pinned by the shape.
+/// Counts are checked before anything is read into `versions`.
+void read_dense_counts(Reader& r, const WireShape& shape, std::vector<std::int64_t>& versions) {
+  const auto shards = r.scalar<std::uint64_t>();
+  if (shards == 0) r.fail("empty version vector");
+  if (shards != shape.num_shards)
+    r.fail("version count " + std::to_string(shards) + " does not match the " +
+           std::to_string(shape.num_shards) + " assigned shards");
+  versions.resize(shards);
+  r.raw(versions.data(), shards * sizeof(std::int64_t));
+  const auto floats = r.scalar<std::uint64_t>();
+  if (floats != shape.num_params)
+    r.fail("float count " + std::to_string(floats) + " does not match the " +
+           std::to_string(shape.num_params) + " assigned parameters");
+  r.done();
+}
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  Writer w;
-  w.scalar(kFrameMagic);
-  w.scalar(kFrameVersion);
-  w.scalar(static_cast<std::uint16_t>(frame.type));
-  w.scalar(static_cast<std::uint64_t>(frame.payload.size()));
-  w.raw(frame.payload.data(), frame.payload.size());
-  return std::move(w).take();
+// --------------------------------------------------------------- FrameOut
+
+FrameOut::FrameOut(MsgType type) : type_(type) {
+  const auto raw_type = static_cast<std::uint16_t>(type);
+  std::memcpy(staged_.data(), &kFrameMagic, sizeof(kFrameMagic));
+  std::memcpy(staged_.data() + 4, &kFrameVersion, sizeof(kFrameVersion));
+  std::memcpy(staged_.data() + 6, &raw_type, sizeof(raw_type));
+  // Bytes 8..16 hold the payload length, kept current by every append.
+  staged_len_ = kFrameHeaderBytes;
+  parts_[0] = Part{nullptr, 0, kFrameHeaderBytes};
+  num_parts_ = 1;
 }
 
-std::uint64_t decode_frame_header(std::span<const std::uint8_t> header, MsgType& type) {
+void FrameOut::stage(const void* src, std::size_t n) {
+  if (staged_len_ + n > kMaxStaged) throw std::length_error("FrameOut: staged fields overflow");
+  std::memcpy(staged_.data() + staged_len_, src, n);
+  add_part(Part{nullptr, staged_len_, n});
+  staged_len_ += n;
+}
+
+void FrameOut::ref(const void* data, std::size_t n) {
+  if (n == 0) return;  // empty vectors hand over a null data()
+  add_part(Part{static_cast<const std::uint8_t*>(data), 0, n});
+}
+
+void FrameOut::add_part(Part part) {
+  Part& last = parts_[num_parts_ - 1];
+  if (part.data == nullptr && last.data == nullptr &&
+      last.staged_at + last.len == part.staged_at) {
+    last.len += part.len;  // extend the staged run
+  } else {
+    if (num_parts_ == kMaxParts) throw std::length_error("FrameOut: too many parts");
+    parts_[num_parts_++] = part;
+  }
+  payload_bytes_ += part.len;
+  std::memcpy(staged_.data() + 8, &payload_bytes_, sizeof(payload_bytes_));
+}
+
+std::size_t FrameOut::gather(Parts& out) const {
+  for (std::size_t i = 0; i < num_parts_; ++i) {
+    const Part& p = parts_[i];
+    out[i] = {p.data != nullptr ? p.data : staged_.data() + p.staged_at, p.len};
+  }
+  return num_parts_;
+}
+
+// ----------------------------------------------------------- header, bounds
+
+FrameHeader decode_frame_header(std::span<const std::uint8_t> header) {
   if (header.size() != kFrameHeaderBytes) throw NetError("Frame: truncated header");
   Reader r(header, "Frame header");
   if (r.scalar<std::uint32_t>() != kFrameMagic) throw NetError("Frame: bad magic");
@@ -103,28 +135,56 @@ std::uint64_t decode_frame_header(std::span<const std::uint8_t> header, MsgType&
   const auto raw_type = r.scalar<std::uint16_t>();
   if (!known_type(raw_type))
     throw NetError("Frame: unknown message type " + std::to_string(raw_type));
-  type = static_cast<MsgType>(raw_type);
-  const auto payload_size = r.scalar<std::uint64_t>();
-  if (payload_size > kMaxFramePayload)
-    throw NetError("Frame: payload length " + std::to_string(payload_size) +
+  FrameHeader h;
+  h.type = static_cast<MsgType>(raw_type);
+  h.payload_bytes = r.scalar<std::uint64_t>();
+  if (h.payload_bytes > kMaxFramePayload)
+    throw NetError("Frame: payload length " + std::to_string(h.payload_bytes) +
                    " exceeds the " + std::to_string(kMaxFramePayload) + "-byte cap");
-  return payload_size;
+  return h;
 }
 
-Frame decode_frame(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kFrameHeaderBytes) throw NetError("Frame: truncated header");
-  Frame frame;
-  const std::uint64_t payload_size =
-      decode_frame_header(bytes.first(kFrameHeaderBytes), frame.type);
-  const std::span<const std::uint8_t> payload = bytes.subspan(kFrameHeaderBytes);
-  if (payload.size() != payload_size)
-    throw NetError(payload.size() < payload_size ? "Frame: truncated payload"
-                                                 : "Frame: trailing bytes");
-  frame.payload.assign(payload.begin(), payload.end());
-  return frame;
+std::uint64_t pull_reply_bytes(const WireShape& shape) {
+  return 8 + 8 * std::uint64_t{shape.num_shards} + 8 + 4 * std::uint64_t{shape.num_params};
 }
 
-Frame make_empty_frame(MsgType type) { return Frame{type, {}}; }
+std::uint64_t push_dense_bytes(const WireShape& shape) { return 8 + pull_reply_bytes(shape); }
+
+std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape) {
+  switch (type) {
+    case MsgType::kHello:
+      return sizeof(std::uint16_t);
+    case MsgType::kAssignment: {
+      static const std::uint64_t bytes = AssignmentMsg{}.encode().payload_bytes();
+      return bytes;
+    }
+    case MsgType::kPull:
+    case MsgType::kVersionRequest:
+    case MsgType::kOk:
+    case MsgType::kBye:
+      return 0;
+    case MsgType::kPullReply:
+      return pull_reply_bytes(shape);
+    case MsgType::kPushDense:
+      return push_dense_bytes(shape);
+    case MsgType::kPushCompressed:
+      // A PushDense's fields plus format, num_params, wire_size and an index
+      // vector as long as the values: every coordinate kept.
+      return push_dense_bytes(shape) + 1 + 8 + 8 + 8 + 4 * std::uint64_t{shape.num_params};
+    case MsgType::kPushReply:
+    case MsgType::kDrainArrive:
+    case MsgType::kCheckpointRequest:
+    case MsgType::kVersionReply:
+      return sizeof(std::int64_t);
+    case MsgType::kDrainRelease:
+      return sizeof(std::uint8_t);
+    case MsgType::kCheckpointReply:
+    case MsgType::kRestoreRequest:
+    case MsgType::kError:
+      return kMaxFramePayload;
+  }
+  return 0;
+}
 
 const char* msg_type_name(MsgType type) noexcept {
   switch (type) {
@@ -151,10 +211,10 @@ const char* msg_type_name(MsgType type) noexcept {
 
 // ------------------------------------------------------------------ Hello
 
-Frame HelloMsg::encode() const {
-  Writer w;
-  w.scalar(protocol_version);
-  return finish(MsgType::kHello, std::move(w));
+FrameOut HelloMsg::encode() const {
+  FrameOut f(MsgType::kHello);
+  f.scalar(protocol_version);
+  return f;
 }
 
 HelloMsg HelloMsg::decode(std::span<const std::uint8_t> payload) {
@@ -167,32 +227,32 @@ HelloMsg HelloMsg::decode(std::span<const std::uint8_t> payload) {
 
 // ------------------------------------------------------------- Assignment
 
-Frame AssignmentMsg::encode() const {
-  Writer w;
-  w.scalar(worker);
-  w.scalar(num_workers);
-  w.scalar(num_params);
-  w.scalar(num_shards);
-  w.scalar(steps_per_worker);
-  w.scalar(batch_size);
-  w.scalar(lr);
-  w.scalar(momentum);
-  w.scalar(seed);
-  w.scalar(static_cast<std::uint8_t>(arch));
-  w.scalar(static_cast<std::uint8_t>(compression.kind));
-  w.scalar(compression.topk_fraction);
-  w.scalar(static_cast<std::int32_t>(compression.qsgd_levels));
-  w.scalar(compression.terngrad_clip_sigma);
-  w.scalar(static_cast<std::int32_t>(data.num_classes));
-  w.scalar(static_cast<std::uint64_t>(data.feature_dim));
-  w.scalar(static_cast<std::uint64_t>(data.train_size));
-  w.scalar(static_cast<std::uint64_t>(data.test_size));
-  w.scalar(static_cast<std::int32_t>(data.modes_per_class));
-  w.scalar(data.class_separation);
-  w.scalar(data.within_stddev);
-  w.scalar(data.label_noise);
-  w.scalar(data.seed);
-  return finish(MsgType::kAssignment, std::move(w));
+FrameOut AssignmentMsg::encode() const {
+  FrameOut f(MsgType::kAssignment);
+  f.scalar(worker);
+  f.scalar(num_workers);
+  f.scalar(num_params);
+  f.scalar(num_shards);
+  f.scalar(steps_per_worker);
+  f.scalar(batch_size);
+  f.scalar(lr);
+  f.scalar(momentum);
+  f.scalar(seed);
+  f.scalar(static_cast<std::uint8_t>(arch));
+  f.scalar(static_cast<std::uint8_t>(compression.kind));
+  f.scalar(compression.topk_fraction);
+  f.scalar(static_cast<std::int32_t>(compression.qsgd_levels));
+  f.scalar(compression.terngrad_clip_sigma);
+  f.scalar(static_cast<std::int32_t>(data.num_classes));
+  f.scalar(static_cast<std::uint64_t>(data.feature_dim));
+  f.scalar(static_cast<std::uint64_t>(data.train_size));
+  f.scalar(static_cast<std::uint64_t>(data.test_size));
+  f.scalar(static_cast<std::int32_t>(data.modes_per_class));
+  f.scalar(data.class_separation);
+  f.scalar(data.within_stddev);
+  f.scalar(data.label_noise);
+  f.scalar(data.seed);
+  return f;
 }
 
 AssignmentMsg AssignmentMsg::decode(std::span<const std::uint8_t> payload) {
@@ -233,93 +293,85 @@ AssignmentMsg AssignmentMsg::decode(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-// -------------------------------------------------------------- PullReply
+// ---------------------------------------------------------- dense frames
 
-Frame PullReplyMsg::encode() const {
-  Writer w;
-  w.vec(versions);
-  w.vec(params);
-  return finish(MsgType::kPullReply, std::move(w));
+FrameOut PullReplyMsg::encode() const {
+  FrameOut f(MsgType::kPullReply);
+  f.vec(versions);
+  f.vec(params);
+  return f;
 }
 
-PullReplyMsg PullReplyMsg::decode(std::span<const std::uint8_t> payload) {
-  Reader r(payload, "PullReply");
-  PullReplyMsg m;
-  r.vec(m.versions);
-  r.vec(m.params);
-  r.done();
-  if (m.versions.empty()) throw NetError("PullReply: empty version vector");
-  return m;
+void PullReplyMsg::decode_prefix(std::span<const std::uint8_t> prefix, const WireShape& shape,
+                                 std::vector<std::int64_t>& versions) {
+  Reader r(prefix, "PullReply");
+  read_dense_counts(r, shape, versions);
 }
 
-// -------------------------------------------------------------- PushDense
-
-Frame PushDenseMsg::encode() const {
-  Writer w;
-  w.scalar(lr);
-  w.vec(pull_versions);
-  w.vec(grad);
-  return finish(MsgType::kPushDense, std::move(w));
+FrameOut PushDenseMsg::encode() const {
+  FrameOut f(MsgType::kPushDense);
+  f.scalar(lr);
+  f.vec(pull_versions);
+  f.vec(grad);
+  return f;
 }
 
-PushDenseMsg PushDenseMsg::decode(std::span<const std::uint8_t> payload) {
-  Reader r(payload, "PushDense");
-  PushDenseMsg m;
-  m.lr = r.scalar<double>();
-  r.vec(m.pull_versions);
-  r.vec(m.grad);
-  r.done();
-  if (m.pull_versions.empty()) throw NetError("PushDense: empty version vector");
-  return m;
+double PushDenseMsg::decode_prefix(std::span<const std::uint8_t> prefix, const WireShape& shape,
+                                   std::vector<std::int64_t>& pull_versions) {
+  Reader r(prefix, "PushDense");
+  const auto lr = r.scalar<double>();
+  read_dense_counts(r, shape, pull_versions);
+  return lr;
 }
 
 // --------------------------------------------------------- PushCompressed
 
-Frame PushCompressedMsg::encode() const {
-  Writer w;
-  w.scalar(lr);
-  w.vec(pull_versions);
-  w.scalar(static_cast<std::uint8_t>(push.format));
-  w.scalar(static_cast<std::uint64_t>(push.num_params));
-  w.scalar(static_cast<std::uint64_t>(push.wire_size));
-  w.vec(push.values);
-  w.vec(push.indices);
-  return finish(MsgType::kPushCompressed, std::move(w));
+FrameOut PushCompressedMsg::encode() const {
+  FrameOut f(MsgType::kPushCompressed);
+  f.scalar(lr);
+  f.vec(pull_versions);
+  f.scalar(static_cast<std::uint8_t>(push.format));
+  f.scalar(static_cast<std::uint64_t>(push.num_params));
+  f.scalar(static_cast<std::uint64_t>(push.wire_size));
+  f.vec(std::span<const float>(push.values));
+  f.vec(std::span<const std::uint32_t>(push.indices));
+  return f;
 }
 
-PushCompressedMsg PushCompressedMsg::decode(std::span<const std::uint8_t> payload) {
+double PushCompressedMsg::decode(std::span<const std::uint8_t> payload,
+                                 std::vector<std::int64_t>& pull_versions,
+                                 CompressedPush& push) {
   Reader r(payload, "PushCompressed");
-  PushCompressedMsg m;
-  m.lr = r.scalar<double>();
-  r.vec(m.pull_versions);
+  const auto lr = r.scalar<double>();
+  r.vec(pull_versions);
   const auto format = r.scalar<std::uint8_t>();
   if (format > static_cast<std::uint8_t>(CompressedPush::Format::kSparse))
     throw NetError("PushCompressed: unknown push format " + std::to_string(format));
-  m.push.format = static_cast<CompressedPush::Format>(format);
-  m.push.num_params = r.scalar<std::uint64_t>();
-  m.push.wire_size = r.scalar<std::uint64_t>();
-  r.vec(m.push.values);
-  r.vec(m.push.indices);
+  push.format = static_cast<CompressedPush::Format>(format);
+  push.num_params = r.scalar<std::uint64_t>();
+  push.wire_size = r.scalar<std::uint64_t>();
+  r.vec(push.values);
+  r.vec(push.indices);
   r.done();
-  if (m.pull_versions.empty()) throw NetError("PushCompressed: empty version vector");
+  if (pull_versions.empty()) throw NetError("PushCompressed: empty version vector");
   // Re-validate the push invariants at the trust boundary, converting the
   // library's ConfigError into the transport's typed error: a corrupt frame
   // must never reach the PS apply path (whose ascending-index walk is what
   // the per-shard deadlock-freedom argument rests on).
   try {
-    m.push.validate(m.push.num_params);
+    push.validate(push.num_params);
   } catch (const ConfigError& e) {
     throw NetError(std::string("PushCompressed: ") + e.what());
   }
-  return m;
+  return lr;
 }
 
 // --------------------------------------------------------------- replies
 
-Frame PushReplyMsg::encode() const {
-  Writer w;
-  w.scalar(staleness);
-  return finish(MsgType::kPushReply, std::move(w));
+FrameOut PushReplyMsg::encode() const {
+  FrameOut f(MsgType::kPushReply);
+  f.scalar(staleness);
+  return f;
 }
 
 PushReplyMsg PushReplyMsg::decode(std::span<const std::uint8_t> payload) {
@@ -330,10 +382,10 @@ PushReplyMsg PushReplyMsg::decode(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-Frame DrainArriveMsg::encode() const {
-  Writer w;
-  w.scalar(local_steps);
-  return finish(MsgType::kDrainArrive, std::move(w));
+FrameOut DrainArriveMsg::encode() const {
+  FrameOut f(MsgType::kDrainArrive);
+  f.scalar(local_steps);
+  return f;
 }
 
 DrainArriveMsg DrainArriveMsg::decode(std::span<const std::uint8_t> payload) {
@@ -344,10 +396,10 @@ DrainArriveMsg DrainArriveMsg::decode(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-Frame DrainReleaseMsg::encode() const {
-  Writer w;
-  w.scalar(static_cast<std::uint8_t>(done ? 1 : 0));
-  return finish(MsgType::kDrainRelease, std::move(w));
+FrameOut DrainReleaseMsg::encode() const {
+  FrameOut f(MsgType::kDrainRelease);
+  f.scalar(static_cast<std::uint8_t>(done ? 1 : 0));
+  return f;
 }
 
 DrainReleaseMsg DrainReleaseMsg::decode(std::span<const std::uint8_t> payload) {
@@ -358,10 +410,10 @@ DrainReleaseMsg DrainReleaseMsg::decode(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-Frame CheckpointRequestMsg::encode() const {
-  Writer w;
-  w.scalar(logical_step);
-  return finish(MsgType::kCheckpointRequest, std::move(w));
+FrameOut CheckpointRequestMsg::encode() const {
+  FrameOut f(MsgType::kCheckpointRequest);
+  f.scalar(logical_step);
+  return f;
 }
 
 CheckpointRequestMsg CheckpointRequestMsg::decode(std::span<const std::uint8_t> payload) {
@@ -372,10 +424,10 @@ CheckpointRequestMsg CheckpointRequestMsg::decode(std::span<const std::uint8_t> 
   return m;
 }
 
-Frame VersionReplyMsg::encode() const {
-  Writer w;
-  w.scalar(version);
-  return finish(MsgType::kVersionReply, std::move(w));
+FrameOut VersionReplyMsg::encode() const {
+  FrameOut f(MsgType::kVersionReply);
+  f.scalar(version);
+  return f;
 }
 
 VersionReplyMsg VersionReplyMsg::decode(std::span<const std::uint8_t> payload) {
@@ -386,11 +438,11 @@ VersionReplyMsg VersionReplyMsg::decode(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-Frame ErrorMsg::encode() const {
-  Writer w;
-  w.scalar(static_cast<std::uint64_t>(message.size()));
-  w.raw(message.data(), message.size());
-  return finish(MsgType::kError, std::move(w));
+FrameOut ErrorMsg::encode() const {
+  FrameOut f(MsgType::kError);
+  f.scalar(static_cast<std::uint64_t>(message.size()));
+  f.ref(message.data(), message.size());
+  return f;
 }
 
 ErrorMsg ErrorMsg::decode(std::span<const std::uint8_t> payload) {

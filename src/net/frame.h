@@ -6,21 +6,35 @@
 //
 // all little-endian, payload layouts per message type below.  The codec is
 // strictly validating: a malformed frame (bad magic, unknown version or
-// type, length past the sanity cap, truncated or over-long payload, sparse
-// indices out of range or out of order) decodes to a typed NetError — never
-// a crash, never a silently-wrong message (mirroring the trace-parser's
-// error contract in scenario/trace_replay.h).
+// type, length past the type's bound, truncated or over-long payload, counts
+// that disagree with the run's shape, sparse indices out of range or out of
+// order) decodes to a typed NetError — never a crash, never a
+// silently-wrong message (mirroring the trace-parser's error contract in
+// scenario/trace_replay.h).
 //
 // Payload conventions: integers are fixed-width little-endian, doubles are
 // 8-byte IEEE bit patterns, vectors are [u64 count][elements].  Checkpoints
 // travel as their existing format-v2 serialization (nn/checkpoint.h), and
 // compressed pushes re-use CompressedPush's field set verbatim — the wire
 // object the codecs were designed around finally crosses a real wire.
+//
+// Zero copy.  An outgoing frame is a FrameOut: the header and the scalar and
+// count fields are staged in a small inline buffer, while bulk arrays
+// (parameters, gradients, compressed values, checkpoint bytes) are
+// referenced where they already lie and handed to the kernel by one gather
+// send.  On the way in, every payload is bounded at header time by its
+// type's largest length for the run's shape (max_payload_bytes), before
+// anything is allocated or read.  The dense data-plane frames (PullReply,
+// PushDense) are received by scatter: the small prefix into a scratch
+// buffer, the float array straight into its destination; their
+// `decode_prefix` then checks the counts against the shape.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "compress/compressed_push.h"
@@ -32,7 +46,9 @@ namespace ss {
 
 inline constexpr std::uint32_t kFrameMagic = 0x53534652;  // "SSFR"
 inline constexpr std::uint16_t kFrameVersion = 1;
-/// Sanity cap on a frame payload.  Large enough for a checkpoint of a
+inline constexpr std::size_t kFrameHeaderBytes = 16;
+/// Global cap on a frame payload, and the bound of the variable-length
+/// frames (checkpoints, Error).  Large enough for a checkpoint of a
 /// 100M-parameter model (params + velocity + headers), small enough that a
 /// corrupt length field fails fast instead of driving a gigabyte resize.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
@@ -62,30 +78,98 @@ enum class MsgType : std::uint16_t {
 /// "Unknown" for values outside the enum.  For logs and trace span labels.
 [[nodiscard]] const char* msg_type_name(MsgType type) noexcept;
 
-/// One decoded frame: the type tag plus its raw payload bytes.
+/// One outgoing frame, assembled for a gather send.  Scalars are staged
+/// (copied into an inline buffer that also holds the header); arrays are
+/// referenced in place and must outlive the send.  Copyable: staged parts
+/// are kept as offsets, never as pointers into the object.
+class FrameOut {
+ public:
+  /// Most parts one frame can hold: the header run plus three referenced
+  /// arrays, each followed by a staged run, with room to spare.
+  static constexpr std::size_t kMaxParts = 8;
+  using Parts = std::array<std::span<const std::uint8_t>, kMaxParts>;
+
+  explicit FrameOut(MsgType type);
+
+  template <typename T>
+  void scalar(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    stage(&v, sizeof(v));
+  }
+  /// Reference `n` bytes in place.
+  void ref(const void* data, std::size_t n);
+  /// [u64 count][elements]: the count staged, the elements referenced.
+  template <typename T>
+  void vec(std::span<const T> v) {
+    scalar(static_cast<std::uint64_t>(v.size()));
+    ref(v.data(), v.size_bytes());
+  }
+
+  [[nodiscard]] MsgType type() const noexcept { return type_; }
+  [[nodiscard]] std::uint64_t payload_bytes() const noexcept { return payload_bytes_; }
+
+  /// The frame's bytes in wire order, header first; returns the part count.
+  std::size_t gather(Parts& out) const;
+
+ private:
+  /// Header + the longest all-scalar payload (Assignment, 154 bytes).
+  static constexpr std::size_t kMaxStaged = 192;
+  /// A staged run (`data == nullptr`, bytes at `staged_at`) or a reference.
+  struct Part {
+    const std::uint8_t* data = nullptr;
+    std::size_t staged_at = 0;
+    std::size_t len = 0;
+  };
+
+  void stage(const void* src, std::size_t n);
+  void add_part(Part part);
+
+  MsgType type_;
+  std::uint64_t payload_bytes_ = 0;
+  std::array<std::uint8_t, kMaxStaged> staged_{};
+  std::size_t staged_len_ = 0;
+  std::array<Part, kMaxParts> parts_{};
+  std::size_t num_parts_ = 0;
+};
+
+/// A validated frame header.
+struct FrameHeader {
+  MsgType type = MsgType::kError;
+  std::uint64_t payload_bytes = 0;
+};
+
+/// Validate a frame header: magic, version, known type, and the global
+/// cap.  `header` must be exactly kFrameHeaderBytes long.
+[[nodiscard]] FrameHeader decode_frame_header(std::span<const std::uint8_t> header);
+
+/// One received frame: the type tag plus its raw payload bytes.
 struct Frame {
   MsgType type = MsgType::kError;
   std::vector<std::uint8_t> payload;
 };
 
-/// Frame envelope: header + payload bytes ready for the socket.
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(const Frame& frame);
+/// The run's parameter shape.  It fixes the exact length of the dense
+/// frames, so a receiver can bound every payload from the header alone.
+struct WireShape {
+  std::size_t num_params = 0;
+  std::size_t num_shards = 0;
+};
 
-/// Parse a complete frame buffer (header + payload).  Throws NetError on
-/// any malformation.  The socket layer reads the header and payload
-/// separately (net/socket.h) but validates through the same checks.
-[[nodiscard]] Frame decode_frame(std::span<const std::uint8_t> bytes);
+/// Exact payload bytes of a PullReply ([u64 S][S x i64][u64 P][P x f32]).
+[[nodiscard]] std::uint64_t pull_reply_bytes(const WireShape& shape);
+/// Exact payload bytes of a PushDense ([f64 lr] + the PullReply layout).
+[[nodiscard]] std::uint64_t push_dense_bytes(const WireShape& shape);
 
-/// Validate a frame header; returns the payload size.  Throws NetError on
-/// bad magic, unsupported version, unknown type, or a length past the cap.
-/// `header` must be exactly kFrameHeaderBytes long.
-inline constexpr std::size_t kFrameHeaderBytes = 16;
-[[nodiscard]] std::uint64_t decode_frame_header(std::span<const std::uint8_t> header,
-                                                MsgType& type);
+/// The largest payload a frame of `type` may carry in a run of `shape`.
+/// Fixed-layout messages, PullReply and PushDense must be exactly this long;
+/// a PushCompressed may be shorter (the bound is a sparse push keeping every
+/// coordinate); checkpoints and Error share the global cap.
+[[nodiscard]] std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape);
 
 // ---------------------------------------------------------------------------
-// Message payloads.  Each struct has an encode() producing a full Frame and
-// a static decode(payload) validating every field.
+// Message payloads.  Each struct has an encode() producing a FrameOut and a
+// decoder validating every field.  The data-plane messages are views: they
+// reference the sender's arrays, and decode into the receiver's buffers.
 // ---------------------------------------------------------------------------
 
 /// Worker -> PS greeting.  `protocol_version` lets the server reject a
@@ -93,7 +177,7 @@ inline constexpr std::size_t kFrameHeaderBytes = 16;
 struct HelloMsg {
   std::uint16_t protocol_version = kFrameVersion;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static HelloMsg decode(std::span<const std::uint8_t> payload);
 };
 
@@ -115,28 +199,35 @@ struct AssignmentMsg {
   CompressionSpec compression;    ///< codec every worker encodes through
   SyntheticSpec data;             ///< the dataset every worker regenerates
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static AssignmentMsg decode(std::span<const std::uint8_t> payload);
 };
 
 /// PS -> worker: parameters + the per-shard version vector snapshotted as
 /// they were copied (the exact staleness-accounting path on the wire).
 struct PullReplyMsg {
-  std::vector<std::int64_t> versions;
-  std::vector<float> params;
+  std::span<const std::int64_t> versions;
+  std::span<const float> params;
 
-  [[nodiscard]] Frame encode() const;
-  [[nodiscard]] static PullReplyMsg decode(std::span<const std::uint8_t> payload);
+  [[nodiscard]] FrameOut encode() const;
+  /// Decode the prefix of an exact-length PullReply (every field before the
+  /// parameters, which the receiver scatters into place).  Both counts must
+  /// match `shape`; `versions` receives the version vector.
+  static void decode_prefix(std::span<const std::uint8_t> prefix, const WireShape& shape,
+                            std::vector<std::int64_t>& versions);
 };
 
 /// Worker -> PS: uncompressed full-gradient push.
 struct PushDenseMsg {
   double lr = 0.0;
-  std::vector<std::int64_t> pull_versions;
-  std::vector<float> grad;
+  std::span<const std::int64_t> pull_versions;
+  std::span<const float> grad;
 
-  [[nodiscard]] Frame encode() const;
-  [[nodiscard]] static PushDenseMsg decode(std::span<const std::uint8_t> payload);
+  [[nodiscard]] FrameOut encode() const;
+  /// As PullReplyMsg::decode_prefix; returns the push's learning rate.
+  [[nodiscard]] static double decode_prefix(std::span<const std::uint8_t> prefix,
+                                            const WireShape& shape,
+                                            std::vector<std::int64_t>& pull_versions);
 };
 
 /// Worker -> PS: a CompressedPush (dense quantized or sparse top-k).
@@ -144,18 +235,21 @@ struct PushDenseMsg {
 /// ascending and < num_params) so a corrupt frame cannot reach the PS math.
 struct PushCompressedMsg {
   double lr = 0.0;
-  std::vector<std::int64_t> pull_versions;
-  CompressedPush push;
+  std::span<const std::int64_t> pull_versions;
+  const CompressedPush& push;
 
-  [[nodiscard]] Frame encode() const;
-  [[nodiscard]] static PushCompressedMsg decode(std::span<const std::uint8_t> payload);
+  [[nodiscard]] FrameOut encode() const;
+  /// Decode into the receiver's buffers (capacity reused); returns lr.
+  [[nodiscard]] static double decode(std::span<const std::uint8_t> payload,
+                                     std::vector<std::int64_t>& pull_versions,
+                                     CompressedPush& push);
 };
 
 /// PS -> worker: staleness of the just-applied push.
 struct PushReplyMsg {
   std::int64_t staleness = 0;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static PushReplyMsg decode(std::span<const std::uint8_t> payload);
 };
 
@@ -163,7 +257,7 @@ struct PushReplyMsg {
 struct DrainArriveMsg {
   std::int64_t local_steps = 0;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static DrainArriveMsg decode(std::span<const std::uint8_t> payload);
 };
 
@@ -172,7 +266,7 @@ struct DrainArriveMsg {
 struct DrainReleaseMsg {
   bool done = true;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static DrainReleaseMsg decode(std::span<const std::uint8_t> payload);
 };
 
@@ -181,27 +275,25 @@ struct DrainReleaseMsg {
 struct CheckpointRequestMsg {
   std::int64_t logical_step = 0;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static CheckpointRequestMsg decode(std::span<const std::uint8_t> payload);
 };
 
 struct VersionReplyMsg {
   std::int64_t version = 0;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static VersionReplyMsg decode(std::span<const std::uint8_t> payload);
 };
 
 /// PS -> worker failure report.  The server catches its own exceptions and
 /// ships `what()`; the transport rethrows it as NetError("ps_server: ...").
+/// encode() references `message`, which must outlive the send.
 struct ErrorMsg {
   std::string message;
 
-  [[nodiscard]] Frame encode() const;
+  [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static ErrorMsg decode(std::span<const std::uint8_t> payload);
 };
-
-/// Frames with no payload fields (kPull, kVersionRequest, kOk, kBye).
-[[nodiscard]] Frame make_empty_frame(MsgType type);
 
 }  // namespace ss

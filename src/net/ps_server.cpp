@@ -89,6 +89,13 @@ void evict_worker(ServerState& state, std::uint32_t worker, const std::string& w
 
 /// One worker session: serve frames until the worker leaves (Bye), the
 /// connection dies (eviction), or the run completes.
+///
+/// Errors split two ways.  A frame whose header fails validation or whose
+/// length passes its type's bound, and any I/O failure, is a transport
+/// error: the stream cannot be trusted, so the worker is evicted.  A frame
+/// that arrives whole but decodes badly (wrong counts, a short payload, an
+/// unexpected type) is a request error: it is answered with an Error frame
+/// and the session continues.
 void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
                    const AssignmentMsg& assignment) {
   if (obs::enabled()) {
@@ -100,42 +107,58 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
                                    "session worker " + std::to_string(worker));
   }
   InProcTransport tx(state.ps);
+  const WireShape shape{tx.num_params(), tx.num_shards()};
+  // Session-owned buffers, sized once.  A pull copies the parameters into
+  // `params` under the shard locks (the one copy that must stay) and sends
+  // them from there; a dense push lands in `grad` straight off the socket.
+  // Replies reference these buffers, so they outlive each send.
+  std::vector<float> params(shape.num_params);
+  std::vector<float> grad(shape.num_params);
+  std::vector<std::int64_t> versions;
+  CompressedPush compressed;
+  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> checkpoint;
+  ErrorMsg error;
   bool drained = false;
   try {
-    Frame req;
-    while (recv_frame(sock, req)) {
-      Frame reply;
+    FrameHeader req;
+    while (recv_frame_header(sock, req, shape)) {
+      const bool dense_push =
+          req.type == MsgType::kPushDense && req.payload_bytes == push_dense_bytes(shape);
+      recv_payload(sock, req, payload,
+                   dense_push ? std::as_writable_bytes(std::span(grad)) : std::span<std::byte>{});
+      FrameOut reply(MsgType::kOk);
       try {
         switch (req.type) {
           case MsgType::kPull: {
-            PullReplyMsg msg;
-            msg.params.resize(tx.num_params());
-            tx.pull_with_versions(msg.params, msg.versions);
-            reply = msg.encode();
+            tx.pull_with_versions(params, versions);
+            reply = PullReplyMsg{versions, params}.encode();
             break;
           }
           case MsgType::kPushDense: {
-            const PushDenseMsg msg = PushDenseMsg::decode(req.payload);
-            if (msg.grad.size() != tx.num_params())
-              throw NetError("PushDense: gradient length mismatch");
+            if (!dense_push)
+              throw NetError("PushDense: payload of " + std::to_string(req.payload_bytes) +
+                             " bytes, the assigned shape needs " +
+                             std::to_string(push_dense_bytes(shape)));
+            const double lr = PushDenseMsg::decode_prefix(payload, shape, versions);
             PushReplyMsg out;
-            out.staleness = tx.push(msg.grad, msg.lr, msg.pull_versions);
+            out.staleness = tx.push(grad, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
             reply = out.encode();
             break;
           }
           case MsgType::kPushCompressed: {
-            const PushCompressedMsg msg = PushCompressedMsg::decode(req.payload);
-            if (msg.push.num_params != tx.num_params())
+            const double lr = PushCompressedMsg::decode(payload, versions, compressed);
+            if (compressed.num_params != tx.num_params())
               throw NetError("PushCompressed: gradient length mismatch");
             PushReplyMsg out;
-            out.staleness = tx.push_compressed(msg.push, msg.lr, msg.pull_versions);
+            out.staleness = tx.push_compressed(compressed, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
             reply = out.encode();
             break;
           }
           case MsgType::kDrainArrive: {
-            (void)DrainArriveMsg::decode(req.payload);
+            (void)DrainArriveMsg::decode(payload);
             std::unique_lock<std::mutex> lock(state.mu);
             state.arrived[worker] = 1;
             if (state.drain_complete()) {
@@ -151,21 +174,19 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
             break;
           }
           case MsgType::kCheckpointRequest: {
-            const CheckpointRequestMsg msg = CheckpointRequestMsg::decode(req.payload);
-            Frame out;
-            out.type = MsgType::kCheckpointReply;
-            out.payload = tx.snapshot_checkpoint(msg.logical_step).serialize();
-            reply = std::move(out);
+            const CheckpointRequestMsg msg = CheckpointRequestMsg::decode(payload);
+            checkpoint = tx.snapshot_checkpoint(msg.logical_step).serialize();
+            reply = FrameOut(MsgType::kCheckpointReply);
+            reply.ref(checkpoint.data(), checkpoint.size());
             break;
           }
           case MsgType::kRestoreRequest: {
             // Serialize against the snapshotter's capture (same torn-mix
             // hazard the threaded runtime guards — see threaded_runtime.cpp).
-            const Checkpoint ckpt = Checkpoint::deserialize(req.payload);
+            const Checkpoint ckpt = Checkpoint::deserialize(payload);
             const std::lock_guard<std::mutex> lock(state.mu);
             tx.restore_checkpoint(ckpt);
-            reply = make_empty_frame(MsgType::kOk);
-            break;
+            break;  // reply stays kOk
           }
           case MsgType::kVersionRequest: {
             VersionReplyMsg out;
@@ -187,9 +208,8 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
         }
       } catch (const std::exception& e) {
         // Request-level failure: report to the worker, keep the session.
-        ErrorMsg err;
-        err.message = e.what();
-        reply = err.encode();
+        error.message = e.what();
+        reply = error.encode();
       }
       send_frame(sock, reply);
     }
@@ -197,7 +217,8 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
     // drained (some clients just close after the release).
     if (!drained) evict_worker(state, worker, "connection closed");
   } catch (const NetError& e) {
-    // Transport failure (dead socket mid-frame, send to a killed peer).
+    // Transport failure (dead socket mid-frame, send to a killed peer, a
+    // header past its bound).
     if (!drained) evict_worker(state, worker, e.what());
   }
 }
@@ -220,6 +241,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
                            cfg.data.num_classes, model_rng);
 
   ServerState state(model.get_params(), cfg.momentum, cfg.num_ps_shards, cfg.num_workers);
+  const WireShape shape{state.ps.num_params(), state.ps.num_shards()};
 
   AssignmentMsg assignment;
   assignment.num_workers = cfg.num_workers;
@@ -297,7 +319,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
     Socket sock = listener.accept();
     Frame hello;
     try {
-      if (!recv_frame(sock, hello) || hello.type != MsgType::kHello) continue;
+      if (!recv_frame(sock, hello, shape) || hello.type != MsgType::kHello) continue;
       const HelloMsg msg = HelloMsg::decode(hello.payload);
       if (msg.protocol_version != kFrameVersion) {
         ErrorMsg err;

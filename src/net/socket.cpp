@@ -3,9 +3,11 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -23,7 +25,7 @@ namespace {
 }
 
 // Wire-layer instrumentation handles, registered lazily on the first frame
-// sent/received with observability enabled (send_frame/recv_frame guard on
+// sent/received with observability enabled (send_frame/recv_payload guard on
 // obs::enabled(), so an obs-off process never touches the registry).  Byte
 // histograms count the full frame (header + payload) — the quantity the
 // simulator's transfer_time pricing charges — so real wire-cost
@@ -125,18 +127,35 @@ void Socket::close() noexcept {
   }
 }
 
-void Socket::send_all(const void* data, std::size_t n) {
-  if (fd_ < 0) throw NetError("Socket::send_all: socket closed");
-  const auto* p = static_cast<const std::uint8_t*>(data);
+void Socket::send_parts(std::span<const std::span<const std::uint8_t>> parts) {
+  if (fd_ < 0) throw NetError("Socket::send_parts: socket closed");
+  std::array<iovec, FrameOut::kMaxParts> iov{};
+  if (parts.size() > iov.size()) throw NetError("Socket::send_parts: too many parts");
+  std::size_t n = 0;
+  for (const auto& p : parts)
+    if (!p.empty()) iov[n++] = {const_cast<std::uint8_t*>(p.data()), p.size()};
+  iovec* next = iov.data();
   while (n > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = n;
     // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the process.
-    const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
+    const ssize_t sent = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR) continue;
-      throw_errno("Socket::send_all");
+      throw_errno("Socket::send_parts");
     }
-    p += sent;
-    n -= static_cast<std::size_t>(sent);
+    // Drop the parts fully written; trim the one the short write cut into.
+    auto left = static_cast<std::size_t>(sent);
+    while (n > 0 && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+      --n;
+    }
+    if (n > 0) {
+      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
   }
 }
 
@@ -159,55 +178,73 @@ bool Socket::recv_all(void* data, std::size_t n, bool eof_ok) {
   return true;
 }
 
-void send_frame(Socket& sock, const Frame& frame) {
-  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+void send_frame(Socket& sock, const FrameOut& frame) {
+  FrameOut::Parts parts;
+  const std::span<const std::span<const std::uint8_t>> wire(parts.data(), frame.gather(parts));
   if (!obs::enabled()) {
-    sock.send_all(bytes.data(), bytes.size());
+    sock.send_parts(wire);
     return;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  sock.send_all(bytes.data(), bytes.size());
+  sock.send_parts(wire);
   const auto t1 = std::chrono::steady_clock::now();
   WireMetrics& m = wire_metrics();
-  const auto n = static_cast<std::int64_t>(bytes.size());
+  const auto n = static_cast<std::int64_t>(kFrameHeaderBytes + frame.payload_bytes());
   m.frames_sent.add();
   m.bytes_sent.add(n);
   m.sent_frame_bytes.observe(static_cast<double>(n));
   m.send_seconds.observe(std::chrono::duration<double>(t1 - t0).count());
   if (obs::tracing()) {
     auto& tr = obs::tracer();
-    tr.complete(obs::thread_track(), std::string("send ") + msg_type_name(frame.type),
+    tr.complete(obs::thread_track(), std::string("send ") + msg_type_name(frame.type()),
                 tr.to_us(t0), tr.to_us(t1) - tr.to_us(t0), {obs::arg("bytes", n)});
   }
 }
 
-bool recv_frame(Socket& sock, Frame& frame) {
-  std::uint8_t header[kFrameHeaderBytes];
-  if (!sock.recv_all(header, sizeof(header), /*eof_ok=*/true)) return false;
-  const std::uint64_t payload_size =
-      decode_frame_header(std::span<const std::uint8_t>(header, sizeof(header)), frame.type);
-  frame.payload.resize(payload_size);
-  if (!obs::enabled()) {
-    if (payload_size > 0)
-      (void)sock.recv_all(frame.payload.data(), payload_size, /*eof_ok=*/false);
-    return true;
-  }
+bool recv_frame_header(Socket& sock, FrameHeader& header, const WireShape& shape) {
+  std::array<std::uint8_t, kFrameHeaderBytes> raw{};
+  if (!sock.recv_all(raw.data(), raw.size(), /*eof_ok=*/true)) return false;
+  header = decode_frame_header(raw);
+  const std::uint64_t bound = max_payload_bytes(header.type, shape);
+  if (header.payload_bytes > bound)
+    throw NetError(std::string("Frame: ") + msg_type_name(header.type) + " payload of " +
+                   std::to_string(header.payload_bytes) + " bytes exceeds its " +
+                   std::to_string(bound) + "-byte bound");
+  return true;
+}
+
+void recv_payload(Socket& sock, const FrameHeader& header, std::vector<std::uint8_t>& prefix,
+                  std::span<std::byte> tail) {
+  if (tail.size() > header.payload_bytes)
+    throw NetError("recv_payload: destination larger than the payload");
   // The span clock starts after the header: header blocking time is mostly
   // idle wait for the peer to speak, not transfer cost.
-  const auto t0 = std::chrono::steady_clock::now();
-  if (payload_size > 0) (void)sock.recv_all(frame.payload.data(), payload_size, /*eof_ok=*/false);
-  const auto t1 = std::chrono::steady_clock::now();
+  const bool obs_on = obs::enabled();
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = obs_on ? Clock::now() : Clock::time_point{};
+  prefix.resize(header.payload_bytes - tail.size());
+  if (!prefix.empty()) (void)sock.recv_all(prefix.data(), prefix.size(), /*eof_ok=*/false);
+  if (!tail.empty()) (void)sock.recv_all(tail.data(), tail.size(), /*eof_ok=*/false);
+  if (!obs_on) return;
+  const auto t1 = Clock::now();
   WireMetrics& m = wire_metrics();
-  const auto n = static_cast<std::int64_t>(kFrameHeaderBytes + payload_size);
+  const auto n = static_cast<std::int64_t>(kFrameHeaderBytes + header.payload_bytes);
   m.frames_received.add();
   m.bytes_received.add(n);
   m.recv_frame_bytes.observe(static_cast<double>(n));
   m.recv_seconds.observe(std::chrono::duration<double>(t1 - t0).count());
   if (obs::tracing()) {
     auto& tr = obs::tracer();
-    tr.complete(obs::thread_track(), std::string("recv ") + msg_type_name(frame.type),
+    tr.complete(obs::thread_track(), std::string("recv ") + msg_type_name(header.type),
                 tr.to_us(t0), tr.to_us(t1) - tr.to_us(t0), {obs::arg("bytes", n)});
   }
+}
+
+bool recv_frame(Socket& sock, Frame& frame, const WireShape& shape) {
+  FrameHeader header;
+  if (!recv_frame_header(sock, header, shape)) return false;
+  frame.type = header.type;
+  recv_payload(sock, header, frame.payload);
   return true;
 }
 

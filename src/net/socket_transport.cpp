@@ -1,6 +1,6 @@
 #include "net/socket_transport.h"
 
-#include <algorithm>
+#include <cstddef>
 
 #include "common/error.h"
 
@@ -17,24 +17,28 @@ SocketTransport::SocketTransport(Socket sock, AssignmentMsg& assignment)
 }
 
 AssignmentMsg SocketTransport::handshake() {
-  const Frame reply = rpc(HelloMsg{}.encode(), MsgType::kAssignment);
-  const AssignmentMsg assignment = AssignmentMsg::decode(reply.payload);
-  num_params_ = assignment.num_params;
-  num_shards_ = assignment.num_shards;
+  const AssignmentMsg assignment =
+      AssignmentMsg::decode(rpc(HelloMsg{}.encode(), MsgType::kAssignment));
+  shape_ = WireShape{assignment.num_params, assignment.num_shards};
   return assignment;
 }
 
-Frame SocketTransport::rpc(const Frame& request, MsgType expected) {
+FrameHeader SocketTransport::call(const FrameOut& request, MsgType expected) {
   send_frame(sock_, request);
-  Frame reply;
-  if (!recv_frame(sock_, reply))
+  FrameHeader reply;
+  if (!recv_frame_header(sock_, reply, shape_))
     throw NetError("SocketTransport: server closed the connection");
+  if (reply.type == expected) return reply;
+  recv_payload(sock_, reply, payload_);  // keep the stream in frame sync
   if (reply.type == MsgType::kError)
-    throw NetError("ps_server: " + ErrorMsg::decode(reply.payload).message);
-  if (reply.type != expected)
-    throw NetError("SocketTransport: unexpected reply type " +
-                   std::to_string(static_cast<std::uint16_t>(reply.type)));
-  return reply;
+    throw NetError("ps_server: " + ErrorMsg::decode(payload_).message);
+  throw NetError("SocketTransport: unexpected reply type " +
+                 std::to_string(static_cast<std::uint16_t>(reply.type)));
+}
+
+std::span<const std::uint8_t> SocketTransport::rpc(const FrameOut& request, MsgType expected) {
+  recv_payload(sock_, call(request, expected), payload_);
+  return payload_;
 }
 
 void SocketTransport::pull(std::span<float> out) {
@@ -44,70 +48,64 @@ void SocketTransport::pull(std::span<float> out) {
 
 void SocketTransport::pull_with_versions(std::span<float> out,
                                          std::vector<std::int64_t>& versions) {
-  const Frame reply = rpc(make_empty_frame(MsgType::kPull), MsgType::kPullReply);
-  PullReplyMsg msg = PullReplyMsg::decode(reply.payload);
-  if (msg.params.size() != out.size() || msg.versions.size() != num_shards_)
-    throw NetError("SocketTransport::pull: reply shape mismatch");
-  std::copy(msg.params.begin(), msg.params.end(), out.begin());
-  versions = std::move(msg.versions);
+  const FrameHeader reply = call(FrameOut(MsgType::kPull), MsgType::kPullReply);
+  // Scatter receive: the version prefix into payload_, the parameters
+  // straight into `out`.  A reply of any other length is still read whole,
+  // so the stream stays in frame sync.
+  const bool exact = out.size() == shape_.num_params &&
+                     reply.payload_bytes == pull_reply_bytes(shape_);
+  recv_payload(sock_, reply, payload_,
+               exact ? std::as_writable_bytes(out) : std::span<std::byte>{});
+  if (!exact) throw NetError("SocketTransport::pull: reply shape mismatch");
+  PullReplyMsg::decode_prefix(payload_, shape_, versions);
 }
 
 std::int64_t SocketTransport::push(std::span<const float> grad, double lr,
                                    std::span<const std::int64_t> pull_versions) {
-  PushDenseMsg msg;
-  msg.lr = lr;
-  msg.pull_versions.assign(pull_versions.begin(), pull_versions.end());
-  msg.grad.assign(grad.begin(), grad.end());
-  const Frame reply = rpc(msg.encode(), MsgType::kPushReply);
-  return PushReplyMsg::decode(reply.payload).staleness;
+  const PushDenseMsg msg{lr, pull_versions, grad};
+  return PushReplyMsg::decode(rpc(msg.encode(), MsgType::kPushReply)).staleness;
 }
 
 std::int64_t SocketTransport::push_compressed(const CompressedPush& push, double lr,
                                               std::span<const std::int64_t> pull_versions) {
-  PushCompressedMsg msg;
-  msg.lr = lr;
-  msg.pull_versions.assign(pull_versions.begin(), pull_versions.end());
-  msg.push = push;
-  const Frame reply = rpc(msg.encode(), MsgType::kPushReply);
-  return PushReplyMsg::decode(reply.payload).staleness;
+  const PushCompressedMsg msg{lr, pull_versions, push};
+  return PushReplyMsg::decode(rpc(msg.encode(), MsgType::kPushReply)).staleness;
 }
 
 std::int64_t SocketTransport::push_scalar(std::span<const float> grad, double lr,
                                           std::int64_t pull_version) {
   // The scalar compatibility push is a dense push against a flattened
   // version vector (the same collapse SharedParameterServer applies).
-  const std::vector<std::int64_t> versions(num_shards_, pull_version);
+  const std::vector<std::int64_t> versions(shape_.num_shards, pull_version);
   return push(grad, lr, versions);
 }
 
 std::int64_t SocketTransport::version() {
-  const Frame reply = rpc(make_empty_frame(MsgType::kVersionRequest), MsgType::kVersionReply);
-  return VersionReplyMsg::decode(reply.payload).version;
+  return VersionReplyMsg::decode(rpc(FrameOut(MsgType::kVersionRequest), MsgType::kVersionReply))
+      .version;
 }
 
 Checkpoint SocketTransport::snapshot_checkpoint(std::int64_t logical_step) {
   CheckpointRequestMsg msg;
   msg.logical_step = logical_step;
-  const Frame reply = rpc(msg.encode(), MsgType::kCheckpointReply);
-  return Checkpoint::deserialize(reply.payload);
+  return Checkpoint::deserialize(rpc(msg.encode(), MsgType::kCheckpointReply));
 }
 
 void SocketTransport::restore_checkpoint(const Checkpoint& ckpt) {
-  Frame request;
-  request.type = MsgType::kRestoreRequest;
-  request.payload = ckpt.serialize();
+  const std::vector<std::uint8_t> bytes = ckpt.serialize();
+  FrameOut request(MsgType::kRestoreRequest);
+  request.ref(bytes.data(), bytes.size());
   (void)rpc(request, MsgType::kOk);
 }
 
 bool SocketTransport::drain_arrive(std::int64_t local_steps) {
   DrainArriveMsg msg;
   msg.local_steps = local_steps;
-  const Frame reply = rpc(msg.encode(), MsgType::kDrainRelease);
-  return DrainReleaseMsg::decode(reply.payload).done;
+  return DrainReleaseMsg::decode(rpc(msg.encode(), MsgType::kDrainRelease)).done;
 }
 
 void SocketTransport::bye() {
-  send_frame(sock_, make_empty_frame(MsgType::kBye));
+  send_frame(sock_, FrameOut(MsgType::kBye));
   sock_.close();
 }
 

@@ -16,6 +16,10 @@
 // (blocks until the server releases the barrier) and bye (clean leave; an
 // abrupt close instead is exactly what the server's eviction path handles).
 //
+// The dense data plane is copy-free: a push sends the caller's gradient in
+// place, and a pull receives the parameters straight into the caller's
+// span, with only the small version prefix staged in a reused buffer.
+//
 // A kError reply, a malformed frame, or a lost connection all throw
 // NetError.  Not thread-safe: one transport per worker process/thread — the
 // wire protocol is strictly request/reply per connection.
@@ -41,8 +45,8 @@ class SocketTransport final : public Transport {
   /// Wrap an already-connected socket (tests).  `assignment` as above.
   SocketTransport(Socket sock, AssignmentMsg& assignment);
 
-  [[nodiscard]] std::size_t num_params() const override { return num_params_; }
-  [[nodiscard]] std::size_t num_shards() const override { return num_shards_; }
+  [[nodiscard]] std::size_t num_params() const override { return shape_.num_params; }
+  [[nodiscard]] std::size_t num_shards() const override { return shape_.num_shards; }
 
   void pull(std::span<float> out) override;
   void pull_with_versions(std::span<float> out,
@@ -66,13 +70,15 @@ class SocketTransport final : public Transport {
 
  private:
   AssignmentMsg handshake();
-  /// Send `request`, receive the reply, unwrap kError into NetError, and
-  /// require `expected` as the reply type.
-  Frame rpc(const Frame& request, MsgType expected);
+  /// Send `request` and read the reply's header, requiring `expected` as
+  /// its type; a kError reply is read and rethrown as NetError.
+  FrameHeader call(const FrameOut& request, MsgType expected);
+  /// call() and read the whole reply payload (valid until the next call).
+  std::span<const std::uint8_t> rpc(const FrameOut& request, MsgType expected);
 
   Socket sock_;
-  std::size_t num_params_ = 0;
-  std::size_t num_shards_ = 1;
+  WireShape shape_;
+  std::vector<std::uint8_t> payload_;  ///< reply payloads and dense prefixes
 };
 
 }  // namespace ss

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +36,15 @@ SyntheticSpec tiny_spec() {
   spec.num_classes = 4;
   spec.feature_dim = 16;
   spec.class_separation = 1.5;
+  return spec;
+}
+
+/// The socket benchmark's model width: a linear model over 1024 features
+/// and 100 classes has 102,500 parameters, a 410 KB dense frame.
+SyntheticSpec wide_spec() {
+  SyntheticSpec spec = tiny_spec();
+  spec.feature_dim = 1024;
+  spec.num_classes = 100;
   return spec;
 }
 
@@ -82,6 +93,28 @@ std::future<WorkerProcessResult> launch_worker(const std::string& endpoint,
     cfg.crash_after_steps = crash_after;
     return run_worker_process(cfg);
   });
+}
+
+/// A hand-driven client: the Hello handshake, returning the assignment.
+AssignmentMsg raw_hello(Socket& sock) {
+  send_frame(sock, HelloMsg{}.encode());
+  Frame reply;
+  if (!recv_frame(sock, reply) || reply.type != MsgType::kAssignment)
+    throw NetError("raw_hello: no assignment");
+  return AssignmentMsg::decode(reply.payload);
+}
+
+/// The frame's bytes in wire order (for sending forged or partial frames).
+std::vector<std::uint8_t> flatten(const FrameOut& f) {
+  FrameOut::Parts parts;
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0, n = f.gather(parts); i < n; ++i)
+    out.insert(out.end(), parts[i].begin(), parts[i].end());
+  return out;
+}
+
+void send_raw(Socket& sock, std::span<const std::uint8_t> bytes) {
+  sock.send_parts(std::span(&bytes, 1));
 }
 
 TEST(NetTransport, UnixEndToEndMatchesInProcessAccuracy) {
@@ -259,6 +292,237 @@ TEST(NetTransport, ServerRejectsProtocolVersionMismatch) {
   const WorkerProcessResult r = launch_worker(ep).get();
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(server.join().workers_joined, 1u);
+}
+
+TEST(NetTransport, CompressedPushesTrainOverTheWire) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(9);
+  cfg.num_workers = 2;
+  cfg.steps_per_worker = 40;
+  cfg.compression = CompressionSpec::topk(0.25);
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+  const std::string ep = server.endpoint();
+  auto w0 = launch_worker(ep);
+  auto w1 = launch_worker(ep);
+  const WorkerProcessResult r0 = w0.get();
+  const WorkerProcessResult r1 = w1.get();
+  const PsServerResult res = server.join();
+  EXPECT_TRUE(r0.drained);
+  EXPECT_TRUE(r1.drained);
+  EXPECT_EQ(res.total_updates, 80);
+  EXPECT_EQ(res.workers_evicted, 0u);
+  // Top-k 25% prices well under a dense push.
+  const auto dense = static_cast<std::int64_t>(40 * sizeof(float) * res.final_params.size());
+  EXPECT_LT(r0.push_bytes, dense);
+  EXPECT_LT(r1.push_bytes, dense);
+}
+
+TEST(NetTransport, SparsePushAppliesOnlyItsCoordinates) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(10);
+  cfg.num_workers = 1;
+  cfg.steps_per_worker = 1;
+  cfg.momentum = 0.0;
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+  AssignmentMsg a;
+  SocketTransport tx(server.endpoint(), a);
+  std::vector<float> before(tx.num_params());
+  std::vector<std::int64_t> versions;
+  tx.pull_with_versions(before, versions);
+
+  CompressedPush push;
+  push.format = CompressedPush::Format::kSparse;
+  push.num_params = tx.num_params();
+  push.wire_size = 16;
+  push.indices = {1, 5};
+  push.values = {1.0f, -2.0f};
+  EXPECT_EQ(tx.push_compressed(push, 0.5, versions), 0);
+  std::vector<float> after(tx.num_params());
+  tx.pull(after);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const float step = i == 1 ? -0.5f : i == 5 ? 1.0f : 0.0f;
+    EXPECT_FLOAT_EQ(after[i], before[i] + step) << "coordinate " << i;
+  }
+
+  EXPECT_TRUE(tx.drain_arrive(1));
+  tx.bye();
+  EXPECT_EQ(server.join().total_updates, 1);
+}
+
+TEST(NetTransport, ForgedHugePushDenseHeaderEvictsOnlyItsSender) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(5);
+  cfg.num_workers = 2;
+  cfg.steps_per_worker = 30;
+  cfg.snapshot_interval = 8;
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+  const std::string ep = server.endpoint();
+  Socket forger = connect_endpoint(ep);
+  (void)raw_hello(forger);
+  auto honest = launch_worker(ep);
+
+  // A PushDense header claiming 512 MiB, with nothing behind it.  The
+  // length is under the global cap but far past the shape's bound, so the
+  // server must drop the connection at once rather than wait for (or
+  // allocate) half a gigabyte.
+  std::vector<std::uint8_t> header = flatten(FrameOut(MsgType::kPushDense));
+  const std::uint64_t forged = 512ull << 20;
+  std::memcpy(header.data() + 8, &forged, sizeof(forged));
+  send_raw(forger, header);
+  Frame reply;
+  EXPECT_FALSE(recv_frame(forger, reply));  // the server hung up
+
+  const WorkerProcessResult r = honest.get();
+  const PsServerResult res = server.join();
+  EXPECT_EQ(r.steps, 30);
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(res.workers_joined, 2u);
+  EXPECT_EQ(res.workers_evicted, 1u);
+  EXPECT_GE(res.snapshots_restored, 1);
+  EXPECT_GE(res.total_updates, 30);
+}
+
+TEST(NetTransport, MiscountedPushDenseGetsAnErrorAndTheSessionContinues) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(6);
+  cfg.num_workers = 1;
+  cfg.steps_per_worker = 5;
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+  Socket sock = connect_endpoint(server.endpoint());
+  const AssignmentMsg a = raw_hello(sock);
+  const WireShape shape{a.num_params, a.num_shards};
+  ASSERT_EQ(shape.num_shards, 1u);
+  const std::vector<float> grad(shape.num_params, 0.25f);
+  const std::vector<std::int64_t> one{0};
+  const std::vector<std::int64_t> two{0, 0};
+
+  auto expect_error_then_pull = [&](const FrameOut& push, const char* expect) {
+    send_frame(sock, push);
+    Frame reply;
+    ASSERT_TRUE(recv_frame(sock, reply, shape));
+    ASSERT_EQ(reply.type, MsgType::kError);
+    EXPECT_NE(ErrorMsg::decode(reply.payload).message.find(expect), std::string::npos)
+        << ErrorMsg::decode(reply.payload).message;
+    send_frame(sock, FrameOut(MsgType::kPull));
+    ASSERT_TRUE(recv_frame(sock, reply, shape));
+    EXPECT_EQ(reply.type, MsgType::kPullReply);
+    EXPECT_EQ(reply.payload.size(), pull_reply_bytes(shape));
+  };
+
+  // Exact total length, one version too many and two floats too few.
+  const FrameOut extra_version =
+      PushDenseMsg{0.1, two, std::span(grad).first(grad.size() - 2)}.encode();
+  ASSERT_EQ(extra_version.payload_bytes(), push_dense_bytes(shape));
+  expect_error_then_pull(extra_version, "version count 2");
+
+  // Exact total length, a float count that lies.
+  FrameOut lying_count(MsgType::kPushDense);
+  lying_count.scalar(0.1);
+  lying_count.vec(std::span(one));
+  lying_count.scalar(static_cast<std::uint64_t>(grad.size() + 7));
+  lying_count.ref(grad.data(), grad.size() * sizeof(float));
+  ASSERT_EQ(lying_count.payload_bytes(), push_dense_bytes(shape));
+  expect_error_then_pull(lying_count, "float count");
+
+  // Under the bound but short: read whole, then refused.
+  expect_error_then_pull(PushDenseMsg{0.1, one, std::span(grad).first(3)}.encode(),
+                         "the assigned shape needs");
+
+  // None of that touched the PS; a well-formed push still applies.
+  send_frame(sock, PushDenseMsg{0.1, one, grad}.encode());
+  Frame reply;
+  ASSERT_TRUE(recv_frame(sock, reply, shape));
+  ASSERT_EQ(reply.type, MsgType::kPushReply);
+  EXPECT_EQ(PushReplyMsg::decode(reply.payload).staleness, 0);
+
+  DrainArriveMsg arrive;
+  arrive.local_steps = 1;
+  send_frame(sock, arrive.encode());
+  ASSERT_TRUE(recv_frame(sock, reply, shape));
+  EXPECT_EQ(reply.type, MsgType::kDrainRelease);
+  send_frame(sock, FrameOut(MsgType::kBye));
+  const PsServerResult res = server.join();
+  EXPECT_EQ(res.workers_evicted, 0u);
+  EXPECT_EQ(res.total_updates, 1);
+}
+
+TEST(NetTransport, WorkerRejectsWrongShapePullReplies) {
+  // A scripted server: assigns 8 parameters on 1 shard, then answers four
+  // pulls with a short reply, a miscounted one, a good one, and an
+  // over-long one.
+  constexpr std::size_t kParams = 8;
+  Listener listener = listen_endpoint(unique_unix_endpoint(7));
+  const std::vector<std::int64_t> one{3};
+  const std::vector<std::int64_t> two{3, 4};
+  std::vector<float> params(kParams + 1);
+  for (std::size_t i = 0; i < params.size(); ++i) params[i] = static_cast<float>(i) + 0.5f;
+  const std::span<const float> p(params);
+  std::thread scripted([&] {
+    Socket s = listener.accept();
+    Frame req;
+    ASSERT_TRUE(recv_frame(s, req));
+    AssignmentMsg a;
+    a.num_workers = 1;
+    a.num_params = kParams;
+    a.num_shards = 1;
+    send_frame(s, a.encode());
+    for (const FrameOut& reply : {PullReplyMsg{one, p.first(kParams - 1)}.encode(),
+                                  PullReplyMsg{two, p.first(kParams - 2)}.encode(),
+                                  PullReplyMsg{one, p.first(kParams)}.encode(),
+                                  PullReplyMsg{one, p}.encode()}) {
+      ASSERT_TRUE(recv_frame(s, req));
+      ASSERT_EQ(req.type, MsgType::kPull);
+      send_frame(s, reply);
+    }
+  });
+
+  AssignmentMsg a;
+  SocketTransport tx(listener.endpoint(), a);
+  std::vector<float> out(kParams);
+  std::vector<std::int64_t> versions;
+  EXPECT_THROW(tx.pull_with_versions(out, versions), NetError);  // short
+  EXPECT_THROW(tx.pull_with_versions(out, versions), NetError);  // miscounted
+  // Both bad replies were read whole, so the stream is still in frame sync.
+  tx.pull_with_versions(out, versions);
+  EXPECT_EQ(versions, one);
+  EXPECT_EQ(out, std::vector<float>(params.begin(), params.begin() + kParams));
+  EXPECT_THROW(tx.pull_with_versions(out, versions), NetError);  // past the bound
+  scripted.join();
+}
+
+TEST(NetTransport, WorkerDyingMidGradientIsEvictedAndSnapshotRestored) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(8);
+  cfg.num_workers = 2;
+  cfg.steps_per_worker = 20;
+  cfg.snapshot_interval = 4;
+  cfg.data = wide_spec();
+  ServerHandle server(cfg);
+  const std::string ep = server.endpoint();
+  Socket dying = connect_endpoint(ep);
+  const AssignmentMsg a = raw_hello(dying);
+  ASSERT_EQ(a.num_params, 102500u);
+  auto honest = launch_worker(ep);
+
+  // Half of a full-size dense push, then the connection drops: the server
+  // is blocked inside the 410 KB gradient array when the EOF arrives.
+  const std::vector<float> grad(a.num_params, 0.1f);
+  const std::vector<std::int64_t> versions(a.num_shards, 0);
+  const std::vector<std::uint8_t> bytes = flatten(PushDenseMsg{0.1, versions, grad}.encode());
+  send_raw(dying, std::span(bytes).first(bytes.size() / 2));
+  dying.close();
+
+  const WorkerProcessResult r = honest.get();
+  const PsServerResult res = server.join();
+  EXPECT_EQ(r.steps, 20);
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(res.workers_evicted, 1u);
+  EXPECT_GE(res.snapshots_restored, 1);
+  EXPECT_GE(res.total_updates, 20);
 }
 
 TEST(NetTransport, ConnectToDeadEndpointThrowsNetError) {

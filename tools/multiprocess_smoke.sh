@@ -2,18 +2,26 @@
 # Multi-process recovery smoke test (ctest label: multiprocess).
 #
 # Starts one PS-server process and two worker processes over a Unix-domain
-# socket, then SIGKILLs one worker mid-run — real process death, not a
+# socket or TCP loopback, then SIGKILLs one worker mid-run — real process death, not a
 # simulated flag.  The server must detect the dead socket, evict the worker,
 # restore the latest asynchronous snapshot, and still complete the run with
 # the survivor.  Asserts on the server's exit code, the survivor's exit
 # code, and the eviction/restore lines in the server output.
 #
-# Usage: multiprocess_smoke.sh <path-to-sync_switch_cli>
+# Usage: multiprocess_smoke.sh <path-to-sync_switch_cli> [unix|tcp]
+# (default unix; tcp listens on 127.0.0.1 port 0 and reads the bound port
+# back from the server log).
 set -u
 
-CLI="${1:?usage: multiprocess_smoke.sh <path-to-sync_switch_cli>}"
+USAGE="usage: multiprocess_smoke.sh <path-to-sync_switch_cli> [unix|tcp]"
+CLI="${1:?$USAGE}"
+KIND="${2:-unix}"
 DIR="$(mktemp -d)"
-SOCK="$DIR/ps.sock"
+case "$KIND" in
+  unix) LISTEN="unix:$DIR/ps.sock" ;;
+  tcp) LISTEN="tcp:127.0.0.1:0" ;;
+  *) echo "$USAGE"; rm -rf "$DIR"; exit 2 ;;
+esac
 trap 'kill -9 "$SERVER" "$W0" "$W1" 2>/dev/null; rm -rf "$DIR"' EXIT
 
 fail() {
@@ -25,25 +33,28 @@ fail() {
 }
 
 # The step quota is sized so the run is still going when the kill lands
-# (~10k updates/s over a unix socket on one core => ~4s of run); the
+# (~10k updates/s over a local socket on one core => ~4s of run); the
 # survivor then finishes the remaining steps alone.
-"$CLI" serve --listen "unix:$SOCK" --workers 2 --steps 20000 --batch 16 \
+"$CLI" serve --listen "$LISTEN" --workers 2 --steps 20000 --batch 16 \
   --snapshot-interval 32 --verbose --metrics-out "$DIR/metrics.txt" \
   >"$DIR/server.log" 2>&1 &
 SERVER=$!
 W0=""
 W1=""
 
+# The server logs its concrete endpoint once it is listening.
+ENDPOINT=""
 for _ in $(seq 1 100); do
-  [ -S "$SOCK" ] && break
+  ENDPOINT="$(sed -n 's/.*ps_server: listening on \([^ ]*\) .*/\1/p' "$DIR/server.log" | head -n 1)"
+  [ -n "$ENDPOINT" ] && break
   kill -0 "$SERVER" 2>/dev/null || fail "server exited before listening"
   sleep 0.1
 done
-[ -S "$SOCK" ] || fail "server socket never appeared"
+[ -n "$ENDPOINT" ] || fail "server never reported its endpoint"
 
-"$CLI" worker --connect "unix:$SOCK" --verbose >"$DIR/worker0.log" 2>&1 &
+"$CLI" worker --connect "$ENDPOINT" --verbose >"$DIR/worker0.log" 2>&1 &
 W0=$!
-"$CLI" worker --connect "unix:$SOCK" --verbose >"$DIR/worker1.log" 2>&1 &
+"$CLI" worker --connect "$ENDPOINT" --verbose >"$DIR/worker1.log" 2>&1 &
 W1=$!
 
 # Only kill once both workers hold a slot and have had time to push a few
@@ -81,5 +92,5 @@ grep -Eq "^ss_net_frames_received_total [1-9][0-9]*$" "$DIR/metrics.txt" \
 grep -q "metrics final" "$DIR/server.log" \
   || fail "server log has no dump-on-exit metrics line"
 
-echo "PASS: killed worker evicted, snapshot restored, metrics dumped, run completed"
+echo "PASS ($KIND): killed worker evicted, snapshot restored, metrics dumped, run completed"
 exit 0
