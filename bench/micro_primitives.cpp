@@ -39,27 +39,89 @@ SyntheticSpec small_spec() {
   return spec;
 }
 
-void BM_MatMul(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  Tensor a({m, m}), b({m, m}), c({m, m});
-  for (std::size_t i = 0; i < a.numel(); ++i) a[i] = static_cast<float>(rng.gaussian());
-  for (std::size_t i = 0; i < b.numel(); ++i) b[i] = static_cast<float>(rng.gaussian());
-  for (auto _ : state) {
-    ops::matmul(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m * m * m));
+Tensor gaussian_tensor(Shape shape, Rng& rng) {
+  Tensor t(std::move(shape));
+  for (std::size_t i = 0; i < t.numel(); ++i) t[i] = static_cast<float>(rng.gaussian());
+  return t;
 }
-BENCHMARK(BM_MatMul)->Arg(64)->Arg(128);
 
+// The three products of one Dense layer, args (batch, in, out): the forward
+// Y = X W (matmul), the weight gradient dW = X^T dY (matmul_tn) and the
+// input gradient dX = dY W^T (matmul_nt).  The shapes are resnet32_lite's
+// two hidden layers at batch 32 (switch-straggler) and the 1024 -> 100
+// linear model at batch 2 (topk-wide, socket-wide).
+struct DenseProducts {
+  explicit DenseProducts(const benchmark::State& state)
+      : batch(static_cast<std::size_t>(state.range(0))),
+        in(static_cast<std::size_t>(state.range(1))),
+        out(static_cast<std::size_t>(state.range(2))) {}
+  std::size_t batch, in, out;
+  Rng rng{1};
+  Tensor x = gaussian_tensor({batch, in}, rng);
+  Tensor w = gaussian_tensor({in, out}, rng);
+  Tensor dy = gaussian_tensor({batch, out}, rng);
+  Tensor y{{batch, out}}, dw{{in, out}}, dx{{batch, in}};
+  void set_items(benchmark::State& state) const {
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch * in * out));
+  }
+};
+
+void dense_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({32, 64, 96})->Args({32, 96, 64})->Args({2, 1024, 100});
+}
+
+void BM_MatMul(benchmark::State& state) {
+  DenseProducts p(state);
+  for (auto _ : state) {
+    ops::matmul(p.x, p.w, p.y);
+    benchmark::DoNotOptimize(p.y.data());
+    benchmark::ClobberMemory();
+  }
+  p.set_items(state);
+}
+BENCHMARK(BM_MatMul)->Args({64, 64, 64})->Args({128, 128, 128})->Apply(dense_shapes);
+
+void BM_MatMulTN(benchmark::State& state) {
+  DenseProducts p(state);
+  for (auto _ : state) {
+    ops::matmul_tn(p.x, p.dy, p.dw);
+    benchmark::DoNotOptimize(p.dw.data());
+    benchmark::ClobberMemory();
+  }
+  p.set_items(state);
+}
+BENCHMARK(BM_MatMulTN)->Apply(dense_shapes);
+
+void BM_MatMulNT(benchmark::State& state) {
+  DenseProducts p(state);
+  for (auto _ : state) {
+    ops::matmul_nt(p.dy, p.w, p.dx);
+    benchmark::DoNotOptimize(p.dx.data());
+    benchmark::ClobberMemory();
+  }
+  p.set_items(state);
+}
+BENCHMARK(BM_MatMulNT)->Apply(dense_shapes);
+
+// One worker task, Model::gradient_at, args (model, batch): 0 is
+// resnet32_lite on 64 features and 10 classes (switch-straggler), 1 is the
+// linear 1024 -> 100 model (topk-wide, socket-wide).
 void BM_GradientStep(benchmark::State& state) {
-  const auto split = make_synthetic(small_spec());
+  const bool linear = state.range(0) == 1;
+  const auto b = static_cast<std::size_t>(state.range(1));
+  SyntheticSpec spec = small_spec();
+  if (linear) {
+    spec = SyntheticSpec::cifar100_like();
+    spec.feature_dim = 1024;
+    spec.train_size = 256;
+    spec.test_size = 64;
+  }
+  const auto split = make_synthetic(spec);
+  const ModelArch arch = linear ? ModelArch::kLinear : ModelArch::kResNet32Lite;
   Rng rng(2);
-  Model model = make_model(ModelArch::kResNet32Lite, 64, 10, rng);
-  const std::size_t b = 64;
-  Tensor x({b, 64});
+  Model model = make_model(arch, spec.feature_dim, spec.num_classes, rng);
+  Tensor x({b, spec.feature_dim});
   std::vector<int> y;
   std::vector<std::uint32_t> idx(b);
   for (std::size_t i = 0; i < b; ++i) idx[i] = static_cast<std::uint32_t>(i);
@@ -69,10 +131,11 @@ void BM_GradientStep(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.gradient_at(params, x, y, grad));
   }
+  state.SetLabel(arch_name(arch));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(b));
 }
-BENCHMARK(BM_GradientStep);
+BENCHMARK(BM_GradientStep)->Args({0, 32})->Args({1, 2});
 
 void BM_PsApply(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));

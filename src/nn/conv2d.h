@@ -18,6 +18,7 @@ class Conv2D final : public Layer {
 
   const Tensor& forward(const Tensor& x) override;
   const Tensor& backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   std::vector<Tensor*> params() override { return {&w_, &b_}; }
   std::vector<Tensor*> grads() override { return {&dw_, &db_}; }
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -38,6 +39,9 @@ class Conv2D final : public Layer {
   Tensor x_cache_;
   Tensor cols_;      // im2col buffer (in_c*kh*kw, oh*ow)
   Tensor dcols_;     // gradient buffer same shape
+  Tensor out_mat_;   // one sample's forward output (out_c, oh*ow)
+  Tensor dy_mat_;    // one sample's output gradient (out_c, oh*ow)
+  Tensor dw_sample_; // one sample's weight gradient, summed into dw_
   Tensor y_;
   Tensor dx_;
 };

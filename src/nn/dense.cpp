@@ -34,10 +34,14 @@ const Tensor& Dense::forward(const Tensor& x) {
   return y_;
 }
 
-const Tensor& Dense::backward(const Tensor& dy) {
-  const std::size_t m = dy.dim(0);
+void Dense::backward_params(const Tensor& dy) {
   ops::matmul_tn(x_cache_, dy, dw_);  // dW = X^T dY
   ops::sum_rows(dy, db_);             // db = sum rows of dY
+}
+
+const Tensor& Dense::backward(const Tensor& dy) {
+  const std::size_t m = dy.dim(0);
+  backward_params(dy);
   if (dx_.rank() != 2 || dx_.dim(0) != m || dx_.dim(1) != in_dim_) dx_ = Tensor({m, in_dim_});
   ops::matmul_nt(dy, w_, dx_);        // dX = dY W^T
   return dx_;

@@ -29,6 +29,11 @@ class Layer {
   /// accumulates parameter gradients (overwrite semantics per step).
   virtual const Tensor& backward(const Tensor& dy) = 0;
 
+  /// Backward pass for the first layer of a model, whose input gradient
+  /// nobody reads: leaves the same parameter gradients as backward(dy).  The
+  /// default is backward(dy); layers with a costly input gradient skip it.
+  virtual void backward_params(const Tensor& dy) { backward(dy); }
+
   /// Mutable parameter tensors (may be empty for stateless layers).
   virtual std::vector<Tensor*> params() { return {}; }
 

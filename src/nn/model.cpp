@@ -59,7 +59,9 @@ double Model::compute_gradients(const Tensor& x, std::span<const int> labels) {
   const Tensor& logits = forward(x);
   const double loss = loss_.forward(logits, labels);
   const Tensor* grad = &loss_.backward();
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = &(*it)->backward(*grad);
+  // The first layer's input gradient would be dL/dx, which nobody reads.
+  for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it) grad = &(*it)->backward(*grad);
+  layers_.front()->backward_params(*grad);
   return loss;
 }
 

@@ -2,76 +2,136 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/error.h"
 
 namespace ss::ops {
 
 namespace {
+
 void require(bool cond, const char* msg) {
   if (!cond) throw ShapeError(msg);
 }
+
+// Four floats in one SSE register (GCC/Clang vector extension).  Loads and
+// stores go through memcpy, so no alignment or aliasing is assumed.
+typedef float v4 __attribute__((vector_size(16)));
+
+v4 load4(const float* p) {
+  v4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store4(float* p, v4 v) { std::memcpy(p, &v, sizeof v); }
+
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 8;
+
+// acc_lo/acc_hi += s * (b_lo, b_hi): one rounded multiply, then one rounded
+// add, per lane.
+void madd(v4& acc_lo, v4& acc_hi, float s, v4 b_lo, v4 b_hi) {
+  const v4 sv = {s, s, s, s};
+  acc_lo += sv * b_lo;
+  acc_hi += sv * b_hi;
+}
+
+void store_row(float* c, std::size_t cols, v4 lo, v4 hi) {
+  if (cols == kTileCols) {
+    store4(c, lo);
+    store4(c + 4, hi);
+    return;
+  }
+  float row[kTileCols];
+  store4(row, lo);
+  store4(row + 4, hi);
+  std::memcpy(c, row, cols * sizeof(float));
+}
+
+// One ROWS x 8 tile of C (ROWS <= 4), held in registers for the whole k
+// loop.  Row r's A operand at step kk is a[r * a_row + kk * a_k]; B's 8
+// columns at step kk are b[kk * ldb .. kk * ldb + 7].  Every output starts
+// at +0 and adds its products in ascending kk.  Only the first `cols`
+// columns are stored.  The rows are spelled out, not an array, so the
+// accumulators stay in registers.
+template <std::size_t ROWS>
+void tile(const float* a, std::size_t a_row, std::size_t a_k, const float* b, std::size_t ldb,
+          std::size_t k, float* c, std::size_t ldc, std::size_t cols) {
+  v4 lo0 = {}, hi0 = {}, lo1 = {}, hi1 = {}, lo2 = {}, hi2 = {}, lo3 = {}, hi3 = {};
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const v4 b_lo = load4(b + kk * ldb);
+    const v4 b_hi = load4(b + kk * ldb + 4);
+    const float* ak = a + kk * a_k;
+    madd(lo0, hi0, ak[0], b_lo, b_hi);
+    if constexpr (ROWS > 1) madd(lo1, hi1, ak[a_row], b_lo, b_hi);
+    if constexpr (ROWS > 2) madd(lo2, hi2, ak[2 * a_row], b_lo, b_hi);
+    if constexpr (ROWS > 3) madd(lo3, hi3, ak[3 * a_row], b_lo, b_hi);
+  }
+  store_row(c, cols, lo0, hi0);
+  if constexpr (ROWS > 1) store_row(c + ldc, cols, lo1, hi1);
+  if constexpr (ROWS > 2) store_row(c + 2 * ldc, cols, lo2, hi2);
+  if constexpr (ROWS > 3) store_row(c + 3 * ldc, cols, lo3, hi3);
+}
+
+// C(m,n) = A(m,k) B(k,n) with A(i,kk) = a[i * a_row + kk * a_k] and
+// B(kk,j) = b[kk * b_k + j * b_j].  C is walked in 8-column panels.  B's
+// k x 8 panel is read in place when B's rows are contiguous and the panel is
+// whole; otherwise (B transposed, or the last n % 8 columns) it is first
+// packed kk-major into a zero-padded buffer.
+void gemm(const float* a, std::size_t a_row, std::size_t a_k, const float* b, std::size_t b_k,
+          std::size_t b_j, std::size_t m, std::size_t k, std::size_t n, float* c) {
+  thread_local std::vector<float> panel;
+  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
+    const std::size_t cols = std::min(kTileCols, n - j0);
+    const float* bp = b + j0 * b_j;
+    std::size_t ldb = b_k;
+    if (b_j != 1 || cols < kTileCols) {
+      panel.resize(k * kTileCols);
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        float* dst = panel.data() + kk * kTileCols;
+        for (std::size_t jj = 0; jj < cols; ++jj) dst[jj] = bp[kk * b_k + jj * b_j];
+        std::fill(dst + cols, dst + kTileCols, 0.0f);
+      }
+      bp = panel.data();
+      ldb = kTileCols;
+    }
+    for (std::size_t i0 = 0; i0 < m; i0 += kTileRows) {
+      const float* ap = a + i0 * a_row;
+      float* cp = c + i0 * n + j0;
+      switch (std::min(kTileRows, m - i0)) {
+        case 4: tile<4>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
+        case 3: tile<3>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
+        case 2: tile<2>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
+        default: tile<1>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul: rank-2 tensors required");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n, "matmul: shape mismatch");
-  c.fill(0.0f);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // ikj ordering: streams B and C rows; good locality without tiling
-  // machinery for the sizes we use (<= a few hundred per dim).
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float av = pa[i * k + kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm(a.data(), k, 1, b.data(), n, 1, m, k, n, c.data());
 }
 
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul_tn: rank-2 tensors required");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n, "matmul_tn: shape mismatch");
-  c.fill(0.0f);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  gemm(a.data(), 1, m, b.data(), n, 1, m, k, n, c.data());
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   require(a.rank() == 2 && b.rank() == 2 && c.rank() == 2, "matmul_nt: rank-2 tensors required");
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   require(b.dim(1) == k && c.dim(0) == m && c.dim(1) == n, "matmul_nt: shape mismatch");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = pa + i * k;
-    float* crow = pc + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = pb + j * k;
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = acc;
-    }
-  }
+  gemm(a.data(), k, 1, b.data(), 1, k, m, k, n, c.data());
 }
 
 void add_inplace(std::span<float> y, std::span<const float> x) {

@@ -1,8 +1,21 @@
 // Tensor math kernels used by the NN layers.
 //
 // Everything is a free function on Tensor / span<float>, single-threaded and
-// deterministic.  matmul uses a register-blocked ikj loop that is fast enough
-// for the scaled-down workloads this repo trains (see EXPERIMENTS.md).
+// deterministic.
+//
+// The three dense products (matmul, matmul_tn, matmul_nt) share one
+// register-blocked microkernel: a 4 x 8 tile of C stays in SSE registers for
+// the whole k loop, A is read in place (row-major, or through a stride for
+// matmul_tn), and B is read in place or packed one k x 8 panel at a time
+// (always for matmul_nt; for the others only the last n % 8 columns).
+//
+// Summation contract, which the pinned determinism corpus relies on: every
+// C(i,j) starts at +0 and adds A(i,kk) * B(kk,j) for kk = 0, 1, ..., k-1 in
+// that order, each product rounded to float before it is added.  That is the
+// order of the plain in-order triple loop, so the results are bit-identical
+// to it on finite inputs.  Compiling with FMA contraction available
+// (-march=native, -mfma and the like, with GCC's default -ffp-contract=fast)
+// fuses the multiply and add and changes the bits; so does -ffast-math.
 #pragma once
 
 #include <cstddef>

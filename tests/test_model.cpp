@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "data/batcher.h"
@@ -51,6 +53,72 @@ TEST(Model, GradientAtIsDeterministic) {
   const double l2 = m.gradient_at(params, x, y, g2);
   EXPECT_DOUBLE_EQ(l1, l2);
   EXPECT_EQ(g1, g2);
+}
+
+/// Forward, loss, then the full backward through every layer, the first one
+/// included, and the flat gradient it leaves.
+std::vector<float> gradient_via_full_backward(Model& m, const Tensor& x,
+                                              std::span<const int> y) {
+  SoftmaxCrossEntropy loss;
+  loss.forward(m.forward(x), y);
+  const Tensor* grad = &loss.backward();
+  for (std::size_t i = m.num_layers(); i-- > 0;) grad = &m.layer(i).backward(*grad);
+  std::vector<float> out(m.num_params());
+  m.get_gradients(out);
+  return out;
+}
+
+TEST(Model, FirstLayerSkipsOnlyTheInputGradient) {
+  // compute_gradients runs backward_params on the first layer; the gradient
+  // must be the very bits the full backward gives.
+  const std::size_t dim = 3 * 16 * 16;  // convnet_tiny's image shape
+  for (ModelArch arch : {ModelArch::kResNet32Lite, ModelArch::kLinear, ModelArch::kConvNetTiny,
+                         ModelArch::kResNet32BnLite}) {
+    Rng rng(42);
+    Model m = make_model(arch, dim, 10, rng);
+    Model full = m.clone();
+    Tensor x({4, dim});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+    const std::vector<int> y = {0, 3, 9, 3};
+    m.compute_gradients(x, y);
+    std::vector<float> got(m.num_params());
+    m.get_gradients(got);
+    const std::vector<float> want = gradient_via_full_backward(full, x, y);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << arch_name(arch);
+  }
+}
+
+/// Identity layer that counts backward calls and keeps the default
+/// backward_params.
+class CountingIdentity final : public Layer {
+ public:
+  explicit CountingIdentity(int* calls) : calls_(calls) {}
+  const Tensor& forward(const Tensor& x) override { return x_ = x; }
+  const Tensor& backward(const Tensor& dy) override {
+    ++*calls_;
+    return dx_ = dy;
+  }
+  [[nodiscard]] std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<CountingIdentity>(calls_);
+  }
+  [[nodiscard]] std::string describe() const override { return "CountingIdentity"; }
+
+ private:
+  int* calls_;
+  Tensor x_, dx_;
+};
+
+TEST(Model, FirstLayerWithoutOverrideStillRunsBackward) {
+  int calls = 0;
+  Rng rng(43);
+  Model m;
+  m.add(std::make_unique<CountingIdentity>(&calls)).add(std::make_unique<Dense>(8, 3, rng));
+  Tensor x({2, 8}, 0.5f);
+  const std::vector<int> y = {0, 2};
+  m.compute_gradients(x, y);
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(Model, CloneSharesNothing) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -17,8 +19,11 @@ Tensor random_tensor(Shape shape, Rng& rng, double scale = 1.0) {
   return t;
 }
 
-/// Naive reference matmul.
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
+// In-order scalar references: each output starts at +0 and adds its
+// products in ascending k, one rounded multiply then one rounded add.  This
+// is the summation contract tensor/ops.h promises, so the kernels must match
+// these bit for bit, not merely within a tolerance.
+Tensor reference_matmul(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Tensor c({m, n});
   for (std::size_t i = 0; i < m; ++i)
@@ -30,13 +35,37 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+Tensor reference_matmul_tn(const Tensor& a, const Tensor& b) {
+  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  Tensor c({m, n});
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += a.at2(kk, i) * b.at2(kk, j);
+      c.at2(i, j) = acc;
+    }
+  return c;
+}
+
+Tensor reference_matmul_nt(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  Tensor c({m, n});
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += a.at2(i, kk) * b.at2(j, kk);
+      c.at2(i, j) = acc;
+    }
+  return c;
+}
+
 TEST(Ops, MatmulMatchesNaive) {
   Rng rng(1);
   const Tensor a = random_tensor({5, 7}, rng);
   const Tensor b = random_tensor({7, 3}, rng);
   Tensor c({5, 3});
   ops::matmul(a, b, c);
-  const Tensor ref = naive_matmul(a, b);
+  const Tensor ref = reference_matmul(a, b);
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
 }
 
@@ -50,7 +79,7 @@ TEST(Ops, MatmulTnIsTransposedA) {
   Tensor a({5, 7});
   for (std::size_t i = 0; i < 5; ++i)
     for (std::size_t j = 0; j < 7; ++j) a.at2(i, j) = at.at2(j, i);
-  const Tensor ref = naive_matmul(a, b);
+  const Tensor ref = reference_matmul(a, b);
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
 }
 
@@ -63,8 +92,57 @@ TEST(Ops, MatmulNtIsTransposedB) {
   Tensor b({7, 3});
   for (std::size_t i = 0; i < 7; ++i)
     for (std::size_t j = 0; j < 3; ++j) b.at2(i, j) = bt.at2(j, i);
-  const Tensor ref = naive_matmul(a, b);
+  const Tensor ref = reference_matmul(a, b);
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
+}
+
+/// Gaussian operand; with `sparse`, about half the values, at random, are
+/// zero, as after a ReLU.
+Tensor operand(Shape shape, Rng& rng, bool sparse) {
+  Tensor t = random_tensor(std::move(shape), rng);
+  if (sparse)
+    for (std::size_t i = 0; i < t.numel(); ++i)
+      if (rng.uniform() < 0.5) t[i] = 0.0f;
+  return t;
+}
+
+/// Runs `op` on a C buffer pre-filled with NaN (so an unwritten output
+/// shows) and compares it byte for byte with `ref`.
+template <typename Op>
+void expect_bits(const char* what, Op op, const Tensor& a, const Tensor& b, const Tensor& ref) {
+  Tensor c(ref.shape(), std::nanf(""));
+  op(a, b, c);
+  EXPECT_EQ(std::memcmp(c.data(), ref.data(), ref.numel() * sizeof(float)), 0)
+      << what << " differs from the in-order reference";
+}
+
+void expect_all_bit_exact(std::size_t m, std::size_t k, std::size_t n, Rng& rng, bool sparse) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) + " n=" + std::to_string(n) +
+               (sparse ? " sparse" : " dense"));
+  const Tensor a = operand({m, k}, rng, sparse);
+  const Tensor b = operand({k, n}, rng, sparse);
+  expect_bits("matmul", ops::matmul, a, b, reference_matmul(a, b));
+  const Tensor at = operand({k, m}, rng, sparse);
+  expect_bits("matmul_tn", ops::matmul_tn, at, b, reference_matmul_tn(at, b));
+  const Tensor bt = operand({n, k}, rng, sparse);
+  expect_bits("matmul_nt", ops::matmul_nt, a, bt, reference_matmul_nt(a, bt));
+}
+
+TEST(Ops, MatmulsAreBitExactOverEveryTileRemainder) {
+  Rng rng(6);
+  for (const std::size_t m : {1, 2, 3, 4, 5, 7, 32})
+    for (const std::size_t n : {1, 7, 8, 9, 17, 96, 100})
+      for (const std::size_t k : {1, 2, 64, 1024})
+        for (const bool sparse : {false, true}) expect_all_bit_exact(m, k, n, rng, sparse);
+}
+
+TEST(Ops, MatmulsAreBitExactAtWorkloadShapes) {
+  // (m, k, n) of the Dense layers the end-to-end workloads train:
+  // resnet32_lite at batch 32 and the 1024 -> 100 linear model at batch 2.
+  Rng rng(7);
+  const std::size_t shapes[][3] = {{32, 64, 96}, {32, 96, 64}, {2, 1024, 100}};
+  for (const auto& s : shapes)
+    for (const bool sparse : {false, true}) expect_all_bit_exact(s[0], s[1], s[2], rng, sparse);
 }
 
 TEST(Ops, MatmulShapeMismatchThrows) {
