@@ -23,7 +23,7 @@
 #include "net/socket_transport.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
-#include "ps/param_server.h"
+#include "ps/sharded_param_server.h"
 #include "ps/threaded_runtime.h"
 #include "sim/event_queue.h"
 #include "tensor/ops.h"
@@ -144,7 +144,7 @@ void BM_PsApply(benchmark::State& state) {
   std::vector<float> grad(p);
   for (auto& v : init) v = static_cast<float>(rng.gaussian());
   for (auto& v : grad) v = static_cast<float>(rng.gaussian(0.0, 0.01));
-  ParameterServer ps(init, 0.9);
+  ShardedParameterServer ps(init, 0.9);
   for (auto _ : state) ps.apply(grad, 0.05);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p));
@@ -219,7 +219,7 @@ BENCHMARK(BM_PsApplySparseTopK)->Args({10'000'000, 1})->Args({10'000'000, 8});
 
 void BM_PsPull(benchmark::State& state) {
   const std::size_t p = 13000;
-  ParameterServer ps(std::vector<float>(p, 0.5f), 0.9);
+  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9);
   std::vector<float> out(p);
   for (auto _ : state) {
     ps.pull(out);

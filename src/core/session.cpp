@@ -102,7 +102,7 @@ std::optional<double> RunResult::time_to_accuracy(double threshold) const {
 }
 
 TrainingSession::TrainingSession(RunRequest request) : req_(std::move(request)) {
-  if (req_.policy.switch_fraction < 0.0 || req_.policy.switch_fraction > 1.0)
+  if (!(req_.policy.switch_fraction >= 0.0 && req_.policy.switch_fraction <= 1.0))
     throw ConfigError("TrainingSession: switch_fraction must be in [0, 1]");
   if (req_.workload.total_steps <= 0)
     throw ConfigError("TrainingSession: total_steps must be > 0");
@@ -141,6 +141,83 @@ std::vector<int> all_workers(std::size_t n) {
   return out;
 }
 
+/// What a leg does when the straggler detector flags a worker and the flag
+/// is not the leg's own trigger.
+enum class Reaction {
+  kNone,     ///< the leg does not watch the detector
+  kLeave,    ///< reactive membership plan: flagged workers leave through the
+             ///< recovery coordinator (clamped to ElasticConfig::min_workers)
+  kEvict,    ///< elastic policy: evict every flagged worker or none, never
+             ///< below two; the full cluster returns when the leg ends
+  kReplace,  ///< replace policy: kEvict, and a fresh node takes each evicted
+             ///< slot over once provisioned
+};
+
+/// One leg of the session's phase plan.  Legs run from index 0; `next` and
+/// `on_trigger` name the leg that follows (the plan size ends the run).
+struct Leg {
+  /// Protocol, trigger and SSP bound.  `steps` > 0 is a step quota that
+  /// carries across revisits of the leg; 0 runs out the run budget.
+  SwitchPhase phase;
+  MomentumPolicy momentum = MomentumPolicy::kBaseline;
+  Reaction reaction = Reaction::kNone;
+  std::size_t next = 0;        ///< after the quota or the run budget is spent
+  std::size_t on_trigger = 0;  ///< after the trigger fires with quota left
+};
+
+/// Lowers the request's policy onto one phase plan.  An explicit schedule
+/// runs verbatim and overrides the online policy.  Otherwise the offline
+/// plan runs `first` for `switch_fraction` of the steps, then `second`; when
+/// stragglers can occur, the online policy reshapes it:
+///  * greedy cycles: `first` until a straggler is detected, `second` until
+///    it clears, back to `first` until its quota is spent, then `second`;
+///  * elastic evicts stragglers in the `first` leg, replace in every leg.
+/// A reactive membership plan makes every leg leave flagged workers.  Only
+/// the post-switch protocol trains under the momentum ablation: a
+/// schedule's first leg, and the offline plan's `first`, run at baseline.
+std::vector<Leg> lower_policy(const RunRequest& req, bool has_stragglers) {
+  const SyncSwitchPolicy& p = req.policy;
+  const std::int64_t total = req.workload.total_steps;
+  const std::int64_t first_budget =
+      std::llround(p.switch_fraction * static_cast<double>(total));
+  constexpr SwitchTrigger kSteps = SwitchTrigger::kStepCount;
+  std::vector<Leg> legs;
+  if (!p.schedule.empty()) {
+    for (const SwitchPhase& ph : p.schedule.phases())
+      legs.push_back({ph, legs.empty() ? MomentumPolicy::kBaseline : p.momentum_policy});
+  } else if (first_budget > 0 && first_budget < total) {
+    legs = {{.phase = {p.first, kSteps, first_budget, -1}}, {.phase = {p.second, kSteps, 0, -1}}};
+  } else {
+    legs = {{.phase = {first_budget >= total ? p.first : p.second, kSteps, 0, -1}}};
+  }
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    legs[i].next = legs[i].on_trigger = i + 1;
+    if (req.elastic.plan.reactive()) legs[i].reaction = Reaction::kLeave;
+  }
+  const OnlinePolicy online =
+      p.schedule.empty() && has_stragglers ? p.online : OnlinePolicy::kNone;
+  if (online == OnlinePolicy::kGreedy && first_budget > 0) {
+    legs = {{.phase = {p.first, SwitchTrigger::kStragglerDetected, first_budget, -1},
+             .next = 2, .on_trigger = 1},
+            {.phase = {p.second, SwitchTrigger::kStragglerCleared, 0, -1},
+             .next = 2, .on_trigger = 0},
+            {.phase = {p.second, kSteps, 0, -1}, .next = 3, .on_trigger = 3}};
+  } else if (online == OnlinePolicy::kElastic && first_budget > 0) {
+    legs.front().reaction = Reaction::kEvict;
+  } else if (online == OnlinePolicy::kReplace) {
+    for (Leg& leg : legs) leg.reaction = Reaction::kReplace;
+  }
+  if (p.schedule.empty())
+    for (Leg& leg : legs)
+      if (leg.phase.protocol != p.first || p.switch_fraction <= 0.0)
+        leg.momentum = p.momentum_policy;
+  return legs;
+}
+
+bool watches_detector(const Leg& leg) {
+  return leg.phase.trigger != SwitchTrigger::kStepCount || leg.reaction != Reaction::kNone;
+}
+
 }  // namespace
 
 RunResult TrainingSession::run() {
@@ -166,8 +243,8 @@ RunResult TrainingSession::run() {
     worker_rngs.push_back(root.fork(200 + w));
   }
 
-  TrainingState state(ParameterServer(grad_model.get_params(), wl.hyper.momentum,
-                                      req_.cluster.num_ps_shards),
+  TrainingState state(ShardedParameterServer(grad_model.get_params(), wl.hyper.momentum,
+                                             req_.cluster.num_ps_shards),
                       std::move(samplers), std::move(worker_rngs));
   if (req_.cluster.ps_apply_threads > 0)
     state.ps.set_parallel_apply(req_.cluster.ps_apply_threads);
@@ -182,6 +259,8 @@ RunResult TrainingSession::run() {
   else if (req_.stragglers.num_stragglers > 0)
     straggler_schedule = StragglerSchedule::generate(req_.stragglers, n, straggler_rng);
 
+  const std::vector<Leg> plan = lower_policy(req_, !straggler_schedule.events().empty());
+
   const PiecewiseDecay schedule =
       PiecewiseDecay::resnet_style(wl.hyper.learning_rate, wl.total_steps);
 
@@ -192,9 +271,7 @@ RunResult TrainingSession::run() {
   if (req_.elastic.plan.join_count() > 0) detector.set_active(all_workers(n));
   DetectorSink detector_sink(detector);
   std::vector<MetricsSink*> tees;
-  if (req_.policy.online != OnlinePolicy::kNone || req_.policy.schedule.has_reactive_trigger() ||
-      req_.elastic.plan.reactive())
-    tees.push_back(&detector_sink);
+  if (std::any_of(plan.begin(), plan.end(), watches_detector)) tees.push_back(&detector_sink);
   if (req_.observer != nullptr) tees.push_back(req_.observer);
   FanoutSink fanout(tees);
   if (!tees.empty()) profiler.set_tee(&fanout);
@@ -213,28 +290,19 @@ RunResult TrainingSession::run() {
   const double ascale = req_.actuator_time_scale;
   result.init_time_seconds = actuator.init_time(n).scaled(ascale).seconds();
 
-  const std::int64_t first_budget = static_cast<std::int64_t>(
-      std::llround(req_.policy.switch_fraction * static_cast<double>(wl.total_steps)));
   const std::int64_t steps_per_epoch = static_cast<std::int64_t>(
       std::max<std::size_t>(1, data.train.size() / wl.hyper.batch_size));
 
-  auto make_phase = [&](Protocol proto, std::int64_t budget, std::size_t active_count,
-                        std::optional<MomentumPolicy> mp_override =
-                            std::nullopt) -> PhaseConfig {
-    // Only the post-switch (second) protocol uses the momentum ablation.
-    // Schedule mode passes the policy explicitly (first phase baseline,
-    // later phases the ablation) so the vestigial first/switch_fraction
-    // fields cannot leak into per-phase hyper-parameters.
-    const MomentumPolicy mp =
-        mp_override ? *mp_override
-                    : (proto == req_.policy.first && req_.policy.switch_fraction > 0.0
-                           ? MomentumPolicy::kBaseline
-                           : req_.policy.momentum_policy);
-    const DerivedHyper h =
-        derive_hyper(proto, active_count, wl.hyper, mp, steps_per_epoch, req_.policy.k_param);
+  auto make_phase = [&](const Leg& leg, std::int64_t budget,
+                        std::size_t active_count) -> PhaseConfig {
+    const Protocol proto = leg.phase.protocol;
+    const DerivedHyper h = derive_hyper(proto, active_count, wl.hyper, leg.momentum,
+                                        steps_per_epoch, req_.policy.k_param);
     PhaseConfig cfg;
     cfg.protocol = proto;
-    cfg.ssp_staleness_bound = req_.policy.ssp_staleness_bound;
+    cfg.ssp_staleness_bound = leg.phase.ssp_staleness_bound >= 0
+                                  ? leg.phase.ssp_staleness_bound
+                                  : req_.policy.ssp_staleness_bound;
     cfg.k_param = req_.policy.k_param;
     cfg.step_budget = budget;
     cfg.lr_schedule = &schedule;
@@ -272,177 +340,169 @@ RunResult TrainingSession::run() {
     ++result.num_switches;
   };
 
+  // ---------- The phase-plan engine: every policy runs through this one
+  // loop.  Each leg of the lowered plan is segmented at snapshot-capture
+  // steps and membership-event steps; each segment runs through run_phase
+  // with the current active set, and every transition re-derives the phase
+  // configuration (lr, batch) for the new cluster size via make_phase.  A
+  // segment the detector stops either ends its leg (a trigger) or runs the
+  // leg's reaction and resumes.  Crashes restore the last snapshot when the
+  // policy says so; every membership change is priced through the
+  // cluster/actuator models.  All state evolution is deterministic in
+  // (plan, seed), so every run is bit-for-bit reproducible and cacheable.
+  RecoveryCoordinator coord(req_.elastic, n);
+  std::vector<int> active = coord.active();
+
+  // Crash recovery restores the latest snapshot at or before the crash
+  // step.  Only the last cadence boundary before each crash matters, so
+  // the budget is split exactly there instead of at every interval.
+  std::optional<Checkpoint> snapshot;
+  std::vector<std::int64_t> capture_steps;
+  for (const MembershipEvent& e : req_.elastic.plan.events()) {
+    if (e.kind != MembershipEventKind::kCrash) continue;
+    if (!snapshot) snapshot = state.ps.make_checkpoint(0);  // run-start floor
+    if (const std::int64_t every = req_.elastic.snapshot_interval; every > 0 && e.at_step >= every)
+      capture_steps.push_back(e.at_step / every * every);
+  }
+  std::sort(capture_steps.begin(), capture_steps.end());
+  capture_steps.erase(std::unique(capture_steps.begin(), capture_steps.end()),
+                      capture_steps.end());
+  std::size_t next_capture_idx = 0;
+  auto next_capture = [&](std::int64_t after) -> std::int64_t {
+    for (std::size_t i = next_capture_idx; i < capture_steps.size(); ++i)
+      if (capture_steps[i] > after) return capture_steps[i];
+    return -1;
+  };
+
+  auto pay_membership = [&](VTime cost) {
+    state.clock += cost;
+    result.recovery_overhead_seconds += cost.seconds();
+  };
+
+  // Apply every scripted event due at the current step: price it, mutate
+  // the PS / worker-slot state, and log it.
+  auto apply_due_events = [&] {
+    for (const AppliedMembershipEvent& a : coord.advance_to(state.global_step)) {
+      ++result.num_membership_events;
+      const int slot = a.event.worker;
+      if (a.event.kind == MembershipEventKind::kJoin) {
+        state.samplers.emplace_back(shards[static_cast<std::size_t>(slot) % shards.size()],
+                                    wl.hyper.batch_size, root.fork(1000 + slot));
+        state.worker_rngs.push_back(root.fork(2000 + slot));
+        pay_membership(cluster.join_time());
+      } else {
+        pay_membership(actuator.resize_time().scaled(ascale));
+      }
+      if (a.event.kind == MembershipEventKind::kCrash &&
+          req_.elastic.recovery == RecoveryMode::kRestoreSnapshot && snapshot) {
+        pay_membership(cluster.recovery_restore_time());
+        result.updates_lost += state.global_step - snapshot->global_step;
+        // Parameters + velocity roll back to the snapshot; the global step
+        // and versions do not (batches are not replayed, exactly like the
+        // threaded runtime's recovery).  Surviving workers keep their
+        // error-feedback residuals.
+        state.ps.restore(*snapshot);
+      }
+      log_info("elastic: worker ", slot, " ", membership_event_name(a.event.kind), " at step ",
+               state.global_step, ", ", coord.alive_count(), " workers alive");
+    }
+    // Throughput history is not comparable across resizes, and retired
+    // slots must not block detector warm-up.
+    active = coord.active();
+    detector.set_active(active);
+  };
+
+  // Reaction::kLeave: the flagged workers leave through the coordinator.
+  auto leave_stragglers = [&] {
+    for (const AppliedMembershipEvent& a : coord.evict(detector.stragglers(), state.global_step)) {
+      ++result.num_membership_events;
+      pay_membership(actuator.resize_time().scaled(ascale));
+      log_info("elastic: evicted straggler slot ", a.event.worker, " at step ",
+               state.global_step, ", ", a.workers_after, " workers remain");
+    }
+    active = coord.active();
+    detector.set_active(active);
+  };
+
+  // Reaction::kEvict / kReplace: re-admit provisioned replacements, then
+  // evict every flagged worker or none (never below two).  Any change is
+  // priced as one resize, and the detector restarts either way.
+  std::vector<std::pair<int, VTime>> pending;  // replace: (slot, ready time)
+  auto evict_stragglers = [&](bool replace) {
+    const auto ready = std::stable_partition(pending.begin(), pending.end(), [&](const auto& p) {
+      return state.clock < p.second;
+    });
+    bool resized = ready != pending.end();
+    for (auto it = ready; it != pending.end(); ++it) {
+      log_info("replace: fresh node took over slot ", it->first, " at step ", state.global_step);
+      straggler_schedule.mask_after(it->first, state.clock);
+      active.push_back(it->first);
+    }
+    pending.erase(ready, pending.end());
+    std::sort(active.begin(), active.end());
+    const std::vector<int> flagged = detector.stragglers();
+    std::vector<int> kept, evicted;
+    for (int w : active)
+      (std::find(flagged.begin(), flagged.end(), w) == flagged.end() ? kept : evicted).push_back(w);
+    if (kept.size() >= 2 && !evicted.empty()) {
+      const VTime ready = state.clock + actuator.provision_time().scaled(ascale);
+      for (int w : evicted) {
+        log_info(replace ? "replace" : "elastic", ": evicting straggler slot ", w, " at step ",
+                 state.global_step);
+        if (replace) pending.emplace_back(w, ready);
+      }
+      active = std::move(kept);
+      resized = true;
+    }
+    if (resized) state.clock += actuator.resize_time().scaled(ascale);
+    detector.reset();
+  };
+
+  std::vector<std::int64_t> spent(plan.size(), 0);  // quota used per leg, over all visits
   bool diverged = false;
-  const std::vector<int> everyone = all_workers(n);
+  std::size_t li = 0;
+  while (li < plan.size() && !diverged && state.global_step < wl.total_steps) {
+    const Leg& leg = plan[li];
+    const std::int64_t leg_end =
+        leg.phase.steps > 0
+            ? std::min(state.global_step + leg.phase.steps - spent[li], wl.total_steps)
+            : wl.total_steps;
+    bool triggered = false;
+    while (!diverged && !triggered && state.global_step < leg_end) {
+      // Segment the budget at the next snapshot capture or membership step.
+      std::int64_t boundary = leg_end;
+      if (const std::int64_t cap = next_capture(state.global_step); cap > 0)
+        boundary = std::min(boundary, cap);
+      if (const std::int64_t ev = coord.next_event_step(state.global_step); ev > 0)
+        boundary = std::min(boundary, ev);
 
-  if (!req_.elastic.empty() || !req_.policy.schedule.empty()) {
-    // ---------- Phase-plan engine (explicit schedules and/or elastic
-    // membership).  The phase plan — an explicit schedule, or the two-phase
-    // offline plan in schedule form — is segmented at snapshot-capture
-    // steps and membership-event steps; each segment runs through run_phase
-    // with the current active set, and every transition re-derives the
-    // phase configuration (lr, batch) for the new cluster size via
-    // make_phase.  Crashes restore the last snapshot when the policy says
-    // so; every membership change is priced through the cluster/actuator
-    // models.  With an empty membership plan this degenerates to exactly
-    // the schedule execution of PR 4 (the determinism suite holds it to the
-    // legacy two-phase plan bit for bit); with a non-empty plan the worker
-    // set becomes a time-varying quantity.  All state evolution is
-    // deterministic in (plan, seed), so elastic runs are bit-for-bit
-    // reproducible and cacheable.
-    const bool explicit_schedule = !req_.policy.schedule.empty();
-    std::vector<SwitchPhase> phases;
-    if (explicit_schedule) {
-      phases = req_.policy.schedule.phases();
-    } else if (first_budget > 0 && first_budget < wl.total_steps) {
-      phases = {SwitchPhase{req_.policy.first, SwitchTrigger::kStepCount, first_budget, -1},
-                SwitchPhase{req_.policy.second, SwitchTrigger::kStepCount, 0, -1}};
-    } else {
-      phases = {SwitchPhase{first_budget >= wl.total_steps ? req_.policy.first
-                                                           : req_.policy.second,
-                            SwitchTrigger::kStepCount, 0, -1}};
-    }
+      const PhaseConfig cfg = make_phase(leg, boundary - state.global_step, active.size());
+      // Watching legs stop on a detector flag or on a provisioned
+      // replacement; a kStragglerCleared leg stops once the flags are gone.
+      StopPredicate stop;
+      if (leg.phase.trigger == SwitchTrigger::kStragglerCleared)
+        stop = [&](VTime, std::int64_t) { return !detector.any_straggler(); };
+      else if (watches_detector(leg))
+        stop = [&](VTime now, std::int64_t) {
+          return detector.any_straggler() ||
+                 std::any_of(pending.begin(), pending.end(),
+                             [now](const auto& p) { return now >= p.second; });
+        };
 
-    RecoveryCoordinator coord(req_.elastic, n);
-    const bool reactive_membership = req_.elastic.plan.reactive();
-
-    // Crash recovery restores the latest snapshot at or before the crash
-    // step.  Only the last cadence boundary before each crash matters, so
-    // the budget is split exactly there instead of at every interval.
-    std::optional<Checkpoint> snapshot;
-    bool plan_has_crash = false;
-    for (const MembershipEvent& e : req_.elastic.plan.events())
-      plan_has_crash |= e.kind == MembershipEventKind::kCrash;
-    if (plan_has_crash) snapshot = state.ps.make_checkpoint(0);  // run-start floor
-    std::vector<std::int64_t> capture_steps;
-    if (plan_has_crash && req_.elastic.snapshot_interval > 0) {
-      for (const MembershipEvent& e : req_.elastic.plan.events()) {
-        if (e.kind != MembershipEventKind::kCrash) continue;
-        const std::int64_t cap =
-            (e.at_step / req_.elastic.snapshot_interval) * req_.elastic.snapshot_interval;
-        if (cap > 0) capture_steps.push_back(cap);
-      }
-      std::sort(capture_steps.begin(), capture_steps.end());
-      capture_steps.erase(std::unique(capture_steps.begin(), capture_steps.end()),
-                          capture_steps.end());
-    }
-    std::size_t next_capture_idx = 0;
-    auto next_capture = [&](std::int64_t after) -> std::int64_t {
-      for (std::size_t i = next_capture_idx; i < capture_steps.size(); ++i)
-        if (capture_steps[i] > after) return capture_steps[i];
-      return -1;
-    };
-
-    auto pay_membership = [&](VTime cost) {
-      state.clock += cost;
-      result.recovery_overhead_seconds += cost.seconds();
-    };
-
-    // Apply every scripted event due at the current step: price it, mutate
-    // the PS / worker-slot state, and log it.
-    auto apply_due_events = [&] {
-      const auto applied = coord.advance_to(state.global_step);
-      for (const AppliedMembershipEvent& a : applied) {
-        ++result.num_membership_events;
-        switch (a.event.kind) {
-          case MembershipEventKind::kCrash: {
-            pay_membership(actuator.resize_time().scaled(ascale));
-            if (req_.elastic.recovery == RecoveryMode::kRestoreSnapshot && snapshot) {
-              pay_membership(cluster.recovery_restore_time());
-              result.updates_lost += state.global_step - snapshot->global_step;
-              // Parameters + velocity roll back to the snapshot; the global
-              // step and versions do not (batches are not replayed, exactly
-              // like the threaded runtime's recovery).  Surviving workers
-              // keep their error-feedback residuals.
-              state.ps.restore(*snapshot);
-            }
-            log_info("elastic: worker ", a.event.worker, " crashed at step ",
-                     state.global_step, ", ", coord.alive_count(), " workers remain");
-            break;
-          }
-          case MembershipEventKind::kLeave:
-            pay_membership(actuator.resize_time().scaled(ascale));
-            log_info("elastic: worker ", a.event.worker, " left at step ",
-                     state.global_step, ", ", coord.alive_count(), " workers remain");
-            break;
-          case MembershipEventKind::kJoin: {
-            const int slot = a.event.worker;
-            state.samplers.emplace_back(shards[static_cast<std::size_t>(slot) % shards.size()],
-                                        wl.hyper.batch_size, root.fork(1000 + slot));
-            state.worker_rngs.push_back(root.fork(2000 + slot));
-            pay_membership(cluster.join_time());
-            log_info("elastic: worker ", slot, " joined at step ", state.global_step,
-                     ", cluster is now ", coord.alive_count());
-            break;
-          }
-        }
-      }
-      // Throughput history is not comparable across resizes, and retired
-      // slots must not block detector warm-up.
-      detector.set_active(coord.active());
-    };
-
-    for (std::size_t pi = 0; pi < phases.size() && !diverged; ++pi) {
-      const std::int64_t phase_remaining = wl.total_steps - state.global_step;
-      if (phase_remaining <= 0) break;
-      const SwitchPhase& ph = phases[pi];
-      const bool lastp = pi + 1 == phases.size();
-      const std::int64_t phase_end =
-          state.global_step + SwitchSchedule::phase_budget(ph, lastp, phase_remaining);
-      bool advance_phase = false;
-      while (!diverged && state.global_step < phase_end && !advance_phase) {
-        // Segment the budget at the next snapshot capture or membership step.
-        std::int64_t boundary = phase_end;
-        if (const std::int64_t cap = next_capture(state.global_step); cap > 0)
-          boundary = std::min(boundary, cap);
-        if (const std::int64_t ev = coord.next_event_step(state.global_step); ev > 0)
-          boundary = std::min(boundary, ev);
-
-        // Momentum ablation semantics match the branch each plan came from:
-        // explicit schedules pin the first phase to baseline and apply the
-        // ablation to every later phase; the synthesized two-phase plan
-        // defers to make_phase's offline rule (ablation on the post-switch
-        // protocol only), so enabling elasticity never changes which
-        // momentum policy a phase trains under.
-        std::optional<MomentumPolicy> mp;
-        if (explicit_schedule)
-          mp = pi == 0 ? MomentumPolicy::kBaseline : req_.policy.momentum_policy;
-        PhaseConfig cfg =
-            make_phase(ph.protocol, boundary - state.global_step, coord.alive_count(), mp);
-        if (ph.ssp_staleness_bound >= 0) cfg.ssp_staleness_bound = ph.ssp_staleness_bound;
-        StopPredicate stop;
-        if (ph.trigger == SwitchTrigger::kStragglerDetected)
-          stop = [&](VTime, std::int64_t) { return detector.any_straggler(); };
-        else if (ph.trigger == SwitchTrigger::kStragglerCleared)
-          stop = [&](VTime, std::int64_t) { return !detector.any_straggler(); };
-        else if (reactive_membership)
-          stop = [&](VTime, std::int64_t) { return detector.any_straggler(); };
-
-        const PhaseResult pr =
-            runtime.run_phase(state, cfg, coord.active(), straggler_schedule, stop);
-        diverged = pr.end == PhaseEnd::kDiverged;
-        if (diverged) break;
-
-        if (pr.end == PhaseEnd::kStopRequested) {
-          if (ph.trigger != SwitchTrigger::kStepCount) {
-            log_info("schedule: ", switch_trigger_name(ph.trigger), " fired at step ",
-                     pr.trigger_step, ", switching to ",
-                     protocol_name(phases[pi + 1].protocol));
-            advance_phase = true;
-            break;
-          }
-          // Reactive membership: evict the flagged workers and resume.
-          const auto evicted = coord.evict(detector.stragglers(), state.global_step);
-          for (const AppliedMembershipEvent& a : evicted) {
-            ++result.num_membership_events;
-            pay_membership(actuator.resize_time().scaled(ascale));
-            log_info("elastic: evicted straggler slot ", a.event.worker, " at step ",
-                     state.global_step, ", ", a.workers_after, " workers remain");
-          }
-          detector.set_active(coord.active());
-          continue;
-        }
-
+      const std::int64_t before = state.global_step;
+      const PhaseResult pr = runtime.run_phase(state, cfg, active, straggler_schedule, stop);
+      spent[li] += state.global_step - before;
+      diverged = pr.end == PhaseEnd::kDiverged;
+      if (pr.end == PhaseEnd::kStopRequested) {
+        triggered = leg.phase.trigger != SwitchTrigger::kStepCount;
+        if (triggered)
+          log_info("plan: ", switch_trigger_name(leg.phase.trigger), " fired at step ",
+                   pr.trigger_step, ", leaving ", protocol_name(leg.phase.protocol));
+        else if (leg.reaction == Reaction::kLeave)
+          leave_stragglers();
+        else
+          evict_stragglers(leg.reaction == Reaction::kReplace);
+      } else if (!diverged) {
         // Budget ran to the segment boundary: snapshot first (a capture due
         // at the same step as a crash happens before the crash, matching a
         // cadence snapshotter that completed just in time), then resolve
@@ -458,195 +518,18 @@ RunResult TrainingSession::run() {
         }
         if (coord.events_due(state.global_step)) apply_due_events();
       }
-      if (!diverged && (advance_phase || state.global_step >= phase_end) && !lastp &&
-          state.global_step < wl.total_steps)
-        pay_switch();
     }
-  } else if (req_.policy.online == OnlinePolicy::kNone || req_.stragglers.num_stragglers == 0) {
-    // ---------- Offline plan: first protocol, one switch, second protocol.
-    if (first_budget > 0) {
-      const PhaseConfig cfg = make_phase(req_.policy.first, first_budget, n);
-      const PhaseResult pr =
-          runtime.run_phase(state, cfg, everyone, straggler_schedule, nullptr);
-      diverged = pr.end == PhaseEnd::kDiverged;
-    }
-    const std::int64_t remaining = wl.total_steps - state.global_step;
-    if (!diverged && remaining > 0) {
-      if (first_budget > 0) pay_switch();
-      const PhaseConfig cfg = make_phase(req_.policy.second, remaining, n);
-      const PhaseResult pr =
-          runtime.run_phase(state, cfg, everyone, straggler_schedule, nullptr);
-      diverged = pr.end == PhaseEnd::kDiverged;
-    }
-  } else if (req_.policy.online == OnlinePolicy::kGreedy) {
-    // ---------- Greedy: flip to ASP whenever a straggler is present, back to
-    // BSP once clear, until the BSP quota is met; then ASP to the end.
-    std::int64_t bsp_done = 0;
-    bool in_bsp = first_budget > 0;
-    if (!in_bsp) detector.reset();
-    while (!diverged && state.global_step < wl.total_steps) {
-      const std::int64_t remaining = wl.total_steps - state.global_step;
-      if (in_bsp) {
-        const std::int64_t budget = std::min(first_budget - bsp_done, remaining);
-        const PhaseConfig cfg = make_phase(req_.policy.first, budget, n);
-        const std::int64_t before = state.global_step;
-        const PhaseResult pr =
-            runtime.run_phase(state, cfg, everyone, straggler_schedule,
-                              [&](VTime, std::int64_t) { return detector.any_straggler(); });
-        bsp_done += state.global_step - before;
-        diverged = pr.end == PhaseEnd::kDiverged;
-        if (diverged) break;
-        if (pr.end == PhaseEnd::kStopRequested) {
-          log_info("greedy: straggler detected at step ", state.global_step,
-                   ", switching to ASP");
-          pay_switch();
-          in_bsp = false;
-        } else if (bsp_done >= first_budget) {
-          // Quota met: permanent switch to the second protocol.
-          if (state.global_step < wl.total_steps) {
-            pay_switch();
-            const PhaseConfig asp =
-                make_phase(req_.policy.second, wl.total_steps - state.global_step, n);
-            const PhaseResult fr =
-                runtime.run_phase(state, asp, everyone, straggler_schedule, nullptr);
-            diverged = fr.end == PhaseEnd::kDiverged;
-          }
-          break;
-        }
-      } else {
-        // Temporary ASP while the straggler persists.  Once the BSP quota is
-        // met there is nothing to return to, so run uninterrupted.
-        const PhaseConfig cfg = make_phase(req_.policy.second, remaining, n);
-        const StopPredicate until_clear =
-            bsp_done < first_budget
-                ? StopPredicate([&](VTime, std::int64_t) { return !detector.any_straggler(); })
-                : StopPredicate();
-        const PhaseResult pr =
-            runtime.run_phase(state, cfg, everyone, straggler_schedule, until_clear);
-        diverged = pr.end == PhaseEnd::kDiverged;
-        if (diverged) break;
-        if (pr.end == PhaseEnd::kBudgetExhausted) break;  // finished the workload in ASP
-        if (bsp_done < first_budget) {
-          log_info("greedy: stragglers cleared at step ", state.global_step,
-                   ", switching back to BSP");
-          pay_switch();
-          in_bsp = true;
-        }
+    if (diverged) break;
+    const bool quota_left = leg.phase.steps == 0 || spent[li] < leg.phase.steps;
+    const std::size_t next = triggered && quota_left ? leg.on_trigger : leg.next;
+    if (next < plan.size() && state.global_step < wl.total_steps) {
+      if (leg.reaction == Reaction::kEvict && active.size() < n) {
+        state.clock += actuator.resize_time().scaled(ascale);  // the evicted nodes return
+        active = all_workers(n);
       }
+      pay_switch();
     }
-  } else if (req_.policy.online == OnlinePolicy::kReplace) {
-    // ---------- Replace: evict detected stragglers and provision fresh VMs
-    // in the background (the paper's prescription for *permanent*
-    // stragglers).  A replacement takes over the evicted slot once ready
-    // (~100 s provisioning) and is healthy from then on.  Training never
-    // blocks on provisioning.
-    std::vector<int> active = everyone;
-    std::vector<std::pair<int, VTime>> pending;  // (worker slot, ready time)
-    std::int64_t bsp_done = 0;
-    bool switched = first_budget <= 0;
-    while (!diverged && state.global_step < wl.total_steps) {
-      const bool in_bsp = bsp_done < first_budget;
-      const std::int64_t budget =
-          in_bsp ? first_budget - bsp_done : wl.total_steps - state.global_step;
-      if (!in_bsp && !switched) {
-        pay_switch();
-        switched = true;
-      }
-      const Protocol proto = in_bsp ? req_.policy.first : req_.policy.second;
-      const PhaseConfig cfg = make_phase(proto, budget, active.size());
-      const StopPredicate stop = [&](VTime now, std::int64_t) {
-        if (detector.any_straggler()) return true;
-        for (const auto& [slot, ready] : pending)
-          if (now >= ready) return true;
-        return false;
-      };
-      const std::int64_t before = state.global_step;
-      const PhaseResult pr = runtime.run_phase(state, cfg, active, straggler_schedule, stop);
-      if (in_bsp) bsp_done += state.global_step - before;
-      diverged = pr.end == PhaseEnd::kDiverged;
-      if (diverged) break;
-      if (pr.end == PhaseEnd::kBudgetExhausted) {
-        if (in_bsp) continue;  // BSP quota met: next iteration switches
-        break;                 // workload complete
-      }
-
-      // Stop requested: first integrate any provisioned replacements...
-      bool resized = false;
-      for (auto it = pending.begin(); it != pending.end();) {
-        if (state.clock >= it->second) {
-          log_info("replace: fresh node took over slot ", it->first, " at step ",
-                   state.global_step);
-          straggler_schedule.mask_after(it->first, state.clock);
-          active.push_back(it->first);
-          std::sort(active.begin(), active.end());
-          it = pending.erase(it);
-          resized = true;
-        } else {
-          ++it;
-        }
-      }
-      // ...then evict freshly flagged stragglers and order their replacements.
-      const std::vector<int> flagged = detector.stragglers();
-      std::vector<int> next_active;
-      for (int w : active)
-        if (std::find(flagged.begin(), flagged.end(), w) == flagged.end())
-          next_active.push_back(w);
-      if (next_active.size() >= 2 && next_active.size() < active.size()) {
-        const VTime ready = state.clock + actuator.provision_time().scaled(ascale);
-        for (int w : active)
-          if (std::find(flagged.begin(), flagged.end(), w) != flagged.end()) {
-            log_info("replace: evicting straggler slot ", w, ", replacement at ",
-                     ready.seconds(), "s");
-            pending.emplace_back(w, ready);
-          }
-        active = std::move(next_active);
-        resized = true;
-      }
-      if (resized) state.clock += actuator.resize_time().scaled(ascale);
-      detector.reset();
-    }
-  } else {
-    // ---------- Elastic: evict detected stragglers during the BSP phase,
-    // restore the full cluster for the ASP phase.
-    std::vector<int> active = everyone;
-    std::int64_t bsp_done = 0;
-    while (!diverged && bsp_done < first_budget) {
-      const PhaseConfig cfg =
-          make_phase(req_.policy.first, first_budget - bsp_done, active.size());
-      const std::int64_t before = state.global_step;
-      const PhaseResult pr =
-          runtime.run_phase(state, cfg, active, straggler_schedule,
-                            [&](VTime, std::int64_t) { return detector.any_straggler(); });
-      bsp_done += state.global_step - before;
-      diverged = pr.end == PhaseEnd::kDiverged;
-      if (diverged) break;
-      if (pr.end == PhaseEnd::kStopRequested) {
-        const std::vector<int> flagged = detector.stragglers();
-        std::vector<int> next_active;
-        for (int w : active)
-          if (std::find(flagged.begin(), flagged.end(), w) == flagged.end())
-            next_active.push_back(w);
-        if (next_active.size() >= 2 && next_active.size() < active.size()) {
-          log_info("elastic: evicting ", active.size() - next_active.size(),
-                   " straggler(s) at step ", state.global_step);
-          active = std::move(next_active);
-          state.clock += actuator.resize_time().scaled(ascale);
-          detector.reset();
-        } else {
-          // Nothing safely removable; keep training, detector re-fires later.
-          detector.reset();
-        }
-      }
-    }
-    const std::int64_t remaining = wl.total_steps - state.global_step;
-    if (!diverged && remaining > 0) {
-      if (active.size() < n) state.clock += actuator.resize_time().scaled(ascale);  // restore nodes
-      if (first_budget > 0) pay_switch();
-      const PhaseConfig cfg = make_phase(req_.policy.second, remaining, n);
-      const PhaseResult pr =
-          runtime.run_phase(state, cfg, everyone, straggler_schedule, nullptr);
-      diverged = pr.end == PhaseEnd::kDiverged;
-    }
+    li = next;
   }
 
   // ---------- Collect results.

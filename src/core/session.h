@@ -7,10 +7,14 @@
 // protocol switches via checkpoint -> actuate -> restore, paying the
 // actuator's measured overhead in virtual time.
 //
-// Online straggler policies (Section IV-B2) run here: the greedy policy
-// flips to ASP while a straggler is detected and back once it clears (until
-// the BSP quota is met); the elastic policy evicts detected stragglers for
-// the remainder of the BSP phase and restores the full cluster for ASP.
+// Every policy runs through one phase-plan engine.  run() lowers the
+// offline two-phase plan, an explicit SwitchSchedule, or an online straggler
+// policy (Section IV-B2) onto a list of legs, then executes the legs in one
+// loop.  Greedy flips to ASP while a straggler is detected and back once it
+// clears, until the BSP quota is met.  Elastic evicts detected stragglers
+// for the rest of the BSP phase and restores the full cluster for ASP.
+// Replace evicts them and re-admits each slot once a fresh node is
+// provisioned.
 #pragma once
 
 #include <cstdint>
@@ -133,7 +137,8 @@ struct RunRequest {
 /// change to the key grammar or to result-affecting semantics.
 /// v6: explicit straggler schedules (`xstrg=`), RunResult::updates_lost,
 /// and full-precision (17-digit) result serialization.
-inline constexpr int kCacheKeySchemaVersion = 6;
+/// v7: online policies react to explicit straggler schedules too.
+inline constexpr int kCacheKeySchemaVersion = 7;
 
 /// Everything the paper's evaluation reads off one run.
 struct RunResult {

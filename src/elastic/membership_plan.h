@@ -24,8 +24,11 @@
 // Besides the scripted form there is a reactive variant driven by the
 // existing StragglerDetector: `MembershipPlan::reactive_evict()` turns every
 // detector flag into a leave() of the flagged workers (bounded below by
-// ElasticConfig::min_workers) — the generalization of the session's
-// OnlinePolicy::kElastic to arbitrary protocols and both runtimes.
+// ElasticConfig::min_workers), under any protocol and on both runtimes.
+// The session's OnlinePolicy::kElastic is a narrower, simulator-only rule:
+// it evicts every flagged worker or none (never below two), only while the
+// first protocol runs, and restores the full cluster at the switch.  On the
+// simulator both are reactions of the same phase-plan engine.
 #pragma once
 
 #include <cstdint>

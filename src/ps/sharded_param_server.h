@@ -2,7 +2,7 @@
 // the (server-side) momentum optimizer, partitioned into contiguous shards.
 //
 // The paper collocates PS shards with workers.  Earlier revisions kept one
-// logical vector behind the ParameterServer API and let the cluster model
+// logical vector behind the parameter-server API and let the cluster model
 // price sharding as a pure timing effect; that serializes every ASP push on
 // one lock and caps the real-throughput ceiling.  This class makes the shard
 // layer real:

@@ -31,8 +31,8 @@
 #include "data/dataset.h"
 #include "nn/lr_schedule.h"
 #include "nn/model.h"
-#include "ps/param_server.h"
 #include "ps/protocol.h"
+#include "ps/sharded_param_server.h"
 #include "sim/cluster.h"
 #include "sim/des_engine.h"
 #include "sim/straggler.h"
@@ -76,13 +76,13 @@ class NullMetricsSink final : public MetricsSink {
 
 /// Everything that persists across phases of one training session.
 struct TrainingState {
-  TrainingState(ParameterServer ps_in, std::vector<MinibatchSampler> samplers_in,
+  TrainingState(ShardedParameterServer ps_in, std::vector<MinibatchSampler> samplers_in,
                 std::vector<Rng> worker_rngs_in)
       : ps(std::move(ps_in)),
         samplers(std::move(samplers_in)),
         worker_rngs(std::move(worker_rngs_in)) {}
 
-  ParameterServer ps;
+  ShardedParameterServer ps;
   std::vector<MinibatchSampler> samplers;  ///< one per worker slot
   std::vector<Rng> worker_rngs;            ///< timing jitter streams
   std::int64_t global_step = 0;            ///< minibatch steps completed

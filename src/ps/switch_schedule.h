@@ -83,8 +83,10 @@ class SwitchSchedule {
   /// Budget a phase gets out of `remaining` runtime-local steps: a non-last
   /// step-quota phase gets min(steps, remaining); reactive phases and the
   /// last phase run out the remainder (a reactive phase may be cut short by
-  /// its trigger).  Both runtimes call this, so the rule cannot drift
-  /// between the simulator and the threaded runtime.
+  /// its trigger).  The threaded runtime calls this.  The simulator's
+  /// phase-plan engine (core/session.cpp) reads the same rule off `steps`
+  /// alone: in a validated schedule only non-last step-quota phases have
+  /// steps > 0.
   [[nodiscard]] static std::int64_t phase_budget(const SwitchPhase& phase, bool last,
                                                  std::int64_t remaining) noexcept;
 

@@ -74,14 +74,14 @@
 #include "data/dataset.h"
 #include "nn/lr_schedule.h"
 #include "nn/model.h"
-#include "ps/param_server.h"
 #include "ps/protocol.h"
+#include "ps/sharded_param_server.h"
 #include "ps/switch_schedule.h"
 #include "sim/straggler.h"
 
 namespace ss {
 
-/// Thread-safe facade over the sharded ParameterServer.  Each shard is
+/// Thread-safe facade over the ShardedParameterServer.  Each shard is
 /// guarded by its own mutex, so concurrent ASP pushes serialize per shard —
 /// worker A can apply shard 1 while worker B applies shard 0 — instead of on
 /// one global lock.  All multi-shard operations take locks in ascending

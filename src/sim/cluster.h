@@ -33,7 +33,7 @@ struct ClusterSpec {
   /// every shard in parallel: each leg carries payload_bytes / num_ps_shards
   /// and the worker pays `shard_issue_overhead` to issue each extra request.
   /// 1 (the default) reproduces the historical single-server pricing bit for
-  /// bit.  Also the shard count the session builds the ParameterServer with.
+  /// bit.  Also the shard count the session builds the ShardedParameterServer with.
   std::size_t num_ps_shards = 1;
 
   /// Per-extra-shard request issue cost on the worker (serialization of the

@@ -2,8 +2,10 @@
 // recorded as fingerprints and held bit-for-bit across refactors.
 //
 // The corpus covers all 8 protocols x {1, 8} PS shards x {none, topk}
-// compression on the standard tiny workload, plus a batch of generated fuzz
-// scenarios (switching + stragglers + elastic membership composed).  The
+// compression on the standard tiny workload, a batch of generated fuzz
+// scenarios (switching + stragglers + elastic membership composed), and the
+// two-phase policy under each online straggler policy (offline, greedy,
+// elastic, replace), tuned so that every reaction actually fires.  The
 // fingerprint is a 64-bit FNV-1a hash of the max_digits10 run-result text
 // serialization, so it covers every scalar and every curve point exactly.
 //
@@ -60,8 +62,30 @@ inline RunRequest corpus_base_request() {
   return req;
 }
 
-/// All 8 protocols x {1, 8} shards x {none, topk(5%)} plus 6 generated fuzz
-/// scenarios — 38 cases, each a few tens of milliseconds.
+/// The online-policy workload: corpus_base_request() stretched to 512 steps,
+/// with one 40 ms straggler that starts within the first second and a 4/2
+/// detector, so every reaction fires well inside the run.  `permanent`
+/// keeps the straggler slow for the whole run; otherwise it clears after
+/// ~2 s, which gives greedy its round trip back to BSP.
+inline RunRequest online_policy_request(SyncSwitchPolicy policy, OnlinePolicy online,
+                                        bool permanent) {
+  RunRequest req = corpus_base_request();
+  req.workload.total_steps = 512;
+  req.policy = policy;
+  req.policy.online = online;
+  req.policy.detector.window_size = 4;
+  req.policy.detector.consecutive_required = 2;
+  req.stragglers.num_stragglers = 1;
+  req.stragglers.occurrences = 1;
+  req.stragglers.extra_latency_ms = 40.0;
+  req.stragglers.max_duration =
+      permanent ? VTime::from_minutes(600.0) : VTime::from_seconds(2.0);
+  req.stragglers.horizon = VTime::from_seconds(1.0);
+  return req;
+}
+
+/// All 8 protocols x {1, 8} shards x {none, topk(5%)}, 6 generated fuzz
+/// scenarios and 9 online-policy runs — 47 cases, each well under a second.
 inline std::vector<CorpusCase> determinism_corpus() {
   std::vector<CorpusCase> cases;
   const Protocol protocols[] = {Protocol::kBsp,        Protocol::kAsp,
@@ -88,6 +112,24 @@ inline std::vector<CorpusCase> determinism_corpus() {
     c.request = generate_scenario(seed).to_run_request();
     cases.push_back(std::move(c));
   }
+  const SyncSwitchPolicy half = SyncSwitchPolicy::bsp_to_asp(0.5);
+  const SyncSwitchPolicy bsp = SyncSwitchPolicy::pure(Protocol::kBsp);
+  const SyncSwitchPolicy asp = SyncSwitchPolicy::pure(Protocol::kAsp);
+  RunRequest clean = online_policy_request(half, OnlinePolicy::kGreedy, false);
+  clean.stragglers = StragglerScenario{};
+  const std::vector<CorpusCase> online = {
+      {"online/offline-stragglers", online_policy_request(half, OnlinePolicy::kNone, false)},
+      {"online/asp-to-bsp",
+       online_policy_request(SyncSwitchPolicy::asp_to_bsp(0.5), OnlinePolicy::kNone, false)},
+      {"online/greedy-round-trip", online_policy_request(half, OnlinePolicy::kGreedy, false)},
+      {"online/greedy-no-stragglers", clean},
+      {"online/greedy-pure-bsp", online_policy_request(bsp, OnlinePolicy::kGreedy, false)},
+      {"online/elastic-evict", online_policy_request(half, OnlinePolicy::kElastic, false)},
+      {"online/elastic-pure-bsp", online_policy_request(bsp, OnlinePolicy::kElastic, true)},
+      {"online/replace-permanent", online_policy_request(half, OnlinePolicy::kReplace, true)},
+      {"online/replace-pure-asp", online_policy_request(asp, OnlinePolicy::kReplace, true)},
+  };
+  cases.insert(cases.end(), online.begin(), online.end());
   return cases;
 }
 

@@ -51,7 +51,7 @@ struct Fixture {
       samplers.emplace_back(shards[w], batch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ParameterServer(model.get_params(), 0.9), std::move(samplers),
+    return TrainingState(ShardedParameterServer(model.get_params(), 0.9), std::move(samplers),
                          std::move(rngs));
   }
 

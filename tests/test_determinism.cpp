@@ -239,9 +239,12 @@ TEST(Determinism, ShardCountChangesTimingButIsKeyedSeparately) {
 }
 
 // The full corpus (8 protocols x {1,8} shards x {none, topk} compression +
-// 6 fuzz scenarios), pinned bit-for-bit against the serial engine that
-// predates the DES core.  The hashes cover the complete max_digits10 result
-// serialization — every scalar and every curve point.
+// 6 fuzz scenarios + 9 online-policy runs), pinned bit-for-bit against the
+// serial engine that predates the DES core.  The hashes cover the complete
+// max_digits10 result serialization — every scalar and every curve point.
+// The online-policy entries were recorded on the hand-written greedy,
+// elastic and replace loops, before those policies were lowered onto the
+// session's phase-plan engine.
 //
 // Recorded on the pre-refactor engine, with one deliberate exception: the
 // six ASP/SSP/DSSP s8 entries moved when the event queue's tie-break became
@@ -294,6 +297,15 @@ TEST(Determinism, PinnedCorpusMatchesPreRefactorEngine) {
       {"scenario/seed4", "1e992067b0b201e7"},
       {"scenario/seed5", "0e5d7cf848d718ea"},
       {"scenario/seed6", "838f0dc25f6cfee0"},
+      {"online/offline-stragglers", "08aa2b5cd33cf087"},
+      {"online/asp-to-bsp", "cc0e55363b814939"},
+      {"online/greedy-round-trip", "03703fa749a0eb7e"},
+      {"online/greedy-no-stragglers", "772b1fb0d1a86b88"},
+      {"online/greedy-pure-bsp", "e97b100d11af1293"},
+      {"online/elastic-evict", "a6822c4e36e8f81d"},
+      {"online/elastic-pure-bsp", "d559b0b5f965f34e"},
+      {"online/replace-permanent", "1c65ef46bd3955f2"},
+      {"online/replace-pure-asp", "a93b704de5510969"},
   };
   const std::vector<CorpusCase> corpus = determinism_corpus();
   ASSERT_EQ(corpus.size(), kExpectedFingerprints.size());

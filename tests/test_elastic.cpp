@@ -522,13 +522,13 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
   const std::size_t workers = 3;
   auto codec = std::make_shared<TopKCodec>(0.25);
   CompressorBank bank(codec, workers, /*error_feedback=*/true);
-  ParameterServer ps(std::vector<float>(p, 0.5f), 0.9, /*num_shards=*/4);
+  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, /*num_shards=*/4);
 
   Rng data_rng(77);
   std::vector<Rng> worker_rngs;
   for (std::size_t w = 0; w < workers; ++w) worker_rngs.push_back(data_rng.fork(10 + w));
 
-  auto step_all = [&](ParameterServer& server, CompressorBank& b, std::vector<Rng>& rngs,
+  auto step_all = [&](ShardedParameterServer& server, CompressorBank& b, std::vector<Rng>& rngs,
                       int round) {
     for (std::size_t w = 0; w < workers; ++w) {
       std::vector<float> grad(p);
@@ -569,7 +569,7 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
   // ...and a restored replica (fresh PS + fresh bank + restored residuals)
   // for the same two rounds: every parameter and every residual must match
   // bit for bit.
-  ParameterServer ps2(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
+  ShardedParameterServer ps2(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
   ps2.restore(restored_ckpt);
   CompressorBank bank2(codec, workers, /*error_feedback=*/true);
   for (std::size_t w = 0; w < workers; ++w)
@@ -590,7 +590,7 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
 
   // Without the residuals the continuation diverges — the restore is what
   // makes the transport state part of the checkpointable whole.
-  ParameterServer ps3(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
+  ShardedParameterServer ps3(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
   ps3.restore(restored_ckpt);
   CompressorBank bank3(codec, workers, /*error_feedback=*/true);
   std::vector<Rng> rngs3 = saved_rngs;

@@ -1,4 +1,4 @@
-#include "ps/param_server.h"
+#include "ps/sharded_param_server.h"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@ namespace ss {
 namespace {
 
 TEST(ParameterServer, PullCopiesParams) {
-  ParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
+  ShardedParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
   std::vector<float> out(3);
   ps.pull(out);
   EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f, 3.0f}));
@@ -20,7 +20,7 @@ TEST(ParameterServer, PullCopiesParams) {
 }
 
 TEST(ParameterServer, ApplyAdvancesVersion) {
-  ParameterServer ps({0.0f}, 0.0);
+  ShardedParameterServer ps({0.0f}, 0.0);
   EXPECT_EQ(ps.version(), 0);
   ps.apply(std::vector<float>{1.0f}, 0.1);
   EXPECT_EQ(ps.version(), 1);
@@ -28,7 +28,7 @@ TEST(ParameterServer, ApplyAdvancesVersion) {
 }
 
 TEST(ParameterServer, CheckpointRestoreRoundTrip) {
-  ParameterServer ps({1.0f, 2.0f}, 0.9);
+  ShardedParameterServer ps({1.0f, 2.0f}, 0.9);
   ps.apply(std::vector<float>{0.5f, -0.5f}, 0.1);
   const Checkpoint ckpt = ps.make_checkpoint(42);
   EXPECT_EQ(ckpt.global_step, 42);
@@ -43,7 +43,7 @@ TEST(ParameterServer, CheckpointRestoreRoundTrip) {
 }
 
 TEST(ParameterServer, RestoreSizeMismatchThrows) {
-  ParameterServer ps({1.0f, 2.0f}, 0.9);
+  ShardedParameterServer ps({1.0f, 2.0f}, 0.9);
   Checkpoint bad;
   bad.params = {1.0f};
   bad.velocity = {0.0f};
@@ -55,7 +55,7 @@ TEST(ParameterServer, ApplySizeMismatchThrows) {
   // a lower layer: the sharded implementation slices the gradient with
   // subspan() before the optimizer's own size check could fire, so without
   // this up-front validation a short span would fault mid-slicing.
-  ParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
+  ShardedParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
   EXPECT_THROW(ps.apply(std::vector<float>(2, 0.1f), 0.1), ConfigError);
   EXPECT_THROW(ps.apply(std::vector<float>(4, 0.1f), 0.1), ConfigError);
   EXPECT_EQ(ps.version(), 0) << "rejected applies must not advance the version";
@@ -63,14 +63,14 @@ TEST(ParameterServer, ApplySizeMismatchThrows) {
 }
 
 TEST(ParameterServer, HealthyDetectsNonFinite) {
-  ParameterServer ps({1.0f}, 0.0);
+  ShardedParameterServer ps({1.0f}, 0.0);
   EXPECT_TRUE(ps.healthy());
   ps.apply(std::vector<float>{std::numeric_limits<float>::infinity()}, 1.0);
   EXPECT_FALSE(ps.healthy());
 }
 
 TEST(ParameterServer, EmptyParamsRejected) {
-  EXPECT_THROW(ParameterServer({}, 0.9), ConfigError);
+  EXPECT_THROW(ShardedParameterServer({}, 0.9), ConfigError);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ struct Fixture {
       samplers.emplace_back(data_shards[w], kBatch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ParameterServer(model.get_params(), 0.9, num_shards),
+    return TrainingState(ShardedParameterServer(model.get_params(), 0.9, num_shards),
                          std::move(samplers), std::move(rngs));
   }
 

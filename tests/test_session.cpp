@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 
 namespace ss {
@@ -137,6 +139,29 @@ TEST(Session, ElasticPolicyCompletesWorkload) {
   EXPECT_GT(r.converged_accuracy, 0.6);
 }
 
+// Stragglers handed over as an explicit schedule (the scenario engine and
+// trace replays) must drive the online policies exactly as a generated
+// scenario does: greedy reacts with a BSP -> ASP -> BSP round trip instead
+// of silently running the offline plan.
+TEST(Session, OnlinePolicyReactsToAnExplicitStragglerSchedule) {
+  RunRequest req = tiny_request();
+  req.workload.total_steps = 512;
+  req.policy = SyncSwitchPolicy::bsp_to_asp(0.5);
+  req.policy.detector.window_size = 4;
+  req.policy.detector.consecutive_required = 2;
+  req.straggler_schedule = StragglerSchedule::transient(
+      1, VTime::from_seconds(0.5), VTime::from_seconds(2.0),
+      StragglerSchedule::latency_to_slow_factor(40.0));
+  const RunResult offline = TrainingSession(req).run();
+  req.policy.online = OnlinePolicy::kGreedy;
+  const RunResult greedy = TrainingSession(req).run();
+  ASSERT_FALSE(offline.diverged);
+  ASSERT_FALSE(greedy.diverged);
+  EXPECT_EQ(offline.num_switches, 1);
+  EXPECT_GE(greedy.num_switches, 3);
+  EXPECT_NE(greedy.train_time_seconds, offline.train_time_seconds);
+}
+
 TEST(Session, ReversedOrderRunsAspFirst) {
   RunRequest req = tiny_request();
   req.policy = SyncSwitchPolicy::asp_to_bsp(0.5);
@@ -163,6 +188,8 @@ TEST(Session, CacheKeyCoversPolicyAndSeed) {
 TEST(Session, RejectsInvalidRequests) {
   RunRequest bad = tiny_request();
   bad.policy.switch_fraction = 1.5;
+  EXPECT_THROW(TrainingSession{bad}, ConfigError);
+  bad.policy.switch_fraction = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(TrainingSession{bad}, ConfigError);
   bad = tiny_request();
   bad.workload.total_steps = 0;
