@@ -47,6 +47,8 @@ struct WorkerContext {
   // instead of being smeared over everyone by barrier waits.
   double phase_step_seconds = 0.0;
   std::int64_t phase_step_count = 0;
+  /// Mean step time over the slot's last interval with a finished step.
+  double last_step_mean = 0.0;
 };
 
 /// Resolve the run's phase plan: an explicit schedule, or one phase covering
@@ -194,7 +196,8 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   // ------------------------------------------------------------------
   // Shared switch-controller state.  Three synchronization domains:
   //  * clock_mu/clock_cv guard the per-worker local clocks, the phase step
-  //    quota, and the trigger/membership latches during async phases;
+  //    quota, the ASP step tickets, and the trigger/membership latches
+  //    during async phases;
   //  * det_mu guards the straggler detector;
   //  * everything else (phase index, protocol, lr, BSP round state, phase
   //    stats, the alive set) is only mutated inside the drain-barrier
@@ -207,6 +210,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   std::vector<std::int64_t> clock(max_slots, 0);  ///< local steps in current phase
   std::int64_t quota = 0;          ///< effective step count this epoch segment runs to
   std::int64_t phase_quota = 0;    ///< the phase's full budget (quota <= phase_quota)
+  // ASP phases are work-conserving: the epoch segment holds
+  // n_alive x (quota - phase_steps_done) step tickets, drawn by whichever
+  // worker asks next, so a straggler simply takes fewer of them.
+  std::int64_t tickets = 0;        ///< ASP tickets drawn in this epoch segment
+  std::int64_t ticket_budget = 0;  ///< ASP tickets this epoch segment runs to
   bool trigger_fired = false;      ///< reactive schedule trigger latched
   bool membership_fired = false;   ///< reactive membership latched (evict at drain)
 
@@ -354,6 +362,21 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     return m;
   };
 
+  /// Arm the epoch segment's budget: the rest of the phase, capped at the
+  /// next scripted membership event so it resolves at a drain barrier.
+  /// BSP/SSP run every worker's clock to `quota`; ASP spends the same
+  /// per-worker steps as n_alive x that many tickets.
+  auto arm_budget = [&] {
+    quota = phase_quota;
+    if (elastic_mode) {
+      const std::int64_t cap = coord.next_event_step(done + phase_steps_done);
+      if (cap > 0) quota = std::min(quota, cap - done);
+    }
+    tickets = 0;
+    ticket_budget = static_cast<std::int64_t>(n_alive) * (quota - phase_steps_done);
+    trigger_fired = false;
+  };
+
   /// Arm phase `idx` from its beginning.  Runs before the threads start,
   /// inside the drain barrier's completion, or between epochs — never
   /// concurrently with a worker step.
@@ -371,14 +394,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // controller gets its decision point; the run tail may be shorter.
     if (controller_mode) phase_quota = std::min(phase_quota, cfg.controller.decision_interval);
     phase_steps_done = 0;
-    quota = phase_quota;
-    if (elastic_mode) {
-      // Stop exactly at the next scripted membership event so it resolves
-      // at a drain barrier where every worker has the same local step.
-      const std::int64_t cap = coord.next_event_step(done);
-      if (cap > 0) quota = std::min(quota, cap - done);
-    }
-    trigger_fired = false;
+    arm_budget();
     std::fill(clock.begin(), clock.end(), 0);
     rounds_done = 0;
     bsp_phase_over = false;
@@ -411,12 +427,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   /// refreshed for the new cluster.
   auto rearm_phase = [&] {
     lr = phase_lr[phase_idx];
-    quota = phase_quota;
-    if (elastic_mode) {
-      const std::int64_t cap = coord.next_event_step(done + phase_steps_done);
-      if (cap > 0) quota = std::min(quota, cap - done);
-    }
-    trigger_fired = false;
+    arm_budget();
     std::fill(clock.begin(), clock.end(), phase_steps_done);
     rounds_done = phase_steps_done;
     bsp_phase_over = false;
@@ -450,11 +461,16 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     int max_slot = -1;
     for (std::size_t w = 0; w < max_slots; ++w) {
       WorkerContext& c = ctx[w];
-      if (alive[w] && c.phase_step_count > 0) {
-        const double mean = c.phase_step_seconds / static_cast<double>(c.phase_step_count);
-        means.push_back(mean);
-        if (mean > max_mean) {
-          max_mean = mean;
+      // Under the shared ASP budget a slot can finish no step in a short
+      // interval: its peers spend every ticket before it draws one.  That
+      // says nothing about its speed, so it keeps its last measured mean —
+      // dropping it would hide a straggler from the controller.
+      if (c.phase_step_count > 0)
+        c.last_step_mean = c.phase_step_seconds / static_cast<double>(c.phase_step_count);
+      if (alive[w] && c.last_step_mean > 0.0) {
+        means.push_back(c.last_step_mean);
+        if (c.last_step_mean > max_mean) {
+          max_mean = c.last_step_mean;
           max_slot = static_cast<int>(w);
         }
       }
@@ -527,7 +543,13 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
       run_over = true;
       return;
     }
-    const std::int64_t reached = clock[leader];  // equal across alive workers
+    // BSP/SSP clocks are equal across alive workers.  An ASP segment always
+    // ends on a multiple of n_alive tickets, so its per-worker step count is
+    // exact.
+    const std::int64_t reached =
+        proto == Protocol::kAsp
+            ? phase_steps_done + tickets / static_cast<std::int64_t>(n_alive)
+            : clock[leader];
     const bool phase_complete = trigger_fired || reached >= phase_quota;
     if (!phase_complete) {
       // A scripted membership step or the reactive eviction latch stopped
@@ -634,20 +656,39 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     return false;
   };
 
-  /// Latch a fired reactive condition (async phases): lower the epoch quota
-  /// to a common step count every worker can still reach — the fastest
-  /// worker's clock plus one — and wake SSP waiters so they re-check it.
-  /// `fired` is trigger_fired (schedule trigger) or membership_fired
-  /// (reactive eviction).
+  /// Latch a fired reactive condition (async phases) and end the epoch
+  /// segment as soon as it can end exactly.  SSP lowers the quota to a
+  /// common clock every worker can still reach — the fastest worker's clock
+  /// plus one — and wakes its waiters so they re-check it.  An ASP schedule
+  /// trigger rounds the tickets drawn so far up to the next multiple of
+  /// n_alive, so the segment closes within n_alive tickets on a whole
+  /// per-worker step count.  An ASP reactive eviction does not cut the
+  /// segment short: a straggler costs a work-conserving segment no more than
+  /// its in-flight step, so the flagged worker leaves at the segment's own
+  /// drain (the next phase boundary or scripted event; a run-ending drain
+  /// evicts no one).  Evicting mid-segment would let one noisy detector
+  /// window (a healthy worker descheduled for a step) retire a second worker
+  /// within a few steps of the first.  `fired` is trigger_fired
+  /// (schedule trigger) or membership_fired (reactive eviction); the two
+  /// never coexist.
   auto latch = [&](bool& fired) {
+    std::vector<obs::TraceArg> args;
     {
       const std::lock_guard<std::mutex> lock(clock_mu);
-      if (!fired) {
-        fired = true;
+      if (fired) return;
+      fired = true;
+      if (proto == Protocol::kSsp) {
         quota = std::min(quota, max_clock() + 1);
+        if (obs_on) args = {obs::arg("quota", quota)};
+      } else if (!reactive_membership) {
+        const auto n = static_cast<std::int64_t>(n_alive);
+        ticket_budget = std::min(ticket_budget, (tickets + n - 1) / n * n);
+        if (obs_on)
+          args = {obs::arg("tickets", tickets), obs::arg("ticket_budget", ticket_budget)};
       }
     }
     clock_cv.notify_all();
+    if (obs_on && obs::tracing()) obs::tracer().instant(0, "latch", std::move(args));
   };
 
   // ------------------------------------------------------------------
@@ -833,7 +874,9 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
       }
     };
 
-    // ASP: free-running workers.  SSP: free-running within the staleness
+    // ASP: free-running workers draw step tickets from the segment's shared
+    // budget until it runs out, so fast workers keep working while a
+    // straggler finishes its step.  SSP: free-running within the staleness
     // bound — a worker whose local clock would run more than `bound` steps
     // ahead of the slowest parks on the condition variable until the
     // laggard catches up (or a latch lowers the quota below its clock).
@@ -849,13 +892,15 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           // check an SSP waiter whose bound the dead peer anchors would
           // park forever; the thrower raises the flag under clock_mu and
           // notifies, so the wake cannot be lost.
-          if (aborted.load() || clock[w] >= quota) break;
+          const auto spent = [&] {
+            return aborted.load() || (bounded ? clock[w] >= quota : tickets >= ticket_budget);
+          };
+          if (spent()) break;
           if (bounded) {
-            clock_cv.wait(lock, [&] {
-              return aborted.load() || clock[w] >= quota ||
-                     clock[w] - min_clock() <= ssp_bound;
-            });
-            if (aborted.load() || clock[w] >= quota) break;
+            clock_cv.wait(lock, [&] { return spent() || clock[w] - min_clock() <= ssp_bound; });
+            if (spent()) break;
+          } else {
+            ++tickets;
           }
           const std::int64_t gap = clock[w] - min_clock();
           std::int64_t seen = phase_max_gap.load(std::memory_order_relaxed);

@@ -6,10 +6,17 @@
 // parameter server (one global lock when num_ps_shards == 1):
 //
 //  * BSP uses a std::barrier per round; worker 0 aggregates and applies.
-//  * ASP workers freely pull/push under the PS mutex at their own pace.
+//  * ASP workers freely pull/push under the PS mutex at their own pace.  An
+//    ASP phase is work-conserving, as the simulator counts it: it holds one
+//    budget of n_alive x (per-worker steps) step tickets, and whichever
+//    worker asks next draws the next one, so a straggler takes fewer steps
+//    instead of holding its peers at the drain barrier.  (The socket
+//    deployment, net/worker_process.cpp, still runs each remote worker's
+//    own steps_per_worker loop.)
 //  * SSP workers free-run within the staleness bound: a worker whose local
 //    clock is more than `ssp_staleness_bound` steps ahead of the slowest
-//    parks on a condition variable until the laggard catches up.
+//    parks on a condition variable until the laggard catches up.  SSP keeps
+//    a per-worker step quota, because its bound is defined on local clocks.
 //
 // Beyond the fixed-protocol mode, the runtime executes live protocol
 // switches (`ThreadedTrainConfig::schedule`): a SwitchSchedule's phases run
@@ -17,10 +24,11 @@
 // At each phase boundary every worker quiesces at a drain barrier — all of
 // its pushes are synchronous calls into the PS, so arriving at the barrier
 // means its updates are durably applied; SSP waiters are released because
-// the phase quota is a common local-step count every worker reaches — and
-// the one-shot transition step (run inside the barrier's completion, with
-// every worker parked) records per-phase metrics, re-snapshots parameters
-// and versions, and arms the next phase.  No checkpoint, no restart, no
+// the phase quota is a common local-step count every worker reaches, and
+// ASP workers leave once the phase's tickets are spent — and the one-shot
+// transition step (run inside the barrier's completion, with every worker
+// parked) records per-phase metrics, re-snapshots parameters and versions,
+// and arms the next phase.  No checkpoint, no restart, no
 // lost update.  Phases end on a fixed step quota or reactively, when the
 // shared StragglerDetector (fed by per-step wall-clock throughput
 // observations) flags or clears a straggler — the paper's Section VI-B3
@@ -279,12 +287,17 @@ struct ThreadedTrainConfig {
   Protocol protocol = Protocol::kBsp;
   /// Live switch schedule: phases run back to back on the same threads and
   /// PS, transitioning at drain barriers.  Phase `steps` are local steps per
-  /// worker; the last phase runs out the remaining `steps_per_worker`
+  /// worker (an ASP phase spends them as n x `steps` tickets shared by all
+  /// workers); the last phase runs out the remaining `steps_per_worker`
   /// budget.  Only BSP/ASP/SSP phases are accepted (threaded_supported).
   SwitchSchedule schedule;
   std::size_t num_workers = 4;
   std::size_t batch_size = 32;
-  std::int64_t steps_per_worker = 100;  ///< local steps each worker performs
+  /// Local steps per worker.  BSP and SSP run every worker exactly this
+  /// many; ASP phases make it a per-worker *average*: the phase's
+  /// n x steps tickets go to whichever worker asks next, so a fast worker
+  /// takes more and a straggler fewer, and the total is exact.
+  std::int64_t steps_per_worker = 100;
   double lr = 0.05;
   double momentum = 0.9;
   std::uint64_t seed = 99;
@@ -318,13 +331,16 @@ struct ThreadedTrainConfig {
   /// Elastic membership & fault tolerance (src/elastic/).  Event `at_step`
   /// is in per-worker local steps (the unit of `steps_per_worker`);
   /// `snapshot_interval` counts PS updates between asynchronous snapshots.
-  /// Scripted events resolve at the drain barrier once every alive worker
-  /// has completed exactly `at_step` local steps; the reactive plan evicts
-  /// detector-flagged workers at the next drain.  When a membership plan is
-  /// active, `derive_phase_lr` additionally re-derives the learning rate for
-  /// the changed cluster size (synchronous phases rescale by n'/n, matching
-  /// the configuration policy's linear scaling; async phases keep lr) — in
-  /// fixed-protocol mode too, relative to the configured `lr`.
+  /// Scripted events resolve at the drain barrier once the run has
+  /// completed exactly `at_step` local steps per worker (for ASP phases: the
+  /// segment's n_alive x steps tickets are spent); the reactive plan evicts
+  /// detector-flagged workers at the next drain (BSP and SSP cut the phase
+  /// short for it; ASP does not, so a fixed-ASP run evicts no one).  When a
+  /// membership plan is active, `derive_phase_lr` additionally re-derives the
+  /// learning rate for the changed cluster size (synchronous phases rescale
+  /// by n'/n, matching the configuration policy's linear scaling; async
+  /// phases keep lr) — in fixed-protocol mode too, relative to the
+  /// configured `lr`.
   ElasticConfig elastic;
   /// Online policy controller (src/control/): when enabled, the run is cut
   /// into `controller.decision_interval`-step segments and every segment
@@ -339,7 +355,12 @@ struct ThreadedTrainConfig {
   /// code path bit-identical to a config without this field.
   ControllerConfig controller;
   /// Test hook: called by each worker before every local step (e.g. to make
-  /// one worker artificially slow).  Must be thread-safe; may be null.
+  /// one worker artificially slow).  `step` is the calling worker's own
+  /// local step index: the per-worker steps of the finished phases plus its
+  /// own clock in the current one.  Under BSP/SSP every worker counts
+  /// 0 .. steps_per_worker - 1; under ASP a worker counts only the tickets it
+  /// drew, so a given worker may never reach a given step (fire test faults
+  /// on the run's k-th call instead).  Must be thread-safe; may be null.
   std::function<void(std::size_t worker, std::int64_t step)> pre_step_hook;
   /// Observer hook: called inside every drain-barrier completion that
   /// completes a phase (including the run-ending one) with the per-worker
@@ -356,8 +377,12 @@ struct ThreadedTrainConfig {
 
 /// Metrics for one executed schedule phase (exactly one entry for a
 /// fixed-protocol run).  `steps` is the per-worker local step count of the
-/// phase — equal across workers by construction, because a phase ends at a
-/// common quota (fixed, or latched as max-clock + 1 when a trigger fires).
+/// phase.  BSP and SSP workers all take exactly that many: the phase ends at
+/// a common quota (fixed, or latched as max-clock + 1 when a trigger fires).
+/// An ASP phase reports its tickets / n_alive, summed over its epoch
+/// segments: every segment ends on a multiple of n_alive tickets (a fired
+/// trigger rounds the tickets drawn so far up to the next one), so the count
+/// is exact even though individual workers took more or fewer.
 struct ThreadedPhaseStats {
   Protocol protocol = Protocol::kBsp;
   bool ended_by_trigger = false;  ///< reactive trigger fired (vs quota/budget)
@@ -365,7 +390,10 @@ struct ThreadedPhaseStats {
   std::int64_t steps = 0;         ///< local steps per worker in this phase
   std::int64_t updates = 0;       ///< PS updates applied during the phase
   double mean_staleness = 0.0;    ///< over the phase's async pushes (0 for BSP)
-  std::int64_t max_clock_gap = 0; ///< largest local-clock gap inside the phase
+  /// Largest local-clock gap (fastest minus slowest worker's own steps in
+  /// the phase) at any step start.  <= the bound for SSP, 0 for BSP; under
+  /// ASP it grows with how many more tickets the fast workers draw.
+  std::int64_t max_clock_gap = 0;
   std::int64_t push_bytes = 0;    ///< wire bytes pushed during the phase
   double wall_seconds = 0.0;      ///< real elapsed time of the phase
   double updates_per_sec = 0.0;   ///< phase throughput (updates / wall_seconds)

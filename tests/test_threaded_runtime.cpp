@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/error.h"
 #include "data/synthetic.h"
 #include "nn/zoo.h"
+#include "obs/obs.h"
 
 namespace ss {
 namespace {
@@ -352,6 +359,112 @@ TEST(ThreadedRuntime, ReactiveScheduleSwitchesWhenTheDetectorFires) {
 }
 
 // ---------------------------------------------------------------------------
+// Work-conserving async phases: an ASP phase is one budget of n x steps
+// step tickets, drawn by whichever worker asks next, so a straggler takes
+// fewer of them instead of holding its peers at the drain barrier.  SSP keeps
+// per-worker quotas, because its staleness bound is defined on them.
+// ---------------------------------------------------------------------------
+
+struct PacedRun {
+  ThreadedTrainResult result;
+  std::array<std::int64_t, 4> steps{};  ///< steps each slot took, from the hook
+};
+
+/// Four workers; slot 0 sleeps 10 ms before every step and the others
+/// 0.25 ms.  Sleeping rather than spinning keeps the pacing independent of
+/// how loaded the host is.
+PacedRun run_with_slow_slot(Protocol protocol) {
+  const DataSplit split = easy_data();
+  const Model proto = proto_model(split);
+  std::array<std::atomic<std::int64_t>, 4> counts{};
+  ThreadedTrainConfig cfg;
+  cfg.protocol = protocol;
+  cfg.num_workers = 4;
+  cfg.steps_per_worker = 20;
+  cfg.ssp_staleness_bound = 2;
+  cfg.pre_step_hook = [&counts](std::size_t worker, std::int64_t) {
+    counts[worker].fetch_add(1);
+    std::this_thread::sleep_for(worker == 0 ? std::chrono::microseconds(10000)
+                                            : std::chrono::microseconds(250));
+  };
+  PacedRun run{threaded_train(proto, split.train, cfg), {}};
+  for (std::size_t w = 0; w < counts.size(); ++w) run.steps[w] = counts[w].load();
+  return run;
+}
+
+TEST(ThreadedRuntime, AsyncPhaseIsWorkConservingUnderAStraggler) {
+  const PacedRun run = run_with_slow_slot(Protocol::kAsp);
+  // The budget is exact: n x steps_per_worker steps, one push each.
+  EXPECT_EQ(run.steps[0] + run.steps[1] + run.steps[2] + run.steps[3], 4 * 20);
+  for (std::size_t w = 1; w < run.steps.size(); ++w)
+    EXPECT_LT(run.steps[0], run.steps[w]) << "slot " << w;
+  EXPECT_EQ(run.result.total_updates, 4 * 20);
+  ASSERT_EQ(run.result.phases.size(), 1u);
+  EXPECT_EQ(run.result.phases[0].steps, 20);  // reported per worker: tickets / n
+  EXPECT_EQ(run.result.phases[0].updates, 4 * 20);
+}
+
+TEST(ThreadedRuntime, SspPhaseKeepsPerWorkerQuotasUnderAStraggler) {
+  const PacedRun run = run_with_slow_slot(Protocol::kSsp);
+  for (std::size_t w = 0; w < run.steps.size(); ++w) EXPECT_EQ(run.steps[w], 20) << "slot " << w;
+  EXPECT_LE(run.result.max_clock_gap, 2);
+  EXPECT_EQ(run.result.total_updates, 4 * 20);
+  ASSERT_EQ(run.result.phases.size(), 1u);
+  EXPECT_EQ(run.result.phases[0].steps, 20);
+}
+
+/// Read integer argument `key` of the first trace event named `name`.
+std::int64_t trace_arg(const std::string& trace, const std::string& name, const std::string& key) {
+  const std::size_t ev = trace.find("\"name\":\"" + name + "\"");
+  if (ev == std::string::npos) return -1;
+  const std::size_t at = trace.find("\"" + key + "\":", ev);
+  if (at == std::string::npos) return -1;
+  return std::stoll(trace.substr(at + key.size() + 3));
+}
+
+TEST(ThreadedRuntime, LatchedTriggerEndsAnAspPhaseWithinOneTicketPerWorker) {
+  // ASP until the detector reports a healthy cluster, then ASP again.  The
+  // hook's sleeps are outside the timed step, so the detector sees equal
+  // throughput and the trigger fires on its first pass after warm-up; slot 0
+  // sleeping 8x longer keeps the clocks far apart when it does.  The latch
+  // rounds the tickets drawn so far up to a multiple of n, so the phase ends
+  // within n tickets of it, on a whole per-worker step count.
+  const DataSplit split = easy_data();
+  const Model proto = proto_model(split);
+  ThreadedTrainConfig cfg;
+  cfg.schedule = SwitchSchedule(
+      {SwitchPhase{Protocol::kAsp, SwitchTrigger::kStragglerCleared, 0, -1},
+       SwitchPhase{Protocol::kAsp, SwitchTrigger::kStepCount, 0, -1}});
+  cfg.num_workers = 4;
+  cfg.steps_per_worker = 100;
+  cfg.detector.window_size = 3;
+  cfg.detector.consecutive_required = 1;
+  cfg.pre_step_hook = [](std::size_t worker, std::int64_t) {
+    std::this_thread::sleep_for(worker == 0 ? std::chrono::microseconds(2000)
+                                            : std::chrono::microseconds(250));
+  };
+  obs::enable_tracing();
+  const auto result = threaded_train(proto, split.train, cfg);
+  std::ostringstream trace;
+  obs::tracer().write_chrome_trace(trace);
+  obs::disable_all();
+  obs::tracer().clear();
+
+  ASSERT_EQ(result.phases.size(), 2u);
+  const auto& first = result.phases[0];
+  ASSERT_TRUE(first.ended_by_trigger);
+  EXPECT_EQ(first.updates, 4 * first.steps);
+  const std::int64_t drawn = trace_arg(trace.str(), "latch", "tickets");
+  ASSERT_GT(drawn, 0) << "no latch event in the trace";
+  EXPECT_EQ(trace_arg(trace.str(), "latch", "ticket_budget"), first.updates);
+  EXPECT_GE(first.updates, drawn);
+  EXPECT_LT(first.updates - drawn, 4);
+  // The per-worker budget is conserved across the latched boundary.
+  EXPECT_EQ(first.steps + result.phases[1].steps, cfg.steps_per_worker);
+  EXPECT_EQ(result.total_updates, 4 * cfg.steps_per_worker);
+}
+
+// ---------------------------------------------------------------------------
 // Scalar version contract (regression for the pull_with_version min-shard
 // under/over-reporting pitfall).
 // ---------------------------------------------------------------------------
@@ -419,7 +532,21 @@ TEST(ThreadedRuntime, SspStillTrains) {
 // these are genuine regression tests for the terminate path.
 // ---------------------------------------------------------------------------
 
-void expect_worker_throw_is_catchable(Protocol protocol) {
+using StepHook = std::function<void(std::size_t worker, std::int64_t step)>;
+
+/// Fault on the k-th pre-step hook call of the run, whichever worker takes
+/// that step.  ASP workers share one step budget, so a given worker can
+/// finish the run without ever reaching a given step of its own (the first
+/// thread to spawn may drain cheap steps before its peers start); counting
+/// the run's steps fires the fault exactly once in every run.
+StepHook fault_on_kth_step(int k, const char* what) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  return [calls, k, what](std::size_t, std::int64_t) {
+    if (calls->fetch_add(1) + 1 == k) throw std::runtime_error(what);
+  };
+}
+
+void expect_worker_throw_is_catchable(Protocol protocol, StepHook fault) {
   const DataSplit split = easy_data();
   const Model proto = proto_model(split);
   ThreadedTrainConfig cfg;
@@ -427,11 +554,9 @@ void expect_worker_throw_is_catchable(Protocol protocol) {
   cfg.num_workers = 4;
   cfg.steps_per_worker = 40;
   cfg.ssp_staleness_bound = 2;
-  // Worker 2 blows up mid-run; the others are mid-step or parked on the
+  // One worker blows up mid-run; the others are mid-step or parked on the
   // round/drain barrier when it happens.
-  cfg.pre_step_hook = [](std::size_t worker, std::int64_t step) {
-    if (worker == 2 && step == 7) throw std::runtime_error("injected worker fault");
-  };
+  cfg.pre_step_hook = std::move(fault);
   try {
     threaded_train(proto, split.train, cfg);
     FAIL() << protocol_name(protocol) << ": worker exception was swallowed";
@@ -443,16 +568,25 @@ void expect_worker_throw_is_catchable(Protocol protocol) {
   // line at all proves the abort drained the peers.
 }
 
+/// Worker 2 at its own step 7: BSP and SSP keep every worker's clock within
+/// a fixed bound, so every worker reaches it.
+void worker_two_faults_at_step_seven(std::size_t worker, std::int64_t step) {
+  if (worker == 2 && step == 7) throw std::runtime_error("injected worker fault");
+}
+
 TEST(ThreadedRuntime, WorkerExceptionIsCatchableUnderBsp) {
-  expect_worker_throw_is_catchable(Protocol::kBsp);
+  expect_worker_throw_is_catchable(Protocol::kBsp, worker_two_faults_at_step_seven);
 }
 
 TEST(ThreadedRuntime, WorkerExceptionIsCatchableUnderAsp) {
-  expect_worker_throw_is_catchable(Protocol::kAsp);
+  // The 30th step of the run: about where worker 2's own step 7 falls when
+  // four workers share the budget evenly.
+  expect_worker_throw_is_catchable(Protocol::kAsp,
+                                   fault_on_kth_step(30, "injected worker fault"));
 }
 
 TEST(ThreadedRuntime, WorkerExceptionIsCatchableUnderSsp) {
-  expect_worker_throw_is_catchable(Protocol::kSsp);
+  expect_worker_throw_is_catchable(Protocol::kSsp, worker_two_faults_at_step_seven);
 }
 
 TEST(ThreadedRuntime, FirstStepExceptionAbortsBeforeAnyUpdate) {
@@ -480,9 +614,7 @@ TEST(ThreadedRuntime, RuntimeStaysUsableAfterAbortedRun) {
   cfg.num_workers = 4;
   cfg.steps_per_worker = 20;
   ThreadedTrainConfig faulty = cfg;
-  faulty.pre_step_hook = [](std::size_t worker, std::int64_t step) {
-    if (worker == 1 && step == 3) throw std::runtime_error("fault");
-  };
+  faulty.pre_step_hook = fault_on_kth_step(14, "fault");
   EXPECT_THROW(threaded_train(proto, split.train, faulty), std::runtime_error);
   const auto result = threaded_train(proto, split.train, cfg);
   EXPECT_EQ(result.total_updates, 80);
