@@ -428,16 +428,54 @@ void BM_CodecTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecTopK)->Arg(13000)->Arg(130000);
 
+// Gradient shapes for the bank encode bench.  kGaussian: unit Gaussian.
+// kRank2: what topk-wide pushes, the batch-2 gradient of a linear-softmax
+// model (two outer products plus the bias) over 100 classes, so p must be
+// (features + 1) * 100 (gradient_at throws ShapeError otherwise).
+// kOvershoot: unit Gaussian except that the positions the top-k threshold
+// estimate samples hold huge magnitudes, so its bound admits fewer than k
+// candidates and every encode takes the retry pass.
+enum class BankInput { kGaussian, kRank2, kOvershoot };
+
+std::vector<std::vector<float>> bank_inputs(BankInput input, std::size_t p, Rng& rng) {
+  std::vector<std::vector<float>> grads(4, std::vector<float>(p));
+  if (input == BankInput::kRank2) {
+    SyntheticSpec spec = SyntheticSpec::cifar100_like();
+    spec.feature_dim = p / static_cast<std::size_t>(spec.num_classes) - 1;
+    spec.train_size = 256;
+    spec.test_size = 64;
+    const auto split = make_synthetic(spec);
+    Model model = make_model(ModelArch::kLinear, spec.feature_dim, spec.num_classes, rng);
+    const std::vector<float> params = model.get_params();
+    Tensor x({2, spec.feature_dim});
+    std::vector<int> y;
+    for (std::size_t s = 0; s < grads.size(); ++s) {
+      const std::vector<std::uint32_t> batch = {static_cast<std::uint32_t>(2 * s),
+                                                static_cast<std::uint32_t>(2 * s + 1)};
+      split.train.gather(batch, x, y);
+      model.gradient_at(params, x, y, grads[s]);
+    }
+    return grads;
+  }
+  for (auto& g : grads) {
+    for (float& v : g) v = static_cast<float>(rng.gaussian());
+    if (input == BankInput::kOvershoot) {
+      const std::vector<std::uint32_t> sample = TopKCodec::threshold_sample(p);
+      for (std::size_t q = 0; q < sample.size(); ++q)
+        g[sample[q]] = (rng.bernoulli(0.5) ? -1.0f : 1.0f) * (1e6f + static_cast<float>(q));
+    }
+  }
+  return grads;
+}
+
 // One worker's push on the top-k 1% path: CompressorBank::encode with error
 // feedback (carry in, sparse encode, carry out), cycling through a few
 // gradients so the residual keeps a realistic spread.
-void BM_CodecTopKBankEncode(benchmark::State& state) {
+void BM_CodecTopKBankEncode(benchmark::State& state, BankInput input) {
   const auto p = static_cast<std::size_t>(state.range(0));
   CompressorBank bank(std::make_shared<TopKCodec>(0.01), 1, /*error_feedback=*/true);
   Rng rng(5);
-  std::vector<std::vector<float>> grads(4, std::vector<float>(p));
-  for (auto& g : grads)
-    for (float& v : g) v = static_cast<float>(rng.gaussian());
+  const std::vector<std::vector<float>> grads = bank_inputs(input, p, rng);
   std::size_t step = 0;
   for (auto _ : state) {
     const CompressedPush push = bank.encode(0, grads[step++ % grads.size()], rng);
@@ -446,7 +484,13 @@ void BM_CodecTopKBankEncode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p));
 }
+
+void BM_CodecTopKBankEncode(benchmark::State& state) {
+  BM_CodecTopKBankEncode(state, BankInput::kGaussian);
+}
 BENCHMARK(BM_CodecTopKBankEncode)->Arg(102500);
+BENCHMARK_CAPTURE(BM_CodecTopKBankEncode, rank2, BankInput::kRank2)->Arg(102500);
+BENCHMARK_CAPTURE(BM_CodecTopKBankEncode, overshoot, BankInput::kOvershoot)->Arg(102500);
 
 void BM_CodecTernGrad(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));

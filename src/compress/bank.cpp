@@ -1,6 +1,7 @@
 #include "compress/bank.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 
@@ -28,44 +29,29 @@ std::size_t CompressorBank::slot_index(int worker) const {
 
 std::vector<float>& CompressorBank::residual_for(std::size_t slot, std::size_t num_params) {
   std::vector<float>& residual = residuals_[slot];
-  if (residual.size() != num_params) residual.assign(num_params, 0.0f);
+  if (residual.empty()) {
+    residual.assign(num_params, 0.0f);
+  } else if (residual.size() != num_params) {
+    throw ConfigError("CompressorBank: worker " + std::to_string(slot) + " residual has " +
+                      std::to_string(residual.size()) + " params, gradient has " +
+                      std::to_string(num_params));
+  }
   return residual;
 }
 
 std::size_t CompressorBank::transform(int worker, std::span<float> grad, Rng& rng) {
   const std::size_t slot = slot_index(worker);
   if (!error_feedback_) return codec_->transform(grad, rng);
-
-  auto& residual = residual_for(slot, grad.size());
-  // Carry in: both buffers now hold g + residual.
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad[i] += residual[i];
-    residual[i] = grad[i];
-  }
-  const std::size_t bytes = codec_->transform(grad, rng);
-  // Carry out: what the codec failed to transmit.
-  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] -= grad[i];
-  return bytes;
+  const CompressedPush push =
+      codec_->encode_with_feedback(grad, residual_for(slot, grad.size()), rng);
+  push.decode_into(grad);
+  return push.wire_size;
 }
 
 CompressedPush CompressorBank::encode(int worker, std::span<const float> grad, Rng& rng) {
   const std::size_t slot = slot_index(worker);
   if (!error_feedback_) return codec_->encode(grad, rng);
-
-  auto& residual = residual_for(slot, grad.size());
-  // Carry in, in place: the codec encodes g + residual straight from the slot.
-  for (std::size_t i = 0; i < grad.size(); ++i) residual[i] = grad[i] + residual[i];
-  CompressedPush push = codec_->encode(residual, rng);
-  // Carry out: subtract what was sent.  A sparse push leaves untransmitted
-  // coordinates as they are, which is bit-identical to subtracting the +0 a
-  // decode would put there (for top-k the kept coordinates become exactly 0).
-  if (push.sparse()) {
-    for (std::size_t j = 0; j < push.indices.size(); ++j)
-      residual[push.indices[j]] -= push.values[j];
-  } else {
-    for (std::size_t i = 0; i < residual.size(); ++i) residual[i] -= push.values[i];
-  }
-  return push;
+  return codec_->encode_with_feedback(grad, residual_for(slot, grad.size()), rng);
 }
 
 double CompressorBank::residual_l1(int worker) const {

@@ -13,11 +13,11 @@
 // reduces the noise floor.  The residual is transport state, so it lives
 // here, per worker slot, not in the stateless codec.
 //
-// The carry is done in place: the slot's residual buffer first becomes
-// g + residual, the codec encodes straight from it, and what was sent is
-// subtracted back out (only the kept coordinates for a sparse push).  That is
-// the same IEEE arithmetic as computing g' - q into a fresh buffer, bit for
-// bit, but needs no scratch: a slot holds nothing but its residual.
+// The carry itself lives in the codec (`GradientCodec::encode_with_feedback`),
+// which sees both g and the residual and so can fuse the passes: top-k carries
+// in and collects its selection candidates in one pass.  The bank owns only
+// the per-slot residual buffers and hands the slot's buffer to the codec.
+// `transform` is `encode` followed by a decode into the caller's gradient.
 //
 // Thread safety: all mutable state (the residual) is per worker slot,
 // so concurrent `transform`/`encode` calls are safe as long as no two
@@ -79,6 +79,8 @@ class CompressorBank {
   /// Restore worker `w`'s residual from a saved copy; after restoring the
   /// matching checkpoint into the PS, error feedback resumes exactly where
   /// it left off (see the checkpoint round-trip test in test_elastic.cpp).
+  /// A non-empty residual whose length differs from the next gradient's
+  /// makes that transform/encode throw ConfigError.
   void restore_residual(int worker, std::span<const float> residual);
 
   /// Drop all residual state (e.g. across a protocol switch that restarts
@@ -88,7 +90,8 @@ class CompressorBank {
  private:
   /// Index of worker `w`'s slot; throws ConfigError when out of range.
   [[nodiscard]] std::size_t slot_index(int worker) const;
-  /// Slot `slot`'s residual, (re)sized to zeros when its length differs.
+  /// Slot `slot`'s residual, sized to zeros on first use (or after reset);
+  /// throws ConfigError when a non-empty residual's length differs.
   std::vector<float>& residual_for(std::size_t slot, std::size_t num_params);
 
   std::shared_ptr<const GradientCodec> codec_;

@@ -32,8 +32,8 @@ namespace ss {
 /// Lossy gradient encode+decode round-trip.
 ///
 /// Implementations must be stateless across calls (per-worker state such as
-/// error-feedback residuals lives in `CompressorBank`), so a single codec
-/// instance can be shared by every worker.
+/// error-feedback residuals is owned by `CompressorBank` and passed in), so a
+/// single codec instance can be shared by every worker.
 class GradientCodec {
  public:
   virtual ~GradientCodec() = default;
@@ -52,6 +52,21 @@ class GradientCodec {
   /// runs `transform` on the copy, producing a dense push; codecs with a
   /// genuinely sparse wire form (top-k) override it.
   [[nodiscard]] virtual CompressedPush encode(std::span<const float> grad, Rng& rng) const;
+
+  /// Encode with error feedback: carry `residual` into `grad`, encode the
+  /// sum, and leave in `residual` what the push failed to transmit:
+  ///
+  ///   residual = (grad + residual) - decode(push)
+  ///
+  /// Every float in that formula is one IEEE add or subtract, so the result
+  /// is the same bit for bit however a codec fuses the passes.  The default
+  /// carries in place (`residual` becomes grad + residual), encodes from the
+  /// residual buffer, then subtracts the push's values.  Top-k overrides it
+  /// with one pass that carries and collects selection candidates together.
+  /// `residual` must have `grad`'s length (ConfigError otherwise).
+  [[nodiscard]] virtual CompressedPush encode_with_feedback(std::span<const float> grad,
+                                                            std::span<float> residual,
+                                                            Rng& rng) const;
 
   /// Deterministic wire-size estimate for a gradient of `num_params`
   /// elements.  The simulator uses this to price the push transfer *before*

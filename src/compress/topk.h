@@ -9,19 +9,28 @@
 // makes sparsified SGD converge (and what Aji & Heafield do implicitly by
 // accumulating in the sender's buffer).
 //
-// Selection is an exact radix select over the magnitude bit patterns
-// (non-negative IEEE floats order like their bits):
-//   1. one histogram pass over the top 12 bits of each |g| finds the bucket
-//      holding the k-th largest magnitude;
-//   2. `nth_element` over that bucket's magnitudes only (usually a few
-//      hundred entries) gives the exact threshold tau and how many of the k
-//      slots go to ties at tau;
-//   3. one ascending scan emits every index with |g| > tau plus the
-//      lowest-index ties at tau.
-// Cost: three linear passes plus a selection over one bucket, with no
-// allocation proportional to n beyond that bucket.  The kept set is exactly
+// Selection is exact, over the magnitude bit patterns (non-negative IEEE
+// floats order like their bits), and on the fast path reads the vector once:
+//   1. read |x| at 1,024 fixed pseudo-random positions and take as the bound
+//      `lo` the sample rank expected to admit about 2k coordinates;
+//   2. one pass over x appends (index, |x|) for every |x| >= lo.  Under error
+//      feedback x = g + residual is formed and stored in the same pass;
+//   3. a radix select over the candidates only: a 4,096-bucket histogram of
+//      their magnitude bits (from `lo` up to the largest candidate) finds the
+//      bucket holding the k-th largest, and `nth_element` over that bucket
+//      gives tau and how many of the k slots go to ties at tau;
+//   4. one ascending scan of the candidates emits every index with |x| > tau
+//      plus the lowest-index ties at tau.
+// If fewer than k coordinates reach `lo` (the sample overshot the k-th
+// largest magnitude tau), or 2k is about n and leaves nothing to bound,
+// steps 3-4 run over every coordinate of x instead; a retry counts in
+// `ss_compress_topk_retries_total` while metrics are armed.
+// When at least k coordinates reach `lo`, every coordinate at or above tau is
+// a candidate, so the kept set never depends on the sample: it is exactly
 // "the k largest magnitudes, lower index first on equal magnitude", and it
-// comes out in ascending index order, which is the sparse wire order.
+// comes out in ascending index order, which is the sparse wire order.  Only
+// the speed depends on the sample.  Scratch is proportional to the candidate
+// count (about 2k on the fast path).
 #pragma once
 
 #include "compress/codec.h"
@@ -49,6 +58,13 @@ class TopKCodec final : public GradientCodec {
   /// the receiver could enumerate is pure waste.
   [[nodiscard]] CompressedPush encode(std::span<const float> grad, Rng& rng) const override;
 
+  /// Error feedback in one selection pass: x = grad + residual is stored into
+  /// `residual` while the candidates are collected, and each kept slot then
+  /// becomes x - x.  Bit-identical to the default carry, encode, subtract.
+  [[nodiscard]] CompressedPush encode_with_feedback(std::span<const float> grad,
+                                                    std::span<float> residual,
+                                                    Rng& rng) const override;
+
   /// min(kept * 8, num_params * 4) + kHeaderBytes: (uint32, fp32) pairs,
   /// capped at the dense fp32 payload the sparse form must never exceed.
   [[nodiscard]] std::size_t wire_bytes(std::size_t num_params) const override;
@@ -61,12 +77,16 @@ class TopKCodec final : public GradientCodec {
   /// (0 for an empty gradient).
   [[nodiscard]] std::size_t kept(std::size_t num_params) const noexcept;
 
+  /// The positions the threshold estimate reads for a gradient of
+  /// `num_params` elements (empty for an empty gradient).  Exposed so tests
+  /// and benchmarks can build inputs on which the estimate overshoots.
+  [[nodiscard]] static std::vector<std::uint32_t> threshold_sample(std::size_t num_params);
+
  private:
-  /// Top-k index set for a non-empty `grad`, in ascending index order
-  /// (radix select, see the file comment).  The selection and its tie-break
-  /// (lower index wins on equal magnitude) are shared by `transform` and
-  /// `encode` so the two forms agree bit for bit.
-  [[nodiscard]] std::vector<std::uint32_t> select(std::span<const float> grad) const;
+  /// The push of x = grad + residual, leaving x - decode(push) in `residual`
+  /// (error feedback), or of x = grad when `residual` is empty.
+  [[nodiscard]] CompressedPush encode_from(std::span<const float> grad,
+                                           std::span<float> residual) const;
 
   double keep_fraction_;
 };

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -31,11 +30,19 @@
 #include "compress/qsgd.h"
 #include "compress/terngrad.h"
 #include "compress/topk.h"
+#include "data/synthetic.h"
+#include "nn/zoo.h"
+#include "obs/obs.h"
 #include "ps/sharded_param_server.h"
 #include "ps/threaded_runtime.h"
+#include "topk_test_inputs.h"
 
 namespace ss {
 namespace {
+
+using topk_test::adversarial_gradient;
+using topk_test::reference_topk;
+using topk_test::same_bits;
 
 std::vector<float> ramp(std::size_t n, float scale = 1.0f) {
   std::vector<float> v(n);
@@ -292,12 +299,6 @@ struct ReferenceFeedback {
   }
 };
 
-bool same_bits(std::span<const float> a, std::span<const float> b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](float x, float y) {
-    return std::bit_cast<std::uint32_t>(x) == std::bit_cast<std::uint32_t>(y);
-  });
-}
-
 TEST(Bank, InPlaceFeedbackIsBitIdenticalToTheCarryDecodeLoop) {
   const std::size_t n = 4097;
   const std::vector<CodecCase> cases = {
@@ -336,6 +337,212 @@ TEST(Bank, InPlaceFeedbackIsBitIdenticalToTheCarryDecodeLoop) {
       ASSERT_TRUE(same_bits(transform_bank.residual(0), transform_ref.residual)) << where;
     }
   }
+
+  // Top-k on the adversarial families at 1, 2, 3 coordinates, one past a
+  // radix width and the topk-wide size; keeping 1 coordinate, 1%, and either
+  // side of the dense fallback.  The six finite families take turns for 20
+  // steps, then +/-inf (whose kept slots leave NaN in the residual), then one
+  // more step over that residual.
+  const std::uint64_t finite_families[] = {0, 1, 2, 3, 4, 6};
+  for (const std::size_t n : {1u, 2u, 3u, 4097u, 102500u}) {
+    for (const double f : {1e-9, 0.01, 0.4999, 0.5001}) {
+      const auto codec = std::make_shared<TopKCodec>(f);
+      CompressorBank encode_bank(codec, 1, /*error_feedback=*/true);
+      CompressorBank transform_bank(codec, 1, /*error_feedback=*/true);
+      ReferenceFeedback encode_ref{*codec, {}};
+      ReferenceFeedback transform_ref{*codec, {}};
+      Rng r_enc(11), r_enc_ref(11), r_tr(13), r_tr_ref(13);
+      for (std::uint64_t step = 0; step < 22; ++step) {
+        const std::uint64_t family = step < 20 ? finite_families[step % 6] : step == 20 ? 5 : 0;
+        const std::vector<float> g = adversarial_gradient(n, 7 * (step + 1) + family);
+        const auto where = ::testing::Message() << "n " << n << " f " << f << " step " << step;
+
+        const CompressedPush got = encode_bank.encode(0, g, r_enc);
+        const CompressedPush want = encode_ref.encode(g, r_enc_ref);
+        ASSERT_EQ(got.format, want.format) << where;
+        ASSERT_EQ(got.wire_size, want.wire_size) << where;
+        ASSERT_EQ(got.indices, want.indices) << where;
+        ASSERT_TRUE(same_bits(got.values, want.values)) << where;
+        ASSERT_TRUE(same_bits(encode_bank.residual(0), encode_ref.residual)) << where;
+
+        std::vector<float> got_g = g;
+        std::vector<float> want_g = g;
+        ASSERT_EQ(transform_bank.transform(0, got_g, r_tr),
+                  transform_ref.transform(want_g, r_tr_ref))
+            << where;
+        ASSERT_TRUE(same_bits(got_g, want_g)) << where;
+        ASSERT_TRUE(same_bits(transform_bank.residual(0), transform_ref.residual)) << where;
+      }
+    }
+  }
+}
+
+TEST(Bank, RejectsAResidualOfTheWrongLength) {
+  // A residual restored from a mismatched checkpoint used to be zero-filled
+  // at the next encode, silently dropping the carried mass.
+  for (const bool topk : {true, false}) {
+    std::shared_ptr<const GradientCodec> codec;
+    if (topk) {
+      codec = std::make_shared<TopKCodec>(0.1);
+    } else {
+      codec = std::make_shared<QsgdCodec>(15);
+    }
+    CompressorBank bank(codec, 1, /*error_feedback=*/true);
+    Rng rng(1);
+    std::vector<float> g = ramp(16, 0.1f);
+    bank.restore_residual(0, std::vector<float>(15, 1.0f));
+    EXPECT_THROW(static_cast<void>(bank.encode(0, g, rng)), ConfigError);
+    EXPECT_THROW(bank.transform(0, g, rng), ConfigError);
+    EXPECT_DOUBLE_EQ(bank.residual_l1(0), 15.0);  // kept, not zero-filled
+
+    std::vector<float> short_residual(15, 0.0f);
+    EXPECT_THROW(static_cast<void>(codec->encode_with_feedback(g, short_residual, rng)),
+                 ConfigError);
+
+    // An empty slot still sizes itself on first use.
+    bank.reset();
+    EXPECT_NO_THROW(bank.transform(0, g, rng));
+    EXPECT_EQ(bank.residual(0).size(), g.size());
+  }
+}
+
+// ------------------------------------------- Top-k threshold estimate
+
+std::int64_t topk_retries() {
+  return obs::metrics().counter("ss_compress_topk_retries_total").value();
+}
+
+// The retry counter records only while observability is on.
+struct ArmedMetrics {
+  ArmedMetrics() { obs::enable_metrics(); }
+  ~ArmedMetrics() { obs::disable_all(); }
+  ArmedMetrics(const ArmedMetrics&) = delete;
+  ArmedMetrics& operator=(const ArmedMetrics&) = delete;
+};
+
+// Unit Gaussian, except that the positions the threshold estimate samples
+// hold huge magnitudes graded by sample order.  The bound then lands among
+// them and admits only the sampled positions above it (about 2k / n * 1024),
+// far fewer than k.
+std::vector<float> overshooting_gradient(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> g(n);
+  for (float& v : g) v = static_cast<float>(rng.gaussian());
+  const std::vector<std::uint32_t> sample = TopKCodec::threshold_sample(n);
+  for (std::size_t q = 0; q < sample.size(); ++q)
+    g[sample[q]] = (rng.bernoulli(0.5) ? -1.0f : 1.0f) * (1e6f + static_cast<float>(q));
+  return g;
+}
+
+TEST(TopKEstimate, AnOvershootingSampleRetriesAndStaysExact) {
+  const ArmedMetrics armed;
+  for (const std::size_t n : {4097u, 102500u}) {
+    const auto codec = std::make_shared<TopKCodec>(0.01);
+    const std::size_t k = codec->kept(n);
+    const std::vector<float> g = overshooting_gradient(n, 3);
+    const std::vector<std::uint32_t> want_idx = reference_topk(g, k);
+    std::vector<float> want_dense(n, 0.0f);
+    std::vector<float> want_values;
+    for (const std::uint32_t i : want_idx) {
+      want_dense[i] = g[i];
+      want_values.push_back(g[i]);
+    }
+    const auto where = ::testing::Message() << "n " << n;
+
+    Rng rng(1);
+    std::int64_t retries = topk_retries();
+    std::vector<float> transformed = g;
+    codec->transform(transformed, rng);
+    ASSERT_TRUE(same_bits(transformed, want_dense)) << where;
+    ASSERT_EQ(topk_retries(), ++retries) << where;
+
+    const CompressedPush push = codec->encode(g, rng);
+    ASSERT_EQ(push.indices, want_idx) << where;
+    ASSERT_TRUE(same_bits(push.values, want_values)) << where;
+    ASSERT_EQ(topk_retries(), ++retries) << where;
+
+    // Under error feedback the retry reads the carried sum, not the gradient.
+    CompressorBank bank(codec, 1, /*error_feedback=*/true);
+    ReferenceFeedback ref{*codec, {}};
+    Rng r_bank(2), r_ref(2);
+    for (std::uint64_t step = 0; step < 3; ++step) {
+      const std::vector<float> gs = overshooting_gradient(n, 10 + step);
+      const CompressedPush got = bank.encode(0, gs, r_bank);
+      ASSERT_EQ(topk_retries(), ++retries) << where << " step " << step;
+      const CompressedPush want = ref.encode(gs, r_ref);
+      retries = topk_retries();
+      ASSERT_EQ(got.indices, want.indices) << where << " step " << step;
+      ASSERT_TRUE(same_bits(got.values, want.values)) << where << " step " << step;
+      ASSERT_TRUE(same_bits(bank.residual(0), ref.residual)) << where << " step " << step;
+    }
+  }
+}
+
+TEST(TopKEstimate, AllEqualMagnitudesMakeEveryCoordinateACandidate) {
+  const ArmedMetrics armed;
+  const std::size_t n = 102500;
+  const TopKCodec codec(0.01);
+  const std::size_t k = codec.kept(n);
+  const std::vector<float> g = adversarial_gradient(n, 1);  // every |g| is 0.75
+  ASSERT_TRUE(std::all_of(g.begin(), g.end(), [](float v) { return std::fabs(v) == 0.75f; }));
+  std::vector<std::uint32_t> lowest(k);
+  for (std::uint32_t i = 0; i < k; ++i) lowest[i] = i;
+
+  const std::int64_t retries = topk_retries();
+  Rng rng(1);
+  const CompressedPush push = codec.encode(g, rng);
+  EXPECT_EQ(push.indices, lowest);  // all tied: the lowest indices win
+  for (std::size_t j = 0; j < k; ++j) ASSERT_EQ(push.values[j], g[j]) << j;
+
+  std::vector<float> transformed = g;
+  codec.transform(transformed, rng);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(transformed[i], i < k ? g[i] : 0.0f) << i;
+  EXPECT_EQ(topk_retries(), retries);  // the bound admitted every coordinate
+}
+
+TEST(TopKEstimate, GaussianAndRank2StepsNeverRetry) {
+  // The two gradient shapes the top-k path sees: plain Gaussian steps, and
+  // what topk-wide pushes, a batch-2 linear-softmax gradient (two outer
+  // products plus the bias) on 1024 features and 100 classes.  Both run
+  // through error feedback, so the bound is estimated on the carried sum.
+  const ArmedMetrics armed;
+  SyntheticSpec spec = SyntheticSpec::cifar100_like();
+  spec.feature_dim = 1024;
+  spec.train_size = 256;
+  spec.test_size = 64;
+  const DataSplit split = make_synthetic(spec);
+  Rng rng(21);
+  Model model = make_model(ModelArch::kLinear, spec.feature_dim, spec.num_classes, rng);
+  const std::vector<float> params = model.get_params();
+  const std::size_t n = params.size();
+  ASSERT_EQ(n, 102500u);
+
+  const auto codec = std::make_shared<TopKCodec>(0.01);
+  CompressorBank bank(codec, 2, /*error_feedback=*/true);
+  const std::int64_t retries = topk_retries();
+  std::vector<float> g(n);
+  Tensor x({2, spec.feature_dim});
+  std::vector<int> y;
+  for (int worker = 0; worker < 2; ++worker) {
+    for (int step = 0; step < 50; ++step) {
+      if (worker == 0) {
+        for (float& v : g) v = static_cast<float>(rng.gaussian());
+      } else {
+        const std::vector<std::uint32_t> batch = {
+            static_cast<std::uint32_t>(rng.uniform_index(spec.train_size)),
+            static_cast<std::uint32_t>(rng.uniform_index(spec.train_size))};
+        split.train.gather(batch, x, y);
+        model.gradient_at(params, x, y, g);
+      }
+      std::vector<float> carry(n);
+      const std::span<const float> residual = bank.residual(worker);
+      for (std::size_t i = 0; i < n; ++i) carry[i] = residual.empty() ? g[i] : g[i] + residual[i];
+      const CompressedPush push = bank.encode(worker, g, rng);
+      ASSERT_EQ(push.indices, reference_topk(carry, codec->kept(n)))
+          << "worker " << worker << " step " << step;
+    }
+  }
+  EXPECT_EQ(topk_retries(), retries);
 }
 
 TEST(Push, ValidateRejectsMalformedPushes) {
