@@ -1,0 +1,192 @@
+#include "ps/barrier_planner.h"
+
+#include <algorithm>
+#include <exception>
+#include <optional>
+#include <string>
+#include <utility>
+
+#include "common/error.h"
+#include "core/config_policy.h"
+
+namespace ss {
+
+namespace {
+
+/// The controller's evictions go through the coordinator with an empty
+/// plan, so its floor comes from the controller config.
+ElasticConfig membership_config(const ThreadedTrainConfig& cfg) {
+  ElasticConfig out = cfg.elastic;
+  if (cfg.controller.enabled)
+    out.min_workers = std::max<std::size_t>(1, cfg.controller.min_workers);
+  return out;
+}
+
+}  // namespace
+
+BarrierPlanner::BarrierPlanner(const ThreadedTrainConfig& cfg)
+    : cfg_(cfg), legs_(lower(cfg)), coord_(membership_config(cfg), cfg.num_workers) {
+  for (const Segment& leg : legs_) uses_detector_ |= leg.watch != Watch::kNone;
+  if (cfg.controller.enabled) controller_.emplace(cfg.controller, cfg.compression);
+}
+
+std::vector<Segment> BarrierPlanner::lower(const ThreadedTrainConfig& cfg) {
+  if (cfg.num_workers == 0) throw ConfigError("threaded_train: num_workers must be > 0");
+  if (cfg.steps_per_worker <= 0) throw ConfigError("threaded_train: steps must be > 0");
+  const SwitchSchedule plan =
+      cfg.schedule.empty() ? SwitchSchedule::single(cfg.protocol) : cfg.schedule;
+  const std::vector<SwitchPhase>& phases = plan.phases();
+  for (const SwitchPhase& p : phases)
+    if (!threaded_supported(p.protocol))
+      throw ConfigError("threaded_train: protocol " + protocol_name(p.protocol) +
+                        " is simulator-only (supported here: BSP, ASP, SSP)");
+  if (cfg.controller.enabled) {
+    if (!cfg.schedule.empty())
+      throw ConfigError("threaded_train: the controller picks phases itself; an explicit "
+                        "switch schedule cannot compose with controller mode");
+    if (!cfg.elastic.empty())
+      throw ConfigError("threaded_train: the controller owns the worker set; elastic "
+                        "membership plans cannot compose with controller mode");
+    if (cfg.controller.decision_interval <= 0)
+      throw ConfigError("threaded_train: controller decision_interval must be > 0");
+  }
+  const bool evict_flagged = cfg.elastic.plan.reactive();
+  if (evict_flagged && cfg.schedule.has_reactive_trigger())
+    throw ConfigError("threaded_train: reactive membership and reactive switch triggers "
+                      "cannot share one straggler detector; pick one policy");
+  std::vector<Segment> legs;
+  for (const SwitchPhase& p : phases) {
+    const int bound = p.ssp_staleness_bound >= 0 ? p.ssp_staleness_bound : cfg.ssp_staleness_bound;
+    if (p.protocol == Protocol::kSsp && bound < 0)
+      throw ConfigError("threaded_train: negative staleness bound");
+    const Watch watch = evict_flagged ? Watch::kEvictFlagged
+                        : p.trigger == SwitchTrigger::kStragglerDetected ? Watch::kDetected
+                        : p.trigger == SwitchTrigger::kStragglerCleared  ? Watch::kCleared
+                                                                         : Watch::kNone;
+    legs.push_back({.leg = legs.size(), .protocol = p.protocol, .ssp_bound = bound,
+                    .compress = cfg.compression.enabled(), .quota = p.steps, .watch = watch});
+  }
+  // The controller's first interval is a leg like the ones it appends.
+  if (cfg.controller.enabled) legs[0].quota = cfg.controller.decision_interval;
+  return legs;
+}
+
+double BarrierPlanner::lr(Protocol protocol, std::size_t n) const {
+  if (!cfg_.derive_phase_lr) return cfg_.lr;
+  const BaseHyper base{cfg_.batch_size, cfg_.lr, cfg_.momentum};
+  auto multiplier = [&](std::size_t workers) {
+    return derive_hyper(protocol, workers, base, MomentumPolicy::kBaseline, 1).lr_multiplier;
+  };
+  // A fixed protocol rescales relative to the initial cluster.
+  const bool relative = cfg_.schedule.empty() && !controller_;
+  return cfg_.lr * (multiplier(n) / (relative ? multiplier(cfg_.num_workers) : 1.0));
+}
+
+Segment BarrierPlanner::next() {
+  if (steps_done_ == 0) {
+    leg_ = std::min(next_leg_, legs_.size() - 1);
+    const std::int64_t remaining = cfg_.steps_per_worker - done_;
+    const std::int64_t steps = legs_[leg_].quota;
+    phase_quota_ = steps > 0 ? std::min(steps, remaining) : remaining;
+  }
+  Segment s = legs_[leg_];
+  s.lr = lr(s.protocol, coord_.alive_count());
+  s.start = steps_done_;
+  s.quota = phase_quota_;
+  const std::int64_t event = coord_.next_event_step(done_ + steps_done_);
+  if (event > 0) s.quota = std::min(s.quota, event - done_);
+  return s;
+}
+
+std::optional<ThreadedPhaseStats> BarrierPlanner::drain(std::int64_t reached, bool fired,
+                                                        const StragglerDetector& detector) {
+  const Segment& leg = legs_[leg_];
+  if (fired && leg.watch == Watch::kEvictFlagged) {
+    delta_due_ = true;
+    evict_ = detector.stragglers();
+  }
+  const bool triggered = fired && leg.watch != Watch::kEvictFlagged;
+  if (!triggered && reached < phase_quota_) {
+    steps_done_ = reached;
+    return std::nullopt;
+  }
+  ThreadedPhaseStats phase;
+  phase.protocol = leg.protocol;
+  phase.ended_by_trigger = triggered;
+  phase.start_step = done_;
+  phase.steps = reached;
+  done_ += reached;
+  steps_done_ = 0;
+  next_leg_ = leg_ + 1;
+  return phase;
+}
+
+void BarrierPlanner::decide(const ThreadedPhaseStats& phase,
+                            const std::function<MeasuredPhaseCosts()>& measure) {
+  if (!controller_) return;
+  const double sec_per_step = phase.steps > 0 && phase.wall_seconds > 0.0
+                                  ? phase.wall_seconds / static_cast<double>(phase.steps)
+                                  : 0.0;
+  if (!decisions_.empty() && prev_sec_per_step_ > 0.0 && sec_per_step > 0.0)
+    decisions_.back().realized_gain = 1.0 - sec_per_step / prev_sec_per_step_;
+  prev_sec_per_step_ = sec_per_step;
+  const MeasuredPhaseCosts measured = measure();
+  if (finished()) return;  // realized gain settled; nothing left to decide
+
+  const Segment& leg = legs_[leg_];
+  ControllerDecision d;
+  std::optional<std::string> error;
+  try {
+    d = controller_->decide(done_, leg.protocol, leg.ssp_bound, leg.compress, measured,
+                            done_ - last_move_step_, cfg_.steps_per_worker - done_);
+  } catch (const std::exception& e) {
+    error = e.what();
+  } catch (...) {
+    error = "unknown";
+  }
+  if (error) {
+    // The runtime calls this from a noexcept barrier completion: hold the
+    // current configuration rather than take down the run.
+    d = ControllerDecision{};
+    d.at_step = done_;
+    d.protocol_before = leg.protocol;
+    d.reason = "hold:error " + *error;
+  }
+  enact(std::move(d));
+}
+
+void BarrierPlanner::enact(ControllerDecision d) {
+  Segment next = legs_[leg_];
+  next.leg = legs_.size();
+  next.quota = cfg_.controller.decision_interval;
+  if (d.enacted) {
+    last_move_step_ = done_;
+    if (d.chosen.evict_straggler) {
+      delta_due_ = true;
+      evict_.assign(1, d.measured.straggler_worker);
+    } else {
+      next.protocol = d.chosen.protocol;
+      next.ssp_bound = d.chosen.ssp_staleness_bound >= 0 ? d.chosen.ssp_staleness_bound
+                                                         : cfg_.ssp_staleness_bound;
+      next.compress = d.chosen.compress && cfg_.compression.enabled();
+    }
+  }
+  decisions_.push_back(std::move(d));
+  legs_.push_back(next);
+}
+
+bool BarrierPlanner::membership_due() const noexcept {
+  return delta_due_ || coord_.events_due(done_ + steps_done_);
+}
+
+std::vector<AppliedMembershipEvent> BarrierPlanner::apply_membership() {
+  const std::int64_t progress = done_ + steps_done_;
+  std::vector<AppliedMembershipEvent> applied = coord_.evict(evict_, progress);
+  const std::vector<AppliedMembershipEvent> scheduled = coord_.advance_to(progress);
+  applied.insert(applied.end(), scheduled.begin(), scheduled.end());
+  delta_due_ = false;
+  evict_.clear();
+  return applied;
+}
+
+}  // namespace ss

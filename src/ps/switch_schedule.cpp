@@ -1,6 +1,5 @@
 #include "ps/switch_schedule.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/error.h"
@@ -35,13 +34,6 @@ SwitchSchedule::SwitchSchedule(std::vector<SwitchPhase> phases) : phases_(std::m
       throw ConfigError("SwitchSchedule: non-last step-triggered phase needs steps > 0");
     }
   }
-}
-
-std::int64_t SwitchSchedule::phase_budget(const SwitchPhase& phase, bool last,
-                                          std::int64_t remaining) noexcept {
-  if (!last && phase.trigger == SwitchTrigger::kStepCount)
-    return std::min(phase.steps, remaining);
-  return remaining;
 }
 
 bool SwitchSchedule::has_reactive_trigger() const noexcept {

@@ -11,6 +11,10 @@
 //    schedule) transitions live, quiescing real worker threads at a drain
 //    barrier — no checkpoint, no restart, no lost update.
 //
+// Both lower the phases verbatim onto their plan engines' legs (the
+// session's in core/session.cpp, the BarrierPlanner's in
+// ps/barrier_planner.h) and read a phase's budget off `steps` alone.
+//
 // A phase ends either after a fixed step budget (kStepCount — the paper's
 // timing policy, which picks the switch point offline) or when the online
 // straggler detector changes state (kStragglerDetected / kStragglerCleared —
@@ -52,9 +56,10 @@ struct SwitchPhase {
   Protocol protocol = Protocol::kBsp;
   SwitchTrigger trigger = SwitchTrigger::kStepCount;
   /// kStepCount: steps this phase runs (runtime-local currency; see file
-  /// comment).  Must be > 0 except on the last phase, where it must be 0
-  /// (the last phase always runs out the remaining budget).  Ignored for
-  /// reactive triggers, which run until the trigger fires or the budget ends.
+  /// comment), or fewer if the run budget ends first.  Must be > 0 except on
+  /// the last phase, where it must be 0 (the last phase always runs out the
+  /// remaining budget).  Must be 0 for reactive triggers, which run until
+  /// the trigger fires or the budget ends.
   std::int64_t steps = 0;
   /// Staleness bound override for kSsp phases; < 0 inherits the runtime's
   /// configured default bound.
@@ -79,16 +84,6 @@ class SwitchSchedule {
   /// True if any phase ends on a detector trigger (the consumer must then
   /// run a StragglerDetector and feed it task observations).
   [[nodiscard]] bool has_reactive_trigger() const noexcept;
-
-  /// Budget a phase gets out of `remaining` runtime-local steps: a non-last
-  /// step-quota phase gets min(steps, remaining); reactive phases and the
-  /// last phase run out the remainder (a reactive phase may be cut short by
-  /// its trigger).  The threaded runtime calls this.  The simulator's
-  /// phase-plan engine (core/session.cpp) reads the same rule off `steps`
-  /// alone: in a validated schedule only non-last step-quota phases have
-  /// steps > 0.
-  [[nodiscard]] static std::int64_t phase_budget(const SwitchPhase& phase, bool last,
-                                                 std::int64_t remaining) noexcept;
 
   /// Canonical string covering every field that affects the result; part of
   /// RunRequest::cache_key().  Empty schedule -> "-".

@@ -8,14 +8,12 @@
 #include <optional>
 #include <thread>
 
-#include "common/error.h"
 #include "common/rng.h"
 #include "compress/bank.h"
-#include "core/config_policy.h"
 #include "elastic/async_snapshotter.h"
-#include "elastic/recovery_coordinator.h"
 #include "net/inproc_transport.h"
 #include "obs/obs.h"
+#include "ps/barrier_planner.h"
 #include "sim/calibration.h"
 #include "tensor/ops.h"
 
@@ -44,106 +42,27 @@ struct WorkerContext {
   std::int64_t phase_push_bytes = 0;
   // Compute-side step spans (excluding barrier/SSP waits): the controller's
   // measurement source — a straggler's injected delay lands in its own slot
-  // instead of being smeared over everyone by barrier waits.
+  // instead of being smeared over everyone by barrier waits.  Harvested and
+  // reset by measure_phase, which only runs when a controller asks.
   double phase_step_seconds = 0.0;
   std::int64_t phase_step_count = 0;
   /// Mean step time over the slot's last interval with a finished step.
   double last_step_mean = 0.0;
 };
 
-/// Resolve the run's phase plan: an explicit schedule, or one phase covering
-/// the whole run in fixed-protocol mode.
-std::vector<SwitchPhase> resolve_plan(const ThreadedTrainConfig& cfg) {
-  std::vector<SwitchPhase> plan;
-  if (cfg.schedule.empty()) {
-    plan.push_back(SwitchPhase{cfg.protocol, SwitchTrigger::kStepCount, 0, -1});
-  } else {
-    plan = cfg.schedule.phases();
-  }
-  for (const SwitchPhase& p : plan)
-    if (!threaded_supported(p.protocol))
-      throw ConfigError("threaded_train: protocol " + protocol_name(p.protocol) +
-                        " is simulator-only (supported here: BSP, ASP, SSP)");
-  return plan;
-}
-
-/// std::barrier requires a noexcept completion; wrap the transition closure.
-struct DrainCompletion {
-  const std::function<void()>* fn;
-  void operator()() const noexcept { (*fn)(); }
-};
-
 }  // namespace
 
 ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
                                    const ThreadedTrainConfig& cfg) {
-  if (cfg.num_workers == 0) throw ConfigError("threaded_train: num_workers must be > 0");
-  if (cfg.steps_per_worker <= 0) throw ConfigError("threaded_train: steps must be > 0");
-
-  // In controller mode the plan is grown dynamically: one SwitchPhase per
-  // decision interval, appended at each drain barrier with whatever the
-  // controller enacted.
-  std::vector<SwitchPhase> plan = resolve_plan(cfg);
-  const bool elastic_mode = !cfg.elastic.empty();
-  const bool reactive_membership = elastic_mode && cfg.elastic.plan.reactive();
-  const bool controller_mode = cfg.controller.enabled;
-  if (controller_mode) {
-    if (!cfg.schedule.empty())
-      throw ConfigError("threaded_train: the controller picks phases itself; an explicit "
-                        "switch schedule cannot compose with controller mode");
-    if (elastic_mode)
-      throw ConfigError("threaded_train: the controller owns the worker set; elastic "
-                        "membership plans cannot compose with controller mode");
-    if (cfg.controller.decision_interval <= 0)
-      throw ConfigError("threaded_train: controller decision_interval must be > 0");
-  }
-  if (reactive_membership && cfg.schedule.has_reactive_trigger())
-    throw ConfigError("threaded_train: reactive membership and reactive switch triggers "
-                      "cannot share one straggler detector; pick one policy");
-  const bool use_detector = cfg.schedule.has_reactive_trigger() || reactive_membership;
-  for (const SwitchPhase& p : plan) {
-    const int bound = p.ssp_staleness_bound >= 0 ? p.ssp_staleness_bound : cfg.ssp_staleness_bound;
-    if (p.protocol == Protocol::kSsp && bound < 0)
-      throw ConfigError("threaded_train: negative staleness bound");
-  }
-
-  // Membership bookkeeping: slot ids are stable; joins claim ids past the
-  // initial cluster, so every per-slot structure is pre-sized to max_slots.
-  // Controller evictions reuse the coordinator with an empty plan, so its
-  // floor comes from the controller config.
-  ElasticConfig coord_cfg = cfg.elastic;
-  if (controller_mode) coord_cfg.min_workers = std::max<std::size_t>(1, cfg.controller.min_workers);
-  RecoveryCoordinator coord(coord_cfg, cfg.num_workers);
+  // Every decision about what runs next, and on which workers — the
+  // schedule's legs, the membership plan, the controller — comes from the
+  // planner as a Segment; this function only runs segments.
+  BarrierPlanner planner(cfg);
+  const RecoveryCoordinator& coord = planner.membership();
   const std::size_t max_slots = coord.max_slots();
   const std::size_t n0 = cfg.num_workers;
 
-  // Per-phase effective learning rates, re-derived whenever the cluster
-  // size changes.  In schedule mode the configuration policy's linear
-  // scaling rule applies outright (BSP phases train on an n-times-larger
-  // effective batch); fixed-protocol mode starts from cfg.lr exactly as it
-  // always has, and an elastic membership change rescales it by the
-  // policy's n'/n ratio for synchronous protocols (async phases keep lr).
-  const BaseHyper base_hyper{cfg.batch_size, cfg.lr, cfg.momentum};
-  auto lr_multiplier = [&](Protocol proto, std::size_t n) {
-    return derive_hyper(proto, n, base_hyper, MomentumPolicy::kBaseline, /*steps_per_epoch=*/1)
-        .lr_multiplier;
-  };
-  auto lr_for_phase = [&](std::size_t i, std::size_t n) -> double {
-    if (!cfg.derive_phase_lr) return cfg.lr;
-    // Controller mode derives like schedule mode: the controller may enact
-    // any protocol at any barrier, and each gets the configuration policy's
-    // lr (synchronous phases linear-scaled, async phases base lr).
-    if (!cfg.schedule.empty() || controller_mode)
-      return cfg.lr * lr_multiplier(plan[i].protocol, n);
-    // n == n0 makes the ratio exactly 1.0, so non-elastic fixed-protocol
-    // runs use cfg.lr bit for bit.
-    return cfg.lr * (lr_multiplier(plan[i].protocol, n) / lr_multiplier(plan[i].protocol, n0));
-  };
-  std::vector<double> phase_lr(plan.size(), cfg.lr);
-  for (std::size_t i = 0; i < plan.size(); ++i) phase_lr[i] = lr_for_phase(i, n0);
-
   const std::size_t p = prototype.num_params();
-  const std::size_t d = train.feature_dim();
   SharedParameterServer ps_impl(prototype.get_params(), cfg.momentum, cfg.num_ps_shards);
   // Every worker<->PS interaction below goes through the Transport seam —
   // the same interface the socket backend (net/socket_transport.h) serves
@@ -156,18 +75,6 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   const std::int64_t dense_bytes = static_cast<std::int64_t>(p * sizeof(float));
   const bool inject_stragglers = !cfg.stragglers.events().empty();
 
-  // Online controller state.  `compress_on` is the controller's live
-  // compression toggle (always true for plain codec runs): it is only
-  // mutated inside the drain-barrier completion, so workers read it with
-  // the barrier's happens-before edge and a phase never mixes regimes.
-  std::optional<OnlineController> controller;
-  if (controller_mode) controller.emplace(cfg.controller, cfg.compression);
-  std::vector<ControllerDecision> decisions;
-  bool compress_on = bank.has_value();
-  std::int64_t last_move_step = 0;          ///< local step of the last enacted move
-  std::vector<int> controller_evict;        ///< slots a decision evicts at the epoch break
-  double prev_interval_sec_per_step = 0.0;  ///< previous interval's wall/step
-
   Rng root(cfg.seed);
   const auto shards = make_shards(train.size(), cfg.num_workers);
   std::vector<WorkerContext> ctx;
@@ -177,29 +84,26 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // draw from disjoint ranges so no stream is ever shared.
     const std::uint64_t sampler_stream = w < n0 ? w + 1 : 1000 + w;
     const std::uint64_t codec_stream = w < n0 ? cfg.num_workers + 1 + w : 2000 + w;
-    WorkerContext c{
+    ctx.push_back(WorkerContext{
         prototype.clone(),
         MinibatchSampler(shards[w % shards.size()], cfg.batch_size, root.fork(sampler_stream)),
         root.fork(codec_stream),
-        Tensor({cfg.batch_size, d}),
+        Tensor({cfg.batch_size, train.feature_dim()}),
         {},
         std::vector<float>(p),
         std::vector<float>(p),
         {},
         {},
-        0,
-        0,
-    };
-    ctx.push_back(std::move(c));
+    });
   }
 
   // ------------------------------------------------------------------
   // Shared switch-controller state.  Three synchronization domains:
-  //  * clock_mu/clock_cv guard the per-worker local clocks, the phase step
-  //    quota, the ASP step tickets, and the trigger/membership latches
-  //    during async phases;
+  //  * clock_mu/clock_cv guard the per-worker local clocks, the segment's
+  //    step quota, the ASP step tickets, and the watch latch during async
+  //    phases;
   //  * det_mu guards the straggler detector;
-  //  * everything else (phase index, protocol, lr, BSP round state, phase
+  //  * everything else (the segment, the planner, BSP round state, phase
   //    stats, the alive set) is only mutated inside the drain-barrier
   //    completion, by worker 0 between BSP round barriers, or by the main
   //    thread while every worker thread is joined — all points where a
@@ -208,33 +112,38 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   std::mutex clock_mu;
   std::condition_variable clock_cv;
   std::vector<std::int64_t> clock(max_slots, 0);  ///< local steps in current phase
-  std::int64_t quota = 0;          ///< effective step count this epoch segment runs to
-  std::int64_t phase_quota = 0;    ///< the phase's full budget (quota <= phase_quota)
-  // ASP phases are work-conserving: the epoch segment holds
-  // n_alive x (quota - phase_steps_done) step tickets, drawn by whichever
-  // worker asks next, so a straggler simply takes fewer of them.
-  std::int64_t tickets = 0;        ///< ASP tickets drawn in this epoch segment
-  std::int64_t ticket_budget = 0;  ///< ASP tickets this epoch segment runs to
-  bool trigger_fired = false;      ///< reactive schedule trigger latched
-  bool membership_fired = false;   ///< reactive membership latched (evict at drain)
+  // ASP phases are work-conserving: the segment holds
+  // n_alive x (quota - start) step tickets, drawn by whichever worker asks
+  // next, so a straggler simply takes fewer of them.  An SSP latch lowers
+  // the segment's quota itself.
+  std::int64_t tickets = 0;        ///< ASP tickets drawn in this segment
+  std::int64_t ticket_budget = 0;  ///< ASP tickets this segment runs to
+  bool fired = false;              ///< the segment's watch latched
 
   std::mutex det_mu;
   StragglerDetector detector(max_slots, cfg.detector);
-  if (max_slots > cfg.num_workers) detector.set_active(coord.active());
 
   std::vector<char> alive(max_slots, 0);
-  for (int s : coord.active()) alive[static_cast<std::size_t>(s)] = 1;
-  std::size_t n_alive = coord.alive_count();
+  std::size_t n_alive = 0;
   std::size_t leader = 0;  ///< first alive slot (BSP aggregator role)
+  /// Adopt the planner's worker set: the alive slots, the BSP leader, and
+  /// the detector's scope (after a cluster change historical throughput is
+  /// not comparable, and retired or not-yet-joined slots must not block
+  /// warm-up).
+  auto adopt_members = [&] {
+    std::fill(alive.begin(), alive.end(), char{0});
+    for (int s : coord.active()) alive[static_cast<std::size_t>(s)] = 1;
+    n_alive = coord.alive_count();
+    leader = 0;
+    while (leader < max_slots && !alive[leader]) ++leader;
+    const std::lock_guard<std::mutex> lock(det_mu);
+    detector.set_active(coord.active());
+  };
+  adopt_members();
 
-  std::size_t phase_idx = 0;
-  Protocol proto = plan[0].protocol;
-  double lr = phase_lr[0];
-  std::int64_t ssp_bound = 0;
-  std::int64_t done = 0;             ///< local steps per worker in finished phases
-  std::int64_t phase_steps_done = 0; ///< steps of the current phase finished in prior epochs
+  Segment seg = planner.next();  ///< the segment the workers run
   bool run_over = false;
-  bool epoch_over = false;           ///< quiesce threads for a membership transition
+  bool epoch_over = false;  ///< quiesce threads for a membership transition
 
   std::vector<float> agg(p);              // BSP aggregation buffer (leader)
   std::vector<float> shared_snapshot(p);  // BSP round snapshot
@@ -259,10 +168,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   SteadyClock::time_point run_start = SteadyClock::now();
   SteadyClock::time_point phase_start = run_start;
 
-  std::vector<ThreadedPhaseStats> stats;
-  stats.reserve(plan.size());
-  std::vector<ThreadedMembershipStats> membership_stats;
-  membership_stats.reserve(cfg.elastic.plan.size() + 8);
+  ThreadedTrainResult result;
   std::int64_t run_async_staleness = 0;  // run totals over async-phase pushes
   std::int64_t run_async_updates = 0;
 
@@ -338,7 +244,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   for (const MembershipEvent& e : cfg.elastic.plan.events())
     plan_has_crash |= e.kind == MembershipEventKind::kCrash;
   const bool snapshots_needed =
-      elastic_mode && plan_has_crash && cfg.elastic.recovery == RecoveryMode::kRestoreSnapshot;
+      plan_has_crash && cfg.elastic.recovery == RecoveryMode::kRestoreSnapshot;
   if (snapshots_needed) {
     if (cfg.elastic.snapshot_interval > 0) {
       snapshotter.emplace(capture_snapshot, snapshot_progress, cfg.elastic.snapshot_interval,
@@ -362,103 +268,58 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     return m;
   };
 
-  /// Arm the epoch segment's budget: the rest of the phase, capped at the
-  /// next scripted membership event so it resolves at a drain barrier.
-  /// BSP/SSP run every worker's clock to `quota`; ASP spends the same
-  /// per-worker steps as n_alive x that many tickets.
-  auto arm_budget = [&] {
-    quota = phase_quota;
-    if (elastic_mode) {
-      const std::int64_t cap = coord.next_event_step(done + phase_steps_done);
-      if (cap > 0) quota = std::min(quota, cap - done);
-    }
+  /// Arm `next`: a fresh phase when next.start == 0, otherwise the rest of
+  /// a phase a membership change interrupted, with the clocks fast-forwarded
+  /// to the steps it already ran.  BSP/SSP run every worker's clock to the
+  /// quota; ASP spends the same per-worker steps as n_alive x that many
+  /// tickets.  Runs before the threads start, inside the drain barrier's
+  /// completion, or between epochs — never concurrently with a worker step.
+  auto arm = [&](const Segment& next) {
+    const Protocol prev_proto = seg.protocol;
+    seg = next;
     tickets = 0;
-    ticket_budget = static_cast<std::int64_t>(n_alive) * (quota - phase_steps_done);
-    trigger_fired = false;
-  };
-
-  /// Arm phase `idx` from its beginning.  Runs before the threads start,
-  /// inside the drain barrier's completion, or between epochs — never
-  /// concurrently with a worker step.
-  auto enter_phase = [&](std::size_t idx) {
-    const Protocol prev_proto = proto;
-    phase_idx = idx;
-    const SwitchPhase& ph = plan[idx];
-    proto = ph.protocol;
-    lr = phase_lr[idx];
-    ssp_bound = ph.ssp_staleness_bound >= 0 ? ph.ssp_staleness_bound : cfg.ssp_staleness_bound;
-    const bool last = idx + 1 == plan.size();
-    const std::int64_t remaining = cfg.steps_per_worker - done;
-    phase_quota = SwitchSchedule::phase_budget(ph, last, remaining);
-    // Controller mode: every interval ends at a drain barrier so the
-    // controller gets its decision point; the run tail may be shorter.
-    if (controller_mode) phase_quota = std::min(phase_quota, cfg.controller.decision_interval);
-    phase_steps_done = 0;
-    arm_budget();
-    std::fill(clock.begin(), clock.end(), 0);
-    rounds_done = 0;
+    ticket_budget = static_cast<std::int64_t>(n_alive) * (seg.quota - seg.start);
+    fired = false;
+    std::fill(clock.begin(), clock.end(), seg.start);
+    rounds_done = seg.start;
     bsp_phase_over = false;
-    phase_max_gap.store(0, std::memory_order_relaxed);
-    phase_start_updates = total_updates.load(std::memory_order_relaxed);
-    phase_start = SteadyClock::now();
-    // Fresh snapshot for a BSP phase entry: in-flight pushes of the previous
-    // phase are all applied (pushes are synchronous and every worker is
-    // parked at the drain barrier), so this is the reconciled parameter
-    // state the next phase starts from.
+    const bool phase_entry = seg.start == 0;
+    if (phase_entry) {
+      phase_max_gap.store(0, std::memory_order_relaxed);
+      phase_start_updates = total_updates.load(std::memory_order_relaxed);
+      phase_start = SteadyClock::now();
+    }
+    // Fresh snapshot for the segment: in-flight pushes of the previous one
+    // are all applied (pushes are synchronous and every worker is parked at
+    // the drain barrier or joined), so this is the reconciled parameter
+    // state the segment starts from.
     ps.pull(std::span<float>(shared_snapshot));
-    if (obs_on) {
-      if (proto != prev_proto) m_switches->add();
+    if (obs_on && phase_entry) {
+      if (seg.protocol != prev_proto) m_switches->add();
       if (obs::tracing()) {
-        if (proto != prev_proto)
+        if (seg.protocol != prev_proto)
           obs::tracer().instant(0, "protocol_switch",
                                 {obs::arg("from", protocol_name(prev_proto)),
-                                 obs::arg("to", protocol_name(proto))});
+                                 obs::arg("to", protocol_name(seg.protocol))});
         obs::tracer().instant(0, "phase_start",
-                              {obs::arg("phase", static_cast<std::int64_t>(idx)),
-                               obs::arg("protocol", protocol_name(proto)),
-                               obs::arg("quota", quota)});
+                              {obs::arg("phase", static_cast<std::int64_t>(seg.leg)),
+                               obs::arg("protocol", protocol_name(seg.protocol)),
+                               obs::arg("quota", seg.quota)});
       }
     }
   };
-  enter_phase(0);
+  arm(seg);
 
-  /// Resume the current phase after a membership transition: same phase
-  /// budget, clocks fast-forwarded to the steps already done, caps and lr
-  /// refreshed for the new cluster.
-  auto rearm_phase = [&] {
-    lr = phase_lr[phase_idx];
-    arm_budget();
-    std::fill(clock.begin(), clock.end(), phase_steps_done);
-    rounds_done = phase_steps_done;
-    bsp_phase_over = false;
-    // The epoch resumes from the reconciled post-recovery parameters.
-    ps.pull(std::span<float>(shared_snapshot));
-  };
-
-  /// Controller decision point: runs inside the drain completion with every
-  /// worker parked.  Settles the previous decision's realized gain from the
-  /// finished interval's throughput, harvests the per-worker compute-span
-  /// accumulators into MeasuredPhaseCosts, asks the controller for the next
-  /// move, and arms the next interval by appending it to the dynamic plan.
-  /// A protocol/bound/compression move applies in place (the same live
-  /// transition a schedule phase gets); an eviction move quiesces the epoch
-  /// and resolves through apply_recovery like a reactive eviction.
-  auto controller_step = [&](const ThreadedPhaseStats& s) {
-    const double sec_per_step =
-        s.steps > 0 && s.wall_seconds > 0.0 ? s.wall_seconds / static_cast<double>(s.steps)
-                                            : 0.0;
-    if (!decisions.empty() && prev_interval_sec_per_step > 0.0 && sec_per_step > 0.0)
-      decisions.back().realized_gain = 1.0 - sec_per_step / prev_interval_sec_per_step;
-    prev_interval_sec_per_step = sec_per_step;
-
+  /// Harvest the finished phase's per-worker compute spans into the
+  /// controller's measurement: the lower median step time, and the slowest
+  /// slot's factor over it.
+  auto measure_phase = [&] {
     MeasuredPhaseCosts measured;
     measured.num_workers = n_alive;
     measured.batch_size = cfg.batch_size;
     measured.push_bytes = static_cast<double>(dense_bytes);
     std::vector<double> means;
-    means.reserve(n_alive);
-    double max_mean = 0.0;
-    int max_slot = -1;
+    int slowest = -1;  ///< first alive slot with the largest mean
     for (std::size_t w = 0; w < max_slots; ++w) {
       WorkerContext& c = ctx[w];
       // Under the shared ASP budget a slot can finish no step in a short
@@ -467,76 +328,31 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
       // dropping it would hide a straggler from the controller.
       if (c.phase_step_count > 0)
         c.last_step_mean = c.phase_step_seconds / static_cast<double>(c.phase_step_count);
-      if (alive[w] && c.last_step_mean > 0.0) {
-        means.push_back(c.last_step_mean);
-        if (c.last_step_mean > max_mean) {
-          max_mean = c.last_step_mean;
-          max_slot = static_cast<int>(w);
-        }
-      }
       c.phase_step_seconds = 0.0;
       c.phase_step_count = 0;
+      if (!alive[w] || c.last_step_mean <= 0.0) continue;
+      means.push_back(c.last_step_mean);
+      if (slowest < 0 || c.last_step_mean > ctx[slowest].last_step_mean)
+        slowest = static_cast<int>(w);
     }
     if (!means.empty()) {
       std::sort(means.begin(), means.end());
       // Lower median: robust to the straggler itself for any cluster >= 2.
       const double median = means[(means.size() - 1) / 2];
       measured.step_seconds = median;
-      measured.straggler_factor = median > 0.0 ? max_mean / median : 1.0;
-      measured.straggler_worker = max_slot;
+      measured.straggler_factor = median > 0.0 ? ctx[slowest].last_step_mean / median : 1.0;
+      measured.straggler_worker = slowest;
     }
-    if (run_over) return;  // realized gain settled; nothing left to decide
-
-    ControllerDecision d;
-    try {
-      d = controller->decide(done, proto, static_cast<int>(ssp_bound), compress_on, measured,
-                             done - last_move_step, cfg.steps_per_worker - done);
-    } catch (const std::exception& e) {
-      // decide() must not take down the run from a noexcept completion:
-      // fall back to holding the current configuration.
-      d = ControllerDecision{};
-      d.at_step = done;
-      d.protocol_before = proto;
-      d.reason = std::string("hold:error ") + e.what();
-    } catch (...) {
-      d = ControllerDecision{};
-      d.at_step = done;
-      d.protocol_before = proto;
-      d.reason = "hold:error unknown";
-    }
-
-    Protocol next_proto = proto;
-    int next_bound = static_cast<int>(ssp_bound);
-    const bool evict = d.enacted && d.chosen.evict_straggler;
-    if (d.enacted) {
-      last_move_step = done;
-      if (evict) {
-        controller_evict.assign(1, d.measured.straggler_worker);
-        membership_fired = true;
-      } else {
-        next_proto = d.chosen.protocol;
-        next_bound = d.chosen.ssp_staleness_bound;
-        compress_on = d.chosen.compress && bank.has_value();
-      }
-    }
-    decisions.push_back(std::move(d));
-    plan.push_back(SwitchPhase{next_proto, SwitchTrigger::kStepCount, 0, next_bound});
-    phase_lr.push_back(lr_for_phase(plan.size() - 1, n_alive));
-    if (evict) {
-      // Quiesce the epoch; apply_recovery retires the slot and enters the
-      // appended interval with the shrunk cluster.
-      epoch_over = true;
-      return;
-    }
-    enter_phase(plan.size() - 1);
+    return measured;
   };
 
   /// The drain-barrier transition.  Runs on exactly one thread while every
-  /// worker is parked at the barrier.  Three outcomes: the phase completed
-  /// (record it, then arm the next phase live or hand off to the epoch loop
-  /// if a membership event is due), the run completed, or a membership
-  /// boundary interrupted the phase mid-way (quiesce for recovery).
-  const std::function<void()> on_drain = [&]() {
+  /// worker is parked at the barrier.  The planner settles the segment: a
+  /// completed phase is recorded (and, on controller runs, measured and
+  /// decided on).  Then the run ends, or a due membership delta quiesces
+  /// the epoch so the main thread can apply it, or the next segment is
+  /// armed live.
+  auto on_drain = [&]() {
     if (aborted.load()) {
       // A worker failed: no transition — stop the run so every surviving
       // worker exits after the barrier and the main thread can rethrow.
@@ -546,70 +362,49 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // BSP/SSP clocks are equal across alive workers.  An ASP segment always
     // ends on a multiple of n_alive tickets, so its per-worker step count is
     // exact.
-    const std::int64_t reached =
-        proto == Protocol::kAsp
-            ? phase_steps_done + tickets / static_cast<std::int64_t>(n_alive)
-            : clock[leader];
-    const bool phase_complete = trigger_fired || reached >= phase_quota;
-    if (!phase_complete) {
-      // A scripted membership step or the reactive eviction latch stopped
-      // the epoch inside the phase; the phase's accumulators carry over.
-      phase_steps_done = reached;
-      epoch_over = true;
-      return;
-    }
-    ThreadedPhaseStats s;
-    s.protocol = proto;
-    s.ended_by_trigger = trigger_fired;
-    s.start_step = done;
-    s.steps = reached;
-    s.updates = total_updates.load(std::memory_order_relaxed) - phase_start_updates;
-    s.max_clock_gap = phase_max_gap.load(std::memory_order_relaxed);
-    std::int64_t staleness_sum = 0;
-    for (auto& c : ctx) {
-      staleness_sum += c.phase_staleness_sum;
-      s.push_bytes += c.phase_push_bytes;
-      c.phase_staleness_sum = 0;
-      c.phase_push_bytes = 0;
-      if (!controller_mode) {
-        // Controller mode harvests (and resets) these in controller_step.
-        c.phase_step_seconds = 0.0;
-        c.phase_step_count = 0;
+    const std::int64_t reached = seg.protocol == Protocol::kAsp
+                                     ? seg.start + tickets / static_cast<std::int64_t>(n_alive)
+                                     : clock[leader];
+    // Every worker is parked, so the detector needs no lock here.
+    if (std::optional<ThreadedPhaseStats> phase = planner.drain(reached, fired, detector)) {
+      ThreadedPhaseStats& s = *phase;
+      s.updates = total_updates.load(std::memory_order_relaxed) - phase_start_updates;
+      s.max_clock_gap = phase_max_gap.load(std::memory_order_relaxed);
+      std::int64_t staleness_sum = 0;
+      for (auto& c : ctx) {
+        staleness_sum += c.phase_staleness_sum;
+        s.push_bytes += c.phase_push_bytes;
+        c.phase_staleness_sum = 0;
+        c.phase_push_bytes = 0;
       }
+      if (seg.protocol != Protocol::kBsp && s.updates > 0) {
+        s.mean_staleness = static_cast<double>(staleness_sum) / static_cast<double>(s.updates);
+        run_async_staleness += staleness_sum;
+        run_async_updates += s.updates;
+      }
+      const SteadyClock::time_point now = SteadyClock::now();
+      s.wall_seconds = seconds_between(phase_start, now);
+      if (s.wall_seconds > 0.0)
+        s.updates_per_sec = static_cast<double>(s.updates) / s.wall_seconds;
+      result.phases.push_back(s);
+      if (cfg.eval_hook) {
+        // Consistent parameter snapshot: every worker is parked, all pushes
+        // are applied.  Hook time is charged to the run clock (honest: the
+        // controller's decision time is charged the same way), not to any
+        // worker's step measurements.
+        ps.pull(std::span<float>(eval_params));
+        cfg.eval_hook(planner.done(), seconds_between(run_start, now), eval_params);
+      }
+      planner.decide(s, [&] { return measure_phase(); });
     }
-    if (proto != Protocol::kBsp && s.updates > 0) {
-      s.mean_staleness = static_cast<double>(staleness_sum) / static_cast<double>(s.updates);
-      run_async_staleness += staleness_sum;
-      run_async_updates += s.updates;
-    }
-    const SteadyClock::time_point now = SteadyClock::now();
-    s.wall_seconds = seconds_between(phase_start, now);
-    if (s.wall_seconds > 0.0)
-      s.updates_per_sec = static_cast<double>(s.updates) / s.wall_seconds;
-    stats.push_back(s);
-    done += s.steps;
-    phase_steps_done = 0;
-    run_over = done >= cfg.steps_per_worker;
-    if (cfg.eval_hook) {
-      // Consistent parameter snapshot: every worker is parked, all pushes
-      // are applied.  Hook time is charged to the run clock (honest: the
-      // controller's decision time is charged the same way), not to any
-      // worker's step measurements.
-      ps.pull(std::span<float>(eval_params));
-      cfg.eval_hook(done, seconds_between(run_start, now), eval_params);
-    }
-    if (controller_mode) {
-      controller_step(s);
-      return;
-    }
+    run_over = planner.finished();
     if (run_over) return;
-    if (elastic_mode && (membership_fired || coord.events_due(done))) {
-      // Membership change due exactly at the phase boundary: the epoch loop
-      // applies it, then enters the next phase.
+    if (planner.membership_due()) {
+      // The epoch loop applies the delta, then arms the next segment.
       epoch_over = true;
       return;
     }
-    enter_phase(std::min(phase_idx + 1, plan.size() - 1));
+    arm(planner.next());
   };
 
   /// Wall-clock straggler injection: a worker slowed at the current elapsed
@@ -632,55 +427,52 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     }
   };
 
-  /// Feed one step observation to the shared detector.  Returns true when a
-  /// detection pass ran *and* the reactive condition holds afterwards — the
-  /// current phase's schedule trigger, or (reactive membership) any flagged
-  /// worker.  Only async workers act on the return value; during BSP phases
-  /// the leader evaluates the condition once per round instead, so every
-  /// worker of a round sees the same decision.
-  auto feed_detector = [&](std::size_t w, SteadyClock::time_point step_start) -> bool {
-    if (!use_detector) return false;
+  /// Close worker `w`'s step: record its compute-side span (barrier and SSP
+  /// waits excluded) — the controller's per-worker cost sample, so injected
+  /// delays land in the slow worker's own mean — and feed the step to the
+  /// shared detector.  Returns true when a detection pass ran *and* the
+  /// segment's watch fired afterwards.  Only async workers act on the return
+  /// value; during BSP phases the leader evaluates the watch once per round
+  /// instead, so every worker of a round sees the same decision.
+  auto end_step = [&](std::size_t w, SteadyClock::time_point step_start) -> bool {
+    WorkerContext& c = ctx[w];
+    const SteadyClock::time_point step_end = SteadyClock::now();
+    c.phase_step_seconds += seconds_between(step_start, step_end);
+    ++c.phase_step_count;
+    if (obs_on) {
+      m_steps->add();
+      h_step_seconds->observe(seconds_between(step_start, step_end));
+      obs_span(static_cast<int>(w) + 1, "step", step_start, step_end);
+    }
+    if (!planner.uses_detector()) return false;
     const double secs = seconds_between(step_start, SteadyClock::now());
     const std::lock_guard<std::mutex> lock(det_mu);
-    if (!detector.observe(static_cast<int>(w), cfg.batch_size, VTime::from_seconds(secs)))
-      return false;
-    if (reactive_membership) return detector.any_straggler();
-    switch (plan[phase_idx].trigger) {
-      case SwitchTrigger::kStragglerDetected:
-        return detector.any_straggler();
-      case SwitchTrigger::kStragglerCleared:
-        return !detector.any_straggler();
-      case SwitchTrigger::kStepCount:
-        return false;
-    }
-    return false;
+    return detector.observe(static_cast<int>(w), cfg.batch_size, VTime::from_seconds(secs)) &&
+           watch_fired(seg.watch, detector);
   };
 
-  /// Latch a fired reactive condition (async phases) and end the epoch
-  /// segment as soon as it can end exactly.  SSP lowers the quota to a
-  /// common clock every worker can still reach — the fastest worker's clock
-  /// plus one — and wakes its waiters so they re-check it.  An ASP schedule
-  /// trigger rounds the tickets drawn so far up to the next multiple of
-  /// n_alive, so the segment closes within n_alive tickets on a whole
-  /// per-worker step count.  An ASP reactive eviction does not cut the
-  /// segment short: a straggler costs a work-conserving segment no more than
-  /// its in-flight step, so the flagged worker leaves at the segment's own
-  /// drain (the next phase boundary or scripted event; a run-ending drain
-  /// evicts no one).  Evicting mid-segment would let one noisy detector
+  /// Latch a fired watch (async phases) and end the segment as soon as it
+  /// can end exactly.  SSP lowers the quota to a common clock every worker
+  /// can still reach — the fastest worker's clock plus one — and wakes its
+  /// waiters so they re-check it.  An ASP schedule trigger rounds the
+  /// tickets drawn so far up to the next multiple of n_alive, so the
+  /// segment closes within n_alive tickets on a whole per-worker step
+  /// count.  An ASP evict watch does not cut the segment short: a straggler
+  /// costs a work-conserving segment no more than its in-flight step, so
+  /// the flagged worker leaves at the segment's own drain (the next phase
+  /// boundary or scripted event; a run-ending drain evicts no one).  Evicting mid-segment would let one noisy detector
   /// window (a healthy worker descheduled for a step) retire a second worker
-  /// within a few steps of the first.  `fired` is trigger_fired
-  /// (schedule trigger) or membership_fired (reactive eviction); the two
-  /// never coexist.
-  auto latch = [&](bool& fired) {
+  /// within a few steps of the first.
+  auto latch = [&] {
     std::vector<obs::TraceArg> args;
     {
       const std::lock_guard<std::mutex> lock(clock_mu);
       if (fired) return;
       fired = true;
-      if (proto == Protocol::kSsp) {
-        quota = std::min(quota, max_clock() + 1);
-        if (obs_on) args = {obs::arg("quota", quota)};
-      } else if (!reactive_membership) {
+      if (seg.protocol == Protocol::kSsp) {
+        seg.quota = std::min(seg.quota, max_clock() + 1);
+        if (obs_on) args = {obs::arg("quota", seg.quota)};
+      } else if (seg.watch != Watch::kEvictFlagged) {
         const auto n = static_cast<std::int64_t>(n_alive);
         ticket_budget = std::min(ticket_budget, (tickets + n - 1) / n * n);
         if (obs_on)
@@ -697,27 +489,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   // ------------------------------------------------------------------
   auto apply_recovery = [&] {
     const SteadyClock::time_point rec_start = SteadyClock::now();
-    const std::int64_t progress = done + phase_steps_done;
-    std::vector<AppliedMembershipEvent> applied;
-    if (membership_fired) {
-      // Reactive eviction: the controller names its slot explicitly;
-      // the reactive membership plan evicts detector-flagged workers
-      // (floor-clamped either way).
-      std::vector<int> flagged;
-      if (controller_mode) {
-        flagged = controller_evict;
-        controller_evict.clear();
-      } else {
-        const std::lock_guard<std::mutex> lock(det_mu);
-        flagged = detector.stragglers();
-      }
-      applied = coord.evict(flagged, progress);
-      membership_fired = false;
-    }
-    {
-      auto scheduled = coord.advance_to(progress);
-      applied.insert(applied.end(), scheduled.begin(), scheduled.end());
-    }
+    const std::vector<AppliedMembershipEvent> applied = planner.apply_membership();
     bool crashed = false;
     for (const auto& a : applied) crashed |= a.event.kind == MembershipEventKind::kCrash;
     std::int64_t updates_lost = 0;
@@ -732,27 +504,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         ps.restore_checkpoint(*snap);
       }
     }
-    // Refresh the membership-derived state for the next epoch.
-    std::fill(alive.begin(), alive.end(), char{0});
-    for (int s : coord.active()) alive[static_cast<std::size_t>(s)] = 1;
-    n_alive = coord.alive_count();
-    leader = 0;
-    while (leader < max_slots && !alive[leader]) ++leader;
-    // Re-derive hyper-parameters for the new cluster size (derive_hyper's
-    // linear scaling for synchronous phases; async phases keep lr).
-    for (std::size_t i = 0; i < plan.size(); ++i) phase_lr[i] = lr_for_phase(i, n_alive);
-    {
-      // Cluster reconfiguration: historical throughput is not comparable,
-      // and retired slots must not block detector warm-up.
-      const std::lock_guard<std::mutex> lock(det_mu);
-      detector.set_active(coord.active());
-    }
+    adopt_members();
     // Resume the interrupted phase, or enter the next one if the previous
-    // epoch finished its phase exactly at the membership boundary.
-    if (phase_steps_done == 0)
-      enter_phase(std::min(phase_idx + 1, plan.size() - 1));
-    else
-      rearm_phase();
+    // epoch finished its phase exactly at the membership boundary; either
+    // way the planner re-derives the lr for the new cluster size.
+    arm(planner.next());
     const double rec_seconds = seconds_between(rec_start, SteadyClock::now());
     if (obs_on) {
       m_recoveries->add();
@@ -762,18 +518,15 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     }
     bool loss_attributed = false;  // one restore per pass -> charge it once
     for (const auto& a : applied) {
-      ThreadedMembershipStats ms;
-      ms.kind = a.event.kind;
-      ms.worker = a.event.worker;
-      ms.at_step = a.event.at_step;
-      ms.workers_after = a.workers_after;
-      ms.lr_after = lr;
-      if (a.event.kind == MembershipEventKind::kCrash && !loss_attributed) {
-        ms.updates_lost = updates_lost;
-        loss_attributed = true;
-      }
-      ms.recovery_wall_seconds = rec_seconds;
-      membership_stats.push_back(ms);
+      const bool charged = a.event.kind == MembershipEventKind::kCrash && !loss_attributed;
+      loss_attributed |= charged;
+      result.membership.push_back({.kind = a.event.kind,
+                                   .worker = a.event.worker,
+                                   .at_step = a.event.at_step,
+                                   .workers_after = a.workers_after,
+                                   .lr_after = seg.lr,
+                                   .updates_lost = charged ? updates_lost : 0,
+                                   .recovery_wall_seconds = rec_seconds});
     }
   };
 
@@ -786,14 +539,14 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   // ------------------------------------------------------------------
   while (!run_over) {
     std::barrier round_barrier(static_cast<std::ptrdiff_t>(n_alive));
-    std::barrier<DrainCompletion> drain_barrier(static_cast<std::ptrdiff_t>(n_alive),
-                                                DrainCompletion{&on_drain});
+    std::barrier drain_barrier(static_cast<std::ptrdiff_t>(n_alive),
+                               [&]() noexcept { on_drain(); });
 
     // Round-based BSP: all workers compute on the same snapshot, the leader
     // aggregates after the barrier and applies one averaged update.  The
-    // end-of-phase decision (quota reached, reactive trigger, or reactive
-    // eviction) is made once per round by the leader between the two
-    // barriers, so every worker leaves the phase at the same round.
+    // end-of-segment decision (quota reached, or the segment's watch fired)
+    // is made once per round by the leader between the two barriers, so
+    // every worker leaves the segment at the same round.
     auto run_bsp_phase = [&](std::size_t w) {
       auto& c = ctx[w];
       std::vector<std::uint32_t> indices;
@@ -807,12 +560,12 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           round_barrier.arrive_and_drop();
           return;
         }
-        if (cfg.pre_step_hook) cfg.pre_step_hook(w, done + clock[w]);
+        if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + clock[w]);
         const SteadyClock::time_point step_start = SteadyClock::now();
         c.sampler.next_batch(indices);
         train.gather(indices, c.batch_x, c.batch_y);
         c.model.gradient_at(shared_snapshot, c.batch_x, c.batch_y, c.grad);
-        if (bank && compress_on) {
+        if (seg.compress) {
           // Each worker compresses its own push through its bank slot; the
           // aggregator decodes, so the PS math sees the lossy values exactly
           // as the simulator's BSP path does.
@@ -822,52 +575,27 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           c.phase_push_bytes += dense_bytes;
         }
         inject_delay(w, step_start);
-        // Compute-side span (pre-barrier): the controller's per-worker cost
-        // sample — injected delays land in the slow worker's own mean.
-        const SteadyClock::time_point step_end = SteadyClock::now();
-        c.phase_step_seconds += seconds_between(step_start, step_end);
-        ++c.phase_step_count;
-        if (obs_on) {
-          m_steps->add();
-          h_step_seconds->observe(seconds_between(step_start, step_end));
-          obs_span(static_cast<int>(w) + 1, "step", step_start, step_end);
-        }
-        feed_detector(w, step_start);  // the leader evaluates the condition below
+        end_step(w, step_start);  // the leader evaluates the watch below
         round_barrier.arrive_and_wait();  // all gradients ready
         if (w == leader) {
           std::fill(agg.begin(), agg.end(), 0.0f);
           for (std::size_t s = 0; s < max_slots; ++s) {
             if (!alive[s]) continue;
-            if (bank && compress_on)
+            if (seg.compress)
               ctx[s].push.add_into(agg);
             else
               ops::add_inplace(std::span<float>(agg), std::span<const float>(ctx[s].grad));
           }
           ops::scale_inplace(std::span<float>(agg), 1.0f / static_cast<float>(n_alive));
-          ps.push_scalar(agg, lr, ps.version());
+          ps.push_scalar(agg, seg.lr, ps.version());
           total_updates.fetch_add(1, std::memory_order_relaxed);
           ps.pull(std::span<float>(shared_snapshot));
           ++rounds_done;
-          bool over = rounds_done >= quota;
-          if (!over && use_detector &&
-              (reactive_membership || plan[phase_idx].trigger != SwitchTrigger::kStepCount)) {
+          bsp_phase_over = rounds_done >= seg.quota;
+          if (!bsp_phase_over && seg.watch != Watch::kNone) {
             const std::lock_guard<std::mutex> lock(det_mu);
-            if (reactive_membership) {
-              if (detector.any_straggler()) {
-                over = true;
-                membership_fired = true;
-              }
-            } else {
-              const bool cond = plan[phase_idx].trigger == SwitchTrigger::kStragglerDetected
-                                    ? detector.any_straggler()
-                                    : !detector.any_straggler();
-              if (cond) {
-                over = true;
-                trigger_fired = true;
-              }
-            }
+            bsp_phase_over = fired = watch_fired(seg.watch, detector);
           }
-          bsp_phase_over = over;
         }
         round_barrier.arrive_and_wait();  // updated snapshot + decision visible
         ++clock[w];  // own slot; read again only after the next barrier
@@ -882,7 +610,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // laggard catches up (or a latch lowers the quota below its clock).
     auto run_async_phase = [&](std::size_t w) {
       auto& c = ctx[w];
-      const bool bounded = proto == Protocol::kSsp;
+      const bool bounded = seg.protocol == Protocol::kSsp;
       std::vector<std::uint32_t> indices;
       while (true) {
         std::int64_t my = 0;
@@ -893,11 +621,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           // park forever; the thrower raises the flag under clock_mu and
           // notifies, so the wake cannot be lost.
           const auto spent = [&] {
-            return aborted.load() || (bounded ? clock[w] >= quota : tickets >= ticket_budget);
+            return aborted.load() || (bounded ? clock[w] >= seg.quota : tickets >= ticket_budget);
           };
           if (spent()) break;
           if (bounded) {
-            clock_cv.wait(lock, [&] { return spent() || clock[w] - min_clock() <= ssp_bound; });
+            clock_cv.wait(lock, [&] { return spent() || clock[w] - min_clock() <= seg.ssp_bound; });
             if (spent()) break;
           } else {
             ++tickets;
@@ -909,37 +637,26 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           }
           my = clock[w];
         }
-        if (cfg.pre_step_hook) cfg.pre_step_hook(w, done + my);
+        if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + my);
         const SteadyClock::time_point step_start = SteadyClock::now();
         ps.pull_with_versions(c.snapshot, c.pull_versions);
         c.sampler.next_batch(indices);
         train.gather(indices, c.batch_x, c.batch_y);
         c.model.gradient_at(c.snapshot, c.batch_x, c.batch_y, c.grad);
         inject_delay(w, step_start);
-        if (bank && compress_on) {
+        if (seg.compress) {
           // Sparse (top-k) pushes lock only the shards holding kept
           // coordinates; dense quantized pushes sweep all shards like an
           // uncompressed push.
           const CompressedPush push = bank->encode(static_cast<int>(w), c.grad, c.codec_rng);
           c.phase_push_bytes += static_cast<std::int64_t>(push.wire_size);
-          c.phase_staleness_sum += ps.push_compressed(push, lr, c.pull_versions);
+          c.phase_staleness_sum += ps.push_compressed(push, seg.lr, c.pull_versions);
         } else {
           c.phase_push_bytes += dense_bytes;
-          c.phase_staleness_sum += ps.push(c.grad, lr, c.pull_versions);
+          c.phase_staleness_sum += ps.push(c.grad, seg.lr, c.pull_versions);
         }
         total_updates.fetch_add(1, std::memory_order_relaxed);
-        // Compute-side span (excludes the SSP park above): the controller's
-        // per-worker cost sample.
-        const SteadyClock::time_point step_end = SteadyClock::now();
-        c.phase_step_seconds += seconds_between(step_start, step_end);
-        ++c.phase_step_count;
-        if (obs_on) {
-          m_steps->add();
-          h_step_seconds->observe(seconds_between(step_start, step_end));
-          obs_span(static_cast<int>(w) + 1, "step", step_start, step_end);
-        }
-        if (feed_detector(w, step_start))
-          latch(reactive_membership ? membership_fired : trigger_fired);
+        if (end_step(w, step_start)) latch();
         {
           const std::lock_guard<std::mutex> lock(clock_mu);
           ++clock[w];
@@ -956,7 +673,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     auto worker_fn = [&](std::size_t w) {
       try {
         while (true) {
-          if (proto == Protocol::kBsp)
+          if (seg.protocol == Protocol::kBsp)
             run_bsp_phase(w);
           else
             run_async_phase(w);
@@ -1022,12 +739,9 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
 
   if (snapshotter) snapshotter->stop();
 
-  ThreadedTrainResult result;
   result.total_updates = total_updates.load();
-  result.phases = std::move(stats);
-  result.membership = std::move(membership_stats);
-  result.snapshots_taken = elastic_mode ? store.count() : 0;
-  result.decisions = std::move(decisions);
+  result.snapshots_taken = store.count();
+  result.decisions = planner.take_decisions();
   for (const auto& s : result.phases) {
     result.max_clock_gap = std::max(result.max_clock_gap, s.max_clock_gap);
     result.push_bytes += s.push_bytes;

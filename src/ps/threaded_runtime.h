@@ -34,6 +34,15 @@
 // observations) flags or clears a straggler — the paper's Section VI-B3
 // policies on real threads.
 //
+// What runs next, and on which workers, is decided in one place: a
+// BarrierPlanner (ps/barrier_planner.h) lowers the fixed protocol or the
+// schedule, the elastic membership plan, and the online controller onto
+// one plan of legs, and hands the runtime the next Segment — protocol,
+// bound, lr, compression, step quota, detector watch — at every drain
+// barrier, after any membership delta due before it.  The worker loops and
+// the drain completion run segments and never branch on where one came
+// from.
+//
 // Transient stragglers are injected from a `StragglerSchedule` evaluated
 // against the wall clock: after computing its gradient, a slowed worker
 // sleeps (slow_factor - 1) x its measured step time, emulating the paper's
@@ -42,13 +51,13 @@
 // Elastic membership (`ThreadedTrainConfig::elastic`, src/elastic/): the
 // worker set itself can change mid-run.  Scripted crash/join/leave events —
 // or the reactive evict-on-detect rule — resolve at the drain barrier: the
-// epoch's threads quiesce and exit, the RecoveryCoordinator applies the
-// membership delta on the main thread (crash recovery restores the
-// AsyncSnapshotter's last copy-on-read checkpoint when the policy says so),
-// hyper-parameters are re-derived for the new cluster size via derive_hyper,
-// and a fresh set of threads (with barriers sized to the new count) carries
-// the same phase plan forward.  Protocol switches with no membership event
-// due still transition live, exactly as before.
+// epoch's threads quiesce and exit, the planner applies the membership
+// delta to its RecoveryCoordinator on the main thread (crash recovery
+// restores the AsyncSnapshotter's last copy-on-read checkpoint when the
+// policy says so), the next segment's lr is re-derived for the new cluster
+// size via derive_hyper, and a fresh set of threads (with barriers sized to
+// the new count) carries the same plan forward.  Protocol switches with no
+// membership event due still transition live.
 //
 // All protocols support gradient compression (`ThreadedTrainConfig::
 // compression`): each worker thread encodes its gradient through its own
@@ -332,23 +341,27 @@ struct ThreadedTrainConfig {
   /// is in per-worker local steps (the unit of `steps_per_worker`);
   /// `snapshot_interval` counts PS updates between asynchronous snapshots.
   /// Scripted events resolve at the drain barrier once the run has
-  /// completed exactly `at_step` local steps per worker (for ASP phases: the
-  /// segment's n_alive x steps tickets are spent); the reactive plan evicts
-  /// detector-flagged workers at the next drain (BSP and SSP cut the phase
-  /// short for it; ASP does not, so a fixed-ASP run evicts no one).  When a
+  /// completed exactly `at_step` local steps per worker: the planner ends
+  /// each segment at the next event (for ASP phases: once the segment's
+  /// n_alive x steps tickets are spent).  The reactive plan watches every
+  /// leg for flagged workers and evicts them at the next drain (BSP and SSP
+  /// cut the segment short for it; ASP does not, so a fixed-ASP run evicts
+  /// no one).  When a
   /// membership plan is active, `derive_phase_lr` additionally re-derives the
   /// learning rate for the changed cluster size (synchronous phases rescale
   /// by n'/n, matching the configuration policy's linear scaling; async
   /// phases keep lr) — in fixed-protocol mode too, relative to the
   /// configured `lr`.
   ElasticConfig elastic;
-  /// Online policy controller (src/control/): when enabled, the run is cut
-  /// into `controller.decision_interval`-step segments and every segment
-  /// boundary is a drain barrier where the controller measures the segment,
-  /// prices a candidate grid on the simulator twin, and enacts the winner
-  /// live — protocol/bound/compression in place, straggler eviction through
-  /// the recovery machinery.  Mutually exclusive with `schedule` and
-  /// `elastic` (the controller owns both the plan and the worker set);
+  /// Online policy controller (src/control/): when enabled, the planner
+  /// appends one `controller.decision_interval`-step leg per decision, so
+  /// every leg boundary is a drain barrier where the controller measures
+  /// the finished interval, prices a candidate grid on the simulator twin,
+  /// and enacts the winner live — protocol/bound/compression as the next
+  /// leg's, a straggler eviction as the membership delta before it (the
+  /// run's tail interval may be shorter).  Mutually exclusive with
+  /// `schedule` and `elastic`: the controller owns both the plan and the
+  /// worker set, and the planner rejects the combination.
   /// `derive_phase_lr` applies the configuration policy per enacted
   /// protocol exactly as in schedule mode.  Decision records land in
   /// ThreadedTrainResult::decisions.  Disabled (the default) leaves every

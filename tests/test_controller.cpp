@@ -1,9 +1,11 @@
 #include "control/controller.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -135,8 +137,11 @@ TEST(Controller, TwinQueriesHitWarmCacheOnSecondEpoch) {
 }
 
 TEST(Controller, DiskCacheWarmsAFreshController) {
+  // One directory per process: concurrent runs of this suite (CI repeats it
+  // under load) must not delete each other's cache mid-test.
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ss_controller_twin_cache_test";
+      std::filesystem::temp_directory_path() /
+      ("ss_controller_twin_cache_test_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   ControllerConfig cfg = engine_config();
   cfg.cache_dir = dir.string();

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 
 #include "common/error.h"
 #include "data/synthetic.h"
+#include "determinism_corpus.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
 
@@ -654,6 +656,38 @@ TEST(ThreadedRuntime, RestoreAcceptsFlatCheckpointIntoShardedLayout) {
   // Versions never roll back on restore (the recovery-semantics contract):
   // the restored server keeps its own update count.
   EXPECT_EQ(sharded.version(), 0);
+}
+
+// The threaded determinism corpus (tests/determinism_corpus.h): BSP and
+// one-worker runs whose every counted result is independent of thread timing,
+// pinned bit for bit.  Each case runs twice so a pin that only holds for one
+// interleaving fails here rather than later under load.  If a change moves
+// a value *deliberately*, run `tools/record_determinism_corpus` and paste
+// the second table here, and say why in CHANGES.md.
+TEST(ThreadedRuntime, PinnedCorpusIsBitForBitStable) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "fingerprints are pinned for x86-64 (FP contraction differs elsewhere)";
+#endif
+  const std::map<std::string, std::string> kExpectedFingerprints = {
+      {"bsp/n4/s4", "1aa43272a462eca8"},
+      {"bsp/qsgd", "0124f006f00308dd"},
+      {"bsp/join10-leave20", "47f68af166173a99"},
+      {"bsp/crash12-restore", "6fdd69511dece2aa"},
+      {"schedule/bsp-bsp-leave-at-boundary", "c435dbef259c3e3e"},
+      {"schedule/n1-bsp-ssp-asp-topk", "7c8f5401f4d054c6"},
+      {"controller/hold/derive", "7e9048563524946a"},
+      {"controller/hold/no-derive", "55bfca37620961b6"},
+  };
+  const DataSplit split = threaded_corpus_data();
+  const Model prototype = threaded_corpus_model(split);
+  const std::vector<ThreadedCorpusCase> corpus = threaded_determinism_corpus();
+  ASSERT_EQ(corpus.size(), kExpectedFingerprints.size());
+  for (const ThreadedCorpusCase& c : corpus) {
+    const auto it = kExpectedFingerprints.find(c.name);
+    ASSERT_NE(it, kExpectedFingerprints.end()) << c.name;
+    for (int run = 0; run < 2; ++run)
+      EXPECT_EQ(run_threaded_case(c, split, prototype), it->second) << c.name << " run " << run;
+  }
 }
 
 }  // namespace
