@@ -37,46 +37,55 @@ AsyncSnapshotter::AsyncSnapshotter(CaptureFn capture, ProgressFn progress,
       next_due_(interval) {
   if (!capture_ || !progress_)
     throw ConfigError("AsyncSnapshotter: capture and progress functions are required");
-  if (interval_ <= 0) throw ConfigError("AsyncSnapshotter: interval must be > 0");
-  thread_ = std::thread([this] { loop(); });
+  if (interval_ < 0) throw ConfigError("AsyncSnapshotter: interval must be >= 0");
+  if (interval_ > 0) thread_ = std::thread([this] { loop(); });
 }
 
 AsyncSnapshotter::~AsyncSnapshotter() { stop(); }
 
-void AsyncSnapshotter::snapshot_now() {
+void AsyncSnapshotter::capture_locked() {
   Checkpoint ckpt = capture_();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    // Re-arm the cadence relative to what was just captured so an explicit
-    // snapshot does not trigger an immediate redundant cadence one.
-    next_due_ = ckpt.global_step + interval_;
-  }
+  // Re-arm the cadence relative to what was just captured so an explicit
+  // snapshot does not trigger an immediate redundant cadence one.
+  next_due_ = ckpt.global_step + interval_;
   store_.put(std::move(ckpt));
+}
+
+void AsyncSnapshotter::snapshot_now() {
+  const std::lock_guard<std::mutex> lock(ps_mu_);
+  capture_locked();
+}
+
+std::optional<std::int64_t> AsyncSnapshotter::restore_latest(const RestoreFn& restore) {
+  const std::lock_guard<std::mutex> lock(ps_mu_);
+  const std::optional<Checkpoint> snap = store_.latest();
+  if (!snap) return std::nullopt;
+  const std::int64_t lost = progress_() - snap->global_step;
+  restore(*snap);
+  if (interval_ > 0) capture_locked();
+  return lost;
 }
 
 void AsyncSnapshotter::stop() {
   {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(stop_mu_);
+    stop_ = true;
   }
-  cv_.notify_all();
+  stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 
 void AsyncSnapshotter::loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Poll the progress counter at a cadence far below any realistic
-    // snapshot interval; the cv wait doubles as the stop signal.
-    cv_.wait_for(lock, std::chrono::microseconds(200),
-                 [&] { return stop_.load(std::memory_order_relaxed); });
-    if (stop_.load(std::memory_order_relaxed)) break;
-    if (progress_() < next_due_) continue;
+  std::unique_lock<std::mutex> lock(stop_mu_);
+  // Poll the progress counter at a cadence far below any realistic snapshot
+  // interval; the wait doubles as the stop signal.
+  while (!stop_cv_.wait_for(lock, std::chrono::microseconds(200), [&] { return stop_; })) {
     lock.unlock();
-    Checkpoint ckpt = capture_();
+    {
+      const std::lock_guard<std::mutex> ps_lock(ps_mu_);
+      if (progress_() >= next_due_) capture_locked();
+    }
     lock.lock();
-    next_due_ = ckpt.global_step + interval_;
-    store_.put(std::move(ckpt));
   }
 }
 

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -54,7 +55,9 @@ class Reader {
 
 bool known_type(std::uint16_t t) {
   return t >= static_cast<std::uint16_t>(MsgType::kHello) &&
-         t <= static_cast<std::uint16_t>(MsgType::kError);
+         t <= static_cast<std::uint16_t>(MsgType::kError) &&
+         std::find(kRetiredMsgTypes.begin(), kRetiredMsgTypes.end(), t) ==
+             kRetiredMsgTypes.end();
 }
 
 /// The prefix both dense frames share after their own leading fields:
@@ -159,7 +162,6 @@ std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape) {
       return bytes;
     }
     case MsgType::kPull:
-    case MsgType::kVersionRequest:
     case MsgType::kOk:
     case MsgType::kBye:
       return 0;
@@ -174,7 +176,6 @@ std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape) {
     case MsgType::kPushReply:
     case MsgType::kDrainArrive:
     case MsgType::kCheckpointRequest:
-    case MsgType::kVersionReply:
       return sizeof(std::int64_t);
     case MsgType::kDrainRelease:
       return sizeof(std::uint8_t);
@@ -200,8 +201,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kCheckpointRequest: return "CheckpointRequest";
     case MsgType::kCheckpointReply: return "CheckpointReply";
     case MsgType::kRestoreRequest: return "RestoreRequest";
-    case MsgType::kVersionRequest: return "VersionRequest";
-    case MsgType::kVersionReply: return "VersionReply";
     case MsgType::kOk: return "Ok";
     case MsgType::kBye: return "Bye";
     case MsgType::kError: return "Error";
@@ -420,20 +419,6 @@ CheckpointRequestMsg CheckpointRequestMsg::decode(std::span<const std::uint8_t> 
   Reader r(payload, "CheckpointRequest");
   CheckpointRequestMsg m;
   m.logical_step = r.scalar<std::int64_t>();
-  r.done();
-  return m;
-}
-
-FrameOut VersionReplyMsg::encode() const {
-  FrameOut f(MsgType::kVersionReply);
-  f.scalar(version);
-  return f;
-}
-
-VersionReplyMsg VersionReplyMsg::decode(std::span<const std::uint8_t> payload) {
-  Reader r(payload, "VersionReply");
-  VersionReplyMsg m;
-  m.version = r.scalar<std::int64_t>();
   r.done();
   return m;
 }

@@ -53,7 +53,8 @@ inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// corrupt length field fails fast instead of driving a gigabyte resize.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
-/// Wire message types.  Values are part of the protocol; append only.
+/// Wire message types.  Values are part of the protocol; append only, and
+/// never reuse a retired value (kRetiredMsgTypes).
 enum class MsgType : std::uint16_t {
   kHello = 1,        ///< worker -> ps: join the run
   kAssignment = 2,   ///< ps -> worker: slot + the full run configuration
@@ -67,12 +68,14 @@ enum class MsgType : std::uint16_t {
   kCheckpointRequest = 10,  ///< -> ps: capture a consistent snapshot
   kCheckpointReply = 11,    ///< ps ->: serialized format-v2 checkpoint
   kRestoreRequest = 12,     ///< -> ps: restore from a serialized checkpoint
-  kVersionRequest = 13,     ///< -> ps: scalar version query
-  kVersionReply = 14,       ///< ps ->: min shard version
+  // 13, 14: retired (the scalar version query and its reply).
   kOk = 15,          ///< generic success acknowledgement
   kBye = 16,         ///< worker -> ps: clean leave (after drain release)
   kError = 17,       ///< ps -> worker: request failed; payload = message
 };
+
+/// Type values that once meant a message and are rejected as unknown now.
+inline constexpr std::array<std::uint16_t, 2> kRetiredMsgTypes{13, 14};
 
 /// Human-readable message-type name ("PushDense", "DrainArrive", ...);
 /// "Unknown" for values outside the enum.  For logs and trace span labels.
@@ -277,13 +280,6 @@ struct CheckpointRequestMsg {
 
   [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static CheckpointRequestMsg decode(std::span<const std::uint8_t> payload);
-};
-
-struct VersionReplyMsg {
-  std::int64_t version = 0;
-
-  [[nodiscard]] FrameOut encode() const;
-  [[nodiscard]] static VersionReplyMsg decode(std::span<const std::uint8_t> payload);
 };
 
 /// PS -> worker failure report.  The server catches its own exceptions and

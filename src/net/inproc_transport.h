@@ -1,15 +1,14 @@
 // In-process Transport backend: a zero-copy forwarding shim over
 // SharedParameterServer.
 //
-// This is the backend the threaded runtime constructs internally.  Every
-// method is a one-line forward to the facade's identically-named call (the
-// scalar push maps to the scalar `push` overload), so routing the runtime
-// through the seam changes nothing observable — the determinism and
-// conformance suites hold it to the pre-seam behaviour bit for bit, exactly
-// as ShardApplyPool was held to serial apply.
+// This is the backend the threaded runtime's worker slots step against.
+// Every method is a one-line forward to the facade's identically-named call,
+// so routing the runtime through the seam changes nothing observable — the
+// determinism and conformance suites hold it to the pre-seam behaviour bit
+// for bit, exactly as ShardApplyPool was held to serial apply.
 //
-// The shim borrows the server; the owner (threaded_train, PsServer) keeps
-// it alive for the transport's lifetime.  Thread-safety is inherited from
+// The shim borrows the server; the owner (threaded_train) keeps it alive for
+// the transport's lifetime.  Thread-safety is inherited from
 // SharedParameterServer's per-shard locking.
 #pragma once
 
@@ -45,19 +44,6 @@ class InProcTransport final : public Transport {
                                std::span<const std::int64_t> pull_versions) override {
     return ps_.push_compressed(push, lr, pull_versions);
   }
-
-  std::int64_t push_scalar(std::span<const float> grad, double lr,
-                           std::int64_t pull_version) override {
-    return ps_.push(grad, lr, pull_version);
-  }
-
-  [[nodiscard]] std::int64_t version() override { return ps_.version(); }
-
-  [[nodiscard]] Checkpoint snapshot_checkpoint(std::int64_t logical_step) override {
-    return ps_.snapshot_checkpoint(logical_step);
-  }
-
-  void restore_checkpoint(const Checkpoint& ckpt) override { ps_.restore_checkpoint(ckpt); }
 
  private:
   SharedParameterServer& ps_;

@@ -1,6 +1,7 @@
 #include "net/ps_server.h"
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -11,9 +12,9 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "data/batcher.h"
 #include "elastic/async_snapshotter.h"
 #include "net/frame.h"
-#include "net/inproc_transport.h"
 #include "net/socket.h"
 #include "obs/obs.h"
 #include "ps/threaded_runtime.h"
@@ -22,69 +23,51 @@ namespace ss {
 
 namespace {
 
-/// Shared server state: the PS facade plus the cross-process drain barrier
-/// and eviction bookkeeping.  `mu` guards the membership/drain fields; the
-/// PS itself carries its own per-shard locks, so pushes from different
-/// session threads interleave at shard granularity exactly as worker
-/// threads do in-process.
+/// Shared server state: the PS facade, its snapshotter, the cross-process
+/// drain barrier and the eviction counters.  The PS carries its own
+/// per-shard locks, so pushes from different session threads interleave at
+/// shard granularity exactly as worker threads do in-process; every capture
+/// and restore goes through the snapshotter's one lock.
 struct ServerState {
   SharedParameterServer ps;
-  SnapshotStore store;
   std::atomic<std::int64_t> total_updates{0};
-
-  std::mutex mu;
-  std::condition_variable drain_cv;
-  std::vector<char> alive;
-  std::vector<char> arrived;
-  bool run_done = false;
-  std::size_t evicted = 0;
-  std::int64_t restores = 0;
-  std::int64_t updates_lost = 0;
+  SnapshotStore store;
+  AsyncSnapshotter snapshotter;
+  /// One arrival per worker: a drain, or an eviction's drop.
+  std::barrier<> drain;
+  std::atomic<std::size_t> evicted{0};
+  std::atomic<std::int64_t> restores{0};
+  std::atomic<std::int64_t> updates_lost{0};
 
   ServerState(std::vector<float> init, double momentum, std::size_t shards,
-              std::size_t num_workers)
+              std::size_t num_workers, std::int64_t snapshot_interval)
       : ps(std::move(init), momentum, shards),
-        alive(num_workers, 1),
-        arrived(num_workers, 0) {}
+        snapshotter([this] { return ps.snapshot_checkpoint(updates()); },
+                    [this] { return updates(); }, snapshot_interval, store),
+        drain(static_cast<std::ptrdiff_t>(num_workers)) {}
 
-  /// Callers hold `mu`.  The drain completes when every alive worker has
-  /// arrived (an eviction can complete it retroactively).
-  [[nodiscard]] bool drain_complete() const {
-    for (std::size_t w = 0; w < alive.size(); ++w)
-      if (alive[w] && !arrived[w]) return false;
-    return true;
-  }
-
-  [[nodiscard]] std::size_t alive_count() const {
-    std::size_t n = 0;
-    for (const char a : alive) n += a != 0;
-    return n;
+  [[nodiscard]] std::int64_t updates() const {
+    return total_updates.load(std::memory_order_relaxed);
   }
 };
 
-/// Evict `worker` after its connection died: mark it dead, roll the PS back
-/// to the last snapshot (the paper's recovery semantics — bounded loss, no
-/// version rollback), and re-check the drain barrier, which the death may
-/// have completed.  Callers must NOT hold `state.mu`.
-void evict_worker(ServerState& state, std::uint32_t worker, const std::string& why) {
-  const std::unique_lock<std::mutex> lock(state.mu);
-  if (!state.alive[worker]) return;
-  state.alive[worker] = 0;
-  ++state.evicted;
-  const std::int64_t now = state.total_updates.load(std::memory_order_relaxed);
-  std::int64_t lost = 0;
-  if (const auto snap = state.store.latest()) {
-    lost = now - snap->global_step;
-    state.ps.restore_checkpoint(*snap);
+/// Evict `worker` after its connection died: roll the PS back to the last
+/// snapshot (the paper's recovery semantics — bounded loss, no version
+/// rollback), then leave the drain barrier for good, which may complete it
+/// for the survivors.  Called once, by the worker's own session, and only if
+/// it never drained.
+void evict_worker(ServerState& state, std::uint32_t worker, std::size_t num_workers,
+                  const std::string& why) {
+  const std::size_t evicted = state.evicted.fetch_add(1) + 1;
+  const std::optional<std::int64_t> lost = state.snapshotter.restore_latest(
+      [&state](const Checkpoint& snap) { state.ps.restore_checkpoint(snap); });
+  if (lost) {
     ++state.restores;
-    state.updates_lost += lost;
+    state.updates_lost += *lost;
   }
   log_info("ps_server: evicted worker ", worker, " (", why, "); restored snapshot, ",
-           lost, " updates lost, ", state.alive_count(), " workers remain");
-  if (state.drain_complete()) {
-    state.run_done = true;
-    state.drain_cv.notify_all();
-  }
+           lost.value_or(0), " updates lost, ", num_workers - evicted, " workers remain");
+  state.drain.arrive_and_drop();
 }
 
 /// One worker session: serve frames until the worker leaves (Bye), the
@@ -98,6 +81,7 @@ void evict_worker(ServerState& state, std::uint32_t worker, const std::string& w
 /// and the session continues.
 void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
                    const AssignmentMsg& assignment) {
+  SharedParameterServer& ps = state.ps;
   if (obs::enabled()) {
     // The session thread serves exactly one worker slot: pin its wire spans
     // to that worker's trace row instead of an auto-assigned one.
@@ -106,8 +90,7 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
       obs::tracer().set_track_name(static_cast<int>(worker) + 1,
                                    "session worker " + std::to_string(worker));
   }
-  InProcTransport tx(state.ps);
-  const WireShape shape{tx.num_params(), tx.num_shards()};
+  const WireShape shape{ps.num_params(), ps.num_shards()};
   // Session-owned buffers, sized once.  A pull copies the parameters into
   // `params` under the shard locks (the one copy that must stay) and sends
   // them from there; a dense push lands in `grad` straight off the socket.
@@ -131,7 +114,7 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
       try {
         switch (req.type) {
           case MsgType::kPull: {
-            tx.pull_with_versions(params, versions);
+            ps.pull_with_versions(params, versions);
             reply = PullReplyMsg{versions, params}.encode();
             break;
           }
@@ -142,31 +125,26 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
                              std::to_string(push_dense_bytes(shape)));
             const double lr = PushDenseMsg::decode_prefix(payload, shape, versions);
             PushReplyMsg out;
-            out.staleness = tx.push(grad, lr, versions);
+            out.staleness = ps.push(grad, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
             reply = out.encode();
             break;
           }
           case MsgType::kPushCompressed: {
             const double lr = PushCompressedMsg::decode(payload, versions, compressed);
-            if (compressed.num_params != tx.num_params())
+            if (compressed.num_params != ps.num_params())
               throw NetError("PushCompressed: gradient length mismatch");
             PushReplyMsg out;
-            out.staleness = tx.push_compressed(compressed, lr, versions);
+            out.staleness = ps.push_compressed(compressed, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
             reply = out.encode();
             break;
           }
           case MsgType::kDrainArrive: {
             (void)DrainArriveMsg::decode(payload);
-            std::unique_lock<std::mutex> lock(state.mu);
-            state.arrived[worker] = 1;
-            if (state.drain_complete()) {
-              state.run_done = true;
-              state.drain_cv.notify_all();
-            } else {
-              state.drain_cv.wait(lock, [&] { return state.run_done; });
-            }
+            // A repeat from a session that already drained is answered at
+            // once: arriving twice would park it for a phase no one completes.
+            if (!drained) state.drain.arrive_and_wait();
             drained = true;
             DrainReleaseMsg out;
             out.done = true;  // the v1 deployment drains once, at the quota
@@ -175,24 +153,17 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
           }
           case MsgType::kCheckpointRequest: {
             const CheckpointRequestMsg msg = CheckpointRequestMsg::decode(payload);
-            checkpoint = tx.snapshot_checkpoint(msg.logical_step).serialize();
+            checkpoint = state.snapshotter
+                             .exclusive([&] { return ps.snapshot_checkpoint(msg.logical_step); })
+                             .serialize();
             reply = FrameOut(MsgType::kCheckpointReply);
             reply.ref(checkpoint.data(), checkpoint.size());
             break;
           }
           case MsgType::kRestoreRequest: {
-            // Serialize against the snapshotter's capture (same torn-mix
-            // hazard the threaded runtime guards — see threaded_runtime.cpp).
             const Checkpoint ckpt = Checkpoint::deserialize(payload);
-            const std::lock_guard<std::mutex> lock(state.mu);
-            tx.restore_checkpoint(ckpt);
+            state.snapshotter.exclusive([&] { ps.restore_checkpoint(ckpt); });
             break;  // reply stays kOk
-          }
-          case MsgType::kVersionRequest: {
-            VersionReplyMsg out;
-            out.version = tx.version();
-            reply = out.encode();
-            break;
           }
           case MsgType::kBye:
             return;
@@ -215,11 +186,11 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
     }
     // Clean EOF without Bye: treat as a lost worker unless it already
     // drained (some clients just close after the release).
-    if (!drained) evict_worker(state, worker, "connection closed");
+    if (!drained) evict_worker(state, worker, assignment.num_workers, "connection closed");
   } catch (const NetError& e) {
     // Transport failure (dead socket mid-frame, send to a killed peer, a
     // header past its bound).
-    if (!drained) evict_worker(state, worker, e.what());
+    if (!drained) evict_worker(state, worker, assignment.num_workers, e.what());
   }
 }
 
@@ -232,6 +203,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
     throw ConfigError("run_ps_server: snapshot_interval must be >= 0");
   if (cfg.metrics_period_seconds < 0.0)
     throw ConfigError("run_ps_server: metrics_period_seconds must be >= 0");
+  if (cfg.batch_size == 0) throw ConfigError("run_ps_server: batch_size must be > 0");
 
   // The server builds the model only for its initial parameters and the
   // final evaluation; all gradient math happens in the worker processes.
@@ -239,8 +211,13 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   const DataSplit split = make_synthetic(cfg.data);
   Model model = make_model(cfg.arch, split.train.feature_dim(),
                            cfg.data.num_classes, model_rng);
+  // Every worker shards this split the same way; one that cannot be split
+  // would fail every worker after it joins.
+  (void)make_shards(split.train.size(), cfg.num_workers);
 
-  ServerState state(model.get_params(), cfg.momentum, cfg.num_ps_shards, cfg.num_workers);
+  ServerState state(model.get_params(), cfg.momentum, cfg.num_ps_shards, cfg.num_workers,
+                    cfg.snapshot_interval);
+  state.snapshotter.snapshot_now();  // run-start floor: recovery always has one
   const WireShape shape{state.ps.num_params(), state.ps.num_shards()};
 
   AssignmentMsg assignment;
@@ -255,24 +232,6 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   assignment.arch = cfg.arch;
   assignment.compression = cfg.compression;
   assignment.data = cfg.data;
-
-  // Crash-recovery snapshots: run-start floor + optional update cadence.
-  // Captures serialize against restores via state.mu (a cadence capture
-  // walking the shards concurrently with a restore could store a torn mix
-  // of pre- and post-restore slices — the exact hazard the threaded
-  // runtime parks its snapshotter for).
-  auto capture = [&state] {
-    const std::lock_guard<std::mutex> lock(state.mu);
-    return state.ps.snapshot_checkpoint(state.total_updates.load(std::memory_order_relaxed));
-  };
-  auto progress = [&state] { return state.total_updates.load(std::memory_order_relaxed); };
-  std::optional<AsyncSnapshotter> snapshotter;
-  if (cfg.snapshot_interval > 0) {
-    snapshotter.emplace(capture, progress, cfg.snapshot_interval, state.store);
-    snapshotter->snapshot_now();
-  } else {
-    state.store.put(capture());
-  }
 
   Listener listener = listen_endpoint(cfg.listen);
   log_info("ps_server: listening on ", listener.endpoint(), " for ", cfg.num_workers,
@@ -289,7 +248,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   auto log_metrics_line = [&state](const char* tag) {
     auto& reg = obs::metrics();
     log_info("ps_server: metrics", tag,
-             " updates=", state.total_updates.load(std::memory_order_relaxed),
+             " updates=", state.updates(),
              " frames_rx=", reg.counter("ss_net_frames_received_total").value(),
              " bytes_rx=", reg.counter("ss_net_bytes_received_total").value(),
              " frames_tx=", reg.counter("ss_net_frames_sent_total").value(),
@@ -343,7 +302,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   listener.close();  // fixed worker set: no late admissions in v1
 
   for (auto& t : sessions) t.join();
-  if (snapshotter) snapshotter->stop();
+  state.snapshotter.stop();
   if (metrics_thread.joinable()) {
     {
       const std::lock_guard<std::mutex> lock(metrics_mu);
@@ -355,7 +314,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   if (obs::enabled()) log_metrics_line(" final");  // dump-on-exit
 
   PsServerResult result;
-  result.total_updates = state.total_updates.load();
+  result.total_updates = state.updates();
   result.workers_joined = joined;
   result.workers_evicted = state.evicted;
   result.snapshots_restored = state.restores;

@@ -6,20 +6,23 @@
 // — the server owns the config, workers only know where to connect), and
 // serves pull/push/drain/checkpoint frames from one session thread per
 // connection against a SharedParameterServer.  The deployed protocol is
-// ASP: workers free-run their step quota and quiesce at one final drain
-// barrier (the in-process runtime remains the reference for BSP/SSP and
-// live switching).
+// ASP: workers run the threaded runtime's WorkerSlot step for their quota
+// and quiesce at one final drain barrier (the in-process runtime remains
+// the reference for BSP/SSP and live switching).  A config no worker could
+// train on is rejected before the server listens.
 //
-// Fault tolerance is PR 5's crash path made real: an AsyncSnapshotter takes
-// copy-on-read checkpoints on an update cadence, and when a worker's socket
-// dies mid-run (kill -9, OOM, network partition — anything that closes the
-// fd) the server evicts the slot, restores the latest snapshot
+// Fault tolerance is the threaded runtime's crash path over real process
+// death, through the same AsyncSnapshotter: copy-on-read checkpoints on an
+// update cadence over a run-start floor, with every capture and restore
+// under the snapshotter's one lock.  When a worker's socket dies mid-run
+// (kill -9, OOM, network partition — anything that closes the fd) the
+// server evicts the slot, restores the latest snapshot
 // (RecoveryMode::kRestoreSnapshot semantics: updates since the snapshot are
-// lost, versions never roll back), recomputes the drain barrier over the
-// survivors, and the run continues.  A worker dying at the barrier is
-// caught on the release send instead.  The run ends when every alive worker
-// has drained (or every worker died); the server then evaluates final
-// accuracy on the test split and returns.
+// lost, versions never roll back), and drops the slot from the drain
+// barrier, a std::barrier as on threads, so the survivors carry on.  A
+// worker dying at the barrier is caught on the release send instead.  The
+// run ends when every alive worker has drained (or every worker died); the
+// server then evaluates final accuracy on the test split and returns.
 #pragma once
 
 #include <cstdint>

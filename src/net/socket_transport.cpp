@@ -72,19 +72,6 @@ std::int64_t SocketTransport::push_compressed(const CompressedPush& push, double
   return PushReplyMsg::decode(rpc(msg.encode(), MsgType::kPushReply)).staleness;
 }
 
-std::int64_t SocketTransport::push_scalar(std::span<const float> grad, double lr,
-                                          std::int64_t pull_version) {
-  // The scalar compatibility push is a dense push against a flattened
-  // version vector (the same collapse SharedParameterServer applies).
-  const std::vector<std::int64_t> versions(shape_.num_shards, pull_version);
-  return push(grad, lr, versions);
-}
-
-std::int64_t SocketTransport::version() {
-  return VersionReplyMsg::decode(rpc(FrameOut(MsgType::kVersionRequest), MsgType::kVersionReply))
-      .version;
-}
-
 Checkpoint SocketTransport::snapshot_checkpoint(std::int64_t logical_step) {
   CheckpointRequestMsg msg;
   msg.logical_step = logical_step;

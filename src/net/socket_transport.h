@@ -2,19 +2,20 @@
 //
 // One SocketTransport is one worker's connection to the PsServer.  The
 // constructor performs the Hello handshake and returns the server-owned run
-// configuration (AssignmentMsg), after which the Transport methods map 1:1
-// onto request/reply frame pairs:
+// configuration (AssignmentMsg), after which every call maps 1:1 onto a
+// request/reply frame pair:
 //
 //   pull_with_versions  ->  kPull           / kPullReply
 //   push                ->  kPushDense      / kPushReply
 //   push_compressed     ->  kPushCompressed / kPushReply
-//   version             ->  kVersionRequest / kVersionReply
 //   snapshot_checkpoint ->  kCheckpointRequest / kCheckpointReply
 //   restore_checkpoint  ->  kRestoreRequest / kOk
 //
-// plus the control-plane calls the interface does not carry: drain_arrive
-// (blocks until the server releases the barrier) and bye (clean leave; an
-// abrupt close instead is exactly what the server's eviction path handles).
+// The first three are the Transport seam a WorkerSlot steps against.  The
+// rest are calls the seam does not carry: the remote checkpoint pair (the
+// server runs both under its snapshotter's lock), drain_arrive (blocks
+// until the server releases the barrier) and bye (clean leave; an abrupt
+// close instead is exactly what the server's eviction path handles).
 //
 // The dense data plane is copy-free: a push sends the caller's gradient in
 // place, and a pull receives the parameters straight into the caller's
@@ -33,6 +34,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/transport.h"
+#include "nn/checkpoint.h"
 
 namespace ss {
 
@@ -55,11 +57,14 @@ class SocketTransport final : public Transport {
                     std::span<const std::int64_t> pull_versions) override;
   std::int64_t push_compressed(const CompressedPush& push, double lr,
                                std::span<const std::int64_t> pull_versions) override;
-  std::int64_t push_scalar(std::span<const float> grad, double lr,
-                           std::int64_t pull_version) override;
-  [[nodiscard]] std::int64_t version() override;
-  [[nodiscard]] Checkpoint snapshot_checkpoint(std::int64_t logical_step) override;
-  void restore_checkpoint(const Checkpoint& ckpt) override;
+
+  /// Consistent snapshot of the server's PS as a format-v2 checkpoint;
+  /// `logical_step` lands in Checkpoint::global_step.
+  [[nodiscard]] Checkpoint snapshot_checkpoint(std::int64_t logical_step);
+
+  /// Restore the server's params + velocity from `ckpt` (versions never
+  /// roll back).
+  void restore_checkpoint(const Checkpoint& ckpt);
 
   /// Announce quiescence after `local_steps` steps and block until every
   /// alive worker has arrived.  Returns true when the run is over.

@@ -1,21 +1,22 @@
-// The Transport seam: every worker <-> parameter-server interaction goes
-// through this interface, so the same training loop runs against an
-// in-address-space PS (threads) or a remote one (sockets, separate OS
-// processes).
+// The Transport seam: every call a worker step makes against a parameter
+// server goes through this interface, so the same step (ps/worker_slot.h)
+// runs against an in-address-space PS (threads) or a remote one (sockets,
+// separate OS processes).
 //
-// The surface is exactly the SharedParameterServer contract the threaded
-// runtime has always trained against (ps/threaded_runtime.h documents the
-// version/staleness semantics in detail):
+// The surface is exactly what the step needs, with the per-shard version
+// semantics of SharedParameterServer (ps/threaded_runtime.h):
 //
 //  * `pull_with_versions` — copy the parameters and snapshot every shard's
-//    version counter as it is copied (the exact staleness-accounting path).
+//    version counter as it is copied (the exact staleness-accounting path);
+//    `pull` is the same copy without the versions.
 //  * `push` / `push_compressed` — apply a dense gradient or a CompressedPush
 //    against the versions observed at pull time; both return the push's
 //    staleness (max updates any touched shard absorbed since the pull).
-//  * `push_scalar` / `version` — the scalar compatibility API (min shard
-//    version = count of complete updates; conservative under sparse pushes).
-//  * `snapshot_checkpoint` / `restore_checkpoint` — the crash-recovery
-//    hooks the elastic subsystem drives (checkpoint format v2).
+//
+// Checkpoints are not part of the seam: the runtimes capture and restore
+// through the AsyncSnapshotter that owns their PS (elastic/
+// async_snapshotter.h), and SocketTransport carries the remote checkpoint
+// calls as plain members.
 //
 // Backends:
 //
@@ -38,7 +39,6 @@
 #include <vector>
 
 #include "compress/compressed_push.h"
-#include "nn/checkpoint.h"
 
 namespace ss {
 
@@ -66,21 +66,6 @@ class Transport {
   /// kept coordinates.
   virtual std::int64_t push_compressed(const CompressedPush& push, double lr,
                                        std::span<const std::int64_t> pull_versions) = 0;
-
-  /// Scalar compatibility push (staleness against one pulled version; see
-  /// SharedParameterServer::push overloads for the conservative contract).
-  virtual std::int64_t push_scalar(std::span<const float> grad, double lr,
-                                   std::int64_t pull_version) = 0;
-
-  /// Count of complete updates: the minimum shard version.
-  [[nodiscard]] virtual std::int64_t version() = 0;
-
-  /// Consistent copy-on-read snapshot of the PS state as a format-v2
-  /// checkpoint; `logical_step` lands in Checkpoint::global_step.
-  [[nodiscard]] virtual Checkpoint snapshot_checkpoint(std::int64_t logical_step) = 0;
-
-  /// Restore params + velocity from `ckpt` (versions never roll back).
-  virtual void restore_checkpoint(const Checkpoint& ckpt) = 0;
 };
 
 }  // namespace ss

@@ -2,17 +2,16 @@
 
 #include <chrono>
 #include <optional>
-#include <vector>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "compress/bank.h"
-#include "data/batcher.h"
 #include "data/synthetic.h"
 #include "net/socket_transport.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
+#include "ps/worker_slot.h"
 
 namespace ss {
 
@@ -35,28 +34,15 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
 
   // Rebuild the run's inputs from the assignment alone.  The model is built
   // with the same seed the server used, though only its shape matters:
-  // gradient_at computes at the pulled parameters, not the local ones.
+  // gradients are taken at the pulled parameters, not the local ones.
   const DataSplit split = make_synthetic(a.data);
   Rng model_rng(a.seed);
   Model model = make_model(a.arch, split.train.feature_dim(), a.data.num_classes, model_rng);
   if (model.num_params() != a.num_params)
     throw NetError("worker: model has " + std::to_string(model.num_params()) +
                    " params but the server assigned " + std::to_string(a.num_params));
-
-  // Per-slot RNG streams, identical to the threaded runtime's initial slots.
-  Rng root(a.seed);
-  const auto shards = make_shards(split.train.size(), a.num_workers);
-  MinibatchSampler sampler(shards[w % shards.size()], a.batch_size, root.fork(w + 1));
-  Rng codec_rng = root.fork(a.num_workers + 1 + w);
   std::optional<CompressorBank> bank = a.compression.make_bank(a.num_workers);
-
-  Tensor batch_x({a.batch_size, split.train.feature_dim()});
-  std::vector<int> batch_y;
-  std::vector<float> snapshot(a.num_params);
-  std::vector<float> grad(a.num_params);
-  std::vector<std::int64_t> pull_versions;
-  std::vector<std::uint32_t> indices;
-  const auto dense_bytes = static_cast<std::int64_t>(a.num_params * sizeof(float));
+  WorkerSlot slot(std::move(model), split.train, a.batch_size, a.seed, w, a.num_workers);
 
   WorkerProcessResult result;
   result.worker = a.worker;
@@ -68,18 +54,10 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
     }
     const auto step_start = obs_on ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-    tx.pull_with_versions(snapshot, pull_versions);
-    sampler.next_batch(indices);
-    split.train.gather(indices, batch_x, batch_y);
-    model.gradient_at(snapshot, batch_x, batch_y, grad);
-    if (bank) {
-      const CompressedPush push = bank->encode(static_cast<int>(w), grad, codec_rng);
-      result.push_bytes += static_cast<std::int64_t>(push.wire_size);
-      staleness_sum += tx.push_compressed(push, a.lr, pull_versions);
-    } else {
-      result.push_bytes += dense_bytes;
-      staleness_sum += tx.push(grad, a.lr, pull_versions);
-    }
+    slot.pull_gradient(tx);
+    const WorkerSlot::Push push = slot.push(tx, bank ? &*bank : nullptr, a.lr);
+    result.push_bytes += push.bytes;
+    staleness_sum += push.staleness;
     ++result.steps;
     if (obs_on) {
       m_steps->add();

@@ -2,10 +2,10 @@
 //
 // `run_worker_process` connects to a PsServer, receives its slot and the
 // server-owned run configuration (AssignmentMsg), regenerates the dataset and
-// model locally, and free-runs the ASP step loop — pull, local gradient,
-// (optionally compressed) push — entirely through the SocketTransport.  The
-// per-slot RNG streams mirror the threaded runtime exactly (sampler stream
-// w+1, codec stream num_workers+1+w off the root seed), so a worker process
+// model locally, and runs the ASP step loop — the threaded runtime's own
+// WorkerSlot step (ps/worker_slot.h): pull, local gradient, (optionally
+// compressed) push — entirely through the SocketTransport.  The slot's
+// constructor assigns the data shard and RNG streams, so a worker process
 // computes the same gradients a worker *thread* with the same slot would.
 //
 // After its step quota the worker announces quiescence (drain_arrive, which

@@ -8,12 +8,12 @@
 #include <optional>
 #include <thread>
 
-#include "common/rng.h"
 #include "compress/bank.h"
 #include "elastic/async_snapshotter.h"
 #include "net/inproc_transport.h"
 #include "obs/obs.h"
 #include "ps/barrier_planner.h"
+#include "ps/worker_slot.h"
 #include "sim/calibration.h"
 #include "tensor/ops.h"
 
@@ -27,16 +27,9 @@ double seconds_between(SteadyClock::time_point a, SteadyClock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-struct WorkerContext {
-  Model model;
-  MinibatchSampler sampler;
-  Rng codec_rng;  ///< stochastic-quantization stream (one per worker thread)
-  Tensor batch_x;
-  std::vector<int> batch_y;
-  std::vector<float> snapshot;
-  std::vector<float> grad;
-  std::vector<std::int64_t> pull_versions;  ///< per-shard versions at pull
-  CompressedPush push;                      ///< this round's encoded gradient (BSP)
+/// A worker slot plus the runtime's phase accounting for it.
+struct SlotState {
+  WorkerSlot slot;
   // Per-phase accumulators, reset by the drain-barrier transition.
   std::int64_t phase_staleness_sum = 0;
   std::int64_t phase_push_bytes = 0;
@@ -64,38 +57,23 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
 
   const std::size_t p = prototype.num_params();
   SharedParameterServer ps_impl(prototype.get_params(), cfg.momentum, cfg.num_ps_shards);
-  // Every worker<->PS interaction below goes through the Transport seam —
-  // the same interface the socket backend (net/socket_transport.h) serves
-  // over a wire.  The in-process shim adds only a virtual dispatch, so the
-  // threaded runtime stays the bit-for-bit reference implementation.
+  // Every worker step below goes through the Transport seam — the same
+  // interface the socket backend (net/socket_transport.h) serves over a
+  // wire, and the same WorkerSlot step the socket worker process runs.  The
+  // in-process shim adds only a virtual dispatch, so the threaded runtime
+  // stays the bit-for-bit reference implementation.
   InProcTransport ps(ps_impl);
   // One bank for the run, one slot per worker slot; calls are thread-safe
   // because each worker thread only ever touches its own slot (and RNG).
   std::optional<CompressorBank> bank = cfg.compression.make_bank(max_slots);
+  CompressorBank* const codec = bank ? &*bank : nullptr;
   const std::int64_t dense_bytes = static_cast<std::int64_t>(p * sizeof(float));
   const bool inject_stragglers = !cfg.stragglers.events().empty();
 
-  Rng root(cfg.seed);
-  const auto shards = make_shards(train.size(), cfg.num_workers);
-  std::vector<WorkerContext> ctx;
+  std::vector<SlotState> ctx;
   ctx.reserve(max_slots);
-  for (std::size_t w = 0; w < max_slots; ++w) {
-    // Initial slots keep the historical stream ids; join slots (w >= n0)
-    // draw from disjoint ranges so no stream is ever shared.
-    const std::uint64_t sampler_stream = w < n0 ? w + 1 : 1000 + w;
-    const std::uint64_t codec_stream = w < n0 ? cfg.num_workers + 1 + w : 2000 + w;
-    ctx.push_back(WorkerContext{
-        prototype.clone(),
-        MinibatchSampler(shards[w % shards.size()], cfg.batch_size, root.fork(sampler_stream)),
-        root.fork(codec_stream),
-        Tensor({cfg.batch_size, train.feature_dim()}),
-        {},
-        std::vector<float>(p),
-        std::vector<float>(p),
-        {},
-        {},
-    });
-  }
+  for (std::size_t w = 0; w < max_slots; ++w)
+    ctx.push_back(SlotState{WorkerSlot(prototype.clone(), train, cfg.batch_size, cfg.seed, w, n0)});
 
   // ------------------------------------------------------------------
   // Shared switch-controller state.  Three synchronization domains:
@@ -147,6 +125,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
 
   std::vector<float> agg(p);              // BSP aggregation buffer (leader)
   std::vector<float> shared_snapshot(p);  // BSP round snapshot
+  std::vector<std::int64_t> round_versions;  // shard versions of shared_snapshot
   std::vector<float> eval_params(cfg.eval_hook ? p : 0);  // eval_hook scratch
   std::int64_t rounds_done = 0;           // BSP rounds completed in current phase
   bool bsp_phase_over = false;
@@ -222,10 +201,9 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   // Asynchronous snapshots for crash recovery: a run-start snapshot gives
   // recovery a floor, the background cadence bounds the loss window.
   SnapshotStore store;
-  std::optional<AsyncSnapshotter> snapshotter;
   auto capture_snapshot = [&] {
     const SteadyClock::time_point t0 = obs_on ? SteadyClock::now() : SteadyClock::time_point{};
-    auto snap = ps.snapshot_checkpoint(total_updates.load(std::memory_order_relaxed));
+    auto snap = ps_impl.snapshot_checkpoint(total_updates.load(std::memory_order_relaxed));
     if (obs_on) {
       m_snapshots->add();
       obs_span(0, "snapshot", t0, SteadyClock::now(),
@@ -245,15 +223,9 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     plan_has_crash |= e.kind == MembershipEventKind::kCrash;
   const bool snapshots_needed =
       plan_has_crash && cfg.elastic.recovery == RecoveryMode::kRestoreSnapshot;
-  if (snapshots_needed) {
-    if (cfg.elastic.snapshot_interval > 0) {
-      snapshotter.emplace(capture_snapshot, snapshot_progress, cfg.elastic.snapshot_interval,
-                          store);
-      snapshotter->snapshot_now();  // run-start floor; also arms the cadence
-    } else {
-      store.put(capture_snapshot());  // the only snapshot a crash can restore
-    }
-  }
+  AsyncSnapshotter snapshotter(capture_snapshot, snapshot_progress,
+                               snapshots_needed ? cfg.elastic.snapshot_interval : 0, store);
+  if (snapshots_needed) snapshotter.snapshot_now();  // run-start floor; also arms the cadence
 
   auto min_clock = [&] {  // callers hold clock_mu; alive slots only
     std::int64_t m = std::numeric_limits<std::int64_t>::max();
@@ -293,7 +265,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // are all applied (pushes are synchronous and every worker is parked at
     // the drain barrier or joined), so this is the reconciled parameter
     // state the segment starts from.
-    ps.pull(std::span<float>(shared_snapshot));
+    ps.pull_with_versions(shared_snapshot, round_versions);
     if (obs_on && phase_entry) {
       if (seg.protocol != prev_proto) m_switches->add();
       if (obs::tracing()) {
@@ -321,7 +293,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     std::vector<double> means;
     int slowest = -1;  ///< first alive slot with the largest mean
     for (std::size_t w = 0; w < max_slots; ++w) {
-      WorkerContext& c = ctx[w];
+      SlotState& c = ctx[w];
       // Under the shared ASP budget a slot can finish no step in a short
       // interval: its peers spend every ticket before it draws one.  That
       // says nothing about its speed, so it keeps its last measured mean —
@@ -435,7 +407,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   /// value; during BSP phases the leader evaluates the watch once per round
   /// instead, so every worker of a round sees the same decision.
   auto end_step = [&](std::size_t w, SteadyClock::time_point step_start) -> bool {
-    WorkerContext& c = ctx[w];
+    SlotState& c = ctx[w];
     const SteadyClock::time_point step_end = SteadyClock::now();
     c.phase_step_seconds += seconds_between(step_start, step_end);
     ++c.phase_step_count;
@@ -494,15 +466,15 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     for (const auto& a : applied) crashed |= a.event.kind == MembershipEventKind::kCrash;
     std::int64_t updates_lost = 0;
     if (crashed && cfg.elastic.recovery == RecoveryMode::kRestoreSnapshot) {
-      if (const auto snap = store.latest()) {
-        updates_lost =
-            total_updates.load(std::memory_order_relaxed) - snap->global_step;
-        // Roll parameters + velocity back to the last asynchronous snapshot:
-        // every update since it is lost, bounding the damage to one snapshot
-        // interval.  Surviving workers keep their error-feedback residuals —
-        // the mass a codec dropped is still untransmitted after the rollback.
-        ps.restore_checkpoint(*snap);
-      }
+      // Roll parameters + velocity back to the last asynchronous snapshot:
+      // every update since it is lost, bounding the damage to one snapshot
+      // interval.  Surviving workers keep their error-feedback residuals —
+      // the mass a codec dropped is still untransmitted after the rollback.
+      updates_lost = snapshotter
+                         .restore_latest([&](const Checkpoint& snap) {
+                           ps_impl.restore_checkpoint(snap);
+                         })
+                         .value_or(0);
     }
     adopt_members();
     // Resume the interrupted phase, or enter the next one if the previous
@@ -549,7 +521,6 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // every worker leaves the segment at the same round.
     auto run_bsp_phase = [&](std::size_t w) {
       auto& c = ctx[w];
-      std::vector<std::uint32_t> indices;
       while (!bsp_phase_over) {
         if (aborted.load()) {
           // A peer failed.  Leave its barrier slot behind so workers still
@@ -562,34 +533,23 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         }
         if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + clock[w]);
         const SteadyClock::time_point step_start = SteadyClock::now();
-        c.sampler.next_batch(indices);
-        train.gather(indices, c.batch_x, c.batch_y);
-        c.model.gradient_at(shared_snapshot, c.batch_x, c.batch_y, c.grad);
-        if (seg.compress) {
-          // Each worker compresses its own push through its bank slot; the
-          // aggregator decodes, so the PS math sees the lossy values exactly
-          // as the simulator's BSP path does.
-          c.push = bank->encode(static_cast<int>(w), c.grad, c.codec_rng);
-          c.phase_push_bytes += static_cast<std::int64_t>(c.push.wire_size);
-        } else {
-          c.phase_push_bytes += dense_bytes;
-        }
+        c.slot.gradient_at(shared_snapshot);
+        // Each worker compresses its own push through its bank slot; the
+        // aggregator decodes, so the PS math sees the lossy values exactly as
+        // the simulator's BSP path does.
+        c.phase_push_bytes += c.slot.encode(seg.compress ? codec : nullptr);
         inject_delay(w, step_start);
         end_step(w, step_start);  // the leader evaluates the watch below
         round_barrier.arrive_and_wait();  // all gradients ready
         if (w == leader) {
           std::fill(agg.begin(), agg.end(), 0.0f);
-          for (std::size_t s = 0; s < max_slots; ++s) {
-            if (!alive[s]) continue;
-            if (seg.compress)
-              ctx[s].push.add_into(agg);
-            else
-              ops::add_inplace(std::span<float>(agg), std::span<const float>(ctx[s].grad));
-          }
+          for (std::size_t s = 0; s < max_slots; ++s)
+            if (alive[s]) ctx[s].slot.add_into(agg, seg.compress);
           ops::scale_inplace(std::span<float>(agg), 1.0f / static_cast<float>(n_alive));
-          ps.push_scalar(agg, seg.lr, ps.version());
+          // The leader is the round's only writer, so the push is never stale.
+          (void)ps.push(agg, seg.lr, round_versions);
           total_updates.fetch_add(1, std::memory_order_relaxed);
-          ps.pull(std::span<float>(shared_snapshot));
+          ps.pull_with_versions(shared_snapshot, round_versions);
           ++rounds_done;
           bsp_phase_over = rounds_done >= seg.quota;
           if (!bsp_phase_over && seg.watch != Watch::kNone) {
@@ -611,7 +571,6 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     auto run_async_phase = [&](std::size_t w) {
       auto& c = ctx[w];
       const bool bounded = seg.protocol == Protocol::kSsp;
-      std::vector<std::uint32_t> indices;
       while (true) {
         std::int64_t my = 0;
         {
@@ -639,22 +598,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         }
         if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + my);
         const SteadyClock::time_point step_start = SteadyClock::now();
-        ps.pull_with_versions(c.snapshot, c.pull_versions);
-        c.sampler.next_batch(indices);
-        train.gather(indices, c.batch_x, c.batch_y);
-        c.model.gradient_at(c.snapshot, c.batch_x, c.batch_y, c.grad);
+        c.slot.pull_gradient(ps);
         inject_delay(w, step_start);
-        if (seg.compress) {
-          // Sparse (top-k) pushes lock only the shards holding kept
-          // coordinates; dense quantized pushes sweep all shards like an
-          // uncompressed push.
-          const CompressedPush push = bank->encode(static_cast<int>(w), c.grad, c.codec_rng);
-          c.phase_push_bytes += static_cast<std::int64_t>(push.wire_size);
-          c.phase_staleness_sum += ps.push_compressed(push, seg.lr, c.pull_versions);
-        } else {
-          c.phase_push_bytes += dense_bytes;
-          c.phase_staleness_sum += ps.push(c.grad, seg.lr, c.pull_versions);
-        }
+        const WorkerSlot::Push push = c.slot.push(ps, seg.compress ? codec : nullptr, seg.lr);
+        c.phase_push_bytes += push.bytes;
+        c.phase_staleness_sum += push.staleness;
         total_updates.fetch_add(1, std::memory_order_relaxed);
         if (end_step(w, step_start)) latch();
         {
@@ -714,30 +662,19 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
       if (alive[w]) threads.emplace_back(worker_fn, w);
     for (auto& t : threads) t.join();
 
-    if (worker_error) {
-      // Every thread is joined (throwers via barrier drops, survivors via
-      // the aborted run_over), so the failure surfaces as a plain exception
-      // on the calling thread instead of a std::terminate.
-      if (snapshotter) snapshotter->stop();
-      std::rethrow_exception(worker_error);
-    }
+    // Every thread is joined (throwers via barrier drops, survivors via the
+    // aborted run_over), so a failure surfaces as a plain exception on the
+    // calling thread instead of a std::terminate.
+    if (worker_error) std::rethrow_exception(worker_error);
     if (run_over) break;
     // epoch_over: resolve the due membership events and re-arm.  The
-    // snapshotter is parked across the recovery — a cadence capture walking
-    // the shards concurrently with restore_checkpoint could store a torn
-    // mix of pre- and post-restore slices as "latest" — and re-seeded with
-    // the reconciled post-recovery state before the next epoch spawns.
+    // snapshotter's lock keeps a cadence capture from walking the shards
+    // while a crash restore rewrites them.
     epoch_over = false;
-    if (snapshotter) snapshotter->stop();
     apply_recovery();
-    if (snapshotter) {
-      snapshotter.emplace(capture_snapshot, snapshot_progress, cfg.elastic.snapshot_interval,
-                          store);
-      snapshotter->snapshot_now();
-    }
   }
 
-  if (snapshotter) snapshotter->stop();
+  snapshotter.stop();
 
   result.total_updates = total_updates.load();
   result.snapshots_taken = store.count();
@@ -749,7 +686,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   if (run_async_updates > 0)
     result.mean_staleness =
         static_cast<double>(run_async_staleness) / static_cast<double>(run_async_updates);
-  result.final_params.resize(ps.num_params());
+  result.final_params.resize(p);
   ps.pull(result.final_params);
   return result;
 }

@@ -11,8 +11,8 @@
 //    budget of n_alive x (per-worker steps) step tickets, and whichever
 //    worker asks next draws the next one, so a straggler takes fewer steps
 //    instead of holding its peers at the drain barrier.  (The socket
-//    deployment, net/worker_process.cpp, still runs each remote worker's
-//    own steps_per_worker loop.)
+//    deployment runs the same WorkerSlot step, ps/worker_slot.h, in each
+//    remote worker process, but still over its own steps_per_worker loop.)
 //  * SSP workers free-run within the staleness bound: a worker whose local
 //    clock is more than `ssp_staleness_bound` steps ahead of the slowest
 //    parks on a condition variable until the laggard catches up.  SSP keeps
@@ -108,16 +108,8 @@ namespace ss {
 /// Version contract: every shard owns its own version counter.  A dense push
 /// advances every shard by one; a sparse push advances only the shards
 /// owning kept coordinates, so per-shard versions diverge under sparse
-/// traffic.  The *per-shard* API (`pull_with_versions` + the span-of-
-/// versions `push`/`push_compressed` overloads) measures staleness exactly
-/// in both regimes.  The scalar compatibility API (`pull_with_version`,
-/// `version()`, the scalar-version `push`) collapses the vector to its
-/// minimum — the count of *complete* updates — and is exact only while all
-/// pushes are dense; under sparse pushes the scalar can lag the leading
-/// shards by the version spread, so staleness measured against it is a
-/// conservative upper bound (it over-counts by at most that spread, never
-/// under-counts).  See the regression test
-/// ThreadedRuntime.ScalarVersionIsConservativeUnderSparsePushes.
+/// traffic.  `pull_with_versions` snapshots the whole vector, and `push` /
+/// `push_compressed` measure staleness against it exactly in both regimes.
 class SharedParameterServer {
  public:
   SharedParameterServer(std::vector<float> init_params, double momentum,
@@ -136,8 +128,7 @@ class SharedParameterServer {
   }
 
   /// Pull + snapshot the version of every shard as it is copied.  The
-  /// shard-version vector is what `push` measures staleness against; this is
-  /// the exact path and the one the runtime's workers use.
+  /// shard-version vector is what `push` measures staleness against.
   void pull_with_versions(std::span<float> out, std::vector<std::int64_t>& versions) const {
     versions.resize(shard_mu_.size());
     for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
@@ -145,24 +136,6 @@ class SharedParameterServer {
       ps_.pull_shard(s, out);
       versions[s] = ps_.shard_version(s);
     }
-  }
-
-  /// Whole-vector compatibility pull returning a single logical version: the
-  /// minimum shard version, i.e. the count of updates *every* shard has
-  /// absorbed.  Exact while all pushes are dense (all shards agree); under
-  /// sparse pushes the leading shards are ahead of this scalar, so staleness
-  /// measured against it over-counts by at most the shard-version spread at
-  /// pull time (never under-counts).  Use `pull_with_versions` for exact
-  /// accounting.
-  std::int64_t pull_with_version(std::span<float> out) const {
-    std::int64_t version = 0;
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      ps_.pull_shard(s, out);
-      const std::int64_t v = ps_.shard_version(s);
-      version = s == 0 ? v : std::min(version, v);
-    }
-    return version;
   }
 
   /// Apply a full gradient shard by shard.  Returns the staleness of this
@@ -203,20 +176,6 @@ class SharedParameterServer {
       staleness = std::max(staleness, ps_.shard_version(s) - pull_versions[s]);
       ps_.apply_sparse_shard(s, indices.subspan(lo, hi - lo), values.subspan(lo, hi - lo), lr);
     });
-    return staleness;
-  }
-
-  /// Whole-vector compatibility push against a single pulled version (the
-  /// scalar returned by `pull_with_version`; see that method's contract —
-  /// the reported staleness is conservative once sparse pushes have made
-  /// shard versions diverge).
-  std::int64_t push(std::span<const float> grad, double lr, std::int64_t pull_version) {
-    std::int64_t staleness = 0;
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      staleness = std::max(staleness, ps_.shard_version(s) - pull_version);
-      ps_.apply_shard(s, grad, lr);
-    }
     return staleness;
   }
 
@@ -272,18 +231,6 @@ class SharedParameterServer {
       const std::lock_guard<std::mutex> lock(shard_mu_[s]);
       ps_.restore_shard_state(s, ckpt.params, ckpt.velocity);
     }
-  }
-
-  /// Count of complete updates: the minimum shard version (same contract as
-  /// `pull_with_version`).
-  [[nodiscard]] std::int64_t version() const {
-    std::int64_t version = 0;
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      const std::int64_t v = ps_.shard_version(s);
-      version = s == 0 ? v : std::min(version, v);
-    }
-    return version;
   }
 
  private:

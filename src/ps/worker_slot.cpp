@@ -1,0 +1,76 @@
+#include "ps/worker_slot.h"
+
+#include <utility>
+
+#include "compress/bank.h"
+#include "tensor/ops.h"
+
+namespace ss {
+
+WorkerSlot::Streams WorkerSlot::streams_for(const Dataset& train, std::uint64_t seed,
+                                            std::size_t slot, std::size_t initial_workers) {
+  // Initial slots keep the historical stream ids; join slots (past the
+  // initial workers) draw from disjoint ranges so no stream is ever shared.
+  // Rng::fork advances its parent, so slot w replays the forks of slots
+  // 0 .. w-1 first: the streams are the ones a runtime building every slot
+  // in order would hand out, whichever process builds this one.
+  const std::size_t n0 = initial_workers;
+  Rng root(seed);
+  for (std::size_t w = 0;; ++w) {
+    Rng sampler = root.fork(w < n0 ? w + 1 : 1000 + w);
+    Rng codec = root.fork(w < n0 ? n0 + 1 + w : 2000 + w);
+    if (w == slot) return {make_shards(train.size(), n0)[w % n0], sampler, codec};
+  }
+}
+
+WorkerSlot::WorkerSlot(Model model, const Dataset& train, std::size_t batch_size,
+                       std::uint64_t seed, std::size_t slot, std::size_t initial_workers)
+    : WorkerSlot(std::move(model), train, batch_size, slot,
+                 streams_for(train, seed, slot, initial_workers)) {}
+
+WorkerSlot::WorkerSlot(Model model, const Dataset& train, std::size_t batch_size,
+                       std::size_t slot, Streams streams)
+    : slot_(static_cast<int>(slot)),
+      train_(&train),
+      model_(std::move(model)),
+      sampler_(streams.shard, batch_size, streams.sampler),
+      codec_rng_(streams.codec),
+      batch_x_({batch_size, train.feature_dim()}),
+      params_(model_.num_params()),
+      grad_(model_.num_params()) {}
+
+void WorkerSlot::pull_gradient(Transport& ps) {
+  ps.pull_with_versions(params_, pull_versions_);
+  gradient_at(params_);
+}
+
+void WorkerSlot::gradient_at(std::span<const float> params) {
+  sampler_.next_batch(indices_);
+  train_->gather(indices_, batch_x_, batch_y_);
+  model_.gradient_at(params, batch_x_, batch_y_, grad_);
+}
+
+std::int64_t WorkerSlot::encode(CompressorBank* bank) {
+  if (bank == nullptr) return static_cast<std::int64_t>(grad_.size() * sizeof(float));
+  encoded_ = bank->encode(slot_, grad_, codec_rng_);
+  return static_cast<std::int64_t>(encoded_.wire_size);
+}
+
+WorkerSlot::Push WorkerSlot::push(Transport& ps, CompressorBank* bank, double lr) {
+  Push out;
+  out.bytes = encode(bank);
+  // Sparse (top-k) pushes touch only the shards holding kept coordinates;
+  // dense quantized pushes sweep every shard like an uncompressed push.
+  out.staleness = bank != nullptr ? ps.push_compressed(encoded_, lr, pull_versions_)
+                                  : ps.push(grad_, lr, pull_versions_);
+  return out;
+}
+
+void WorkerSlot::add_into(std::span<float> sum, bool compressed) const {
+  if (compressed)
+    encoded_.add_into(sum);
+  else
+    ops::add_inplace(sum, std::span<const float>(grad_));
+}
+
+}  // namespace ss

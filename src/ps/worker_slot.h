@@ -1,0 +1,99 @@
+// WorkerSlot: one worker's step against a parameter server, for every
+// deployment.
+//
+// Sync-Switch runs the same worker step under every protocol: pull the
+// parameters, compute a minibatch gradient at them, push it back.  A
+// WorkerSlot owns what one worker needs for that step — its model replica,
+// minibatch sampler, codec RNG stream, batch and gradient buffers, and the
+// per-shard versions of its last pull — and exposes the step in the pieces
+// the runtimes compose:
+//
+//  * `pull_gradient` + `push` — the asynchronous step (ASP/SSP), against
+//    any Transport.  The threaded runtime calls them over InProcTransport,
+//    with its straggler delay between the two pieces; the socket worker
+//    process (net/worker_process.h) calls them over SocketTransport.
+//  * `gradient_at` + `encode` — the synchronous step (BSP): every slot
+//    computes at the round's shared parameters and encodes; the leader
+//    sums the slots with `add_into` and pushes once.
+//
+// The constructor holds the one rule that assigns slot `w` its data and
+// RNG streams, so a worker process computes exactly the gradients a worker
+// thread with the same slot would.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/rng.h"
+#include "compress/compressed_push.h"
+#include "data/batcher.h"
+#include "data/dataset.h"
+#include "net/transport.h"
+#include "nn/model.h"
+#include "tensor/tensor.h"
+
+namespace ss {
+
+class CompressorBank;
+
+class WorkerSlot {
+ public:
+  /// What one push cost: its staleness and its wire bytes.
+  struct Push {
+    std::int64_t staleness = 0;
+    std::int64_t bytes = 0;
+  };
+
+  /// Slot `slot` of a run that started with `initial_workers` workers; slots
+  /// past that are later joins.  `model` is this slot's replica (only its
+  /// shape matters: gradients are taken at the pulled parameters); `train`
+  /// must outlive the slot.
+  WorkerSlot(Model model, const Dataset& train, std::size_t batch_size, std::uint64_t seed,
+             std::size_t slot, std::size_t initial_workers);
+
+  /// Pull the parameters with their shard versions, then the gradient at
+  /// them.
+  void pull_gradient(Transport& ps);
+
+  /// The gradient at `params` (the BSP round's shared snapshot).
+  void gradient_at(std::span<const float> params);
+
+  /// Encode the gradient through this slot's `bank` slot; null `bank` sends
+  /// it dense.  Returns the push's wire bytes.
+  std::int64_t encode(CompressorBank* bank);
+
+  /// Encode and push against the versions of the last pull.
+  Push push(Transport& ps, CompressorBank* bank, double lr);
+
+  /// Add the last encoded gradient into `sum`: the decoded push when
+  /// `compressed`, the raw gradient otherwise.
+  void add_into(std::span<float> sum, bool compressed) const;
+
+ private:
+  /// Slot `slot`'s data shard and RNG streams (the one stream rule).
+  struct Streams {
+    ShardSpec shard;
+    Rng sampler;
+    Rng codec;
+  };
+  static Streams streams_for(const Dataset& train, std::uint64_t seed, std::size_t slot,
+                             std::size_t initial_workers);
+  WorkerSlot(Model model, const Dataset& train, std::size_t batch_size, std::size_t slot,
+             Streams streams);
+
+  int slot_;
+  const Dataset* train_;
+  Model model_;
+  MinibatchSampler sampler_;
+  Rng codec_rng_;
+  Tensor batch_x_;
+  std::vector<int> batch_y_;
+  std::vector<std::uint32_t> indices_;
+  std::vector<float> params_;               ///< parameters of the last pull
+  std::vector<float> grad_;
+  std::vector<std::int64_t> pull_versions_;  ///< per-shard versions at pull
+  CompressedPush encoded_;                   ///< the last compressed encode
+};
+
+}  // namespace ss

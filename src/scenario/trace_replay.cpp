@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 
 namespace ss {
 
@@ -370,7 +371,18 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
         key != "recovery")
       fail(file, mv.line, key, "unknown trace key");
   }
-  if (auto it = raw.meta.find("name"); it != raw.meta.end()) s.name = it->second.value;
+  if (auto it = raw.meta.find("name"); it != raw.meta.end()) {
+    // The CSV writer emits the name as one bare cell, which the CSV reader
+    // trims and splits on commas: only a name that survives that round-trips.
+    const std::string& name = it->second.value;
+    const bool bad_char = std::any_of(name.begin(), name.end(), [](char c) {
+      return c == ',' || std::iscntrl(static_cast<unsigned char>(c));
+    });
+    if (bad_char || name != trim(name))
+      fail(file, it->second.line, "name",
+           "must not contain a comma or a control character, or start or end with whitespace");
+    s.name = name;
+  }
   {
     const std::int64_t workers = meta_i64("workers", 4);
     if (workers < 1) fail(file, raw.meta.at("workers").line, "workers", "must be >= 1");
@@ -519,15 +531,6 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
   if (!events.empty()) s.elastic.plan = MembershipPlan(std::move(events));
   if (!episodes.empty()) s.stragglers = StragglerSchedule(std::move(episodes));
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace

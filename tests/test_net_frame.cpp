@@ -127,8 +127,6 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
   drain_arrive.local_steps = 1000;
   CheckpointRequestMsg checkpoint_request;
   checkpoint_request.logical_step = 77;
-  VersionReplyMsg version_reply;
-  version_reply.version = 42;
   ErrorMsg error;
   error.message = "boom";
 
@@ -165,8 +163,6 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
        "5246535301000a0008000000000000004d00000000000000"},
       {"CheckpointReply", checkpoint_reply, "5246535301000b000300000000000000010203"},
       {"RestoreRequest", restore_request, "5246535301000c0002000000000000000405"},
-      {"VersionRequest", FrameOut(MsgType::kVersionRequest), "5246535301000d000000000000000000"},
-      {"VersionReply", version_reply.encode(), "5246535301000e0008000000000000002a00000000000000"},
       {"Ok", FrameOut(MsgType::kOk), "5246535301000f000000000000000000"},
       {"Bye", FrameOut(MsgType::kBye), "52465353010010000000000000000000"},
       {"Error", error.encode(), "52465353010011000c000000000000000400000000000000626f6f6d"},
@@ -176,6 +172,7 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
     EXPECT_EQ(hex(sent_bytes(p.frame)), p.hex) << p.name;
     covered[static_cast<std::size_t>(p.frame.type())] = true;
   }
+  for (const std::uint16_t t : kRetiredMsgTypes) covered[t] = true;  // no message to pin
   for (auto t = static_cast<std::size_t>(MsgType::kHello); t < covered.size(); ++t)
     EXPECT_TRUE(covered[t]) << "no pin for " << msg_type_name(static_cast<MsgType>(t));
 }
@@ -343,10 +340,6 @@ TEST(NetFrame, SmallMessagesRoundTrip) {
   cr.logical_step = 4096;
   EXPECT_EQ(CheckpointRequestMsg::decode(loop_back(cr.encode()).payload).logical_step, 4096);
 
-  VersionReplyMsg vr;
-  vr.version = 1 << 20;
-  EXPECT_EQ(VersionReplyMsg::decode(loop_back(vr.encode()).payload).version, 1 << 20);
-
   ErrorMsg em;
   em.message = "shard layout mismatch";
   EXPECT_EQ(ErrorMsg::decode(loop_back(em.encode()).payload).message, em.message);
@@ -366,9 +359,7 @@ TEST(NetFrame, FixedLayoutBoundsEqualTheEncodedLengths) {
             DrainReleaseMsg{}.encode().payload_bytes());
   EXPECT_EQ(max_payload_bytes(MsgType::kCheckpointRequest, shape),
             CheckpointRequestMsg{}.encode().payload_bytes());
-  EXPECT_EQ(max_payload_bytes(MsgType::kVersionReply, shape),
-            VersionReplyMsg{}.encode().payload_bytes());
-  for (const MsgType t : {MsgType::kPull, MsgType::kVersionRequest, MsgType::kOk, MsgType::kBye})
+  for (const MsgType t : {MsgType::kPull, MsgType::kOk, MsgType::kBye})
     EXPECT_EQ(max_payload_bytes(t, shape), 0u) << msg_type_name(t);
 
   // The compressed bound is a sparse push that keeps every coordinate.
@@ -423,6 +414,9 @@ std::vector<MalformedCase> malformed_cases() {
   cases.push_back({"unknown_type", patched(6, &type_ee, 2), "unknown message type"});
   const std::uint16_t type_zero = 0;  // below kHello
   cases.push_back({"zero_type", patched(6, &type_zero, 2), "unknown message type"});
+  // Retired values are never reused: the scalar version query and reply.
+  cases.push_back({"retired_type_13", patched(6, &kRetiredMsgTypes[0], 2), "unknown message type"});
+  cases.push_back({"retired_type_14", patched(6, &kRetiredMsgTypes[1], 2), "unknown message type"});
   const std::uint64_t huge = kMaxFramePayload + 1;
   cases.push_back({"length_past_global_cap", patched(8, &huge, 8), "-byte cap"});
   const std::uint64_t nine = 9;  // PushReply is exactly 8 bytes

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -54,18 +55,23 @@ std::string unique_unix_endpoint(int n) {
 }
 
 /// run_ps_server on its own thread; endpoint() blocks until it listens (so
-/// tcp port 0 is resolved), join() returns the result or rethrows.
+/// tcp port 0 is resolved) or rethrows a failure before listening, join()
+/// returns the result or rethrows.
 class ServerHandle {
  public:
   explicit ServerHandle(PsServerConfig cfg) {
     auto listening = std::make_shared<std::promise<std::string>>();
     endpoint_ = listening->get_future();
     cfg.on_listening = [listening](const std::string& ep) { listening->set_value(ep); };
-    thread_ = std::thread([this, cfg] {
+    thread_ = std::thread([this, cfg, listening] {
       try {
         result_ = run_ps_server(cfg);
       } catch (...) {
         error_ = std::current_exception();
+        try {
+          listening->set_exception(error_);  // failed before listening
+        } catch (const std::future_error&) {
+        }
       }
     });
   }
@@ -167,6 +173,58 @@ TEST(NetTransport, UnixEndToEndMatchesInProcessAccuracy) {
   EXPECT_NEAR(res.final_accuracy, inproc_acc, 0.2);
 }
 
+// One step, two transports: a single worker has no peer to interleave with,
+// so its ASP run is deterministic on both paths, and the worker process over
+// a socket must land on exactly the parameters and wire bytes a worker
+// thread over the in-process PS does.
+TEST(NetTransport, SingleWorkerSocketRunMatchesThreadedRunBitForBit) {
+  int endpoint_id = 20;
+  for (const CompressionSpec& compression :
+       {CompressionSpec::none(), CompressionSpec::topk(0.05)}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(codec_kind_name(compression.kind) + " x " + std::to_string(shards) +
+                   " shards");
+      PsServerConfig cfg;
+      cfg.listen = unique_unix_endpoint(endpoint_id++);
+      cfg.num_workers = 1;
+      cfg.steps_per_worker = 50;
+      cfg.batch_size = 16;
+      cfg.lr = 0.1;
+      cfg.seed = 31;
+      cfg.num_ps_shards = shards;
+      cfg.compression = compression;
+      cfg.data = tiny_spec();
+      ServerHandle server(cfg);
+      const WorkerProcessResult remote = launch_worker(server.endpoint()).get();
+      const PsServerResult res = server.join();
+      ASSERT_TRUE(remote.drained);
+      ASSERT_EQ(remote.steps, 50);
+
+      const DataSplit split = make_synthetic(cfg.data);
+      Rng model_rng(cfg.seed);
+      const Model proto = make_model(cfg.arch, split.train.feature_dim(),
+                                     cfg.data.num_classes, model_rng);
+      ThreadedTrainConfig tcfg;
+      tcfg.protocol = Protocol::kAsp;
+      tcfg.num_workers = 1;
+      tcfg.steps_per_worker = cfg.steps_per_worker;
+      tcfg.batch_size = cfg.batch_size;
+      tcfg.lr = cfg.lr;
+      tcfg.momentum = cfg.momentum;
+      tcfg.seed = cfg.seed;
+      tcfg.num_ps_shards = shards;
+      tcfg.compression = compression;
+      const ThreadedTrainResult local = threaded_train(proto, split.train, tcfg);
+
+      EXPECT_EQ(remote.push_bytes, local.push_bytes);
+      ASSERT_EQ(res.final_params.size(), local.final_params.size());
+      EXPECT_EQ(std::memcmp(res.final_params.data(), local.final_params.data(),
+                            local.final_params.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
 TEST(NetTransport, TcpPortZeroResolvesAndServes) {
   PsServerConfig cfg;
   cfg.listen = "tcp:127.0.0.1:0";
@@ -240,12 +298,14 @@ TEST(NetTransport, TransportRpcsRoundTripAgainstLiveServer) {
   ASSERT_EQ(versions.size(), tx.num_shards());
   for (std::int64_t v : versions) EXPECT_EQ(v, 0);
 
-  // Dense push -> version advances; staleness against a fresh pull is 0.
+  // Dense push -> versions advance; staleness against a fresh pull is 0.
   const std::vector<float> grad(tx.num_params(), 0.25f);
   EXPECT_EQ(tx.push(grad, 0.05, versions), 0);
-  EXPECT_EQ(tx.version(), 1);
-  EXPECT_EQ(tx.push_scalar(grad, 0.05, 1), 0);
-  EXPECT_EQ(tx.version(), 2);
+  tx.pull_with_versions(params, versions);
+  EXPECT_EQ(versions, std::vector<std::int64_t>(tx.num_shards(), 1));
+  EXPECT_EQ(tx.push(grad, 0.05, versions), 0);
+  tx.pull_with_versions(params, versions);
+  EXPECT_EQ(versions, std::vector<std::int64_t>(tx.num_shards(), 2));
 
   // Checkpoint round trip over the wire: snapshot, mutate, restore, verify.
   const Checkpoint ckpt = tx.snapshot_checkpoint(77);
@@ -265,6 +325,65 @@ TEST(NetTransport, TransportRpcsRoundTripAgainstLiveServer) {
   EXPECT_EQ(res.workers_joined, 1u);
   EXPECT_EQ(res.workers_evicted, 0u);
   EXPECT_EQ(res.final_params, restored);
+}
+
+TEST(NetTransport, RepeatDrainArriveIsAnsweredAtOnce) {
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(30);
+  cfg.num_workers = 2;
+  cfg.steps_per_worker = 1;
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+  const std::string ep = server.endpoint();
+  AssignmentMsg a0;
+  AssignmentMsg a1;
+  SocketTransport tx0(ep, a0);
+  SocketTransport tx1(ep, a1);
+  auto first = std::async(std::launch::async, [&tx0] { return tx0.drain_arrive(0); });
+  EXPECT_TRUE(tx1.drain_arrive(0));
+  EXPECT_TRUE(first.get());
+
+  // Both sessions have drained.  A repeat must be answered `done` at once:
+  // arriving at the barrier a second time would park the session for good.
+  auto again = std::async(std::launch::async, [&tx0] { return tx0.drain_arrive(0); });
+  ASSERT_EQ(again.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+      << "a repeat DrainArrive parked its session";
+  EXPECT_TRUE(again.get());
+  EXPECT_TRUE(tx1.drain_arrive(0));
+  tx0.bye();
+  tx1.bye();
+  const PsServerResult res = server.join();
+  EXPECT_EQ(res.workers_joined, 2u);
+  EXPECT_EQ(res.workers_evicted, 0u);
+}
+
+TEST(NetTransport, ServerRejectsAConfigEveryWorkerWouldReject) {
+  PsServerConfig zero_batch;
+  zero_batch.listen = unique_unix_endpoint(31);
+  zero_batch.batch_size = 0;
+  zero_batch.data = tiny_spec();
+  PsServerConfig tiny_split = zero_batch;
+  tiny_split.listen = unique_unix_endpoint(32);
+  tiny_split.batch_size = 4;
+  tiny_split.num_workers = 3;
+  tiny_split.data.train_size = 2;  // fewer examples than workers
+  for (const PsServerConfig& cfg : {zero_batch, tiny_split}) {
+    SCOPED_TRACE(cfg.listen);
+    ServerHandle server(cfg);
+    std::string ep;
+    try {
+      ep = server.endpoint();
+    } catch (const ConfigError&) {
+    }
+    if (!ep.empty()) {
+      // The server is listening on a config no worker can train on: let every
+      // worker join and fail, so the run ends and the assertion below reports.
+      std::vector<std::future<WorkerProcessResult>> workers;
+      for (std::size_t i = 0; i < cfg.num_workers; ++i) workers.push_back(launch_worker(ep));
+      for (auto& w : workers) EXPECT_THROW(w.get(), ConfigError);
+    }
+    EXPECT_THROW(server.join(), ConfigError);
+  }
 }
 
 TEST(NetTransport, ServerRejectsProtocolVersionMismatch) {

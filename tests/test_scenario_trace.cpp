@@ -202,6 +202,9 @@ TEST(TraceParseErrors, MalformedJsonTable) {
        "{\"workers\": 2, \"events\": [{\"event\": \"crash\", \"at\": 8, \"worker\": 5}]}",
        {"unknown worker id 5", nullptr}},
       {"trailing garbage", "{\"workers\": 4} tail", {"trailing content", nullptr}},
+      {"newline in name", "{\"name\": \"a\\nb\"}", {"name: ", "control character"}},
+      {"comma in name", "{\"name\": \"a,b\"}", {"name: ", "comma"}},
+      {"name padded with spaces", "{\"name\": \" a \"}", {"name: ", "whitespace"}},
   };
   for (const BadTrace& bad : table) expect_config_error(bad, "bad.json");
 }

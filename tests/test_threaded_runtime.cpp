@@ -85,13 +85,15 @@ TEST(ThreadedRuntime, TrainingImprovesAccuracy) {
 TEST(ThreadedRuntime, SharedPsVersionAndStalenessAreConsistent) {
   SharedParameterServer ps({0.0f, 0.0f}, 0.0);
   std::vector<float> snap(2);
-  const std::int64_t v = ps.pull_with_version(snap);
-  EXPECT_EQ(v, 0);
+  std::vector<std::int64_t> v;
+  ps.pull_with_versions(snap, v);
+  EXPECT_EQ(v, std::vector<std::int64_t>{0});
   const std::int64_t staleness = ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, v);
   EXPECT_EQ(staleness, 0);
   const std::int64_t staleness2 = ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, v);
   EXPECT_EQ(staleness2, 1);  // one update landed since the pull
-  EXPECT_EQ(ps.version(), 2);
+  ps.pull_with_versions(snap, v);
+  EXPECT_EQ(v, std::vector<std::int64_t>{2});
 }
 
 TEST(ThreadedRuntime, RejectsBadConfig) {
@@ -466,48 +468,6 @@ TEST(ThreadedRuntime, LatchedTriggerEndsAnAspPhaseWithinOneTicketPerWorker) {
   EXPECT_EQ(result.total_updates, 4 * cfg.steps_per_worker);
 }
 
-// ---------------------------------------------------------------------------
-// Scalar version contract (regression for the pull_with_version min-shard
-// under/over-reporting pitfall).
-// ---------------------------------------------------------------------------
-
-TEST(ThreadedRuntime, ScalarVersionIsConservativeUnderSparsePushes) {
-  // Two shards of two params each.  A sparse push to shard 0 makes the
-  // shard versions diverge: [1, 0].
-  SharedParameterServer ps({0.0f, 0.0f, 0.0f, 0.0f}, 0.0, /*num_shards=*/2);
-  CompressedPush sparse;
-  sparse.format = CompressedPush::Format::kSparse;
-  sparse.num_params = 4;
-  sparse.wire_size = 8;
-  sparse.indices = {0};
-  sparse.values = {1.0f};
-  std::vector<std::int64_t> fresh(2, 0);
-  EXPECT_EQ(ps.push_compressed(sparse, 0.1, fresh), 0);
-
-  // The scalar is the *minimum* shard version — the count of complete
-  // updates — so it reports 0 even though shard 0 is at version 1.
-  std::vector<float> snap(4);
-  std::vector<std::int64_t> versions;
-  ps.pull_with_versions(snap, versions);
-  ASSERT_EQ(versions.size(), 2u);
-  EXPECT_EQ(versions[0], 1);
-  EXPECT_EQ(versions[1], 0);
-  const std::int64_t scalar = ps.pull_with_version(snap);
-  EXPECT_EQ(scalar, 0);
-
-  // No update landed between the pull and these pushes, so true staleness is
-  // zero.  The per-shard path reports it exactly; the scalar path measures
-  // shard 0 against the min and over-counts by the version spread (1).
-  // Conservative (never under-counting) is the documented contract.
-  std::vector<float> grad(4, 1.0f);
-  EXPECT_EQ(ps.push(grad, 0.1, versions), 0);
-  ps.pull_with_versions(snap, versions);
-  const std::int64_t scalar2 = ps.pull_with_version(snap);
-  EXPECT_EQ(scalar2, 1);  // one complete (dense) update so far
-  EXPECT_EQ(ps.push(grad, 0.1, scalar2), 1);      // over-counts by the spread
-  EXPECT_EQ(ps.push(grad, 0.1, versions), 1);     // exact: one dense push landed since
-}
-
 TEST(ThreadedRuntime, SspStillTrains) {
   const DataSplit split = easy_data();
   Model proto = proto_model(split);
@@ -643,7 +603,7 @@ TEST(ThreadedRuntime, RestoreAcceptsFlatCheckpointIntoShardedLayout) {
   // into any shard layout, adopting its scalar version for every shard.
   SharedParameterServer flat(std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f}, 0.0);
   const std::vector<float> grad(4, 1.0f);
-  flat.push(grad, 0.5, 0);
+  flat.push(grad, 0.5, std::vector<std::int64_t>{0});
   const Checkpoint ckpt = flat.snapshot_checkpoint(1);
 
   SharedParameterServer sharded(std::vector<float>(4, 0.0f), 0.0, 2);
@@ -655,7 +615,9 @@ TEST(ThreadedRuntime, RestoreAcceptsFlatCheckpointIntoShardedLayout) {
   EXPECT_EQ(params, expect);
   // Versions never roll back on restore (the recovery-semantics contract):
   // the restored server keeps its own update count.
-  EXPECT_EQ(sharded.version(), 0);
+  std::vector<std::int64_t> versions;
+  sharded.pull_with_versions(params, versions);
+  EXPECT_EQ(versions, (std::vector<std::int64_t>{0, 0}));
 }
 
 // The threaded determinism corpus (tests/determinism_corpus.h): BSP and
