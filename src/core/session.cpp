@@ -101,6 +101,15 @@ std::optional<double> RunResult::time_to_accuracy(double threshold) const {
   return std::nullopt;
 }
 
+TrainingSession::TrainingSession(RunRequest request, const DataSplit& data)
+    : TrainingSession(std::move(request)) {
+  const SyntheticSpec& spec = req_.workload.data;
+  if (data.train.size() != spec.train_size || data.test.size() != spec.test_size ||
+      data.train.feature_dim() != spec.feature_dim)
+    throw ConfigError("TrainingSession: the shared split does not match the workload's data");
+  data_ = &data;
+}
+
 TrainingSession::TrainingSession(RunRequest request) : req_(std::move(request)) {
   if (!(req_.policy.switch_fraction >= 0.0 && req_.policy.switch_fraction <= 1.0))
     throw ConfigError("TrainingSession: switch_fraction must be in [0, 1]");
@@ -225,7 +234,8 @@ RunResult TrainingSession::run() {
   const std::size_t n = req_.cluster.num_workers;
 
   // --- Substrate: data, model, PS state, cluster model.
-  const DataSplit data = make_synthetic(wl.data);
+  std::optional<DataSplit> own_data;
+  const DataSplit& data = data_ != nullptr ? *data_ : own_data.emplace(make_synthetic(wl.data));
   const Dataset eval_subset = data.test.head(std::min<std::size_t>(data.test.size(), 2048));
 
   Rng root(req_.seed * 0x9E3779B97f4A7C15ULL + 17);

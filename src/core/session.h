@@ -174,7 +174,12 @@ struct RunResult {
 /// Runs one job to completion on the simulated cluster.
 class TrainingSession {
  public:
+  /// Builds its own split from `request.workload.data` when it runs.
   explicit TrainingSession(RunRequest request);
+  /// Runs on `data`, which must be `make_synthetic(request.workload.data)`
+  /// and outlive the session; it is only read, so sessions on several
+  /// threads may share one split.
+  TrainingSession(RunRequest request, const DataSplit& data);
 
   /// Execute the job.  Never throws on divergence (that is a *result*);
   /// throws ConfigError on inconsistent requests.
@@ -182,6 +187,7 @@ class TrainingSession {
 
  private:
   RunRequest req_;
+  const DataSplit* data_ = nullptr;
 };
 
 }  // namespace ss

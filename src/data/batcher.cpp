@@ -1,5 +1,6 @@
 #include "data/batcher.h"
 
+#include <limits>
 #include <numeric>
 
 #include "common/error.h"
@@ -10,6 +11,9 @@ std::vector<ShardSpec> make_shards(std::size_t dataset_size, std::size_t num_wor
   if (num_workers == 0) throw ConfigError("make_shards: num_workers must be > 0");
   if (dataset_size < num_workers)
     throw ConfigError("make_shards: dataset smaller than worker count");
+  // Shard bounds are 32-bit row indices.
+  if (dataset_size > std::numeric_limits<std::uint32_t>::max())
+    throw ConfigError("make_shards: dataset larger than 2^32 - 1 rows");
   std::vector<ShardSpec> shards(num_workers);
   const std::size_t base = dataset_size / num_workers;
   const std::size_t extra = dataset_size % num_workers;

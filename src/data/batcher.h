@@ -20,7 +20,9 @@ struct ShardSpec {
   [[nodiscard]] std::uint32_t size() const noexcept { return end - begin; }
 };
 
-/// Partition [0, dataset_size) into `num_workers` near-equal shards.
+/// Partition [0, dataset_size) into `num_workers` near-equal shards.  Throws
+/// ConfigError when a shard would be empty or a row index would not fit in
+/// 32 bits.
 std::vector<ShardSpec> make_shards(std::size_t dataset_size, std::size_t num_workers);
 
 /// Per-worker minibatch sampler: shuffles its shard each epoch and yields

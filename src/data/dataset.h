@@ -7,6 +7,11 @@
 // sampled row indices, and `head` gives the profiler a cheap fixed
 // subsample for the periodic accuracy probes the paper's timing policy
 // keys off.
+//
+// A Dataset may hold only a contiguous range of its rows: a socket worker
+// builds just its own train shard (data/synthetic.h).  `size()` stays the
+// logical row count, so sharding is unchanged; `gather` and `head` throw
+// ShapeError for a row that was not built.
 #pragma once
 
 #include <cstddef>
@@ -23,18 +28,27 @@ class Dataset {
  public:
   Dataset() = default;
   Dataset(Tensor features, std::vector<int> labels, int num_classes);
+  /// Rows [first_row, first_row + labels.size()) of a dataset of `size`
+  /// logical rows.
+  Dataset(Tensor features, std::vector<int> labels, int num_classes, std::size_t first_row,
+          std::size_t size);
 
-  [[nodiscard]] std::size_t size() const noexcept { return labels_.size(); }
+  /// Logical row count, built or not.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// First built row; the built rows are [first_row(), first_row() +
+  /// labels().size()).
+  [[nodiscard]] std::size_t first_row() const noexcept { return first_row_; }
   [[nodiscard]] std::size_t feature_dim() const noexcept {
     return features_.rank() == 2 ? features_.dim(1) : 0;
   }
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
 
+  /// The built rows' features and labels.
   [[nodiscard]] const Tensor& features() const noexcept { return features_; }
   [[nodiscard]] std::span<const int> labels() const noexcept { return labels_; }
 
   /// Copy rows `indices` into a (indices.size(), feature_dim) batch tensor
-  /// and label vector.
+  /// and label vector.  Throws ShapeError for a row that was not built.
   void gather(std::span<const std::uint32_t> indices, Tensor& batch_x,
               std::vector<int>& batch_y) const;
 
@@ -43,9 +57,13 @@ class Dataset {
   [[nodiscard]] Dataset head(std::size_t n) const;
 
  private:
+  void check() const;
+
   Tensor features_;
   std::vector<int> labels_;
   int num_classes_ = 0;
+  std::size_t first_row_ = 0;
+  std::size_t size_ = 0;
 };
 
 /// Train/test pair.

@@ -15,6 +15,7 @@
 //    mimics CIFAR-100's harder, longer training.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "data/dataset.h"
@@ -33,6 +34,8 @@ struct SyntheticSpec {
   double label_noise = 0.06;      ///< Probability a train label is resampled uniformly.
   std::uint64_t seed = 1234;
 
+  bool operator==(const SyntheticSpec&) const = default;
+
   /// CIFAR-10-like default (used by experiment setups 1 and 3).
   [[nodiscard]] static SyntheticSpec cifar10_like();
   /// CIFAR-100-like: 100 classes, lower separation, larger model needed
@@ -43,7 +46,18 @@ struct SyntheticSpec {
 /// Generate a reproducible train/test split from the spec.  Test labels are
 /// noise-free (noise only corrupts training labels), matching common
 /// synthetic-benchmark practice: the ceiling comes from class overlap plus
-/// training noise.
+/// training noise.  Throws ConfigError on a spec that would generate
+/// non-finite or empty data.
 DataSplit make_synthetic(const SyntheticSpec& spec);
+
+/// Train rows [begin, end) of `make_synthetic(spec)`, bit for bit, in a
+/// Dataset of `spec.train_size` logical rows that holds only those rows.
+/// Rows before `begin` are skipped by drawing the values they consume, so
+/// the cost is generating rows [0, end) minus their Box-Muller math.
+Dataset make_synthetic_train(const SyntheticSpec& spec, std::size_t begin, std::size_t end);
+
+/// The test split of `make_synthetic(spec)`, bit for bit, without building
+/// the train split.
+Dataset make_synthetic_test(const SyntheticSpec& spec);
 
 }  // namespace ss

@@ -206,14 +206,15 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   if (cfg.batch_size == 0) throw ConfigError("run_ps_server: batch_size must be > 0");
 
   // The server builds the model only for its initial parameters and the
-  // final evaluation; all gradient math happens in the worker processes.
+  // final evaluation, and the data only for that evaluation: the test split.
+  // All gradient math happens in the worker processes, each on its own
+  // train shard.
   Rng model_rng(cfg.seed);
-  const DataSplit split = make_synthetic(cfg.data);
-  Model model = make_model(cfg.arch, split.train.feature_dim(),
-                           cfg.data.num_classes, model_rng);
-  // Every worker shards this split the same way; one that cannot be split
-  // would fail every worker after it joins.
-  (void)make_shards(split.train.size(), cfg.num_workers);
+  const Dataset test = make_synthetic_test(cfg.data);
+  Model model = make_model(cfg.arch, cfg.data.feature_dim, cfg.data.num_classes, model_rng);
+  // Every worker shards the train split the same way; one that cannot be
+  // split would fail every worker after it joins.
+  (void)make_shards(cfg.data.train_size, cfg.num_workers);
 
   ServerState state(model.get_params(), cfg.momentum, cfg.num_ps_shards, cfg.num_workers,
                     cfg.snapshot_interval);
@@ -322,7 +323,7 @@ PsServerResult run_ps_server(const PsServerConfig& cfg) {
   result.final_params.resize(state.ps.num_params());
   state.ps.pull(result.final_params);
   model.set_params(result.final_params);
-  result.final_accuracy = model.evaluate_accuracy(split.test);
+  result.final_accuracy = model.evaluate_accuracy(test);
   return result;
 }
 

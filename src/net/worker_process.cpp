@@ -32,17 +32,19 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
   log_info("worker ", a.worker, ": joined ", cfg.endpoint, " (", a.num_params,
            " params, quota ", a.steps_per_worker, " steps)");
 
-  // Rebuild the run's inputs from the assignment alone.  The model is built
-  // with the same seed the server used, though only its shape matters:
-  // gradients are taken at the pulled parameters, not the local ones.
-  const DataSplit split = make_synthetic(a.data);
+  // Rebuild the run's inputs from the assignment alone: only the train rows
+  // this slot samples, no test split.  The model is built with the same
+  // seed the server used, though only its shape matters: gradients are
+  // taken at the pulled parameters, not the local ones.
+  const ShardSpec shard = WorkerSlot::shard(a.data.train_size, w, a.num_workers);
+  const Dataset train = make_synthetic_train(a.data, shard.begin, shard.end);
   Rng model_rng(a.seed);
-  Model model = make_model(a.arch, split.train.feature_dim(), a.data.num_classes, model_rng);
+  Model model = make_model(a.arch, a.data.feature_dim, a.data.num_classes, model_rng);
   if (model.num_params() != a.num_params)
     throw NetError("worker: model has " + std::to_string(model.num_params()) +
                    " params but the server assigned " + std::to_string(a.num_params));
   std::optional<CompressorBank> bank = a.compression.make_bank(a.num_workers);
-  WorkerSlot slot(std::move(model), split.train, a.batch_size, a.seed, w, a.num_workers);
+  WorkerSlot slot(std::move(model), train, a.batch_size, a.seed, w, a.num_workers);
 
   WorkerProcessResult result;
   result.worker = a.worker;

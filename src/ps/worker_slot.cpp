@@ -7,6 +7,12 @@
 
 namespace ss {
 
+ShardSpec WorkerSlot::shard(std::size_t train_size, std::size_t slot,
+                            std::size_t initial_workers) {
+  // Join slots reuse the initial partition.
+  return make_shards(train_size, initial_workers)[slot % initial_workers];
+}
+
 WorkerSlot::Streams WorkerSlot::streams_for(const Dataset& train, std::uint64_t seed,
                                             std::size_t slot, std::size_t initial_workers) {
   // Initial slots keep the historical stream ids; join slots (past the
@@ -19,7 +25,7 @@ WorkerSlot::Streams WorkerSlot::streams_for(const Dataset& train, std::uint64_t 
   for (std::size_t w = 0;; ++w) {
     Rng sampler = root.fork(w < n0 ? w + 1 : 1000 + w);
     Rng codec = root.fork(w < n0 ? n0 + 1 + w : 2000 + w);
-    if (w == slot) return {make_shards(train.size(), n0)[w % n0], sampler, codec};
+    if (w == slot) return {shard(train.size(), slot, n0), sampler, codec};
   }
 }
 

@@ -52,6 +52,10 @@ class WorkerSlot {
   WorkerSlot(Model model, const Dataset& train, std::size_t batch_size, std::uint64_t seed,
              std::size_t slot, std::size_t initial_workers);
 
+  /// The rows of a `train_size`-row train split that slot `slot` samples
+  /// from: a socket worker builds just these (data/synthetic.h).
+  static ShardSpec shard(std::size_t train_size, std::size_t slot, std::size_t initial_workers);
+
   /// Pull the parameters with their shard versions, then the gradient at
   /// them.
   void pull_gradient(Transport& ps);

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.h"
 #include "core/run_cache.h"
 #include "determinism_corpus.h"
 
@@ -87,6 +88,45 @@ TEST(Sweep, ScenarioRequestsSweepDeterministically) {
   for (std::size_t i = 0; i < grid.size(); ++i)
     EXPECT_EQ(result_fingerprint(serial[i].result), result_fingerprint(parallel[i].result))
         << "scenario seed " << (i + 1);
+}
+
+// The sweep builds one split per distinct data spec and shares it across
+// its entries: a grid mixing two specs must still give each entry exactly a
+// lone session's result.
+TEST(Sweep, EntriesSharingASplitMatchLoneSessions) {
+  std::vector<RunRequest> grid = tiny_grid(8);
+  for (std::size_t i = 0; i < grid.size(); i += 2) grid[i].workload.data.seed += 1;
+  const auto parallel = SweepRunner({.jobs = 3}).run(grid);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_TRUE(parallel[i].error.empty()) << parallel[i].error;
+    EXPECT_EQ(serialize_run_result(parallel[i].result),
+              serialize_run_result(TrainingSession(grid[i]).run()))
+        << "entry " << i;
+  }
+}
+
+TEST(Sweep, SessionRejectsASplitOfAnotherSpec) {
+  const RunRequest req = tiny_grid(1).front();
+  SyntheticSpec other = req.workload.data;
+  other.train_size += 1;
+  const DataSplit split = make_synthetic(other);
+  EXPECT_THROW(TrainingSession(req, split), ConfigError);
+}
+
+// The split is built lazily by the first entry that simulates: an
+// all-hit sweep never builds it, so a cached entry replays even when its
+// data spec could not be generated.
+TEST(Sweep, CacheHitsBuildNoSplit) {
+  const std::string dir = ::testing::TempDir() + "/ss_sweep_lazy";
+  std::filesystem::remove_all(dir);
+  const RunCache cache(dir);
+  RunRequest req = tiny_grid(1).front();
+  req.workload.data.within_stddev = req.workload.data.class_separation = 0.0;
+  cache.store(req, sweep_sample_result());
+  const auto outcomes = SweepRunner({.jobs = 1, .cache = &cache}).run({req});
+  EXPECT_TRUE(outcomes[0].error.empty()) << outcomes[0].error;
+  EXPECT_TRUE(outcomes[0].from_cache);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, SharedCacheTurnsSecondSweepIntoAllHits) {
