@@ -26,6 +26,7 @@
 #include "ps/sharded_param_server.h"
 #include "ps/threaded_runtime.h"
 #include "sim/event_queue.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 using namespace ss;
@@ -67,8 +68,12 @@ struct DenseProducts {
   }
 };
 
+// (batch, in, out) of the Dense layers the workloads train: resnet32_lite
+// at batch 32 (switch-straggler) and 64 (policy-sweep), and the linear
+// 1024 -> 100 model at batch 2.
 void dense_shapes(benchmark::internal::Benchmark* b) {
-  b->Args({32, 64, 96})->Args({32, 96, 64})->Args({2, 1024, 100});
+  b->Args({32, 64, 96})->Args({32, 96, 64})->Args({64, 64, 96})->Args({64, 96, 64})
+      ->Args({64, 64, 10})->Args({2, 1024, 100});
 }
 
 void BM_MatMul(benchmark::State& state) {
@@ -105,8 +110,9 @@ void BM_MatMulNT(benchmark::State& state) {
 BENCHMARK(BM_MatMulNT)->Apply(dense_shapes);
 
 // One worker task, Model::gradient_at, args (model, batch): 0 is
-// resnet32_lite on 64 features and 10 classes (switch-straggler), 1 is the
-// linear 1024 -> 100 model (topk-wide, socket-wide).
+// resnet32_lite on 64 features and 10 classes (switch-straggler at batch 32,
+// policy-sweep at batch 64), 1 is the linear 1024 -> 100 model (topk-wide,
+// socket-wide).
 void BM_GradientStep(benchmark::State& state) {
   const bool linear = state.range(0) == 1;
   const auto b = static_cast<std::size_t>(state.range(1));
@@ -135,7 +141,7 @@ void BM_GradientStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(b));
 }
-BENCHMARK(BM_GradientStep)->Args({0, 32})->Args({1, 2});
+BENCHMARK(BM_GradientStep)->Args({0, 32})->Args({0, 64})->Args({1, 2});
 
 void BM_PsApply(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
@@ -590,4 +596,12 @@ BENCHMARK(BM_NetPullPush)->Args({102500, 0})->Args({102500, 1})->UseRealTime();
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Which GEMM build produced the BM_MatMul*/BM_GradientStep numbers.
+  benchmark::AddCustomContext("gemm_isa", ss::ops::detail::has_avx2() ? "avx2" : "sse");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

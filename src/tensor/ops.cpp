@@ -7,6 +7,65 @@
 #include <vector>
 
 #include "common/error.h"
+#include "tensor/gemm.h"
+
+// Every header is included above, before the AVX2 region below.  An inline
+// library function first compiled inside that region would be built for
+// AVX2, and the linker may keep that copy for callers on any CPU.
+
+namespace ss::ops::detail {
+
+namespace sse {
+namespace {
+constexpr std::size_t kLanes = 4;
+#include "tensor/gemm_kernel.inc"
+}  // namespace
+}  // namespace sse
+
+void gemm_sse(const float* a, std::size_t a_row, std::size_t a_k, const float* b,
+              std::size_t b_k, std::size_t b_j, std::size_t m, std::size_t k, std::size_t n,
+              float* c) {
+  sse::gemm(a, a_row, a_k, b, b_k, b_j, m, k, n, c);
+}
+
+// AVX2 only, never FMA: with FMA available GCC contracts a * b + c into one
+// rounding (-ffp-contract=fast), which changes the bits.  avx512f brings FMA
+// instructions of its own and GCC contracts into them too, so it is no wider
+// safe target.  Off x86 this build is generic vector code that has_avx2()
+// never picks.
+#if defined(__x86_64__) || defined(__i386__)
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+namespace avx2 {
+namespace {
+constexpr std::size_t kLanes = 8;
+#include "tensor/gemm_kernel.inc"
+}  // namespace
+}  // namespace avx2
+
+void gemm_avx2(const float* a, std::size_t a_row, std::size_t a_k, const float* b,
+               std::size_t b_k, std::size_t b_j, std::size_t m, std::size_t k, std::size_t n,
+               float* c) {
+  avx2::gemm(a, a_row, a_k, b, b_k, b_j, m, k, n, c);
+}
+#if defined(__x86_64__) || defined(__i386__)
+#pragma GCC pop_options
+
+bool has_avx2() {
+  // A function-local static: a namespace-scope initializer could run before
+  // libgcc's own CPU probe and read no features.
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return yes;
+}
+#else
+bool has_avx2() { return false; }
+#endif
+
+}  // namespace ss::ops::detail
 
 namespace ss::ops {
 
@@ -16,99 +75,11 @@ void require(bool cond, const char* msg) {
   if (!cond) throw ShapeError(msg);
 }
 
-// Four floats in one SSE register (GCC/Clang vector extension).  Loads and
-// stores go through memcpy, so no alignment or aliasing is assumed.
-typedef float v4 __attribute__((vector_size(16)));
-
-v4 load4(const float* p) {
-  v4 v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store4(float* p, v4 v) { std::memcpy(p, &v, sizeof v); }
-
-constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileCols = 8;
-
-// acc_lo/acc_hi += s * (b_lo, b_hi): one rounded multiply, then one rounded
-// add, per lane.
-void madd(v4& acc_lo, v4& acc_hi, float s, v4 b_lo, v4 b_hi) {
-  const v4 sv = {s, s, s, s};
-  acc_lo += sv * b_lo;
-  acc_hi += sv * b_hi;
-}
-
-void store_row(float* c, std::size_t cols, v4 lo, v4 hi) {
-  if (cols == kTileCols) {
-    store4(c, lo);
-    store4(c + 4, hi);
-    return;
-  }
-  float row[kTileCols];
-  store4(row, lo);
-  store4(row + 4, hi);
-  std::memcpy(c, row, cols * sizeof(float));
-}
-
-// One ROWS x 8 tile of C (ROWS <= 4), held in registers for the whole k
-// loop.  Row r's A operand at step kk is a[r * a_row + kk * a_k]; B's 8
-// columns at step kk are b[kk * ldb .. kk * ldb + 7].  Every output starts
-// at +0 and adds its products in ascending kk.  Only the first `cols`
-// columns are stored.  The rows are spelled out, not an array, so the
-// accumulators stay in registers.
-template <std::size_t ROWS>
-void tile(const float* a, std::size_t a_row, std::size_t a_k, const float* b, std::size_t ldb,
-          std::size_t k, float* c, std::size_t ldc, std::size_t cols) {
-  v4 lo0 = {}, hi0 = {}, lo1 = {}, hi1 = {}, lo2 = {}, hi2 = {}, lo3 = {}, hi3 = {};
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const v4 b_lo = load4(b + kk * ldb);
-    const v4 b_hi = load4(b + kk * ldb + 4);
-    const float* ak = a + kk * a_k;
-    madd(lo0, hi0, ak[0], b_lo, b_hi);
-    if constexpr (ROWS > 1) madd(lo1, hi1, ak[a_row], b_lo, b_hi);
-    if constexpr (ROWS > 2) madd(lo2, hi2, ak[2 * a_row], b_lo, b_hi);
-    if constexpr (ROWS > 3) madd(lo3, hi3, ak[3 * a_row], b_lo, b_hi);
-  }
-  store_row(c, cols, lo0, hi0);
-  if constexpr (ROWS > 1) store_row(c + ldc, cols, lo1, hi1);
-  if constexpr (ROWS > 2) store_row(c + 2 * ldc, cols, lo2, hi2);
-  if constexpr (ROWS > 3) store_row(c + 3 * ldc, cols, lo3, hi3);
-}
-
-// C(m,n) = A(m,k) B(k,n) with A(i,kk) = a[i * a_row + kk * a_k] and
-// B(kk,j) = b[kk * b_k + j * b_j].  C is walked in 8-column panels.  B's
-// k x 8 panel is read in place when B's rows are contiguous and the panel is
-// whole; otherwise (B transposed, or the last n % 8 columns) it is first
-// packed kk-major into a zero-padded buffer.
+// Both builds give the same bits; the wider one runs wherever it can.
 void gemm(const float* a, std::size_t a_row, std::size_t a_k, const float* b, std::size_t b_k,
           std::size_t b_j, std::size_t m, std::size_t k, std::size_t n, float* c) {
-  thread_local std::vector<float> panel;
-  for (std::size_t j0 = 0; j0 < n; j0 += kTileCols) {
-    const std::size_t cols = std::min(kTileCols, n - j0);
-    const float* bp = b + j0 * b_j;
-    std::size_t ldb = b_k;
-    if (b_j != 1 || cols < kTileCols) {
-      panel.resize(k * kTileCols);
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        float* dst = panel.data() + kk * kTileCols;
-        for (std::size_t jj = 0; jj < cols; ++jj) dst[jj] = bp[kk * b_k + jj * b_j];
-        std::fill(dst + cols, dst + kTileCols, 0.0f);
-      }
-      bp = panel.data();
-      ldb = kTileCols;
-    }
-    for (std::size_t i0 = 0; i0 < m; i0 += kTileRows) {
-      const float* ap = a + i0 * a_row;
-      float* cp = c + i0 * n + j0;
-      switch (std::min(kTileRows, m - i0)) {
-        case 4: tile<4>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
-        case 3: tile<3>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
-        case 2: tile<2>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
-        default: tile<1>(ap, a_row, a_k, bp, ldb, k, cp, n, cols); break;
-      }
-    }
-  }
+  (detail::has_avx2() ? detail::gemm_avx2 : detail::gemm_sse)(a, a_row, a_k, b, b_k, b_j, m, k,
+                                                              n, c);
 }
 
 }  // namespace
@@ -189,6 +160,7 @@ void softmax_rows(const Tensor& logits, Tensor& probs) {
               logits.dim(1) == probs.dim(1),
           "softmax_rows: shape mismatch");
   const std::size_t m = logits.dim(0), n = logits.dim(1);
+  require(n > 0, "softmax_rows: zero columns");
   const float* pl = logits.data();
   float* pp = probs.data();
   for (std::size_t i = 0; i < m; ++i) {
@@ -226,6 +198,8 @@ void softmax_xent_backward(const Tensor& probs, std::span<const int> labels, Ten
               probs.dim(0) == dlogits.dim(0) && probs.dim(1) == dlogits.dim(1),
           "softmax_xent_backward: shape");
   const std::size_t m = probs.dim(0), n = probs.dim(1);
+  for (const int y : labels)
+    require(y >= 0 && static_cast<std::size_t>(y) < n, "softmax_xent_backward: label range");
   const float* pp = probs.data();
   float* pd = dlogits.data();
   const float inv_m = 1.0f / static_cast<float>(m);

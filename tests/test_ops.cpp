@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "tensor/gemm.h"
 
 namespace ss {
 namespace {
@@ -116,33 +119,120 @@ void expect_bits(const char* what, Op op, const Tensor& a, const Tensor& b, cons
       << what << " differs from the in-order reference";
 }
 
-void expect_all_bit_exact(std::size_t m, std::size_t k, std::size_t n, Rng& rng, bool sparse) {
-  SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) + " n=" + std::to_string(n) +
-               (sparse ? " sparse" : " dense"));
-  const Tensor a = operand({m, k}, rng, sparse);
-  const Tensor b = operand({k, n}, rng, sparse);
-  expect_bits("matmul", ops::matmul, a, b, reference_matmul(a, b));
-  const Tensor at = operand({k, m}, rng, sparse);
-  expect_bits("matmul_tn", ops::matmul_tn, at, b, reference_matmul_tn(at, b));
-  const Tensor bt = operand({n, k}, rng, sparse);
-  expect_bits("matmul_nt", ops::matmul_nt, a, bt, reference_matmul_nt(a, bt));
+// The three products through one GEMM build, with the strides tensor/ops.cpp
+// passes it.
+using Gemm = decltype(&ops::detail::gemm_sse);
+using Product = void (*)(const Tensor&, const Tensor&, Tensor&);
+
+template <Gemm G>
+void gemm_nn(const Tensor& a, const Tensor& b, Tensor& c) {
+  G(a.data(), a.dim(1), 1, b.data(), b.dim(1), 1, a.dim(0), a.dim(1), b.dim(1), c.data());
 }
 
-TEST(Ops, MatmulsAreBitExactOverEveryTileRemainder) {
+template <Gemm G>
+void gemm_tn(const Tensor& a, const Tensor& b, Tensor& c) {
+  G(a.data(), 1, a.dim(1), b.data(), b.dim(1), 1, a.dim(1), a.dim(0), b.dim(1), c.data());
+}
+
+template <Gemm G>
+void gemm_nt(const Tensor& a, const Tensor& b, Tensor& c) {
+  G(a.data(), a.dim(1), 1, b.data(), 1, b.dim(1), a.dim(0), a.dim(1), b.dim(0), c.data());
+}
+
+/// One way to run the three products: the public ops (whichever build this
+/// CPU picks) or one GEMM build called directly.
+struct Kernel {
+  const char* name;
+  Product matmul, matmul_tn, matmul_nt;
+  bool needs_avx2;
+};
+
+void PrintTo(const Kernel& k, std::ostream* os) { *os << k.name; }
+
+const Kernel kKernels[] = {
+    {"ops", ops::matmul, ops::matmul_tn, ops::matmul_nt, false},
+    {"sse", gemm_nn<ops::detail::gemm_sse>, gemm_tn<ops::detail::gemm_sse>,
+     gemm_nt<ops::detail::gemm_sse>, false},
+    {"avx2", gemm_nn<ops::detail::gemm_avx2>, gemm_tn<ops::detail::gemm_avx2>,
+     gemm_nt<ops::detail::gemm_avx2>, true},
+};
+
+class OpsKernel : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx2 && !ops::detail::has_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  }
+
+  void expect_all_bit_exact(std::size_t m, std::size_t k, std::size_t n, Rng& rng,
+                            bool sparse) const {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n) + (sparse ? " sparse" : " dense"));
+    const Kernel& kernel = GetParam();
+    const Tensor a = operand({m, k}, rng, sparse);
+    const Tensor b = operand({k, n}, rng, sparse);
+    expect_bits("matmul", kernel.matmul, a, b, reference_matmul(a, b));
+    const Tensor at = operand({k, m}, rng, sparse);
+    expect_bits("matmul_tn", kernel.matmul_tn, at, b, reference_matmul_tn(at, b));
+    const Tensor bt = operand({n, k}, rng, sparse);
+    expect_bits("matmul_nt", kernel.matmul_nt, a, bt, reference_matmul_nt(a, bt));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Gemm, OpsKernel, ::testing::ValuesIn(kKernels),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(OpsKernel, MatmulsAreBitExactOverEveryTileRemainder) {
+  // Row remainders of the 4-row tile, and column remainders of both the
+  // 8-column (SSE) and 16-column (AVX2) panels.
   Rng rng(6);
-  for (const std::size_t m : {1, 2, 3, 4, 5, 7, 32})
-    for (const std::size_t n : {1, 7, 8, 9, 17, 96, 100})
+  for (const std::size_t m : {1, 2, 3, 4, 5, 7, 32, 64})
+    for (const std::size_t n : {1, 7, 8, 9, 15, 16, 17, 31, 33, 96, 100})
       for (const std::size_t k : {1, 2, 64, 1024})
         for (const bool sparse : {false, true}) expect_all_bit_exact(m, k, n, rng, sparse);
 }
 
-TEST(Ops, MatmulsAreBitExactAtWorkloadShapes) {
-  // (m, k, n) of the Dense layers the end-to-end workloads train:
-  // resnet32_lite at batch 32 and the 1024 -> 100 linear model at batch 2.
+TEST_P(OpsKernel, MatmulsAreBitExactAtWorkloadShapes) {
+  // (m, k, n) of the products the zoo models run: resnet32_lite's Dense
+  // layers at batch 32 (switch-straggler) and 64 (policy-sweep), with its
+  // 10-class head; resnet50_lite's 96 -> 96 layer; the linear 1024 -> 100
+  // model at batch 2; and convnet_tiny's conv forward (8,27)(27,256), its
+  // weight gradient (nt) and its input gradient (tn).
   Rng rng(7);
-  const std::size_t shapes[][3] = {{32, 64, 96}, {32, 96, 64}, {2, 1024, 100}};
+  const std::size_t shapes[][3] = {{32, 64, 96}, {32, 96, 64}, {32, 64, 10},  {64, 64, 96},
+                                   {64, 96, 64}, {64, 64, 10}, {32, 96, 96},  {2, 1024, 100},
+                                   {8, 27, 256}, {8, 256, 27}, {27, 8, 256}};
   for (const auto& s : shapes)
     for (const bool sparse : {false, true}) expect_all_bit_exact(s[0], s[1], s[2], rng, sparse);
+}
+
+TEST(Ops, MatmulsGiveTheAvx2BuildsBitsWhenTheCpuHasAvx2) {
+  // On an AVX2 CPU the corpora and workloads only ever run the AVX2 build;
+  // the public products must give its bits, and so must the SSE build that
+  // a CPU without AVX2 runs, also on signed zeros, subnormals and
+  // infinities (and the NaNs they make), which the Gaussian operands above
+  // never hold.
+  if (!ops::detail::has_avx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  const Kernel& sse = kKernels[1];
+  const Kernel& avx2 = kKernels[2];
+  const float special[] = {0.0f, -0.0f, 1e-40f, -1e-40f, INFINITY, -INFINITY};
+  Rng rng(8);
+  for (const auto& [m, k, n] : {std::array<std::size_t, 3>{5, 33, 19}, {64, 64, 96}}) {
+    Tensor a = operand({m, k}, rng, true), b = operand({k, n}, rng, true);
+    Tensor at = operand({k, m}, rng, true), bt = operand({n, k}, rng, true);
+    for (Tensor* t : {&a, &b, &at, &bt})
+      for (std::size_t i = 0; i < t->numel(); i += 7) (*t)[i] = special[(i / 7) % 6];
+    const auto expect_same = [&](const char* what, Product pub, Product p_sse, Product p_avx2,
+                                 const Tensor& x, const Tensor& y) {
+      SCOPED_TRACE("the reference here is the AVX2 build");
+      Tensor want({m, n});
+      p_avx2(x, y, want);
+      expect_bits(what, pub, x, y, want);
+      expect_bits(what, p_sse, x, y, want);
+    };
+    expect_same("matmul", ops::matmul, sse.matmul, avx2.matmul, a, b);
+    expect_same("matmul_tn", ops::matmul_tn, sse.matmul_tn, avx2.matmul_tn, at, b);
+    expect_same("matmul_nt", ops::matmul_nt, sse.matmul_nt, avx2.matmul_nt, a, bt);
+  }
 }
 
 TEST(Ops, MatmulShapeMismatchThrows) {
@@ -196,6 +286,10 @@ TEST(Ops, SoftmaxRowsSumToOneAndStable) {
   }
   EXPECT_NEAR(probs.at2(0, 0), 1.0f / 3.0f, 1e-5);
   EXPECT_GT(probs.at2(1, 2), probs.at2(1, 0));
+
+  // A row of zero classes has no maximum to subtract.
+  Tensor empty({2, 0}), empty_probs({2, 0});
+  EXPECT_THROW(ops::softmax_rows(empty, empty_probs), ShapeError);
 }
 
 TEST(Ops, CrossEntropyGradientMatchesNumeric) {
@@ -220,6 +314,14 @@ TEST(Ops, CrossEntropyGradientMatchesNumeric) {
         (ops::cross_entropy_mean(pp, labels) - ops::cross_entropy_mean(pm, labels)) / (2 * eps);
     EXPECT_NEAR(grad[i], num, 5e-3);
   }
+
+  // A label outside [0, n) would index past its row, as cross_entropy_mean
+  // already refuses.
+  const Tensor p23({2, 3}, 1.0f / 3.0f);
+  Tensor g23({2, 3});
+  for (const std::vector<int>& bad : {std::vector<int>{0, 7}, std::vector<int>{-1, 0},
+                                      std::vector<int>{0, 3}})
+    EXPECT_THROW(ops::softmax_xent_backward(p23, bad, g23), ShapeError);
 }
 
 TEST(Ops, ArgmaxRows) {
