@@ -1,7 +1,6 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/error.h"
@@ -12,44 +11,6 @@
 #include "ps/sim_runtime.h"
 
 namespace ss {
-
-std::string online_policy_name(OnlinePolicy p) {
-  switch (p) {
-    case OnlinePolicy::kNone:
-      return "Baseline";
-    case OnlinePolicy::kGreedy:
-      return "Greedy";
-    case OnlinePolicy::kElastic:
-      return "Elastic";
-    case OnlinePolicy::kReplace:
-      return "Replace";
-  }
-  return "?";
-}
-
-SyncSwitchPolicy SyncSwitchPolicy::pure(Protocol p) {
-  SyncSwitchPolicy s;
-  s.first = p;
-  s.second = p;
-  s.switch_fraction = 1.0;
-  return s;
-}
-
-SyncSwitchPolicy SyncSwitchPolicy::bsp_to_asp(double fraction) {
-  SyncSwitchPolicy s;
-  s.first = Protocol::kBsp;
-  s.second = Protocol::kAsp;
-  s.switch_fraction = fraction;
-  return s;
-}
-
-SyncSwitchPolicy SyncSwitchPolicy::asp_to_bsp(double fraction) {
-  SyncSwitchPolicy s;
-  s.first = Protocol::kAsp;
-  s.second = Protocol::kBsp;
-  s.switch_fraction = fraction;
-  return s;
-}
 
 std::string RunRequest::cache_key() const {
   std::ostringstream os;
@@ -117,14 +78,7 @@ TrainingSession::TrainingSession(RunRequest request) : req_(std::move(request)) 
     throw ConfigError("TrainingSession: total_steps must be > 0");
   if (req_.cluster.num_workers < 1)
     throw ConfigError("TrainingSession: need at least one worker");
-  if (!req_.elastic.empty()) {
-    if (req_.policy.online != OnlinePolicy::kNone)
-      throw ConfigError("TrainingSession: an elastic membership plan and an online "
-                        "straggler policy both manipulate the active worker set; pick one");
-    if (req_.elastic.plan.reactive() && req_.policy.schedule.has_reactive_trigger())
-      throw ConfigError("TrainingSession: reactive membership and reactive switch "
-                        "triggers cannot share one straggler detector; pick one");
-  }
+  check_plan(req_.policy, req_.elastic.plan);
 }
 
 namespace {
@@ -143,89 +97,6 @@ class DetectorSink final : public MetricsSink {
  private:
   StragglerDetector& detector_;
 };
-
-std::vector<int> all_workers(std::size_t n) {
-  std::vector<int> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<int>(i);
-  return out;
-}
-
-/// What a leg does when the straggler detector flags a worker and the flag
-/// is not the leg's own trigger.
-enum class Reaction {
-  kNone,     ///< the leg does not watch the detector
-  kLeave,    ///< reactive membership plan: flagged workers leave through the
-             ///< recovery coordinator (clamped to ElasticConfig::min_workers)
-  kEvict,    ///< elastic policy: evict every flagged worker or none, never
-             ///< below two; the full cluster returns when the leg ends
-  kReplace,  ///< replace policy: kEvict, and a fresh node takes each evicted
-             ///< slot over once provisioned
-};
-
-/// One leg of the session's phase plan.  Legs run from index 0; `next` and
-/// `on_trigger` name the leg that follows (the plan size ends the run).
-struct Leg {
-  /// Protocol, trigger and SSP bound.  `steps` > 0 is a step quota that
-  /// carries across revisits of the leg; 0 runs out the run budget.
-  SwitchPhase phase;
-  MomentumPolicy momentum = MomentumPolicy::kBaseline;
-  Reaction reaction = Reaction::kNone;
-  std::size_t next = 0;        ///< after the quota or the run budget is spent
-  std::size_t on_trigger = 0;  ///< after the trigger fires with quota left
-};
-
-/// Lowers the request's policy onto one phase plan.  An explicit schedule
-/// runs verbatim and overrides the online policy.  Otherwise the offline
-/// plan runs `first` for `switch_fraction` of the steps, then `second`; when
-/// stragglers can occur, the online policy reshapes it:
-///  * greedy cycles: `first` until a straggler is detected, `second` until
-///    it clears, back to `first` until its quota is spent, then `second`;
-///  * elastic evicts stragglers in the `first` leg, replace in every leg.
-/// A reactive membership plan makes every leg leave flagged workers.  Only
-/// the post-switch protocol trains under the momentum ablation: a
-/// schedule's first leg, and the offline plan's `first`, run at baseline.
-std::vector<Leg> lower_policy(const RunRequest& req, bool has_stragglers) {
-  const SyncSwitchPolicy& p = req.policy;
-  const std::int64_t total = req.workload.total_steps;
-  const std::int64_t first_budget =
-      std::llround(p.switch_fraction * static_cast<double>(total));
-  constexpr SwitchTrigger kSteps = SwitchTrigger::kStepCount;
-  std::vector<Leg> legs;
-  if (!p.schedule.empty()) {
-    for (const SwitchPhase& ph : p.schedule.phases())
-      legs.push_back({ph, legs.empty() ? MomentumPolicy::kBaseline : p.momentum_policy});
-  } else if (first_budget > 0 && first_budget < total) {
-    legs = {{.phase = {p.first, kSteps, first_budget, -1}}, {.phase = {p.second, kSteps, 0, -1}}};
-  } else {
-    legs = {{.phase = {first_budget >= total ? p.first : p.second, kSteps, 0, -1}}};
-  }
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    legs[i].next = legs[i].on_trigger = i + 1;
-    if (req.elastic.plan.reactive()) legs[i].reaction = Reaction::kLeave;
-  }
-  const OnlinePolicy online =
-      p.schedule.empty() && has_stragglers ? p.online : OnlinePolicy::kNone;
-  if (online == OnlinePolicy::kGreedy && first_budget > 0) {
-    legs = {{.phase = {p.first, SwitchTrigger::kStragglerDetected, first_budget, -1},
-             .next = 2, .on_trigger = 1},
-            {.phase = {p.second, SwitchTrigger::kStragglerCleared, 0, -1},
-             .next = 2, .on_trigger = 0},
-            {.phase = {p.second, kSteps, 0, -1}, .next = 3, .on_trigger = 3}};
-  } else if (online == OnlinePolicy::kElastic && first_budget > 0) {
-    legs.front().reaction = Reaction::kEvict;
-  } else if (online == OnlinePolicy::kReplace) {
-    for (Leg& leg : legs) leg.reaction = Reaction::kReplace;
-  }
-  if (p.schedule.empty())
-    for (Leg& leg : legs)
-      if (leg.phase.protocol != p.first || p.switch_fraction <= 0.0)
-        leg.momentum = p.momentum_policy;
-  return legs;
-}
-
-bool watches_detector(const Leg& leg) {
-  return leg.phase.trigger != SwitchTrigger::kStepCount || leg.reaction != Reaction::kNone;
-}
 
 }  // namespace
 
@@ -269,7 +140,9 @@ RunResult TrainingSession::run() {
   else if (req_.stragglers.num_stragglers > 0)
     straggler_schedule = StragglerSchedule::generate(req_.stragglers, n, straggler_rng);
 
-  const std::vector<Leg> plan = lower_policy(req_, !straggler_schedule.events().empty());
+  const std::vector<PlanLeg> plan =
+      lower_plan(req_.policy, wl.total_steps, req_.elastic.plan,
+                 !straggler_schedule.events().empty());
 
   const PiecewiseDecay schedule =
       PiecewiseDecay::resnet_style(wl.hyper.learning_rate, wl.total_steps);
@@ -277,11 +150,12 @@ RunResult TrainingSession::run() {
   Profiler profiler;
   // Elastic joins extend the worker-slot space past n; size the detector for
   // every slot the run can ever see, but only the initial cluster is active.
+  RecoveryCoordinator coord(req_.elastic, n);
   StragglerDetector detector(n + req_.elastic.plan.join_count(), req_.policy.detector);
-  if (req_.elastic.plan.join_count() > 0) detector.set_active(all_workers(n));
+  if (req_.elastic.plan.join_count() > 0) detector.set_active(coord.active());
   DetectorSink detector_sink(detector);
   std::vector<MetricsSink*> tees;
-  if (std::any_of(plan.begin(), plan.end(), watches_detector)) tees.push_back(&detector_sink);
+  if (reads_detector(plan)) tees.push_back(&detector_sink);
   if (req_.observer != nullptr) tees.push_back(req_.observer);
   FanoutSink fanout(tees);
   if (!tees.empty()) profiler.set_tee(&fanout);
@@ -303,16 +177,14 @@ RunResult TrainingSession::run() {
   const std::int64_t steps_per_epoch = static_cast<std::int64_t>(
       std::max<std::size_t>(1, data.train.size() / wl.hyper.batch_size));
 
-  auto make_phase = [&](const Leg& leg, std::int64_t budget,
+  auto make_phase = [&](const PlanLeg& leg, std::int64_t budget,
                         std::size_t active_count) -> PhaseConfig {
     const Protocol proto = leg.phase.protocol;
     const DerivedHyper h = derive_hyper(proto, active_count, wl.hyper, leg.momentum,
                                         steps_per_epoch, req_.policy.k_param);
     PhaseConfig cfg;
     cfg.protocol = proto;
-    cfg.ssp_staleness_bound = leg.phase.ssp_staleness_bound >= 0
-                                  ? leg.phase.ssp_staleness_bound
-                                  : req_.policy.ssp_staleness_bound;
+    cfg.ssp_staleness_bound = leg.phase.ssp_staleness_bound;
     cfg.k_param = req_.policy.k_param;
     cfg.step_budget = budget;
     cfg.lr_schedule = &schedule;
@@ -360,7 +232,6 @@ RunResult TrainingSession::run() {
   // policy says so; every membership change is priced through the
   // cluster/actuator models.  All state evolution is deterministic in
   // (plan, seed), so every run is bit-for-bit reproducible and cacheable.
-  RecoveryCoordinator coord(req_.elastic, n);
   std::vector<int> active = coord.active();
 
   // Crash recovery restores the latest snapshot at or before the crash
@@ -472,7 +343,7 @@ RunResult TrainingSession::run() {
   bool diverged = false;
   std::size_t li = 0;
   while (li < plan.size() && !diverged && state.global_step < wl.total_steps) {
-    const Leg& leg = plan[li];
+    const PlanLeg& leg = plan[li];
     const std::int64_t leg_end =
         leg.phase.steps > 0
             ? std::min(state.global_step + leg.phase.steps - spent[li], wl.total_steps)
@@ -487,14 +358,12 @@ RunResult TrainingSession::run() {
         boundary = std::min(boundary, ev);
 
       const PhaseConfig cfg = make_phase(leg, boundary - state.global_step, active.size());
-      // Watching legs stop on a detector flag or on a provisioned
-      // replacement; a kStragglerCleared leg stops once the flags are gone.
+      // Watching legs stop when the detector fires them or a replacement
+      // is provisioned.
       StopPredicate stop;
-      if (leg.phase.trigger == SwitchTrigger::kStragglerCleared)
-        stop = [&](VTime, std::int64_t) { return !detector.any_straggler(); };
-      else if (watches_detector(leg))
+      if (reads_detector(leg.phase.trigger, leg.reaction))
         stop = [&](VTime now, std::int64_t) {
-          return detector.any_straggler() ||
+          return detector_fires(leg.phase.trigger, leg.reaction, detector) ||
                  std::any_of(pending.begin(), pending.end(),
                              [now](const auto& p) { return now >= p.second; });
         };
@@ -535,7 +404,7 @@ RunResult TrainingSession::run() {
     if (next < plan.size() && state.global_step < wl.total_steps) {
       if (leg.reaction == Reaction::kEvict && active.size() < n) {
         state.clock += actuator.resize_time().scaled(ascale);  // the evicted nodes return
-        active = all_workers(n);
+        active = coord.active();  // no membership plan runs beside kEvict
       }
       pay_switch();
     }

@@ -8,12 +8,12 @@
 // actuator's measured overhead in virtual time.
 //
 // Every policy runs through one phase-plan engine.  run() lowers the
-// offline two-phase plan, an explicit SwitchSchedule, or an online straggler
-// policy (Section IV-B2) onto a list of legs, then executes the legs in one
-// loop.  Greedy flips to ASP while a straggler is detected and back once it
-// clears, until the BSP quota is met.  Elastic evicts detected stragglers
-// for the rest of the BSP phase and restores the full cluster for ASP.
-// Replace evicts them and re-admits each slot once a fresh node is
+// request's policy with ps/plan.h's lower_plan(), the same lowering the
+// threaded runtime's BarrierPlanner uses, and walks the legs in one loop in
+// virtual time.  Greedy flips to ASP while a straggler is detected and back
+// once it clears, until the BSP quota is met.  Elastic evicts detected
+// stragglers for the rest of the BSP phase and restores the full cluster for
+// ASP.  Replace evicts them and re-admits each slot once a fresh node is
 // provisioned.
 #pragma once
 
@@ -25,12 +25,10 @@
 #include "compress/spec.h"
 #include "core/config_policy.h"
 #include "core/profiler.h"
-#include "core/straggler_detector.h"
 #include "elastic/membership_plan.h"
 #include "data/synthetic.h"
 #include "nn/zoo.h"
-#include "ps/protocol.h"
-#include "ps/switch_schedule.h"
+#include "ps/plan.h"
 #include "sim/actuator.h"
 #include "sim/cluster.h"
 #include "sim/straggler.h"
@@ -45,47 +43,6 @@ struct Workload {
   BaseHyper hyper;
   std::int64_t eval_interval = 128;
   double divergence_loss_threshold = 50.0;
-};
-
-/// Online straggler-reaction policy (Section IV-B2).  kReplace extends the
-/// paper: it targets *permanent* stragglers, which the paper explicitly
-/// delegates to node replacement ("permanent stragglers are best dealt with
-/// by requesting replacement") — detected stragglers are evicted and a
-/// replacement VM is provisioned in the background (~100 s), rejoining the
-/// cluster healthy once ready.
-enum class OnlinePolicy { kNone, kGreedy, kElastic, kReplace };
-
-std::string online_policy_name(OnlinePolicy p);
-
-/// The full Sync-Switch policy set for one job.
-struct SyncSwitchPolicy {
-  Protocol first = Protocol::kBsp;   ///< protocol policy: BSP first...
-  Protocol second = Protocol::kAsp;  ///< ...then ASP
-  double switch_fraction = 0.0625;   ///< timing policy: fraction under `first`
-  /// Explicit multi-phase switch schedule.  When non-empty it replaces the
-  /// two-phase (first/second/switch_fraction) plan *and* the online policy
-  /// (those fields are ignored; results cannot depend on them): phases run
-  /// in order with a checkpoint -> actuate -> restore switch between them.
-  /// `momentum_policy` still applies — to every phase after the first, just
-  /// as it applies to the post-switch protocol in the two-phase plan.
-  /// Phase `steps` are global minibatch steps (the unit of
-  /// Workload::total_steps); reactive triggers consume the straggler
-  /// detector exactly as the online policies do.  The same schedule type
-  /// drives the threaded runtime's live switching (there, steps are local
-  /// steps per worker) — see ps/switch_schedule.h for the correspondence.
-  SwitchSchedule schedule;
-  MomentumPolicy momentum_policy = MomentumPolicy::kBaseline;
-  OnlinePolicy online = OnlinePolicy::kNone;
-  DetectorConfig detector;
-  int ssp_staleness_bound = 3;
-  int k_param = 0;  ///< K for the K-variant protocols (0 = cluster size)
-
-  /// Train exclusively with `p` (the BSP / ASP baselines).
-  [[nodiscard]] static SyncSwitchPolicy pure(Protocol p);
-  /// The paper's default hybrid: BSP for `fraction`, then ASP.
-  [[nodiscard]] static SyncSwitchPolicy bsp_to_asp(double fraction);
-  /// The reversed order (Figure 5(a) ablation).
-  [[nodiscard]] static SyncSwitchPolicy asp_to_bsp(double fraction);
 };
 
 /// One training job on one simulated cluster.

@@ -27,8 +27,9 @@
 // ElasticConfig::min_workers), under any protocol and on both runtimes.
 // The session's OnlinePolicy::kElastic is a narrower, simulator-only rule:
 // it evicts every flagged worker or none (never below two), only while the
-// first protocol runs, and restores the full cluster at the switch.  On the
-// simulator both are reactions of the same phase-plan engine.
+// first protocol runs, and restores the full cluster at the switch.  Both
+// are reactions of one plan leg (ps/plan.h: Reaction::kLeave for this plan,
+// kEvict for the online policy), lowered once for either runtime.
 #pragma once
 
 #include <cstdint>

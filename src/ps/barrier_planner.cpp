@@ -25,21 +25,17 @@ ElasticConfig membership_config(const ThreadedTrainConfig& cfg) {
 }  // namespace
 
 BarrierPlanner::BarrierPlanner(const ThreadedTrainConfig& cfg)
-    : cfg_(cfg), legs_(lower(cfg)), coord_(membership_config(cfg), cfg.num_workers) {
-  for (const Segment& leg : legs_) uses_detector_ |= leg.watch != Watch::kNone;
+    : cfg_(cfg),
+      legs_(lower(cfg)),
+      coord_(membership_config(cfg), cfg.num_workers),
+      uses_detector_(reads_detector(legs_)),
+      compress_(cfg.compression.enabled()) {
   if (cfg.controller.enabled) controller_.emplace(cfg.controller, cfg.compression);
 }
 
-std::vector<Segment> BarrierPlanner::lower(const ThreadedTrainConfig& cfg) {
+std::vector<PlanLeg> BarrierPlanner::lower(const ThreadedTrainConfig& cfg) {
   if (cfg.num_workers == 0) throw ConfigError("threaded_train: num_workers must be > 0");
   if (cfg.steps_per_worker <= 0) throw ConfigError("threaded_train: steps must be > 0");
-  const SwitchSchedule plan =
-      cfg.schedule.empty() ? SwitchSchedule::single(cfg.protocol) : cfg.schedule;
-  const std::vector<SwitchPhase>& phases = plan.phases();
-  for (const SwitchPhase& p : phases)
-    if (!threaded_supported(p.protocol))
-      throw ConfigError("threaded_train: protocol " + protocol_name(p.protocol) +
-                        " is simulator-only (supported here: BSP, ASP, SSP)");
   if (cfg.controller.enabled) {
     if (!cfg.schedule.empty())
       throw ConfigError("threaded_train: the controller picks phases itself; an explicit "
@@ -50,24 +46,16 @@ std::vector<Segment> BarrierPlanner::lower(const ThreadedTrainConfig& cfg) {
     if (cfg.controller.decision_interval <= 0)
       throw ConfigError("threaded_train: controller decision_interval must be > 0");
   }
-  const bool evict_flagged = cfg.elastic.plan.reactive();
-  if (evict_flagged && cfg.schedule.has_reactive_trigger())
-    throw ConfigError("threaded_train: reactive membership and reactive switch triggers "
-                      "cannot share one straggler detector; pick one policy");
-  std::vector<Segment> legs;
-  for (const SwitchPhase& p : phases) {
-    const int bound = p.ssp_staleness_bound >= 0 ? p.ssp_staleness_bound : cfg.ssp_staleness_bound;
-    if (p.protocol == Protocol::kSsp && bound < 0)
-      throw ConfigError("threaded_train: negative staleness bound");
-    const Watch watch = evict_flagged ? Watch::kEvictFlagged
-                        : p.trigger == SwitchTrigger::kStragglerDetected ? Watch::kDetected
-                        : p.trigger == SwitchTrigger::kStragglerCleared  ? Watch::kCleared
-                                                                         : Watch::kNone;
-    legs.push_back({.leg = legs.size(), .protocol = p.protocol, .ssp_bound = bound,
-                    .compress = cfg.compression.enabled(), .quota = p.steps, .watch = watch});
-  }
+  SyncSwitchPolicy policy = SyncSwitchPolicy::pure(cfg.protocol);
+  policy.schedule = cfg.schedule;
+  policy.ssp_staleness_bound = cfg.ssp_staleness_bound;
+  std::vector<PlanLeg> legs = lower_plan(policy, cfg.steps_per_worker, cfg.elastic.plan, false);
+  for (const PlanLeg& leg : legs)
+    if (!threaded_supported(leg.phase.protocol))
+      throw ConfigError("threaded_train: protocol " + protocol_name(leg.phase.protocol) +
+                        " is simulator-only (supported here: BSP, ASP, SSP)");
   // The controller's first interval is a leg like the ones it appends.
-  if (cfg.controller.enabled) legs[0].quota = cfg.controller.decision_interval;
+  if (cfg.controller.enabled) legs[0].phase.steps = cfg.controller.decision_interval;
   return legs;
 }
 
@@ -86,13 +74,12 @@ Segment BarrierPlanner::next() {
   if (steps_done_ == 0) {
     leg_ = std::min(next_leg_, legs_.size() - 1);
     const std::int64_t remaining = cfg_.steps_per_worker - done_;
-    const std::int64_t steps = legs_[leg_].quota;
+    const std::int64_t steps = legs_[leg_].phase.steps;
     phase_quota_ = steps > 0 ? std::min(steps, remaining) : remaining;
   }
-  Segment s = legs_[leg_];
-  s.lr = lr(s.protocol, coord_.alive_count());
-  s.start = steps_done_;
-  s.quota = phase_quota_;
+  const PlanLeg& leg = legs_[leg_];
+  Segment s{.leg = leg_, .plan = leg, .lr = lr(leg.phase.protocol, coord_.alive_count()),
+            .compress = compress_, .start = steps_done_, .quota = phase_quota_};
   const std::int64_t event = coord_.next_event_step(done_ + steps_done_);
   if (event > 0) s.quota = std::min(s.quota, event - done_);
   return s;
@@ -100,24 +87,21 @@ Segment BarrierPlanner::next() {
 
 std::optional<ThreadedPhaseStats> BarrierPlanner::drain(std::int64_t reached, bool fired,
                                                         const StragglerDetector& detector) {
-  const Segment& leg = legs_[leg_];
-  if (fired && leg.watch == Watch::kEvictFlagged) {
+  const PlanLeg& leg = legs_[leg_];
+  const bool triggered = fired && leg.phase.trigger != SwitchTrigger::kStepCount;
+  if (fired && !triggered) {  // the kLeave reaction
     delta_due_ = true;
     evict_ = detector.stragglers();
   }
-  const bool triggered = fired && leg.watch != Watch::kEvictFlagged;
   if (!triggered && reached < phase_quota_) {
     steps_done_ = reached;
     return std::nullopt;
   }
-  ThreadedPhaseStats phase;
-  phase.protocol = leg.protocol;
-  phase.ended_by_trigger = triggered;
-  phase.start_step = done_;
-  phase.steps = reached;
+  const ThreadedPhaseStats phase{.protocol = leg.phase.protocol, .ended_by_trigger = triggered,
+                                 .start_step = done_, .steps = reached};
   done_ += reached;
   steps_done_ = 0;
-  next_leg_ = leg_ + 1;
+  next_leg_ = triggered ? leg.on_trigger : leg.next;
   return phase;
 }
 
@@ -133,12 +117,12 @@ void BarrierPlanner::decide(const ThreadedPhaseStats& phase,
   const MeasuredPhaseCosts measured = measure();
   if (finished()) return;  // realized gain settled; nothing left to decide
 
-  const Segment& leg = legs_[leg_];
+  const PlanLeg& leg = legs_[leg_];
   ControllerDecision d;
   std::optional<std::string> error;
   try {
-    d = controller_->decide(done_, leg.protocol, leg.ssp_bound, leg.compress, measured,
-                            done_ - last_move_step_, cfg_.steps_per_worker - done_);
+    d = controller_->decide(done_, leg.phase.protocol, leg.phase.ssp_staleness_bound, compress_,
+                            measured, done_ - last_move_step_, cfg_.steps_per_worker - done_);
   } catch (const std::exception& e) {
     error = e.what();
   } catch (...) {
@@ -149,26 +133,27 @@ void BarrierPlanner::decide(const ThreadedPhaseStats& phase,
     // current configuration rather than take down the run.
     d = ControllerDecision{};
     d.at_step = done_;
-    d.protocol_before = leg.protocol;
+    d.protocol_before = leg.phase.protocol;
     d.reason = "hold:error " + *error;
   }
   enact(std::move(d));
 }
 
 void BarrierPlanner::enact(ControllerDecision d) {
-  Segment next = legs_[leg_];
-  next.leg = legs_.size();
-  next.quota = cfg_.controller.decision_interval;
+  PlanLeg next = legs_[leg_];
+  next.phase.steps = cfg_.controller.decision_interval;
+  next.next = next.on_trigger = legs_.size() + 1;
   if (d.enacted) {
     last_move_step_ = done_;
     if (d.chosen.evict_straggler) {
       delta_due_ = true;
       evict_.assign(1, d.measured.straggler_worker);
     } else {
-      next.protocol = d.chosen.protocol;
-      next.ssp_bound = d.chosen.ssp_staleness_bound >= 0 ? d.chosen.ssp_staleness_bound
-                                                         : cfg_.ssp_staleness_bound;
-      next.compress = d.chosen.compress && cfg_.compression.enabled();
+      next.phase.protocol = d.chosen.protocol;
+      next.phase.ssp_staleness_bound = d.chosen.ssp_staleness_bound >= 0
+                                           ? d.chosen.ssp_staleness_bound
+                                           : cfg_.ssp_staleness_bound;
+      compress_ = d.chosen.compress && cfg_.compression.enabled();
     }
   }
   decisions_.push_back(std::move(d));

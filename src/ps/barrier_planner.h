@@ -1,15 +1,15 @@
 // BarrierPlanner: what the threaded runtime runs next, and on which workers.
 //
 // Every Sync-Switch policy answers one question at a drain barrier — the
-// offline timing policy with a fixed step count, the online policies of
-// Section VI-B3 when the straggler detector fires, the controller with a
-// twin-priced move.  The planner answers it for the threaded runtime from one
-// plan of legs, the way the simulator session's phase-plan engine does
-// (core/session.cpp):
+// offline timing policy with a fixed step count, a reactive schedule or
+// membership plan when the straggler detector fires, the controller with a
+// twin-priced move.  The planner answers it from the plan of legs that
+// ps/plan.h's lower_plan() makes, the same lowering the simulator session
+// walks (core/session.cpp):
 //
 //  * a fixed protocol is one leg that runs out the run budget;
 //  * a switch schedule is its phases, verbatim;
-//  * a reactive membership plan watches every leg for flagged workers;
+//  * a reactive membership plan makes every leg's reaction kLeave;
 //  * the controller appends one `decision_interval`-step leg per decision,
 //    and an eviction it enacts is the membership delta before that leg.
 //
@@ -18,9 +18,11 @@
 // resolves at a drain barrier.  The runtime arms a segment, runs it to its
 // drain barrier, and reports how far it got; the planner settles the phase,
 // books the membership delta due before the next segment, and lowers that
-// segment.  A segment is plain data, so the runtime's worker loops and drain
-// completion never branch on where a decision came from, and this header's
-// logic is testable without threads.
+// segment.  The planner keeps only segment state: the cut, the progress
+// through the phase, the lr, the compression and the membership delta.  A
+// segment is plain data, so the runtime's worker loops and drain completion
+// never branch on where a decision came from, and this header's logic is
+// testable without threads.
 #pragma once
 
 #include <cstddef>
@@ -32,31 +34,20 @@
 #include "control/controller.h"
 #include "core/straggler_detector.h"
 #include "elastic/recovery_coordinator.h"
+#include "ps/plan.h"
 #include "ps/protocol.h"
 #include "ps/threaded_runtime.h"
 
 namespace ss {
 
-/// What a segment watches the straggler detector for.
-enum class Watch {
-  kNone,          ///< nothing: the segment ends on its step quota
-  kDetected,      ///< any flag ends the phase (kStragglerDetected)
-  kCleared,       ///< no flag ends the phase (kStragglerCleared)
-  kEvictFlagged,  ///< any flag evicts the flagged workers at the drain
-};
-
-/// True when `detector`'s current flags fire `watch`: any flag fires
-/// kDetected and kEvictFlagged, no flag fires kCleared.
-[[nodiscard]] inline bool watch_fired(Watch watch, const StragglerDetector& detector) {
-  return watch != Watch::kNone && (watch == Watch::kCleared) != detector.any_straggler();
-}
-
 /// One stretch of training between two drain barriers, on a fixed worker
 /// set.  Step counts are per-worker local steps within the segment's phase.
 struct Segment {
   std::size_t leg = 0;  ///< index of the plan leg (the phase) it belongs to
-  Protocol protocol = Protocol::kBsp;
-  int ssp_bound = 0;
+  /// That leg: its protocol, resolved SSP bound, and the trigger and
+  /// reaction the segment watches the detector for (see reads_detector /
+  /// detector_fires in ps/plan.h).
+  PlanLeg plan;
   double lr = 0.0;
   bool compress = false;  ///< push through the run's codec (never set without one)
   /// Steps of the phase already run before this segment; 0 when the segment
@@ -66,16 +57,15 @@ struct Segment {
   /// Step the segment runs to.  BSP and SSP run every worker's clock there;
   /// ASP spends n_alive x (quota - start) shared step tickets.
   std::int64_t quota = 0;
-  Watch watch = Watch::kNone;
 };
 
 class BarrierPlanner {
  public:
   /// Lowers `cfg` onto legs.  Throws ConfigError for an invalid or
   /// non-composable config: the controller picks its own legs and owns the
-  /// worker set, so it excludes a schedule and a membership plan, and
-  /// reactive membership excludes reactive switch triggers, because both
-  /// would read one detector.  `cfg` must outlive the planner.
+  /// worker set, so it excludes a schedule and a membership plan; the
+  /// checks the sim shares are lower_plan()'s.  `cfg` must outlive the
+  /// planner.
   explicit BarrierPlanner(const ThreadedTrainConfig& cfg);
 
   /// The worker set: slot ids and the scripted events still to come.
@@ -101,9 +91,10 @@ class BarrierPlanner {
   [[nodiscard]] Segment next();
 
   /// The segment from next() reached its drain barrier after `reached`
-  /// phase steps, and `fired` says its watch latched.  A fired evict watch
-  /// books the workers `detector` flags at the barrier for eviction.  The
-  /// phase completes at its quota or when a phase-ending watch fired: then
+  /// phase steps, and `fired` says the detector fired it.  A fire is the
+  /// leg's trigger when it has one; otherwise its kLeave reaction books the
+  /// workers `detector` flags at the barrier for eviction.  The phase
+  /// completes at its quota or when its trigger fired: then
   /// the result is its stats, with the protocol, ended_by_trigger,
   /// start_step and steps filled in for the caller to complete.  Otherwise
   /// the next segment resumes the phase.
@@ -117,14 +108,14 @@ class BarrierPlanner {
   /// `measure` uncalled.
   void decide(const ThreadedPhaseStats& phase, const std::function<MeasuredPhaseCosts()>& measure);
   /// Appends the leg `d` chooses: the current leg for `decision_interval`
-  /// steps, with the chosen protocol, bound and compression, or with the
-  /// measured straggler's slot booked for eviction.
+  /// steps, with the chosen protocol and bound (the compression switches
+  /// with it), or with the measured straggler's slot booked for eviction.
   void enact(ControllerDecision d);
   [[nodiscard]] std::vector<ControllerDecision> take_decisions() { return std::move(decisions_); }
 
   /// True when a membership delta is due before the next segment: slots
-  /// booked for eviction, a fired evict watch (even if its flags cleared
-  /// by the barrier), or scripted events at the current progress.
+  /// booked for eviction, a fired kLeave reaction (even if its flags
+  /// cleared by the barrier), or scripted events at the current progress.
   [[nodiscard]] bool membership_due() const noexcept;
   /// Applies the due delta to the worker set — evictions first, then the
   /// scripted events — and returns what changed.  Call with every worker
@@ -134,16 +125,15 @@ class BarrierPlanner {
 
  private:
   /// Validates `cfg`, checking in a fixed order so the first error reported
-  /// stays the same, and lowers its protocol or schedule onto legs.
-  [[nodiscard]] static std::vector<Segment> lower(const ThreadedTrainConfig& cfg);
+  /// stays the same, and lowers its protocol or schedule onto the legs the
+  /// planner starts from.
+  [[nodiscard]] static std::vector<PlanLeg> lower(const ThreadedTrainConfig& cfg);
 
   const ThreadedTrainConfig& cfg_;
-  /// Each leg as the segment that opens it, except that its quota is the
-  /// leg's step count: > 0 a step quota, 0 to run out the run budget.  Its
-  /// lr is derived when the segment is lowered.
-  std::vector<Segment> legs_;
+  std::vector<PlanLeg> legs_;  ///< the lowered plan, then the controller's legs
   RecoveryCoordinator coord_;
   bool uses_detector_ = false;
+  bool compress_ = false;  ///< push through the codec; the controller may switch it
 
   std::size_t leg_ = 0;           ///< leg of the current phase
   std::size_t next_leg_ = 0;      ///< leg the next phase enters

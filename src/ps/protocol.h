@@ -62,6 +62,12 @@ inline bool is_synchronous(Protocol p) {
   return p == Protocol::kBsp || p == Protocol::kKSync || p == Protocol::kKBatchSync;
 }
 
+/// True for the protocols a staleness bound gates (fixed for SSP, the lower
+/// bound for DSSP).
+inline bool reads_staleness_bound(Protocol p) {
+  return p == Protocol::kSsp || p == Protocol::kDssp;
+}
+
 /// True for protocols the real-thread runtime (ps/threaded_runtime.h)
 /// implements; the simulator supports the whole enum.  Schedules that mix
 /// protocols are validated against this before any worker thread starts.

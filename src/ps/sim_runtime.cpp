@@ -358,6 +358,8 @@ PhaseResult SimRuntime::run_phase(TrainingState& state, const PhaseConfig& cfg,
   for (int w : active_workers)
     if (w < 0 || static_cast<std::size_t>(w) >= state.samplers.size())
       throw ConfigError("run_phase: active worker index out of range");
+  if (reads_staleness_bound(cfg.protocol) && cfg.ssp_staleness_bound < 0)
+    throw ConfigError("run_phase: negative staleness bound");
   // Reset the eval bucket so a fresh phase re-evaluates on its first boundary.
   last_eval_bucket_ = state.global_step / std::max<std::int64_t>(cfg.eval_interval, 1);
 

@@ -4,16 +4,15 @@
 // run one synchronization protocol for a while, then transition to another
 // mid-training.  It is a phase list consumed by both runtimes:
 //
-//  * the simulator (core/session.h: SyncSwitchPolicy::schedule) runs each
+//  * the simulator (ps/plan.h: SyncSwitchPolicy::schedule) runs each
 //    phase through SimRuntime::run_phase with a checkpoint -> actuate ->
 //    restore switch between phases, and
 //  * the threaded runtime (ps/threaded_runtime.h: ThreadedTrainConfig::
 //    schedule) transitions live, quiescing real worker threads at a drain
 //    barrier — no checkpoint, no restart, no lost update.
 //
-// Both lower the phases verbatim onto their plan engines' legs (the
-// session's in core/session.cpp, the BarrierPlanner's in
-// ps/barrier_planner.h) and read a phase's budget off `steps` alone.
+// Both take their legs from one lowering, ps/plan.h's lower_plan(), which
+// copies the phases verbatim, and read a phase's budget off `steps` alone.
 //
 // A phase ends either after a fixed step budget (kStepCount — the paper's
 // timing policy, which picks the switch point offline) or when the online

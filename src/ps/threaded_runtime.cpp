@@ -247,7 +247,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   /// tickets.  Runs before the threads start, inside the drain barrier's
   /// completion, or between epochs — never concurrently with a worker step.
   auto arm = [&](const Segment& next) {
-    const Protocol prev_proto = seg.protocol;
+    const Protocol prev_proto = seg.plan.phase.protocol;
     seg = next;
     tickets = 0;
     ticket_budget = static_cast<std::int64_t>(n_alive) * (seg.quota - seg.start);
@@ -267,15 +267,15 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // state the segment starts from.
     ps.pull_with_versions(shared_snapshot, round_versions);
     if (obs_on && phase_entry) {
-      if (seg.protocol != prev_proto) m_switches->add();
+      if (seg.plan.phase.protocol != prev_proto) m_switches->add();
       if (obs::tracing()) {
-        if (seg.protocol != prev_proto)
+        if (seg.plan.phase.protocol != prev_proto)
           obs::tracer().instant(0, "protocol_switch",
                                 {obs::arg("from", protocol_name(prev_proto)),
-                                 obs::arg("to", protocol_name(seg.protocol))});
+                                 obs::arg("to", protocol_name(seg.plan.phase.protocol))});
         obs::tracer().instant(0, "phase_start",
                               {obs::arg("phase", static_cast<std::int64_t>(seg.leg)),
-                               obs::arg("protocol", protocol_name(seg.protocol)),
+                               obs::arg("protocol", protocol_name(seg.plan.phase.protocol)),
                                obs::arg("quota", seg.quota)});
       }
     }
@@ -334,7 +334,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // BSP/SSP clocks are equal across alive workers.  An ASP segment always
     // ends on a multiple of n_alive tickets, so its per-worker step count is
     // exact.
-    const std::int64_t reached = seg.protocol == Protocol::kAsp
+    const std::int64_t reached = seg.plan.phase.protocol == Protocol::kAsp
                                      ? seg.start + tickets / static_cast<std::int64_t>(n_alive)
                                      : clock[leader];
     // Every worker is parked, so the detector needs no lock here.
@@ -349,7 +349,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         c.phase_staleness_sum = 0;
         c.phase_push_bytes = 0;
       }
-      if (seg.protocol != Protocol::kBsp && s.updates > 0) {
+      if (seg.plan.phase.protocol != Protocol::kBsp && s.updates > 0) {
         s.mean_staleness = static_cast<double>(staleness_sum) / static_cast<double>(s.updates);
         run_async_staleness += staleness_sum;
         run_async_updates += s.updates;
@@ -420,7 +420,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     const double secs = seconds_between(step_start, SteadyClock::now());
     const std::lock_guard<std::mutex> lock(det_mu);
     return detector.observe(static_cast<int>(w), cfg.batch_size, VTime::from_seconds(secs)) &&
-           watch_fired(seg.watch, detector);
+           detector_fires(seg.plan.phase.trigger, seg.plan.reaction, detector);
   };
 
   /// Latch a fired watch (async phases) and end the segment as soon as it
@@ -429,22 +429,23 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   /// waiters so they re-check it.  An ASP schedule trigger rounds the
   /// tickets drawn so far up to the next multiple of n_alive, so the
   /// segment closes within n_alive tickets on a whole per-worker step
-  /// count.  An ASP evict watch does not cut the segment short: a straggler
-  /// costs a work-conserving segment no more than its in-flight step, so
-  /// the flagged worker leaves at the segment's own drain (the next phase
-  /// boundary or scripted event; a run-ending drain evicts no one).  Evicting mid-segment would let one noisy detector
-  /// window (a healthy worker descheduled for a step) retire a second worker
-  /// within a few steps of the first.
+  /// count.  An ASP kLeave reaction does not cut the segment short: a
+  /// straggler costs a work-conserving segment no more than its in-flight
+  /// step, so the flagged worker leaves at the segment's own drain (the
+  /// next phase boundary or scripted event; a run-ending drain evicts no
+  /// one).  Evicting mid-segment would let one noisy detector window (a
+  /// healthy worker descheduled for a step) retire a second worker within a
+  /// few steps of the first.
   auto latch = [&] {
     std::vector<obs::TraceArg> args;
     {
       const std::lock_guard<std::mutex> lock(clock_mu);
       if (fired) return;
       fired = true;
-      if (seg.protocol == Protocol::kSsp) {
+      if (seg.plan.phase.protocol == Protocol::kSsp) {
         seg.quota = std::min(seg.quota, max_clock() + 1);
         if (obs_on) args = {obs::arg("quota", seg.quota)};
-      } else if (seg.watch != Watch::kEvictFlagged) {
+      } else if (seg.plan.phase.trigger != SwitchTrigger::kStepCount) {
         const auto n = static_cast<std::int64_t>(n_alive);
         ticket_budget = std::min(ticket_budget, (tickets + n - 1) / n * n);
         if (obs_on)
@@ -552,9 +553,10 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           ps.pull_with_versions(shared_snapshot, round_versions);
           ++rounds_done;
           bsp_phase_over = rounds_done >= seg.quota;
-          if (!bsp_phase_over && seg.watch != Watch::kNone) {
+          if (!bsp_phase_over && reads_detector(seg.plan.phase.trigger, seg.plan.reaction)) {
             const std::lock_guard<std::mutex> lock(det_mu);
-            bsp_phase_over = fired = watch_fired(seg.watch, detector);
+            bsp_phase_over = fired =
+                detector_fires(seg.plan.phase.trigger, seg.plan.reaction, detector);
           }
         }
         round_barrier.arrive_and_wait();  // updated snapshot + decision visible
@@ -570,7 +572,8 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // laggard catches up (or a latch lowers the quota below its clock).
     auto run_async_phase = [&](std::size_t w) {
       auto& c = ctx[w];
-      const bool bounded = seg.protocol == Protocol::kSsp;
+      const bool bounded = seg.plan.phase.protocol == Protocol::kSsp;
+      const int bound = seg.plan.phase.ssp_staleness_bound;
       while (true) {
         std::int64_t my = 0;
         {
@@ -584,7 +587,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           };
           if (spent()) break;
           if (bounded) {
-            clock_cv.wait(lock, [&] { return spent() || clock[w] - min_clock() <= seg.ssp_bound; });
+            clock_cv.wait(lock, [&] { return spent() || clock[w] - min_clock() <= bound; });
             if (spent()) break;
           } else {
             ++tickets;
@@ -621,7 +624,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     auto worker_fn = [&](std::size_t w) {
       try {
         while (true) {
-          if (seg.protocol == Protocol::kBsp)
+          if (seg.plan.phase.protocol == Protocol::kBsp)
             run_bsp_phase(w);
           else
             run_async_phase(w);

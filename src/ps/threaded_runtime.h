@@ -35,11 +35,12 @@
 // policies on real threads.
 //
 // What runs next, and on which workers, is decided in one place: a
-// BarrierPlanner (ps/barrier_planner.h) lowers the fixed protocol or the
-// schedule, the elastic membership plan, and the online controller onto
-// one plan of legs, and hands the runtime the next Segment — protocol,
-// bound, lr, compression, step quota, detector watch — at every drain
-// barrier, after any membership delta due before it.  The worker loops and
+// BarrierPlanner (ps/barrier_planner.h) walks the plan of legs that
+// ps/plan.h lowers the fixed protocol or the schedule and the elastic
+// membership plan onto, appends the online controller's legs, and hands the
+// runtime the next Segment — protocol, bound, lr, compression, step quota,
+// trigger and reaction — at every drain barrier, after any membership
+// delta due before it.  The worker loops and
 // the drain completion run segments and never branch on where one came
 // from.
 //

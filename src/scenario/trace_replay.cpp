@@ -84,6 +84,16 @@ double parse_f64(const std::string& file, int line, const std::string& field,
   return v;
 }
 
+/// A staleness bound: an integer in [0, INT_MAX].
+int parse_bound(const std::string& file, int line, const std::string& field,
+                const std::string& text) {
+  const std::int64_t v = parse_i64(file, line, field, text);
+  if (v < 0 || v > std::numeric_limits<int>::max())
+    fail(file, line, field, "staleness bound " + std::to_string(v) + " is outside [0, " +
+                                std::to_string(std::numeric_limits<int>::max()) + "]");
+  return static_cast<int>(v);
+}
+
 Protocol parse_protocol(const std::string& file, int line, const std::string& text) {
   std::string t;
   for (char c : lower(trim(text)))
@@ -173,30 +183,12 @@ class JsonReader {
 
   RawTrace read() {
     RawTrace raw;
-    skip_ws();
     expect('{', "trace");
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) fail_here("trace", "expected ',' or '}' after a member");
-      first = false;
-      read_members(raw);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        first = false;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        break;
-      }
-      fail_here("trace", "expected ',' or '}' after a member");
-    }
+    skip_ws();
+    if (peek() != '}') read_members(raw);  // consumes every ',' between members
+    skip_ws();
+    if (peek() != '}') fail_here("trace", "expected ',' or '}' after a member");
+    ++pos_;
     skip_ws();
     if (pos_ != text_.size()) fail_here("trace", "trailing content after the closing '}'");
     return raw;
@@ -391,7 +383,8 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
   s.total_steps = meta_i64("steps", 256);
   if (s.total_steps < 1) fail(file, raw.meta.at("steps").line, "steps", "must be >= 1");
   s.seed = static_cast<std::uint64_t>(meta_i64("seed", 1));
-  s.ssp_staleness_bound = static_cast<int>(meta_i64("ssp_bound", 3));
+  if (auto it = raw.meta.find("ssp_bound"); it != raw.meta.end())
+    s.ssp_staleness_bound = parse_bound(file, it->second.line, "ssp_bound", it->second.value);
   {
     const std::int64_t mw = meta_i64("min_workers", static_cast<std::int64_t>(s.elastic.min_workers));
     if (mw < 0) fail(file, raw.meta.at("min_workers").line, "min_workers", "must be >= 0");
@@ -434,9 +427,7 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
       Boundary b;
       b.at = parse_i64(file, row.line, "at", row.at.value);
       b.protocol = parse_protocol(file, row.line, row.value.value);
-      b.bound = row.duration.set
-                    ? static_cast<int>(parse_i64(file, row.line, "duration", row.duration.value))
-                    : -1;
+      b.bound = row.duration.set ? parse_bound(file, row.line, "duration", row.duration.value) : -1;
       if (boundaries.empty() && b.at != 0)
         fail(file, row.line, "at", "the first switch row must start at step 0");
       if (!boundaries.empty() && b.at <= boundaries.back().at)

@@ -53,10 +53,10 @@ TEST(BarrierPlanner, FixedProtocolIsOneLegOverTheWholeRun) {
   EXPECT_FALSE(planner.uses_detector());
   const Segment seg = planner.next();
   EXPECT_EQ(seg.leg, 0u);
-  EXPECT_EQ(seg.protocol, Protocol::kBsp);
+  EXPECT_EQ(seg.plan.phase.protocol, Protocol::kBsp);
   EXPECT_EQ(seg.start, 0);
   EXPECT_EQ(seg.quota, 30);
-  EXPECT_EQ(seg.watch, Watch::kNone);
+  EXPECT_FALSE(reads_detector(seg.plan.phase.trigger, seg.plan.reaction));
   EXPECT_FALSE(seg.compress);
   EXPECT_TRUE(run_to_quota(planner, seg));
   EXPECT_TRUE(planner.finished());
@@ -73,9 +73,9 @@ TEST(BarrierPlanner, ScheduleLegsRunVerbatimWithReactiveLegsAndTheLastLegsRemain
   EXPECT_TRUE(planner.uses_detector());
 
   const Segment bsp = planner.next();
-  EXPECT_EQ(bsp.protocol, Protocol::kBsp);
+  EXPECT_EQ(bsp.plan.phase.protocol, Protocol::kBsp);
   EXPECT_EQ(bsp.quota, 10);
-  EXPECT_EQ(bsp.watch, Watch::kNone);
+  EXPECT_FALSE(reads_detector(bsp.plan.phase.trigger, bsp.plan.reaction));
   EXPECT_TRUE(bsp.compress);
   EXPECT_TRUE(run_to_quota(planner, bsp));
   EXPECT_EQ(planner.done(), 10);
@@ -83,9 +83,10 @@ TEST(BarrierPlanner, ScheduleLegsRunVerbatimWithReactiveLegsAndTheLastLegsRemain
   // A reactive leg runs out the budget unless its watch fires first.
   const Segment asp = planner.next();
   EXPECT_EQ(asp.leg, 1u);
-  EXPECT_EQ(asp.protocol, Protocol::kAsp);
+  EXPECT_EQ(asp.plan.phase.protocol, Protocol::kAsp);
   EXPECT_EQ(asp.quota, 20);
-  EXPECT_EQ(asp.watch, Watch::kDetected);
+  EXPECT_EQ(asp.plan.phase.trigger, SwitchTrigger::kStragglerDetected);
+  EXPECT_EQ(asp.plan.reaction, Reaction::kNone);
   const std::optional<ThreadedPhaseStats> fired = planner.drain(4, true, detector_flagging(2));
   ASSERT_TRUE(fired.has_value());
   EXPECT_TRUE(fired->ended_by_trigger);
@@ -98,8 +99,8 @@ TEST(BarrierPlanner, ScheduleLegsRunVerbatimWithReactiveLegsAndTheLastLegsRemain
   // The last leg runs out what is left, at its own bound.
   const Segment ssp = planner.next();
   EXPECT_EQ(ssp.leg, 2u);
-  EXPECT_EQ(ssp.protocol, Protocol::kSsp);
-  EXPECT_EQ(ssp.ssp_bound, 5);
+  EXPECT_EQ(ssp.plan.phase.protocol, Protocol::kSsp);
+  EXPECT_EQ(ssp.plan.phase.ssp_staleness_bound, 5);
   EXPECT_EQ(ssp.quota, 16);
   EXPECT_TRUE(run_to_quota(planner, ssp));
   EXPECT_TRUE(planner.finished());
@@ -197,7 +198,7 @@ TEST(BarrierPlanner, AnEventDueAtAPhaseBoundaryAppliesBeforeTheNextLeg) {
 
   const Segment asp = planner.next();
   EXPECT_EQ(asp.leg, 1u);
-  EXPECT_EQ(asp.protocol, Protocol::kAsp);
+  EXPECT_EQ(asp.plan.phase.protocol, Protocol::kAsp);
   EXPECT_EQ(asp.start, 0);
   EXPECT_EQ(asp.quota, 15);
   EXPECT_EQ(planner.membership().alive_count(), 3u);
@@ -212,7 +213,7 @@ TEST(BarrierPlanner, ControllerLegsLastOneDecisionIntervalWithAShorterTail) {
   while (!planner.finished()) {
     const Segment seg = planner.next();
     EXPECT_EQ(seg.start, 0);
-    EXPECT_EQ(seg.protocol, Protocol::kBsp);
+    EXPECT_EQ(seg.plan.phase.protocol, Protocol::kBsp);
     quotas.push_back(seg.quota);
     ASSERT_TRUE(run_to_quota(planner, seg));
     if (!planner.finished()) planner.enact(ControllerDecision{});  // hold
@@ -238,8 +239,8 @@ TEST(BarrierPlanner, AnEnactedMoveBecomesTheNextLeg) {
   EXPECT_FALSE(planner.membership_due());
   const Segment seg = planner.next();
   EXPECT_EQ(seg.leg, 1u);
-  EXPECT_EQ(seg.protocol, Protocol::kSsp);
-  EXPECT_EQ(seg.ssp_bound, 2);
+  EXPECT_EQ(seg.plan.phase.protocol, Protocol::kSsp);
+  EXPECT_EQ(seg.plan.phase.ssp_staleness_bound, 2);
   EXPECT_FALSE(seg.compress);
   EXPECT_EQ(seg.quota, 10);
   EXPECT_EQ(seg.lr, 0.05);  // async protocols keep the base lr
@@ -268,7 +269,7 @@ TEST(BarrierPlanner, AnEvictionDecisionIsTheNextLegsMembershipDelta) {
 
   const Segment seg = planner.next();
   EXPECT_EQ(seg.leg, 1u);
-  EXPECT_EQ(seg.protocol, Protocol::kBsp);
+  EXPECT_EQ(seg.plan.phase.protocol, Protocol::kBsp);
   EXPECT_EQ(seg.quota, 7);
   EXPECT_DOUBLE_EQ(seg.lr, 0.05 * 3);
 }
@@ -279,7 +280,8 @@ TEST(BarrierPlanner, AFiredEvictWatchBooksTheFlaggedWorkers) {
   BarrierPlanner planner(cfg);
   EXPECT_TRUE(planner.uses_detector());
   const Segment seg = planner.next();
-  EXPECT_EQ(seg.watch, Watch::kEvictFlagged);
+  EXPECT_EQ(seg.plan.phase.trigger, SwitchTrigger::kStepCount);
+  EXPECT_EQ(seg.plan.reaction, Reaction::kLeave);
 
   // BSP cut the segment short for the eviction: the phase resumes after it.
   EXPECT_FALSE(planner.drain(5, true, detector_flagging(1)).has_value());
@@ -291,7 +293,7 @@ TEST(BarrierPlanner, AFiredEvictWatchBooksTheFlaggedWorkers) {
   const Segment rest = planner.next();
   EXPECT_EQ(rest.start, 5);
   EXPECT_EQ(rest.quota, 30);
-  EXPECT_EQ(rest.watch, Watch::kEvictFlagged);
+  EXPECT_EQ(rest.plan.reaction, Reaction::kLeave);
 }
 
 TEST(BarrierPlanner, AFiredEvictWatchStaysDueWhenItsFlagsCleared) {
@@ -309,17 +311,17 @@ TEST(BarrierPlanner, AFiredEvictWatchStaysDueWhenItsFlagsCleared) {
 TEST(BarrierPlanner, WatchFiredReadsTheDetectorForEachWatch) {
   StragglerDetector detector = detector_flagging(-1);
   ASSERT_FALSE(detector.any_straggler());
-  EXPECT_FALSE(watch_fired(Watch::kNone, detector));
-  EXPECT_FALSE(watch_fired(Watch::kDetected, detector));
-  EXPECT_TRUE(watch_fired(Watch::kCleared, detector));
-  EXPECT_FALSE(watch_fired(Watch::kEvictFlagged, detector));
+  EXPECT_FALSE(detector_fires(SwitchTrigger::kStepCount, Reaction::kNone, detector));
+  EXPECT_FALSE(detector_fires(SwitchTrigger::kStragglerDetected, Reaction::kNone, detector));
+  EXPECT_TRUE(detector_fires(SwitchTrigger::kStragglerCleared, Reaction::kNone, detector));
+  EXPECT_FALSE(detector_fires(SwitchTrigger::kStepCount, Reaction::kLeave, detector));
 
   feed(detector, 2, 1);
   ASSERT_TRUE(detector.any_straggler());
-  EXPECT_FALSE(watch_fired(Watch::kNone, detector));
-  EXPECT_TRUE(watch_fired(Watch::kDetected, detector));
-  EXPECT_FALSE(watch_fired(Watch::kCleared, detector));
-  EXPECT_TRUE(watch_fired(Watch::kEvictFlagged, detector));
+  EXPECT_FALSE(detector_fires(SwitchTrigger::kStepCount, Reaction::kNone, detector));
+  EXPECT_TRUE(detector_fires(SwitchTrigger::kStragglerDetected, Reaction::kNone, detector));
+  EXPECT_FALSE(detector_fires(SwitchTrigger::kStragglerCleared, Reaction::kNone, detector));
+  EXPECT_TRUE(detector_fires(SwitchTrigger::kStepCount, Reaction::kLeave, detector));
 }
 
 TEST(BarrierPlanner, RejectsSourcesThatDoNotCompose) {

@@ -95,6 +95,13 @@ TEST(TraceParse, AutoDetectsJsonByLeadingBrace) {
   EXPECT_THROW(parse_trace("   \n  "), ConfigError);  // empty trace
 }
 
+TEST(TraceParse, EmptyJsonObjectIsTheDefaultScenario) {
+  const Scenario s = parse_trace_json(" { } ");
+  EXPECT_EQ(s.total_steps, 256);
+  EXPECT_TRUE(s.schedule.empty());
+  EXPECT_TRUE(s.elastic.plan.empty());
+}
+
 TEST(TraceParse, GeneratedScenariosRoundTripThroughBothFormats) {
   for (std::uint64_t seed : {1ULL, 7ULL, 13ULL, 42ULL, 99ULL}) {
     const Scenario s = generate_scenario(seed);
@@ -179,6 +186,14 @@ TEST(TraceParseErrors, MalformedCsvTable) {
       {"slow without duration", csv_preamble() + "slow,0,1,2.0,\n", {"duration", nullptr}},
       {"slow negative start", csv_preamble() + "slow,-5,1,2.0,1000\n", {">= 0", nullptr}},
       {"too many cells", csv_preamble() + "slow,0,1,2.0,1000,extra\n", {"5 cells", nullptr}},
+      {"ssp_bound past INT_MAX",
+       "ssp_bound,4294967299\n" + std::string(kHeader) + "\n", {"bad.csv:1: ssp_bound", "outside"}},
+      {"negative ssp_bound",
+       "ssp_bound,-1\n" + std::string(kHeader) + "\n", {"bad.csv:1: ssp_bound", "outside"}},
+      {"switch bound past INT_MAX",
+       csv_preamble() + "switch,0,,ssp,4294967299\n", {"duration: staleness bound", "outside"}},
+      {"negative switch bound",
+       csv_preamble() + "switch,0,,ssp,-2\n", {"duration: staleness bound", "outside"}},
   };
   for (const BadTrace& bad : table) expect_config_error(bad, "bad.csv");
 }
@@ -202,9 +217,16 @@ TEST(TraceParseErrors, MalformedJsonTable) {
        "{\"workers\": 2, \"events\": [{\"event\": \"crash\", \"at\": 8, \"worker\": 5}]}",
        {"unknown worker id 5", nullptr}},
       {"trailing garbage", "{\"workers\": 4} tail", {"trailing content", nullptr}},
+      {"missing comma between members", "{\"workers\": 4 \"steps\": 64}",
+       {"bad.json:1: trace", "expected ',' or '}'"}},
+      {"comma after the last member", "{\"workers\": 4, }", {"bad.json:1: key", nullptr}},
       {"newline in name", "{\"name\": \"a\\nb\"}", {"name: ", "control character"}},
       {"comma in name", "{\"name\": \"a,b\"}", {"name: ", "comma"}},
       {"name padded with spaces", "{\"name\": \" a \"}", {"name: ", "whitespace"}},
+      {"ssp_bound past INT_MAX", "{\"ssp_bound\": 4294967299}", {"bad.json:1: ssp_bound", "outside"}},
+      {"negative switch bound",
+       "{\"events\": [{\"event\": \"switch\", \"at\": 0, \"value\": \"ssp\", \"duration\": -1}]}",
+       {"duration: staleness bound", "outside"}},
   };
   for (const BadTrace& bad : table) expect_config_error(bad, "bad.json");
 }

@@ -255,6 +255,27 @@ TEST(SimRuntime, RequiresScheduleAndWorkers) {
   EXPECT_THROW(runtime.run_phase(fx.state, ok, {}, fx.no_stragglers, nullptr), ConfigError);
 }
 
+TEST(SimRuntime, RejectsANegativeStalenessBound) {
+  // A bound of -1 would park every worker after one step and end the phase
+  // as kBudgetExhausted a few steps in; it is a config error instead.
+  const std::size_t n = 4;
+  Fixture fx(n);
+  SimRuntime runtime(ClusterModel(Fixture::cluster_spec(n)), fx.model, fx.eval_model,
+                     fx.split.train, fx.eval_set, fx.null_sink);
+  for (Protocol p : {Protocol::kSsp, Protocol::kDssp}) {
+    PhaseConfig cfg = fx.phase(p, 100);
+    cfg.ssp_staleness_bound = -1;
+    EXPECT_THROW(runtime.run_phase(fx.state, cfg, fx.workers(n), fx.no_stragglers, nullptr),
+                 ConfigError);
+  }
+  EXPECT_EQ(fx.state.global_step, 0);
+  // Protocols that read no bound ignore it.
+  PhaseConfig bsp = fx.phase(Protocol::kBsp, 8);
+  bsp.ssp_staleness_bound = -1;
+  EXPECT_EQ(runtime.run_phase(fx.state, bsp, fx.workers(n), fx.no_stragglers, nullptr).steps_done,
+            8);
+}
+
 TEST(SimRuntime, ActiveSubsetOnlyUsesThoseWorkers) {
   const std::size_t n = 4;
   Fixture fx(n);

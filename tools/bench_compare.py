@@ -1,21 +1,12 @@
 #!/usr/bin/env python3
 """Compare two google-benchmark JSON files and flag regressions.
 
-Used by CI's bench-smoke job: a checked-in baseline from
-bench/baselines/ is compared against the fresh BENCH_threaded.json
-produced on the runner.  CI machines are noisy and the baseline was
-recorded on different hardware, so the default mode only *warns* on
-regressions past the threshold; pass --strict to turn warnings into a
-non-zero exit (useful when comparing runs from the same machine).
-
-Baselines are stamped with the core count they were recorded on
-(BENCH_threaded.<N>core.json): threaded-runtime numbers from a 1-core
-box are not comparable to an 8-core run — a genuine parallel speedup
-would read as noise against a serialized baseline, and a contention
-regression would hide entirely.  Pass --baseline-family with the family
-prefix and the script selects the member matching the candidate run's
-`context.num_cpus`; when no member matches, the comparison is skipped
-(exit 0) rather than judged against the wrong hardware shape.
+Compare a baseline run against a fresh one, for example the same
+microbench filter run on the parent commit and on a change, on one
+machine.  The default mode only *warns* on regressions past the
+threshold, since runs from different machines drift; pass --strict to
+turn warnings into a non-zero exit (useful when comparing runs from the
+same machine).
 
 A baseline whose `context.baseline_provenance` starts with PROVISIONAL
 (a recording restamped to another core count, not a measurement) is
@@ -24,52 +15,14 @@ refused with exit 2.
 Usage:
   tools/bench_compare.py --baseline OLD.json --current NEW.json \
       [--threshold 0.20] [--metric cpu_time] [--strict]
-  tools/bench_compare.py --baseline-family bench/baselines/BENCH_threaded \
-      --current NEW.json [...]
 
-Exit codes: 0 = ok (or warnings in non-strict mode, or no family member
-for this core count), 1 = regressions in --strict mode, 2 = bad input
-(including a PROVISIONAL baseline).
+Exit codes: 0 = ok (or warnings in non-strict mode), 1 = regressions in
+--strict mode, 2 = bad input (including a PROVISIONAL baseline).
 """
 
 import argparse
 import json
-import os
 import sys
-
-
-def read_num_cpus(path):
-    """Return context.num_cpus from a google-benchmark JSON, or None."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    cpus = doc.get("context", {}).get("num_cpus")
-    return int(cpus) if cpus is not None else None
-
-
-def resolve_family_baseline(family, current_path):
-    """Pick `<family>.<N>core.json` for the candidate run's core count.
-
-    Returns None when the family has no member for that count — the caller
-    skips the comparison instead of diffing against alien hardware.
-    """
-    cpus = read_num_cpus(current_path)
-    if cpus is None:
-        print(f"bench_compare: {current_path} carries no context.num_cpus; "
-              "cannot select a family baseline", file=sys.stderr)
-        sys.exit(2)
-    candidate = f"{family}.{cpus}core.json"
-    if os.path.exists(candidate):
-        print(f"bench_compare: candidate ran on {cpus} core(s); "
-              f"using baseline {candidate}")
-        return candidate
-    print(f"bench_compare: no baseline for {cpus} core(s) in family '{family}' "
-          f"(expected {candidate}); skipping comparison.\n"
-          f"To add one, record on a {cpus}-core machine and check the file in.")
-    return None
 
 
 def load_benchmarks(path, metric, baseline=False):
@@ -103,12 +56,7 @@ def load_benchmarks(path, metric, baseline=False):
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--baseline", help="checked-in baseline JSON")
-    group.add_argument("--baseline-family",
-                       help="baseline family prefix; selects "
-                            "<prefix>.<N>core.json for the candidate's "
-                            "context.num_cpus, skipping if absent")
+    parser.add_argument("--baseline", required=True, help="baseline JSON")
     parser.add_argument("--current", required=True, help="freshly produced JSON")
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="relative slowdown that counts as a regression (default 0.20)")
@@ -119,13 +67,7 @@ def main():
                         help="exit 1 on regressions instead of warning")
     args = parser.parse_args()
 
-    baseline_path = args.baseline
-    if args.baseline_family:
-        baseline_path = resolve_family_baseline(args.baseline_family, args.current)
-        if baseline_path is None:
-            return 0
-
-    baseline = load_benchmarks(baseline_path, args.metric, baseline=True)
+    baseline = load_benchmarks(args.baseline, args.metric, baseline=True)
     current = load_benchmarks(args.current, args.metric)
 
     regressions, improvements, skipped = [], [], []
