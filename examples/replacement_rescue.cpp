@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   RunRequest replace = base_request();
   replace.policy.online = OnlinePolicy::kReplace;
-  TraceRecorder trace;
+  TraceSink trace;
   if (argc > 1) replace.observer = &trace;
   const RunResult rr = TrainingSession(replace).run();
 
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
             << "% of the straggler's time tax.\n";
 
   if (argc > 1) {
-    trace.save_chrome_trace(argv[1]);
-    std::cout << "trace: " << trace.total_recorded() << " events -> " << argv[1]
+    trace.tracer().save_chrome_trace(argv[1]);
+    std::cout << "trace: " << trace.tracer().recorded() << " events -> " << argv[1]
               << " (open in chrome://tracing; the evicted slot's lane goes quiet,\n"
                  "then resumes at full speed when the replacement joins)\n";
   }

@@ -1,8 +1,8 @@
 // Shared JSON emission: string escaping and a Chrome trace-event array
-// writer.  Both trace exporters — the simulator's TraceRecorder
-// (ps/trace.h, virtual time) and the wall-clock tracer (obs/tracer.h) —
-// serialize through this one path, so the two timelines stay byte-level
-// compatible and open in the same Perfetto view.
+// writer.  The one trace exporter, obs::WallTracer (obs/tracer.h), writes
+// through it for both of its clocks: the real runtimes' wall time and the
+// simulator's virtual time (ps/trace.h's TraceSink), so the two timelines
+// stay byte-level compatible and open in the same Perfetto view.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ std::string json_escape(const std::string& s);
 ///
 ///   ChromeTraceWriter w(os);
 ///   w.event().field("ph", "X").field("pid", 1).field("tid", 3)
-///    .field("ts", t0).field("dur", dt).field("name", "task")
+///    .field("ts", t0).field("dur", dt).field("name", "step")
 ///    .args().field("images", 64);
 ///   w.close();
 class ChromeTraceWriter {

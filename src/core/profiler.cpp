@@ -6,6 +6,15 @@
 
 namespace ss {
 
+namespace {
+
+// The paper's convergence rule: accuracy moved by at most 0.1% over five
+// consecutive evaluations.
+constexpr double kConvergenceTolerance = 0.001;
+constexpr std::size_t kConvergenceWindow = 5;
+
+}  // namespace
+
 Profiler::Profiler(std::int64_t loss_record_interval)
     : loss_record_interval_(loss_record_interval) {
   if (loss_record_interval <= 0) throw ConfigError("Profiler: record interval must be > 0");
@@ -13,7 +22,6 @@ Profiler::Profiler(std::int64_t loss_record_interval)
 
 void Profiler::on_task(const TaskObservation& obs) {
   total_images_ += obs.images;
-  if (tee_) tee_->on_task(obs);
 }
 
 void Profiler::on_update(const UpdateObservation& obs) {
@@ -21,18 +29,16 @@ void Profiler::on_update(const UpdateObservation& obs) {
   staleness_sum_ += obs.staleness;
   if (updates_seen_ % loss_record_interval_ == 0)
     loss_.push_back({obs.global_step, obs.time.seconds(), obs.train_loss});
-  if (tee_) tee_->on_update(obs);
 }
 
 void Profiler::on_eval(std::int64_t global_step, VTime time, double test_accuracy) {
   acc_.push_back({global_step, time.seconds(), test_accuracy});
-  if (tee_) tee_->on_eval(global_step, time, test_accuracy);
 }
 
-std::optional<double> Profiler::converged_accuracy(double tolerance, int window) const {
-  const auto w = static_cast<std::size_t>(window);
+std::optional<double> Profiler::converged_accuracy() const {
+  constexpr std::size_t w = kConvergenceWindow;
   if (acc_.size() < w) return std::nullopt;
-  // Latest window of `window` consecutive evals whose spread is within
+  // Latest window of `w` consecutive evals whose spread is within the
   // tolerance; the last stable plateau is the converged accuracy (using the
   // latest window avoids mistaking a mid-training plateau, e.g. just before
   // an LR decay, for convergence).
@@ -43,7 +49,7 @@ std::optional<double> Profiler::converged_accuracy(double tolerance, int window)
       lo = std::min(lo, acc_[j].accuracy);
       hi = std::max(hi, acc_[j].accuracy);
     }
-    if (hi - lo <= tolerance) converged = acc_[i + w - 1].accuracy;
+    if (hi - lo <= kConvergenceTolerance) converged = acc_[i + w - 1].accuracy;
   }
   return converged;
 }
@@ -56,12 +62,6 @@ double Profiler::best_accuracy() const noexcept {
 
 double Profiler::final_accuracy() const noexcept {
   return acc_.empty() ? 0.0 : acc_.back().accuracy;
-}
-
-std::optional<double> Profiler::time_to_accuracy(double threshold) const {
-  for (const auto& p : acc_)
-    if (p.accuracy >= threshold) return p.seconds;
-  return std::nullopt;
 }
 
 double Profiler::tail_loss(std::size_t k) const {

@@ -6,8 +6,8 @@
 //  * test accuracy at every periodic evaluation;
 //  * converged accuracy: "test accuracy has not changed for more than 0.1%
 //    for five evaluations";
-//  * time-to-accuracy (TTA): first virtual time the accuracy curve crosses a
-//    threshold;
+//  * the accuracy curve that time-to-accuracy (RunResult::time_to_accuracy,
+//    the first virtual time it crosses a threshold) is read from;
 //  * throughput: images trained per second of virtual time;
 //  * mean gradient staleness (diagnostic, not in the paper's metric list).
 #pragma once
@@ -42,28 +42,21 @@ class Profiler final : public MetricsSink {
   void on_update(const UpdateObservation& obs) override;
   void on_eval(std::int64_t global_step, VTime time, double test_accuracy) override;
 
-  /// Optional second sink to tee observations into (e.g. the straggler
-  /// detector).  Not owned.
-  void set_tee(MetricsSink* tee) noexcept { tee_ = tee; }
-
   [[nodiscard]] const std::vector<LossPoint>& loss_curve() const noexcept { return loss_; }
   [[nodiscard]] const std::vector<AccuracyPoint>& accuracy_curve() const noexcept {
     return acc_;
   }
 
-  /// Converged accuracy per the paper's rule; nullopt if the curve never
-  /// stabilized (fewer than 5 evals or still moving).
-  [[nodiscard]] std::optional<double> converged_accuracy(double tolerance = 0.001,
-                                                         int window = 5) const;
+  /// Converged accuracy per the paper's rule (within 0.1% over 5
+  /// consecutive evals); nullopt if the curve never stabilized (fewer than
+  /// 5 evals or still moving).
+  [[nodiscard]] std::optional<double> converged_accuracy() const;
 
   /// Highest accuracy seen.
   [[nodiscard]] double best_accuracy() const noexcept;
 
   /// Final (last-eval) accuracy; 0 if never evaluated.
   [[nodiscard]] double final_accuracy() const noexcept;
-
-  /// First time (seconds) the accuracy reached `threshold`; nullopt if never.
-  [[nodiscard]] std::optional<double> time_to_accuracy(double threshold) const;
 
   /// Total images trained (from task observations).
   [[nodiscard]] std::uint64_t total_images() const noexcept { return total_images_; }
@@ -81,7 +74,6 @@ class Profiler final : public MetricsSink {
   std::int64_t staleness_sum_ = 0;
   std::vector<LossPoint> loss_;
   std::vector<AccuracyPoint> acc_;
-  MetricsSink* tee_ = nullptr;
 };
 
 }  // namespace ss

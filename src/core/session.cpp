@@ -84,7 +84,7 @@ TrainingSession::TrainingSession(RunRequest request) : req_(std::move(request)) 
 namespace {
 
 /// Detector adapter: a MetricsSink that feeds task observations into the
-/// straggler detector (teed from the profiler).
+/// straggler detector (fanned out beside the profiler).
 class DetectorSink final : public MetricsSink {
  public:
   explicit DetectorSink(StragglerDetector& detector) : detector_(detector) {}
@@ -154,13 +154,13 @@ RunResult TrainingSession::run() {
   StragglerDetector detector(n + req_.elastic.plan.join_count(), req_.policy.detector);
   if (req_.elastic.plan.join_count() > 0) detector.set_active(coord.active());
   DetectorSink detector_sink(detector);
-  std::vector<MetricsSink*> tees;
-  if (reads_detector(plan)) tees.push_back(&detector_sink);
-  if (req_.observer != nullptr) tees.push_back(req_.observer);
-  FanoutSink fanout(tees);
-  if (!tees.empty()) profiler.set_tee(&fanout);
+  std::vector<MetricsSink*> sinks{&profiler};
+  if (reads_detector(plan)) sinks.push_back(&detector_sink);
+  if (req_.observer != nullptr) sinks.push_back(req_.observer);
+  FanoutSink fanout(sinks);
+  MetricsSink& sink = sinks.size() == 1 ? static_cast<MetricsSink&>(profiler) : fanout;
 
-  SimRuntime runtime(cluster, grad_model, eval_model, data.train, eval_subset, profiler);
+  SimRuntime runtime(cluster, grad_model, eval_model, data.train, eval_subset, sink);
 
   // Optional gradient compression: one bank for the whole session (the
   // per-worker error-feedback residuals are transport state, reset across

@@ -70,9 +70,10 @@ struct RunRequest {
   ElasticConfig elastic;
   std::uint64_t seed = 1;        ///< repetition seed (init, timing, batching)
 
-  /// Optional pure-observer sink (e.g. a TraceRecorder): receives every
-  /// task/update/eval observation alongside the profiler.  Not owned, not
-  /// part of the cache key (observation cannot change the result).
+  /// Optional pure-observer sink (e.g. a TraceSink, ps/trace.h): receives
+  /// every task/update/eval observation after the profiler and detector.
+  /// Not owned, not part of the cache key (observation cannot change the
+  /// result).
   MetricsSink* observer = nullptr;
 
   /// Scales the actuator's init/switch/resize costs.  The bench setups run

@@ -25,7 +25,7 @@ MetricsRegistry& metrics() {
 }
 
 WallTracer& tracer() {
-  static WallTracer* tr = new WallTracer();  // leaked: outlives all threads
+  static WallTracer* tr = new WallTracer("wall");  // leaked: outlives all threads
   return *tr;
 }
 

@@ -13,8 +13,8 @@
 //   if (trace_out) obs::tracer().save_chrome_trace(*trace_out);
 //   if (metrics_out) write_file(*metrics_out, obs::metrics().expose_text());
 //
-// Tracks mirror TraceRecorder's convention: track 0 = PS/control row,
-// track w+1 = worker slot w.  Threads that serve no fixed slot (e.g. PS
+// Tracks follow the layout the sim's TraceSink shares: track 0 = PS/control
+// row, track w+1 = worker slot w.  Threads that serve no fixed slot (e.g. PS
 // server session threads before their worker id is known) get an
 // auto-assigned track from thread_track().
 #pragma once

@@ -38,7 +38,8 @@ TraceArg arg(const char* key, const std::string& v) {
 
 TraceArg arg(const char* key, const char* v) { return arg(key, std::string(v)); }
 
-WallTracer::WallTracer() : epoch_(std::chrono::steady_clock::now()) {}
+WallTracer::WallTracer(std::string clock)
+    : clock_(std::move(clock)), epoch_(std::chrono::steady_clock::now()) {}
 
 void WallTracer::enable(std::size_t max_events) {
   if (max_events == 0) throw ConfigError("WallTracer: max_events must be > 0");
@@ -80,12 +81,13 @@ void WallTracer::complete(int track, std::string name, std::int64_t start_us,
   record(Event{'X', track, start_us, dur_us, std::move(name), std::move(args), 0.0});
 }
 
-void WallTracer::instant(int track, std::string name, std::vector<TraceArg> args) {
-  record(Event{'i', track, now_us(), 0, std::move(name), std::move(args), 0.0});
+void WallTracer::instant(int track, std::string name, std::int64_t ts_us,
+                         std::vector<TraceArg> args) {
+  record(Event{'i', track, ts_us, 0, std::move(name), std::move(args), 0.0});
 }
 
-void WallTracer::counter(std::string name, double value) {
-  record(Event{'C', 0, now_us(), 0, std::move(name), {}, value});
+void WallTracer::counter(std::string name, std::int64_t ts_us, double value) {
+  record(Event{'C', 0, ts_us, 0, std::move(name), {}, value});
 }
 
 std::size_t WallTracer::recorded() const {
@@ -113,7 +115,7 @@ void WallTracer::write_chrome_trace(std::ostream& os) const {
   }
   w.event().field("ph", "M").field("pid", 1).field("tid", 0)
       .field("name", "trace_metadata").args()
-      .field("clock", "wall")
+      .field("clock", clock_)
       .field("recorded_events", static_cast<std::int64_t>(events_.size()))
       .field("dropped_events", static_cast<std::int64_t>(dropped_));
   for (const Event& e : events_) {

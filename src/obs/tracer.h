@@ -1,8 +1,10 @@
-// Wall-clock span tracer: records real-time spans, instants, and counter
-// samples on named tracks and exports them as the same Chrome trace-event
-// JSON the simulator's TraceRecorder writes (one emission path —
-// common/json.h's ChromeTraceWriter) so simulated and real timelines open
-// side by side in the same Perfetto view.
+// Span tracer: records spans, instants, and counter samples on named tracks
+// and exports them as Chrome trace-event JSON (common/json.h's
+// ChromeTraceWriter).  It is the one recorder for both clocks: the
+// process-global obs::tracer() stamps steady-clock time ("wall"), and the
+// simulator's TraceSink (ps/trace.h) owns one stamped in virtual time
+// ("virtual"), so simulated and real timelines carry the same event names
+// and open side by side in the same Perfetto view.
 //
 // Recording is disabled by default: enabled() is one relaxed atomic load,
 // and every instrumentation site checks it before reading a clock or
@@ -10,10 +12,11 @@
 // enabled, events land in a bounded, mutex-protected buffer; overflow is
 // counted and exported as trace metadata (truncated traces self-describe).
 //
-// Timestamps are microseconds of steady-clock time since the tracer's
-// epoch (reset by enable(), so every capture starts near t=0).  Tracks map
-// to Chrome "tid"s under pid 1, mirroring TraceRecorder's convention:
-// track 0 is the control/PS row, track w+1 is worker slot w.
+// Timestamps are microseconds, passed in by the caller: now_us()/to_us()
+// give steady-clock time since the tracer's epoch (reset by enable(), so
+// every capture starts near t=0); a virtual-time caller passes VTime::us().
+// Tracks map to Chrome "tid"s under pid 1: track 0 is the control/PS row,
+// track w+1 is worker slot w.
 #pragma once
 
 #include <atomic>
@@ -42,7 +45,9 @@ struct TraceArg {
 
 class WallTracer {
  public:
-  WallTracer();
+  /// `clock` names the timestamps' time base in the exported
+  /// trace_metadata: "wall" or "virtual".
+  explicit WallTracer(std::string clock);
 
   /// Arm recording with a fresh epoch and an event cap.  Clears any
   /// previously recorded events.
@@ -62,10 +67,11 @@ class WallTracer {
   /// Complete span ("X"): a closed interval on `track`.
   void complete(int track, std::string name, std::int64_t start_us, std::int64_t dur_us,
                 std::vector<TraceArg> args = {});
-  /// Thread-scoped instant ("i") at now().
-  void instant(int track, std::string name, std::vector<TraceArg> args = {});
-  /// Counter sample ("C") at now().
-  void counter(std::string name, double value);
+  /// Thread-scoped instant ("i") at `ts_us`.
+  void instant(int track, std::string name, std::int64_t ts_us,
+               std::vector<TraceArg> args = {});
+  /// Counter sample ("C") at `ts_us`.
+  void counter(std::string name, std::int64_t ts_us, double value);
 
   [[nodiscard]] std::size_t recorded() const;
   [[nodiscard]] std::size_t dropped() const;
@@ -91,6 +97,7 @@ class WallTracer {
 
   void record(Event e);
 
+  const std::string clock_;
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;

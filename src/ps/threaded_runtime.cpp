@@ -269,14 +269,15 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     if (obs_on && phase_entry) {
       if (seg.plan.phase.protocol != prev_proto) m_switches->add();
       if (obs::tracing()) {
+        auto& tr = obs::tracer();
         if (seg.plan.phase.protocol != prev_proto)
-          obs::tracer().instant(0, "protocol_switch",
-                                {obs::arg("from", protocol_name(prev_proto)),
-                                 obs::arg("to", protocol_name(seg.plan.phase.protocol))});
-        obs::tracer().instant(0, "phase_start",
-                              {obs::arg("phase", static_cast<std::int64_t>(seg.leg)),
-                               obs::arg("protocol", protocol_name(seg.plan.phase.protocol)),
-                               obs::arg("quota", seg.quota)});
+          tr.instant(0, "protocol_switch", tr.now_us(),
+                     {obs::arg("from", protocol_name(prev_proto)),
+                      obs::arg("to", protocol_name(seg.plan.phase.protocol))});
+        tr.instant(0, "phase_start", tr.now_us(),
+                   {obs::arg("phase", static_cast<std::int64_t>(seg.leg)),
+                    obs::arg("protocol", protocol_name(seg.plan.phase.protocol)),
+                    obs::arg("quota", seg.quota)});
       }
     }
   };
@@ -453,7 +454,8 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
       }
     }
     clock_cv.notify_all();
-    if (obs_on && obs::tracing()) obs::tracer().instant(0, "latch", std::move(args));
+    if (obs_on && obs::tracing())
+      obs::tracer().instant(0, "latch", obs::tracer().now_us(), std::move(args));
   };
 
   // ------------------------------------------------------------------

@@ -1,11 +1,8 @@
 #include "ps/trace.h"
 
-#include <algorithm>
-#include <fstream>
-#include <ostream>
+#include <string>
 
 #include "common/error.h"
-#include "common/json.h"
 
 namespace ss {
 
@@ -26,86 +23,32 @@ void FanoutSink::on_eval(std::int64_t global_step, VTime time, double test_accur
   for (MetricsSink* s : sinks_) s->on_eval(global_step, time, test_accuracy);
 }
 
-TraceRecorder::TraceRecorder(std::size_t max_events) : max_events_(max_events) {
-  if (max_events == 0) throw ConfigError("TraceRecorder: max_events must be > 0");
+TraceSink::TraceSink(std::size_t max_events) {
+  tracer_.enable(max_events);
+  tracer_.set_track_name(0, "ps/control");
 }
 
-bool TraceRecorder::room() noexcept {
-  if (total_recorded() < max_events_) return true;
-  ++dropped_;
-  return false;
+void TraceSink::on_task(const TaskObservation& task) {
+  for (; named_workers_ <= task.worker; ++named_workers_)
+    tracer_.set_track_name(named_workers_ + 1, "worker " + std::to_string(named_workers_));
+  tracer_.complete(task.worker + 1, "step", (task.completed_at - task.task_duration).us(),
+                   task.task_duration.us(),
+                   {obs::arg("images", static_cast<std::int64_t>(task.images))});
 }
 
-void TraceRecorder::on_task(const TaskObservation& obs) {
-  if (room()) tasks_.push_back(obs);
+void TraceSink::on_update(const UpdateObservation& update) {
+  const std::string protocol = protocol_name(update.protocol);
+  if (protocol_ && *protocol_ != update.protocol)
+    tracer_.instant(0, "protocol_switch", update.time.us(),
+                    {obs::arg("from", protocol_name(*protocol_)), obs::arg("to", protocol)});
+  protocol_ = update.protocol;
+  tracer_.instant(0, "update", update.time.us(),
+                  {obs::arg("protocol", protocol), obs::arg("step", update.global_step),
+                   obs::arg("loss", update.train_loss), obs::arg("staleness", update.staleness)});
 }
 
-void TraceRecorder::on_update(const UpdateObservation& obs) {
-  if (room()) updates_.push_back(obs);
-}
-
-void TraceRecorder::on_eval(std::int64_t global_step, VTime time, double test_accuracy) {
-  if (room()) evals_.push_back({global_step, time, test_accuracy});
-}
-
-void TraceRecorder::clear() {
-  tasks_.clear();
-  updates_.clear();
-  evals_.clear();
-  dropped_ = 0;
-}
-
-void TraceRecorder::write_chrome_trace(std::ostream& os) const {
-  // Chrome trace-event "JSON array" format: one event object per line,
-  // emitted through the shared ChromeTraceWriter (same path the obs wall
-  // tracer uses, so sim and real traces stay format-identical).  pid 1 =
-  // the simulated cluster; tid = worker index (+1 so 0 stays free for the
-  // PS row).  Timestamps are microseconds, which VTime stores natively.
-  ChromeTraceWriter w(os);
-
-  // Thread-name metadata rows.
-  w.event().field("ph", "M").field("pid", 1).field("tid", 0)
-      .field("name", "thread_name").args().field("name", "parameter server");
-  std::int64_t max_worker = -1;
-  for (const auto& t : tasks_) max_worker = std::max<std::int64_t>(max_worker, t.worker);
-  for (std::int64_t w_id = 0; w_id <= max_worker; ++w_id) {
-    w.event().field("ph", "M").field("pid", 1).field("tid", w_id + 1)
-        .field("name", "thread_name").args()
-        .field("name", "worker " + std::to_string(w_id));
-  }
-  // Recorder accounting rides along as metadata so truncated traces
-  // self-describe.
-  w.event().field("ph", "M").field("pid", 1).field("tid", 0)
-      .field("name", "trace_metadata").args()
-      .field("clock", "virtual")
-      .field("recorded_events", static_cast<std::int64_t>(total_recorded()))
-      .field("dropped_events", static_cast<std::int64_t>(dropped_));
-
-  for (const auto& t : tasks_) {
-    const std::int64_t start_us = (t.completed_at - t.task_duration).us();
-    w.event().field("ph", "X").field("pid", 1).field("tid", t.worker + 1)
-        .field("ts", start_us).field("dur", t.task_duration.us()).field("name", "task")
-        .args().field("images", static_cast<std::int64_t>(t.images));
-  }
-  for (const auto& u : updates_) {
-    w.event().field("ph", "i").field("pid", 1).field("tid", 0).field("s", "t")
-        .field("ts", u.time.us())
-        .field("name", std::string(protocol_name(u.protocol)) + " update")
-        .args().field("step", u.global_step).field("loss", u.train_loss)
-        .field("staleness", u.staleness);
-  }
-  for (const auto& e : evals_) {
-    w.event().field("ph", "C").field("pid", 1).field("ts", e.time.us())
-        .field("name", "test accuracy").args().field("accuracy", e.accuracy);
-  }
-  w.close();
-}
-
-void TraceRecorder::save_chrome_trace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw IoError("TraceRecorder: cannot open " + path);
-  write_chrome_trace(out);
-  if (!out.good()) throw IoError("TraceRecorder: write failed for " + path);
+void TraceSink::on_eval(std::int64_t, VTime time, double test_accuracy) {
+  tracer_.counter("test_accuracy", time.us(), test_accuracy);
 }
 
 }  // namespace ss

@@ -1,26 +1,29 @@
-// Execution tracing: record a training run's per-worker task timeline and
-// PS update/eval stream, and export it as Chrome trace-event JSON
-// (chrome://tracing, Perfetto, or speedscope all read this format).
+// Execution tracing for the simulator: fan telemetry out to several sinks,
+// and record a training run's per-worker task timeline and PS update/eval
+// stream on a virtual-clock obs::WallTracer, which exports it as Chrome
+// trace-event JSON (chrome://tracing, Perfetto, or speedscope all read it).
 //
 // The paper's evaluation is built on exactly this kind of telemetry (task
 // throughput per worker feeds the straggler detector, Figure 9's profiler);
-// the trace exporter makes a run's schedule inspectable: BSP barrier waves,
-// ASP free-running workers, straggler slow-downs and evictions are all
-// visible on the timeline.
+// the trace makes a run's schedule inspectable: BSP barrier waves, ASP
+// free-running workers, straggler slow-downs and evictions are all visible
+// on the timeline.  The sim records in the threaded runtime's vocabulary
+// and track layout, so a sim trace and a threaded trace of one scenario
+// differ only in their clock.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
+#include <optional>
 #include <vector>
 
-#include "common/json.h"  // json_escape: shared with the obs wall tracer
+#include "obs/tracer.h"
 #include "ps/sim_runtime.h"
 
 namespace ss {
 
-/// Forwards every observation to multiple sinks (e.g. profiler + straggler
-/// detector + trace recorder).  Sinks are not owned and must outlive this.
+/// Forwards every observation to multiple sinks, in order (e.g. profiler +
+/// straggler detector + trace sink).  Sinks are not owned and must outlive
+/// this.
 class FanoutSink final : public MetricsSink {
  public:
   explicit FanoutSink(std::vector<MetricsSink*> sinks);
@@ -33,50 +36,26 @@ class FanoutSink final : public MetricsSink {
   std::vector<MetricsSink*> sinks_;
 };
 
-/// Records observations in memory, bounded by `max_events` (oldest-first
-/// fill; once full, further events are dropped and counted).
-class TraceRecorder final : public MetricsSink {
+/// Records observations on an armed virtual-clock tracer (at most
+/// `max_events`; the tracer counts what it drops).  Track 0 is ps/control,
+/// track w+1 is worker w.  Each task is a `step` span; each PS update an
+/// `update` instant (protocol, step, loss, staleness), preceded by a
+/// `protocol_switch` instant (from, to) where the protocol changes; each
+/// evaluation a `test_accuracy` counter sample.
+class TraceSink final : public MetricsSink {
  public:
-  explicit TraceRecorder(std::size_t max_events = 1 << 20);
+  explicit TraceSink(std::size_t max_events = 1 << 20);
 
   void on_task(const TaskObservation& obs) override;
   void on_update(const UpdateObservation& obs) override;
   void on_eval(std::int64_t global_step, VTime time, double test_accuracy) override;
 
-  struct EvalEvent {
-    std::int64_t step;
-    VTime time;
-    double accuracy;
-  };
-
-  [[nodiscard]] const std::vector<TaskObservation>& tasks() const noexcept { return tasks_; }
-  [[nodiscard]] const std::vector<UpdateObservation>& updates() const noexcept {
-    return updates_;
-  }
-  [[nodiscard]] const std::vector<EvalEvent>& evals() const noexcept { return evals_; }
-  [[nodiscard]] std::size_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] std::size_t total_recorded() const noexcept {
-    return tasks_.size() + updates_.size() + evals_.size();
-  }
-
-  void clear();
-
-  /// Write the recorded run as a Chrome trace-event JSON array.  Worker
-  /// tasks become duration ("X") events on per-worker rows, PS updates
-  /// instant ("i") events, and test accuracy a counter ("C") track.
-  void write_chrome_trace(std::ostream& os) const;
-
-  /// Convenience: write_chrome_trace to a file.  Throws IoError on failure.
-  void save_chrome_trace(const std::string& path) const;
+  [[nodiscard]] const obs::WallTracer& tracer() const noexcept { return tracer_; }
 
  private:
-  [[nodiscard]] bool room() noexcept;
-
-  std::size_t max_events_;
-  std::size_t dropped_ = 0;
-  std::vector<TaskObservation> tasks_;
-  std::vector<UpdateObservation> updates_;
-  std::vector<EvalEvent> evals_;
+  obs::WallTracer tracer_{"virtual"};
+  int named_workers_ = 0;  ///< worker tracks labelled so far
+  std::optional<Protocol> protocol_;  ///< the previous update's
 };
 
 }  // namespace ss

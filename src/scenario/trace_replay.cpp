@@ -465,7 +465,7 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
       } else {
         if (!row.worker.set) fail(file, row.line, "worker", row.event + " rows need a worker");
         const std::int64_t w = parse_i64(file, row.line, "worker", row.worker.value);
-        auto it = std::find(alive.begin(), alive.end(), static_cast<int>(w));
+        auto it = std::find(alive.begin(), alive.end(), w);  // compared in 64 bits
         if (w < 0 || it == alive.end())
           fail(file, row.line, "worker",
                "unknown worker id " + std::to_string(w) + " (not alive at step " +

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,203 +14,14 @@
 #include "common/error.h"
 #include "data/synthetic.h"
 #include "nn/zoo.h"
+#include "json_reader.h"
 #include "ps/switch_schedule.h"
 #include "ps/threaded_runtime.h"
+#include "ps/trace.h"
+#include "scenario/scenario.h"
 
 namespace ss {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal strict JSON parser — enough to prove a trace file is well-formed
-// and to pull out event fields.  Throws std::runtime_error on any syntax
-// error, which is the point: the trace must parse, not merely look plausible.
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("json parse error at byte " + std::to_string(pos_) + ": " + why);
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string_value();
-      case 't':
-      case 'f':
-        return bool_value();
-      case 'n':
-        return null_value();
-      default:
-        return number_value();
-    }
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue key = string_value();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(key.str, value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    expect('"');
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return v;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        v.str += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': v.str += '"'; break;
-        case '\\': v.str += '\\'; break;
-        case '/': v.str += '/'; break;
-        case 'b': v.str += '\b'; break;
-        case 'f': v.str += '\f'; break;
-        case 'n': v.str += '\n'; break;
-        case 'r': v.str += '\r'; break;
-        case 't': v.str += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          for (int i = 0; i < 4; ++i)
-            if (!std::isxdigit(static_cast<unsigned char>(s_[pos_ + i])))
-              fail("bad \\u escape");
-          // Escaped control characters decode losslessly below 0x80; the
-          // writer only emits \u00XX, which is all this parser needs.
-          v.str += static_cast<char>(std::stoi(s_.substr(pos_, 4), nullptr, 16));
-          pos_ += 4;
-          break;
-        }
-        default:
-          fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue bool_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (s_.compare(pos_, 4, "true") == 0) {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (s_.compare(pos_, 5, "false") == 0) {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  JsonValue null_value() {
-    if (s_.compare(pos_, 4, "null") != 0) fail("bad literal");
-    pos_ += 4;
-    return {};
-  }
-
-  JsonValue number_value() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::stod(s_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// Every test owns the process-global obs state; leave it pristine.
 class ObsGlobalTest : public ::testing::Test {
@@ -356,7 +168,7 @@ TEST(ObsMetrics, ExpositionRoundTrips) {
 // Tracer semantics.
 
 TEST(ObsTracer, RecordsSpansAndDropsBeyondCap) {
-  obs::WallTracer tr;
+  obs::WallTracer tr("wall");
   EXPECT_FALSE(tr.enabled());
   tr.complete(0, "ignored", 0, 1);  // disabled: recording is a no-op
   EXPECT_EQ(tr.recorded(), 0u);
@@ -389,14 +201,14 @@ TEST(ObsTracer, RecordsSpansAndDropsBeyondCap) {
 }
 
 TEST(ObsTracer, EscapesArgStringsIntoValidJson) {
-  obs::WallTracer tr;
+  obs::WallTracer tr("wall");
   tr.enable();
   tr.set_track_name(2, "worker \"2\"");
   tr.complete(2, "step", 10, 20,
               {obs::arg("why", std::string("quote \" slash \\ newline \n tab \t")),
                obs::arg("n", std::int64_t{42}), obs::arg("x", 0.5)});
-  tr.instant(0, "marker");
-  tr.counter("accuracy", 0.875);
+  tr.instant(0, "marker", 30);
+  tr.counter("accuracy", 40, 0.875);
 
   std::ostringstream os;
   tr.write_chrome_trace(os);
@@ -498,6 +310,62 @@ TEST_F(ObsGlobalTest, OffByDefaultAndBitIdenticalOffVsOn) {
                         off.final_params.size() * sizeof(float)),
             0);
   EXPECT_EQ(off.total_updates, on.total_updates);
+}
+
+// ---------------------------------------------------------------------------
+// One vocabulary for both clocks: the same scenario traced on the sim (a
+// TraceSink's virtual-clock tracer) and on threads (the global wall tracer).
+
+/// A parsed trace: its trace_metadata clock and the event names per track.
+struct TraceTracks {
+  std::string clock;
+  std::map<int, std::set<std::string>> names;
+};
+
+TraceTracks trace_tracks(const obs::WallTracer& tr) {
+  std::ostringstream os;
+  tr.write_chrome_trace(os);
+  const JsonValue doc = JsonParser(os.str()).parse();
+  TraceTracks out;
+  for (const JsonValue& ev : doc.array) {
+    const std::string& name = ev.find("name")->str;
+    const JsonValue* tid = ev.find("tid");
+    if (name == "trace_metadata") out.clock = ev.find("args")->find("clock")->str;
+    else if (ev.find("ph")->str != "M" && tid != nullptr)
+      out.names[static_cast<int>(tid->number)].insert(name);
+  }
+  return out;
+}
+
+TEST_F(ObsGlobalTest, SimAndThreadsTraceOneScenarioInOneVocabulary) {
+  Scenario s;
+  s.num_workers = 2;
+  s.total_steps = 48;
+  s.schedule = SwitchSchedule::bsp_to_asp(24);
+
+  TraceSink sim;
+  RunRequest req = s.to_run_request();
+  req.observer = &sim;
+  ASSERT_FALSE(TrainingSession(req).run().diverged);
+
+  obs::enable_tracing();
+  const DataSplit split = easy_data();
+  Rng rng(11);
+  const Model proto = make_model(ModelArch::kLinear, split.train.feature_dim(), 4, rng);
+  ASSERT_GT(threaded_train(proto, split.train, s.to_threaded_config()).total_updates, 0);
+
+  const TraceTracks virt = trace_tracks(sim.tracer());
+  const TraceTracks wall = trace_tracks(obs::tracer());
+  EXPECT_EQ(virt.clock, "virtual");
+  EXPECT_EQ(wall.clock, "wall");
+  for (const TraceTracks* t : {&virt, &wall}) {
+    const auto has = [t](int track, const char* name) {
+      const auto it = t->names.find(track);
+      return it != t->names.end() && it->second.count(name) > 0;
+    };
+    EXPECT_TRUE(has(0, "protocol_switch")) << t->clock;
+    for (int track = 1; track <= 2; ++track) EXPECT_TRUE(has(track, "step")) << t->clock;
+  }
 }
 
 }  // namespace

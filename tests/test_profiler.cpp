@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/session.h"
+
 namespace ss {
 namespace {
 
@@ -45,17 +47,22 @@ TEST(Profiler, ConvergencePrefersLatestPlateau) {
   EXPECT_DOUBLE_EQ(*conv, 0.9);
 }
 
-TEST(Profiler, BestFinalAndTta) {
+TEST(Profiler, BestAndFinal) {
   Profiler p;
   p.on_eval(1, VTime::from_seconds(10.0), 0.5);
   p.on_eval(2, VTime::from_seconds(20.0), 0.8);
   p.on_eval(3, VTime::from_seconds(30.0), 0.75);
   EXPECT_DOUBLE_EQ(p.best_accuracy(), 0.8);
   EXPECT_DOUBLE_EQ(p.final_accuracy(), 0.75);
-  const auto tta = p.time_to_accuracy(0.8);
+}
+
+TEST(RunResult, TimeToAccuracyIsTheFirstEvalAtTheThreshold) {
+  RunResult r;
+  r.accuracy_curve = {{1, 10.0, 0.5}, {2, 20.0, 0.8}, {3, 30.0, 0.75}};
+  const auto tta = r.time_to_accuracy(0.8);
   ASSERT_TRUE(tta.has_value());
   EXPECT_DOUBLE_EQ(*tta, 20.0);
-  EXPECT_FALSE(p.time_to_accuracy(0.95).has_value());
+  EXPECT_FALSE(r.time_to_accuracy(0.95).has_value());
 }
 
 TEST(Profiler, TailLossAveragesLastK) {
@@ -77,24 +84,6 @@ TEST(Profiler, MeanStalenessAndImages) {
   p.on_task(t);
   p.on_task(t);
   EXPECT_EQ(p.total_images(), 128u);
-}
-
-TEST(Profiler, TeeForwardsEverything) {
-  struct Counting final : MetricsSink {
-    int tasks = 0, updates = 0, evals = 0;
-    void on_task(const TaskObservation&) override { ++tasks; }
-    void on_update(const UpdateObservation&) override { ++updates; }
-    void on_eval(std::int64_t, VTime, double) override { ++evals; }
-  } tee;
-  Profiler p;
-  p.set_tee(&tee);
-  TaskObservation t;
-  p.on_task(t);
-  p.on_update(update(1, 1.0));
-  p.on_eval(1, VTime::zero(), 0.5);
-  EXPECT_EQ(tee.tasks, 1);
-  EXPECT_EQ(tee.updates, 1);
-  EXPECT_EQ(tee.evals, 1);
 }
 
 }  // namespace

@@ -175,6 +175,8 @@ TEST(TraceParseErrors, MalformedCsvTable) {
       {"unknown worker id", csv_preamble() + "crash,64,9,,\n", {"unknown worker id 9", nullptr}},
       {"double crash of one worker",
        csv_preamble() + "crash,64,1,,\ncrash,128,1,,\n", {"unknown worker id 1", nullptr}},
+      {"crash of a worker id past INT_MAX",
+       csv_preamble() + "crash,32,4294967297,,\n", {"unknown worker id 4294967297", nullptr}},
       {"crash without a worker", csv_preamble() + "crash,64,,,\n", {"crash", "worker"}},
       {"join naming a worker",
        csv_preamble() + "join,64,2,,\n", {"join", "blank"}},
@@ -216,6 +218,9 @@ TEST(TraceParseErrors, MalformedJsonTable) {
       {"unknown worker id",
        "{\"workers\": 2, \"events\": [{\"event\": \"crash\", \"at\": 8, \"worker\": 5}]}",
        {"unknown worker id 5", nullptr}},
+      {"crash of a worker id past INT_MAX",
+       "{\"events\": [{\"event\": \"crash\", \"at\": 32, \"worker\": 4294967297}]}",
+       {"unknown worker id 4294967297", nullptr}},
       {"trailing garbage", "{\"workers\": 4} tail", {"trailing content", nullptr}},
       {"missing comma between members", "{\"workers\": 4 \"steps\": 64}",
        {"bad.json:1: trace", "expected ',' or '}'"}},

@@ -1,10 +1,15 @@
-// Trace recorder, fanout sink, JSON escaping, and Chrome trace export.
+// The sim's trace sink, the fanout sink, JSON escaping, and the Chrome trace
+// the sink exports through its virtual-clock tracer.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "core/session.h"
+#include "json_reader.h"
 #include "ps/trace.h"
 
 namespace ss {
@@ -18,6 +23,30 @@ TaskObservation task(int worker, double start_s, double dur_s) {
   t.images = 64;
   return t;
 }
+
+UpdateObservation update(Protocol protocol, double time_s) {
+  UpdateObservation u;
+  u.protocol = protocol;
+  u.time = VTime::from_seconds(time_s);
+  return u;
+}
+
+JsonValue export_trace(const TraceSink& sink) {
+  std::ostringstream os;
+  sink.tracer().write_chrome_trace(os);
+  return JsonParser(os.str()).parse();  // throws if the trace is not valid JSON
+}
+
+/// Every event called `name`, in record order.
+std::vector<const JsonValue*> events(const JsonValue& doc, const std::string& name) {
+  std::vector<const JsonValue*> out;
+  for (const JsonValue& ev : doc.array)
+    if (ev.find("name")->str == name) out.push_back(&ev);
+  return out;
+}
+
+double number(const JsonValue* ev, const char* key) { return ev->find(key)->number; }
+const JsonValue* arg(const JsonValue* ev, const char* key) { return ev->find("args")->find(key); }
 
 // ------------------------------------------------------------- json_escape
 
@@ -63,87 +92,97 @@ TEST(FanoutSink, RejectsNullSinks) {
   EXPECT_THROW(FanoutSink({&a, nullptr}), ConfigError);
 }
 
-// ----------------------------------------------------------- TraceRecorder
+// --------------------------------------------------------------- TraceSink
 
-TEST(TraceRecorder, RecordsAllEventKinds) {
-  TraceRecorder rec;
-  rec.on_task(task(0, 0.0, 0.5));
-  rec.on_task(task(1, 0.1, 0.4));
-  UpdateObservation u;
-  u.global_step = 8;
-  u.protocol = Protocol::kAsp;
-  rec.on_update(u);
-  rec.on_eval(8, VTime::from_seconds(1.0), 0.75);
-  EXPECT_EQ(rec.tasks().size(), 2u);
-  EXPECT_EQ(rec.updates().size(), 1u);
-  EXPECT_EQ(rec.evals().size(), 1u);
-  EXPECT_EQ(rec.total_recorded(), 4u);
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
-TEST(TraceRecorder, BoundsMemoryAndCountsDrops) {
-  TraceRecorder rec(3);
-  for (int i = 0; i < 10; ++i) rec.on_task(task(i, 0.0, 0.1));
-  EXPECT_EQ(rec.total_recorded(), 3u);
-  EXPECT_EQ(rec.dropped(), 7u);
-}
-
-TEST(TraceRecorder, RejectsZeroCapacity) { EXPECT_THROW(TraceRecorder(0), ConfigError); }
-
-TEST(TraceRecorder, ClearResets) {
-  TraceRecorder rec(2);
-  rec.on_task(task(0, 0.0, 0.1));
-  rec.on_task(task(0, 0.1, 0.1));
-  rec.on_task(task(0, 0.2, 0.1));  // dropped
-  rec.clear();
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-}
-
-TEST(TraceRecorder, ChromeTraceIsWellFormed) {
-  TraceRecorder rec;
-  rec.on_task(task(2, 1.0, 0.5));
-  UpdateObservation u;
+TEST(TraceSink, StampsEveryEventKindInVirtualMicroseconds) {
+  TraceSink sink;
+  sink.on_task(task(2, 1.0, 0.5));
+  UpdateObservation u = update(Protocol::kSsp, 1.5);
   u.global_step = 16;
-  u.time = VTime::from_seconds(1.5);
   u.train_loss = 0.25;
   u.staleness = 3;
-  u.protocol = Protocol::kSsp;
-  rec.on_update(u);
-  rec.on_eval(16, VTime::from_seconds(2.0), 0.875);
+  sink.on_update(u);
+  sink.on_eval(16, VTime::from_seconds(2.0), 0.875);
+  const JsonValue doc = export_trace(sink);
 
-  std::ostringstream os;
-  rec.write_chrome_trace(os);
-  const std::string json = os.str();
+  // A step span on worker 2's row (track 3), from t=1s for 0.5s.
+  const auto steps = events(doc, "step");
+  ASSERT_EQ(steps.size(), 1u);
+  EXPECT_EQ(steps[0]->find("ph")->str, "X");
+  EXPECT_EQ(number(steps[0], "tid"), 3.0);
+  EXPECT_EQ(number(steps[0], "ts"), 1000000.0);
+  EXPECT_EQ(number(steps[0], "dur"), 500000.0);
+  EXPECT_EQ(arg(steps[0], "images")->number, 64.0);
 
-  // Array framing.
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("]\n"), std::string::npos);
-  // One duration event on worker 2's row (tid 3), starting at t=1s.
-  EXPECT_NE(json.find(R"("ph":"X")"), std::string::npos);
-  EXPECT_NE(json.find(R"("tid":3,"ts":1000000,"dur":500000)"), std::string::npos);
-  // Instant PS update labeled with the protocol.
-  EXPECT_NE(json.find(R"("name":"SSP update")"), std::string::npos);
-  EXPECT_NE(json.find(R"("staleness":3)"), std::string::npos);
-  // Accuracy counter track.
-  EXPECT_NE(json.find(R"("ph":"C")"), std::string::npos);
-  EXPECT_NE(json.find(R"("accuracy":0.875)"), std::string::npos);
-  // Thread-name metadata for PS and workers 0..2.
-  EXPECT_NE(json.find(R"("name":"parameter server")"), std::string::npos);
-  EXPECT_NE(json.find(R"(worker 2)"), std::string::npos);
-  // Balanced braces (cheap structural sanity in lieu of a JSON parser).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+  // An update instant on the control row, carrying the protocol and step.
+  const auto updates = events(doc, "update");
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0]->find("ph")->str, "i");
+  EXPECT_EQ(number(updates[0], "tid"), 0.0);
+  EXPECT_EQ(number(updates[0], "ts"), 1500000.0);
+  EXPECT_EQ(arg(updates[0], "protocol")->str, "SSP");
+  EXPECT_EQ(arg(updates[0], "step")->number, 16.0);
+  EXPECT_EQ(arg(updates[0], "loss")->number, 0.25);
+  EXPECT_EQ(arg(updates[0], "staleness")->number, 3.0);
+  EXPECT_TRUE(events(doc, "protocol_switch").empty());  // the first update switches nothing
+
+  // A test-accuracy counter sample.
+  const auto acc = events(doc, "test_accuracy");
+  ASSERT_EQ(acc.size(), 1u);
+  EXPECT_EQ(acc[0]->find("ph")->str, "C");
+  EXPECT_EQ(number(acc[0], "ts"), 2000000.0);
+  EXPECT_EQ(arg(acc[0], "value")->number, 0.875);
+
+  // The threaded track layout: ps/control, then one row per worker seen.
+  std::vector<std::string> rows;
+  for (const JsonValue* ev : events(doc, "thread_name")) rows.push_back(arg(ev, "name")->str);
+  EXPECT_EQ(rows, (std::vector<std::string>{"ps/control", "worker 0", "worker 1", "worker 2"}));
+
+  const auto meta = events(doc, "trace_metadata");
+  ASSERT_EQ(meta.size(), 1u);
+  EXPECT_EQ(arg(meta[0], "clock")->str, "virtual");
+  EXPECT_EQ(arg(meta[0], "recorded_events")->number, 3.0);
 }
 
-TEST(TraceRecorder, SaveRejectsUnwritablePath) {
-  TraceRecorder rec;
-  EXPECT_THROW(rec.save_chrome_trace("/nonexistent_dir_xyz/trace.json"), IoError);
+TEST(TraceSink, MarksEachProtocolChangeOnceAtItsFirstUpdate) {
+  TraceSink sink;
+  const Protocol seq[] = {Protocol::kBsp, Protocol::kBsp, Protocol::kAsp, Protocol::kAsp,
+                          Protocol::kSsp};
+  for (int i = 0; i < 5; ++i) sink.on_update(update(seq[i], i + 1.0));
+  const JsonValue doc = export_trace(sink);
+
+  const auto switches = events(doc, "protocol_switch");
+  ASSERT_EQ(switches.size(), 2u);
+  EXPECT_EQ(number(switches[0], "tid"), 0.0);
+  EXPECT_EQ(number(switches[0], "ts"), 3000000.0);
+  EXPECT_EQ(arg(switches[0], "from")->str, "BSP");
+  EXPECT_EQ(arg(switches[0], "to")->str, "ASP");
+  EXPECT_EQ(number(switches[1], "ts"), 5000000.0);
+  EXPECT_EQ(arg(switches[1], "from")->str, "ASP");
+  EXPECT_EQ(arg(switches[1], "to")->str, "SSP");
+  EXPECT_EQ(events(doc, "update").size(), 5u);
+}
+
+TEST(TraceSink, CountsDropsAtTheTracersCap) {
+  TraceSink sink(3);
+  for (int i = 0; i < 10; ++i) sink.on_task(task(i, 0.0, 0.1));
+  EXPECT_EQ(sink.tracer().recorded(), 3u);
+  EXPECT_EQ(sink.tracer().dropped(), 7u);
+  const JsonValue doc = export_trace(sink);
+  const auto meta = events(doc, "trace_metadata");
+  ASSERT_EQ(meta.size(), 1u);
+  EXPECT_EQ(arg(meta[0], "dropped_events")->number, 7.0);
+  EXPECT_THROW(TraceSink(0), ConfigError);
+}
+
+TEST(TraceSink, SaveRejectsUnwritablePath) {
+  TraceSink sink;
+  EXPECT_THROW(sink.tracer().save_chrome_trace("/nonexistent_dir_xyz/trace.json"), IoError);
 }
 
 // ----------------------------------------------------- session integration
 
-TEST(TraceRecorder, ObservesAFullTrainingSession) {
+TEST(TraceSink, ObservesAFullBspToAspSession) {
   RunRequest req;
   req.workload.arch = ModelArch::kLinear;
   req.workload.data = SyntheticSpec::cifar10_like();
@@ -158,25 +197,30 @@ TEST(TraceRecorder, ObservesAFullTrainingSession) {
   req.policy = SyncSwitchPolicy::bsp_to_asp(0.25);
   req.actuator_time_scale = 0.01;
 
-  TraceRecorder rec;
-  req.observer = &rec;
+  TraceSink sink;
+  req.observer = &sink;
   const RunResult r = TrainingSession(req).run();
   ASSERT_FALSE(r.diverged);
+  EXPECT_EQ(sink.tracer().dropped(), 0u);
+  const JsonValue doc = export_trace(sink);
 
-  // Every minibatch step produced a task observation (BSP phase emits one
-  // per worker per round; ASP one per update).
-  EXPECT_GE(rec.tasks().size(), 128u);
-  EXPECT_GT(rec.updates().size(), 0u);
-  EXPECT_GT(rec.evals().size(), 0u);
-  // Both protocols appear in the update stream (the run switched).
+  // Every minibatch step is a step span (BSP emits one per worker per
+  // round; ASP one per update).
+  EXPECT_GE(events(doc, "step").size(), 128u);
+  EXPECT_FALSE(events(doc, "test_accuracy").empty());
+  // Both protocols update, and the one switch between them is marked once.
   bool saw_bsp = false;
   bool saw_asp = false;
-  for (const auto& u : rec.updates()) {
-    saw_bsp |= u.protocol == Protocol::kBsp;
-    saw_asp |= u.protocol == Protocol::kAsp;
+  for (const JsonValue* u : events(doc, "update")) {
+    saw_bsp |= arg(u, "protocol")->str == "BSP";
+    saw_asp |= arg(u, "protocol")->str == "ASP";
   }
   EXPECT_TRUE(saw_bsp);
   EXPECT_TRUE(saw_asp);
+  const auto switches = events(doc, "protocol_switch");
+  ASSERT_EQ(switches.size(), 1u);
+  EXPECT_EQ(arg(switches[0], "from")->str, "BSP");
+  EXPECT_EQ(arg(switches[0], "to")->str, "ASP");
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
-"""Validate a Chrome trace-event file written by the sim's TraceRecorder or
-the obs wall tracer.
+"""Validate a Chrome trace-event file written by the obs tracer: a threaded or
+socket run's wall-clock trace (``sync_switch_cli train --trace-out``) or a
+sim run's virtual-clock trace (``sync_switch_cli --trace``).  Both use one
+vocabulary (``step`` spans on worker tracks, ``protocol_switch`` on track 0),
+so one set of --expect names can check either.
 
 Checks that the file is a well-formed JSON array of event objects, that every
 event carries the mandatory Chrome trace fields for its phase, and (with

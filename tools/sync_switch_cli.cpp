@@ -920,12 +920,12 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   try {
-    TraceRecorder trace;
+    TraceSink trace;
     if (!trace_path.empty()) req.observer = &trace;
     const RunResult r = TrainingSession(req).run();
     if (!trace_path.empty()) {
-      trace.save_chrome_trace(trace_path);
-      std::cout << "trace: " << trace.total_recorded() << " events -> " << trace_path
+      trace.tracer().save_chrome_trace(trace_path);
+      std::cout << "trace: " << trace.tracer().recorded() << " events -> " << trace_path
                 << " (open in chrome://tracing or ui.perfetto.dev)\n";
     }
     if (r.diverged) {
