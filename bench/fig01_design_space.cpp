@@ -54,7 +54,7 @@ Point run_group_based(const setups::ExperimentSetup& s, std::size_t num_groups) 
       samplers.emplace_back(shards[w], wl.hyper.batch_size, root.fork(100 + w));
       worker_rngs.push_back(root.fork(200 + w));
     }
-    TrainingState state(ShardedParameterServer(grad_model.get_params(), wl.hyper.momentum),
+    TrainingState state(SharedParameterServer(grad_model.get_params(), wl.hyper.momentum),
                         std::move(samplers), std::move(worker_rngs));
 
     Profiler profiler;

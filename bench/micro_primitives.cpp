@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <future>
 #include <string>
 #include <thread>
@@ -23,7 +22,7 @@
 #include "net/socket_transport.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
-#include "ps/sharded_param_server.h"
+#include "ps/param_server.h"
 #include "ps/threaded_runtime.h"
 #include "sim/event_queue.h"
 #include "tensor/gemm.h"
@@ -150,15 +149,16 @@ void BM_PsApply(benchmark::State& state) {
   std::vector<float> grad(p);
   for (auto& v : init) v = static_cast<float>(rng.gaussian());
   for (auto& v : grad) v = static_cast<float>(rng.gaussian(0.0, 0.01));
-  ShardedParameterServer ps(init, 0.9);
-  for (auto _ : state) ps.apply(grad, 0.05);
+  SharedParameterServer ps(init, 0.9);
+  const std::vector<std::int64_t> pulled(1, 0);
+  for (auto _ : state) benchmark::DoNotOptimize(ps.push(grad, 0.05, pulled));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p));
 }
 BENCHMARK(BM_PsApply)->Arg(13000)->Arg(28000);
 
-// The single-lock baseline the sharded parallel path is measured against:
-// one mutex-guarded full-vector push on a 10M+-parameter model.
+// The single-lock baseline the sharded and sparse paths are measured
+// against: one mutex-guarded full-vector push on a 10M+-parameter model.
 void BM_PsPushSingleLock(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   SharedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, /*num_shards=*/1);
@@ -170,37 +170,19 @@ void BM_PsPushSingleLock(benchmark::State& state) {
 }
 BENCHMARK(BM_PsPushSingleLock)->Arg(10'000'000);
 
-// Sharded apply, serial: quantifies the pure partitioning overhead
-// (per-shard loop + version bumps) against BM_PsApply.
+// Sharded push from one thread: quantifies the pure partitioning overhead
+// (per-shard lock, loop and version bump) against BM_PsPushSingleLock.
 void BM_PsApplySharded(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, shards);
+  SharedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, shards);
   std::vector<float> grad(p, 0.001f);
-  for (auto _ : state) ps.apply(grad, 0.05);
+  const std::vector<std::int64_t> pulled(shards, 0);
+  for (auto _ : state) benchmark::DoNotOptimize(ps.push(grad, 0.05, pulled));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p));
 }
 BENCHMARK(BM_PsApplySharded)->Args({10'000'000, 8});
-
-// Sharded apply fanned across the worker pool.  On a multi-core host this
-// is the >= 2x win over BM_PsPushSingleLock for 10M+ parameters (the op is
-// memory-bandwidth-bound: 2 loads + 2 stores per element); on a single-core
-// container it degrades gracefully to roughly the serial number.
-void BM_PsApplyParallel(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t extra = std::min<std::size_t>(shards, hw) - 1;
-  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, shards);
-  ps.set_parallel_apply(extra);
-  std::vector<float> grad(p, 0.001f);
-  for (auto _ : state) ps.apply(grad, 0.05);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-  state.counters["threads"] = static_cast<double>(extra + 1);
-}
-BENCHMARK(BM_PsApplyParallel)->Args({10'000'000, 8})->Args({10'000'000, 16});
 
 // The sparse fast path: a top-k(1%) CompressedPush against the sharded
 // shared PS.  Only shards owning kept coordinates are locked and written —
@@ -225,7 +207,7 @@ BENCHMARK(BM_PsApplySparseTopK)->Args({10'000'000, 1})->Args({10'000'000, 8});
 
 void BM_PsPull(benchmark::State& state) {
   const std::size_t p = 13000;
-  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9);
+  SharedParameterServer ps(std::vector<float>(p, 0.5f), 0.9);
   std::vector<float> out(p);
   for (auto _ : state) {
     ps.pull(out);
@@ -233,23 +215,6 @@ void BM_PsPull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PsPull);
-
-// Parallel pull of a large model (the worker-side snapshot copy).
-void BM_PsPullParallel(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, shards);
-  ps.set_parallel_apply(std::min<std::size_t>(shards, hw) - 1);
-  std::vector<float> out(p);
-  for (auto _ : state) {
-    ps.pull(out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_PsPullParallel)->Args({10'000'000, 8});
 
 // End-to-end live protocol switch on real threads: a tiny BSP -> ASP
 // schedule, including thread spawn, the per-round barriers, and the drain-

@@ -79,7 +79,7 @@ void run_group_based() {
     samplers.emplace_back(shards[w], wl.hyper.batch_size, root.fork(100 + w));
     worker_rngs.push_back(root.fork(200 + w));
   }
-  TrainingState state(ShardedParameterServer(grad_model.get_params(), wl.hyper.momentum),
+  TrainingState state(SharedParameterServer(grad_model.get_params(), wl.hyper.momentum),
                       std::move(samplers), std::move(worker_rngs));
 
   Profiler profiler;

@@ -29,8 +29,6 @@ std::string RunRequest::cache_key() const {
      << ";eval=" << workload.eval_interval << ";divthr=" << workload.divergence_loss_threshold
      << ";n=" << cluster.num_workers << ";shards=" << cluster.num_ps_shards
      << ";shiss=" << cluster.shard_issue_overhead.us()
-     // ps_apply_threads is deliberately absent: parallel apply is
-     // bit-identical to serial, so it cannot change the result.
      << ";comp=" << cluster.compute_per_batch.us()
      << ";refb=" << cluster.reference_batch << ";jit=" << cluster.compute_jitter_sigma
      << ";lat=" << cluster.net_latency.us() << ";bytes=" << cluster.payload_bytes
@@ -124,11 +122,9 @@ RunResult TrainingSession::run() {
     worker_rngs.push_back(root.fork(200 + w));
   }
 
-  TrainingState state(ShardedParameterServer(grad_model.get_params(), wl.hyper.momentum,
-                                             req_.cluster.num_ps_shards),
+  TrainingState state(SharedParameterServer(grad_model.get_params(), wl.hyper.momentum,
+                                            req_.cluster.num_ps_shards),
                       std::move(samplers), std::move(worker_rngs));
-  if (req_.cluster.ps_apply_threads > 0)
-    state.ps.set_parallel_apply(req_.cluster.ps_apply_threads);
 
   const ClusterModel cluster(req_.cluster);
   const ActuatorModel actuator = ActuatorModel::paper_calibrated(req_.actuator);
@@ -213,7 +209,7 @@ RunResult TrainingSession::run() {
 
   auto pay_switch = [&]() {
     // Checkpoint -> actuate -> restore, exactly as the prototype does.
-    const Checkpoint ckpt = state.ps.make_checkpoint(state.global_step);
+    const Checkpoint ckpt = state.ps.snapshot_checkpoint(state.global_step);
     const VTime cost = actuator.switch_time(n).scaled(ascale);
     state.clock += cost;
     state.ps.restore(ckpt);
@@ -241,7 +237,7 @@ RunResult TrainingSession::run() {
   std::vector<std::int64_t> capture_steps;
   for (const MembershipEvent& e : req_.elastic.plan.events()) {
     if (e.kind != MembershipEventKind::kCrash) continue;
-    if (!snapshot) snapshot = state.ps.make_checkpoint(0);  // run-start floor
+    if (!snapshot) snapshot = state.ps.snapshot_checkpoint(0);  // run-start floor
     if (const std::int64_t every = req_.elastic.snapshot_interval; every > 0 && e.at_step >= every)
       capture_steps.push_back(e.at_step / every * every);
   }
@@ -390,7 +386,7 @@ RunResult TrainingSession::run() {
         // exactly.
         if (next_capture_idx < capture_steps.size() &&
             capture_steps[next_capture_idx] <= state.global_step) {
-          snapshot = state.ps.make_checkpoint(state.global_step);
+          snapshot = state.ps.snapshot_checkpoint(state.global_step);
           while (next_capture_idx < capture_steps.size() &&
                  capture_steps[next_capture_idx] <= state.global_step)
             ++next_capture_idx;

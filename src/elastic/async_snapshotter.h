@@ -16,11 +16,12 @@
 //    background thread that watches a progress counter (PS updates
 //    applied) and captures every `interval` updates.  The capture walks
 //    the PS copy-on-read, one shard lock at a time
-//    (SharedParameterServer::snapshot_checkpoint), so workers pushing to
-//    other shards never block on it — each shard's slice is internally
-//    consistent (params + velocity + version move together under the shard
-//    lock) and cross-shard skew is bounded by the pushes that land
-//    mid-walk, the same guarantee a worker pull has.
+//    (SharedParameterServer::snapshot_checkpoint in ps/param_server.h, the
+//    call the simulator's synchronous captures make too), so workers
+//    pushing to other shards never block on it — each shard's slice is
+//    internally consistent (params + velocity + version move together
+//    under the shard lock) and cross-shard skew is bounded by the pushes
+//    that land mid-walk, the same guarantee a worker pull has.
 //
 // One lock guards every capture and every restore of the snapshotter's PS:
 // cadence and floor captures, the crash restore (`restore_latest`), and

@@ -1,11 +1,11 @@
 // In-process Transport backend: a zero-copy forwarding shim over
-// SharedParameterServer.
+// SharedParameterServer (ps/param_server.h).
 //
 // This is the backend the threaded runtime's worker slots step against.
-// Every method is a one-line forward to the facade's identically-named call,
-// so routing the runtime through the seam changes nothing observable — the
-// determinism and conformance suites hold it to the pre-seam behaviour bit
-// for bit, exactly as ShardApplyPool was held to serial apply.
+// Every method is a one-line forward to the server's identically-named
+// call, so routing the runtime through the seam changes nothing observable:
+// the threaded determinism corpus and the conformance suite hold it to the
+// direct calls bit for bit.
 //
 // The shim borrows the server; the owner (threaded_train) keeps it alive for
 // the transport's lifetime.  Thread-safety is inherited from
@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "net/transport.h"
-#include "ps/threaded_runtime.h"
+#include "ps/param_server.h"
 
 namespace ss {
 
@@ -27,8 +27,6 @@ class InProcTransport final : public Transport {
 
   [[nodiscard]] std::size_t num_params() const override { return ps_.num_params(); }
   [[nodiscard]] std::size_t num_shards() const override { return ps_.num_shards(); }
-
-  void pull(std::span<float> out) override { ps_.pull(out); }
 
   void pull_with_versions(std::span<float> out,
                           std::vector<std::int64_t>& versions) override {

@@ -17,13 +17,13 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/obs.h"
-#include "ps/threaded_runtime.h"
+#include "ps/param_server.h"
 
 namespace ss {
 
 namespace {
 
-/// Shared server state: the PS facade, its snapshotter, the cross-process
+/// Shared server state: the PS, its snapshotter, the cross-process
 /// drain barrier and the eviction counters.  The PS carries its own
 /// per-shard locks, so pushes from different session threads interleave at
 /// shard granularity exactly as worker threads do in-process; every capture
@@ -60,7 +60,7 @@ void evict_worker(ServerState& state, std::uint32_t worker, std::size_t num_work
                   const std::string& why) {
   const std::size_t evicted = state.evicted.fetch_add(1) + 1;
   const std::optional<std::int64_t> lost = state.snapshotter.restore_latest(
-      [&state](const Checkpoint& snap) { state.ps.restore_checkpoint(snap); });
+      [&state](const Checkpoint& snap) { state.ps.restore(snap); });
   if (lost) {
     ++state.restores;
     state.updates_lost += *lost;
@@ -131,9 +131,9 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
             break;
           }
           case MsgType::kPushCompressed: {
+            // The PS validates the push against its own length (ConfigError,
+            // answered below with an Error frame).
             const double lr = PushCompressedMsg::decode(payload, versions, compressed);
-            if (compressed.num_params != ps.num_params())
-              throw NetError("PushCompressed: gradient length mismatch");
             PushReplyMsg out;
             out.staleness = ps.push_compressed(compressed, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
@@ -162,7 +162,7 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
           }
           case MsgType::kRestoreRequest: {
             const Checkpoint ckpt = Checkpoint::deserialize(payload);
-            state.snapshotter.exclusive([&] { ps.restore_checkpoint(ckpt); });
+            state.snapshotter.exclusive([&] { ps.restore(ckpt); });
             break;  // reply stays kOk
           }
           case MsgType::kBye:

@@ -1,15 +1,16 @@
-// PsServer: host the sharded parameter server in its own OS process.
+// PsServer: host the parameter server in its own OS process.
 //
 // `run_ps_server` owns the whole run: it builds the model + initial
 // parameters from the seed, listens on the endpoint, assigns slots to the
 // first `num_workers` connections (shipping each the full run configuration
 // — the server owns the config, workers only know where to connect), and
 // serves pull/push/drain/checkpoint frames from one session thread per
-// connection against a SharedParameterServer.  The deployed protocol is
-// ASP: workers run the threaded runtime's WorkerSlot step for their quota
-// and quiesce at one final drain barrier (the in-process runtime remains
-// the reference for BSP/SSP and live switching).  A config no worker could
-// train on is rejected before the server listens.
+// connection against a SharedParameterServer (ps/param_server.h), the one
+// PS class the simulator and the threaded runtime use.  The deployed
+// protocol is ASP: workers run the threaded runtime's WorkerSlot step for
+// their quota and quiesce at one final drain barrier (the in-process
+// runtime remains the reference for BSP/SSP and live switching).  A config
+// no worker could train on is rejected before the server listens.
 //
 // Fault tolerance is the threaded runtime's crash path over real process
 // death, through the same AsyncSnapshotter: copy-on-read checkpoints on an

@@ -41,11 +41,6 @@ std::span<const std::uint8_t> SocketTransport::rpc(const FrameOut& request, MsgT
   return payload_;
 }
 
-void SocketTransport::pull(std::span<float> out) {
-  std::vector<std::int64_t> versions;
-  pull_with_versions(out, versions);
-}
-
 void SocketTransport::pull_with_versions(std::span<float> out,
                                          std::vector<std::int64_t>& versions) {
   const FrameHeader reply = call(FrameOut(MsgType::kPull), MsgType::kPullReply);

@@ -50,7 +50,6 @@ class SocketTransport final : public Transport {
   [[nodiscard]] std::size_t num_params() const override { return shape_.num_params; }
   [[nodiscard]] std::size_t num_shards() const override { return shape_.num_shards; }
 
-  void pull(std::span<float> out) override;
   void pull_with_versions(std::span<float> out,
                           std::vector<std::int64_t>& versions) override;
   std::int64_t push(std::span<const float> grad, double lr,

@@ -4,11 +4,10 @@
 // separate OS processes).
 //
 // The surface is exactly what the step needs, with the per-shard version
-// semantics of SharedParameterServer (ps/threaded_runtime.h):
+// semantics of SharedParameterServer (ps/param_server.h):
 //
 //  * `pull_with_versions` — copy the parameters and snapshot every shard's
-//    version counter as it is copied (the exact staleness-accounting path);
-//    `pull` is the same copy without the versions.
+//    version counter as it is copied (the exact staleness-accounting path).
 //  * `push` / `push_compressed` — apply a dense gradient or a CompressedPush
 //    against the versions observed at pull time; both return the push's
 //    staleness (max updates any touched shard absorbed since the pull).
@@ -49,10 +48,8 @@ class Transport {
   [[nodiscard]] virtual std::size_t num_params() const = 0;
   [[nodiscard]] virtual std::size_t num_shards() const = 0;
 
-  /// Copy the current parameters into `out` (sized num_params).
-  virtual void pull(std::span<float> out) = 0;
-
-  /// Pull + snapshot the per-shard version vector (resized to num_shards).
+  /// Copy the current parameters into `out` (sized num_params) and
+  /// snapshot the per-shard version vector (resized to num_shards).
   virtual void pull_with_versions(std::span<float> out,
                                   std::vector<std::int64_t>& versions) = 0;
 

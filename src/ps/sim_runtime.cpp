@@ -105,8 +105,7 @@ class EventDrivenProcess final : public WorkerProcess {
     // was in flight are visible, later ones are not.  The per-shard version
     // vector is what staleness is measured against at push time.
     auto& fl = inflight_[static_cast<std::size_t>(worker)];
-    state_.ps.pull(fl.snapshot);
-    state_.ps.shard_versions(fl.pull_versions);
+    state_.ps.pull_with_versions(fl.snapshot, fl.pull_versions);
     fl.pull_started = time;
     auto& sampler = state_.samplers[static_cast<std::size_t>(worker)];
     sampler.set_batch_size(b_);
@@ -137,11 +136,10 @@ class EventDrivenProcess final : public WorkerProcess {
   };
 
   /// Apply-each: the gradient (computed against the pulled snapshot) is
-  /// applied immediately.  Compressed pushes travel as a CompressedPush:
-  /// sparse (top-k) pushes apply per shard — touching and versioning only
-  /// the shards owning kept coordinates, exactly like the threaded runtime's
-  /// per-shard fast path — while dense quantized pushes apply like an
-  /// uncompressed gradient.
+  /// pushed immediately.  Compressed pushes travel as a CompressedPush:
+  /// sparse (top-k) pushes touch and version only the shards owning kept
+  /// coordinates, exactly as on threads, while dense quantized pushes apply
+  /// like an uncompressed gradient.
   PushOutcome push_apply_each(int worker, VTime time) {
     auto& fl = inflight_[static_cast<std::size_t>(worker)];
     train_.gather(fl.indices, batch_x_, batch_y_);
@@ -154,21 +152,13 @@ class EventDrivenProcess final : public WorkerProcess {
     } else {
       result_.push_bytes += static_cast<std::int64_t>(cluster_.spec().payload_bytes);
     }
-    const std::int64_t staleness =
-        push && push->sparse() ? state_.ps.staleness_since(fl.pull_versions, push->indices)
-                               : state_.ps.staleness_since(fl.pull_versions);
-
     const double mult = cfg_.lr_multiplier_schedule
                             ? cfg_.lr_multiplier_schedule(state_.global_step)
                             : cfg_.lr_multiplier;
     const double lr = cfg_.lr_schedule->at(state_.global_step) * mult;
-    state_.ps.optimizer().set_momentum(momentum_(result_.steps_done));
-    if (push && push->sparse())
-      state_.ps.apply_sparse(push->indices, push->values, lr);
-    else if (push)
-      state_.ps.apply(push->values, lr);
-    else
-      state_.ps.apply(grad_, lr);
+    state_.ps.set_momentum(momentum_(result_.steps_done));
+    const std::int64_t staleness = push ? state_.ps.push_compressed(*push, lr, fl.pull_versions)
+                                        : state_.ps.push(grad_, lr, fl.pull_versions);
     state_.clock = time + cluster_.spec().async_apply;
     state_.global_step += 1;
     result_.steps_done += 1;
@@ -259,8 +249,9 @@ class EventDrivenProcess final : public WorkerProcess {
                             ? cfg_.lr_multiplier_schedule(state_.global_step)
                             : cfg_.lr_multiplier;
     const double lr = cfg_.lr_schedule->at(state_.global_step) * mult;
-    state_.ps.optimizer().set_momentum(momentum_(result_.steps_done));
-    state_.ps.apply(grad_sum_, lr);
+    state_.ps.set_momentum(momentum_(result_.steps_done));
+    // Each buffered contribution carries the staleness of its own pull.
+    (void)state_.ps.push(grad_sum_, lr, fl.pull_versions);
     state_.clock = time + cluster_.spec().async_apply;
     state_.global_step += static_cast<std::int64_t>(buffer_.size());
     result_.steps_done += static_cast<std::int64_t>(buffer_.size());
@@ -344,7 +335,7 @@ void SimRuntime::maybe_eval(TrainingState& state, const PhaseConfig& cfg) {
   if (bucket == last_eval_bucket_) return;
   last_eval_bucket_ = bucket;
   if (!state.ps.healthy()) return;  // divergence handled by the caller
-  eval_model_.set_params(state.ps.params());
+  eval_model_.set_params(state.ps.snapshot());
   const double acc = eval_model_.evaluate_accuracy(eval_set_);
   sink_.on_eval(state.global_step, state.clock, acc);
 }
@@ -415,6 +406,7 @@ PhaseResult SimRuntime::run_rounds(TrainingState& state, const PhaseConfig& cfg,
   const std::size_t d = train_.feature_dim();
 
   std::vector<float> snapshot(p);
+  std::vector<std::int64_t> versions;
   std::vector<float> grad(p);
   std::vector<float> grad_sum(p);
   Tensor batch_x({b, d});
@@ -432,7 +424,7 @@ PhaseResult SimRuntime::run_rounds(TrainingState& state, const PhaseConfig& cfg,
 
   const VTime phase_start = state.clock;
   while (result.steps_done < cfg.step_budget) {
-    state.ps.pull(snapshot);
+    state.ps.pull_with_versions(snapshot, versions);
     std::fill(grad_sum.begin(), grad_sum.end(), 0.0f);
     double loss_sum = 0.0;
 
@@ -467,8 +459,8 @@ PhaseResult SimRuntime::run_rounds(TrainingState& state, const PhaseConfig& cfg,
     const double mult = cfg.lr_multiplier_schedule ? cfg.lr_multiplier_schedule(state.global_step)
                                                    : cfg.lr_multiplier;
     const double lr = cfg.lr_schedule->at(state.global_step) * mult;
-    state.ps.optimizer().set_momentum(momentum_at(cfg, result.steps_done));
-    state.ps.apply(grad_sum, lr);
+    state.ps.set_momentum(momentum_at(cfg, result.steps_done));
+    (void)state.ps.push(grad_sum, lr, versions);  // stale by 0: the round's own pull
 
     state.clock += plan.round_end + cluster_.sync_overhead(k);
     state.global_step += static_cast<std::int64_t>(k);

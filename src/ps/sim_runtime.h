@@ -18,6 +18,11 @@
 // an ASP update consumes one; both protocols therefore process the same
 // number of examples for the same step budget, and the LR schedule is
 // indexed by this shared counter.  See EXPERIMENTS.md §"Step semantics".
+//
+// The PS is the same per-shard-locked SharedParameterServer the threaded
+// runtime and the socket server use (ps/param_server.h), driven through the
+// same pull_with_versions / push / push_compressed calls; one thread drives
+// it here, so every shard lock is uncontended.
 #pragma once
 
 #include <functional>
@@ -31,8 +36,8 @@
 #include "data/dataset.h"
 #include "nn/lr_schedule.h"
 #include "nn/model.h"
+#include "ps/param_server.h"
 #include "ps/protocol.h"
-#include "ps/sharded_param_server.h"
 #include "sim/cluster.h"
 #include "sim/des_engine.h"
 #include "sim/straggler.h"
@@ -76,13 +81,13 @@ class NullMetricsSink final : public MetricsSink {
 
 /// Everything that persists across phases of one training session.
 struct TrainingState {
-  TrainingState(ShardedParameterServer ps_in, std::vector<MinibatchSampler> samplers_in,
+  TrainingState(SharedParameterServer ps_in, std::vector<MinibatchSampler> samplers_in,
                 std::vector<Rng> worker_rngs_in)
       : ps(std::move(ps_in)),
         samplers(std::move(samplers_in)),
         worker_rngs(std::move(worker_rngs_in)) {}
 
-  ShardedParameterServer ps;
+  SharedParameterServer ps;
   std::vector<MinibatchSampler> samplers;  ///< one per worker slot
   std::vector<Rng> worker_rngs;            ///< timing jitter streams
   std::int64_t global_step = 0;            ///< minibatch steps completed
@@ -115,10 +120,9 @@ struct PhaseConfig {
   /// bench/ablation_compression).  Not owned; must outlive the phase.  The
   /// gradient math sees the decoded (lossy) values and the network model
   /// charges the push for the codec's wire bytes.  In the async protocols a
-  /// sparse (top-k) push is applied per shard via `apply_sparse` — only the
-  /// shards owning kept coordinates advance, matching the threaded runtime's
-  /// per-shard fast path; synchronous protocols aggregate decoded pushes
-  /// before one dense apply.
+  /// sparse (top-k) push goes through `push_compressed` — only the shards
+  /// owning kept coordinates advance, exactly as on threads and sockets;
+  /// synchronous protocols aggregate decoded pushes before one dense push.
   CompressorBank* compressor = nullptr;
 };
 

@@ -365,7 +365,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         // are applied.  Hook time is charged to the run clock (honest: the
         // controller's decision time is charged the same way), not to any
         // worker's step measurements.
-        ps.pull(std::span<float>(eval_params));
+        ps_impl.pull(eval_params);
         cfg.eval_hook(planner.done(), seconds_between(run_start, now), eval_params);
       }
       planner.decide(s, [&] { return measure_phase(); });
@@ -475,7 +475,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
       // the mass a codec dropped is still untransmitted after the rollback.
       updates_lost = snapshotter
                          .restore_latest([&](const Checkpoint& snap) {
-                           ps_impl.restore_checkpoint(snap);
+                           ps_impl.restore(snap);
                          })
                          .value_or(0);
     }
@@ -692,7 +692,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     result.mean_staleness =
         static_cast<double>(run_async_staleness) / static_cast<double>(run_async_updates);
   result.final_params.resize(p);
-  ps.pull(result.final_params);
+  ps_impl.pull(result.final_params);
   return result;
 }
 

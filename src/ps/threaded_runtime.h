@@ -2,11 +2,12 @@
 //
 // The simulator (sim_runtime.h) provides deterministic science; this runtime
 // proves the same PS/protocol logic is actually concurrent-safe by running
-// workers as OS threads against a sharded, per-shard-mutex-protected
-// parameter server (one global lock when num_ps_shards == 1):
+// workers as OS threads against the per-shard-locked SharedParameterServer
+// (ps/param_server.h) that the simulator and the socket server use too (one
+// lock when num_ps_shards == 1):
 //
 //  * BSP uses a std::barrier per round; worker 0 aggregates and applies.
-//  * ASP workers freely pull/push under the PS mutex at their own pace.  An
+//  * ASP workers freely pull/push under the shard locks at their own pace.  An
 //    ASP phase is work-conserving, as the simulator counts it: it holds one
 //    budget of n_alive x (per-worker steps) step tickets, and whichever
 //    worker asks next draws the next one, so a straggler takes fewer steps
@@ -73,171 +74,25 @@
 // tested.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "common/error.h"
-#include "compress/compressed_push.h"
 #include "compress/spec.h"
 #include "control/controller.h"
 #include "core/straggler_detector.h"
 #include "elastic/membership_plan.h"
-#include "nn/checkpoint.h"
 #include "data/batcher.h"
 #include "data/dataset.h"
 #include "nn/lr_schedule.h"
 #include "nn/model.h"
+#include "ps/param_server.h"
 #include "ps/protocol.h"
-#include "ps/sharded_param_server.h"
 #include "ps/switch_schedule.h"
 #include "sim/straggler.h"
 
 namespace ss {
-
-/// Thread-safe facade over the ShardedParameterServer.  Each shard is
-/// guarded by its own mutex, so concurrent ASP pushes serialize per shard —
-/// worker A can apply shard 1 while worker B applies shard 0 — instead of on
-/// one global lock.  All multi-shard operations take locks in ascending
-/// shard order, which rules out deadlock between the whole-vector helpers
-/// and the per-shard fast path.
-///
-/// Version contract: every shard owns its own version counter.  A dense push
-/// advances every shard by one; a sparse push advances only the shards
-/// owning kept coordinates, so per-shard versions diverge under sparse
-/// traffic.  `pull_with_versions` snapshots the whole vector, and `push` /
-/// `push_compressed` measure staleness against it exactly in both regimes.
-class SharedParameterServer {
- public:
-  SharedParameterServer(std::vector<float> init_params, double momentum,
-                        std::size_t num_shards = 1)
-      : ps_(std::move(init_params), momentum, num_shards),
-        shard_mu_(ps_.num_shards()) {}
-
-  [[nodiscard]] std::size_t num_shards() const noexcept { return shard_mu_.size(); }
-  [[nodiscard]] std::size_t num_params() const noexcept { return ps_.num_params(); }
-
-  void pull(std::span<float> out) const {
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      ps_.pull_shard(s, out);
-    }
-  }
-
-  /// Pull + snapshot the version of every shard as it is copied.  The
-  /// shard-version vector is what `push` measures staleness against.
-  void pull_with_versions(std::span<float> out, std::vector<std::int64_t>& versions) const {
-    versions.resize(shard_mu_.size());
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      ps_.pull_shard(s, out);
-      versions[s] = ps_.shard_version(s);
-    }
-  }
-
-  /// Apply a full gradient shard by shard.  Returns the staleness of this
-  /// push: the largest number of updates any shard absorbed since the pull
-  /// that produced `pull_versions`.
-  std::int64_t push(std::span<const float> grad, double lr,
-                    std::span<const std::int64_t> pull_versions) {
-    if (pull_versions.size() != shard_mu_.size())
-      throw ConfigError("SharedParameterServer::push: shard count mismatch");
-    std::int64_t staleness = 0;
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      staleness = std::max(staleness, ps_.shard_version(s) - pull_versions[s]);
-      ps_.apply_shard(s, grad, lr);
-    }
-    return staleness;
-  }
-
-  /// Apply a compressed push.  Dense pushes take the full shard sweep like
-  /// `push`; sparse pushes lock — and advance the version of — *only* the
-  /// shards owning kept coordinates, so concurrent sparse ASP pushes to
-  /// disjoint shards do not serialize at all.  Locks are taken in ascending
-  /// shard order (the index list is ascending), preserving the deadlock-
-  /// freedom argument of the whole-vector helpers.  Returns the staleness
-  /// measured over the shards the push touched.
-  std::int64_t push_compressed(const CompressedPush& push, double lr,
-                               std::span<const std::int64_t> pull_versions) {
-    if (pull_versions.size() != shard_mu_.size())
-      throw ConfigError("SharedParameterServer::push_compressed: shard count mismatch");
-    push.validate(ps_.num_params());
-    if (!push.sparse())
-      return this->push(std::span<const float>(push.values), lr, pull_versions);
-    std::int64_t staleness = 0;
-    const std::span<const std::uint32_t> indices(push.indices);
-    const std::span<const float> values(push.values);
-    ps_.for_each_shard_segment(indices, [&](std::size_t s, std::size_t lo, std::size_t hi) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      staleness = std::max(staleness, ps_.shard_version(s) - pull_versions[s]);
-      ps_.apply_sparse_shard(s, indices.subspan(lo, hi - lo), values.subspan(lo, hi - lo), lr);
-    });
-    return staleness;
-  }
-
-  [[nodiscard]] std::vector<float> snapshot() const {
-    std::vector<float> out(ps_.num_params());
-    pull(out);
-    return out;
-  }
-
-  /// Copy-on-read snapshot of the full PS state (params + velocity +
-  /// per-shard versions) as a format-v2 checkpoint, taken one shard lock at
-  /// a time — concurrent pushes to other shards never wait on it.  Each
-  /// shard's slice is internally consistent; cross-shard skew is bounded by
-  /// the pushes that land mid-walk (the same guarantee `pull` gives).
-  /// `logical_step` lands in Checkpoint::global_step (the threaded runtime
-  /// stores its update counter there).
-  [[nodiscard]] Checkpoint snapshot_checkpoint(std::int64_t logical_step) const {
-    Checkpoint ckpt;
-    ckpt.global_step = logical_step;
-    ckpt.params.resize(ps_.num_params());
-    ckpt.velocity.resize(ps_.num_params());
-    ckpt.num_shards = static_cast<std::uint64_t>(ps_.num_shards());
-    ckpt.shard_versions.resize(ps_.num_shards());
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      ps_.snapshot_shard_state(s, ckpt.params, ckpt.velocity, ckpt.shard_versions[s]);
-    }
-    return ckpt;
-  }
-
-  /// Restore params + velocity from `ckpt`, shard by shard under the shard
-  /// locks (crash recovery; versions are never rolled back).
-  ///
-  /// Layout compatibility: a flat checkpoint (`num_shards <= 1` — v1 files
-  /// and single-shard snapshots carry no meaningful shard metadata) restores
-  /// into any shard layout, because params/velocity are stored as flat
-  /// vectors that the receiving server re-slices.  A sharded checkpoint must
-  /// match the server's shard count exactly, and must be self-consistent:
-  /// one declaring N shards but carrying a different number of
-  /// shard_versions is corrupt (truncated or hand-edited) and is rejected
-  /// rather than restored with silently wrong staleness metadata.
-  void restore_checkpoint(const Checkpoint& ckpt) {
-    if (ckpt.params.size() != ps_.num_params() || ckpt.velocity.size() != ps_.num_params())
-      throw CheckpointError("SharedParameterServer::restore_checkpoint: size mismatch");
-    if (ckpt.num_shards > 1 && ckpt.num_shards != static_cast<std::uint64_t>(ps_.num_shards()))
-      throw CheckpointError("SharedParameterServer::restore_checkpoint: shard layout mismatch");
-    if (ckpt.num_shards > 1 && ckpt.shard_versions.size() != ckpt.num_shards)
-      throw CheckpointError(
-          "SharedParameterServer::restore_checkpoint: checkpoint declares " +
-          std::to_string(ckpt.num_shards) + " shards but carries " +
-          std::to_string(ckpt.shard_versions.size()) + " shard versions");
-    for (std::size_t s = 0; s < shard_mu_.size(); ++s) {
-      const std::lock_guard<std::mutex> lock(shard_mu_[s]);
-      ps_.restore_shard_state(s, ckpt.params, ckpt.velocity);
-    }
-  }
-
- private:
-  ShardedParameterServer ps_;
-  mutable std::vector<std::mutex> shard_mu_;  ///< one lock per shard
-};
 
 struct ThreadedTrainConfig {
   /// Protocol for the whole run when `schedule` is empty; ignored otherwise.

@@ -33,18 +33,12 @@ struct ClusterSpec {
   /// every shard in parallel: each leg carries payload_bytes / num_ps_shards
   /// and the worker pays `shard_issue_overhead` to issue each extra request.
   /// 1 (the default) reproduces the historical single-server pricing bit for
-  /// bit.  Also the shard count the session builds the ShardedParameterServer with.
+  /// bit.  Also the shard count the session builds the SharedParameterServer with.
   std::size_t num_ps_shards = 1;
 
   /// Per-extra-shard request issue cost on the worker (serialization of the
   /// RPC sends; the transfers themselves overlap).
   VTime shard_issue_overhead = VTime::from_us(50.0);
-
-  /// Extra PS-side apply threads (beyond the applying thread) used to fan
-  /// shard updates in parallel.  Execution knob only: results are
-  /// bit-identical with or without it, so it is excluded from the run-cache
-  /// key.  0 = serial apply.
-  std::size_t ps_apply_threads = 0;
 
   /// Virtual per-batch GPU compute time for this workload (mean) at the
   /// reference batch size.  Stands in for "ResNet32 on a K80 with batch B"

@@ -51,7 +51,7 @@ struct Fixture {
       samplers.emplace_back(shards[w], batch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ShardedParameterServer(model.get_params(), 0.9), std::move(samplers),
+    return TrainingState(SharedParameterServer(model.get_params(), 0.9), std::move(samplers),
                          std::move(rngs));
   }
 
@@ -182,7 +182,7 @@ TEST_P(CompressedConvergence, BspStillLearnsOnLossyGradients) {
   const PhaseResult r = rt.run_phase(fx.state, cfg, fx.workers(n), fx.no_stragglers, nullptr);
   ASSERT_EQ(r.end, PhaseEnd::kBudgetExhausted);
 
-  fx.eval_model.set_params(fx.state.ps.params());
+  fx.eval_model.set_params(fx.state.ps.snapshot());
   const double acc = fx.eval_model.evaluate_accuracy(fx.eval_set);
   // 4 well-separated classes: random is 0.25; trained should be far above.
   EXPECT_GT(acc, 0.6) << "codec " << GetParam().codec->name() << " broke convergence";
@@ -234,7 +234,7 @@ TEST(CompressedTraining, AspWithQsgdStaysFiniteAndLearns) {
   cfg.compressor = &bank;
   const PhaseResult r = rt.run_phase(fx.state, cfg, fx.workers(n), fx.no_stragglers, nullptr);
   ASSERT_EQ(r.end, PhaseEnd::kBudgetExhausted);
-  fx.eval_model.set_params(fx.state.ps.params());
+  fx.eval_model.set_params(fx.state.ps.snapshot());
   EXPECT_GT(fx.eval_model.evaluate_accuracy(fx.eval_set), 0.5);
 }
 

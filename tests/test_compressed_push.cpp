@@ -9,10 +9,10 @@
 //  * in-place error feedback — the bank's carry in / subtract-what-was-sent
 //    matches the old carry/decode/subtract loop bit for bit, pushes and
 //    residuals alike;
-//  * sparse apply — ShardedParameterServer::apply_sparse touches only the
-//    shards owning kept coordinates and is bit-identical to the equivalent
-//    dense apply, on 1 and 8 shards, and the threaded SharedParameterServer
-//    fast path versions only those shards.
+//  * sparse push — SharedParameterServer::push_compressed touches and
+//    versions only the shards owning kept coordinates, is bit-identical to
+//    the equivalent dense push on 1 and 8 shards, and refuses a malformed
+//    push before it writes anything.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,8 +33,7 @@
 #include "data/synthetic.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
-#include "ps/sharded_param_server.h"
-#include "ps/threaded_runtime.h"
+#include "ps/param_server.h"
 #include "topk_test_inputs.h"
 
 namespace ss {
@@ -561,7 +560,7 @@ TEST(Push, ValidateRejectsMalformedPushes) {
   EXPECT_THROW(push.validate(11), ConfigError);  // wrong length
 }
 
-// ---------------------------------------------------- Sparse apply (PS)
+// ----------------------------------------------------- Sparse push (PS)
 
 std::vector<float> init_params(std::size_t p) {
   std::vector<float> v(p);
@@ -569,38 +568,57 @@ std::vector<float> init_params(std::size_t p) {
   return v;
 }
 
-TEST(ApplySparse, BitIdenticalToDenseApplyOnOneAndEightShards) {
+CompressedPush sparse_push(std::size_t p, std::vector<std::uint32_t> indices,
+                           std::vector<float> values) {
+  CompressedPush push;
+  push.format = CompressedPush::Format::kSparse;
+  push.num_params = p;
+  push.indices = std::move(indices);
+  push.values = std::move(values);
+  push.wire_size = push.indices.size() * 8;
+  return push;
+}
+
+std::vector<std::int64_t> versions_of(const SharedParameterServer& ps) {
+  std::vector<float> params(ps.num_params());
+  std::vector<std::int64_t> versions;
+  ps.pull_with_versions(params, versions);
+  return versions;
+}
+
+TEST(SharedPushCompressed, SparseIsBitIdenticalToDensePushOnOneAndEightShards) {
   const std::size_t p = 37;
   const std::vector<std::uint32_t> indices = {0, 6, 17, 35, 36};
   const std::vector<float> values = {0.5f, -1.25f, 2.0f, -0.125f, 3.5f};
   for (const std::size_t shards : {1u, 8u}) {
-    ShardedParameterServer dense(init_params(p), 0.9, shards);
-    ShardedParameterServer sparse(init_params(p), 0.9, shards);
+    SharedParameterServer dense(init_params(p), 0.9, shards);
+    SharedParameterServer sparse(init_params(p), 0.9, shards);
+    const std::vector<std::int64_t> pulled(dense.num_shards(), 0);
 
     std::vector<float> scattered(p, 0.0f);
     for (std::size_t i = 0; i < indices.size(); ++i) scattered[indices[i]] = values[i];
-    dense.apply(scattered, 0.05);
-    sparse.apply_sparse(indices, values, 0.05);
+    dense.push(scattered, 0.05, pulled);
+    sparse.push_compressed(sparse_push(p, indices, values), 0.05, pulled);
 
     // From zero velocity, one sparse push is bit-identical to the dense
-    // apply of the scattered vector: params AND velocity.
+    // push of the scattered vector: params AND velocity.
+    const Checkpoint d = dense.snapshot_checkpoint(0);
+    const Checkpoint s = sparse.snapshot_checkpoint(0);
     for (std::size_t i = 0; i < p; ++i)
-      ASSERT_EQ(dense.params()[i], sparse.params()[i]) << shards << " shards, param " << i;
-    const auto dv = dense.optimizer().velocity();
-    const auto sv = sparse.optimizer().velocity();
+      ASSERT_EQ(d.params[i], s.params[i]) << shards << " shards, param " << i;
     for (std::size_t i = 0; i < p; ++i)
-      ASSERT_EQ(dv[i], sv[i]) << shards << " shards, velocity " << i;
+      ASSERT_EQ(d.velocity[i], s.velocity[i]) << shards << " shards, velocity " << i;
   }
 }
 
-TEST(ApplySparse, SequenceMatchesDenseWithoutMomentum) {
+TEST(SharedPushCompressed, SparseSequenceMatchesDenseWithoutMomentum) {
   // With momentum 0 the sparse/dense parameter trajectories agree over any
   // push sequence (with momentum, velocity decay on untransmitted
   // coordinates is deliberately skipped — sparse momentum semantics).
   const std::size_t p = 29;
   for (const std::size_t shards : {1u, 8u}) {
-    ShardedParameterServer dense(init_params(p), 0.0, shards);
-    ShardedParameterServer sparse(init_params(p), 0.0, shards);
+    SharedParameterServer dense(init_params(p), 0.0, shards);
+    SharedParameterServer sparse(init_params(p), 0.0, shards);
     Rng rng(13);
     for (int round = 0; round < 8; ++round) {
       std::vector<std::uint32_t> indices;
@@ -613,78 +631,33 @@ TEST(ApplySparse, SequenceMatchesDenseWithoutMomentum) {
       }
       std::vector<float> scattered(p, 0.0f);
       for (std::size_t i = 0; i < indices.size(); ++i) scattered[indices[i]] = values[i];
-      dense.apply(scattered, 0.1);
-      sparse.apply_sparse(indices, values, 0.1);
+      dense.push(scattered, 0.1, versions_of(dense));
+      sparse.push_compressed(sparse_push(p, indices, values), 0.1, versions_of(sparse));
     }
+    const std::vector<float> d = dense.snapshot();
+    const std::vector<float> s = sparse.snapshot();
     for (std::size_t i = 0; i < p; ++i)
-      ASSERT_EQ(dense.params()[i], sparse.params()[i]) << shards << " shards, param " << i;
+      ASSERT_EQ(d[i], s[i]) << shards << " shards, param " << i;
   }
 }
-
-TEST(ApplySparse, AdvancesOnlyTheTouchedShardVersions) {
-  const std::size_t p = 64;  // 8 shards x 8 params
-  ShardedParameterServer ps(init_params(p), 0.9, 8);
-  // Indices in shards 1 (8..15) and 6 (48..55) only.
-  const std::vector<std::uint32_t> indices = {9, 14, 50};
-  const std::vector<float> values = {1.0f, 2.0f, 3.0f};
-  ps.apply_sparse(indices, values, 0.05);
-  for (std::size_t s = 0; s < 8; ++s)
-    EXPECT_EQ(ps.shard_version(s), (s == 1 || s == 6) ? 1 : 0) << "shard " << s;
-
-  // Sparse staleness is measured over the touched shards only.
-  const std::vector<std::int64_t> pulled(8, 0);
-  EXPECT_EQ(ps.staleness_since(pulled, indices), 1);
-  const std::vector<std::uint32_t> elsewhere = {0, 60};
-  EXPECT_EQ(ps.staleness_since(pulled, elsewhere), 0);
-}
-
-TEST(ApplySparse, RejectsMalformedIndexLists) {
-  ShardedParameterServer ps(init_params(16), 0.9, 4);
-  const std::vector<float> two = {1.0f, 2.0f};
-  EXPECT_THROW(ps.apply_sparse(std::vector<std::uint32_t>{3, 3}, two, 0.1), ConfigError);
-  EXPECT_THROW(ps.apply_sparse(std::vector<std::uint32_t>{5, 3}, two, 0.1), ConfigError);
-  EXPECT_THROW(ps.apply_sparse(std::vector<std::uint32_t>{3, 16}, two, 0.1), ConfigError);
-  EXPECT_THROW(ps.apply_sparse(std::vector<std::uint32_t>{3}, two, 0.1), ConfigError);
-  EXPECT_NO_THROW(ps.apply_sparse(std::vector<std::uint32_t>{3, 15}, two, 0.1));
-}
-
-TEST(ShardOf, IsTheInverseOfShardRange) {
-  for (const std::size_t shards : {1u, 3u, 8u}) {
-    ShardedParameterServer ps(init_params(37), 0.9, shards);
-    for (std::size_t s = 0; s < ps.num_shards(); ++s) {
-      const auto r = ps.shard_range(s);
-      for (std::size_t i = r.begin; i < r.end; ++i)
-        ASSERT_EQ(ps.shard_of(i), s) << "param " << i;
-    }
-    EXPECT_THROW(static_cast<void>(ps.shard_of(37)), ConfigError);
-  }
-}
-
-// ------------------------------------- Threaded shared-PS sparse fast path
 
 TEST(SharedPushCompressed, SparsePushVersionsOnlyTheTouchedShards) {
-  const std::size_t p = 64;
+  const std::size_t p = 64;  // 8 shards x 8 params
   SharedParameterServer ps(init_params(p), 0.9, 8);
-  std::vector<float> snap(p);
-  std::vector<std::int64_t> pulled;
-  ps.pull_with_versions(snap, pulled);
+  const std::vector<std::int64_t> pulled = versions_of(ps);
 
-  CompressedPush push;
-  push.format = CompressedPush::Format::kSparse;
-  push.num_params = p;
-  push.indices = {9, 14, 50};
-  push.values = {1.0f, 2.0f, 3.0f};
-  push.wire_size = push.indices.size() * 8;
+  // Indices in shards 1 (8..15) and 6 (48..55) only.
+  const CompressedPush push = sparse_push(p, {9, 14, 50}, {1.0f, 2.0f, 3.0f});
   EXPECT_EQ(ps.push_compressed(push, 0.05, pulled), 0);
-
-  std::vector<std::int64_t> after;
-  ps.pull_with_versions(snap, after);
+  const std::vector<std::int64_t> after = versions_of(ps);
   for (std::size_t s = 0; s < 8; ++s)
     EXPECT_EQ(after[s], (s == 1 || s == 6) ? 1 : 0) << "shard " << s;
 
-  // A second identical push against the stale pull observes the first one
-  // (staleness measured on the shards it touches).
+  // Sparse staleness is measured over the touched shards only: a second
+  // identical push against the stale pull observes the first one, a push
+  // elsewhere does not.
   EXPECT_EQ(ps.push_compressed(push, 0.05, pulled), 1);
+  EXPECT_EQ(ps.push_compressed(sparse_push(p, {0, 60}, {1.0f, 1.0f}), 0.05, pulled), 0);
 }
 
 TEST(SharedPushCompressed, DensePushMatchesPlainPush) {
@@ -707,14 +680,34 @@ TEST(SharedPushCompressed, DensePushMatchesPlainPush) {
 }
 
 TEST(SharedPushCompressed, RejectsMalformedPushes) {
+  // Every malformed push is refused with ConfigError before any shard is
+  // written or versioned.
+  struct Case {
+    const char* name;
+    std::vector<std::uint32_t> indices;
+    std::vector<float> values;
+    std::size_t num_params;
+  };
+  const Case cases[] = {
+      {"duplicate", {3, 3}, {1.0f, 2.0f}, 16},
+      {"descending", {5, 3}, {1.0f, 2.0f}, 16},
+      {"out_of_range", {3, 16}, {1.0f, 2.0f}, 16},
+      {"index_value_length_mismatch", {3}, {1.0f, 2.0f}, 16},
+      {"wrong_num_params", {3, 9}, {1.0f, 2.0f}, 15},
+  };
   SharedParameterServer ps(init_params(16), 0.9, 4);
   const std::vector<std::int64_t> pulled(4, 0);
-  CompressedPush push;
-  push.format = CompressedPush::Format::kSparse;
-  push.num_params = 16;
-  push.indices = {5, 3};  // descending
-  push.values = {1.0f, 2.0f};
-  EXPECT_THROW(ps.push_compressed(push, 0.05, pulled), ConfigError);
+  for (const Case& c : cases) {
+    EXPECT_THROW(ps.push_compressed(sparse_push(c.num_params, c.indices, c.values), 0.05, pulled),
+                 ConfigError)
+        << c.name;
+    EXPECT_EQ(versions_of(ps), pulled) << c.name;
+    EXPECT_EQ(ps.snapshot(), init_params(16)) << c.name;
+  }
+  EXPECT_THROW(ps.push_compressed(sparse_push(16, {3, 15}, {1.0f, 2.0f}), 0.05,
+                                  std::vector<std::int64_t>(3, 0)),
+               ConfigError);
+  EXPECT_NO_THROW(ps.push_compressed(sparse_push(16, {3, 15}, {1.0f, 2.0f}), 0.05, pulled));
 }
 
 }  // namespace

@@ -106,25 +106,6 @@ TEST(Determinism, HoldsWithShardedPs) {
   expect_bitwise_equal(a, b);
 }
 
-TEST(Determinism, HoldsWithParallelApplyAndMatchesSerial) {
-  RunRequest serial = tiny_request();
-  serial.cluster.num_ps_shards = 8;
-  RunRequest parallel = serial;
-  parallel.cluster.ps_apply_threads = 3;
-
-  const RunResult s1 = TrainingSession(serial).run();
-  const RunResult p1 = TrainingSession(parallel).run();
-  const RunResult p2 = TrainingSession(parallel).run();
-
-  // Parallel apply is repeatable with itself...
-  expect_bitwise_equal(p1, p2);
-  // ...and bit-identical to the serial path: the thread pool only changes
-  // who writes each disjoint shard, never the arithmetic.  This is also why
-  // ps_apply_threads stays out of the run-cache key.
-  expect_bitwise_equal(s1, p1);
-  EXPECT_EQ(serial.cache_key(), parallel.cache_key());
-}
-
 TEST(Determinism, CompressedRunsAreReproducible) {
   // The compressed push pipeline (per-worker CompressorBank -> CompressedPush
   // -> dense or per-shard sparse apply) must not perturb reproducibility:

@@ -522,13 +522,13 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
   const std::size_t workers = 3;
   auto codec = std::make_shared<TopKCodec>(0.25);
   CompressorBank bank(codec, workers, /*error_feedback=*/true);
-  ShardedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, /*num_shards=*/4);
+  SharedParameterServer ps(std::vector<float>(p, 0.5f), 0.9, /*num_shards=*/4);
 
   Rng data_rng(77);
   std::vector<Rng> worker_rngs;
   for (std::size_t w = 0; w < workers; ++w) worker_rngs.push_back(data_rng.fork(10 + w));
 
-  auto step_all = [&](ShardedParameterServer& server, CompressorBank& b, std::vector<Rng>& rngs,
+  auto step_all = [&](SharedParameterServer& server, CompressorBank& b, std::vector<Rng>& rngs,
                       int round) {
     for (std::size_t w = 0; w < workers; ++w) {
       std::vector<float> grad(p);
@@ -538,10 +538,7 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
         grad[i] = 0.01f * static_cast<float>((i + w + 1) % 7) +
                   0.001f * static_cast<float>(round);
       const CompressedPush push = b.encode(static_cast<int>(w), grad, rngs[w]);
-      if (push.sparse())
-        server.apply_sparse(push.indices, push.values, 0.05);
-      else
-        server.apply(push.values, 0.05);
+      server.push_compressed(push, 0.05, std::vector<std::int64_t>(server.num_shards(), 0));
     }
   };
 
@@ -552,7 +549,7 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
 
   // Checkpoint the PS through the serialized v2 wire form, and save every
   // worker slot's residual alongside it.
-  const Checkpoint ckpt = ps.make_checkpoint(4);
+  const Checkpoint ckpt = ps.snapshot_checkpoint(4);
   const Checkpoint restored_ckpt = Checkpoint::deserialize(ckpt.serialize());
   EXPECT_EQ(restored_ckpt, ckpt);
   EXPECT_EQ(restored_ckpt.num_shards, 4u);
@@ -569,15 +566,15 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
   // ...and a restored replica (fresh PS + fresh bank + restored residuals)
   // for the same two rounds: every parameter and every residual must match
   // bit for bit.
-  ShardedParameterServer ps2(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
+  SharedParameterServer ps2(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
   ps2.restore(restored_ckpt);
   CompressorBank bank2(codec, workers, /*error_feedback=*/true);
   for (std::size_t w = 0; w < workers; ++w)
     bank2.restore_residual(static_cast<int>(w), saved_residuals[w]);
   for (int round = 4; round < 6; ++round) step_all(ps2, bank2, saved_rngs, round);
 
-  const std::span<const float> a = ps.params();
-  const std::span<const float> b = ps2.params();
+  const std::vector<float> a = ps.snapshot();
+  const std::vector<float> b = ps2.snapshot();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << "param " << i;
   for (std::size_t w = 0; w < workers; ++w) {
@@ -590,13 +587,13 @@ TEST(ElasticCheckpoint, RoundTripRestoresErrorFeedbackResidualsPerWorkerSlot) {
 
   // Without the residuals the continuation diverges — the restore is what
   // makes the transport state part of the checkpointable whole.
-  ShardedParameterServer ps3(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
+  SharedParameterServer ps3(std::vector<float>(p, 0.0f), 0.9, /*num_shards=*/4);
   ps3.restore(restored_ckpt);
   CompressorBank bank3(codec, workers, /*error_feedback=*/true);
   std::vector<Rng> rngs3 = saved_rngs;
   for (int round = 4; round < 6; ++round) step_all(ps3, bank3, rngs3, round);
   bool any_diff = false;
-  const std::span<const float> c = ps3.params();
+  const std::vector<float> c = ps3.snapshot();
   for (std::size_t i = 0; i < a.size(); ++i) any_diff |= a[i] != c[i];
   EXPECT_TRUE(any_diff);
 }

@@ -43,7 +43,7 @@ struct Fixture {
       samplers.emplace_back(shards[w], batch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ShardedParameterServer(model.get_params(), 0.9), std::move(samplers),
+    return TrainingState(SharedParameterServer(model.get_params(), 0.9), std::move(samplers),
                          std::move(rngs));
   }
 
@@ -160,18 +160,21 @@ TEST(GroupRuntime, LearnsTheTask) {
   auto rt = fx.runtime();
   const GroupPhaseResult r = rt.run(fx.state, fx.config(2, 480), fx.no_stragglers);
   ASSERT_EQ(r.end, PhaseEnd::kBudgetExhausted);
-  fx.eval_model.set_params(fx.state.ps.params());
+  fx.eval_model.set_params(fx.state.ps.snapshot());
   EXPECT_GT(fx.eval_model.evaluate_accuracy(fx.eval_set), 0.6);
 }
 
 TEST(GroupRuntime, FoldsAverageBackIntoParameterServer) {
   Fixture fx(4);
   auto rt = fx.runtime();
-  const std::vector<float> before(fx.state.ps.params().begin(), fx.state.ps.params().end());
-  const std::int64_t version_before = fx.state.ps.version();
+  std::vector<float> before(fx.state.ps.num_params());
+  std::vector<std::int64_t> versions_before;
+  fx.state.ps.pull_with_versions(before, versions_before);
   rt.run(fx.state, fx.config(2, 16), fx.no_stragglers);
-  const auto after = fx.state.ps.params();
-  EXPECT_GT(fx.state.ps.version(), version_before);
+  std::vector<float> after(fx.state.ps.num_params());
+  std::vector<std::int64_t> versions_after;
+  fx.state.ps.pull_with_versions(after, versions_after);
+  EXPECT_GT(versions_after[0], versions_before[0]);
   // Training moved the parameters.
   double diff = 0.0;
   for (std::size_t i = 0; i < after.size(); ++i)
@@ -219,7 +222,7 @@ TEST_P(GroupCount, AllGroupCountsConverge) {
   auto rt = fx.runtime();
   const GroupPhaseResult r = rt.run(fx.state, fx.config(groups, 480), fx.no_stragglers);
   ASSERT_EQ(r.end, PhaseEnd::kBudgetExhausted) << groups << " groups";
-  fx.eval_model.set_params(fx.state.ps.params());
+  fx.eval_model.set_params(fx.state.ps.snapshot());
   EXPECT_GT(fx.eval_model.evaluate_accuracy(fx.eval_set), 0.6) << groups << " groups";
 }
 

@@ -45,7 +45,7 @@ struct Fixture {
       samplers.emplace_back(shards[w], batch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ShardedParameterServer(model.get_params(), 0.9), std::move(samplers),
+    return TrainingState(SharedParameterServer(model.get_params(), 0.9), std::move(samplers),
                          std::move(rngs));
   }
 
@@ -123,8 +123,8 @@ TEST(KSync, KEqualToClusterSizeIsBitwiseBsp) {
 
   ASSERT_EQ(ra.steps_done, rb.steps_done);
   EXPECT_EQ(ra.elapsed, rb.elapsed);
-  const auto pa = a.state.ps.params();
-  const auto pb = b.state.ps.params();
+  const auto pa = a.state.ps.snapshot();
+  const auto pb = b.state.ps.snapshot();
   for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_EQ(pa[i], pb[i]) << "param " << i;
 }
 
@@ -224,7 +224,10 @@ TEST(KAsync, AppliesOneUpdatePerKContributions) {
   EXPECT_LE(static_cast<std::int64_t>(rec.updates.size()), 12);
   EXPECT_GT(rec.updates.size(), 0u);
   // PS version advanced once per aggregated update, not per contribution.
-  EXPECT_EQ(fx.state.ps.version(), static_cast<std::int64_t>(rec.updates.size()));
+  std::vector<float> params(fx.state.ps.num_params());
+  std::vector<std::int64_t> versions;
+  fx.state.ps.pull_with_versions(params, versions);
+  EXPECT_EQ(versions, std::vector<std::int64_t>{static_cast<std::int64_t>(rec.updates.size())});
 }
 
 TEST(KAsync, StalenessIsLowerThanAsp) {
@@ -309,7 +312,7 @@ TEST_P(KSweep, KAsyncConvergesForAllK) {
   cfg.lr_multiplier = static_cast<double>(k);  // linear scaling with K
   const PhaseResult r = rt.run_phase(fx.state, cfg, fx.workers(n), fx.no_stragglers, nullptr);
   ASSERT_EQ(r.end, PhaseEnd::kBudgetExhausted);
-  fx.eval_model.set_params(fx.state.ps.params());
+  fx.eval_model.set_params(fx.state.ps.snapshot());
   EXPECT_GT(fx.eval_model.evaluate_accuracy(fx.eval_set), 0.6) << "K=" << k;
 }
 
@@ -323,7 +326,7 @@ TEST_P(KSweep, KSyncConvergesForAllK) {
   cfg.lr_multiplier = static_cast<double>(k);
   const PhaseResult r = rt.run_phase(fx.state, cfg, fx.workers(n), fx.no_stragglers, nullptr);
   ASSERT_EQ(r.end, PhaseEnd::kBudgetExhausted);
-  fx.eval_model.set_params(fx.state.ps.params());
+  fx.eval_model.set_params(fx.state.ps.snapshot());
   EXPECT_GT(fx.eval_model.evaluate_accuracy(fx.eval_set), 0.6) << "K=" << k;
 }
 

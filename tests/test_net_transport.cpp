@@ -311,12 +311,12 @@ TEST(NetTransport, TransportRpcsRoundTripAgainstLiveServer) {
   const Checkpoint ckpt = tx.snapshot_checkpoint(77);
   EXPECT_EQ(ckpt.global_step, 77);
   std::vector<float> at_snapshot(tx.num_params());
-  tx.pull(at_snapshot);
+  tx.pull_with_versions(at_snapshot, versions);
   EXPECT_EQ(ckpt.params, at_snapshot);
   EXPECT_EQ(tx.push(grad, 0.05, std::vector<std::int64_t>(tx.num_shards(), 2)), 0);
   tx.restore_checkpoint(ckpt);
   std::vector<float> restored(tx.num_params());
-  tx.pull(restored);
+  tx.pull_with_versions(restored, versions);
   EXPECT_EQ(restored, at_snapshot);
 
   EXPECT_TRUE(tx.drain_arrive(10));
@@ -459,7 +459,7 @@ TEST(NetTransport, SparsePushAppliesOnlyItsCoordinates) {
   push.values = {1.0f, -2.0f};
   EXPECT_EQ(tx.push_compressed(push, 0.5, versions), 0);
   std::vector<float> after(tx.num_params());
-  tx.pull(after);
+  tx.pull_with_versions(after, versions);
   for (std::size_t i = 0; i < after.size(); ++i) {
     const float step = i == 1 ? -0.5f : i == 5 ? 1.0f : 0.0f;
     EXPECT_FLOAT_EQ(after[i], before[i] + step) << "coordinate " << i;
@@ -550,6 +550,16 @@ TEST(NetTransport, MiscountedPushDenseGetsAnErrorAndTheSessionContinues) {
   // Under the bound but short: read whole, then refused.
   expect_error_then_pull(PushDenseMsg{0.1, one, std::span(grad).first(3)}.encode(),
                          "the assigned shape needs");
+
+  // A compressed push that decodes cleanly but is sized for another model:
+  // the PS refuses it with ConfigError, which the server answers in kind.
+  CompressedPush other_model;
+  other_model.format = CompressedPush::Format::kSparse;
+  other_model.num_params = shape.num_params + 1;
+  other_model.indices = {0};
+  other_model.values = {1.0f};
+  other_model.wire_size = 8;
+  expect_error_then_pull(PushCompressedMsg{0.1, one, other_model}.encode(), "decoded length");
 
   // None of that touched the PS; a well-formed push still applies.
   send_frame(sock, PushDenseMsg{0.1, one, grad}.encode());

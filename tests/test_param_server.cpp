@@ -1,76 +1,138 @@
-#include "ps/sharded_param_server.h"
+// The one parameter server every runtime uses (ps/param_server.h): pull and
+// push semantics, staleness against a pull, health, and the checkpoint
+// capture/restore contract. Its shard layout is in test_sharded_param_server.
+#include "ps/param_server.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/error.h"
 
 namespace ss {
 namespace {
 
+std::vector<std::int64_t> versions_of(const SharedParameterServer& ps) {
+  std::vector<float> params(ps.num_params());
+  std::vector<std::int64_t> versions;
+  ps.pull_with_versions(params, versions);
+  return versions;
+}
+
 TEST(ParameterServer, PullCopiesParams) {
-  ShardedParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
+  SharedParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
   std::vector<float> out(3);
   ps.pull(out);
   EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f, 3.0f}));
   std::vector<float> wrong(2);
   EXPECT_THROW(ps.pull(wrong), ConfigError);
+  std::vector<std::int64_t> versions;
+  EXPECT_THROW(ps.pull_with_versions(wrong, versions), ConfigError);
 }
 
-TEST(ParameterServer, ApplyAdvancesVersion) {
-  ShardedParameterServer ps({0.0f}, 0.0);
-  EXPECT_EQ(ps.version(), 0);
-  ps.apply(std::vector<float>{1.0f}, 0.1);
-  EXPECT_EQ(ps.version(), 1);
-  EXPECT_NEAR(ps.params()[0], -0.1f, 1e-6);
+TEST(ParameterServer, PushAdvancesVersion) {
+  SharedParameterServer ps({0.0f}, 0.0);
+  EXPECT_EQ(versions_of(ps), std::vector<std::int64_t>{0});
+  EXPECT_EQ(ps.push(std::vector<float>{1.0f}, 0.1, std::vector<std::int64_t>{0}), 0);
+  EXPECT_EQ(versions_of(ps), std::vector<std::int64_t>{1});
+  EXPECT_NEAR(ps.snapshot()[0], -0.1f, 1e-6);
 }
+
+TEST(ParameterServer, PushReturnsStalenessAgainstThePull) {
+  SharedParameterServer ps({0.0f, 0.0f}, 0.0);
+  std::vector<float> snap(2);
+  std::vector<std::int64_t> v;
+  ps.pull_with_versions(snap, v);
+  EXPECT_EQ(v, std::vector<std::int64_t>{0});
+  EXPECT_EQ(ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, v), 0);
+  EXPECT_EQ(ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, v), 1);  // one update landed since
+  ps.pull_with_versions(snap, v);
+  EXPECT_EQ(v, std::vector<std::int64_t>{2});
+}
+
+TEST(ParameterServer, PushSizeMismatchThrows) {
+  // push() must reject a mismatched gradient itself rather than relying on
+  // a lower layer: it slices the gradient per shard with subspan() before
+  // the optimizer's own size check could fire.
+  SharedParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
+  const std::vector<std::int64_t> pulled{0};
+  EXPECT_THROW(ps.push(std::vector<float>(2, 0.1f), 0.1, pulled), ConfigError);
+  EXPECT_THROW(ps.push(std::vector<float>(4, 0.1f), 0.1, pulled), ConfigError);
+  EXPECT_THROW(ps.push(std::vector<float>(3, 0.1f), 0.1, std::vector<std::int64_t>{0, 0}),
+               ConfigError);
+  EXPECT_EQ(versions_of(ps), std::vector<std::int64_t>{0})
+      << "rejected pushes must not advance the version";
+  EXPECT_EQ(ps.snapshot()[0], 1.0f) << "rejected pushes must not touch parameters";
+}
+
+TEST(ParameterServer, HealthyDetectsNonFinite) {
+  SharedParameterServer ps({1.0f, 2.0f}, 0.0, 2);
+  EXPECT_TRUE(ps.healthy());
+  ps.push(std::vector<float>{0.0f, std::numeric_limits<float>::infinity()}, 1.0,
+          std::vector<std::int64_t>{0, 0});
+  EXPECT_FALSE(ps.healthy());
+}
+
+TEST(ParameterServer, EmptyParamsRejected) {
+  EXPECT_THROW(SharedParameterServer({}, 0.9), ConfigError);
+}
+
+
+
+
+
+
 
 TEST(ParameterServer, CheckpointRestoreRoundTrip) {
-  ShardedParameterServer ps({1.0f, 2.0f}, 0.9);
-  ps.apply(std::vector<float>{0.5f, -0.5f}, 0.1);
-  const Checkpoint ckpt = ps.make_checkpoint(42);
+  SharedParameterServer ps({1.0f, 2.0f}, 0.9);
+  ps.push(std::vector<float>{0.5f, -0.5f}, 0.1, versions_of(ps));
+  const Checkpoint ckpt = ps.snapshot_checkpoint(42);
   EXPECT_EQ(ckpt.global_step, 42);
 
   // Mutate further, then restore.
-  ps.apply(std::vector<float>{1.0f, 1.0f}, 0.1);
+  ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, versions_of(ps));
   ps.restore(ckpt);
-  EXPECT_EQ(std::vector<float>(ps.params().begin(), ps.params().end()), ckpt.params);
-  EXPECT_EQ(std::vector<float>(ps.optimizer().velocity().begin(),
-                               ps.optimizer().velocity().end()),
-            ckpt.velocity);
+  const Checkpoint back = ps.snapshot_checkpoint(42);
+  EXPECT_EQ(back.params, ckpt.params);
+  EXPECT_EQ(back.velocity, ckpt.velocity);
+  // Versions never roll back on restore.
+  EXPECT_EQ(back.shard_versions, std::vector<std::int64_t>{2});
 }
 
 TEST(ParameterServer, RestoreSizeMismatchThrows) {
-  ShardedParameterServer ps({1.0f, 2.0f}, 0.9);
+  SharedParameterServer ps({1.0f, 2.0f}, 0.9);
   Checkpoint bad;
   bad.params = {1.0f};
   bad.velocity = {0.0f};
   EXPECT_THROW(ps.restore(bad), CheckpointError);
 }
 
-TEST(ParameterServer, ApplySizeMismatchThrows) {
-  // apply() must reject a mismatched gradient itself rather than relying on
-  // a lower layer: the sharded implementation slices the gradient with
-  // subspan() before the optimizer's own size check could fire, so without
-  // this up-front validation a short span would fault mid-slicing.
-  ShardedParameterServer ps({1.0f, 2.0f, 3.0f}, 0.9);
-  EXPECT_THROW(ps.apply(std::vector<float>(2, 0.1f), 0.1), ConfigError);
-  EXPECT_THROW(ps.apply(std::vector<float>(4, 0.1f), 0.1), ConfigError);
-  EXPECT_EQ(ps.version(), 0) << "rejected applies must not advance the version";
-  EXPECT_EQ(ps.params()[0], 1.0f) << "rejected applies must not touch parameters";
-}
 
-TEST(ParameterServer, HealthyDetectsNonFinite) {
-  ShardedParameterServer ps({1.0f}, 0.0);
-  EXPECT_TRUE(ps.healthy());
-  ps.apply(std::vector<float>{std::numeric_limits<float>::infinity()}, 1.0);
-  EXPECT_FALSE(ps.healthy());
-}
 
-TEST(ParameterServer, EmptyParamsRejected) {
-  EXPECT_THROW(ShardedParameterServer({}, 0.9), ConfigError);
+
+TEST(ParameterServer, LegacyV1CheckpointDeserializes) {
+  // Hand-build a v1 blob (no shard fields) and check it reads back as flat.
+  Checkpoint c;
+  c.global_step = 7;
+  c.params = {1.0f, 2.0f};
+  c.velocity = {0.5f, -0.5f};
+  auto bytes = c.serialize();
+  // Rewrite the version word to 1 and drop the trailing shard section
+  // (num_shards u64 + count u64 + 0 entries = 16 bytes... plus entries).
+  const std::size_t shard_tail =
+      sizeof(std::uint64_t) * 2 + c.shard_versions.size() * sizeof(std::int64_t);
+  bytes.resize(bytes.size() - shard_tail);
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + sizeof(std::uint32_t), &v1, sizeof(v1));
+
+  const Checkpoint back = Checkpoint::deserialize(bytes);
+  EXPECT_EQ(back.global_step, 7);
+  EXPECT_EQ(back.params, c.params);
+  EXPECT_EQ(back.velocity, c.velocity);
+  EXPECT_EQ(back.num_shards, 1u);
+  EXPECT_TRUE(back.shard_versions.empty());
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ struct Fixture {
       samplers.emplace_back(data_shards[w], kBatch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ShardedParameterServer(model.get_params(), 0.9, num_shards),
+    return TrainingState(SharedParameterServer(model.get_params(), 0.9, num_shards),
                          std::move(samplers), std::move(rngs));
   }
 
@@ -213,8 +213,8 @@ TEST(ProtocolConformance, BspMathIsIndependentOfShardLayout) {
   NullMetricsSink sink;
   flat.run(Protocol::kBsp, 40, sink);
   sharded.run(Protocol::kBsp, 40, sink);
-  const auto a = flat.state.ps.params();
-  const auto b = sharded.state.ps.params();
+  const auto a = flat.state.ps.snapshot();
+  const auto b = sharded.state.ps.snapshot();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << "param " << i;
 }

@@ -1,10 +1,13 @@
-#include "ps/sharded_param_server.h"
+// The shard layout of the one parameter server (ps/param_server.h) as pulls
+// and pushes observe it: how the vector splits over shards, per-shard
+// versions and staleness, bit-identity across shard counts, and the
+// checkpoint layout checks on restore.
+#include "ps/param_server.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstring>
-#include <numeric>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -20,145 +23,109 @@ std::vector<float> random_vec(std::size_t n, std::uint64_t seed, double scale = 
   return out;
 }
 
-TEST(ShardedParameterServer, ShardLayoutPartitionsTheVector) {
-  ShardedParameterServer ps(std::vector<float>(10, 0.0f), 0.9, 4);
-  ASSERT_EQ(ps.num_shards(), 4u);
-  // 10 over 4 shards: the first two shards get the extra elements.
-  std::size_t covered = 0;
-  std::size_t expected_begin = 0;
-  const std::size_t expected_sizes[] = {3, 3, 2, 2};
-  for (std::size_t s = 0; s < 4; ++s) {
-    const auto r = ps.shard_range(s);
-    EXPECT_EQ(r.begin, expected_begin) << "shard " << s;
-    EXPECT_EQ(r.size(), expected_sizes[s]) << "shard " << s;
-    expected_begin = r.end;
-    covered += r.size();
-  }
-  EXPECT_EQ(covered, ps.num_params());
-  EXPECT_THROW((void)ps.shard_range(4), ConfigError);
+std::vector<std::int64_t> versions_of(const SharedParameterServer& ps) {
+  std::vector<float> params(ps.num_params());
+  std::vector<std::int64_t> versions;
+  ps.pull_with_versions(params, versions);
+  return versions;
 }
 
-TEST(ShardedParameterServer, ShardCountIsClampedToParams) {
-  ShardedParameterServer ps(std::vector<float>(3, 0.0f), 0.9, 16);
+/// A sparse push of `values` at `indices` (strictly ascending).
+CompressedPush sparse_push(std::size_t p, std::vector<std::uint32_t> indices,
+                           std::vector<float> values) {
+  CompressedPush push;
+  push.format = CompressedPush::Format::kSparse;
+  push.num_params = p;
+  push.indices = std::move(indices);
+  push.values = std::move(values);
+  push.wire_size = push.indices.size() * 8;
+  return push;
+}
+
+TEST(ParameterServer, ShardCountIsClampedToParams) {
+  SharedParameterServer ps(std::vector<float>(3, 0.0f), 0.9, 16);
   EXPECT_EQ(ps.num_shards(), 3u);
-  ShardedParameterServer ps0(std::vector<float>(3, 0.0f), 0.9, 0);
+  SharedParameterServer ps0(std::vector<float>(3, 0.0f), 0.9, 0);
   EXPECT_EQ(ps0.num_shards(), 1u);
 }
 
-TEST(ShardedParameterServer, PerShardVersionsAdvance) {
-  ShardedParameterServer ps(std::vector<float>(8, 0.0f), 0.0, 4);
-  EXPECT_EQ(ps.version(), 0);
-  ps.apply(std::vector<float>(8, 1.0f), 0.1);
-  for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(ps.shard_version(s), 1);
-  EXPECT_EQ(ps.version(), 1);
-
-  // A lone shard update advances that shard only; the logical version is the
-  // count of *complete* updates, i.e. the minimum.
-  ps.apply_shard(2, std::vector<float>(8, 1.0f), 0.1);
-  EXPECT_EQ(ps.shard_version(2), 2);
-  EXPECT_EQ(ps.version(), 1);
-
-  std::vector<std::int64_t> versions;
-  ps.shard_versions(versions);
-  EXPECT_EQ(versions, (std::vector<std::int64_t>{1, 1, 2, 1}));
+/// Owner of every index when `p` params split over `shards`: the first
+/// p % shards shards hold one element more.
+std::vector<std::size_t> expected_owners(std::size_t p, std::size_t shards) {
+  std::vector<std::size_t> owner;
+  for (std::size_t s = 0; s < shards; ++s)
+    owner.insert(owner.end(), p / shards + (s < p % shards ? 1 : 0), s);
+  return owner;
 }
 
-TEST(ShardedParameterServer, ShardedApplyMatchesSingleShardBitwise) {
+TEST(ParameterServer, ShardLayoutPartitionsTheVector) {
+  // 10 over 4 shards is [0,3) [3,6) [6,8) [8,10).
+  EXPECT_EQ(expected_owners(10, 4), (std::vector<std::size_t>{0, 0, 0, 1, 1, 1, 2, 2, 3, 3}));
+  // A one-coordinate push lands on exactly the shard owning it, and a pull
+  // sees it there and nowhere else.
+  for (const auto& [p, shards] : {std::pair<std::size_t, std::size_t>{10, 4}, {37, 1}, {37, 3},
+                                  {37, 8}}) {
+    const std::vector<std::size_t> owner = expected_owners(p, shards);
+    for (std::uint32_t i = 0; i < p; ++i) {
+      SharedParameterServer ps(std::vector<float>(p, 0.0f), 0.0, shards);
+      const std::vector<std::int64_t> pulled(shards, 0);
+      EXPECT_EQ(ps.push_compressed(sparse_push(p, {i}, {1.0f}), 1.0, pulled), 0);
+      std::vector<float> params(p);
+      std::vector<std::int64_t> versions;
+      ps.pull_with_versions(params, versions);
+      for (std::size_t s = 0; s < shards; ++s)
+        ASSERT_EQ(versions[s], s == owner[i] ? 1 : 0) << p << "/" << shards << " index " << i;
+      for (std::size_t j = 0; j < p; ++j)
+        ASSERT_EQ(params[j], j == i ? -1.0f : 0.0f) << p << "/" << shards << " index " << i;
+    }
+  }
+}
+
+TEST(ParameterServer, PerShardVersionsAdvance) {
+  SharedParameterServer ps(std::vector<float>(8, 0.0f), 0.0, 4);
+  ps.push(std::vector<float>(8, 1.0f), 0.1, std::vector<std::int64_t>(4, 0));
+  EXPECT_EQ(versions_of(ps), (std::vector<std::int64_t>{1, 1, 1, 1}));
+  // A push touching one shard advances that shard only.
+  ps.push_compressed(sparse_push(8, {4, 5}, {1.0f, 1.0f}), 0.1, versions_of(ps));
+  EXPECT_EQ(versions_of(ps), (std::vector<std::int64_t>{1, 1, 2, 1}));
+}
+
+TEST(ParameterServer, ShardedPushMatchesSingleShardBitwise) {
   const std::size_t p = 1003;  // not divisible by the shard count
   const auto init = random_vec(p, 7);
-  ShardedParameterServer flat(init, 0.9, 1);
-  ShardedParameterServer sharded(init, 0.9, 8);
+  SharedParameterServer flat(init, 0.9, 1);
+  SharedParameterServer sharded(init, 0.9, 8);
   for (int step = 0; step < 5; ++step) {
     const auto grad = random_vec(p, 100 + static_cast<std::uint64_t>(step), 0.01);
-    flat.apply(grad, 0.05);
-    sharded.apply(grad, 0.05);
+    flat.push(grad, 0.05, versions_of(flat));
+    sharded.push(grad, 0.05, versions_of(sharded));
   }
-  ASSERT_EQ(flat.params().size(), sharded.params().size());
+  const Checkpoint a = flat.snapshot_checkpoint(0);
+  const Checkpoint b = sharded.snapshot_checkpoint(0);
+  for (std::size_t i = 0; i < p; ++i) ASSERT_EQ(a.params[i], b.params[i]) << "param " << i;
   for (std::size_t i = 0; i < p; ++i)
-    ASSERT_EQ(flat.params()[i], sharded.params()[i]) << "param " << i;
-  for (std::size_t i = 0; i < p; ++i)
-    ASSERT_EQ(flat.optimizer().velocity()[i], sharded.optimizer().velocity()[i])
-        << "velocity " << i;
+    ASSERT_EQ(a.velocity[i], b.velocity[i]) << "velocity " << i;
 }
 
-TEST(ShardedParameterServer, ParallelApplyIsBitIdenticalToSerial) {
-  const std::size_t p = 40000;
-  const auto init = random_vec(p, 9);
-  ShardedParameterServer serial(init, 0.9, 8);
-  ShardedParameterServer parallel(init, 0.9, 8);
-  parallel.set_parallel_apply(3);
-  EXPECT_TRUE(parallel.parallel_apply_enabled());
-  for (int step = 0; step < 4; ++step) {
-    const auto grad = random_vec(p, 200 + static_cast<std::uint64_t>(step), 0.01);
-    serial.apply(grad, 0.05);
-    parallel.apply(grad, 0.05);
-  }
-  for (std::size_t i = 0; i < p; ++i)
-    ASSERT_EQ(serial.params()[i], parallel.params()[i]) << "param " << i;
-  for (std::size_t i = 0; i < p; ++i)
-    ASSERT_EQ(serial.optimizer().velocity()[i], parallel.optimizer().velocity()[i])
-        << "velocity " << i;
-
-  // The parallel pull must read back exactly what a serial pull sees.
-  std::vector<float> serial_out(p), parallel_out(p);
-  serial.pull(serial_out);
-  parallel.pull(parallel_out);
-  EXPECT_EQ(serial_out, parallel_out);
-
-  // Versions advanced once per full apply on every shard.
-  for (std::size_t s = 0; s < parallel.num_shards(); ++s)
-    EXPECT_EQ(parallel.shard_version(s), 4);
-}
-
-TEST(ShardApplyPool, TaskExceptionPropagatesToCallerAndPoolSurvives) {
-  ShardApplyPool pool(2);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(pool.run(8,
-                        [&](std::size_t t) {
-                          executed.fetch_add(1);
-                          if (t == 3) throw ConfigError("boom");
-                        }),
-               ConfigError);
-  // Independent tasks still ran; the pool is reusable afterwards.
-  EXPECT_EQ(executed.load(), 8);
-  std::atomic<int> second{0};
-  pool.run(4, [&](std::size_t) { second.fetch_add(1); });
-  EXPECT_EQ(second.load(), 4);
-}
-
-TEST(ShardedParameterServer, PullShardOnlyTouchesItsRange) {
-  ShardedParameterServer ps(random_vec(10, 3), 0.9, 4);
-  std::vector<float> out(10, -1000.0f);
-  ps.pull_shard(1, out);
-  const auto r = ps.shard_range(1);
-  for (std::size_t i = 0; i < 10; ++i) {
-    if (i >= r.begin && i < r.end)
-      EXPECT_EQ(out[i], ps.params()[i]) << "index " << i;
-    else
-      EXPECT_EQ(out[i], -1000.0f) << "index " << i;
-  }
-}
-
-TEST(ShardedParameterServer, StalenessSinceIsMaxOverShards) {
-  ShardedParameterServer ps(std::vector<float>(8, 0.0f), 0.0, 4);
-  std::vector<std::int64_t> pulled;
-  ps.shard_versions(pulled);
-  ps.apply(std::vector<float>(8, 1.0f), 0.1);
-  ps.apply(std::vector<float>(8, 1.0f), 0.1);
+TEST(ParameterServer, StalenessSinceIsMaxOverShards) {
+  SharedParameterServer ps(std::vector<float>(8, 0.0f), 0.0, 4);
+  const std::vector<std::int64_t> pulled = versions_of(ps);
+  ps.push(std::vector<float>(8, 1.0f), 0.1, pulled);
+  ps.push(std::vector<float>(8, 1.0f), 0.1, pulled);
   EXPECT_EQ(ps.staleness_since(pulled), 2);
-  ps.apply_shard(3, std::vector<float>(8, 1.0f), 0.1);
+  ps.push_compressed(sparse_push(8, {7}, {1.0f}), 0.1, pulled);  // shard 3 only
   EXPECT_EQ(ps.staleness_since(pulled), 3);
 
   const std::vector<std::int64_t> wrong_size(2, 0);
   EXPECT_THROW((void)ps.staleness_since(wrong_size), ConfigError);
 }
 
-TEST(ShardedParameterServer, CheckpointRoundTripsShardLayout) {
-  ShardedParameterServer ps(random_vec(20, 5), 0.9, 4);
-  ps.apply(random_vec(20, 6, 0.01), 0.05);
-  ps.apply(random_vec(20, 7, 0.01), 0.05);
+TEST(ParameterServer, CheckpointRoundTripsShardLayout) {
+  SharedParameterServer ps(random_vec(20, 5), 0.9, 4);
+  ps.push(random_vec(20, 6, 0.01), 0.05, versions_of(ps));
+  ps.push(random_vec(20, 7, 0.01), 0.05, versions_of(ps));
 
-  const Checkpoint ckpt = ps.make_checkpoint(99);
+  const Checkpoint ckpt = ps.snapshot_checkpoint(99);
   EXPECT_EQ(ckpt.num_shards, 4u);
   EXPECT_EQ(ckpt.shard_versions, (std::vector<std::int64_t>{2, 2, 2, 2}));
 
@@ -167,60 +134,54 @@ TEST(ShardedParameterServer, CheckpointRoundTripsShardLayout) {
   EXPECT_EQ(back, ckpt);
 
   // Same-layout restore round-trips the parameters and velocity.
-  ShardedParameterServer same(std::vector<float>(20, 0.0f), 0.9, 4);
+  SharedParameterServer same(std::vector<float>(20, 0.0f), 0.9, 4);
   same.restore(back);
-  EXPECT_EQ(std::vector<float>(same.params().begin(), same.params().end()), ckpt.params);
-  EXPECT_EQ(std::vector<float>(same.optimizer().velocity().begin(),
-                               same.optimizer().velocity().end()),
-            ckpt.velocity);
+  const Checkpoint same_ckpt = same.snapshot_checkpoint(99);
+  EXPECT_EQ(same_ckpt.params, ckpt.params);
+  EXPECT_EQ(same_ckpt.velocity, ckpt.velocity);
 
   // A different multi-shard layout is refused; a flat checkpoint is accepted
   // by any layout.
-  ShardedParameterServer other(std::vector<float>(20, 0.0f), 0.9, 5);
+  SharedParameterServer other(std::vector<float>(20, 0.0f), 0.9, 5);
   EXPECT_THROW(other.restore(back), CheckpointError);
   Checkpoint flat = back;
   flat.num_shards = 1;
   flat.shard_versions.clear();
   other.restore(flat);
-  EXPECT_EQ(std::vector<float>(other.params().begin(), other.params().end()), ckpt.params);
+  EXPECT_EQ(other.snapshot(), ckpt.params);
 }
 
-TEST(ShardedParameterServer, RestoreRejectsInconsistentShardVersionCount) {
+TEST(ParameterServer, RestoreAcceptsFlatCheckpointIntoShardedLayout) {
+  // The documented v1 compat path: a flat (single-shard) checkpoint restores
+  // into any shard layout.
+  SharedParameterServer flat(std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f}, 0.0);
+  flat.push(std::vector<float>(4, 1.0f), 0.5, std::vector<std::int64_t>{0});
+  const Checkpoint ckpt = flat.snapshot_checkpoint(1);
+
+  SharedParameterServer sharded(std::vector<float>(4, 0.0f), 0.0, 2);
+  sharded.restore(ckpt);
+  EXPECT_EQ(sharded.snapshot(), flat.snapshot());
+  // Versions never roll back on restore (the recovery-semantics contract):
+  // the restored server keeps its own update count.
+  EXPECT_EQ(versions_of(sharded), (std::vector<std::int64_t>{0, 0}));
+}
+
+TEST(ParameterServer, RestoreRejectsInconsistentShardVersionCount) {
   // A checkpoint that declares N shards but carries a different number of
   // shard versions is internally inconsistent (e.g. a corrupt or hand-edited
   // blob): restore must refuse it up front even when the declared layout
   // matches the server's, rather than restoring params and then indexing a
   // short version vector.
-  ShardedParameterServer ps(random_vec(20, 5), 0.9, 4);
-  Checkpoint ckpt = ps.make_checkpoint(0);
+  SharedParameterServer ps(random_vec(20, 5), 0.9, 4);
+  const std::vector<float> before = ps.snapshot();
+  Checkpoint ckpt = ps.snapshot_checkpoint(0);
   ASSERT_EQ(ckpt.num_shards, 4u);
+  ckpt.params.assign(20, 9.0f);
   ckpt.shard_versions.pop_back();
   EXPECT_THROW(ps.restore(ckpt), CheckpointError);
   ckpt.shard_versions.assign(6, 0);
   EXPECT_THROW(ps.restore(ckpt), CheckpointError);
-}
-
-TEST(ShardedParameterServer, LegacyV1CheckpointDeserializes) {
-  // Hand-build a v1 blob (no shard fields) and check it reads back as flat.
-  Checkpoint c;
-  c.global_step = 7;
-  c.params = {1.0f, 2.0f};
-  c.velocity = {0.5f, -0.5f};
-  auto bytes = c.serialize();
-  // Rewrite the version word to 1 and drop the trailing shard section
-  // (num_shards u64 + count u64 + 0 entries = 16 bytes... plus entries).
-  const std::size_t shard_tail =
-      sizeof(std::uint64_t) * 2 + c.shard_versions.size() * sizeof(std::int64_t);
-  bytes.resize(bytes.size() - shard_tail);
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + sizeof(std::uint32_t), &v1, sizeof(v1));
-
-  const Checkpoint back = Checkpoint::deserialize(bytes);
-  EXPECT_EQ(back.global_step, 7);
-  EXPECT_EQ(back.params, c.params);
-  EXPECT_EQ(back.velocity, c.velocity);
-  EXPECT_EQ(back.num_shards, 1u);
-  EXPECT_TRUE(back.shard_versions.empty());
+  EXPECT_EQ(ps.snapshot(), before) << "a refused restore must write nothing";
 }
 
 }  // namespace

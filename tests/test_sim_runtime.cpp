@@ -44,7 +44,7 @@ struct Fixture {
       samplers.emplace_back(shards[w], batch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(ShardedParameterServer(model.get_params(), 0.9), std::move(samplers),
+    return TrainingState(SharedParameterServer(model.get_params(), 0.9), std::move(samplers),
                          std::move(rngs));
   }
 
@@ -126,7 +126,7 @@ TEST(SimRuntimeBsp, EquivalentToManualAggregatedSgd) {
     opt.apply(params, acc, 0.05);
   }
 
-  const auto runtime_params = fx.state.ps.params();
+  const auto runtime_params = fx.state.ps.snapshot();
   ASSERT_EQ(runtime_params.size(), params.size());
   for (std::size_t i = 0; i < params.size(); ++i)
     EXPECT_FLOAT_EQ(runtime_params[i], params[i]) << "param " << i;
@@ -341,7 +341,7 @@ TEST(SimRuntimeAsp, SingleWorkerEqualsSerialSgd) {
     ref.model.gradient_at(params, bx, by, grad);
     opt.apply(params, grad, 0.05);
   }
-  const auto rt_params = fx.state.ps.params();
+  const auto rt_params = fx.state.ps.snapshot();
   for (std::size_t i = 0; i < params.size(); ++i)
     EXPECT_FLOAT_EQ(rt_params[i], params[i]) << "param " << i;
 }

@@ -82,20 +82,6 @@ TEST(ThreadedRuntime, TrainingImprovesAccuracy) {
   }
 }
 
-TEST(ThreadedRuntime, SharedPsVersionAndStalenessAreConsistent) {
-  SharedParameterServer ps({0.0f, 0.0f}, 0.0);
-  std::vector<float> snap(2);
-  std::vector<std::int64_t> v;
-  ps.pull_with_versions(snap, v);
-  EXPECT_EQ(v, std::vector<std::int64_t>{0});
-  const std::int64_t staleness = ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, v);
-  EXPECT_EQ(staleness, 0);
-  const std::int64_t staleness2 = ps.push(std::vector<float>{1.0f, 1.0f}, 0.1, v);
-  EXPECT_EQ(staleness2, 1);  // one update landed since the pull
-  ps.pull_with_versions(snap, v);
-  EXPECT_EQ(v, std::vector<std::int64_t>{2});
-}
-
 TEST(ThreadedRuntime, RejectsBadConfig) {
   const DataSplit split = easy_data();
   const Model proto = proto_model(split);
@@ -581,43 +567,6 @@ TEST(ThreadedRuntime, RuntimeStaysUsableAfterAbortedRun) {
   const auto result = threaded_train(proto, split.train, cfg);
   EXPECT_EQ(result.total_updates, 80);
   for (float p : result.final_params) EXPECT_TRUE(std::isfinite(p));
-}
-
-// ---------------------------------------------------------------------------
-// restore_checkpoint input validation: a checkpoint that declares N shards
-// but carries a different number of shard versions is internally
-// inconsistent and must be rejected up front, not half-applied.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadedRuntime, RestoreRejectsInconsistentShardVersions) {
-  SharedParameterServer ps(std::vector<float>(8, 0.0f), 0.0, 4);
-  Checkpoint ckpt = ps.snapshot_checkpoint(0);
-  ASSERT_EQ(ckpt.num_shards, 4u);
-  ASSERT_EQ(ckpt.shard_versions.size(), 4u);
-  ckpt.shard_versions.pop_back();  // now declares 4 shards, carries 3 versions
-  EXPECT_THROW(ps.restore_checkpoint(ckpt), CheckpointError);
-}
-
-TEST(ThreadedRuntime, RestoreAcceptsFlatCheckpointIntoShardedLayout) {
-  // The documented v1 compat path: a flat (single-shard) checkpoint restores
-  // into any shard layout, adopting its scalar version for every shard.
-  SharedParameterServer flat(std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f}, 0.0);
-  const std::vector<float> grad(4, 1.0f);
-  flat.push(grad, 0.5, std::vector<std::int64_t>{0});
-  const Checkpoint ckpt = flat.snapshot_checkpoint(1);
-
-  SharedParameterServer sharded(std::vector<float>(4, 0.0f), 0.0, 2);
-  sharded.restore_checkpoint(ckpt);
-  std::vector<float> params(4);
-  sharded.pull(params);
-  std::vector<float> expect(4);
-  flat.pull(expect);
-  EXPECT_EQ(params, expect);
-  // Versions never roll back on restore (the recovery-semantics contract):
-  // the restored server keeps its own update count.
-  std::vector<std::int64_t> versions;
-  sharded.pull_with_versions(params, versions);
-  EXPECT_EQ(versions, (std::vector<std::int64_t>{0, 0}));
 }
 
 // The threaded determinism corpus (tests/determinism_corpus.h): BSP and
