@@ -18,12 +18,14 @@
 #include "compress/topk.h"
 #include "nn/batchnorm.h"
 #include "data/synthetic.h"
+#include "net/inproc_transport.h"
 #include "net/ps_server.h"
 #include "net/socket_transport.h"
 #include "nn/zoo.h"
 #include "obs/obs.h"
 #include "ps/param_server.h"
 #include "ps/threaded_runtime.h"
+#include "ps/worker_slot.h"
 #include "sim/event_queue.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -141,6 +143,34 @@ void BM_GradientStep(benchmark::State& state) {
                           static_cast<std::int64_t>(b));
 }
 BENCHMARK(BM_GradientStep)->Args({0, 32})->Args({0, 64})->Args({1, 2});
+
+// One asynchronous worker step short of its push, arg the batch: the linear
+// 1024 -> 100 model (topk-wide, socket-wide) pulls from an in-process
+// 4-shard PS into its replica, then takes the minibatch gradient.  Unlike
+// BM_GradientStep this is the WorkerSlot path, where the pull lands in the
+// model's own parameter vector and the gradient stays in its own gradient
+// vector.
+void BM_WorkerSlotStep(benchmark::State& state) {
+  SyntheticSpec spec = SyntheticSpec::cifar100_like();
+  spec.feature_dim = 1024;
+  spec.train_size = 256;
+  spec.test_size = 64;
+  const auto split = make_synthetic(spec);
+  Rng rng(2);
+  Model model = make_model(ModelArch::kLinear, spec.feature_dim, spec.num_classes, rng);
+  SharedParameterServer ps(model.get_params(), 0.9, /*num_shards=*/4);
+  InProcTransport tx(ps);
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  WorkerSlot slot(std::move(model), split.train, batch, /*seed=*/3, /*slot=*/0,
+                  /*initial_workers=*/1);
+  for (auto _ : state) {
+    slot.pull_gradient(tx);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_WorkerSlotStep)->Arg(2);
 
 void BM_PsApply(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
@@ -564,7 +594,8 @@ BENCHMARK(BM_NetPullPush)->Args({102500, 0})->Args({102500, 1})->UseRealTime();
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Which GEMM build produced the BM_MatMul*/BM_GradientStep numbers.
+  // Which GEMM build produced the BM_MatMul*/BM_GradientStep/BM_WorkerSlotStep
+  // numbers.
   benchmark::AddCustomContext("gemm_isa", ss::ops::detail::has_avx2() ? "avx2" : "sse");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -1,10 +1,11 @@
 // Fully-connected layer: y = x W + b.
 //
 // Weights are He-initialized at construction and exposed through the Layer
-// params()/grads() protocol so the parameter server can pull/push them as
-// flat tensors. `clone` produces an independent replica with identical
-// weights — this is how each simulated worker gets its own model copy when
-// a phase launches (see core/session.h).
+// params()/grads() protocol; inside a Model they are views into its flat
+// vectors, which the parameter server pulls into and pushes from.  `clone`
+// produces an independent replica with identical weights — this is how
+// each simulated worker gets its own model copy when a phase launches (see
+// core/session.h).
 #pragma once
 
 #include "nn/layer.h"

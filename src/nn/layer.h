@@ -1,8 +1,11 @@
 // Layer abstraction for the sequential NN models trained by the PS runtimes.
 //
-// Layers own their parameters and gradients as Tensors and cache whatever
-// they need between forward and backward.  A Model flattens parameters in and
-// out for parameter-server transport, so layers also expose mutable views.
+// Layers hold their parameters and gradients as Tensors and cache whatever
+// they need between forward and backward.  A layer owns them until it is
+// added to a Model; from then on its params() and grads() tensors are views
+// into the model's flat parameter and gradient vectors (nn/model.h), which
+// the parameter-server runtimes pull into and push from.  A clone() owns
+// copies again.
 #pragma once
 
 #include <memory>
@@ -34,10 +37,14 @@ class Layer {
   /// default is backward(dy); layers with a costly input gradient skip it.
   virtual void backward_params(const Tensor& dy) { backward(dy); }
 
-  /// Mutable parameter tensors (may be empty for stateless layers).
+  /// Mutable parameter tensors (may be empty for stateless layers).  A
+  /// Model re-seats them onto its own vector, so a layer must never replace
+  /// one (copy-assigning a view makes it own a copy, which the model would
+  /// no longer see); it writes through data() instead.
   virtual std::vector<Tensor*> params() { return {}; }
 
-  /// Gradient tensors, parallel to params().
+  /// Gradient tensors, parallel to params(), each the same size as its
+  /// parameter.
   virtual std::vector<Tensor*> grads() { return {}; }
 
   /// Deep copy (fresh caches, copied parameters).

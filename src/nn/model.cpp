@@ -1,52 +1,61 @@
 #include "nn/model.h"
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "common/error.h"
 
 namespace ss {
 
+namespace {
+
+void copy_checked(std::span<const float> from, std::span<float> to, const char* what) {
+  if (from.size() != to.size())
+    throw ShapeError(std::string(what) + ": buffer size mismatch (" + std::to_string(to.size()) +
+                     " for " + std::to_string(from.size()) + ")");
+  if (from.data() != to.data()) std::copy(from.begin(), from.end(), to.begin());
+}
+
+/// Moves `layer`'s parameters and gradients to `params + off` and `grads +
+/// off` and makes its tensors views there; returns the offset past them.
+std::size_t seat(Layer& layer, float* params, float* grads, std::size_t off) {
+  const std::vector<Tensor*> ps = layer.params(), gs = layer.grads();
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    ps[i]->move_to(params + off);
+    gs[i]->move_to(grads + off);
+    off += ps[i]->numel();
+  }
+  return off;
+}
+
+}  // namespace
+
 Model& Model::add(std::unique_ptr<Layer> layer) {
+  // Each gradient is seated in its parameter's slot, so the two must pair up.
+  const std::vector<Tensor*> ps = layer->params(), gs = layer->grads();
+  if (gs.size() != ps.size()) throw ShapeError("Model: grads() not parallel to params()");
+  std::size_t n = num_params();
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    if (gs[i]->numel() != ps[i]->numel())
+      throw ShapeError("Model: gradient " + shape_str(gs[i]->shape()) +
+                       " does not match parameter " + shape_str(ps[i]->shape()));
+    n += ps[i]->numel();
+  }
+  std::vector<float> params(n), grads(n);
   layers_.push_back(std::move(layer));
+  std::size_t off = 0;
+  for (auto& l : layers_) off = seat(*l, params.data(), grads.data(), off);
+  params_ = std::move(params);
+  grads_ = std::move(grads);
   return *this;
 }
 
-std::size_t Model::num_params() const {
-  std::size_t n = 0;
-  for (const auto& l : layers_)
-    for (const Tensor* t : const_cast<Layer&>(*l).params()) n += t->numel();
-  return n;
-}
+void Model::get_params(std::span<float> out) const { copy_checked(params_, out, "get_params"); }
 
-void Model::get_params(std::span<float> out) const {
-  std::size_t off = 0;
-  for (const auto& l : layers_) {
-    for (const Tensor* t : const_cast<Layer&>(*l).params()) {
-      if (off + t->numel() > out.size()) throw ShapeError("get_params: buffer too small");
-      std::copy(t->data(), t->data() + t->numel(), out.data() + off);
-      off += t->numel();
-    }
-  }
-  if (off != out.size()) throw ShapeError("get_params: buffer size mismatch");
-}
+std::vector<float> Model::get_params() const { return params_; }
 
-std::vector<float> Model::get_params() const {
-  std::vector<float> out(num_params());
-  get_params(std::span<float>{out});
-  return out;
-}
-
-void Model::set_params(std::span<const float> in) {
-  std::size_t off = 0;
-  for (auto& l : layers_) {
-    for (Tensor* t : l->params()) {
-      if (off + t->numel() > in.size()) throw ShapeError("set_params: buffer too small");
-      std::copy(in.data() + off, in.data() + off + t->numel(), t->data());
-      off += t->numel();
-    }
-  }
-  if (off != in.size()) throw ShapeError("set_params: buffer size mismatch");
-}
+void Model::set_params(std::span<const float> in) { copy_checked(in, params_, "set_params"); }
 
 const Tensor& Model::forward(const Tensor& x) {
   if (layers_.empty()) throw ConfigError("Model::forward: empty model");
@@ -66,15 +75,7 @@ double Model::compute_gradients(const Tensor& x, std::span<const int> labels) {
 }
 
 void Model::get_gradients(std::span<float> out) const {
-  std::size_t off = 0;
-  for (const auto& l : layers_) {
-    for (const Tensor* t : const_cast<Layer&>(*l).grads()) {
-      if (off + t->numel() > out.size()) throw ShapeError("get_gradients: buffer too small");
-      std::copy(t->data(), t->data() + t->numel(), out.data() + off);
-      off += t->numel();
-    }
-  }
-  if (off != out.size()) throw ShapeError("get_gradients: buffer size mismatch");
+  copy_checked(grads_, out, "get_gradients");
 }
 
 double Model::gradient_at(std::span<const float> params, const Tensor& x,
@@ -126,8 +127,17 @@ double Model::evaluate_loss(const Dataset& data, std::size_t batch) {
 }
 
 Model Model::clone() const {
+  // The copy's vectors are made first and each cloned layer moves into them
+  // at once.  Had the layers' own copies come first, freeing them would
+  // leave holes below the vectors, which raised the benchmark's peak RSS.
   Model copy;
-  for (const auto& l : layers_) copy.layers_.push_back(l->clone());
+  copy.params_ = params_;
+  copy.grads_ = grads_;
+  std::size_t off = 0;
+  for (const auto& l : layers_) {
+    copy.layers_.push_back(l->clone());
+    off = seat(*copy.layers_.back(), copy.params_.data(), copy.grads_.data(), off);
+  }
   return copy;
 }
 

@@ -41,24 +41,27 @@ WorkerSlot::WorkerSlot(Model model, const Dataset& train, std::size_t batch_size
       model_(std::move(model)),
       sampler_(streams.shard, batch_size, streams.sampler),
       codec_rng_(streams.codec),
-      batch_x_({batch_size, train.feature_dim()}),
-      params_(model_.num_params()),
-      grad_(model_.num_params()) {}
+      batch_x_({batch_size, train.feature_dim()}) {}
 
 void WorkerSlot::pull_gradient(Transport& ps) {
-  ps.pull_with_versions(params_, pull_versions_);
-  gradient_at(params_);
+  ps.pull_with_versions(model_.params(), pull_versions_);
+  compute_gradient();
 }
 
 void WorkerSlot::gradient_at(std::span<const float> params) {
+  model_.set_params(params);
+  compute_gradient();
+}
+
+void WorkerSlot::compute_gradient() {
   sampler_.next_batch(indices_);
   train_->gather(indices_, batch_x_, batch_y_);
-  model_.gradient_at(params, batch_x_, batch_y_, grad_);
+  model_.compute_gradients(batch_x_, batch_y_);
 }
 
 std::int64_t WorkerSlot::encode(CompressorBank* bank) {
-  if (bank == nullptr) return static_cast<std::int64_t>(grad_.size() * sizeof(float));
-  encoded_ = bank->encode(slot_, grad_, codec_rng_);
+  if (bank == nullptr) return static_cast<std::int64_t>(model_.grads().size() * sizeof(float));
+  encoded_ = bank->encode(slot_, model_.grads(), codec_rng_);
   return static_cast<std::int64_t>(encoded_.wire_size);
 }
 
@@ -68,7 +71,7 @@ WorkerSlot::Push WorkerSlot::push(Transport& ps, CompressorBank* bank, double lr
   // Sparse (top-k) pushes touch only the shards holding kept coordinates;
   // dense quantized pushes sweep every shard like an uncompressed push.
   out.staleness = bank != nullptr ? ps.push_compressed(encoded_, lr, pull_versions_)
-                                  : ps.push(grad_, lr, pull_versions_);
+                                  : ps.push(model_.grads(), lr, pull_versions_);
   return out;
 }
 
@@ -76,7 +79,7 @@ void WorkerSlot::add_into(std::span<float> sum, bool compressed) const {
   if (compressed)
     encoded_.add_into(sum);
   else
-    ops::add_inplace(sum, std::span<const float>(grad_));
+    ops::add_inplace(sum, model_.grads());
 }
 
 }  // namespace ss

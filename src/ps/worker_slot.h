@@ -4,9 +4,9 @@
 // Sync-Switch runs the same worker step under every protocol: pull the
 // parameters, compute a minibatch gradient at them, push it back.  A
 // WorkerSlot owns what one worker needs for that step — its model replica,
-// minibatch sampler, codec RNG stream, batch and gradient buffers, and the
-// per-shard versions of its last pull — and exposes the step in the pieces
-// the runtimes compose:
+// minibatch sampler, codec RNG stream, batch buffers, and the per-shard
+// versions of its last pull — and exposes the step in the pieces the
+// runtimes compose:
 //
 //  * `pull_gradient` + `push` — the asynchronous step (ASP/SSP), against
 //    any Transport.  The threaded runtime calls them over InProcTransport,
@@ -15,6 +15,11 @@
 //  * `gradient_at` + `encode` — the synchronous step (BSP): every slot
 //    computes at the round's shared parameters and encodes; the leader
 //    sums the slots with `add_into` and pushes once.
+//
+// A slot keeps no parameter or gradient vector of its own: the replica's
+// layer tensors are views into the model's flat params() and grads()
+// (nn/model.h), so a pull lands in params() and the push or encode reads
+// grads(), with no flatten copy in between.
 //
 // The constructor holds the one rule that assigns slot `w` its data and
 // RNG streams, so a worker process computes exactly the gradients a worker
@@ -47,8 +52,8 @@ class WorkerSlot {
 
   /// Slot `slot` of a run that started with `initial_workers` workers; slots
   /// past that are later joins.  `model` is this slot's replica (only its
-  /// shape matters: gradients are taken at the pulled parameters); `train`
-  /// must outlive the slot.
+  /// shape matters: gradients are taken at the pulled parameters, which
+  /// overwrite its own); `train` must outlive the slot.
   WorkerSlot(Model model, const Dataset& train, std::size_t batch_size, std::uint64_t seed,
              std::size_t slot, std::size_t initial_workers);
 
@@ -56,11 +61,12 @@ class WorkerSlot {
   /// from: a socket worker builds just these (data/synthetic.h).
   static ShardSpec shard(std::size_t train_size, std::size_t slot, std::size_t initial_workers);
 
-  /// Pull the parameters with their shard versions, then the gradient at
-  /// them.
+  /// Pull the parameters, with their shard versions, into the replica's
+  /// params(), then the gradient at them.
   void pull_gradient(Transport& ps);
 
-  /// The gradient at `params` (the BSP round's shared snapshot).
+  /// The gradient at `params` (the BSP round's shared snapshot), copied
+  /// into the replica first.
   void gradient_at(std::span<const float> params);
 
   /// Encode the gradient through this slot's `bank` slot; null `bank` sends
@@ -86,6 +92,10 @@ class WorkerSlot {
   WorkerSlot(Model model, const Dataset& train, std::size_t batch_size, std::size_t slot,
              Streams streams);
 
+  /// The gradient of a fresh minibatch at the replica's params(), left in
+  /// its grads().
+  void compute_gradient();
+
   int slot_;
   const Dataset* train_;
   Model model_;
@@ -94,8 +104,6 @@ class WorkerSlot {
   Tensor batch_x_;
   std::vector<int> batch_y_;
   std::vector<std::uint32_t> indices_;
-  std::vector<float> params_;               ///< parameters of the last pull
-  std::vector<float> grad_;
   std::vector<std::int64_t> pull_versions_;  ///< per-shard versions at pull
   CompressedPush encoded_;                   ///< the last compressed encode
 };

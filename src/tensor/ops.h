@@ -7,22 +7,27 @@
 // register-blocked microkernel: a 4-row tile of C stays in registers for the
 // whole k loop, A is read in place (row-major, or through a stride for
 // matmul_tn), and B is read in place or packed one k-row panel at a time
-// (always for matmul_nt; for the others only the last partial panel).  One
-// kernel source (tensor/gemm_kernel.inc) is built at two widths: a 4 x 8
-// tile on SSE for baseline x86-64, and a 4 x 16 tile in a target("avx2")
-// region.  Each process picks one, once: AVX2 when the CPU reports it
+// (always for matmul_nt; for the others only the last partial panel).
+// A product with k <= 4 (the batch-2 weight gradient dW = X^T dY of the
+// linear workloads) skips the tiles and streams C instead: each row of C is
+// written once, left to right, from B's k rows, which stay in L1 (packed
+// first for matmul_nt).  The shape alone picks the path.  One kernel source
+// (tensor/gemm_kernel.inc) is built at two widths: a 4 x 8 tile on SSE for
+// baseline x86-64, and a 4 x 16 tile in a target("avx2") region.  Each
+// process picks one, once: AVX2 when the CPU reports it
 // (__builtin_cpu_supports), else SSE.  Both give the same bits, so no option
 // picks a width.
 //
 // Summation contract, which the pinned determinism corpus relies on: every
 // C(i,j) starts at +0 and adds A(i,kk) * B(kk,j) for kk = 0, 1, ..., k-1 in
-// that order, each product rounded to float before it is added.  That is the
-// order of the plain in-order triple loop, so the results are bit-identical
-// to it on finite inputs.  Compiling with FMA contraction available
-// (-march=native, -mfma and the like, with GCC's default -ffp-contract=fast)
-// fuses the multiply and add and changes the bits; so does -ffast-math.
-// That is why the wide build targets avx2 alone, never fma, and why there is
-// no AVX-512 build: GCC contracts into avx512f's own FMA instructions too.
+// that order, each product rounded to float before it is added, on the tiles
+// and the row stream alike.  That is the order of the plain in-order triple
+// loop, so the results are bit-identical to it on finite inputs.  Compiling
+// with FMA contraction available (-march=native, -mfma and the like, with
+// GCC's default -ffp-contract=fast) fuses the multiply and add and changes
+// the bits; so does -ffast-math.  That is why the wide build targets avx2
+// alone, never fma, and why there is no AVX-512 build: GCC contracts into
+// avx512f's own FMA instructions too.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -129,6 +130,101 @@ TEST(Model, CloneSharesNothing) {
   std::vector<float> zeros(m.num_params(), 0.0f);
   m.set_params(zeros);
   EXPECT_EQ(copy.get_params(), before);
+
+  // A mutated clone leaves the original's parameters and gradients alone,
+  // and its layers view its own vectors.
+  Tensor x({2, 8}, 0.5f);
+  const std::vector<int> y = {0, 2};
+  m.set_params(before);
+  m.compute_gradients(x, y);
+  const std::vector<float> params_m(m.params().begin(), m.params().end());
+  const std::vector<float> grads_m(m.grads().begin(), m.grads().end());
+  Model clone = m.clone();
+  for (float& v : clone.params()) v *= -2.0f;
+  clone.compute_gradients(x, y);
+  for (std::size_t l = 0; l < clone.num_layers(); ++l)
+    for (Tensor* t : clone.layer(l).params())
+      EXPECT_TRUE(t->data() >= clone.params().data() &&
+                  t->data() < clone.params().data() + clone.num_params());
+  EXPECT_NE(std::vector<float>(clone.grads().begin(), clone.grads().end()), grads_m);
+  EXPECT_EQ(std::vector<float>(m.params().begin(), m.params().end()), params_m);
+  EXPECT_EQ(std::vector<float>(m.grads().begin(), m.grads().end()), grads_m);
+}
+
+/// Layer tensors view the model's vectors in layer order: parameter i of
+/// the model is element i of params(), and likewise for grads().
+void expect_layers_view_the_flat_vectors(Model& m) {
+  std::size_t off = 0;
+  for (std::size_t l = 0; l < m.num_layers(); ++l) {
+    const std::vector<Tensor*> ps = m.layer(l).params(), gs = m.layer(l).grads();
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      EXPECT_EQ(ps[i]->data(), m.params().data() + off) << "layer " << l;
+      EXPECT_EQ(gs[i]->data(), m.grads().data() + off) << "layer " << l;
+      off += ps[i]->numel();
+    }
+  }
+  EXPECT_EQ(off, m.num_params());
+}
+
+TEST(Model, WorkerPathMatchesGradientAtForEveryArch) {
+  // A worker pulls into params(), computes, and reads grads(); that must
+  // give the very bits of gradient_at, which copies in and out.
+  const std::size_t dim = 3 * 16 * 16;  // convnet_tiny's image shape
+  for (ModelArch arch : {ModelArch::kResNet32Lite, ModelArch::kResNet50Lite, ModelArch::kLinear,
+                         ModelArch::kConvNetTiny, ModelArch::kResNet32BnLite,
+                         ModelArch::kResNet50BnLite}) {
+    SCOPED_TRACE(arch_name(arch));
+    Rng rng(44);
+    Model m = make_model(arch, dim, 10, rng);
+    Model worker = m.clone();
+    expect_layers_view_the_flat_vectors(worker);
+    std::vector<float> params = m.get_params();
+    for (float& v : params) v += static_cast<float>(rng.gaussian(0.0, 0.01));
+    Tensor x({4, dim});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+    const std::vector<int> y = {1, 0, 7, 3};
+
+    std::vector<float> want(m.num_params());
+    const double want_loss = m.gradient_at(params, x, y, want);
+
+    std::copy(params.begin(), params.end(), worker.params().begin());
+    const double loss = worker.compute_gradients(x, y);
+    EXPECT_EQ(loss, want_loss);
+    ASSERT_EQ(worker.grads().size(), want.size());
+    EXPECT_EQ(std::memcmp(worker.grads().data(), want.data(), want.size() * sizeof(float)), 0);
+    // A layer that replaced a tensor in forward or backward would leave
+    // the flat vectors behind, and both sides would read the same stale
+    // zeros: the views must still hold, and the gradient must be live.
+    expect_layers_view_the_flat_vectors(worker);
+    expect_layers_view_the_flat_vectors(m);
+    EXPECT_TRUE(std::any_of(want.begin(), want.end(), [](float g) { return g != 0.0f; }));
+  }
+}
+
+TEST(Model, MovedAndGrownModelsComputeOnTheirOwnVectors) {
+  // small_model adds a layer after earlier ones, so the vectors grow and
+  // the earlier layers are re-seated; returning it moves it.
+  Model m = small_model(45);
+  expect_layers_view_the_flat_vectors(m);
+  Model ref = m.clone();
+  const float* storage = m.params().data();
+  Model moved = std::move(m);
+  EXPECT_EQ(moved.params().data(), storage);
+  expect_layers_view_the_flat_vectors(moved);
+
+  Tensor x({3, 8});
+  Rng rng(46);
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+  const std::vector<int> y = {2, 0, 1};
+  // Writing params() is setting the parameters.
+  std::vector<float> params = ref.get_params();
+  for (float& v : params) v *= 0.5f;
+  std::copy(params.begin(), params.end(), moved.params().begin());
+  moved.compute_gradients(x, y);
+  std::vector<float> want(ref.num_params());
+  ref.gradient_at(params, x, y, want);
+  EXPECT_EQ(std::vector<float>(moved.grads().begin(), moved.grads().end()), want);
+  EXPECT_EQ(moved.get_params(), params);
 }
 
 TEST(Model, EmptyModelForwardThrows) {

@@ -195,12 +195,14 @@ TEST_P(OpsKernel, MatmulsAreBitExactAtWorkloadShapes) {
   // (m, k, n) of the products the zoo models run: resnet32_lite's Dense
   // layers at batch 32 (switch-straggler) and 64 (policy-sweep), with its
   // 10-class head; resnet50_lite's 96 -> 96 layer; the linear 1024 -> 100
-  // model at batch 2; and convnet_tiny's conv forward (8,27)(27,256), its
-  // weight gradient (nt) and its input gradient (tn).
+  // model at batch 2, forward (2,1024)(1024,100) and weight gradient
+  // (1024,2)(2,100), which takes the small-k row stream; and convnet_tiny's
+  // conv forward (8,27)(27,256), its weight gradient (nt) and its input
+  // gradient (tn).
   Rng rng(7);
-  const std::size_t shapes[][3] = {{32, 64, 96}, {32, 96, 64}, {32, 64, 10},  {64, 64, 96},
-                                   {64, 96, 64}, {64, 64, 10}, {32, 96, 96},  {2, 1024, 100},
-                                   {8, 27, 256}, {8, 256, 27}, {27, 8, 256}};
+  const std::size_t shapes[][3] = {
+      {32, 64, 96}, {32, 96, 64},   {32, 64, 10}, {64, 64, 96},  {64, 96, 64}, {64, 64, 10},
+      {32, 96, 96}, {2, 1024, 100}, {1024, 2, 100}, {8, 27, 256}, {8, 256, 27}, {27, 8, 256}};
   for (const auto& s : shapes)
     for (const bool sparse : {false, true}) expect_all_bit_exact(s[0], s[1], s[2], rng, sparse);
 }
@@ -216,7 +218,10 @@ TEST(Ops, MatmulsGiveTheAvx2BuildsBitsWhenTheCpuHasAvx2) {
   const Kernel& avx2 = kKernels[2];
   const float special[] = {0.0f, -0.0f, 1e-40f, -1e-40f, INFINITY, -INFINITY};
   Rng rng(8);
-  for (const auto& [m, k, n] : {std::array<std::size_t, 3>{5, 33, 19}, {64, 64, 96}}) {
+  // The small-k shapes run the row stream, on its vector lanes and its
+  // scalar tail (n = 19).
+  for (const auto& [m, k, n] : {std::array<std::size_t, 3>{5, 33, 19}, {64, 64, 96}, {64, 2, 100},
+                                {64, 4, 19}}) {
     Tensor a = operand({m, k}, rng, true), b = operand({k, n}, rng, true);
     Tensor at = operand({k, m}, rng, true), bt = operand({n, k}, rng, true);
     for (Tensor* t : {&a, &b, &at, &bt})
@@ -233,6 +238,23 @@ TEST(Ops, MatmulsGiveTheAvx2BuildsBitsWhenTheCpuHasAvx2) {
     expect_same("matmul_tn", ops::matmul_tn, sse.matmul_tn, avx2.matmul_tn, at, b);
     expect_same("matmul_nt", ops::matmul_nt, sse.matmul_nt, avx2.matmul_nt, a, bt);
   }
+}
+
+TEST_P(OpsKernel, RowStreamStartsAtPositiveZero) {
+  // Every product here is -0.  The sum starts at +0, and +0 + -0 is +0, so
+  // every output must be +0; starting at the first product would give -0.
+  for (std::size_t k = 1; k <= 5; ++k)
+    for (const std::size_t n : {3, 8, 19, 100}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n));
+      const std::size_t m = 6;
+      const Tensor a({m, k}, 1.0f), at({k, m}, 1.0f);
+      const Tensor b({k, n}, -0.0f), bt({n, k}, -0.0f);
+      const Tensor want({m, n}, 0.0f);
+      const Kernel& kernel = GetParam();
+      expect_bits("matmul", kernel.matmul, a, b, want);
+      expect_bits("matmul_tn", kernel.matmul_tn, at, b, want);
+      expect_bits("matmul_nt", kernel.matmul_nt, a, bt, want);
+    }
 }
 
 TEST(Ops, MatmulShapeMismatchThrows) {
