@@ -7,7 +7,6 @@
 namespace ss {
 
 const Tensor& ReLU::forward(const Tensor& x) {
-  x_cache_ = x;
   if (y_.numel() != x.numel()) y_ = Tensor(x.shape());
   ops::relu_forward(x, y_);
   return y_;
@@ -15,7 +14,7 @@ const Tensor& ReLU::forward(const Tensor& x) {
 
 const Tensor& ReLU::backward(const Tensor& dy) {
   if (dx_.numel() != dy.numel()) dx_ = Tensor(dy.shape());
-  ops::relu_backward(x_cache_, dy, dx_);
+  ops::relu_backward(y_, dy, dx_);
   return dx_;
 }
 

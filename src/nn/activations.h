@@ -1,8 +1,8 @@
 // Stateless activation layers.
 //
 // No parameters, so params()/grads() stay empty and the parameter server
-// never sees them; each instance only caches the forward activations it
-// needs to compute its backward pass.
+// never sees them.  Each instance masks or scales its backward pass by its
+// own cached output, so it keeps no copy of its input.
 #pragma once
 
 #include "nn/layer.h"
@@ -18,8 +18,7 @@ class ReLU final : public Layer {
   [[nodiscard]] std::string describe() const override { return "ReLU"; }
 
  private:
-  Tensor x_cache_;
-  Tensor y_;
+  Tensor y_;   // ReLU output cached (y > 0 exactly where x > 0)
   Tensor dx_;
 };
 

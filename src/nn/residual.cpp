@@ -1,5 +1,7 @@
 #include "nn/residual.h"
 
+#include "tensor/ops.h"
+
 namespace ss {
 
 ResidualBlock::ResidualBlock(std::size_t dim, Rng& rng)
@@ -20,18 +22,13 @@ ResidualBlock::ResidualBlock(const ResidualBlock& other, int)
 
 const Tensor& ResidualBlock::forward(const Tensor& x) {
   const Tensor& a1 = bn1_->forward(fc1_->forward(x));
-  // ReLU between BN1 and FC2 (cache the pre-activation for backward).
-  relu1_in_ = a1;
-  Tensor relu1(a1.shape());
-  for (std::size_t i = 0; i < a1.numel(); ++i) relu1[i] = a1[i] > 0.0f ? a1[i] : 0.0f;
-  const Tensor& branch = bn2_->forward(fc2_->forward(relu1));
+  if (relu1_.numel() != a1.numel()) relu1_ = Tensor(a1.shape());
+  ops::relu_forward(a1, relu1_);
+  const Tensor& branch = bn2_->forward(fc2_->forward(relu1_));
 
-  if (sum_.numel() != x.numel()) {
-    sum_ = Tensor(x.shape());
-    y_ = Tensor(x.shape());
-  }
-  for (std::size_t i = 0; i < x.numel(); ++i) sum_[i] = x[i] + branch[i];
-  for (std::size_t i = 0; i < x.numel(); ++i) y_[i] = sum_[i] > 0.0f ? sum_[i] : 0.0f;
+  if (y_.numel() != x.numel()) y_ = Tensor(x.shape());
+  for (std::size_t i = 0; i < x.numel(); ++i) y_[i] = x[i] + branch[i];
+  ops::relu_forward(y_, y_);
   return y_;
 }
 
@@ -40,15 +37,14 @@ const Tensor& ResidualBlock::backward(const Tensor& dy) {
     dsum_ = Tensor(dy.shape());
     dx_ = Tensor(dy.shape());
   }
-  // Through the final ReLU.
-  for (std::size_t i = 0; i < dy.numel(); ++i) dsum_[i] = sum_[i] > 0.0f ? dy[i] : 0.0f;
+  // Both ReLUs mask on their own outputs.
+  ops::relu_backward(y_, dy, dsum_);
 
   // Branch: BN2 -> FC2 -> inner ReLU -> BN1 -> FC1.
   const Tensor& d_fc2_out = bn2_->backward(dsum_);
   const Tensor& d_relu1 = fc2_->backward(d_fc2_out);
   if (dbranch_.numel() != d_relu1.numel()) dbranch_ = Tensor(d_relu1.shape());
-  for (std::size_t i = 0; i < d_relu1.numel(); ++i)
-    dbranch_[i] = relu1_in_[i] > 0.0f ? d_relu1[i] : 0.0f;
+  ops::relu_backward(relu1_, d_relu1, dbranch_);
   const Tensor& d_bn1_in = bn1_->backward(dbranch_);
   const Tensor& d_branch_x = fc1_->backward(d_bn1_in);
 

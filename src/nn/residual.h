@@ -38,9 +38,8 @@ class ResidualBlock final : public Layer {
   std::unique_ptr<Dense> fc2_;
   std::unique_ptr<BatchNorm> bn2_;
 
-  Tensor relu1_in_;   // BN1 output (pre-activation), cached for backward
-  Tensor sum_;        // x + branch, pre final ReLU
-  Tensor y_;          // final output
+  Tensor relu1_;      // inner ReLU output, the mask for its backward
+  Tensor y_;          // final output, the mask for the final ReLU's backward
   Tensor dsum_;       // gradient at the addition
   Tensor dbranch_;    // gradient into the residual branch
   Tensor dx_;         // gradient to the input

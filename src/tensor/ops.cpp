@@ -152,7 +152,12 @@ void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx) {
   const float* px = x.data();
   const float* pdy = dy.data();
   float* pdx = dx.data();
-  for (std::size_t i = 0; i < x.numel(); ++i) pdx[i] = px[i] > 0.0f ? pdy[i] : 0.0f;
+  // dy is read whatever the mask, so the select vectorises: no branch on
+  // the sign of each element.
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const float d = pdy[i];
+    pdx[i] = px[i] > 0.0f ? d : 0.0f;
+  }
 }
 
 void softmax_rows(const Tensor& logits, Tensor& probs) {

@@ -61,10 +61,14 @@ void add_bias_rows(Tensor& x, const Tensor& bias);
 /// bias_grad(n) = sum over rows of grad(m,n).
 void sum_rows(const Tensor& grad, Tensor& bias_grad);
 
-/// Elementwise ReLU forward: out = max(x, 0).
+/// Elementwise ReLU forward: out = x where x > 0, else +0 (a NaN, -0 or +0
+/// gives +0).  `out` may be `x`.
 void relu_forward(const Tensor& x, Tensor& out);
 
-/// ReLU backward: dx = dy where x > 0 else 0.
+/// ReLU backward: dx = dy where x > 0, else +0, branch-free; dy's bits pass
+/// through unchanged.  The mask `x` may be the input of relu_forward or its
+/// output: out > 0 holds exactly where x > 0, so both give the same bits,
+/// and a layer can key its backward on its own output.
 void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx);
 
 /// Row-wise softmax of logits(m,n) into probs(m,n); numerically stable.

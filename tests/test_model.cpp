@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "data/batcher.h"
 #include "data/synthetic.h"
+#include "determinism_corpus.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/zoo.h"
@@ -198,6 +199,40 @@ TEST(Model, WorkerPathMatchesGradientAtForEveryArch) {
     expect_layers_view_the_flat_vectors(worker);
     expect_layers_view_the_flat_vectors(m);
     EXPECT_TRUE(std::any_of(want.begin(), want.end(), [](float g) { return g != 0.0f; }));
+  }
+}
+
+// The gradient bits of every zoo model at one fixed point, as 64-bit FNV-1a
+// digests.  The batch is Gaussian, so every ReLU (the layer and both of the
+// residual block's) sees pre-activations of both signs; a kernel edit that
+// changes a masked gradient, a sum order or a rounding fails here before the
+// determinism corpus, which runs only the linear model.
+TEST(Model, PinnedGradientDigestsForEveryArch) {
+  struct Case {
+    ModelArch arch;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {ModelArch::kResNet32Lite, "43c89d4cea43d55a"},
+      {ModelArch::kResNet50Lite, "904dda84ea05f61f"},
+      {ModelArch::kLinear, "f1341ad7a5b2cec9"},
+      {ModelArch::kConvNetTiny, "067b8e7b297693f5"},
+      {ModelArch::kResNet32BnLite, "9a33b804c2dcb4bf"},
+      {ModelArch::kResNet50BnLite, "35813ba72c3e9392"},
+  };
+  const std::size_t dim = 3 * 16 * 16;  // convnet_tiny's image shape
+  for (const Case& c : cases) {
+    SCOPED_TRACE(arch_name(c.arch));
+    Rng rng(47);
+    Model m = make_model(c.arch, dim, 10, rng);
+    Tensor x({8, dim});
+    for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(rng.gaussian());
+    const std::vector<int> y = {1, 0, 7, 3, 9, 2, 5, 1};
+    std::vector<float> grad(m.num_params());
+    m.gradient_at(m.get_params(), x, y, grad);
+    EXPECT_EQ(fnv1a_hex(std::string(reinterpret_cast<const char*>(grad.data()),
+                                    grad.size() * sizeof(float))),
+              c.digest);
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -284,6 +287,8 @@ TEST(Ops, BiasAndSumRows) {
   EXPECT_EQ(grad_b[2], 69.0f);  // 33 + 36
 }
 
+std::uint32_t bits_of(float v) { return std::bit_cast<std::uint32_t>(v); }
+
 TEST(Ops, ReluForwardBackward) {
   Tensor x({1, 4}, std::vector<float>{-1, 0, 2, -3});
   Tensor y({1, 4});
@@ -295,6 +300,36 @@ TEST(Ops, ReluForwardBackward) {
   ops::relu_backward(x, dy, dx);
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[2], 1.0f);
+
+  // Bit for bit against the scalar formulas, y = x > 0 ? x : +0 and
+  // dx = x > 0 ? dy : +0, with the special values in both x and dy, at
+  // lengths that leave vector tails.  Masking on the forward's output gives
+  // the bits of masking on its input.
+  using Lim = std::numeric_limits<float>;
+  const std::array<float, 12> special = {
+      0.0f, -0.0f, Lim::infinity(), -Lim::infinity(),
+      Lim::quiet_NaN(), -Lim::quiet_NaN(), Lim::denorm_min(), -Lim::denorm_min(),
+      Lim::min() / 4.0f, -Lim::min() / 4.0f, Lim::max(), -Lim::max()};
+  Rng rng(29);
+  auto draw = [&] {
+    return rng.bernoulli(0.5) ? special[rng.uniform_index(special.size())]
+                              : static_cast<float>(rng.gaussian());
+  };
+  for (std::size_t n : {1, 7, 37, 1027}) {
+    Tensor xs({n}), dys({n}), ys({n}), dxs({n}), dx_via_y({n});
+    for (std::size_t i = 0; i < n; ++i) {
+      xs[i] = draw();
+      dys[i] = draw();
+    }
+    ops::relu_forward(xs, ys);
+    ops::relu_backward(xs, dys, dxs);
+    ops::relu_backward(ys, dys, dx_via_y);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(bits_of(ys[i]), bits_of(xs[i] > 0.0f ? xs[i] : 0.0f)) << n << " at " << i;
+      EXPECT_EQ(bits_of(dxs[i]), bits_of(xs[i] > 0.0f ? dys[i] : 0.0f)) << n << " at " << i;
+      EXPECT_EQ(bits_of(dx_via_y[i]), bits_of(dxs[i])) << n << " at " << i;
+    }
+  }
 }
 
 TEST(Ops, SoftmaxRowsSumToOneAndStable) {

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -73,17 +74,33 @@ TEST(ParameterServer, HealthyDetectsNonFinite) {
   ps.push(std::vector<float>{0.0f, std::numeric_limits<float>::infinity()}, 1.0,
           std::vector<std::int64_t>{0, 0});
   EXPECT_FALSE(ps.healthy());
+
+  // 37 over 3 shards is [0,13) [13,25) [25,37).  One value at the first, a
+  // middle and the last index of each shard, among finite values of both
+  // signs: a NaN or an infinity anywhere is unhealthy, and the extreme
+  // finite values are not.
+  using Lim = std::numeric_limits<float>;
+  const std::pair<float, bool> table[] = {
+      {Lim::quiet_NaN(), false},  {-Lim::quiet_NaN(), false}, {Lim::infinity(), false},
+      {-Lim::infinity(), false},  {Lim::max(), true},         {-Lim::max(), true},
+      {Lim::denorm_min(), true},  {-Lim::denorm_min(), true}, {Lim::min() / 2.0f, true},
+      {-0.0f, true}};
+  std::vector<float> base(37);
+  for (std::size_t i = 0; i < base.size(); ++i)
+    base[i] = (i % 2 == 0 ? 1.0f : -1.0f) * static_cast<float>(i + 1);
+  EXPECT_TRUE(SharedParameterServer(base, 0.0, 3).healthy());
+  for (std::size_t at : {0, 6, 12, 13, 19, 24, 25, 31, 36}) {
+    for (const auto& [v, healthy] : table) {
+      std::vector<float> params = base;
+      params[at] = v;
+      EXPECT_EQ(SharedParameterServer(params, 0.0, 3).healthy(), healthy) << v << " at " << at;
+    }
+  }
 }
 
 TEST(ParameterServer, EmptyParamsRejected) {
   EXPECT_THROW(SharedParameterServer({}, 0.9), ConfigError);
 }
-
-
-
-
-
-
 
 TEST(ParameterServer, CheckpointRestoreRoundTrip) {
   SharedParameterServer ps({1.0f, 2.0f}, 0.9);
