@@ -208,11 +208,10 @@ RunResult TrainingSession::run() {
   };
 
   auto pay_switch = [&]() {
-    // Checkpoint -> actuate -> restore, exactly as the prototype does.
-    const Checkpoint ckpt = state.ps.snapshot_checkpoint(state.global_step);
+    // The prototype checkpoints, restarts and restores: the PS comes back
+    // unchanged, so only the actuation time is paid.
     const VTime cost = actuator.switch_time(n).scaled(ascale);
     state.clock += cost;
-    state.ps.restore(ckpt);
     if (compressor_bank) compressor_bank->reset();  // residuals die with the restart
     result.switch_overhead_seconds += cost.seconds();
     ++result.num_switches;

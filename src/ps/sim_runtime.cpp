@@ -4,13 +4,19 @@
 // generic schedulers from `sim/des_engine.h` and supplies the math:
 //
 //  * synchronous family (BSP, K-sync, K-batch-sync): `plan_round` plans each
-//    round's admitted contributions; this layer computes the winning
+//    round's admitted contributions; `run_rounds` computes the winning
 //    gradients against the shared snapshot and applies their average.  BSP
 //    is exactly K-sync with K = n.
 //  * event-driven family (ASP, SSP, DSSP, K-async, K-batch-async): a
 //    `DesEngine` runs each worker's pull→compute→push lifecycle under the
-//    protocol's admission rules; an `EventDrivenProcess` here does the
+//    protocol's admission rules; `EventDrivenProcess` does the
 //    pull/compute/apply work when the engine's events fire.
+//
+// Every update of either family — one ASP push, one K-async buffer, one BSP
+// round — ends in the same tail, `Phase::commit`: set lr and momentum, push,
+// report, check divergence, evaluate, poll the stop predicate and the
+// budget.  The drivers differ only in how they form the update and report
+// its tasks (always before the update).
 #include "ps/sim_runtime.h"
 
 #include <algorithm>
@@ -43,6 +49,97 @@ std::size_t effective_k(const PhaseConfig& cfg, std::size_t n) {
   return std::clamp<std::size_t>(k, 1, n);
 }
 
+}  // namespace
+
+struct SimRuntime::Phase {
+  Phase(SimRuntime& runtime, TrainingState& st, const PhaseConfig& config,
+        const StragglerSchedule& slow, const StopPredicate& stop_predicate)
+      : rt(runtime),
+        state(st),
+        cfg(config),
+        stragglers(slow),
+        stop(stop_predicate),
+        b(config.per_worker_batch),
+        push_bytes(push_wire_bytes(runtime.cluster_, config, st.ps.num_params())),
+        start(st.clock),
+        eval_bucket(st.global_step / std::max<std::int64_t>(config.eval_interval, 1)),
+        batch_x({config.per_worker_batch, runtime.train_.feature_dim()}),
+        grad(st.ps.num_params()),
+        grad_sum(st.ps.num_params()) {}
+
+  /// Compute the gradient of the minibatch `indices` at `params` into
+  /// `grad` and charge its push; returns the minibatch loss.
+  double gradient(const std::vector<float>& params, const std::vector<std::uint32_t>& indices) {
+    rt.train_.gather(indices, batch_x, batch_y);
+    result.push_bytes += std::llround(push_bytes);
+    return rt.grad_model_.gradient_at(params, batch_x, batch_y, grad);
+  }
+
+  /// The tail of every update of `steps` minibatch gradients: set lr and
+  /// momentum for the current step, `push(lr)` (which returns the summed
+  /// staleness of the update's gradients), advance the clock to `at`, report
+  /// the update, then check divergence, evaluate on a new eval bucket, and
+  /// poll the stop predicate and the budget.  Returns true when the phase
+  /// ends.
+  template <class Push>
+  bool commit(VTime at, std::int64_t steps, double loss, Push&& push) {
+    const double mult = cfg.lr_multiplier_schedule ? cfg.lr_multiplier_schedule(state.global_step)
+                                                   : cfg.lr_multiplier;
+    const double lr = cfg.lr_schedule->at(state.global_step) * mult;
+    state.ps.set_momentum(cfg.momentum_schedule ? cfg.momentum_schedule(result.steps_done)
+                                                : cfg.momentum);
+    const std::int64_t staleness = push(lr);
+    state.clock = at;
+    state.global_step += steps;
+    result.steps_done += steps;
+    total_staleness += staleness;
+    contributions += steps;
+    rt.sink_.on_update({state.global_step, at, loss, staleness / steps, cfg.protocol});
+
+    if (!std::isfinite(loss) || loss > cfg.divergence_loss_threshold || !state.ps.healthy()) {
+      result.end = PhaseEnd::kDiverged;
+      return true;
+    }
+    if (cfg.eval_interval > 0 && state.global_step / cfg.eval_interval != eval_bucket) {
+      eval_bucket = state.global_step / cfg.eval_interval;
+      rt.eval_model_.set_params(state.ps.snapshot());
+      rt.sink_.on_eval(state.global_step, at, rt.eval_model_.evaluate_accuracy(rt.eval_set_));
+    }
+    if (stop && stop(at, state.global_step)) {
+      result.end = PhaseEnd::kStopRequested;
+      result.trigger_step = state.global_step;
+      return true;
+    }
+    return result.steps_done >= cfg.step_budget;
+  }
+
+  /// The phase's result, completed with its mean staleness and elapsed time.
+  PhaseResult finish() {
+    if (contributions > 0)
+      result.mean_staleness =
+          static_cast<double>(total_staleness) / static_cast<double>(contributions);
+    result.elapsed = state.clock - start;
+    return result;
+  }
+
+  SimRuntime& rt;
+  TrainingState& state;
+  const PhaseConfig& cfg;
+  const StragglerSchedule& stragglers;
+  const StopPredicate& stop;
+  const std::size_t b;
+  const double push_bytes;  ///< modelled wire bytes of one push
+  const VTime start;
+  std::int64_t eval_bucket;  ///< global_step / eval_interval at the last eval
+  PhaseResult result;
+  std::int64_t total_staleness = 0;
+  std::int64_t contributions = 0;  ///< minibatch gradients applied
+  Tensor batch_x;
+  std::vector<int> batch_y;
+  std::vector<float> grad;
+  std::vector<float> grad_sum;
+};
+
 /// The WorkerProcess behind every event-driven protocol.  The engine decides
 /// *when* a pull or push fires; this class performs the work:
 ///
@@ -54,50 +151,24 @@ std::size_t effective_k(const PhaseConfig& cfg, std::size_t n) {
 ///    buffered and their average applied once K have arrived (K-async: from
 ///    K distinct workers; K-batch-async: any K).  Buffered gradients carry
 ///    the staleness of their own pull.
-class EventDrivenProcess final : public WorkerProcess {
+class SimRuntime::EventDrivenProcess final : public WorkerProcess {
  public:
-  EventDrivenProcess(const ClusterModel& cluster, Model& grad_model, const Dataset& train,
-                     MetricsSink& sink, TrainingState& state, const PhaseConfig& cfg,
-                     const StragglerSchedule& stragglers, const StopPredicate& stop,
-                     PhaseResult& result, bool buffered, bool distinct_workers, std::size_t k,
-                     std::function<void()> eval_hook,
-                     std::function<double(std::int64_t)> momentum_hook)
-      : cluster_(cluster),
-        grad_model_(grad_model),
-        train_(train),
-        sink_(sink),
-        state_(state),
-        cfg_(cfg),
-        stragglers_(stragglers),
-        stop_(stop),
-        result_(result),
+  EventDrivenProcess(Phase& phase, std::size_t k, bool buffered, bool distinct_workers)
+      : ph_(phase),
+        k_(k),
         buffered_(buffered),
         distinct_(distinct_workers),
-        k_(k),
-        p_(state.ps.num_params()),
-        b_(cfg.per_worker_batch),
-        push_bytes_(push_wire_bytes(cluster, cfg, state.ps.num_params())),
-        eval_(std::move(eval_hook)),
-        momentum_(std::move(momentum_hook)),
-        inflight_(state.samplers.size()),
-        batch_x_({cfg.per_worker_batch, train.feature_dim()}),
-        grad_(state.ps.num_params()),
-        grad_sum_(state.ps.num_params()) {
-    buffer_.reserve(k_ + state.samplers.size());
+        inflight_(phase.state.samplers.size()) {
+    buffer_.reserve(k_ + inflight_.size());
   }
 
   /// Pre-size a worker's pull buffer before its kickoff pull is scheduled.
   void prepare_worker(int worker) {
-    inflight_[static_cast<std::size_t>(worker)].snapshot.resize(p_);
+    inflight_[static_cast<std::size_t>(worker)].snapshot.resize(ph_.state.ps.num_params());
   }
 
-  [[nodiscard]] std::int64_t total_staleness() const noexcept { return total_staleness_; }
-  /// Staleness samples accumulated (applied updates in apply-each mode,
-  /// buffered contributions in buffered mode).
-  [[nodiscard]] std::int64_t contributions() const noexcept { return contributions_; }
-
   VTime pull_latency(int worker, VTime now) override {
-    return cluster_.transfer_time(stragglers_.slow_factor(worker, now));
+    return ph_.rt.cluster_.transfer_time(ph_.stragglers.slow_factor(worker, now));
   }
 
   VTime on_pull_done(int worker, VTime time) override {
@@ -105,15 +176,15 @@ class EventDrivenProcess final : public WorkerProcess {
     // was in flight are visible, later ones are not.  The per-shard version
     // vector is what staleness is measured against at push time.
     auto& fl = inflight_[static_cast<std::size_t>(worker)];
-    state_.ps.pull_with_versions(fl.snapshot, fl.pull_versions);
+    ph_.state.ps.pull_with_versions(fl.snapshot, fl.pull_versions);
     fl.pull_started = time;
-    auto& sampler = state_.samplers[static_cast<std::size_t>(worker)];
-    sampler.set_batch_size(b_);
+    auto& sampler = ph_.state.samplers[static_cast<std::size_t>(worker)];
+    sampler.set_batch_size(ph_.b);
     sampler.next_batch(fl.indices);
-    const double slow = stragglers_.slow_factor(worker, time);
-    return cluster_.compute_time(state_.worker_rngs[static_cast<std::size_t>(worker)], slow,
-                                 b_) +
-           cluster_.transfer_time(slow, push_bytes_);
+    const double slow = ph_.stragglers.slow_factor(worker, time);
+    const ClusterModel& cluster = ph_.rt.cluster_;
+    return cluster.compute_time(rng(worker), slow, ph_.b) +
+           cluster.transfer_time(slow, ph_.push_bytes);
   }
 
   PushOutcome on_push_arrive(int worker, VTime time) override {
@@ -135,6 +206,8 @@ class EventDrivenProcess final : public WorkerProcess {
     int worker = 0;
   };
 
+  Rng& rng(int worker) { return ph_.state.worker_rngs[static_cast<std::size_t>(worker)]; }
+
   /// Apply-each: the gradient (computed against the pulled snapshot) is
   /// pushed immediately.  Compressed pushes travel as a CompressedPush:
   /// sparse (top-k) pushes touch and version only the shards owning kept
@@ -142,178 +215,72 @@ class EventDrivenProcess final : public WorkerProcess {
   /// like an uncompressed gradient.
   PushOutcome push_apply_each(int worker, VTime time) {
     auto& fl = inflight_[static_cast<std::size_t>(worker)];
-    train_.gather(fl.indices, batch_x_, batch_y_);
-    const double loss = grad_model_.gradient_at(fl.snapshot, batch_x_, batch_y_, grad_);
+    const double loss = ph_.gradient(fl.snapshot, fl.indices);
     std::optional<CompressedPush> push;
-    if (cfg_.compressor) {
-      push = cfg_.compressor->encode(worker, grad_,
-                                     state_.worker_rngs[static_cast<std::size_t>(worker)]);
-      result_.push_bytes += static_cast<std::int64_t>(std::llround(push_bytes_));
-    } else {
-      result_.push_bytes += static_cast<std::int64_t>(cluster_.spec().payload_bytes);
-    }
-    const double mult = cfg_.lr_multiplier_schedule
-                            ? cfg_.lr_multiplier_schedule(state_.global_step)
-                            : cfg_.lr_multiplier;
-    const double lr = cfg_.lr_schedule->at(state_.global_step) * mult;
-    state_.ps.set_momentum(momentum_(result_.steps_done));
-    const std::int64_t staleness = push ? state_.ps.push_compressed(*push, lr, fl.pull_versions)
-                                        : state_.ps.push(grad_, lr, fl.pull_versions);
-    state_.clock = time + cluster_.spec().async_apply;
-    state_.global_step += 1;
-    result_.steps_done += 1;
-    total_staleness_ += staleness;
-    ++contributions_;
-
-    TaskObservation tobs;
-    tobs.worker = worker;
-    tobs.completed_at = state_.clock;
-    tobs.task_duration = state_.clock - fl.pull_started;
-    tobs.images = b_;
-    sink_.on_task(tobs);
-
-    UpdateObservation uobs;
-    uobs.global_step = state_.global_step;
-    uobs.time = state_.clock;
-    uobs.train_loss = loss;
-    uobs.staleness = staleness;
-    uobs.protocol = cfg_.protocol;
-    sink_.on_update(uobs);
-
-    PushOutcome out;
-    out.resume_at = state_.clock;
-    if (!std::isfinite(loss) || loss > cfg_.divergence_loss_threshold || !state_.ps.healthy()) {
-      result_.end = PhaseEnd::kDiverged;
-      out.stop = true;
-      return out;
-    }
-    eval_();
-    if (stop_ && stop_(state_.clock, state_.global_step)) {
-      result_.end = PhaseEnd::kStopRequested;
-      result_.trigger_step = state_.global_step;
-      out.stop = true;
-      return out;
-    }
-    if (result_.steps_done >= cfg_.step_budget) out.stop = true;  // drain
-    return out;
+    if (ph_.cfg.compressor) push = ph_.cfg.compressor->encode(worker, ph_.grad, rng(worker));
+    const VTime at = time + ph_.rt.cluster_.spec().async_apply;
+    ph_.rt.sink_.on_task({worker, at, at - fl.pull_started, ph_.b});
+    SharedParameterServer& ps = ph_.state.ps;
+    const bool stop = ph_.commit(at, 1, loss, [&](double lr) {
+      return push ? ps.push_compressed(*push, lr, fl.pull_versions)
+                  : ps.push(ph_.grad, lr, fl.pull_versions);
+    });
+    return {stop, at};
   }
 
   /// Buffered: stash this gradient; once the trigger holds, apply the
   /// buffer's average as one update.
   PushOutcome push_buffered(int worker, VTime time) {
     auto& fl = inflight_[static_cast<std::size_t>(worker)];
-    train_.gather(fl.indices, batch_x_, batch_y_);
     Buffered item;
-    item.loss = grad_model_.gradient_at(fl.snapshot, batch_x_, batch_y_, grad_);
-    if (cfg_.compressor)
-      cfg_.compressor->transform(worker, grad_,
-                                 state_.worker_rngs[static_cast<std::size_t>(worker)]);
-    item.grad.assign(grad_.begin(), grad_.end());
-    item.staleness = state_.ps.staleness_since(fl.pull_versions);
+    item.loss = ph_.gradient(fl.snapshot, fl.indices);
+    if (ph_.cfg.compressor) ph_.cfg.compressor->transform(worker, ph_.grad, rng(worker));
+    item.grad.assign(ph_.grad.begin(), ph_.grad.end());
+    item.staleness = ph_.state.ps.staleness_since(fl.pull_versions);
     item.worker = worker;
     buffer_.push_back(std::move(item));
-    result_.push_bytes += static_cast<std::int64_t>(std::llround(push_bytes_));
+    ph_.rt.sink_.on_task({worker, time, time - fl.pull_started, ph_.b});
 
-    TaskObservation tobs;
-    tobs.worker = worker;
-    tobs.completed_at = time;
-    tobs.task_duration = time - fl.pull_started;
-    tobs.images = b_;
-    sink_.on_task(tobs);
-
-    PushOutcome out;
-    out.resume_at = time;  // the worker's next cycle starts immediately
-    bool trigger = false;
-    if (distinct_) {
-      std::set<int> distinct;
-      for (const auto& it : buffer_) distinct.insert(it.worker);
-      trigger = distinct.size() >= k_;
-    } else {
-      trigger = buffer_.size() >= k_;
-    }
-    if (!trigger) return out;
+    // The worker's next cycle starts immediately.
+    if (!triggered()) return {false, time};
 
     // Aggregate the buffered gradients into one update.
-    std::fill(grad_sum_.begin(), grad_sum_.end(), 0.0f);
+    std::fill(ph_.grad_sum.begin(), ph_.grad_sum.end(), 0.0f);
     double loss_sum = 0.0;
     std::int64_t stale_sum = 0;
     for (const auto& it : buffer_) {
-      ops::add_inplace(std::span<float>(grad_sum_), std::span<const float>(it.grad));
+      ops::add_inplace(std::span<float>(ph_.grad_sum), std::span<const float>(it.grad));
       loss_sum += it.loss;
       stale_sum += it.staleness;
     }
-    const auto m = static_cast<double>(buffer_.size());
-    ops::scale_inplace(std::span<float>(grad_sum_), static_cast<float>(1.0 / m));
-
-    const double mult = cfg_.lr_multiplier_schedule
-                            ? cfg_.lr_multiplier_schedule(state_.global_step)
-                            : cfg_.lr_multiplier;
-    const double lr = cfg_.lr_schedule->at(state_.global_step) * mult;
-    state_.ps.set_momentum(momentum_(result_.steps_done));
-    // Each buffered contribution carries the staleness of its own pull.
-    (void)state_.ps.push(grad_sum_, lr, fl.pull_versions);
-    state_.clock = time + cluster_.spec().async_apply;
-    state_.global_step += static_cast<std::int64_t>(buffer_.size());
-    result_.steps_done += static_cast<std::int64_t>(buffer_.size());
-    total_staleness_ += stale_sum;
-    contributions_ += static_cast<std::int64_t>(buffer_.size());
-
-    UpdateObservation uobs;
-    uobs.global_step = state_.global_step;
-    uobs.time = state_.clock;
-    uobs.train_loss = loss_sum / m;
-    uobs.staleness =
-        static_cast<std::int64_t>(stale_sum / static_cast<std::int64_t>(buffer_.size()));
-    uobs.protocol = cfg_.protocol;
-    sink_.on_update(uobs);
+    const auto m = static_cast<std::int64_t>(buffer_.size());
     buffer_.clear();
-
-    if (!std::isfinite(uobs.train_loss) || uobs.train_loss > cfg_.divergence_loss_threshold ||
-        !state_.ps.healthy()) {
-      result_.end = PhaseEnd::kDiverged;
-      out.stop = true;
-      return out;
-    }
-    eval_();
-    if (stop_ && stop_(state_.clock, state_.global_step)) {
-      result_.end = PhaseEnd::kStopRequested;
-      result_.trigger_step = state_.global_step;
-      out.stop = true;
-      return out;
-    }
-    if (result_.steps_done >= cfg_.step_budget) out.stop = true;  // drain
-    return out;
+    ops::scale_inplace(std::span<float>(ph_.grad_sum),
+                       static_cast<float>(1.0 / static_cast<double>(m)));
+    // Each buffered contribution carries the staleness of its own pull.
+    const bool stop = ph_.commit(time + ph_.rt.cluster_.spec().async_apply, m,
+                                 loss_sum / static_cast<double>(m), [&](double lr) {
+                                   (void)ph_.state.ps.push(ph_.grad_sum, lr, fl.pull_versions);
+                                   return stale_sum;
+                                 });
+    return {stop, time};
   }
 
-  const ClusterModel& cluster_;
-  Model& grad_model_;
-  const Dataset& train_;
-  MetricsSink& sink_;
-  TrainingState& state_;
-  const PhaseConfig& cfg_;
-  const StragglerSchedule& stragglers_;
-  const StopPredicate& stop_;
-  PhaseResult& result_;
+  /// K-async: K distinct workers have pushed; K-batch-async: any K pushes.
+  [[nodiscard]] bool triggered() const {
+    if (!distinct_) return buffer_.size() >= k_;
+    std::set<int> distinct;
+    for (const auto& it : buffer_) distinct.insert(it.worker);
+    return distinct.size() >= k_;
+  }
+
+  Phase& ph_;
+  const std::size_t k_;
   const bool buffered_;
   const bool distinct_;
-  const std::size_t k_;
-  const std::size_t p_;
-  const std::size_t b_;
-  const double push_bytes_;
-  std::function<void()> eval_;
-  std::function<double(std::int64_t)> momentum_;
-
   std::vector<InFlight> inflight_;
   std::vector<Buffered> buffer_;
-  Tensor batch_x_;
-  std::vector<int> batch_y_;
-  std::vector<float> grad_;
-  std::vector<float> grad_sum_;
-  std::int64_t total_staleness_ = 0;
-  std::int64_t contributions_ = 0;
 };
-
-}  // namespace
 
 SimRuntime::SimRuntime(ClusterModel cluster, Model& grad_model, Model& eval_model,
                        const Dataset& train, const Dataset& eval_set, MetricsSink& sink)
@@ -323,22 +290,6 @@ SimRuntime::SimRuntime(ClusterModel cluster, Model& grad_model, Model& eval_mode
       train_(train),
       eval_set_(eval_set),
       sink_(sink) {}
-
-double SimRuntime::momentum_at(const PhaseConfig& cfg, std::int64_t steps_into_phase) const {
-  if (cfg.momentum_schedule) return cfg.momentum_schedule(steps_into_phase);
-  return cfg.momentum;
-}
-
-void SimRuntime::maybe_eval(TrainingState& state, const PhaseConfig& cfg) {
-  if (cfg.eval_interval <= 0) return;
-  const std::int64_t bucket = state.global_step / cfg.eval_interval;
-  if (bucket == last_eval_bucket_) return;
-  last_eval_bucket_ = bucket;
-  if (!state.ps.healthy()) return;  // divergence handled by the caller
-  eval_model_.set_params(state.ps.snapshot());
-  const double acc = eval_model_.evaluate_accuracy(eval_set_);
-  sink_.on_eval(state.global_step, state.clock, acc);
-}
 
 PhaseResult SimRuntime::run_phase(TrainingState& state, const PhaseConfig& cfg,
                                   const std::vector<int>& active_workers,
@@ -351,45 +302,38 @@ PhaseResult SimRuntime::run_phase(TrainingState& state, const PhaseConfig& cfg,
       throw ConfigError("run_phase: active worker index out of range");
   if (reads_staleness_bound(cfg.protocol) && cfg.ssp_staleness_bound < 0)
     throw ConfigError("run_phase: negative staleness bound");
-  // Reset the eval bucket so a fresh phase re-evaluates on its first boundary.
-  last_eval_bucket_ = state.global_step / std::max<std::int64_t>(cfg.eval_interval, 1);
 
+  Phase phase(*this, state, cfg, stragglers, stop);
   switch (cfg.protocol) {
     case Protocol::kBsp:
-      return run_rounds(state, cfg, active_workers, stragglers, stop, /*pipelined=*/false);
     case Protocol::kKSync:
-      return run_rounds(state, cfg, active_workers, stragglers, stop, /*pipelined=*/false);
+      return run_rounds(phase, active_workers, /*pipelined=*/false);
     case Protocol::kKBatchSync:
-      return run_rounds(state, cfg, active_workers, stragglers, stop, /*pipelined=*/true);
+      return run_rounds(phase, active_workers, /*pipelined=*/true);
     case Protocol::kAsp:
-      return run_event_driven(state, cfg, active_workers, stragglers, stop,
-                              AdmissionRules::track_only(), /*buffered=*/false,
-                              /*distinct_workers=*/false);
+      return run_event_driven(phase, active_workers, AdmissionRules::track_only(),
+                              /*buffered=*/false, /*distinct_workers=*/false);
     case Protocol::kSsp:
-      return run_event_driven(state, cfg, active_workers, stragglers, stop,
+      return run_event_driven(phase, active_workers,
                               AdmissionRules::bounded_by(cfg.ssp_staleness_bound),
                               /*buffered=*/false, /*distinct_workers=*/false);
     case Protocol::kDssp:
       // DSSP (Zhao et al.): the effective bound floats in [s, s + r].
       return run_event_driven(
-          state, cfg, active_workers, stragglers, stop,
+          phase, active_workers,
           AdmissionRules::dynamic_bound(cfg.ssp_staleness_bound, cfg.dssp_staleness_upper),
           /*buffered=*/false, /*distinct_workers=*/false);
     case Protocol::kKAsync:
-      return run_event_driven(state, cfg, active_workers, stragglers, stop,
-                              AdmissionRules::free_running(), /*buffered=*/true,
-                              /*distinct_workers=*/true);
+      return run_event_driven(phase, active_workers, AdmissionRules::free_running(),
+                              /*buffered=*/true, /*distinct_workers=*/true);
     case Protocol::kKBatchAsync:
-      return run_event_driven(state, cfg, active_workers, stragglers, stop,
-                              AdmissionRules::free_running(), /*buffered=*/true,
-                              /*distinct_workers=*/false);
+      return run_event_driven(phase, active_workers, AdmissionRules::free_running(),
+                              /*buffered=*/true, /*distinct_workers=*/false);
   }
   throw ConfigError("run_phase: unknown protocol");
 }
 
-PhaseResult SimRuntime::run_rounds(TrainingState& state, const PhaseConfig& cfg,
-                                   const std::vector<int>& active,
-                                   const StragglerSchedule& stragglers, const StopPredicate& stop,
+PhaseResult SimRuntime::run_rounds(Phase& phase, const std::vector<int>& active,
                                    bool pipelined) {
   // Dutta et al. [11]: each round, every worker computes on the same
   // parameter snapshot; the PS aggregates the first K contributions and
@@ -398,38 +342,31 @@ PhaseResult SimRuntime::run_rounds(TrainingState& state, const PhaseConfig& cfg,
   // (the first K *batches*).  BSP is K = n: the barrier waits for the
   // slowest, the aggregated update is a true batch-(n*b) gradient step (TF
   // SyncReplicasOptimizer semantics).
-  PhaseResult result;
+  TrainingState& state = phase.state;
+  const PhaseConfig& cfg = phase.cfg;
   const std::size_t n = active.size();
   const std::size_t k = cfg.protocol == Protocol::kBsp ? n : effective_k(cfg, n);
-  const std::size_t p = state.ps.num_params();
-  const std::size_t b = cfg.per_worker_batch;
-  const std::size_t d = train_.feature_dim();
+  const std::size_t b = phase.b;
 
-  std::vector<float> snapshot(p);
+  std::vector<float> snapshot(state.ps.num_params());
   std::vector<std::int64_t> versions;
-  std::vector<float> grad(p);
-  std::vector<float> grad_sum(p);
-  Tensor batch_x({b, d});
-  std::vector<int> batch_y;
   std::vector<std::uint32_t> indices;
 
-  const double push_bytes = push_wire_bytes(cluster_, cfg, p);
   const TaskDraw draw = [&](int w, VTime offset) {
-    const double slow = stragglers.slow_factor(w, state.clock + offset);
+    const double slow = phase.stragglers.slow_factor(w, state.clock + offset);
     auto& wrng = state.worker_rngs[static_cast<std::size_t>(w)];
     // pull (full parameters) + compute + push (possibly compressed).
     return cluster_.transfer_time(slow) + cluster_.compute_time(wrng, slow, b) +
-           cluster_.transfer_time(slow, push_bytes);
+           cluster_.transfer_time(slow, phase.push_bytes);
   };
 
-  const VTime phase_start = state.clock;
-  while (result.steps_done < cfg.step_budget) {
+  while (phase.result.steps_done < cfg.step_budget) {
     state.ps.pull_with_versions(snapshot, versions);
-    std::fill(grad_sum.begin(), grad_sum.end(), 0.0f);
+    std::fill(phase.grad_sum.begin(), phase.grad_sum.end(), 0.0f);
     double loss_sum = 0.0;
 
     const RoundPlan plan = plan_round(active, k, pipelined, draw);
-    result.cancelled_tasks += plan.cancelled;
+    phase.result.cancelled_tasks += plan.cancelled;
 
     // Compute the K winning gradients against the shared snapshot, in the
     // plan's deterministic order (worker index, then arrival).
@@ -437,79 +374,29 @@ PhaseResult SimRuntime::run_rounds(TrainingState& state, const PhaseConfig& cfg,
       auto& sampler = state.samplers[static_cast<std::size_t>(a.worker)];
       sampler.set_batch_size(b);
       sampler.next_batch(indices);
-      train_.gather(indices, batch_x, batch_y);
-      loss_sum += grad_model_.gradient_at(snapshot, batch_x, batch_y, grad);
+      loss_sum += phase.gradient(snapshot, indices);
       if (cfg.compressor)
-        cfg.compressor->transform(a.worker, grad,
+        cfg.compressor->transform(a.worker, phase.grad,
                                   state.worker_rngs[static_cast<std::size_t>(a.worker)]);
-      result.push_bytes += static_cast<std::int64_t>(std::llround(push_bytes));
-      ops::add_inplace(std::span<float>(grad_sum), std::span<const float>(grad));
-
-      TaskObservation tobs;
-      tobs.worker = a.worker;
-      tobs.completed_at = state.clock + a.at;
-      tobs.task_duration = a.duration;
-      tobs.images = b;
-      sink_.on_task(tobs);
+      ops::add_inplace(std::span<float>(phase.grad_sum), std::span<const float>(phase.grad));
+      sink_.on_task({a.worker, state.clock + a.at, a.duration, b});
     }
     // Average the gradients: the aggregated update is a true batch-(k*b)
-    // gradient step.
-    ops::scale_inplace(std::span<float>(grad_sum), 1.0f / static_cast<float>(k));
-
-    const double mult = cfg.lr_multiplier_schedule ? cfg.lr_multiplier_schedule(state.global_step)
-                                                   : cfg.lr_multiplier;
-    const double lr = cfg.lr_schedule->at(state.global_step) * mult;
-    state.ps.set_momentum(momentum_at(cfg, result.steps_done));
-    (void)state.ps.push(grad_sum, lr, versions);  // stale by 0: the round's own pull
-
-    state.clock += plan.round_end + cluster_.sync_overhead(k);
-    state.global_step += static_cast<std::int64_t>(k);
-    result.steps_done += static_cast<std::int64_t>(k);
-
-    const double mean_loss = loss_sum / static_cast<double>(k);
-    UpdateObservation uobs;
-    uobs.global_step = state.global_step;
-    uobs.time = state.clock;
-    uobs.train_loss = mean_loss;
-    uobs.staleness = 0;
-    uobs.protocol = cfg.protocol;
-    sink_.on_update(uobs);
-
-    if (!std::isfinite(mean_loss) || mean_loss > cfg.divergence_loss_threshold ||
-        !state.ps.healthy()) {
-      result.end = PhaseEnd::kDiverged;
-      result.elapsed = state.clock - phase_start;
-      return result;
-    }
-
-    maybe_eval(state, cfg);
-
-    if (stop && stop(state.clock, state.global_step)) {
-      result.end = PhaseEnd::kStopRequested;
-      result.trigger_step = state.global_step;
-      result.elapsed = state.clock - phase_start;
-      return result;
-    }
+    // gradient step, stale by 0 (the round's own pull).
+    ops::scale_inplace(std::span<float>(phase.grad_sum), 1.0f / static_cast<float>(k));
+    if (phase.commit(state.clock + (plan.round_end + cluster_.sync_overhead(k)),
+                     static_cast<std::int64_t>(k), loss_sum / static_cast<double>(k),
+                     [&](double lr) { return state.ps.push(phase.grad_sum, lr, versions); }))
+      break;
   }
-  result.end = PhaseEnd::kBudgetExhausted;
-  result.elapsed = state.clock - phase_start;
-  return result;
+  return phase.finish();
 }
 
-PhaseResult SimRuntime::run_event_driven(TrainingState& state, const PhaseConfig& cfg,
-                                         const std::vector<int>& active,
-                                         const StragglerSchedule& stragglers,
-                                         const StopPredicate& stop, AdmissionRules rules,
-                                         bool buffered, bool distinct_workers) {
-  PhaseResult result;
-  const std::size_t b = cfg.per_worker_batch;
-  const std::size_t k = effective_k(cfg, active.size());
-  const VTime phase_start = state.clock;
-
-  EventDrivenProcess process(
-      cluster_, grad_model_, train_, sink_, state, cfg, stragglers, stop, result, buffered,
-      distinct_workers, k, [this, &state, &cfg] { maybe_eval(state, cfg); },
-      [this, &cfg](std::int64_t steps) { return momentum_at(cfg, steps); });
+PhaseResult SimRuntime::run_event_driven(Phase& phase, const std::vector<int>& active,
+                                         AdmissionRules rules, bool buffered,
+                                         bool distinct_workers) {
+  EventDrivenProcess process(phase, effective_k(phase.cfg, active.size()), buffered,
+                             distinct_workers);
   DesEngine engine(process, active, rules);
 
   // Kick off: every active worker starts pulling at phase start, staggered
@@ -517,20 +404,16 @@ PhaseResult SimRuntime::run_event_driven(TrainingState& state, const PhaseConfig
   // real PS deployment (session setup times vary per node); starting all
   // workers in lockstep would push n near-identical gradients as a wave,
   // an artifact that destabilizes training right after a protocol switch.
-  const VTime cycle = cluster_.mean_cycle(b);
+  TrainingState& state = phase.state;
+  const VTime cycle = cluster_.mean_cycle(phase.b);
   for (int w : active) {
     process.prepare_worker(w);
     const double offset = state.worker_rngs[static_cast<std::size_t>(w)].uniform();
     engine.schedule_pull(w, state.clock + cycle.scaled(offset));
   }
   engine.run();
-
-  result.max_clock_gap = engine.max_clock_gap();
-  if (process.contributions() > 0)
-    result.mean_staleness = static_cast<double>(process.total_staleness()) /
-                            static_cast<double>(process.contributions());
-  result.elapsed = state.clock - phase_start;
-  return result;
+  phase.result.max_clock_gap = engine.max_clock_gap();
+  return phase.finish();
 }
 
 }  // namespace ss

@@ -23,10 +23,13 @@
 // runtime and the socket server use (ps/param_server.h), driven through the
 // same pull_with_versions / push / push_compressed calls; one thread drives
 // it here, so every shard lock is uncontended.
+//
+// Every update of every protocol ends in one tail (`SimRuntime::Phase`, in
+// the .cpp): the sink sees an update's `on_task` calls, then its
+// `on_update`, then any `on_eval`; divergence is checked once per update.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -94,12 +97,16 @@ struct TrainingState {
   VTime clock;                             ///< virtual wall clock
 };
 
+/// Default DSSP credit r (the bound floats in [s, s + r]).  Sessions keep
+/// it, so a session's staleness ceiling is its SSP bound plus this.
+inline constexpr int kDsspStalenessUpper = 8;
+
 /// Hyper-parameters and knobs for one phase (already derived by the
 /// configuration policy).
 struct PhaseConfig {
   Protocol protocol = Protocol::kBsp;
   int ssp_staleness_bound = 3;       ///< fixed bound for kSsp; lower bound for kDssp
-  int dssp_staleness_upper = 8;      ///< upper bound r for kDssp (bound in [s, s+r])
+  int dssp_staleness_upper = kDsspStalenessUpper;  ///< upper bound r for kDssp
   int k_param = 0;                   ///< K for the K-variant protocols; 0 = cluster size
   std::int64_t step_budget = 0;      ///< minibatch steps to run in this phase
   const LrSchedule* lr_schedule = nullptr;  ///< absolute eta(step), required
@@ -178,24 +185,21 @@ class SimRuntime {
                         const StragglerSchedule& stragglers, const StopPredicate& stop);
 
  private:
+  /// What every update of one phase shares, and `commit`, the one tail
+  /// every update runs through (defined in the .cpp).
+  struct Phase;
+  /// The WorkerProcess behind every event-driven protocol.
+  class EventDrivenProcess;
+
   /// The synchronous family (BSP, K-sync, K-batch-sync): one `plan_round`
   /// per aggregated update.  BSP is K-sync with K = n (bit-for-bit);
   /// `pipelined` selects K-batch-sync's fast-workers-pipeline round shape.
-  PhaseResult run_rounds(TrainingState& state, const PhaseConfig& cfg,
-                         const std::vector<int>& active, const StragglerSchedule& stragglers,
-                         const StopPredicate& stop, bool pipelined);
+  PhaseResult run_rounds(Phase& phase, const std::vector<int>& active, bool pipelined);
   /// The event-driven family (ASP/SSP/DSSP apply each push under `rules`;
   /// K-async/K-batch-async free-run and buffer K pushes per update, with
   /// `distinct_workers` selecting K-async's distinct-source trigger).
-  PhaseResult run_event_driven(TrainingState& state, const PhaseConfig& cfg,
-                               const std::vector<int>& active,
-                               const StragglerSchedule& stragglers, const StopPredicate& stop,
+  PhaseResult run_event_driven(Phase& phase, const std::vector<int>& active,
                                AdmissionRules rules, bool buffered, bool distinct_workers);
-
-  /// Evaluate test accuracy if `global_step` crossed an eval boundary.
-  void maybe_eval(TrainingState& state, const PhaseConfig& cfg);
-
-  double momentum_at(const PhaseConfig& cfg, std::int64_t steps_into_phase) const;
 
   ClusterModel cluster_;
   Model& grad_model_;
@@ -203,7 +207,6 @@ class SimRuntime {
   const Dataset& train_;
   const Dataset& eval_set_;
   MetricsSink& sink_;
-  std::int64_t last_eval_bucket_ = -1;
 };
 
 }  // namespace ss

@@ -95,7 +95,7 @@ ScenarioShape shape_of(const Scenario& s) {
       if (p.protocol == Protocol::kSsp || p.protocol == Protocol::kDssp) {
         sh.has_bounded_phase = true;
         int b = p.ssp_staleness_bound >= 0 ? p.ssp_staleness_bound : s.ssp_staleness_bound;
-        if (p.protocol == Protocol::kDssp) b += 8;  // DSSP credit ceiling (sim default)
+        if (p.protocol == Protocol::kDssp) b += kDsspStalenessUpper;
         sh.max_bound = std::max(sh.max_bound, b);
       }
     }

@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iomanip>
+#include <limits>
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "common/error.h"
+#include "compress/topk.h"
 #include "data/synthetic.h"
 #include "nn/zoo.h"
 #include "tensor/ops.h"
@@ -13,7 +22,8 @@ namespace ss {
 namespace {
 
 struct Fixture {
-  Fixture(std::size_t workers, std::uint64_t seed = 5, std::size_t batch = 8)
+  Fixture(std::size_t workers, std::uint64_t seed = 5, std::size_t batch = 8,
+          std::size_t shards = 1)
       : spec(make_spec()),
         split(make_synthetic(spec)),
         eval_set(split.test.head(128)),
@@ -23,7 +33,7 @@ struct Fixture {
           return make_model(ModelArch::kLinear, spec.feature_dim, spec.num_classes, init);
         }()),
         eval_model(model.clone()),
-        state(make_state(workers, batch)),
+        state(make_state(workers, batch, shards)),
         schedule(0.05) {}
 
   static SyntheticSpec make_spec() {
@@ -36,7 +46,7 @@ struct Fixture {
     return s;
   }
 
-  TrainingState make_state(std::size_t workers, std::size_t batch) {
+  TrainingState make_state(std::size_t workers, std::size_t batch, std::size_t ps_shards) {
     const auto shards = make_shards(split.train.size(), workers);
     std::vector<MinibatchSampler> samplers;
     std::vector<Rng> rngs;
@@ -44,8 +54,8 @@ struct Fixture {
       samplers.emplace_back(shards[w], batch, root.fork(100 + w));
       rngs.push_back(root.fork(200 + w));
     }
-    return TrainingState(SharedParameterServer(model.get_params(), 0.9), std::move(samplers),
-                         std::move(rngs));
+    return TrainingState(SharedParameterServer(model.get_params(), 0.9, ps_shards),
+                         std::move(samplers), std::move(rngs));
   }
 
   static ClusterSpec cluster_spec(std::size_t workers) {
@@ -344,6 +354,208 @@ TEST(SimRuntimeAsp, SingleWorkerEqualsSerialSgd) {
   const auto rt_params = fx.state.ps.snapshot();
   for (std::size_t i = 0; i < params.size(); ++i)
     EXPECT_FLOAT_EQ(rt_params[i], params[i]) << "param " << i;
+}
+
+TEST(SimRuntime, EveryProtocolChargesAPushTheSameRoundedBytes) {
+  // A fractional payload model rounds to the nearest byte on every push,
+  // whichever protocol family applies it.
+  const std::size_t n = 4;
+  ClusterSpec spec = Fixture::cluster_spec(n);
+  spec.payload_bytes = 1000.6;
+  for (Protocol proto : {Protocol::kBsp, Protocol::kAsp, Protocol::kSsp, Protocol::kDssp,
+                         Protocol::kKSync, Protocol::kKBatchSync, Protocol::kKAsync,
+                         Protocol::kKBatchAsync}) {
+    Fixture fx(n);
+    SimRuntime rt(ClusterModel(spec), fx.model, fx.eval_model, fx.split.train, fx.eval_set,
+                  fx.null_sink);
+    const auto result =
+        rt.run_phase(fx.state, fx.phase(proto, 16), fx.workers(n), fx.no_stragglers, nullptr);
+    ASSERT_EQ(result.cancelled_tasks, 0) << protocol_name(proto);
+    EXPECT_EQ(result.push_bytes, 1001 * result.steps_done) << protocol_name(proto);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Observation stream digest: every sink call of `run_phase`, in order, with
+// every field at max_digits10, plus each phase's result and the final PS
+// parameters.  The determinism corpus hashes only session results and
+// samples the loss curve every 8th update, so a reordering that moves no
+// trigger (an eval reported before the update that crossed its boundary)
+// passes it; this fails.
+
+/// 64-bit FNV-1a of `text`, as 16 hex digits.
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+class StreamSink final : public MetricsSink {
+ public:
+  StreamSink() { out << std::setprecision(std::numeric_limits<double>::max_digits10); }
+  void on_task(const TaskObservation& o) override {
+    out << "T " << o.worker << ' ' << o.completed_at.us() << ' ' << o.task_duration.us() << ' '
+        << o.images << '\n';
+  }
+  void on_update(const UpdateObservation& o) override {
+    out << "U " << o.global_step << ' ' << o.time.us() << ' ' << o.train_loss << ' '
+        << o.staleness << ' ' << static_cast<int>(o.protocol) << '\n';
+  }
+  void on_eval(std::int64_t step, VTime time, double acc) override {
+    out << "E " << step << ' ' << time.us() << ' ' << acc << '\n';
+  }
+  void on_result(const PhaseResult& r, const TrainingState& state) {
+    out << "R " << static_cast<int>(r.end) << ' ' << r.steps_done << ' ' << r.trigger_step << ' '
+        << r.elapsed.us() << ' ' << r.mean_staleness << ' ' << r.push_bytes << ' '
+        << r.cancelled_tasks << ' ' << r.max_clock_gap << ' ' << state.global_step << ' '
+        << state.clock.us() << '\n';
+  }
+  void on_params(const std::vector<float>& params) {
+    out << 'P';
+    for (float v : params) out << ' ' << static_cast<double>(v);
+    out << '\n';
+  }
+  std::ostringstream out;
+};
+
+enum class StreamVariant { kPlain, kDiverge, kStop };
+
+struct StreamCase {
+  Protocol protocol;
+  std::size_t shards;
+  bool topk;
+  StreamVariant variant;
+};
+
+std::string stream_case_name(const StreamCase& c) {
+  std::string name = protocol_name(c.protocol);
+  name += "/s" + std::to_string(c.shards);
+  if (c.topk) name += "/topk";
+  if (c.variant == StreamVariant::kDiverge) name += "/diverge";
+  if (c.variant == StreamVariant::kStop) name += "/stop";
+  return name;
+}
+
+/// Two phases of `c.protocol` on 4 workers (one a permanent 3x straggler),
+/// with evals, per-step LR-multiplier and momentum schedules, K = 2 for the
+/// K-variants and a tight SSP/DSSP bound, so every branch of the update path
+/// contributes to the stream.
+std::string run_stream(const StreamCase& c) {
+  const std::size_t n = 4;
+  Fixture fx(n, 5, 8, c.shards);
+  StreamSink sink;
+  SimRuntime runtime(ClusterModel(Fixture::cluster_spec(n)), fx.model, fx.eval_model,
+                     fx.split.train, fx.eval_set, sink);
+  std::optional<CompressorBank> bank;
+  if (c.topk) bank.emplace(std::make_shared<TopKCodec>(0.1), n, true);
+  const ConstantLr huge(1e5);
+  const StragglerSchedule slow = StragglerSchedule::permanent(1, 3.0);
+
+  PhaseConfig cfg = fx.phase(c.protocol, 40);
+  cfg.k_param = 2;
+  cfg.ssp_staleness_bound = 1;
+  cfg.dssp_staleness_upper = 2;
+  cfg.eval_interval = 12;
+  cfg.lr_multiplier_schedule = [](std::int64_t step) { return 1.0 + 0.25 * (step % 3); };
+  cfg.momentum_schedule = [](std::int64_t steps) { return 0.9 - 0.01 * (steps % 4); };
+  if (bank) cfg.compressor = &*bank;
+  StopPredicate stop;
+  if (c.variant == StreamVariant::kDiverge) {
+    cfg.lr_schedule = &huge;
+    cfg.divergence_loss_threshold = 5.0;
+  }
+  if (c.variant == StreamVariant::kStop)
+    stop = [](VTime, std::int64_t step) { return step >= 10; };
+
+  for (std::int64_t budget : {40, 24}) {
+    cfg.step_budget = budget;
+    const PhaseResult r = runtime.run_phase(fx.state, cfg, fx.workers(n), slow, stop);
+    sink.on_result(r, fx.state);
+    if (r.end != PhaseEnd::kBudgetExhausted) break;
+  }
+  sink.on_params(fx.state.ps.snapshot());
+  return fnv1a_hex(sink.out.str());
+}
+
+std::vector<StreamCase> stream_cases() {
+  std::vector<StreamCase> cases;
+  for (Protocol p : {Protocol::kBsp, Protocol::kAsp, Protocol::kSsp, Protocol::kDssp,
+                     Protocol::kKSync, Protocol::kKBatchSync, Protocol::kKAsync,
+                     Protocol::kKBatchAsync})
+    for (std::size_t shards : {1, 8})
+      for (bool topk : {false, true}) cases.push_back({p, shards, topk, StreamVariant::kPlain});
+  for (Protocol p : {Protocol::kBsp, Protocol::kAsp, Protocol::kKAsync})
+    cases.push_back({p, 1, false, StreamVariant::kDiverge});
+  for (Protocol p : {Protocol::kBsp, Protocol::kAsp, Protocol::kKBatchAsync})
+    cases.push_back({p, 1, false, StreamVariant::kStop});
+  return cases;
+}
+
+// Recorded from the three-tail engine (one update tail per protocol family)
+// before it became one commit path.  A deliberate change to what the sink
+// sees re-pins from the table the failure message prints.
+const std::map<std::string, std::string>& pinned_stream_digests() {
+  static const std::map<std::string, std::string> pinned = {
+      {"BSP/s1", "294761ee41e39470"},
+      {"BSP/s1/topk", "56cea134d718a58b"},
+      {"BSP/s8", "294761ee41e39470"},
+      {"BSP/s8/topk", "56cea134d718a58b"},
+      {"ASP/s1", "061f73a980b27e98"},
+      {"ASP/s1/topk", "ecb77e9ae362fe23"},
+      {"ASP/s8", "061f73a980b27e98"},
+      {"ASP/s8/topk", "2253fa240fd212ce"},
+      {"SSP/s1", "8f93d57b35c50bc1"},
+      {"SSP/s1/topk", "198737987b2b6dd6"},
+      {"SSP/s8", "8f93d57b35c50bc1"},
+      {"SSP/s8/topk", "28190fc4b0ff27c6"},
+      {"DSSP/s1", "35a9b32707402b71"},
+      {"DSSP/s1/topk", "852b2ad01d2cdedd"},
+      {"DSSP/s8", "35a9b32707402b71"},
+      {"DSSP/s8/topk", "344bb29e403f8ddf"},
+      {"K-sync/s1", "f75dd0d6de14966c"},
+      {"K-sync/s1/topk", "d32868e5a00b66dc"},
+      {"K-sync/s8", "f75dd0d6de14966c"},
+      {"K-sync/s8/topk", "d32868e5a00b66dc"},
+      {"K-batch-sync/s1", "e8911df276f116e8"},
+      {"K-batch-sync/s1/topk", "783bf4e1fed8227f"},
+      {"K-batch-sync/s8", "e8911df276f116e8"},
+      {"K-batch-sync/s8/topk", "783bf4e1fed8227f"},
+      {"K-async/s1", "2247b8a23ed4ae49"},
+      {"K-async/s1/topk", "b9edcd94b36005b5"},
+      {"K-async/s8", "2247b8a23ed4ae49"},
+      {"K-async/s8/topk", "b9edcd94b36005b5"},
+      {"K-batch-async/s1", "183c02703f7941af"},
+      {"K-batch-async/s1/topk", "4fa2d4e174d844a5"},
+      {"K-batch-async/s8", "183c02703f7941af"},
+      {"K-batch-async/s8/topk", "4fa2d4e174d844a5"},
+      {"BSP/s1/diverge", "b70732d9ccfe1e49"},
+      {"ASP/s1/diverge", "aca8c4ff10355a92"},
+      {"K-async/s1/diverge", "74b470c80edec898"},
+      {"BSP/s1/stop", "4444a5f236c93c45"},
+      {"ASP/s1/stop", "6ecfdff59708e49b"},
+      {"K-batch-async/s1/stop", "fb357f1de5f57189"},
+  };
+  return pinned;
+}
+
+TEST(SimRuntimeStream, PinnedObservationStreamDigests) {
+  const auto& pinned = pinned_stream_digests();
+  std::ostringstream table;
+  int mismatches = 0;
+  for (const StreamCase& c : stream_cases()) {
+    const std::string name = stream_case_name(c);
+    const std::string got = run_stream(c);
+    table << "      {\"" << name << "\", \"" << got << "\"},\n";
+    const auto it = pinned.find(name);
+    if (it == pinned.end() || it->second != got) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0) << "stream digests differ; the current table is\n" << table.str();
+  EXPECT_EQ(pinned.size(), stream_cases().size());
 }
 
 }  // namespace
