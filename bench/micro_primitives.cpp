@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "compress/bank.h"
@@ -241,6 +243,37 @@ void BM_PsApplySparseTopK(benchmark::State& state) {
   state.counters["nnz"] = static_cast<double>(push.nnz());
 }
 BENCHMARK(BM_PsApplySparseTopK)->Args({10'000'000, 1})->Args({10'000'000, 8});
+
+// The sparse push under contention, as topk-wide runs it: each thread pulls
+// the whole model with its shard versions, then pushes its own top-k(1%)
+// push into one 4-shard PS of 102,500 parameters.  With 4 threads the lines
+// a push writes are held by the other threads' pulls, so each write must
+// claim its line from them; push_compressed asks for them in a writable
+// state before it takes each shard lock.  Compare Threads(4) against
+// Threads(1), where no other core holds the lines.
+void BM_PsSparsePushContended(benchmark::State& state) {
+  constexpr std::size_t kParams = 102'500;
+  constexpr std::size_t kShards = 4;
+  static std::unique_ptr<SharedParameterServer> ps;
+  // Thread 0 builds the server; every thread reaches it only inside the
+  // timed loop, which all threads enter together.
+  if (state.thread_index() == 0)
+    ps = std::make_unique<SharedParameterServer>(std::vector<float>(kParams, 0.5f), 0.9, kShards);
+  TopKCodec codec(0.01);
+  Rng rng(11 + static_cast<std::uint64_t>(state.thread_index()));
+  std::vector<float> grad(kParams);
+  for (float& g : grad) g = static_cast<float>(rng.gaussian());
+  const CompressedPush push = codec.encode(grad, rng);
+  std::vector<float> pulled(kParams);
+  std::vector<std::int64_t> versions;
+  for (auto _ : state) {
+    ps->pull_with_versions(pulled, versions);
+    benchmark::DoNotOptimize(ps->push_compressed(push, 1e-6, versions));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(push.nnz()));
+}
+BENCHMARK(BM_PsSparsePushContended)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_PsPull(benchmark::State& state) {
   const std::size_t p = 13000;

@@ -28,6 +28,10 @@ void CompressedPush::validate(std::size_t expected_params) const {
   }
 }
 
+ValidatedPush::ValidatedPush(const CompressedPush& push) : push_(&push) {
+  push.validate(push.num_params);
+}
+
 void CompressedPush::decode_into(std::span<float> out) const {
   if (out.size() != num_params)
     throw ConfigError("CompressedPush::decode_into: output size mismatch");

@@ -63,4 +63,22 @@ struct CompressedPush {
   void add_into(std::span<float> out) const;
 };
 
+/// A view of a CompressedPush that has passed `validate` against its own
+/// `num_params`: sizes agree, and sparse indices are strictly ascending and
+/// below `num_params`.  Only the constructor makes one, so holding one means
+/// the check ran.  The push must outlive the view and stay unchanged.
+class ValidatedPush {
+ public:
+  /// Validate `push` (ConfigError if malformed).
+  explicit ValidatedPush(const CompressedPush& push);
+  /// A temporary would leave the view dangling.
+  explicit ValidatedPush(CompressedPush&&) = delete;
+
+  [[nodiscard]] const CompressedPush& operator*() const noexcept { return *push_; }
+  [[nodiscard]] const CompressedPush* operator->() const noexcept { return push_; }
+
+ private:
+  const CompressedPush* push_;
+};
+
 }  // namespace ss

@@ -53,12 +53,29 @@ namespace {
 constexpr std::size_t kSampleSize = 1024;
 constexpr std::size_t kOversample = 2;
 
-// Sample position q of n: a multiplicative hash, so the sample spreads over
-// every row and column of a weight matrix (a plain stride equal to the class
-// count would read a single column).
-std::size_t sample_position(std::size_t q, std::size_t n) noexcept {
-  return static_cast<std::size_t>((std::uint64_t{q} * 2654435761u + 12345u) % n);
-}
+// The sample positions of n coordinates, in order: position q is the
+// multiplicative hash (q * 2654435761 + 12345) mod n, so the sample spreads
+// over every row and column of a weight matrix (a plain stride equal to the
+// class count would read a single column).  Each position is the last plus
+// the multiplier mod n, reduced by one conditional subtraction, so no
+// division runs per position.
+class SamplePositions {
+ public:
+  explicit SamplePositions(std::size_t n) noexcept
+      : n_(n), step_(2654435761u % n), pos_(12345u % n) {}
+
+  std::size_t next() noexcept {
+    const std::size_t at = pos_;
+    pos_ += step_;
+    pos_ -= pos_ >= n_ ? n_ : 0;
+    return at;
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t step_;
+  std::size_t pos_;
+};
 
 // Radix width of the selection among candidates: 4,096 counters (16 KB,
 // L1-resident).
@@ -100,58 +117,68 @@ std::uint32_t candidate_bound(std::span<const float> g, std::span<const float> c
   const std::size_t rank = (kOversample * k * kSampleSize + n - 1) / n;
   if (rank >= kSampleSize) return 0;
   std::array<std::uint32_t, kSampleSize> sample;
-  for (std::size_t q = 0; q < kSampleSize; ++q) {
-    const std::size_t i = sample_position(q, n);
-    sample[q] = magnitude_bits(carry.empty() ? g[i] : g[i] + carry[i]);
+  SamplePositions positions(n);
+  for (std::uint32_t& m : sample) {
+    const std::size_t i = positions.next();
+    m = magnitude_bits(carry.empty() ? g[i] : g[i] + carry[i]);
   }
   const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(rank - 1);
   std::nth_element(sample.begin(), nth, sample.end(), std::greater<>());
   return *nth;
 }
 
-// One pass over x appending (index, magnitude) for every |x| >= lo, in
-// ascending index order, 16 coordinates per step.  With kCarry, x = g + carry
-// is formed on the way and stored into `carry` (the error-feedback carry-in);
-// otherwise x = g.
+// Append (index, magnitude) for every |x| >= lo to `out`, in ascending
+// index order.  With kCarry, x = g + carry is formed on the way and stored
+// into `carry` (the error-feedback carry-in); otherwise x = g.  The first
+// pass has no data-dependent branch: it compares 16 coordinates per block
+// and stores each block's 16-bit hit mask into a 64-bit word, four blocks to
+// a word.  The second walks the set bits and reads each magnitude back from
+// x, so only one branch per word depends on the data.
 template <bool kCarry>
 void collect(std::span<const float> g, std::span<float> carry, std::uint32_t lo,
              std::vector<Candidate>& out) {
   const std::size_t n = g.size();
+  const std::size_t blocks = n / 16;
   const auto lo_lane = static_cast<std::int32_t>(lo);
   const i4 lo4 = {lo_lane, lo_lane, lo_lane, lo_lane};
   const i4 abs_mask = {0x7FFFFFFF, 0x7FFFFFFF, 0x7FFFFFFF, 0x7FFFFFFF};
   const i4 lane_bit = {1, 2, 4, 8};
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    i4 mag[4];
-    i4 bits = {0, 0, 0, 0};
-    for (std::size_t b = 0; b < 4; ++b) {
-      v4 x = load4(g.data() + i + 4 * b);
-      if constexpr (kCarry) {
-        x += load4(carry.data() + i + 4 * b);
-        store4(carry.data() + i + 4 * b, x);
+  // Bit 16 * (block % 4) + 4 * b + lane of words[block / 4] is set when lane
+  // `lane` of the block's b-th group of four is a candidate.
+  std::vector<std::uint64_t> words((blocks + 3) / 4);
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t blk = 4 * w; blk < std::min(blocks, 4 * w + 4); ++blk) {
+      i4 bits = {0, 0, 0, 0};
+      for (std::size_t b = 0; b < 4; ++b) {
+        const std::size_t i = 16 * blk + 4 * b;
+        v4 x = load4(g.data() + i);
+        if constexpr (kCarry) {
+          x += load4(carry.data() + i);
+          store4(carry.data() + i, x);
+        }
+        bits |= ((std::bit_cast<i4>(x) & abs_mask) >= lo4) &
+                (lane_bit << static_cast<std::int32_t>(4 * b));
       }
-      mag[b] = std::bit_cast<i4>(x) & abs_mask;
-      bits |= (mag[b] >= lo4) & (lane_bit << static_cast<std::int32_t>(4 * b));
+      const auto hits = static_cast<std::uint32_t>(bits[0] | bits[1] | bits[2] | bits[3]);
+      word |= std::uint64_t{hits} << (16 * (blk - 4 * w));
     }
-    // Bit 4b + lane of `hits` is set when lane `lane` of block b is a candidate.
-    auto hits = static_cast<std::uint32_t>(bits[0] | bits[1] | bits[2] | bits[3]);
-    if (hits == 0) continue;
-    std::uint32_t m[16];
-    std::memcpy(m, mag, sizeof m);
-    do {
-      const int lane = std::countr_zero(hits);
-      out.push_back({static_cast<std::uint32_t>(i) + static_cast<std::uint32_t>(lane), m[lane]});
-      hits &= hits - 1;
-    } while (hits != 0);
+    words[w] = word;
   }
-  for (; i < n; ++i) {
-    float x = g[i];
-    if constexpr (kCarry) {
-      x += carry[i];
-      carry[i] = x;
+  const float* x = kCarry ? carry.data() : g.data();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const std::size_t i = 64 * w + static_cast<std::size_t>(std::countr_zero(word));
+      out.push_back({static_cast<std::uint32_t>(i), magnitude_bits(x[i])});
     }
-    const std::uint32_t m = magnitude_bits(x);
+  }
+  for (std::size_t i = 16 * blocks; i < n; ++i) {
+    float xi = g[i];
+    if constexpr (kCarry) {
+      xi += carry[i];
+      carry[i] = xi;
+    }
+    const std::uint32_t m = magnitude_bits(xi);
     if (m >= lo) out.push_back({static_cast<std::uint32_t>(i), m});
   }
 }
@@ -167,8 +194,10 @@ void count_retry() {
 // Exact radix select among `count` candidates, `at(j)` being the j-th in
 // ascending index order (at least k of them, every magnitude in [low, high]):
 // the k largest magnitudes, lower index first on equal magnitude, in
-// ascending index order.
-template <class At>
+// ascending index order.  kMostBelow says that most of them lie below the
+// k-th magnitude (a scan of the full vector), not about half (a candidate
+// set).
+template <bool kMostBelow, class At>
 std::vector<std::uint32_t> select_among(std::size_t count, At at, std::size_t k,
                                         std::uint32_t low, std::uint32_t high) {
   // 1. Histogram the magnitudes, keyed by their offset from `low` and scaled
@@ -200,16 +229,19 @@ std::vector<std::uint32_t> select_among(std::size_t count, At at, std::size_t k,
   std::size_t ties = k - above - strictly_above;
 
   // 3. One ascending scan: everything above tau, and the lowest-index ties.
-  //    Most of a full vector lies below tau, so that test is a predicted
-  //    branch.  The rest is branch-free: a candidate at or above tau is
-  //    written at the next free slot, and the slot advances only if it is
-  //    kept (so one spare slot at the end).
+  //    Each one is written at the next free slot, and the slot advances only
+  //    if it is kept (so one spare slot at the end).  Most of a full vector
+  //    lies below tau, so there skipping those is a predicted branch; among
+  //    candidates about half do, so that branch would mispredict and the
+  //    scan runs without it.
   std::vector<std::uint32_t> out(k + 1);
   std::size_t kept = 0;
   for (std::size_t j = 0; j < count; ++j) {
     const Candidate c = at(j);
-    if (c.magnitude < tau) [[likely]]
-      continue;
+    if constexpr (kMostBelow) {
+      if (c.magnitude < tau) [[likely]]
+        continue;
+    }
     const bool tie = (c.magnitude == tau) & (ties != 0);
     ties -= tie;
     out[kept] = c.index;
@@ -238,7 +270,7 @@ std::vector<std::uint32_t> select_topk(std::span<const float> g, std::span<float
     if (cands.size() >= k) {
       std::uint32_t high = lo;
       for (const Candidate& c : cands) high = std::max(high, c.magnitude);
-      return select_among(
+      return select_among<false>(
           cands.size(), [&cands](std::size_t j) { return cands[j]; }, k, lo, high);
     }
     count_retry();  // the sample overshot tau; the carry is already done
@@ -246,7 +278,7 @@ std::vector<std::uint32_t> select_topk(std::span<const float> g, std::span<float
     for (std::size_t i = 0; i < g.size(); ++i) carry[i] = g[i] + carry[i];
   }
   const std::span<const float> x = carry.empty() ? g : carry;
-  return select_among(
+  return select_among<true>(
       x.size(),
       [x](std::size_t j) { return Candidate{static_cast<std::uint32_t>(j), magnitude_bits(x[j])}; },
       k, 0, 0x7FFFFFFFu);
@@ -268,8 +300,9 @@ std::vector<std::uint32_t> TopKCodec::threshold_sample(std::size_t num_params) {
   std::vector<std::uint32_t> positions;
   if (num_params == 0) return positions;
   positions.reserve(kSampleSize);
+  SamplePositions next(num_params);
   for (std::size_t q = 0; q < kSampleSize; ++q)
-    positions.push_back(static_cast<std::uint32_t>(sample_position(q, num_params)));
+    positions.push_back(static_cast<std::uint32_t>(next.next()));
   return positions;
 }
 

@@ -337,9 +337,9 @@ FrameOut PushCompressedMsg::encode() const {
   return f;
 }
 
-double PushCompressedMsg::decode(std::span<const std::uint8_t> payload,
-                                 std::vector<std::int64_t>& pull_versions,
-                                 CompressedPush& push) {
+PushCompressedMsg::Decoded PushCompressedMsg::decode(std::span<const std::uint8_t> payload,
+                                                     std::vector<std::int64_t>& pull_versions,
+                                                     CompressedPush& push) {
   Reader r(payload, "PushCompressed");
   const auto lr = r.scalar<double>();
   r.vec(pull_versions);
@@ -353,16 +353,15 @@ double PushCompressedMsg::decode(std::span<const std::uint8_t> payload,
   r.vec(push.indices);
   r.done();
   if (pull_versions.empty()) throw NetError("PushCompressed: empty version vector");
-  // Re-validate the push invariants at the trust boundary, converting the
+  // Validate the push invariants at the trust boundary, converting the
   // library's ConfigError into the transport's typed error: a corrupt frame
   // must never reach the PS apply path (whose ascending-index walk is what
   // the per-shard deadlock-freedom argument rests on).
   try {
-    push.validate(push.num_params);
+    return {lr, ValidatedPush(push)};
   } catch (const ConfigError& e) {
     throw NetError(std::string("PushCompressed: ") + e.what());
   }
-  return lr;
 }
 
 // --------------------------------------------------------------- replies

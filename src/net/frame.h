@@ -234,18 +234,25 @@ struct PushDenseMsg {
 };
 
 /// Worker -> PS: a CompressedPush (dense quantized or sparse top-k).
-/// Decode re-validates the push invariants (sparse indices strictly
-/// ascending and < num_params) so a corrupt frame cannot reach the PS math.
+/// Decode validates the push invariants (sparse indices strictly ascending
+/// and < num_params) so a corrupt frame cannot reach the PS math, and hands
+/// the PS the ValidatedPush, so the push is not checked again.
 struct PushCompressedMsg {
   double lr = 0.0;
   std::span<const std::int64_t> pull_versions;
   const CompressedPush& push;
 
+  struct Decoded {
+    double lr;
+    ValidatedPush push;  ///< views the decode's `push` buffer
+  };
+
   [[nodiscard]] FrameOut encode() const;
-  /// Decode into the receiver's buffers (capacity reused); returns lr.
-  [[nodiscard]] static double decode(std::span<const std::uint8_t> payload,
-                                     std::vector<std::int64_t>& pull_versions,
-                                     CompressedPush& push);
+  /// Decode into the receiver's buffers (capacity reused).  NetError if the
+  /// frame or the push it carries is malformed.
+  [[nodiscard]] static Decoded decode(std::span<const std::uint8_t> payload,
+                                      std::vector<std::int64_t>& pull_versions,
+                                      CompressedPush& push);
 };
 
 /// PS -> worker: staleness of the just-applied push.

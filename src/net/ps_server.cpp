@@ -131,11 +131,11 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
             break;
           }
           case MsgType::kPushCompressed: {
-            // The PS validates the push against its own length (ConfigError,
-            // answered below with an Error frame).
-            const double lr = PushCompressedMsg::decode(payload, versions, compressed);
+            // Decode validated the push; the PS checks only its length
+            // against its own (ConfigError, answered below with an Error frame).
+            const auto [lr, push] = PushCompressedMsg::decode(payload, versions, compressed);
             PushReplyMsg out;
-            out.staleness = ps.push_compressed(compressed, lr, versions);
+            out.staleness = ps.push_compressed(push, lr, versions);
             state.total_updates.fetch_add(1, std::memory_order_relaxed);
             reply = out.encode();
             break;

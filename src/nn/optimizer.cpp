@@ -36,12 +36,13 @@ void SgdMomentum::apply_sparse(std::span<float> params, std::span<const std::uin
     throw ConfigError("SgdMomentum::apply_sparse: parameter size mismatch");
   if (indices.size() != values.size())
     throw ConfigError("SgdMomentum::apply_sparse: index/value length mismatch");
+  // Ascending indices are in range when the last one is.
+  if (!indices.empty() && indices.back() >= params.size())
+    throw ConfigError("SgdMomentum::apply_sparse: index out of range");
   const float mu = static_cast<float>(momentum_);
   const float eta = static_cast<float>(lr);
   for (std::size_t i = 0; i < indices.size(); ++i) {
     const std::size_t j = indices[i];
-    if (j >= params.size())
-      throw ConfigError("SgdMomentum::apply_sparse: index out of range");
     accum_[j] = mu * accum_[j] + values[i];
     params[j] -= eta * accum_[j];
   }

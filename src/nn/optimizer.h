@@ -32,9 +32,12 @@ class SgdMomentum {
 
   /// Sparse update: advance only the listed coordinates.  `params` is the
   /// full parameter vector; `indices[i]` addresses both `params` and the
-  /// velocity state, receiving gradient `values[i]`.  Untouched coordinates
-  /// keep their parameter *and* velocity bits — sparse momentum SGD only
-  /// decays a coordinate's velocity when that coordinate is transmitted.
+  /// velocity state, receiving gradient `values[i]`.  The indices must be
+  /// strictly ascending (a ValidatedPush's are): only the last is checked
+  /// against the length, so no per-index test runs in the apply loop.
+  /// Untouched coordinates keep their parameter *and* velocity bits — sparse
+  /// momentum SGD only decays a coordinate's velocity when that coordinate
+  /// is transmitted.
   /// For a single step from equal state, the arithmetic on a listed
   /// coordinate is bit-identical to a dense `apply` of the scattered vector.
   void apply_sparse(std::span<float> params, std::span<const std::uint32_t> indices,

@@ -18,6 +18,37 @@ void copy_range(std::span<const float> from, std::span<float> to, const Range& r
             to.begin() + static_cast<std::ptrdiff_t>(r.begin));
 }
 
+// Ask for the lines a sparse run will write, each index's parameter and its
+// velocity, in a writable state, before the shard lock is taken.  Between
+// pushes the other workers' pulls hold those lines shared in their caches,
+// so each write would otherwise first claim its line from them, one after
+// another, with the lock held.  These are hints only: no element is read
+// or written, so results do not change.  The loop is inline asm because a
+// loop of __builtin_prefetch calls has no effect GCC must keep, and GCC 12
+// deletes it.  It stays out of line so that tools/check_isa_leak.py finds
+// every prefetchw in a function whose name says `prfchw`.
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::noinline]] void prefetch_for_write_prfchw(const float* params, const float* velocity,
+                                                 std::span<const std::uint32_t> indices) {
+  for (const std::uint32_t i : indices) {
+    asm volatile("prefetchw %0" ::"m"(params[i]));
+    asm volatile("prefetchw %0" ::"m"(velocity[i]));
+  }
+}
+
+void prefetch_for_write(const float* params, const float* velocity,
+                        std::span<const std::uint32_t> indices) {
+  // A function-local static, as for has_avx2() in tensor/ops.cpp.
+  static const bool has_prfchw = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("prfchw") != 0;
+  }();
+  if (has_prfchw) prefetch_for_write_prfchw(params, velocity, indices);
+}
+#else
+void prefetch_for_write(const float*, const float*, std::span<const std::uint32_t>) {}
+#endif
+
 }  // namespace
 
 SharedParameterServer::SharedParameterServer(std::vector<float> init_params, double momentum,
@@ -82,13 +113,17 @@ std::int64_t SharedParameterServer::push(std::span<const float> grad, double lr,
   return staleness;
 }
 
-std::int64_t SharedParameterServer::push_compressed(const CompressedPush& push, double lr,
+std::int64_t SharedParameterServer::push_compressed(const ValidatedPush& validated, double lr,
                                                     std::span<const std::int64_t> pull_versions) {
+  const CompressedPush& push = *validated;
+  if (push.num_params != params_.size())
+    throw ConfigError("SharedParameterServer::push_compressed: decoded length " +
+                      std::to_string(push.num_params) + " does not match the parameter count " +
+                      std::to_string(params_.size()));
   if (pull_versions.size() != num_shards())
     throw ConfigError("SharedParameterServer::push_compressed: shard count mismatch");
-  push.validate(params_.size());
   if (!push.sparse()) return this->push(push.values, lr, pull_versions);
-  // The indices are strictly ascending and in range (validated above), so
+  // The indices are strictly ascending and in range (ValidatedPush), so
   // each maximal run owned by one shard is applied under that shard's lock
   // alone, in ascending shard order; shards owning no index are skipped.
   const std::span<const std::uint32_t> indices(push.indices);
@@ -99,9 +134,11 @@ std::int64_t SharedParameterServer::push_compressed(const CompressedPush& push, 
     const std::size_t end = range(s).end;
     std::size_t hi = lo + 1;
     while (hi < indices.size() && indices[hi] < end) ++hi;
+    const std::span<const std::uint32_t> run = indices.subspan(lo, hi - lo);
+    prefetch_for_write(params_.data(), opt_.velocity().data(), run);
     const std::lock_guard<std::mutex> lock(mu_[s]);
     staleness = std::max(staleness, versions_[s] - pull_versions[s]);
-    opt_.apply_sparse(params_, indices.subspan(lo, hi - lo), values.subspan(lo, hi - lo), lr);
+    opt_.apply_sparse(params_, run, values.subspan(lo, hi - lo), lr);
     ++versions_[s];
     lo = hi;
   }

@@ -59,15 +59,24 @@ class SharedParameterServer {
   std::int64_t push(std::span<const float> grad, double lr,
                     std::span<const std::int64_t> pull_versions);
 
-  /// Apply a CompressedPush, validated once before any lock is taken
-  /// (ConfigError if malformed).  Dense pushes apply like `push`; sparse
-  /// pushes lock, apply and version only the shards owning kept
-  /// coordinates, so concurrent sparse pushes to disjoint shards never
+  /// Apply a validated push (ConfigError if it decodes to another length
+  /// than num_params; nothing is re-checked).  Dense pushes apply like
+  /// `push`; sparse pushes lock, apply and version only the shards owning
+  /// kept coordinates, so concurrent sparse pushes to disjoint shards never
   /// serialize, and their staleness is measured over those shards only.
-  /// Coordinates outside the index set keep their parameter and velocity
-  /// bits exactly (sparse momentum, SgdMomentum::apply_sparse).
-  std::int64_t push_compressed(const CompressedPush& push, double lr,
+  /// Before each shard lock, the lines the shard's run will write are asked
+  /// for in a writable state (a hint; see param_server.cpp), so the lock is
+  /// not held while they move between cores.  Coordinates outside the index
+  /// set keep their parameter and velocity bits exactly (sparse momentum,
+  /// SgdMomentum::apply_sparse).
+  std::int64_t push_compressed(const ValidatedPush& push, double lr,
                                std::span<const std::int64_t> pull_versions);
+
+  /// Validate `push` (ConfigError if malformed) and apply it.
+  std::int64_t push_compressed(const CompressedPush& push, double lr,
+                               std::span<const std::int64_t> pull_versions) {
+    return push_compressed(ValidatedPush(push), lr, pull_versions);
+  }
 
   /// Staleness a dense push would have now against `pulled`.  K-async
   /// buffers a push and measures it on arrival, before the buffer applies.

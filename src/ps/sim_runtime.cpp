@@ -102,7 +102,7 @@ struct SimRuntime::Phase {
     }
     if (cfg.eval_interval > 0 && state.global_step / cfg.eval_interval != eval_bucket) {
       eval_bucket = state.global_step / cfg.eval_interval;
-      rt.eval_model_.set_params(state.ps.snapshot());
+      state.ps.pull(rt.eval_model_.params());
       rt.sink_.on_eval(state.global_step, at, rt.eval_model_.evaluate_accuracy(rt.eval_set_));
     }
     if (stop && stop(at, state.global_step)) {
@@ -232,13 +232,14 @@ class SimRuntime::EventDrivenProcess final : public WorkerProcess {
   /// buffer's average as one update.
   PushOutcome push_buffered(int worker, VTime time) {
     auto& fl = inflight_[static_cast<std::size_t>(worker)];
-    Buffered item;
+    // Slots past `used_` keep their gradient buffers from earlier rounds.
+    if (used_ == buffer_.size()) buffer_.emplace_back();
+    Buffered& item = buffer_[used_++];
     item.loss = ph_.gradient(fl.snapshot, fl.indices);
     if (ph_.cfg.compressor) ph_.cfg.compressor->transform(worker, ph_.grad, rng(worker));
     item.grad.assign(ph_.grad.begin(), ph_.grad.end());
     item.staleness = ph_.state.ps.staleness_since(fl.pull_versions);
     item.worker = worker;
-    buffer_.push_back(std::move(item));
     ph_.rt.sink_.on_task({worker, time, time - fl.pull_started, ph_.b});
 
     // The worker's next cycle starts immediately.
@@ -248,13 +249,13 @@ class SimRuntime::EventDrivenProcess final : public WorkerProcess {
     std::fill(ph_.grad_sum.begin(), ph_.grad_sum.end(), 0.0f);
     double loss_sum = 0.0;
     std::int64_t stale_sum = 0;
-    for (const auto& it : buffer_) {
+    for (const Buffered& it : waiting()) {
       ops::add_inplace(std::span<float>(ph_.grad_sum), std::span<const float>(it.grad));
       loss_sum += it.loss;
       stale_sum += it.staleness;
     }
-    const auto m = static_cast<std::int64_t>(buffer_.size());
-    buffer_.clear();
+    const auto m = static_cast<std::int64_t>(used_);
+    used_ = 0;
     ops::scale_inplace(std::span<float>(ph_.grad_sum),
                        static_cast<float>(1.0 / static_cast<double>(m)));
     // Each buffered contribution carries the staleness of its own pull.
@@ -268,10 +269,15 @@ class SimRuntime::EventDrivenProcess final : public WorkerProcess {
 
   /// K-async: K distinct workers have pushed; K-batch-async: any K pushes.
   [[nodiscard]] bool triggered() const {
-    if (!distinct_) return buffer_.size() >= k_;
+    if (!distinct_) return used_ >= k_;
     std::set<int> distinct;
-    for (const auto& it : buffer_) distinct.insert(it.worker);
+    for (const Buffered& it : waiting()) distinct.insert(it.worker);
     return distinct.size() >= k_;
+  }
+
+  /// The pushes waiting in the buffer.
+  [[nodiscard]] std::span<const Buffered> waiting() const {
+    return std::span<const Buffered>(buffer_).first(used_);
   }
 
   Phase& ph_;
@@ -280,6 +286,7 @@ class SimRuntime::EventDrivenProcess final : public WorkerProcess {
   const bool distinct_;
   std::vector<InFlight> inflight_;
   std::vector<Buffered> buffer_;
+  std::size_t used_ = 0;  ///< buffer_[0, used_) are waiting to apply
 };
 
 SimRuntime::SimRuntime(ClusterModel cluster, Model& grad_model, Model& eval_model,

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -708,6 +709,30 @@ TEST(SharedPushCompressed, RejectsMalformedPushes) {
                                   std::vector<std::int64_t>(3, 0)),
                ConfigError);
   EXPECT_NO_THROW(ps.push_compressed(sparse_push(16, {3, 15}, {1.0f, 2.0f}), 0.05, pulled));
+}
+
+// A push is validated once, by building its ValidatedPush, which checks it
+// against its own length; the PS then checks only that length against its
+// own.  A view of a temporary would dangle, so none can be built.
+static_assert(!std::is_constructible_v<ValidatedPush, CompressedPush&&>);
+
+TEST(SharedPushCompressed, ValidatedPushIsCheckedOnceAndAppliesLikeAPlainPush) {
+  const CompressedPush descending = sparse_push(16, {5, 3}, {1.0f, 2.0f});
+  EXPECT_THROW((void)ValidatedPush(descending), ConfigError);
+
+  SharedParameterServer ps(init_params(16), 0.9, 4);
+  const std::vector<std::int64_t> pulled(4, 0);
+  const CompressedPush other_length = sparse_push(15, {3, 9}, {1.0f, 2.0f});
+  const ValidatedPush valid_elsewhere(other_length);  // well formed for 15
+  EXPECT_THROW(ps.push_compressed(valid_elsewhere, 0.05, pulled), ConfigError);
+  EXPECT_EQ(versions_of(ps), pulled);
+
+  SharedParameterServer plain(init_params(16), 0.9, 4);
+  const CompressedPush push = sparse_push(16, {3, 4, 15}, {1.0f, -2.0f, 0.5f});
+  EXPECT_EQ(ps.push_compressed(ValidatedPush(push), 0.05, pulled),
+            plain.push_compressed(push, 0.05, pulled));
+  EXPECT_EQ(ps.snapshot(), plain.snapshot());
+  EXPECT_EQ(versions_of(ps), versions_of(plain));
 }
 
 }  // namespace

@@ -302,7 +302,8 @@ TEST(NetFrame, PushCompressedRoundTrips) {
   CompressedPush got;
   EXPECT_DOUBLE_EQ(PushCompressedMsg::decode(
                        loop_back(PushCompressedMsg{0.01, versions, sparse}.encode(), shape).payload,
-                       got_versions, got),
+                       got_versions, got)
+                       .lr,
                    0.01);
   EXPECT_EQ(got_versions, versions);
   EXPECT_EQ(got.format, CompressedPush::Format::kSparse);
