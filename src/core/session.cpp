@@ -6,6 +6,7 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "data/batcher.h"
+#include "elastic/async_snapshotter.h"
 #include "elastic/recovery_coordinator.h"
 #include "ps/trace.h"
 #include "ps/sim_runtime.h"
@@ -230,13 +231,16 @@ RunResult TrainingSession::run() {
   std::vector<int> active = coord.active();
 
   // Crash recovery restores the latest snapshot at or before the crash
-  // step.  Only the last cadence boundary before each crash matters, so
-  // the budget is split exactly there instead of at every interval.
-  std::optional<Checkpoint> snapshot;
+  // step, through the snapshotter the real runtimes use.  It runs no
+  // cadence thread here: only the last cadence boundary before each crash
+  // matters, so the budget is split exactly there instead of at every
+  // interval, and each capture is taken at its boundary.
+  AsyncSnapshotter snapshotter([&] { return state.ps.snapshot_checkpoint(state.global_step); },
+                               [&] { return state.global_step; }, /*interval=*/0);
   std::vector<std::int64_t> capture_steps;
   for (const MembershipEvent& e : req_.elastic.plan.events()) {
     if (e.kind != MembershipEventKind::kCrash) continue;
-    if (!snapshot) snapshot = state.ps.snapshot_checkpoint(0);  // run-start floor
+    if (snapshotter.count() == 0) snapshotter.snapshot_now();  // run-start floor
     if (const std::int64_t every = req_.elastic.snapshot_interval; every > 0 && e.at_step >= every)
       capture_steps.push_back(e.at_step / every * every);
   }
@@ -270,14 +274,16 @@ RunResult TrainingSession::run() {
         pay_membership(actuator.resize_time().scaled(ascale));
       }
       if (a.event.kind == MembershipEventKind::kCrash &&
-          req_.elastic.recovery == RecoveryMode::kRestoreSnapshot && snapshot) {
-        pay_membership(cluster.recovery_restore_time());
-        result.updates_lost += state.global_step - snapshot->global_step;
+          req_.elastic.recovery == RecoveryMode::kRestoreSnapshot) {
         // Parameters + velocity roll back to the snapshot; the global step
         // and versions do not (batches are not replayed, exactly like the
         // threaded runtime's recovery).  Surviving workers keep their
         // error-feedback residuals.
-        state.ps.restore(*snapshot);
+        if (const std::optional<std::int64_t> lost = snapshotter.restore_latest(
+                [&](const Checkpoint& snap) { state.ps.restore(snap); })) {
+          pay_membership(cluster.recovery_restore_time());
+          result.updates_lost += *lost;
+        }
       }
       log_info("elastic: worker ", slot, " ", membership_event_name(a.event.kind), " at step ",
                state.global_step, ", ", coord.alive_count(), " workers alive");
@@ -385,7 +391,7 @@ RunResult TrainingSession::run() {
         // exactly.
         if (next_capture_idx < capture_steps.size() &&
             capture_steps[next_capture_idx] <= state.global_step) {
-          snapshot = state.ps.snapshot_checkpoint(state.global_step);
+          snapshotter.snapshot_now();
           while (next_capture_idx < capture_steps.size() &&
                  capture_steps[next_capture_idx] <= state.global_step)
             ++next_capture_idx;

@@ -7,33 +7,10 @@
 
 namespace ss {
 
-void SnapshotStore::put(Checkpoint ckpt) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  latest_ = std::move(ckpt);
-  ++count_;
-}
-
-std::optional<Checkpoint> SnapshotStore::latest() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return latest_;
-}
-
-std::int64_t SnapshotStore::count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-std::int64_t SnapshotStore::latest_step() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return latest_ ? latest_->global_step : -1;
-}
-
-AsyncSnapshotter::AsyncSnapshotter(CaptureFn capture, ProgressFn progress,
-                                   std::int64_t interval, SnapshotStore& store)
+AsyncSnapshotter::AsyncSnapshotter(CaptureFn capture, ProgressFn progress, std::int64_t interval)
     : capture_(std::move(capture)),
       progress_(std::move(progress)),
       interval_(interval),
-      store_(store),
       next_due_(interval) {
   if (!capture_ || !progress_)
     throw ConfigError("AsyncSnapshotter: capture and progress functions are required");
@@ -44,11 +21,11 @@ AsyncSnapshotter::AsyncSnapshotter(CaptureFn capture, ProgressFn progress,
 AsyncSnapshotter::~AsyncSnapshotter() { stop(); }
 
 void AsyncSnapshotter::capture_locked() {
-  Checkpoint ckpt = capture_();
+  latest_ = capture_();
+  ++count_;
   // Re-arm the cadence relative to what was just captured so an explicit
   // snapshot does not trigger an immediate redundant cadence one.
-  next_due_ = ckpt.global_step + interval_;
-  store_.put(std::move(ckpt));
+  next_due_ = latest_->global_step + interval_;
 }
 
 void AsyncSnapshotter::snapshot_now() {
@@ -58,12 +35,16 @@ void AsyncSnapshotter::snapshot_now() {
 
 std::optional<std::int64_t> AsyncSnapshotter::restore_latest(const RestoreFn& restore) {
   const std::lock_guard<std::mutex> lock(ps_mu_);
-  const std::optional<Checkpoint> snap = store_.latest();
-  if (!snap) return std::nullopt;
-  const std::int64_t lost = progress_() - snap->global_step;
-  restore(*snap);
+  if (!latest_) return std::nullopt;
+  const std::int64_t lost = progress_() - latest_->global_step;
+  restore(*latest_);
   if (interval_ > 0) capture_locked();
   return lost;
+}
+
+std::int64_t AsyncSnapshotter::count() const {
+  const std::lock_guard<std::mutex> lock(ps_mu_);
+  return count_;
 }
 
 void AsyncSnapshotter::stop() {

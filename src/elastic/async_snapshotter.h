@@ -1,34 +1,33 @@
-// Asynchronous, consistent sharded-PS snapshots for crash recovery.
+// Consistent sharded-PS snapshots for crash recovery, one class for every
+// runtime.
 //
 // A crash under RecoveryMode::kRestoreSnapshot rolls the parameter server
 // back to the last snapshot, so the loss window is bounded by one snapshot
 // interval — but only if taking a snapshot does not itself stall training.
-// The split here keeps both runtimes honest:
+// AsyncSnapshotter owns a PS's snapshots in the simulator, on threads and
+// on the socket server: it captures a checkpoint (format v2: params +
+// velocity + shard layout + versions) through a caller-supplied capture
+// function, holds the latest one, and restores it on a crash.
 //
-//  * SnapshotStore is the passive, thread-safe holder of the latest
-//    checkpoint (format v2: params + velocity + shard layout + versions).
-//    The simulator drives it synchronously at exact step boundaries, which
-//    is what makes elastic sim runs bit-for-bit reproducible.
-//  * AsyncSnapshotter is the snapshotter both real deployments share: the
-//    threaded runtime and the socket PS server.  It captures a checkpoint
-//    through a caller-supplied capture function, once on demand for the
-//    recovery floor (`snapshot_now`) and, when `interval > 0`, from a
-//    background thread that watches a progress counter (PS updates
-//    applied) and captures every `interval` updates.  The capture walks
-//    the PS copy-on-read, one shard lock at a time
-//    (SharedParameterServer::snapshot_checkpoint in ps/param_server.h, the
-//    call the simulator's synchronous captures make too), so workers
-//    pushing to other shards never block on it — each shard's slice is
-//    internally consistent (params + velocity + version move together
-//    under the shard lock) and cross-shard skew is bounded by the pushes
-//    that land mid-walk, the same guarantee a worker pull has.
+//  * `snapshot_now` captures on the calling thread: the run-start floor,
+//    and the simulator's captures at exact step boundaries (which is what
+//    makes elastic sim runs bit-for-bit reproducible).
+//  * When `interval > 0` (threads and the socket server), a background
+//    thread watches a progress counter (PS updates applied) and captures
+//    every `interval` updates.  The capture walks the PS copy-on-read, one
+//    shard lock at a time (SharedParameterServer::snapshot_checkpoint in
+//    ps/param_server.h), so workers pushing to other shards never block on
+//    it — each shard's slice is internally consistent (params + velocity +
+//    version move together under the shard lock) and cross-shard skew is
+//    bounded by the pushes that land mid-walk, the same guarantee a worker
+//    pull has.
+//  * `restore_latest` restores the held checkpoint and returns the updates
+//    it loses.
 //
-// One lock guards every capture and every restore of the snapshotter's PS:
-// cadence and floor captures, the crash restore (`restore_latest`), and
-// whatever a caller wraps in `exclusive` (the server's remote checkpoint
-// and restore requests).  Without it a capture walking the shards while a
-// restore rewrites them could store a torn mix of pre- and post-restore
-// slices as "latest".
+// One lock guards every capture and every restore, and the held
+// checkpoint.  Without it a capture walking the shards while a restore
+// rewrites them could store a torn mix of pre- and post-restore slices as
+// "latest".
 #pragma once
 
 #include <condition_variable>
@@ -37,31 +36,10 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <utility>
 
 #include "nn/checkpoint.h"
 
 namespace ss {
-
-/// Thread-safe holder of the most recent snapshot.
-class SnapshotStore {
- public:
-  void put(Checkpoint ckpt);
-
-  /// Copy of the latest snapshot, if any has been taken.
-  [[nodiscard]] std::optional<Checkpoint> latest() const;
-
-  /// Number of snapshots stored so far.
-  [[nodiscard]] std::int64_t count() const;
-
-  /// `global_step` of the latest snapshot (-1 when none exists).
-  [[nodiscard]] std::int64_t latest_step() const;
-
- private:
-  mutable std::mutex mu_;
-  std::optional<Checkpoint> latest_;
-  std::int64_t count_ = 0;
-};
 
 /// Snapshots for one PS: the recovery floor on demand, an optional
 /// background cadence, and the crash restore, all under one lock.
@@ -75,16 +53,15 @@ class AsyncSnapshotter {
   using ProgressFn = std::function<std::int64_t()>;
   using RestoreFn = std::function<void(const Checkpoint&)>;
 
-  /// `interval == 0` means no cadence: only snapshot_now() captures.
-  AsyncSnapshotter(CaptureFn capture, ProgressFn progress, std::int64_t interval,
-                   SnapshotStore& store);
+  /// `interval == 0` means no cadence and no thread: only snapshot_now()
+  /// captures.
+  AsyncSnapshotter(CaptureFn capture, ProgressFn progress, std::int64_t interval);
   ~AsyncSnapshotter();
 
   AsyncSnapshotter(const AsyncSnapshotter&) = delete;
   AsyncSnapshotter& operator=(const AsyncSnapshotter&) = delete;
 
-  /// Capture + store a snapshot immediately on the calling thread (the
-  /// run-start floor, so recovery always has something to restore).
+  /// Capture + hold a snapshot immediately on the calling thread.
   void snapshot_now();
 
   /// Restore the latest snapshot through `restore` and return the updates
@@ -93,12 +70,8 @@ class AsyncSnapshotter {
   /// once as the new floor.
   std::optional<std::int64_t> restore_latest(const RestoreFn& restore);
 
-  /// Run `fn` under the capture/restore lock and return its result.
-  template <typename Fn>
-  decltype(auto) exclusive(Fn&& fn) {
-    const std::lock_guard<std::mutex> lock(ps_mu_);
-    return std::forward<Fn>(fn)();
-  }
+  /// Number of snapshots captured so far.
+  [[nodiscard]] std::int64_t count() const;
 
   /// Join the background thread (idempotent).
   void stop();
@@ -110,8 +83,9 @@ class AsyncSnapshotter {
   CaptureFn capture_;
   ProgressFn progress_;
   std::int64_t interval_;
-  SnapshotStore& store_;
-  std::mutex ps_mu_;       ///< the one capture/restore lock; guards next_due_
+  mutable std::mutex ps_mu_;  ///< the one capture/restore lock; guards the three below
+  std::optional<Checkpoint> latest_;
+  std::int64_t count_ = 0;
   std::int64_t next_due_;  ///< progress value the next cadence snapshot is due at
   std::mutex stop_mu_;     ///< guards stop_ and the cadence wait
   std::condition_variable stop_cv_;

@@ -175,14 +175,11 @@ std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape) {
       return push_dense_bytes(shape) + 1 + 8 + 8 + 8 + 4 * std::uint64_t{shape.num_params};
     case MsgType::kPushReply:
     case MsgType::kDrainArrive:
-    case MsgType::kCheckpointRequest:
       return sizeof(std::int64_t);
     case MsgType::kDrainRelease:
       return sizeof(std::uint8_t);
-    case MsgType::kCheckpointReply:
-    case MsgType::kRestoreRequest:
     case MsgType::kError:
-      return kMaxFramePayload;
+      return sizeof(std::uint64_t) + kMaxErrorMessageBytes;
   }
   return 0;
 }
@@ -198,9 +195,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kPushReply: return "PushReply";
     case MsgType::kDrainArrive: return "DrainArrive";
     case MsgType::kDrainRelease: return "DrainRelease";
-    case MsgType::kCheckpointRequest: return "CheckpointRequest";
-    case MsgType::kCheckpointReply: return "CheckpointReply";
-    case MsgType::kRestoreRequest: return "RestoreRequest";
     case MsgType::kOk: return "Ok";
     case MsgType::kBye: return "Bye";
     case MsgType::kError: return "Error";
@@ -408,24 +402,11 @@ DrainReleaseMsg DrainReleaseMsg::decode(std::span<const std::uint8_t> payload) {
   return m;
 }
 
-FrameOut CheckpointRequestMsg::encode() const {
-  FrameOut f(MsgType::kCheckpointRequest);
-  f.scalar(logical_step);
-  return f;
-}
-
-CheckpointRequestMsg CheckpointRequestMsg::decode(std::span<const std::uint8_t> payload) {
-  Reader r(payload, "CheckpointRequest");
-  CheckpointRequestMsg m;
-  m.logical_step = r.scalar<std::int64_t>();
-  r.done();
-  return m;
-}
-
 FrameOut ErrorMsg::encode() const {
   FrameOut f(MsgType::kError);
-  f.scalar(static_cast<std::uint64_t>(message.size()));
-  f.ref(message.data(), message.size());
+  const std::size_t n = std::min<std::size_t>(message.size(), kMaxErrorMessageBytes);
+  f.scalar(static_cast<std::uint64_t>(n));
+  f.ref(message.data(), n);
   return f;
 }
 

@@ -13,14 +13,15 @@
 // scenario/trace_replay.h).
 //
 // Payload conventions: integers are fixed-width little-endian, doubles are
-// 8-byte IEEE bit patterns, vectors are [u64 count][elements].  Checkpoints
-// travel as their existing format-v2 serialization (nn/checkpoint.h), and
-// compressed pushes re-use CompressedPush's field set verbatim — the wire
-// object the codecs were designed around finally crosses a real wire.
+// 8-byte IEEE bit patterns, vectors are [u64 count][elements].  Compressed
+// pushes re-use CompressedPush's field set verbatim — the wire object the
+// codecs were designed around finally crosses a real wire.  No message
+// carries a checkpoint: snapshots stay inside the server
+// (elastic/async_snapshotter.h), so no peer can overwrite the PS wholesale.
 //
 // Zero copy.  An outgoing frame is a FrameOut: the header and the scalar and
 // count fields are staged in a small inline buffer, while bulk arrays
-// (parameters, gradients, compressed values, checkpoint bytes) are
+// (parameters, gradients, compressed values, the error text) are
 // referenced where they already lie and handed to the kernel by one gather
 // send.  On the way in, every payload is bounded at header time by its
 // type's largest length for the run's shape (max_payload_bytes), before
@@ -47,11 +48,13 @@ namespace ss {
 inline constexpr std::uint32_t kFrameMagic = 0x53534652;  // "SSFR"
 inline constexpr std::uint16_t kFrameVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-/// Global cap on a frame payload, and the bound of the variable-length
-/// frames (checkpoints, Error).  Large enough for a checkpoint of a
-/// 100M-parameter model (params + velocity + headers), small enough that a
-/// corrupt length field fails fast instead of driving a gigabyte resize.
+/// Global cap on a frame payload, checked before the run's shape is known.
+/// Every type's own bound (max_payload_bytes) lies below it for any model
+/// up to 100M parameters; a corrupt length field past it fails fast.
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
+/// Longest message text an Error frame carries; ErrorMsg::encode truncates
+/// a longer one.  The frame's bound is this plus the 8-byte length.
+inline constexpr std::uint64_t kMaxErrorMessageBytes = 4096;
 
 /// Wire message types.  Values are part of the protocol; append only, and
 /// never reuse a retired value (kRetiredMsgTypes).
@@ -65,9 +68,7 @@ enum class MsgType : std::uint16_t {
   kPushReply = 7,    ///< ps -> worker: staleness of the applied push
   kDrainArrive = 8,  ///< worker -> ps: quiesced at the drain barrier
   kDrainRelease = 9, ///< ps -> worker: barrier complete; continue or done
-  kCheckpointRequest = 10,  ///< -> ps: capture a consistent snapshot
-  kCheckpointReply = 11,    ///< ps ->: serialized format-v2 checkpoint
-  kRestoreRequest = 12,     ///< -> ps: restore from a serialized checkpoint
+  // 10, 11, 12: retired (the remote checkpoint/restore RPC).
   // 13, 14: retired (the scalar version query and its reply).
   kOk = 15,          ///< generic success acknowledgement
   kBye = 16,         ///< worker -> ps: clean leave (after drain release)
@@ -75,7 +76,7 @@ enum class MsgType : std::uint16_t {
 };
 
 /// Type values that once meant a message and are rejected as unknown now.
-inline constexpr std::array<std::uint16_t, 2> kRetiredMsgTypes{13, 14};
+inline constexpr std::array<std::uint16_t, 5> kRetiredMsgTypes{10, 11, 12, 13, 14};
 
 /// Human-readable message-type name ("PushDense", "DrainArrive", ...);
 /// "Unknown" for values outside the enum.  For logs and trace span labels.
@@ -166,7 +167,7 @@ struct WireShape {
 /// The largest payload a frame of `type` may carry in a run of `shape`.
 /// Fixed-layout messages, PullReply and PushDense must be exactly this long;
 /// a PushCompressed may be shorter (the bound is a sparse push keeping every
-/// coordinate); checkpoints and Error share the global cap.
+/// coordinate), and an Error's bound is its longest message.
 [[nodiscard]] std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape);
 
 // ---------------------------------------------------------------------------
@@ -280,18 +281,10 @@ struct DrainReleaseMsg {
   [[nodiscard]] static DrainReleaseMsg decode(std::span<const std::uint8_t> payload);
 };
 
-/// Checkpoint request (`logical_step` lands in Checkpoint::global_step);
-/// the reply carries the checkpoint's own serialization.
-struct CheckpointRequestMsg {
-  std::int64_t logical_step = 0;
-
-  [[nodiscard]] FrameOut encode() const;
-  [[nodiscard]] static CheckpointRequestMsg decode(std::span<const std::uint8_t> payload);
-};
-
 /// PS -> worker failure report.  The server catches its own exceptions and
 /// ships `what()`; the transport rethrows it as NetError("ps_server: ...").
-/// encode() references `message`, which must outlive the send.
+/// encode() references `message`, which must outlive the send, and sends
+/// at most its first kMaxErrorMessageBytes.
 struct ErrorMsg {
   std::string message;
 

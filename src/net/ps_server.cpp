@@ -26,12 +26,13 @@ namespace {
 /// Shared server state: the PS, its snapshotter, the cross-process
 /// drain barrier and the eviction counters.  The PS carries its own
 /// per-shard locks, so pushes from different session threads interleave at
-/// shard granularity exactly as worker threads do in-process; every capture
-/// and restore goes through the snapshotter's one lock.
+/// shard granularity exactly as worker threads do in-process.  Only the
+/// run-start floor, the snapshotter's cadence thread and an eviction's
+/// restore touch the snapshots; no frame a worker sends can capture or
+/// restore one.
 struct ServerState {
   SharedParameterServer ps;
   std::atomic<std::int64_t> total_updates{0};
-  SnapshotStore store;
   AsyncSnapshotter snapshotter;
   /// One arrival per worker: a drain, or an eviction's drop.
   std::barrier<> drain;
@@ -43,7 +44,7 @@ struct ServerState {
               std::size_t num_workers, std::int64_t snapshot_interval)
       : ps(std::move(init), momentum, shards),
         snapshotter([this] { return ps.snapshot_checkpoint(updates()); },
-                    [this] { return updates(); }, snapshot_interval, store),
+                    [this] { return updates(); }, snapshot_interval),
         drain(static_cast<std::ptrdiff_t>(num_workers)) {}
 
   [[nodiscard]] std::int64_t updates() const {
@@ -100,7 +101,6 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
   std::vector<std::int64_t> versions;
   CompressedPush compressed;
   std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> checkpoint;
   ErrorMsg error;
   bool drained = false;
   try {
@@ -150,20 +150,6 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
             out.done = true;  // the v1 deployment drains once, at the quota
             reply = out.encode();
             break;
-          }
-          case MsgType::kCheckpointRequest: {
-            const CheckpointRequestMsg msg = CheckpointRequestMsg::decode(payload);
-            checkpoint = state.snapshotter
-                             .exclusive([&] { return ps.snapshot_checkpoint(msg.logical_step); })
-                             .serialize();
-            reply = FrameOut(MsgType::kCheckpointReply);
-            reply.ref(checkpoint.data(), checkpoint.size());
-            break;
-          }
-          case MsgType::kRestoreRequest: {
-            const Checkpoint ckpt = Checkpoint::deserialize(payload);
-            state.snapshotter.exclusive([&] { ps.restore(ckpt); });
-            break;  // reply stays kOk
           }
           case MsgType::kBye:
             return;

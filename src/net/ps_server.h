@@ -4,8 +4,8 @@
 // parameters from the seed, listens on the endpoint, assigns slots to the
 // first `num_workers` connections (shipping each the full run configuration
 // — the server owns the config, workers only know where to connect), and
-// serves pull/push/drain/checkpoint frames from one session thread per
-// connection against a SharedParameterServer (ps/param_server.h), the one
+// serves pull/push/drain frames from one session thread per connection
+// against a SharedParameterServer (ps/param_server.h), the one
 // PS class the simulator and the threaded runtime use.  The deployed
 // protocol is ASP: workers run the threaded runtime's WorkerSlot step for
 // their quota and quiesce at one final drain barrier (the in-process
@@ -15,8 +15,10 @@
 // Fault tolerance is the threaded runtime's crash path over real process
 // death, through the same AsyncSnapshotter: copy-on-read checkpoints on an
 // update cadence over a run-start floor, with every capture and restore
-// under the snapshotter's one lock.  When a worker's socket dies mid-run
-// (kill -9, OOM, network partition — anything that closes the fd) the
+// under the snapshotter's one lock.  No frame captures or restores a
+// snapshot: the PS's parameters change only through pushes and the eviction
+// restore.  When a worker's socket dies mid-run (kill -9, OOM, network
+// partition — anything that closes the fd) the
 // server evicts the slot, restores the latest snapshot
 // (RecoveryMode::kRestoreSnapshot semantics: updates since the snapshot are
 // lost, versions never roll back), and drops the slot from the drain

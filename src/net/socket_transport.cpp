@@ -67,19 +67,6 @@ std::int64_t SocketTransport::push_compressed(const CompressedPush& push, double
   return PushReplyMsg::decode(rpc(msg.encode(), MsgType::kPushReply)).staleness;
 }
 
-Checkpoint SocketTransport::snapshot_checkpoint(std::int64_t logical_step) {
-  CheckpointRequestMsg msg;
-  msg.logical_step = logical_step;
-  return Checkpoint::deserialize(rpc(msg.encode(), MsgType::kCheckpointReply));
-}
-
-void SocketTransport::restore_checkpoint(const Checkpoint& ckpt) {
-  const std::vector<std::uint8_t> bytes = ckpt.serialize();
-  FrameOut request(MsgType::kRestoreRequest);
-  request.ref(bytes.data(), bytes.size());
-  (void)rpc(request, MsgType::kOk);
-}
-
 bool SocketTransport::drain_arrive(std::int64_t local_steps) {
   DrainArriveMsg msg;
   msg.local_steps = local_steps;

@@ -8,14 +8,15 @@
 //   pull_with_versions  ->  kPull           / kPullReply
 //   push                ->  kPushDense      / kPushReply
 //   push_compressed     ->  kPushCompressed / kPushReply
-//   snapshot_checkpoint ->  kCheckpointRequest / kCheckpointReply
-//   restore_checkpoint  ->  kRestoreRequest / kOk
+//   drain_arrive        ->  kDrainArrive    / kDrainRelease
+//   bye                 ->  kBye
 //
 // The first three are the Transport seam a WorkerSlot steps against.  The
-// rest are calls the seam does not carry: the remote checkpoint pair (the
-// server runs both under its snapshotter's lock), drain_arrive (blocks
-// until the server releases the barrier) and bye (clean leave; an abrupt
-// close instead is exactly what the server's eviction path handles).
+// other two are calls the seam does not carry: drain_arrive blocks until
+// the server releases the barrier, and bye is the clean leave (an abrupt
+// close instead is exactly what the server's eviction path handles).  A
+// worker cannot capture or restore the server's PS: snapshots stay inside
+// the server.
 //
 // The dense data plane is copy-free: a push sends the caller's gradient in
 // place, and a pull receives the parameters straight into the caller's
@@ -34,7 +35,6 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/transport.h"
-#include "nn/checkpoint.h"
 
 namespace ss {
 
@@ -56,14 +56,6 @@ class SocketTransport final : public Transport {
                     std::span<const std::int64_t> pull_versions) override;
   std::int64_t push_compressed(const CompressedPush& push, double lr,
                                std::span<const std::int64_t> pull_versions) override;
-
-  /// Consistent snapshot of the server's PS as a format-v2 checkpoint;
-  /// `logical_step` lands in Checkpoint::global_step.
-  [[nodiscard]] Checkpoint snapshot_checkpoint(std::int64_t logical_step);
-
-  /// Restore the server's params + velocity from `ckpt` (versions never
-  /// roll back).
-  void restore_checkpoint(const Checkpoint& ckpt);
 
   /// Announce quiescence after `local_steps` steps and block until every
   /// alive worker has arrived.  Returns true when the run is over.

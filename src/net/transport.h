@@ -12,10 +12,9 @@
 //    against the versions observed at pull time; both return the push's
 //    staleness (max updates any touched shard absorbed since the pull).
 //
-// Checkpoints are not part of the seam: the runtimes capture and restore
-// through the AsyncSnapshotter that owns their PS (elastic/
-// async_snapshotter.h), and SocketTransport carries the remote checkpoint
-// calls as plain members.
+// Checkpoints are not part of the seam, nor of any frame: every runtime
+// captures and restores through the AsyncSnapshotter that owns its PS
+// (elastic/async_snapshotter.h), on the PS's side of the wire.
 //
 // Backends:
 //

@@ -10,10 +10,4 @@ void he_init(Tensor& w, std::size_t fan_in, Rng& rng) {
     w[i] = static_cast<float>(rng.gaussian(0.0, stddev));
 }
 
-void xavier_init(Tensor& w, std::size_t fan_in, std::size_t fan_out, Rng& rng) {
-  const double a = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  for (std::size_t i = 0; i < w.numel(); ++i)
-    w[i] = static_cast<float>(rng.uniform(-a, a));
-}
-
 }  // namespace ss

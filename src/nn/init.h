@@ -14,7 +14,4 @@ namespace ss {
 /// He/Kaiming normal init for ReLU networks: N(0, sqrt(2/fan_in)).
 void he_init(Tensor& w, std::size_t fan_in, Rng& rng);
 
-/// Xavier/Glorot uniform: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-void xavier_init(Tensor& w, std::size_t fan_in, std::size_t fan_out, Rng& rng);
-
 }  // namespace ss

@@ -200,7 +200,6 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
 
   // Asynchronous snapshots for crash recovery: a run-start snapshot gives
   // recovery a floor, the background cadence bounds the loss window.
-  SnapshotStore store;
   auto capture_snapshot = [&] {
     const SteadyClock::time_point t0 = obs_on ? SteadyClock::now() : SteadyClock::time_point{};
     auto snap = ps_impl.snapshot_checkpoint(total_updates.load(std::memory_order_relaxed));
@@ -224,7 +223,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   const bool snapshots_needed =
       plan_has_crash && cfg.elastic.recovery == RecoveryMode::kRestoreSnapshot;
   AsyncSnapshotter snapshotter(capture_snapshot, snapshot_progress,
-                               snapshots_needed ? cfg.elastic.snapshot_interval : 0, store);
+                               snapshots_needed ? cfg.elastic.snapshot_interval : 0);
   if (snapshots_needed) snapshotter.snapshot_now();  // run-start floor; also arms the cadence
 
   auto min_clock = [&] {  // callers hold clock_mu; alive slots only
@@ -682,7 +681,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   snapshotter.stop();
 
   result.total_updates = total_updates.load();
-  result.snapshots_taken = store.count();
+  result.snapshots_taken = snapshotter.count();
   result.decisions = planner.take_decisions();
   for (const auto& s : result.phases) {
     result.max_clock_gap = std::max(result.max_clock_gap, s.max_clock_gap);

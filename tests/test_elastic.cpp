@@ -26,6 +26,7 @@
 #include "core/run_cache.h"
 #include "core/session.h"
 #include "data/synthetic.h"
+#include "determinism_corpus.h"
 #include "elastic/async_snapshotter.h"
 #include "elastic/membership_plan.h"
 #include "elastic/recovery_coordinator.h"
@@ -126,45 +127,62 @@ TEST(RecoveryCoordinator, EvictionRespectsTheFloor) {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotStore + AsyncSnapshotter.
+// AsyncSnapshotter.
 // ---------------------------------------------------------------------------
 
-TEST(AsyncSnapshotter, StoreKeepsTheLatestSnapshot) {
-  SnapshotStore store;
-  EXPECT_EQ(store.count(), 0);
-  EXPECT_EQ(store.latest_step(), -1);
-  Checkpoint a;
-  a.global_step = 3;
-  a.params = {1.0f};
-  store.put(a);
-  Checkpoint b;
-  b.global_step = 9;
-  b.params = {2.0f};
-  store.put(b);
-  EXPECT_EQ(store.count(), 2);
-  EXPECT_EQ(store.latest_step(), 9);
-  ASSERT_TRUE(store.latest().has_value());
-  EXPECT_EQ(store.latest()->params[0], 2.0f);
+TEST(AsyncSnapshotter, KeepsTheLatestSnapshot) {
+  std::int64_t progress = 3;
+  float value = 1.0f;
+  AsyncSnapshotter snap([&] {
+    Checkpoint c;
+    c.global_step = progress;
+    c.params = {value};
+    return c;
+  },
+                        [&] { return progress; }, /*interval=*/0);
+  Checkpoint restored;
+  const auto restore = [&](const Checkpoint& c) { restored = c; };
+  EXPECT_EQ(snap.count(), 0);
+  EXPECT_FALSE(snap.restore_latest(restore).has_value());  // nothing taken yet
+  snap.snapshot_now();
+  progress = 9;
+  value = 2.0f;
+  snap.snapshot_now();
+  EXPECT_EQ(snap.count(), 2);
+  progress = 15;
+  EXPECT_EQ(snap.restore_latest(restore), 15 - 9);  // progress - the latest's step
+  EXPECT_EQ(restored.global_step, 9);
+  EXPECT_EQ(restored.params, std::vector<float>{2.0f});
+  // Without a cadence a restore captures nothing: the same snapshot again.
+  progress = 20;
+  EXPECT_EQ(snap.restore_latest(restore), 20 - 9);
+  EXPECT_EQ(snap.count(), 2);
 }
 
 TEST(AsyncSnapshotter, CapturesOnTheProgressCadence) {
-  SnapshotStore store;
   std::atomic<std::int64_t> progress{0};
   AsyncSnapshotter snap([&] {
     Checkpoint c;
     c.global_step = progress.load();
-    c.params = {0.0f};
+    c.params = {static_cast<float>(c.global_step)};
     return c;
   },
-                        [&] { return progress.load(); }, /*interval=*/10, store);
-  EXPECT_EQ(store.count(), 0);  // nothing due yet
+                        [&] { return progress.load(); }, /*interval=*/10);
+  EXPECT_EQ(snap.count(), 0);  // nothing due yet
   progress.store(25);
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (store.count() == 0 && std::chrono::steady_clock::now() < deadline)
+  while (snap.count() == 0 && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   snap.stop();
-  ASSERT_GE(store.count(), 1);
-  EXPECT_GE(store.latest_step(), 10);
+  ASSERT_EQ(snap.count(), 1);
+  progress.store(40);
+  Checkpoint restored;
+  const auto lost = snap.restore_latest([&](const Checkpoint& c) { restored = c; });
+  EXPECT_EQ(restored.global_step, 25);
+  EXPECT_EQ(restored.params, std::vector<float>{25.0f});
+  EXPECT_EQ(lost, 40 - 25);
+  // With a cadence the restored state is captured at once as the new floor.
+  EXPECT_EQ(snap.count(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -451,6 +469,28 @@ TEST(SimElastic, FixedPlanIsBitForBitReproducible) {
   EXPECT_EQ(a.num_membership_events, 3);
   EXPECT_GT(a.recovery_overhead_seconds, 0.0);
   EXPECT_FALSE(a.diverged);
+}
+
+TEST(SimElastic, CrashRestoreDigestsArePinned) {
+  // The sim's crash restore, from a cadence capture (interval 64: the crash
+  // at step 96 rolls back to step 64) and from the run-start floor alone
+  // (interval 0).  Digests recorded from the engine before the restore went
+  // through AsyncSnapshotter; they must hold bit for bit.
+  RunRequest floor_only = elastic_request();
+  floor_only.elastic.snapshot_interval = 0;
+  const struct {
+    const char* name;
+    RunRequest request;
+    const char* digest;
+  } pins[] = {
+      {"si=64", elastic_request(), "c4f9e8ddb819ee92"},
+      {"si=0", floor_only, "f8d8a0d7101c35cd"},
+  };
+  for (const auto& p : pins) {
+    const RunResult r = TrainingSession(p.request).run();
+    EXPECT_GT(r.updates_lost, 0) << p.name;
+    EXPECT_EQ(result_fingerprint(r), p.digest) << p.name << " updates_lost=" << r.updates_lost;
+  }
 }
 
 TEST(SimElastic, PlanIsKeyedIntoTheRunCache) {

@@ -115,18 +115,10 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
   dense.wire_size = 6;
   dense.values = {1.0f, 0.0f, -1.0f};
   const std::vector<std::int64_t> one_version{3};
-  const std::vector<std::uint8_t> ckpt_bytes{1, 2, 3};
-  const std::vector<std::uint8_t> restore_bytes{4, 5};
-  FrameOut checkpoint_reply(MsgType::kCheckpointReply);
-  checkpoint_reply.ref(ckpt_bytes.data(), ckpt_bytes.size());
-  FrameOut restore_request(MsgType::kRestoreRequest);
-  restore_request.ref(restore_bytes.data(), restore_bytes.size());
   PushReplyMsg push_reply;
   push_reply.staleness = 3;
   DrainArriveMsg drain_arrive;
   drain_arrive.local_steps = 1000;
-  CheckpointRequestMsg checkpoint_request;
-  checkpoint_request.logical_step = 77;
   ErrorMsg error;
   error.message = "boom";
 
@@ -159,10 +151,6 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
       {"PushReply", push_reply.encode(), "524653530100070008000000000000000300000000000000"},
       {"DrainArrive", drain_arrive.encode(), "52465353010008000800000000000000e803000000000000"},
       {"DrainRelease", DrainReleaseMsg{}.encode(), "5246535301000900010000000000000001"},
-      {"CheckpointRequest", checkpoint_request.encode(),
-       "5246535301000a0008000000000000004d00000000000000"},
-      {"CheckpointReply", checkpoint_reply, "5246535301000b000300000000000000010203"},
-      {"RestoreRequest", restore_request, "5246535301000c0002000000000000000405"},
       {"Ok", FrameOut(MsgType::kOk), "5246535301000f000000000000000000"},
       {"Bye", FrameOut(MsgType::kBye), "52465353010010000000000000000000"},
       {"Error", error.encode(), "52465353010011000c000000000000000400000000000000626f6f6d"},
@@ -337,10 +325,6 @@ TEST(NetFrame, SmallMessagesRoundTrip) {
   dr.done = false;
   EXPECT_FALSE(DrainReleaseMsg::decode(loop_back(dr.encode()).payload).done);
 
-  CheckpointRequestMsg cr;
-  cr.logical_step = 4096;
-  EXPECT_EQ(CheckpointRequestMsg::decode(loop_back(cr.encode()).payload).logical_step, 4096);
-
   ErrorMsg em;
   em.message = "shard layout mismatch";
   EXPECT_EQ(ErrorMsg::decode(loop_back(em.encode()).payload).message, em.message);
@@ -358,8 +342,6 @@ TEST(NetFrame, FixedLayoutBoundsEqualTheEncodedLengths) {
             DrainArriveMsg{}.encode().payload_bytes());
   EXPECT_EQ(max_payload_bytes(MsgType::kDrainRelease, shape),
             DrainReleaseMsg{}.encode().payload_bytes());
-  EXPECT_EQ(max_payload_bytes(MsgType::kCheckpointRequest, shape),
-            CheckpointRequestMsg{}.encode().payload_bytes());
   for (const MsgType t : {MsgType::kPull, MsgType::kOk, MsgType::kBye})
     EXPECT_EQ(max_payload_bytes(t, shape), 0u) << msg_type_name(t);
 
@@ -415,13 +397,27 @@ std::vector<MalformedCase> malformed_cases() {
   cases.push_back({"unknown_type", patched(6, &type_ee, 2), "unknown message type"});
   const std::uint16_t type_zero = 0;  // below kHello
   cases.push_back({"zero_type", patched(6, &type_zero, 2), "unknown message type"});
-  // Retired values are never reused: the scalar version query and reply.
-  cases.push_back({"retired_type_13", patched(6, &kRetiredMsgTypes[0], 2), "unknown message type"});
-  cases.push_back({"retired_type_14", patched(6, &kRetiredMsgTypes[1], 2), "unknown message type"});
+  // Retired values are never reused: the remote checkpoint/restore RPC
+  // (10-12; a peer must not be able to overwrite the PS) and the scalar
+  // version query and reply (13, 14).
+  static constexpr std::uint16_t retired[] = {10, 11, 12, 13, 14};
+  cases.push_back({"retired_type_10", patched(6, &retired[0], 2), "unknown message type"});
+  cases.push_back({"retired_type_11", patched(6, &retired[1], 2), "unknown message type"});
+  cases.push_back({"retired_type_12", patched(6, &retired[2], 2), "unknown message type"});
+  cases.push_back({"retired_type_13", patched(6, &retired[3], 2), "unknown message type"});
+  cases.push_back({"retired_type_14", patched(6, &retired[4], 2), "unknown message type"});
   const std::uint64_t huge = kMaxFramePayload + 1;
   cases.push_back({"length_past_global_cap", patched(8, &huge, 8), "-byte cap"});
   const std::uint64_t nine = 9;  // PushReply is exactly 8 bytes
   cases.push_back({"length_past_type_bound", patched(8, &nine, 8), "exceeds its 8-byte bound"});
+  {
+    // An Error header one byte past its bound, with no payload behind it:
+    // refused from the header alone, not after waiting on the payload.
+    std::vector<std::uint8_t> b = flatten(FrameOut(MsgType::kError));
+    const std::uint64_t past = 8 + kMaxErrorMessageBytes + 1;
+    std::memcpy(b.data() + 8, &past, sizeof(past));
+    cases.push_back({"error_past_its_bound", std::move(b), "exceeds its 4104-byte bound"});
+  }
   {
     std::vector<std::uint8_t> b = valid_frame_bytes();
     b.pop_back();  // payload shorter than the header claims, then EOF
@@ -445,6 +441,14 @@ TEST(NetFrame, MalformedFramesThrowTypedErrors) {
           << c.name << ": got '" << e.what() << "'";
     }
   }
+  // An over-long error text is truncated to the bound on the way out, so
+  // it still arrives.
+  ErrorMsg long_error;
+  long_error.message = std::string(kMaxErrorMessageBytes, 'x') + "tail";
+  const FrameOut sent = long_error.encode();
+  EXPECT_EQ(sent.payload_bytes(), max_payload_bytes(MsgType::kError, WireShape{}));
+  EXPECT_EQ(ErrorMsg::decode(loop_back(sent).payload).message,
+            std::string(kMaxErrorMessageBytes, 'x'));
 }
 
 TEST(NetFrame, ShortFixedLayoutPayloadFailsItsDecoder) {

@@ -18,6 +18,7 @@
 #include "net/ps_server.h"
 #include "net/socket.h"
 #include "net/worker_process.h"
+#include "nn/checkpoint.h"
 #include "nn/zoo.h"
 #include "ps/threaded_runtime.h"
 
@@ -307,24 +308,67 @@ TEST(NetTransport, TransportRpcsRoundTripAgainstLiveServer) {
   tx.pull_with_versions(params, versions);
   EXPECT_EQ(versions, std::vector<std::int64_t>(tx.num_shards(), 2));
 
-  // Checkpoint round trip over the wire: snapshot, mutate, restore, verify.
-  const Checkpoint ckpt = tx.snapshot_checkpoint(77);
-  EXPECT_EQ(ckpt.global_step, 77);
-  std::vector<float> at_snapshot(tx.num_params());
-  tx.pull_with_versions(at_snapshot, versions);
-  EXPECT_EQ(ckpt.params, at_snapshot);
-  EXPECT_EQ(tx.push(grad, 0.05, std::vector<std::int64_t>(tx.num_shards(), 2)), 0);
-  tx.restore_checkpoint(ckpt);
-  std::vector<float> restored(tx.num_params());
-  tx.pull_with_versions(restored, versions);
-  EXPECT_EQ(restored, at_snapshot);
-
   EXPECT_TRUE(tx.drain_arrive(10));
   tx.bye();
   const PsServerResult res = server.join();
   EXPECT_EQ(res.workers_joined, 1u);
   EXPECT_EQ(res.workers_evicted, 0u);
-  EXPECT_EQ(res.final_params, restored);
+  EXPECT_EQ(res.final_params, params);
+}
+
+TEST(NetTransport, RetiredRestoreRequestCannotRewriteTheParameters) {
+  // Type 12 once restored the whole PS from a serialized checkpoint.  It is
+  // retired: a peer sending it, with a well-formed checkpoint behind it, is
+  // evicted, and the parameters it carried never land — neither for the
+  // honest worker pulling next nor in the final parameters.
+  PsServerConfig cfg;
+  cfg.listen = unique_unix_endpoint(31);
+  cfg.num_workers = 2;
+  cfg.steps_per_worker = 10;
+  cfg.seed = 42;
+  cfg.data = tiny_spec();
+  ServerHandle server(cfg);
+  const std::string ep = server.endpoint();
+  AssignmentMsg a;
+  SocketTransport honest(ep, a);
+  Socket forger = connect_endpoint(ep);
+  (void)raw_hello(forger);
+  const DataSplit split = make_synthetic(cfg.data);
+  Rng model_rng(cfg.seed);
+  const std::vector<float> initial =
+      make_model(a.arch, split.train.feature_dim(), cfg.data.num_classes, model_rng)
+          .get_params();
+
+  Checkpoint forged;
+  forged.params.assign(a.num_params, 7.0f);
+  forged.velocity.assign(a.num_params, 0.0f);
+  const std::vector<std::uint8_t> body = forged.serialize();
+  std::vector<std::uint8_t> frame = flatten(FrameOut(MsgType::kOk));
+  const std::uint16_t restore_request = 12;
+  const std::uint64_t length = body.size();
+  std::memcpy(frame.data() + 6, &restore_request, sizeof(restore_request));
+  std::memcpy(frame.data() + 8, &length, sizeof(length));
+  frame.insert(frame.end(), body.begin(), body.end());
+  send_raw(forger, frame);
+  Frame reply;
+  try {
+    EXPECT_FALSE(recv_frame(forger, reply));  // the server hung up...
+  } catch (const NetError&) {
+    // ...or reset the connection over the payload it never read.
+  }
+
+  std::vector<float> params(a.num_params);
+  std::vector<std::int64_t> versions;
+  honest.pull_with_versions(params, versions);
+  EXPECT_EQ(params, initial);
+  forger.close();
+  EXPECT_TRUE(honest.drain_arrive(0));
+  honest.bye();
+  const PsServerResult res = server.join();
+  EXPECT_EQ(res.workers_joined, 2u);
+  EXPECT_EQ(res.workers_evicted, 1u);
+  EXPECT_EQ(res.total_updates, 0);
+  EXPECT_EQ(res.final_params, initial);
 }
 
 TEST(NetTransport, RepeatDrainArriveIsAnsweredAtOnce) {

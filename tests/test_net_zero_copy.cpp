@@ -31,14 +31,17 @@ constexpr std::size_t kLargeBytes = 64 * 1024;
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements are kept out of line.  Inlined into a caller, GCC would
+// see malloc() answered by operator delete, or operator new answered by
+// free(), and flag a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (n >= kLargeBytes && g_counting.load(std::memory_order_relaxed))
     g_large_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ss {
 namespace {
