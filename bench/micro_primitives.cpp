@@ -596,7 +596,9 @@ BENCHMARK(BM_CheckpointRoundTrip);
 // time is the frames, the kernel copies and the session's PS apply.  Arg 0
 // is the parameter count (a 100-class linear model, so a multiple of 100;
 // 102,500 is the socket-wide benchmark's 410 KB frame); arg 1 picks the
-// endpoint, 0 = unix socket, 1 = tcp loopback.
+// endpoint, 0 = unix socket, 1 = tcp loopback; arg 2 the exchanges per
+// update, 0 = two (Pull/PullReply, PushDense/PushReply), 1 = one
+// (PushPullDense/PushPullReply, the worker process's steady-state step).
 void BM_NetPullPush(benchmark::State& state) {
   PsServerConfig cfg;
   cfg.listen = state.range(1) == 0
@@ -617,9 +619,14 @@ void BM_NetPullPush(benchmark::State& state) {
   std::vector<float> params(a.num_params);
   const std::vector<float> grad(a.num_params, 1e-6f);
   std::vector<std::int64_t> versions;
-  for (auto _ : state) {
+  if (state.range(2) == 0) {
+    for (auto _ : state) {
+      tx.pull_with_versions(params, versions);
+      benchmark::DoNotOptimize(tx.push(grad, 0.01, versions));
+    }
+  } else {
     tx.pull_with_versions(params, versions);
-    benchmark::DoNotOptimize(tx.push(grad, 0.01, versions));
+    for (auto _ : state) benchmark::DoNotOptimize(tx.push_pull(grad, 0.01, params, versions));
   }
   (void)tx.drain_arrive(1);
   tx.bye();
@@ -627,7 +634,12 @@ void BM_NetPullPush(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(a.num_params * sizeof(float)));
 }
-BENCHMARK(BM_NetPullPush)->Args({102500, 0})->Args({102500, 1})->UseRealTime();
+BENCHMARK(BM_NetPullPush)
+    ->Args({102500, 0, 0})
+    ->Args({102500, 0, 1})
+    ->Args({102500, 1, 0})
+    ->Args({102500, 1, 1})
+    ->UseRealTime();
 
 }  // namespace
 

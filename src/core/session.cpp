@@ -234,13 +234,16 @@ RunResult TrainingSession::run() {
   // step, through the snapshotter the real runtimes use.  It runs no
   // cadence thread here: only the last cadence boundary before each crash
   // matters, so the budget is split exactly there instead of at every
-  // interval, and each capture is taken at its boundary.
+  // interval, and each capture is taken at its boundary.  Only
+  // kRestoreSnapshot reads a snapshot back, so only it takes them (the
+  // threaded runtime's gate); the budget splits at the same steps either way.
+  const bool restores = req_.elastic.recovery == RecoveryMode::kRestoreSnapshot;
   AsyncSnapshotter snapshotter([&] { return state.ps.snapshot_checkpoint(state.global_step); },
                                [&] { return state.global_step; }, /*interval=*/0);
   std::vector<std::int64_t> capture_steps;
   for (const MembershipEvent& e : req_.elastic.plan.events()) {
     if (e.kind != MembershipEventKind::kCrash) continue;
-    if (snapshotter.count() == 0) snapshotter.snapshot_now();  // run-start floor
+    if (restores && snapshotter.count() == 0) snapshotter.snapshot_now();  // run-start floor
     if (const std::int64_t every = req_.elastic.snapshot_interval; every > 0 && e.at_step >= every)
       capture_steps.push_back(e.at_step / every * every);
   }
@@ -273,8 +276,7 @@ RunResult TrainingSession::run() {
       } else {
         pay_membership(actuator.resize_time().scaled(ascale));
       }
-      if (a.event.kind == MembershipEventKind::kCrash &&
-          req_.elastic.recovery == RecoveryMode::kRestoreSnapshot) {
+      if (a.event.kind == MembershipEventKind::kCrash && restores) {
         // Parameters + velocity roll back to the snapshot; the global step
         // and versions do not (batches are not replayed, exactly like the
         // threaded runtime's recovery).  Surviving workers keep their
@@ -391,7 +393,7 @@ RunResult TrainingSession::run() {
         // exactly.
         if (next_capture_idx < capture_steps.size() &&
             capture_steps[next_capture_idx] <= state.global_step) {
-          snapshotter.snapshot_now();
+          if (restores) snapshotter.snapshot_now();
           while (next_capture_idx < capture_steps.size() &&
                  capture_steps[next_capture_idx] <= state.global_step)
             ++next_capture_idx;

@@ -55,12 +55,12 @@ class Reader {
 
 bool known_type(std::uint16_t t) {
   return t >= static_cast<std::uint16_t>(MsgType::kHello) &&
-         t <= static_cast<std::uint16_t>(MsgType::kError) &&
+         t <= static_cast<std::uint16_t>(kLastMsgType) &&
          std::find(kRetiredMsgTypes.begin(), kRetiredMsgTypes.end(), t) ==
              kRetiredMsgTypes.end();
 }
 
-/// The prefix both dense frames share after their own leading fields:
+/// The prefix every dense frame shares after its own leading fields:
 /// [u64 S][S x i64 versions][u64 P], with S and P pinned by the shape.
 /// Counts are checked before anything is read into `versions`.
 void read_dense_counts(Reader& r, const WireShape& shape, std::vector<std::int64_t>& versions) {
@@ -168,8 +168,12 @@ std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape) {
     case MsgType::kPullReply:
       return pull_reply_bytes(shape);
     case MsgType::kPushDense:
+    case MsgType::kPushPullDense:
       return push_dense_bytes(shape);
+    case MsgType::kPushPullReply:
+      return 8 + pull_reply_bytes(shape);  // the staleness, then a PullReply
     case MsgType::kPushCompressed:
+    case MsgType::kPushPullCompressed:
       // A PushDense's fields plus format, num_params, wire_size and an index
       // vector as long as the values: every coordinate kept.
       return push_dense_bytes(shape) + 1 + 8 + 8 + 8 + 4 * std::uint64_t{shape.num_params};
@@ -198,6 +202,9 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kOk: return "Ok";
     case MsgType::kBye: return "Bye";
     case MsgType::kError: return "Error";
+    case MsgType::kPushPullDense: return "PushPullDense";
+    case MsgType::kPushPullCompressed: return "PushPullCompressed";
+    case MsgType::kPushPullReply: return "PushPullReply";
   }
   return "Unknown";
 }
@@ -301,8 +308,8 @@ void PullReplyMsg::decode_prefix(std::span<const std::uint8_t> prefix, const Wir
   read_dense_counts(r, shape, versions);
 }
 
-FrameOut PushDenseMsg::encode() const {
-  FrameOut f(MsgType::kPushDense);
+FrameOut PushDenseMsg::encode(bool then_pull) const {
+  FrameOut f(then_pull ? MsgType::kPushPullDense : MsgType::kPushDense);
   f.scalar(lr);
   f.vec(pull_versions);
   f.vec(grad);
@@ -317,10 +324,27 @@ double PushDenseMsg::decode_prefix(std::span<const std::uint8_t> prefix, const W
   return lr;
 }
 
+FrameOut PushPullReplyMsg::encode() const {
+  FrameOut f(MsgType::kPushPullReply);
+  f.scalar(staleness);
+  f.vec(versions);
+  f.vec(params);
+  return f;
+}
+
+std::int64_t PushPullReplyMsg::decode_prefix(std::span<const std::uint8_t> prefix,
+                                             const WireShape& shape,
+                                             std::vector<std::int64_t>& versions) {
+  Reader r(prefix, "PushPullReply");
+  const auto staleness = r.scalar<std::int64_t>();
+  read_dense_counts(r, shape, versions);
+  return staleness;
+}
+
 // --------------------------------------------------------- PushCompressed
 
-FrameOut PushCompressedMsg::encode() const {
-  FrameOut f(MsgType::kPushCompressed);
+FrameOut PushCompressedMsg::encode(bool then_pull) const {
+  FrameOut f(then_pull ? MsgType::kPushPullCompressed : MsgType::kPushCompressed);
   f.scalar(lr);
   f.vec(pull_versions);
   f.scalar(static_cast<std::uint8_t>(push.format));

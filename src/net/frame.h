@@ -15,7 +15,14 @@
 // Payload conventions: integers are fixed-width little-endian, doubles are
 // 8-byte IEEE bit patterns, vectors are [u64 count][elements].  Compressed
 // pushes re-use CompressedPush's field set verbatim — the wire object the
-// codecs were designed around finally crosses a real wire.  No message
+// codecs were designed around finally crosses a real wire.
+//
+// A steady-state ASP step is one exchange, not two: a push-and-pull request
+// (PushPullDense, PushPullCompressed) carries its push's payload verbatim,
+// and the server applies it, pulls, and answers with one PushPullReply (the
+// push's staleness, then the PullReply layout).  Pull/PullReply and the
+// plain pushes with their PushReply remain for the first pull and the last
+// push of a worker's quota.  No message
 // carries a checkpoint: snapshots stay inside the server
 // (elastic/async_snapshotter.h), so no peer can overwrite the PS wholesale.
 //
@@ -26,9 +33,10 @@
 // send.  On the way in, every payload is bounded at header time by its
 // type's largest length for the run's shape (max_payload_bytes), before
 // anything is allocated or read.  The dense data-plane frames (PullReply,
-// PushDense) are received by scatter: the small prefix into a scratch
-// buffer, the float array straight into its destination; their
-// `decode_prefix` then checks the counts against the shape.
+// PushDense, PushPullDense, PushPullReply) are received by scatter: the
+// small prefix into a scratch buffer, the float array straight into its
+// destination; their `decode_prefix` then checks the counts against the
+// shape.
 #pragma once
 
 #include <array>
@@ -73,7 +81,12 @@ enum class MsgType : std::uint16_t {
   kOk = 15,          ///< generic success acknowledgement
   kBye = 16,         ///< worker -> ps: clean leave (after drain release)
   kError = 17,       ///< ps -> worker: request failed; payload = message
+  kPushPullDense = 18,       ///< worker -> ps: a PushDense, then pull
+  kPushPullCompressed = 19,  ///< worker -> ps: a PushCompressed, then pull
+  kPushPullReply = 20,       ///< ps -> worker: staleness + the PullReply layout
 };
+/// The highest type value in use.
+inline constexpr MsgType kLastMsgType = MsgType::kPushPullReply;
 
 /// Type values that once meant a message and are rejected as unknown now.
 inline constexpr std::array<std::uint16_t, 5> kRetiredMsgTypes{10, 11, 12, 13, 14};
@@ -161,13 +174,15 @@ struct WireShape {
 
 /// Exact payload bytes of a PullReply ([u64 S][S x i64][u64 P][P x f32]).
 [[nodiscard]] std::uint64_t pull_reply_bytes(const WireShape& shape);
-/// Exact payload bytes of a PushDense ([f64 lr] + the PullReply layout).
+/// Exact payload bytes of a PushDense or PushPullDense ([f64 lr] + the
+/// PullReply layout).
 [[nodiscard]] std::uint64_t push_dense_bytes(const WireShape& shape);
 
 /// The largest payload a frame of `type` may carry in a run of `shape`.
-/// Fixed-layout messages, PullReply and PushDense must be exactly this long;
-/// a PushCompressed may be shorter (the bound is a sparse push keeping every
-/// coordinate), and an Error's bound is its longest message.
+/// Fixed-layout messages and the dense frames must be exactly this long; a
+/// PushCompressed or PushPullCompressed may be shorter (the bound is a
+/// sparse push keeping every coordinate), and an Error's bound is its
+/// longest message.
 [[nodiscard]] std::uint64_t max_payload_bytes(MsgType type, const WireShape& shape);
 
 // ---------------------------------------------------------------------------
@@ -221,20 +236,23 @@ struct PullReplyMsg {
                             std::vector<std::int64_t>& versions);
 };
 
-/// Worker -> PS: uncompressed full-gradient push.
+/// Worker -> PS: uncompressed full-gradient push.  Sent as a
+/// PushPullDense (`then_pull`), the same payload asks for the parameters
+/// after the push in a PushPullReply.
 struct PushDenseMsg {
   double lr = 0.0;
   std::span<const std::int64_t> pull_versions;
   std::span<const float> grad;
 
-  [[nodiscard]] FrameOut encode() const;
+  [[nodiscard]] FrameOut encode(bool then_pull = false) const;
   /// As PullReplyMsg::decode_prefix; returns the push's learning rate.
   [[nodiscard]] static double decode_prefix(std::span<const std::uint8_t> prefix,
                                             const WireShape& shape,
                                             std::vector<std::int64_t>& pull_versions);
 };
 
-/// Worker -> PS: a CompressedPush (dense quantized or sparse top-k).
+/// Worker -> PS: a CompressedPush (dense quantized or sparse top-k); sent
+/// as a PushPullCompressed (`then_pull`), a push-and-pull request.
 /// Decode validates the push invariants (sparse indices strictly ascending
 /// and < num_params) so a corrupt frame cannot reach the PS math, and hands
 /// the PS the ValidatedPush, so the push is not checked again.
@@ -248,7 +266,7 @@ struct PushCompressedMsg {
     ValidatedPush push;  ///< views the decode's `push` buffer
   };
 
-  [[nodiscard]] FrameOut encode() const;
+  [[nodiscard]] FrameOut encode(bool then_pull = false) const;
   /// Decode into the receiver's buffers (capacity reused).  NetError if the
   /// frame or the push it carries is malformed.
   [[nodiscard]] static Decoded decode(std::span<const std::uint8_t> payload,
@@ -262,6 +280,21 @@ struct PushReplyMsg {
 
   [[nodiscard]] FrameOut encode() const;
   [[nodiscard]] static PushReplyMsg decode(std::span<const std::uint8_t> payload);
+};
+
+/// PS -> worker, answering a push-and-pull request: the push's staleness,
+/// then the parameters and versions pulled after it was applied, in the
+/// PullReply layout.
+struct PushPullReplyMsg {
+  std::int64_t staleness = 0;
+  std::span<const std::int64_t> versions;
+  std::span<const float> params;
+
+  [[nodiscard]] FrameOut encode() const;
+  /// As PullReplyMsg::decode_prefix; returns the staleness.
+  [[nodiscard]] static std::int64_t decode_prefix(std::span<const std::uint8_t> prefix,
+                                                  const WireShape& shape,
+                                                  std::vector<std::int64_t>& versions);
 };
 
 /// Worker -> PS: arrived at the drain barrier after `local_steps` steps.

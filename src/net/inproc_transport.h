@@ -2,8 +2,9 @@
 // SharedParameterServer (ps/param_server.h).
 //
 // This is the backend the threaded runtime's worker slots step against.
-// Every method is a one-line forward to the server's identically-named
-// call, so routing the runtime through the seam changes nothing observable:
+// Every method forwards to the server's identically-named call (push_pull:
+// push, then pull_with_versions), so routing the runtime through the seam
+// changes nothing observable:
 // the threaded determinism corpus and the conformance suite hold it to the
 // direct calls bit for bit.
 //
@@ -41,6 +42,20 @@ class InProcTransport final : public Transport {
   std::int64_t push_compressed(const CompressedPush& push, double lr,
                                std::span<const std::int64_t> pull_versions) override {
     return ps_.push_compressed(push, lr, pull_versions);
+  }
+
+  std::int64_t push_pull(std::span<const float> grad, double lr, std::span<float> out,
+                         std::vector<std::int64_t>& versions) override {
+    const std::int64_t staleness = ps_.push(grad, lr, versions);
+    ps_.pull_with_versions(out, versions);
+    return staleness;
+  }
+
+  std::int64_t push_pull_compressed(const CompressedPush& push, double lr, std::span<float> out,
+                                    std::vector<std::int64_t>& versions) override {
+    const std::int64_t staleness = ps_.push_compressed(push, lr, versions);
+    ps_.pull_with_versions(out, versions);
+    return staleness;
   }
 
  private:

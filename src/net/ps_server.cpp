@@ -95,7 +95,9 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
   // Session-owned buffers, sized once.  A pull copies the parameters into
   // `params` under the shard locks (the one copy that must stay) and sends
   // them from there; a dense push lands in `grad` straight off the socket.
-  // Replies reference these buffers, so they outlive each send.
+  // A push-and-pull request does both: its push is applied, then pulled
+  // into `params`, and the one reply carries both results.  Replies
+  // reference these buffers, so they outlive each send.
   std::vector<float> params(shape.num_params);
   std::vector<float> grad(shape.num_params);
   std::vector<std::int64_t> versions;
@@ -107,10 +109,20 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
     FrameHeader req;
     while (recv_frame_header(sock, req, shape)) {
       const bool dense_push =
-          req.type == MsgType::kPushDense && req.payload_bytes == push_dense_bytes(shape);
+          (req.type == MsgType::kPushDense || req.type == MsgType::kPushPullDense) &&
+          req.payload_bytes == push_dense_bytes(shape);
       recv_payload(sock, req, payload,
                    dense_push ? std::as_writable_bytes(std::span(grad)) : std::span<std::byte>{});
       FrameOut reply(MsgType::kOk);
+      // A plain push is answered with its staleness; a push-and-pull request
+      // with its staleness and the parameters pulled right after it.
+      auto push_reply = [&](std::int64_t staleness) {
+        state.total_updates.fetch_add(1, std::memory_order_relaxed);
+        if (req.type == MsgType::kPushDense || req.type == MsgType::kPushCompressed)
+          return PushReplyMsg{staleness}.encode();
+        ps.pull_with_versions(params, versions);
+        return PushPullReplyMsg{staleness, versions, params}.encode();
+      };
       try {
         switch (req.type) {
           case MsgType::kPull: {
@@ -118,26 +130,23 @@ void serve_session(ServerState& state, Socket sock, std::uint32_t worker,
             reply = PullReplyMsg{versions, params}.encode();
             break;
           }
-          case MsgType::kPushDense: {
+          case MsgType::kPushDense:
+          case MsgType::kPushPullDense: {
             if (!dense_push)
-              throw NetError("PushDense: payload of " + std::to_string(req.payload_bytes) +
+              throw NetError(std::string(msg_type_name(req.type)) + ": payload of " +
+                             std::to_string(req.payload_bytes) +
                              " bytes, the assigned shape needs " +
                              std::to_string(push_dense_bytes(shape)));
             const double lr = PushDenseMsg::decode_prefix(payload, shape, versions);
-            PushReplyMsg out;
-            out.staleness = ps.push(grad, lr, versions);
-            state.total_updates.fetch_add(1, std::memory_order_relaxed);
-            reply = out.encode();
+            reply = push_reply(ps.push(grad, lr, versions));
             break;
           }
-          case MsgType::kPushCompressed: {
+          case MsgType::kPushCompressed:
+          case MsgType::kPushPullCompressed: {
             // Decode validated the push; the PS checks only its length
             // against its own (ConfigError, answered below with an Error frame).
             const auto [lr, push] = PushCompressedMsg::decode(payload, versions, compressed);
-            PushReplyMsg out;
-            out.staleness = ps.push_compressed(push, lr, versions);
-            state.total_updates.fetch_add(1, std::memory_order_relaxed);
-            reply = out.encode();
+            reply = push_reply(ps.push_compressed(push, lr, versions));
             break;
           }
           case MsgType::kDrainArrive: {

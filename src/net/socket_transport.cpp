@@ -1,6 +1,7 @@
 #include "net/socket_transport.h"
 
 #include <cstddef>
+#include <string>
 
 #include "common/error.h"
 
@@ -41,18 +42,27 @@ std::span<const std::uint8_t> SocketTransport::rpc(const FrameOut& request, MsgT
   return payload_;
 }
 
-void SocketTransport::pull_with_versions(std::span<float> out,
-                                         std::vector<std::int64_t>& versions) {
-  const FrameHeader reply = call(FrameOut(MsgType::kPull), MsgType::kPullReply);
-  // Scatter receive: the version prefix into payload_, the parameters
-  // straight into `out`.  A reply of any other length is still read whole,
-  // so the stream stays in frame sync.
+std::span<const std::uint8_t> SocketTransport::rpc_params(const FrameOut& request,
+                                                         MsgType expected,
+                                                         std::span<float> out) {
+  const FrameHeader reply = call(request, expected);
+  // Scatter receive: the prefix into payload_, the parameters straight into
+  // `out`.  A reply of any other length is still read whole, so the stream
+  // stays in frame sync.
   const bool exact = out.size() == shape_.num_params &&
-                     reply.payload_bytes == pull_reply_bytes(shape_);
+                     reply.payload_bytes == max_payload_bytes(expected, shape_);
   recv_payload(sock_, reply, payload_,
                exact ? std::as_writable_bytes(out) : std::span<std::byte>{});
-  if (!exact) throw NetError("SocketTransport::pull: reply shape mismatch");
-  PullReplyMsg::decode_prefix(payload_, shape_, versions);
+  if (!exact)
+    throw NetError(std::string("SocketTransport: ") + msg_type_name(expected) +
+                   " shape mismatch");
+  return payload_;
+}
+
+void SocketTransport::pull_with_versions(std::span<float> out,
+                                         std::vector<std::int64_t>& versions) {
+  PullReplyMsg::decode_prefix(rpc_params(FrameOut(MsgType::kPull), MsgType::kPullReply, out),
+                              shape_, versions);
 }
 
 std::int64_t SocketTransport::push(std::span<const float> grad, double lr,
@@ -65,6 +75,24 @@ std::int64_t SocketTransport::push_compressed(const CompressedPush& push, double
                                               std::span<const std::int64_t> pull_versions) {
   const PushCompressedMsg msg{lr, pull_versions, push};
   return PushReplyMsg::decode(rpc(msg.encode(), MsgType::kPushReply)).staleness;
+}
+
+// The request references `versions`; it is sent whole before the reply's
+// versions overwrite them.
+std::int64_t SocketTransport::push_pull(std::span<const float> grad, double lr,
+                                        std::span<float> out,
+                                        std::vector<std::int64_t>& versions) {
+  const FrameOut request = PushDenseMsg{lr, versions, grad}.encode(/*then_pull=*/true);
+  return PushPullReplyMsg::decode_prefix(rpc_params(request, MsgType::kPushPullReply, out),
+                                         shape_, versions);
+}
+
+std::int64_t SocketTransport::push_pull_compressed(const CompressedPush& push, double lr,
+                                                   std::span<float> out,
+                                                   std::vector<std::int64_t>& versions) {
+  const FrameOut request = PushCompressedMsg{lr, versions, push}.encode(/*then_pull=*/true);
+  return PushPullReplyMsg::decode_prefix(rpc_params(request, MsgType::kPushPullReply, out),
+                                         shape_, versions);
 }
 
 bool SocketTransport::drain_arrive(std::int64_t local_steps) {

@@ -5,22 +5,26 @@
 // configuration (AssignmentMsg), after which every call maps 1:1 onto a
 // request/reply frame pair:
 //
-//   pull_with_versions  ->  kPull           / kPullReply
-//   push                ->  kPushDense      / kPushReply
-//   push_compressed     ->  kPushCompressed / kPushReply
-//   drain_arrive        ->  kDrainArrive    / kDrainRelease
-//   bye                 ->  kBye
+//   pull_with_versions    ->  kPull               / kPullReply
+//   push                  ->  kPushDense          / kPushReply
+//   push_compressed       ->  kPushCompressed     / kPushReply
+//   push_pull             ->  kPushPullDense      / kPushPullReply
+//   push_pull_compressed  ->  kPushPullCompressed / kPushPullReply
+//   drain_arrive          ->  kDrainArrive        / kDrainRelease
+//   bye                   ->  kBye
 //
-// The first three are the Transport seam a WorkerSlot steps against.  The
-// other two are calls the seam does not carry: drain_arrive blocks until
-// the server releases the barrier, and bye is the clean leave (an abrupt
-// close instead is exactly what the server's eviction path handles).  A
-// worker cannot capture or restore the server's PS: snapshots stay inside
-// the server.
+// The first five are the Transport seam a WorkerSlot steps against; the
+// push_pull pair is its steady-state step, one exchange where a push and a
+// pull would take two.  The other two are calls the seam does not carry:
+// drain_arrive blocks until the server releases the barrier, and bye is
+// the clean leave (an abrupt close instead is exactly what the server's
+// eviction path handles).  A worker cannot capture or restore the server's
+// PS: snapshots stay inside the server.
 //
 // The dense data plane is copy-free: a push sends the caller's gradient in
-// place, and a pull receives the parameters straight into the caller's
-// span, with only the small version prefix staged in a reused buffer.
+// place, and a pull (or a push_pull's reply) receives the parameters
+// straight into the caller's span, with only the small prefix staged in a
+// reused buffer.
 //
 // A kError reply, a malformed frame, or a lost connection all throw
 // NetError.  Not thread-safe: one transport per worker process/thread — the
@@ -56,6 +60,10 @@ class SocketTransport final : public Transport {
                     std::span<const std::int64_t> pull_versions) override;
   std::int64_t push_compressed(const CompressedPush& push, double lr,
                                std::span<const std::int64_t> pull_versions) override;
+  std::int64_t push_pull(std::span<const float> grad, double lr, std::span<float> out,
+                         std::vector<std::int64_t>& versions) override;
+  std::int64_t push_pull_compressed(const CompressedPush& push, double lr, std::span<float> out,
+                                    std::vector<std::int64_t>& versions) override;
 
   /// Announce quiescence after `local_steps` steps and block until every
   /// alive worker has arrived.  Returns true when the run is over.
@@ -71,6 +79,12 @@ class SocketTransport final : public Transport {
   FrameHeader call(const FrameOut& request, MsgType expected);
   /// call() and read the whole reply payload (valid until the next call).
   std::span<const std::uint8_t> rpc(const FrameOut& request, MsgType expected);
+  /// call() for a reply that ends in the parameters (PullReply,
+  /// PushPullReply: exactly their bound long), the parameters received
+  /// straight into `out`.  Returns the prefix before them (valid until the
+  /// next call).
+  std::span<const std::uint8_t> rpc_params(const FrameOut& request, MsgType expected,
+                                           std::span<float> out);
 
   Socket sock_;
   WireShape shape_;

@@ -11,6 +11,9 @@
 //  * `push` / `push_compressed` — apply a dense gradient or a CompressedPush
 //    against the versions observed at pull time; both return the push's
 //    staleness (max updates any touched shard absorbed since the pull).
+//  * `push_pull` / `push_pull_compressed` — a push followed by a pull, the
+//    steady-state ASP step.  In process that is the two calls in turn; over
+//    a socket it is one request and one reply instead of two of each.
 //
 // Checkpoints are not part of the seam, nor of any frame: every runtime
 // captures and restores through the AsyncSnapshotter that owns its PS
@@ -62,6 +65,17 @@ class Transport {
   /// kept coordinates.
   virtual std::int64_t push_compressed(const CompressedPush& push, double lr,
                                        std::span<const std::int64_t> pull_versions) = 0;
+
+  /// push(`grad`, `lr`, `versions`), then pull_with_versions(`out`,
+  /// `versions`): `versions` holds the last pull's versions on entry and
+  /// the new pull's on return.  Returns the push's staleness.
+  virtual std::int64_t push_pull(std::span<const float> grad, double lr, std::span<float> out,
+                                 std::vector<std::int64_t>& versions) = 0;
+
+  /// push_pull with a compressed push.
+  virtual std::int64_t push_pull_compressed(const CompressedPush& push, double lr,
+                                            std::span<float> out,
+                                            std::vector<std::int64_t>& versions) = 0;
 };
 
 }  // namespace ss

@@ -1,3 +1,11 @@
+// The worker process's step loop.  Each step is one exchange with the
+// server: the push of step k carries a request for the parameters of step
+// k+1, and the server answers both in one reply (WorkerSlot::
+// push_pull_gradient over SocketTransport::push_pull).  Only step 0 pulls on
+// its own, and only the last step pushes without asking for parameters it
+// would not use.  The PS sees the same push/pull sequence as the threaded
+// runtime's pull_gradient + push loop, so a one-worker run lands on the
+// same bits.
 #include "net/worker_process.h"
 
 #include <chrono>
@@ -44,6 +52,7 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
     throw NetError("worker: model has " + std::to_string(model.num_params()) +
                    " params but the server assigned " + std::to_string(a.num_params));
   std::optional<CompressorBank> bank = a.compression.make_bank(a.num_workers);
+  CompressorBank* codec = bank ? &*bank : nullptr;
   WorkerSlot slot(std::move(model), train, a.batch_size, a.seed, w, a.num_workers);
 
   WorkerProcessResult result;
@@ -56,8 +65,10 @@ WorkerProcessResult run_worker_process(const WorkerProcessConfig& cfg) {
     }
     const auto step_start = obs_on ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-    slot.pull_gradient(tx);
-    const WorkerSlot::Push push = slot.push(tx, bank ? &*bank : nullptr, a.lr);
+    if (step == 0) slot.pull_gradient(tx);
+    const WorkerSlot::Push push = step + 1 < a.steps_per_worker
+                                      ? slot.push_pull_gradient(tx, codec, a.lr)
+                                      : slot.push(tx, codec, a.lr);
     result.push_bytes += push.bytes;
     staleness_sum += push.staleness;
     ++result.steps;

@@ -4,7 +4,8 @@
 // server-owned run configuration (AssignmentMsg), regenerates the dataset and
 // model locally, and runs the ASP step loop — the threaded runtime's own
 // WorkerSlot step (ps/worker_slot.h): pull, local gradient, (optionally
-// compressed) push — entirely through the SocketTransport.  The slot's
+// compressed) push — entirely through the SocketTransport, with each push
+// and the next step's pull fused into one exchange.  The slot's
 // constructor assigns the data shard and RNG streams, so a worker process
 // computes the same gradients a worker *thread* with the same slot would.
 //

@@ -75,6 +75,17 @@ WorkerSlot::Push WorkerSlot::push(Transport& ps, CompressorBank* bank, double lr
   return out;
 }
 
+WorkerSlot::Push WorkerSlot::push_pull_gradient(Transport& ps, CompressorBank* bank, double lr) {
+  Push out;
+  out.bytes = encode(bank);
+  out.staleness =
+      bank != nullptr
+          ? ps.push_pull_compressed(encoded_, lr, model_.params(), pull_versions_)
+          : ps.push_pull(model_.grads(), lr, model_.params(), pull_versions_);
+  compute_gradient();
+  return out;
+}
+
 void WorkerSlot::add_into(std::span<float> sum, bool compressed) const {
   if (compressed)
     encoded_.add_into(sum);

@@ -10,8 +10,12 @@
 //
 //  * `pull_gradient` + `push` — the asynchronous step (ASP/SSP), against
 //    any Transport.  The threaded runtime calls them over InProcTransport,
-//    with its straggler delay between the two pieces; the socket worker
-//    process (net/worker_process.h) calls them over SocketTransport.
+//    with its straggler delay between the two pieces.
+//  * `push_pull_gradient` — the same step fused across its seam: push this
+//    gradient, land the fresh parameters, compute the next gradient, with
+//    one Transport::push_pull between.  The socket worker process
+//    (net/worker_process.h) runs its quota as one `pull_gradient`, then
+//    this, then a last `push`, so each step is one exchange on the wire.
 //  * `gradient_at` + `encode` — the synchronous step (BSP): every slot
 //    computes at the round's shared parameters and encodes; the leader
 //    sums the slots with `add_into` and pushes once.
@@ -75,6 +79,10 @@ class WorkerSlot {
 
   /// Encode and push against the versions of the last pull.
   Push push(Transport& ps, CompressorBank* bank, double lr);
+
+  /// `push`, then `pull_gradient`, with the push and the pull in one
+  /// Transport::push_pull: bit for bit the two calls in turn.
+  Push push_pull_gradient(Transport& ps, CompressorBank* bank, double lr);
 
   /// Add the last encoded gradient into `sum`: the decoded push when
   /// `compressed`, the raw gradient otherwise.

@@ -493,6 +493,18 @@ TEST(SimElastic, CrashRestoreDigestsArePinned) {
   }
 }
 
+TEST(SimElastic, KeepLiveCrashDigestIsPinned) {
+  // A crash under kKeepLive restores nothing, so the sim takes no snapshot
+  // for it, but its segments still split at the capture steps.  Digest
+  // recorded from the engine that still captured them; it must hold.
+  RunRequest keep_live = elastic_request();
+  keep_live.elastic.recovery = RecoveryMode::kKeepLive;
+  const RunResult r = TrainingSession(keep_live).run();
+  EXPECT_EQ(r.updates_lost, 0);
+  EXPECT_EQ(r.num_membership_events, 3);
+  EXPECT_EQ(result_fingerprint(r), "b9cc0c74ed271eea");
+}
+
 TEST(SimElastic, PlanIsKeyedIntoTheRunCache) {
   const RunRequest elastic = elastic_request();
   RunRequest plain = elastic;

@@ -154,8 +154,22 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
       {"Ok", FrameOut(MsgType::kOk), "5246535301000f000000000000000000"},
       {"Bye", FrameOut(MsgType::kBye), "52465353010010000000000000000000"},
       {"Error", error.encode(), "52465353010011000c000000000000000400000000000000626f6f6d"},
+      // The push-and-pull types, new in the same version: each request is
+      // its push's payload under its own type, the reply a staleness ahead
+      // of the PullReply layout.
+      {"PushPullDense", PushDenseMsg{0.01, versions, floats}.encode(/*then_pull=*/true),
+       "524653530100120034000000000000007b14ae47e17a843f020000000000000005000000000000000600"
+       "0000000000000300000000000000" "0000c03f000000c00000803e"},
+      {"PushPullCompressed sparse",
+       PushCompressedMsg{0.01, versions, sparse}.encode(/*then_pull=*/true),
+       "524653530100130051000000000000007b14ae47e17a843f020000000000000005000000000000000600"
+       "000000000000016400000000000000100000000000000002000000000000000000003f000000bf02000000"
+       "00000000070000002a000000"},
+      {"PushPullReply", PushPullReplyMsg{3, versions, floats}.encode(),
+       "524653530100140034000000000000000300000000000000020000000000000005000000000000000600"
+       "00000000000003000000000000000000c03f000000c00000803e"},
   };
-  std::vector<bool> covered(static_cast<std::size_t>(MsgType::kError) + 1, false);
+  std::vector<bool> covered(static_cast<std::size_t>(kLastMsgType) + 1, false);
   for (const Pin& p : pins) {
     EXPECT_EQ(hex(sent_bytes(p.frame)), p.hex) << p.name;
     covered[static_cast<std::size_t>(p.frame.type())] = true;
@@ -166,8 +180,9 @@ TEST(NetFrame, EveryMessageTypeMatchesItsPinnedWireBytes) {
 }
 
 TEST(NetFrame, DenseUpdateOfTheSocketBenchShapeIs820128Bytes) {
-  // One ASP update on the wire: Pull, PullReply, PushDense, PushReply, for
-  // the 102,500-parameter single-shard model of the socket benchmark.
+  // One ASP update as two exchanges on the wire: Pull, PullReply,
+  // PushDense, PushReply, for the 102,500-parameter single-shard model of
+  // the socket benchmark.
   const WireShape shape{102500, 1};
   const std::vector<float> p(shape.num_params, 0.5f);
   const std::vector<std::int64_t> v{9};
@@ -179,6 +194,37 @@ TEST(NetFrame, DenseUpdateOfTheSocketBenchShapeIs820128Bytes) {
                                pull_reply.payload_bytes() + push.payload_bytes() +
                                PushReplyMsg{}.encode().payload_bytes();
   EXPECT_EQ(update, 820128u);
+}
+
+TEST(NetFrame, FusedDenseUpdateOfTheSocketBenchShapeIs820096Bytes) {
+  // The same update as one exchange: a PushPullDense and its PushPullReply.
+  // The 16-byte Pull and the 24-byte PushReply go; the reply gains the
+  // 8-byte staleness.
+  const WireShape shape{102500, 1};
+  const std::vector<float> p(shape.num_params, 0.5f);
+  const std::vector<std::int64_t> v{9};
+  const FrameOut request = PushDenseMsg{0.01, v, p}.encode(/*then_pull=*/true);
+  const FrameOut reply = PushPullReplyMsg{0, v, p}.encode();
+  EXPECT_EQ(request.payload_bytes(), push_dense_bytes(shape));
+  EXPECT_EQ(reply.payload_bytes(), max_payload_bytes(MsgType::kPushPullReply, shape));
+  EXPECT_EQ(kFrameHeaderBytes * 2 + request.payload_bytes() + reply.payload_bytes(), 820096u);
+}
+
+TEST(NetFrame, PushPullRequestsCarryTheirPushPayloadVerbatim) {
+  const std::vector<std::int64_t> versions{5, 6, 7};
+  const std::vector<float> grad{1.5f, -2.5f, 0.0f, 99.0f};
+  const PushDenseMsg dense{0.25, versions, grad};
+  EXPECT_EQ(dense.encode(/*then_pull=*/true).type(), MsgType::kPushPullDense);
+  EXPECT_EQ(payload_of(dense.encode(/*then_pull=*/true)), payload_of(dense.encode()));
+  CompressedPush sparse;
+  sparse.format = CompressedPush::Format::kSparse;
+  sparse.num_params = 4;
+  sparse.wire_size = 8;
+  sparse.values = {0.5f};
+  sparse.indices = {2};
+  const PushCompressedMsg compressed{0.5, versions, sparse};
+  EXPECT_EQ(compressed.encode(/*then_pull=*/true).type(), MsgType::kPushPullCompressed);
+  EXPECT_EQ(payload_of(compressed.encode(/*then_pull=*/true)), payload_of(compressed.encode()));
 }
 
 TEST(NetFrame, BulkArraysAreReferencedNotCopied) {
@@ -275,6 +321,27 @@ TEST(NetFrame, DenseFramesScatterIntoTheirDestination) {
   EXPECT_DOUBLE_EQ(PushDenseMsg::decode_prefix(prefix, shape, got), 0.03);
   EXPECT_EQ(got, versions);
   EXPECT_EQ(dest, params);
+
+  send_frame(tx, PushDenseMsg{0.04, versions, params}.encode(/*then_pull=*/true));
+  ASSERT_TRUE(recv_frame_header(rx, h, shape));
+  EXPECT_EQ(h.type, MsgType::kPushPullDense);
+  ASSERT_EQ(h.payload_bytes, push_dense_bytes(shape));
+  std::fill(dest.begin(), dest.end(), 0.0f);
+  recv_payload(rx, h, prefix, std::as_writable_bytes(std::span(dest)));
+  EXPECT_DOUBLE_EQ(PushDenseMsg::decode_prefix(prefix, shape, got), 0.04);
+  EXPECT_EQ(got, versions);
+  EXPECT_EQ(dest, params);
+
+  send_frame(tx, PushPullReplyMsg{-4, versions, params}.encode());
+  ASSERT_TRUE(recv_frame_header(rx, h, shape));
+  EXPECT_EQ(h.type, MsgType::kPushPullReply);
+  ASSERT_EQ(h.payload_bytes, max_payload_bytes(MsgType::kPushPullReply, shape));
+  std::fill(dest.begin(), dest.end(), 0.0f);
+  got.clear();
+  recv_payload(rx, h, prefix, std::as_writable_bytes(std::span(dest)));
+  EXPECT_EQ(PushPullReplyMsg::decode_prefix(prefix, shape, got), -4);
+  EXPECT_EQ(got, versions);
+  EXPECT_EQ(dest, params);
 }
 
 TEST(NetFrame, PushCompressedRoundTrips) {
@@ -288,17 +355,22 @@ TEST(NetFrame, PushCompressedRoundTrips) {
   const WireShape shape{100, 2};
   std::vector<std::int64_t> got_versions;
   CompressedPush got;
-  EXPECT_DOUBLE_EQ(PushCompressedMsg::decode(
-                       loop_back(PushCompressedMsg{0.01, versions, sparse}.encode(), shape).payload,
-                       got_versions, got)
-                       .lr,
-                   0.01);
-  EXPECT_EQ(got_versions, versions);
-  EXPECT_EQ(got.format, CompressedPush::Format::kSparse);
-  EXPECT_EQ(got.num_params, 100u);
-  EXPECT_EQ(got.wire_size, 16u);
-  EXPECT_EQ(got.indices, sparse.indices);
-  EXPECT_EQ(got.values, sparse.values);
+  for (const bool then_pull : {false, true}) {
+    got = CompressedPush{};
+    got_versions.clear();
+    EXPECT_DOUBLE_EQ(
+        PushCompressedMsg::decode(
+            loop_back(PushCompressedMsg{0.01, versions, sparse}.encode(then_pull), shape).payload,
+            got_versions, got)
+            .lr,
+        0.01);
+    EXPECT_EQ(got_versions, versions);
+    EXPECT_EQ(got.format, CompressedPush::Format::kSparse);
+    EXPECT_EQ(got.num_params, 100u);
+    EXPECT_EQ(got.wire_size, 16u);
+    EXPECT_EQ(got.indices, sparse.indices);
+    EXPECT_EQ(got.values, sparse.values);
+  }
 
   CompressedPush dense;
   dense.format = CompressedPush::Format::kDense;
@@ -354,6 +426,15 @@ TEST(NetFrame, FixedLayoutBoundsEqualTheEncodedLengths) {
   for (std::uint32_t i = 0; i < shape.num_params; ++i) all.indices.push_back(i);
   const FrameOut all_kept = PushCompressedMsg{0.1, versions, all}.encode();
   EXPECT_EQ(max_payload_bytes(MsgType::kPushCompressed, shape), all_kept.payload_bytes());
+  EXPECT_EQ(max_payload_bytes(MsgType::kPushPullCompressed, shape), all_kept.payload_bytes());
+
+  // The dense frames are exactly their bound.
+  const std::vector<float> floats(shape.num_params, 1.0f);
+  const PushDenseMsg dense{0.1, versions, floats};
+  const PushPullReplyMsg reply{0, versions, floats};
+  EXPECT_EQ(max_payload_bytes(MsgType::kPushPullDense, shape),
+            dense.encode(/*then_pull=*/true).payload_bytes());
+  EXPECT_EQ(max_payload_bytes(MsgType::kPushPullReply, shape), reply.encode().payload_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -393,8 +474,10 @@ std::vector<MalformedCase> malformed_cases() {
   }
   const std::uint16_t version42 = 42;
   cases.push_back({"bad_version", patched(4, &version42, 2), "unsupported protocol version"});
-  const std::uint16_t type_ee = 0xEE;  // past kError
+  const std::uint16_t type_ee = 0xEE;  // past the last type
   cases.push_back({"unknown_type", patched(6, &type_ee, 2), "unknown message type"});
+  const std::uint16_t type_21 = 21;  // the first value past kPushPullReply
+  cases.push_back({"first_unused_type", patched(6, &type_21, 2), "unknown message type"});
   const std::uint16_t type_zero = 0;  // below kHello
   cases.push_back({"zero_type", patched(6, &type_zero, 2), "unknown message type"});
   // Retired values are never reused: the remote checkpoint/restore RPC
@@ -417,6 +500,26 @@ std::vector<MalformedCase> malformed_cases() {
     const std::uint64_t past = 8 + kMaxErrorMessageBytes + 1;
     std::memcpy(b.data() + 8, &past, sizeof(past));
     cases.push_back({"error_past_its_bound", std::move(b), "exceeds its 4104-byte bound"});
+  }
+  // The push-and-pull types, one byte past their bounds for the (empty)
+  // shape the receiver holds, with no payload behind them: refused from the
+  // header alone.  The dense request and the reply have one exact length,
+  // so this is also the smallest wrong length a receiver cannot read whole.
+  const struct {
+    const char* name;
+    MsgType type;
+    const char* bound;
+  } fused[] = {
+      {"push_pull_dense_past_its_bound", MsgType::kPushPullDense, "exceeds its 24-byte bound"},
+      {"push_pull_compressed_past_its_bound", MsgType::kPushPullCompressed,
+       "exceeds its 49-byte bound"},
+      {"push_pull_reply_past_its_bound", MsgType::kPushPullReply, "exceeds its 24-byte bound"},
+  };
+  for (const auto& f : fused) {
+    std::vector<std::uint8_t> b = flatten(FrameOut(f.type));
+    const std::uint64_t past = max_payload_bytes(f.type, WireShape{}) + 1;
+    std::memcpy(b.data() + 8, &past, sizeof(past));
+    cases.push_back({f.name, std::move(b), f.bound});
   }
   {
     std::vector<std::uint8_t> b = valid_frame_bytes();
@@ -526,6 +629,13 @@ TEST(NetFrame, MalformedPayloadsThrowTypedErrors) {
     cases.push_back({"vector_count_lie", MsgType::kPushCompressed, std::move(p),
                      "truncated payload"});
   }
+  cases.push_back({"push_pull_reply_version_count", MsgType::kPushPullReply,
+                   prefix_of(PushPullReplyMsg{0, two, g2}.encode(), 2), "version count 2"});
+  cases.push_back({"push_pull_reply_float_count", MsgType::kPushPullReply,
+                   prefix_of(PushPullReplyMsg{0, one, std::span(g2).first(1)}.encode(), 1),
+                   "float count 1"});
+  cases.push_back({"push_pull_reply_truncated_staleness", MsgType::kPushPullReply,
+                   {1, 2, 3}, "truncated payload"});
   cases.push_back({"assignment_empty_payload", MsgType::kAssignment, {}, "truncated payload"});
 
   for (const MalformedPayloadCase& c : cases) {
@@ -541,6 +651,9 @@ TEST(NetFrame, MalformedPayloadsThrowTypedErrors) {
           break;
         case MsgType::kPushCompressed:
           (void)PushCompressedMsg::decode(c.payload, versions, push);
+          break;
+        case MsgType::kPushPullReply:
+          (void)PushPullReplyMsg::decode_prefix(c.payload, shape, versions);
           break;
         case MsgType::kAssignment:
           (void)AssignmentMsg::decode(c.payload);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -14,13 +15,17 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "compress/bank.h"
 #include "data/synthetic.h"
+#include "net/inproc_transport.h"
 #include "net/ps_server.h"
 #include "net/socket.h"
 #include "net/worker_process.h"
 #include "nn/checkpoint.h"
 #include "nn/zoo.h"
+#include "ps/param_server.h"
 #include "ps/threaded_runtime.h"
+#include "ps/worker_slot.h"
 
 namespace ss {
 namespace {
@@ -307,6 +312,16 @@ TEST(NetTransport, TransportRpcsRoundTripAgainstLiveServer) {
   EXPECT_EQ(tx.push(grad, 0.05, versions), 0);
   tx.pull_with_versions(params, versions);
   EXPECT_EQ(versions, std::vector<std::int64_t>(tx.num_shards(), 2));
+
+  // push_pull: the push applies, and the reply carries the parameters and
+  // versions a pull right after it reads.
+  EXPECT_EQ(tx.push_pull(grad, 0.05, params, versions), 0);
+  EXPECT_EQ(versions, std::vector<std::int64_t>(tx.num_shards(), 3));
+  std::vector<float> pulled(tx.num_params());
+  std::vector<std::int64_t> pulled_versions;
+  tx.pull_with_versions(pulled, pulled_versions);
+  EXPECT_EQ(pulled, params);
+  EXPECT_EQ(pulled_versions, versions);
 
   EXPECT_TRUE(tx.drain_arrive(10));
   tx.bye();
@@ -605,12 +620,34 @@ TEST(NetTransport, MiscountedPushDenseGetsAnErrorAndTheSessionContinues) {
   other_model.wire_size = 8;
   expect_error_then_pull(PushCompressedMsg{0.1, one, other_model}.encode(), "decoded length");
 
-  // None of that touched the PS; a well-formed push still applies.
+  // The push-and-pull requests are refused the same way, and pull nothing.
+  const FrameOut fused_extra_version =
+      PushDenseMsg{0.1, two, std::span(grad).first(grad.size() - 2)}.encode(/*then_pull=*/true);
+  ASSERT_EQ(fused_extra_version.payload_bytes(), push_dense_bytes(shape));
+  expect_error_then_pull(fused_extra_version, "version count 2");
+  expect_error_then_pull(
+      PushDenseMsg{0.1, one, std::span(grad).first(3)}.encode(/*then_pull=*/true),
+      "the assigned shape needs");
+  expect_error_then_pull(PushCompressedMsg{0.1, one, other_model}.encode(/*then_pull=*/true),
+                         "decoded length");
+
+  // None of that touched the PS; a well-formed push still applies, and so
+  // does a well-formed push-and-pull, whose reply has the parameters after it.
   send_frame(sock, PushDenseMsg{0.1, one, grad}.encode());
   Frame reply;
   ASSERT_TRUE(recv_frame(sock, reply, shape));
   ASSERT_EQ(reply.type, MsgType::kPushReply);
   EXPECT_EQ(PushReplyMsg::decode(reply.payload).staleness, 0);
+  send_frame(sock, PushDenseMsg{0.1, one, grad}.encode(/*then_pull=*/true));
+  ASSERT_TRUE(recv_frame(sock, reply, shape));
+  ASSERT_EQ(reply.type, MsgType::kPushPullReply);
+  ASSERT_EQ(reply.payload.size(), max_payload_bytes(MsgType::kPushPullReply, shape));
+  std::vector<std::int64_t> versions;
+  EXPECT_EQ(PushPullReplyMsg::decode_prefix(
+                std::span(reply.payload).first(reply.payload.size() - 4 * shape.num_params),
+                shape, versions),
+            1);  // one update since the versions it pushed against
+  EXPECT_EQ(versions, std::vector<std::int64_t>{2});
 
   DrainArriveMsg arrive;
   arrive.local_steps = 1;
@@ -620,7 +657,7 @@ TEST(NetTransport, MiscountedPushDenseGetsAnErrorAndTheSessionContinues) {
   send_frame(sock, FrameOut(MsgType::kBye));
   const PsServerResult res = server.join();
   EXPECT_EQ(res.workers_evicted, 0u);
-  EXPECT_EQ(res.total_updates, 1);
+  EXPECT_EQ(res.total_updates, 2);
 }
 
 TEST(NetTransport, WorkerRejectsWrongShapePullReplies) {
@@ -667,35 +704,141 @@ TEST(NetTransport, WorkerRejectsWrongShapePullReplies) {
   scripted.join();
 }
 
+TEST(NetTransport, WorkerRejectsWrongShapePushPullReplies) {
+  // A scripted server: assigns 8 parameters on 1 shard, then answers three
+  // push-and-pull requests with a short reply, a good one, and an over-long
+  // one.
+  constexpr std::size_t kParams = 8;
+  Listener listener = listen_endpoint(unique_unix_endpoint(41));
+  const std::vector<std::int64_t> one{3};
+  std::vector<float> params(kParams + 1);
+  for (std::size_t i = 0; i < params.size(); ++i) params[i] = static_cast<float>(i) + 0.5f;
+  const std::span<const float> p(params);
+  std::thread scripted([&] {
+    Socket s = listener.accept();
+    Frame req;
+    ASSERT_TRUE(recv_frame(s, req));
+    AssignmentMsg a;
+    a.num_workers = 1;
+    a.num_params = kParams;
+    a.num_shards = 1;
+    send_frame(s, a.encode());
+    const WireShape shape{kParams, 1};
+    for (const FrameOut& reply : {PushPullReplyMsg{1, one, p.first(kParams - 1)}.encode(),
+                                  PushPullReplyMsg{2, one, p.first(kParams)}.encode(),
+                                  PushPullReplyMsg{3, one, p}.encode()}) {
+      ASSERT_TRUE(recv_frame(s, req, shape));
+      ASSERT_EQ(req.type, MsgType::kPushPullDense);
+      send_frame(s, reply);
+    }
+  });
+
+  AssignmentMsg a;
+  SocketTransport tx(listener.endpoint(), a);
+  const std::vector<float> grad(kParams, 1.0f);
+  std::vector<float> out(kParams);
+  std::vector<std::int64_t> versions{0};
+  EXPECT_THROW((void)tx.push_pull(grad, 0.1, out, versions), NetError);  // short
+  // The short reply was read whole, so the stream is still in frame sync.
+  versions = {0};
+  EXPECT_EQ(tx.push_pull(grad, 0.1, out, versions), 2);
+  EXPECT_EQ(versions, one);
+  EXPECT_EQ(out, std::vector<float>(params.begin(), params.begin() + kParams));
+  EXPECT_THROW((void)tx.push_pull(grad, 0.1, out, versions), NetError);  // past the bound
+  scripted.join();
+}
+
+// The fused step is the two-call step with the exchange merged: over the
+// in-process PS, slots stepping through push_pull_gradient leave the PS,
+// the stalenesses and the wire bytes exactly where push + pull_gradient
+// does, for dense and compressed pushes and one or four shards.
+TEST(NetTransport, FusedWorkerSlotStepMatchesPushThenPullBitForBit) {
+  const DataSplit split = make_synthetic(tiny_spec());
+  Rng model_rng(5);
+  const Model proto = make_model(ModelArch::kLinear, split.train.feature_dim(),
+                                 split.train.num_classes(), model_rng);
+  constexpr std::size_t kWorkers = 2;
+  for (const CompressionSpec& compression :
+       {CompressionSpec::none(), CompressionSpec::topk(0.1)}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(codec_kind_name(compression.kind) + " x " + std::to_string(shards) +
+                   " shards");
+      struct Run {
+        Run(const Model& proto, std::size_t shards) : ps(proto.get_params(), 0.9, shards) {}
+        SharedParameterServer ps;
+        InProcTransport tx{ps};
+        std::optional<CompressorBank> bank;
+        std::vector<WorkerSlot> slots;
+        std::vector<WorkerSlot::Push> pushes;
+      };
+      auto make_run = [&] {
+        auto run = std::make_unique<Run>(proto, shards);
+        run->bank = compression.make_bank(kWorkers);
+        for (std::size_t w = 0; w < kWorkers; ++w)
+          run->slots.emplace_back(proto.clone(), split.train, 8, 17, w, kWorkers);
+        for (WorkerSlot& slot : run->slots) slot.pull_gradient(run->tx);
+        return run;
+      };
+      const auto fused = make_run();
+      const auto split_step = make_run();
+      for (int step = 0; step < 12; ++step) {
+        for (std::size_t w = 0; w < kWorkers; ++w) {
+          CompressorBank* fb = fused->bank ? &*fused->bank : nullptr;
+          fused->pushes.push_back(fused->slots[w].push_pull_gradient(fused->tx, fb, 0.05));
+          CompressorBank* sb = split_step->bank ? &*split_step->bank : nullptr;
+          split_step->pushes.push_back(split_step->slots[w].push(split_step->tx, sb, 0.05));
+          split_step->slots[w].pull_gradient(split_step->tx);
+        }
+      }
+      std::int64_t stale = 0;
+      for (std::size_t i = 0; i < fused->pushes.size(); ++i) {
+        EXPECT_EQ(fused->pushes[i].staleness, split_step->pushes[i].staleness) << "push " << i;
+        EXPECT_EQ(fused->pushes[i].bytes, split_step->pushes[i].bytes) << "push " << i;
+        stale += fused->pushes[i].staleness;
+      }
+      EXPECT_GT(stale, 0);  // the two slots interleave, so pushes are stale
+      std::vector<float> a(proto.num_params());
+      std::vector<float> b(proto.num_params());
+      fused->ps.pull(a);
+      split_step->ps.pull(b);
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+    }
+  }
+}
+
 TEST(NetTransport, WorkerDyingMidGradientIsEvictedAndSnapshotRestored) {
-  PsServerConfig cfg;
-  cfg.listen = unique_unix_endpoint(8);
-  cfg.num_workers = 2;
-  cfg.steps_per_worker = 20;
-  cfg.snapshot_interval = 4;
-  cfg.data = wide_spec();
-  ServerHandle server(cfg);
-  const std::string ep = server.endpoint();
-  Socket dying = connect_endpoint(ep);
-  const AssignmentMsg a = raw_hello(dying);
-  ASSERT_EQ(a.num_params, 102500u);
-  auto honest = launch_worker(ep);
+  for (const bool then_pull : {false, true}) {
+    SCOPED_TRACE(then_pull ? "PushPullDense" : "PushDense");
+    PsServerConfig cfg;
+    cfg.listen = unique_unix_endpoint(then_pull ? 40 : 8);
+    cfg.num_workers = 2;
+    cfg.steps_per_worker = 20;
+    cfg.snapshot_interval = 4;
+    cfg.data = wide_spec();
+    ServerHandle server(cfg);
+    const std::string ep = server.endpoint();
+    Socket dying = connect_endpoint(ep);
+    const AssignmentMsg a = raw_hello(dying);
+    ASSERT_EQ(a.num_params, 102500u);
+    auto honest = launch_worker(ep);
 
-  // Half of a full-size dense push, then the connection drops: the server
-  // is blocked inside the 410 KB gradient array when the EOF arrives.
-  const std::vector<float> grad(a.num_params, 0.1f);
-  const std::vector<std::int64_t> versions(a.num_shards, 0);
-  const std::vector<std::uint8_t> bytes = flatten(PushDenseMsg{0.1, versions, grad}.encode());
-  send_raw(dying, std::span(bytes).first(bytes.size() / 2));
-  dying.close();
+    // Half of a full-size dense push, then the connection drops: the server
+    // is blocked inside the 410 KB gradient array when the EOF arrives.
+    const std::vector<float> grad(a.num_params, 0.1f);
+    const std::vector<std::int64_t> versions(a.num_shards, 0);
+    const std::vector<std::uint8_t> bytes =
+        flatten(PushDenseMsg{0.1, versions, grad}.encode(then_pull));
+    send_raw(dying, std::span(bytes).first(bytes.size() / 2));
+    dying.close();
 
-  const WorkerProcessResult r = honest.get();
-  const PsServerResult res = server.join();
-  EXPECT_EQ(r.steps, 20);
-  EXPECT_TRUE(r.drained);
-  EXPECT_EQ(res.workers_evicted, 1u);
-  EXPECT_GE(res.snapshots_restored, 1);
-  EXPECT_GE(res.total_updates, 20);
+    const WorkerProcessResult r = honest.get();
+    const PsServerResult res = server.join();
+    EXPECT_EQ(r.steps, 20);
+    EXPECT_TRUE(r.drained);
+    EXPECT_EQ(res.workers_evicted, 1u);
+    EXPECT_GE(res.snapshots_restored, 1);
+    EXPECT_GE(res.total_updates, 20);
+  }
 }
 
 TEST(NetTransport, ConnectToDeadEndpointThrowsNetError) {

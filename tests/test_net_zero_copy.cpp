@@ -1,5 +1,6 @@
 // The dense data plane is allocation-free in steady state: once warm, a
-// pull + dense push round trip allocates no parameter-sized buffer on
+// pull + dense push round trip, and the fused push-and-pull exchange that
+// replaces it in the worker process, allocate no parameter-sized buffer on
 // either side of the socket.
 //
 // This binary replaces the global operator new with a counting one (kept
@@ -68,20 +69,26 @@ TEST(NetZeroCopy, SteadyStateDensePullPushAllocatesNothingParameterSized) {
   std::vector<float> params(a.num_params);
   const std::vector<float> grad(a.num_params, 1e-4f);
   std::vector<std::int64_t> versions;
-  auto step = [&] {
-    tx.pull_with_versions(params, versions);
-    (void)tx.push(grad, 0.01, versions);
+  auto large_allocations = [](const auto& step) {
+    for (int i = 0; i < 3; ++i) step();  // warm-up: session buffers settle
+    g_large_allocations = 0;
+    g_counting = true;
+    for (int i = 0; i < 50; ++i) step();
+    g_counting = false;
+    return g_large_allocations.load();
   };
-  for (int i = 0; i < 3; ++i) step();  // warm-up: session buffers settle
-
-  g_counting = true;
-  for (int i = 0; i < 50; ++i) step();
-  g_counting = false;
-  EXPECT_EQ(g_large_allocations.load(), 0);
+  EXPECT_EQ(large_allocations([&] {
+              tx.pull_with_versions(params, versions);
+              (void)tx.push(grad, 0.01, versions);
+            }),
+            0)
+      << "Pull + PushDense";
+  EXPECT_EQ(large_allocations([&] { (void)tx.push_pull(grad, 0.01, params, versions); }), 0)
+      << "PushPullDense";
 
   EXPECT_TRUE(tx.drain_arrive(1));
   tx.bye();
-  EXPECT_EQ(server.get().total_updates, 53);
+  EXPECT_EQ(server.get().total_updates, 106);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 # simulated flag.  The server must detect the dead socket, evict the worker,
 # restore the latest asynchronous snapshot, and still complete the run with
 # the survivor.  Asserts on the server's exit code, the survivor's exit
-# code, and the eviction/restore lines in the server output.
+# code, the eviction/restore lines in the server output, and the frame count
+# of its final metrics line (one exchange per update).
 #
 # Usage: multiprocess_smoke.sh <path-to-sync_switch_cli> [unix|tcp]
 # (default unix; tcp listens on 127.0.0.1 port 0 and reads the bound port
@@ -33,9 +34,9 @@ fail() {
 }
 
 # The step quota is sized so the run is still going when the kill lands
-# (~10k updates/s over a local socket on one core => ~4s of run); the
+# (~50k updates/s over a local socket on a 4-vCPU VM => ~2s of run); the
 # survivor then finishes the remaining steps alone.
-"$CLI" serve --listen "$LISTEN" --workers 2 --steps 20000 --batch 16 \
+"$CLI" serve --listen "$LISTEN" --workers 2 --steps 60000 --batch 16 \
   --snapshot-interval 32 --verbose --metrics-out "$DIR/metrics.txt" \
   >"$DIR/server.log" 2>&1 &
 SERVER=$!
@@ -91,6 +92,15 @@ grep -Eq "^ss_net_frames_received_total [1-9][0-9]*$" "$DIR/metrics.txt" \
   || fail "metrics dump has no nonzero ss_net_frames_received_total"
 grep -q "metrics final" "$DIR/server.log" \
   || fail "server log has no dump-on-exit metrics line"
+# One exchange per update: the server receives one frame per push (the
+# push-and-pull request) plus a handful per worker (Hello, the first Pull,
+# DrainArrive, Bye).  Two exchanges per update would read twice the updates.
+FINAL="$(grep "metrics final" "$DIR/server.log" | head -n 1)"
+UPDATES="$(sed -n 's/.* updates=\([0-9]*\).*/\1/p' <<<"$FINAL")"
+FRAMES_RX="$(sed -n 's/.* frames_rx=\([0-9]*\).*/\1/p' <<<"$FINAL")"
+[ -n "$UPDATES" ] && [ -n "$FRAMES_RX" ] || fail "metrics final line has no updates or frames_rx"
+[ "$FRAMES_RX" -le $((UPDATES + 16)) ] \
+  || fail "server received $FRAMES_RX frames for $UPDATES updates: over one exchange each"
 
 echo "PASS ($KIND): killed worker evicted, snapshot restored, metrics dumped, run completed"
 exit 0
