@@ -2,7 +2,7 @@
 //
 // Not a paper artifact; quantifies the building blocks so users can estimate
 // simulation cost: gradient computation, PS apply, pull (snapshot copy),
-// event-queue ops, checkpoint round-trip, a wire pull + push.
+// event-queue ops, a wire pull + push.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -578,18 +578,6 @@ void BM_BatchNormForwardBackward(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64 * 96);
 }
 BENCHMARK(BM_BatchNormForwardBackward);
-
-void BM_CheckpointRoundTrip(benchmark::State& state) {
-  Checkpoint ckpt;
-  ckpt.global_step = 1234;
-  ckpt.params.assign(13000, 0.25f);
-  ckpt.velocity.assign(13000, -0.5f);
-  for (auto _ : state) {
-    const auto bytes = ckpt.serialize();
-    benchmark::DoNotOptimize(Checkpoint::deserialize(bytes));
-  }
-}
-BENCHMARK(BM_CheckpointRoundTrip);
 
 // One ASP update over a real socket with no compute: an in-process
 // ps_server session and one SocketTransport doing pull + dense push, so the

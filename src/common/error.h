@@ -28,12 +28,14 @@ class DivergenceError : public std::runtime_error {
   explicit DivergenceError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Checkpoint serialization / restore failure.
+/// A file could not be opened, read or written.
 class IoError : public std::runtime_error {
  public:
   explicit IoError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A checkpoint does not fit the server it is restored into (size or shard
+/// layout).
 class CheckpointError : public std::runtime_error {
  public:
   explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}

@@ -1,18 +1,60 @@
-// Shared JSON emission: string escaping and a Chrome trace-event array
-// writer.  The one trace exporter, obs::WallTracer (obs/tracer.h), writes
-// through it for both of its clocks: the real runtimes' wall time and the
-// simulator's virtual time (ps/trace.h's TraceSink), so the two timelines
-// stay byte-level compatible and open in the same Perfetto view.
+// Shared JSON emission and reading: string escaping, number formatting, a
+// Chrome trace-event array writer, and one reader for what the repo writes.
+// The one trace exporter, obs::WallTracer (obs/tracer.h), writes through it
+// for both of its clocks: the real runtimes' wall time and the simulator's
+// virtual time (ps/trace.h's TraceSink), so the two timelines stay
+// byte-level compatible and open in the same Perfetto view.  The reader
+// parses scenario trace files (scenario/trace_replay.h) and, in tests, the
+// exported Chrome traces.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 namespace ss {
 
 /// JSON string escaping (quotes, backslashes, control characters).
 std::string json_escape(const std::string& s);
+
+/// A double as a JSON value: finite values as `os << v` prints them, and a
+/// non-finite one as the string "nan", "inf" or "-inf" (JSON has no
+/// literal for them).
+std::string json_number(double v);
+
+struct JsonMember;
+
+/// A parsed JSON value.  There is no true/false/null: nothing in the repo
+/// writes them, and the reader refuses them.
+struct JsonValue {
+  enum class Kind { kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNumber;
+  int line = 1;                    ///< source line the value starts on
+  std::string text;                ///< a string's decoded bytes, a number's source text
+  std::vector<JsonValue> array;    ///< kArray elements
+  std::vector<JsonMember> object;  ///< kObject members in source order, duplicates kept
+
+  /// The first member called `key`, or null (also for a non-object).
+  [[nodiscard]] const JsonValue* find(const std::string& key) const;
+  /// A number's value (std::stod of its text).
+  [[nodiscard]] double number() const { return std::stod(text); }
+};
+
+struct JsonMember {
+  std::string key;
+  int line = 1;  ///< source line of the key
+  JsonValue value;
+};
+
+/// Parse one JSON document: objects, arrays, strings and numbers, nested
+/// at most 64 deep.  A string takes the escapes json_escape emits (`\"`,
+/// `\\`, `\n`, `\r`, `\t`, `\u0000`-`\u007f`) plus `\/`.  A syntax error
+/// throws ConfigError("<file>:<line>: <field>: why"), where <field> is the
+/// key of the member whose value is being read, `key` while a key is read,
+/// and `root` outside any member.
+[[nodiscard]] JsonValue parse_json(const std::string& text, const std::string& file = "<json>",
+                                   const std::string& root = "json");
 
 /// Streams a Chrome trace-event JSON array: one event object per line,
 /// comma separation handled here.  Fields are emitted in call order (the

@@ -1,7 +1,6 @@
 #include "obs/tracer.h"
 
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/error.h"
@@ -9,21 +8,11 @@
 
 namespace ss::obs {
 
-namespace {
-
-std::string format_number(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-}  // namespace
-
 TraceArg arg(const char* key, std::int64_t v) { return {key, std::to_string(v)}; }
 
 TraceArg arg(const char* key, int v) { return arg(key, static_cast<std::int64_t>(v)); }
 
-TraceArg arg(const char* key, double v) { return {key, format_number(v)}; }
+TraceArg arg(const char* key, double v) { return {key, json_number(v)}; }
 
 TraceArg arg(const char* key, const std::string& v) {
   // Built by append (not operator+) to sidestep a GCC 12 -Wrestrict false

@@ -97,7 +97,7 @@ class SharedParameterServer {
   [[nodiscard]] Checkpoint snapshot_checkpoint(std::int64_t logical_step) const;
 
   /// Restore params and velocity, shard by shard.  A flat checkpoint
-  /// (`num_shards <= 1`: v1 files and single-shard snapshots) restores into
+  /// (`num_shards <= 1`, e.g. a single-shard server's snapshot) restores into
   /// any layout; a sharded one must match this server's shard count and
   /// carry one version per shard, or it is refused with CheckpointError
   /// before anything is written.  Versions never roll back, so staleness

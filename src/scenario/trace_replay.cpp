@@ -172,179 +172,57 @@ RawTrace read_csv(const std::string& text, const std::string& file) {
 
 // --- JSON frontend ---------------------------------------------------------
 //
-// A deliberately small recursive-descent reader for the trace schema only
-// (an object of scalars plus an "events" array of flat objects).  It tracks
-// the current line so every error lands as "<file>:<line>: <field>: why",
-// matching the CSV frontend.
+// A walk over the parsed document (common/json.h), which already carries
+// every value's line: an object of scalars plus an "events" array of flat
+// objects.
 
-class JsonReader {
- public:
-  JsonReader(const std::string& text, const std::string& file) : text_(text), file_(file) {}
+const std::string& json_scalar(const JsonValue& v, const std::string& file,
+                               const std::string& field) {
+  if (v.kind == JsonValue::Kind::kObject || v.kind == JsonValue::Kind::kArray)
+    fail(file, v.line, field, "expected a string or number value");
+  return v.text;
+}
 
-  RawTrace read() {
-    RawTrace raw;
-    expect('{', "trace");
-    skip_ws();
-    if (peek() != '}') read_members(raw);  // consumes every ',' between members
-    skip_ws();
-    if (peek() != '}') fail_here("trace", "expected ',' or '}' after a member");
-    ++pos_;
-    skip_ws();
-    if (pos_ != text_.size()) fail_here("trace", "trailing content after the closing '}'");
-    return raw;
+EventRow read_json_event(const JsonValue& ev, const std::string& file) {
+  if (ev.kind != JsonValue::Kind::kObject) fail(file, ev.line, "events", "expected '{'");
+  EventRow row;
+  row.line = ev.line;
+  for (const JsonMember& m : ev.object) {
+    const std::string key = lower(m.key);
+    const std::string& value = json_scalar(m.value, file, key);
+    Field* cell = key == "at"         ? &row.at
+                  : key == "worker"   ? &row.worker
+                  : key == "value"    ? &row.value
+                  : key == "duration" ? &row.duration
+                                      : nullptr;
+    if (key == "event")
+      row.event = lower(value);
+    else if (cell != nullptr)
+      *cell = {value, true};
+    else
+      fail(file, m.line, key, "unknown event field (want event/at/worker/value/duration)");
   }
+  if (row.event.empty())
+    fail(file, row.line, "events", "event object is missing the 'event' field");
+  return row;
+}
 
- private:
-  void read_members(RawTrace& raw) {
-    while (true) {
-      skip_ws();
-      const int key_line = line_;
-      const std::string key = lower(read_string("key"));
-      skip_ws();
-      expect(':', key);
-      skip_ws();
-      if (key == "events") {
-        read_events(raw);
-      } else {
-        if (raw.meta.count(key)) fail(file_, key_line, key, "duplicate trace key");
-        raw.meta[key] = {read_scalar(key), key_line};
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return;
+RawTrace read_json(const std::string& text, const std::string& file) {
+  const JsonValue doc = parse_json(text, file, "trace");
+  if (doc.kind != JsonValue::Kind::kObject) fail(file, doc.line, "trace", "expected '{'");
+  RawTrace raw;
+  for (const JsonMember& m : doc.object) {
+    const std::string key = lower(m.key);
+    if (key == "events") {
+      if (m.value.kind != JsonValue::Kind::kArray) fail(file, m.value.line, key, "expected '['");
+      for (const JsonValue& ev : m.value.array) raw.rows.push_back(read_json_event(ev, file));
+      continue;
     }
+    if (raw.meta.count(key)) fail(file, m.line, key, "duplicate trace key");
+    raw.meta[key] = {json_scalar(m.value, file, key), m.line};
   }
-
-  void read_events(RawTrace& raw) {
-    expect('[', "events");
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      raw.rows.push_back(read_event());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']', "events");
-      return;
-    }
-  }
-
-  EventRow read_event() {
-    EventRow row;
-    row.line = line_;
-    expect('{', "events");
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      fail(file_, row.line, "events", "event object is missing the 'event' field");
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = lower(read_string("events"));
-      skip_ws();
-      expect(':', key);
-      skip_ws();
-      const std::string value = read_scalar(key);
-      if (key == "event")
-        row.event = lower(value);
-      else if (key == "at")
-        row.at = {value, true};
-      else if (key == "worker")
-        row.worker = {value, true};
-      else if (key == "value")
-        row.value = {value, true};
-      else if (key == "duration")
-        row.duration = {value, true};
-      else
-        fail_here(key, "unknown event field (want event/at/worker/value/duration)");
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}', "events");
-      break;
-    }
-    if (row.event.empty()) fail(file_, row.line, "events", "event object is missing the 'event' field");
-    return row;
-  }
-
-  std::string read_scalar(const std::string& field) {
-    skip_ws();
-    const char c = peek();
-    if (c == '"') return read_string(field);
-    if (c == '{' || c == '[')
-      fail_here(field, "expected a string or number value");
-    std::string token;
-    while (pos_ < text_.size()) {
-      const char t = text_[pos_];
-      if (t == ',' || t == '}' || t == ']' || std::isspace(static_cast<unsigned char>(t))) break;
-      token += t;
-      ++pos_;
-    }
-    if (token.empty()) fail_here(field, "expected a value");
-    return token;
-  }
-
-  std::string read_string(const std::string& field) {
-    expect('"', field);
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\n') fail_here(field, "unterminated string");
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail_here(field, "unterminated escape");
-        const char e = text_[pos_++];
-        if (e == '"' || e == '\\' || e == '/')
-          out += e;
-        else if (e == 'n')
-          out += '\n';
-        else if (e == 't')
-          out += '\t';
-        else
-          fail_here(field, std::string("unsupported escape '\\") + e + "'");
-        continue;
-      }
-      out += c;
-    }
-    fail_here(field, "unterminated string");
-  }
-
-  void expect(char c, const std::string& field) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-      fail_here(field, std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      if (text_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-  }
-
-  [[noreturn]] void fail_here(const std::string& field, const std::string& why) {
-    fail(file_, line_, field, why);
-  }
-
-  const std::string& text_;
-  const std::string& file_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
+  return raw;
+}
 
 // --- Shared semantic pass --------------------------------------------------
 
@@ -531,7 +409,7 @@ Scenario parse_trace_csv(const std::string& text, const std::string& filename) {
 }
 
 Scenario parse_trace_json(const std::string& text, const std::string& filename) {
-  return build_scenario(JsonReader(text, filename).read(), filename);
+  return build_scenario(read_json(text, filename), filename);
 }
 
 Scenario parse_trace(const std::string& text, const std::string& filename) {

@@ -53,7 +53,8 @@ namespace ss {
 [[nodiscard]] Scenario parse_trace_csv(const std::string& text,
                                        const std::string& filename = "<trace>");
 
-/// Parse a JSON trace.  `filename` only decorates error messages.
+/// Parse a JSON trace (through parse_json, common/json.h).  `filename` only
+/// decorates error messages.
 [[nodiscard]] Scenario parse_trace_json(const std::string& text,
                                         const std::string& filename = "<trace>");
 

@@ -21,7 +21,6 @@
 #include "net/ps_server.h"
 #include "net/socket.h"
 #include "net/worker_process.h"
-#include "nn/checkpoint.h"
 #include "nn/zoo.h"
 #include "ps/param_server.h"
 #include "ps/threaded_runtime.h"
@@ -354,10 +353,24 @@ TEST(NetTransport, RetiredRestoreRequestCannotRewriteTheParameters) {
       make_model(a.arch, split.train.feature_dim(), cfg.data.num_classes, model_rng)
           .get_params();
 
-  Checkpoint forged;
-  forged.params.assign(a.num_params, 7.0f);
-  forged.velocity.assign(a.num_params, 0.0f);
-  const std::vector<std::uint8_t> body = forged.serialize();
+  // The body type 12 once carried, a serialized checkpoint: magic "SSSW",
+  // version 2, step, parameter and velocity counts, the two vectors, then a
+  // flat shard layout (one shard, no versions).
+  const std::uint32_t head[2] = {0x53535357, 2};
+  const std::uint64_t counts[3] = {0, a.num_params, a.num_params};
+  const std::vector<float> forged_params(a.num_params, 7.0f);
+  const std::vector<float> forged_velocity(a.num_params, 0.0f);
+  const std::uint64_t layout[2] = {1, 0};
+  std::vector<std::uint8_t> body;
+  auto put = [&body](const void* src, std::size_t n) {
+    const auto* bytes = static_cast<const std::uint8_t*>(src);
+    body.insert(body.end(), bytes, bytes + n);
+  };
+  put(head, sizeof(head));
+  put(counts, sizeof(counts));
+  put(forged_params.data(), forged_params.size() * sizeof(float));
+  put(forged_velocity.data(), forged_velocity.size() * sizeof(float));
+  put(layout, sizeof(layout));
   std::vector<std::uint8_t> frame = flatten(FrameOut(MsgType::kOk));
   const std::uint16_t restore_request = 12;
   const std::uint64_t length = body.size();

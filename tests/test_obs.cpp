@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "data/synthetic.h"
 #include "nn/zoo.h"
-#include "json_reader.h"
 #include "ps/switch_schedule.h"
 #include "ps/threaded_runtime.h"
 #include "ps/trace.h"
@@ -180,19 +180,19 @@ TEST(ObsTracer, RecordsSpansAndDropsBeyondCap) {
 
   std::ostringstream os;
   tr.write_chrome_trace(os);
-  const JsonValue doc = JsonParser(os.str()).parse();
+  const JsonValue doc = parse_json(os.str());
   ASSERT_EQ(doc.kind, JsonValue::Kind::kArray);
   const JsonValue* meta = nullptr;
   for (const JsonValue& ev : doc.array) {
     const JsonValue* name = ev.find("name");
-    if (name != nullptr && name->str == "trace_metadata") meta = &ev;
+    if (name != nullptr && name->text == "trace_metadata") meta = &ev;
   }
   ASSERT_NE(meta, nullptr) << "dropped count must ride along as trace metadata";
   const JsonValue* args = meta->find("args");
   ASSERT_NE(args, nullptr);
-  EXPECT_EQ(args->find("clock")->str, "wall");
-  EXPECT_DOUBLE_EQ(args->find("recorded_events")->number, 3.0);
-  EXPECT_DOUBLE_EQ(args->find("dropped_events")->number, 2.0);
+  EXPECT_EQ(args->find("clock")->text, "wall");
+  EXPECT_DOUBLE_EQ(args->find("recorded_events")->number(), 3.0);
+  EXPECT_DOUBLE_EQ(args->find("dropped_events")->number(), 2.0);
 
   tr.enable(8);  // re-arming starts a fresh epoch and clears the buffer
   EXPECT_EQ(tr.recorded(), 0u);
@@ -212,22 +212,22 @@ TEST(ObsTracer, EscapesArgStringsIntoValidJson) {
 
   std::ostringstream os;
   tr.write_chrome_trace(os);
-  const JsonValue doc = JsonParser(os.str()).parse();  // throws if escaping is broken
+  const JsonValue doc = parse_json(os.str());  // throws if escaping is broken
   ASSERT_EQ(doc.kind, JsonValue::Kind::kArray);
 
   bool saw_span = false;
   for (const JsonValue& ev : doc.array) {
     const JsonValue* name = ev.find("name");
-    if (name == nullptr || name->str != "step") continue;
+    if (name == nullptr || name->text != "step") continue;
     saw_span = true;
-    EXPECT_DOUBLE_EQ(ev.find("ts")->number, 10.0);
-    EXPECT_DOUBLE_EQ(ev.find("dur")->number, 20.0);
-    EXPECT_DOUBLE_EQ(ev.find("tid")->number, 2.0);
+    EXPECT_DOUBLE_EQ(ev.find("ts")->number(), 10.0);
+    EXPECT_DOUBLE_EQ(ev.find("dur")->number(), 20.0);
+    EXPECT_DOUBLE_EQ(ev.find("tid")->number(), 2.0);
     const JsonValue* args = ev.find("args");
     ASSERT_NE(args, nullptr);
-    EXPECT_EQ(args->find("why")->str, "quote \" slash \\ newline \n tab \t");
-    EXPECT_DOUBLE_EQ(args->find("n")->number, 42.0);
-    EXPECT_DOUBLE_EQ(args->find("x")->number, 0.5);
+    EXPECT_EQ(args->find("why")->text, "quote \" slash \\ newline \n tab \t");
+    EXPECT_DOUBLE_EQ(args->find("n")->number(), 42.0);
+    EXPECT_DOUBLE_EQ(args->find("x")->number(), 0.5);
   }
   EXPECT_TRUE(saw_span);
 }
@@ -252,7 +252,7 @@ TEST_F(ObsGlobalTest, ThreadedRunExportsExpectedSpans) {
 
   std::ostringstream os;
   obs::tracer().write_chrome_trace(os);
-  const JsonValue doc = JsonParser(os.str()).parse();
+  const JsonValue doc = parse_json(os.str());
   ASSERT_EQ(doc.kind, JsonValue::Kind::kArray);
 
   std::set<std::string> names;
@@ -260,11 +260,11 @@ TEST_F(ObsGlobalTest, ThreadedRunExportsExpectedSpans) {
   for (const JsonValue& ev : doc.array) {
     const JsonValue* name = ev.find("name");
     if (name == nullptr) continue;
-    if (name->str == "thread_name") {
-      thread_names.insert(ev.find("args")->find("name")->str);
+    if (name->text == "thread_name") {
+      thread_names.insert(ev.find("args")->find("name")->text);
       continue;
     }
-    names.insert(name->str);
+    names.insert(name->text);
   }
   EXPECT_TRUE(names.count("step")) << os.str().substr(0, 2000);
   EXPECT_TRUE(names.count("drain_wait"));
@@ -325,14 +325,14 @@ struct TraceTracks {
 TraceTracks trace_tracks(const obs::WallTracer& tr) {
   std::ostringstream os;
   tr.write_chrome_trace(os);
-  const JsonValue doc = JsonParser(os.str()).parse();
+  const JsonValue doc = parse_json(os.str());
   TraceTracks out;
   for (const JsonValue& ev : doc.array) {
-    const std::string& name = ev.find("name")->str;
+    const std::string& name = ev.find("name")->text;
     const JsonValue* tid = ev.find("tid");
-    if (name == "trace_metadata") out.clock = ev.find("args")->find("clock")->str;
-    else if (ev.find("ph")->str != "M" && tid != nullptr)
-      out.names[static_cast<int>(tid->number)].insert(name);
+    if (name == "trace_metadata") out.clock = ev.find("args")->find("clock")->text;
+    else if (ev.find("ph")->text != "M" && tid != nullptr)
+      out.names[static_cast<int>(tid->number())].insert(name);
   }
   return out;
 }

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -124,32 +123,6 @@ TEST(ParameterServer, RestoreSizeMismatchThrows) {
   bad.params = {1.0f};
   bad.velocity = {0.0f};
   EXPECT_THROW(ps.restore(bad), CheckpointError);
-}
-
-
-
-
-TEST(ParameterServer, LegacyV1CheckpointDeserializes) {
-  // Hand-build a v1 blob (no shard fields) and check it reads back as flat.
-  Checkpoint c;
-  c.global_step = 7;
-  c.params = {1.0f, 2.0f};
-  c.velocity = {0.5f, -0.5f};
-  auto bytes = c.serialize();
-  // Rewrite the version word to 1 and drop the trailing shard section
-  // (num_shards u64 + count u64 + 0 entries = 16 bytes... plus entries).
-  const std::size_t shard_tail =
-      sizeof(std::uint64_t) * 2 + c.shard_versions.size() * sizeof(std::int64_t);
-  bytes.resize(bytes.size() - shard_tail);
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + sizeof(std::uint32_t), &v1, sizeof(v1));
-
-  const Checkpoint back = Checkpoint::deserialize(bytes);
-  EXPECT_EQ(back.global_step, 7);
-  EXPECT_EQ(back.params, c.params);
-  EXPECT_EQ(back.velocity, c.velocity);
-  EXPECT_EQ(back.num_shards, 1u);
-  EXPECT_TRUE(back.shard_versions.empty());
 }
 
 }  // namespace

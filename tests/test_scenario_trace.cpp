@@ -102,6 +102,11 @@ TEST(TraceParse, EmptyJsonObjectIsTheDefaultScenario) {
   EXPECT_TRUE(s.elastic.plan.empty());
 }
 
+TEST(TraceParse, JsonUnicodeEscapeDecodes) {
+  const Scenario s = parse_trace_json("{\"name\": \"\\u0041b\"}", "u.json");
+  EXPECT_EQ(s.name, "Ab");
+}
+
 TEST(TraceParse, GeneratedScenariosRoundTripThroughBothFormats) {
   for (std::uint64_t seed : {1ULL, 7ULL, 13ULL, 42ULL, 99ULL}) {
     const Scenario s = generate_scenario(seed);
@@ -232,6 +237,21 @@ TEST(TraceParseErrors, MalformedJsonTable) {
       {"negative switch bound",
        "{\"events\": [{\"event\": \"switch\", \"at\": 0, \"value\": \"ssp\", \"duration\": -1}]}",
        {"duration: staleness bound", "outside"}},
+      {"bad worker id on line 4 of a multi-line trace",
+       "{\"name\": \"t\", \"workers\": 4, \"steps\": 256,\n"
+       " \"events\": [\n"
+       "  {\"event\": \"switch\", \"at\": 0, \"value\": \"bsp\"},\n"
+       "  {\"event\": \"crash\", \"at\": 64, \"worker\": 9}\n"
+       " ]}\n",
+       {"bad.json:4: worker:", "unknown worker id 9"}},
+      {"value on the line after its key", "{\"name\": \"t\",\n \"workers\":\n   0}\n",
+       {"bad.json:2: workers:", ">= 1"}},
+      {"bare-word value", "{\"recovery\": restore}", {"bad.json:1: recovery", "expected a string"}},
+      {"literal value", "{\"workers\": true}", {"bad.json:1: workers", "expected a string"}},
+      {"unsupported escape", "{\"name\": \"a\\qb\"}", {"bad.json:1: name", "escape"}},
+      {"nesting past the depth bound",
+       "{\"events\": " + std::string(100, '[') + std::string(100, ']') + "}",
+       {"bad.json:1: events", "nested deeper"}},
   };
   for (const BadTrace& bad : table) expect_config_error(bad, "bad.json");
 }

@@ -1,7 +1,9 @@
-// The sim's trace sink, the fanout sink, JSON escaping, and the Chrome trace
-// the sink exports through its virtual-clock tracer.
+// The sim's trace sink, the fanout sink, JSON escaping and number
+// formatting, and the Chrome trace the sink exports through its
+// virtual-clock tracer.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,7 +11,6 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "core/session.h"
-#include "json_reader.h"
 #include "ps/trace.h"
 
 namespace ss {
@@ -34,18 +35,18 @@ UpdateObservation update(Protocol protocol, double time_s) {
 JsonValue export_trace(const TraceSink& sink) {
   std::ostringstream os;
   sink.tracer().write_chrome_trace(os);
-  return JsonParser(os.str()).parse();  // throws if the trace is not valid JSON
+  return parse_json(os.str());  // throws if the trace is not valid JSON
 }
 
 /// Every event called `name`, in record order.
 std::vector<const JsonValue*> events(const JsonValue& doc, const std::string& name) {
   std::vector<const JsonValue*> out;
   for (const JsonValue& ev : doc.array)
-    if (ev.find("name")->str == name) out.push_back(&ev);
+    if (ev.find("name")->text == name) out.push_back(&ev);
   return out;
 }
 
-double number(const JsonValue* ev, const char* key) { return ev->find(key)->number; }
+double number(const JsonValue* ev, const char* key) { return ev->find(key)->number(); }
 const JsonValue* arg(const JsonValue* ev, const char* key) { return ev->find("args")->find(key); }
 
 // ------------------------------------------------------------- json_escape
@@ -59,6 +60,26 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb\tc\r"), "a\\nb\\tc\\r");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(JsonEscape, ParsesBackToTheSameBytes) {
+  std::string s = "quote \" backslash \\ slash /";
+  for (int c = 0; c < 0x20; ++c) s += static_cast<char>(c);
+  std::string quoted = "\"";
+  quoted += json_escape(s);
+  quoted += '"';
+  EXPECT_EQ(parse_json(quoted).text, s);
+  EXPECT_EQ(parse_json("\"a\\/b\"").text, "a/b");
+}
+
+TEST(JsonNumber, WritesFiniteValuesAsTheStreamDoesAndNonFiniteAsStrings) {
+  EXPECT_EQ(json_number(0.25), "0.25");
+  EXPECT_EQ(json_number(-3.0), "-3");
+  EXPECT_EQ(json_number(1e6), "1e+06");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "\"nan\"");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::quiet_NaN()), "\"nan\"");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "\"inf\"");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "\"-inf\"");
 }
 
 // -------------------------------------------------------------- FanoutSink
@@ -108,40 +129,40 @@ TEST(TraceSink, StampsEveryEventKindInVirtualMicroseconds) {
   // A step span on worker 2's row (track 3), from t=1s for 0.5s.
   const auto steps = events(doc, "step");
   ASSERT_EQ(steps.size(), 1u);
-  EXPECT_EQ(steps[0]->find("ph")->str, "X");
+  EXPECT_EQ(steps[0]->find("ph")->text, "X");
   EXPECT_EQ(number(steps[0], "tid"), 3.0);
   EXPECT_EQ(number(steps[0], "ts"), 1000000.0);
   EXPECT_EQ(number(steps[0], "dur"), 500000.0);
-  EXPECT_EQ(arg(steps[0], "images")->number, 64.0);
+  EXPECT_EQ(arg(steps[0], "images")->number(), 64.0);
 
   // An update instant on the control row, carrying the protocol and step.
   const auto updates = events(doc, "update");
   ASSERT_EQ(updates.size(), 1u);
-  EXPECT_EQ(updates[0]->find("ph")->str, "i");
+  EXPECT_EQ(updates[0]->find("ph")->text, "i");
   EXPECT_EQ(number(updates[0], "tid"), 0.0);
   EXPECT_EQ(number(updates[0], "ts"), 1500000.0);
-  EXPECT_EQ(arg(updates[0], "protocol")->str, "SSP");
-  EXPECT_EQ(arg(updates[0], "step")->number, 16.0);
-  EXPECT_EQ(arg(updates[0], "loss")->number, 0.25);
-  EXPECT_EQ(arg(updates[0], "staleness")->number, 3.0);
+  EXPECT_EQ(arg(updates[0], "protocol")->text, "SSP");
+  EXPECT_EQ(arg(updates[0], "step")->number(), 16.0);
+  EXPECT_EQ(arg(updates[0], "loss")->number(), 0.25);
+  EXPECT_EQ(arg(updates[0], "staleness")->number(), 3.0);
   EXPECT_TRUE(events(doc, "protocol_switch").empty());  // the first update switches nothing
 
   // A test-accuracy counter sample.
   const auto acc = events(doc, "test_accuracy");
   ASSERT_EQ(acc.size(), 1u);
-  EXPECT_EQ(acc[0]->find("ph")->str, "C");
+  EXPECT_EQ(acc[0]->find("ph")->text, "C");
   EXPECT_EQ(number(acc[0], "ts"), 2000000.0);
-  EXPECT_EQ(arg(acc[0], "value")->number, 0.875);
+  EXPECT_EQ(arg(acc[0], "value")->number(), 0.875);
 
   // The threaded track layout: ps/control, then one row per worker seen.
   std::vector<std::string> rows;
-  for (const JsonValue* ev : events(doc, "thread_name")) rows.push_back(arg(ev, "name")->str);
+  for (const JsonValue* ev : events(doc, "thread_name")) rows.push_back(arg(ev, "name")->text);
   EXPECT_EQ(rows, (std::vector<std::string>{"ps/control", "worker 0", "worker 1", "worker 2"}));
 
   const auto meta = events(doc, "trace_metadata");
   ASSERT_EQ(meta.size(), 1u);
-  EXPECT_EQ(arg(meta[0], "clock")->str, "virtual");
-  EXPECT_EQ(arg(meta[0], "recorded_events")->number, 3.0);
+  EXPECT_EQ(arg(meta[0], "clock")->text, "virtual");
+  EXPECT_EQ(arg(meta[0], "recorded_events")->number(), 3.0);
 }
 
 TEST(TraceSink, MarksEachProtocolChangeOnceAtItsFirstUpdate) {
@@ -155,11 +176,11 @@ TEST(TraceSink, MarksEachProtocolChangeOnceAtItsFirstUpdate) {
   ASSERT_EQ(switches.size(), 2u);
   EXPECT_EQ(number(switches[0], "tid"), 0.0);
   EXPECT_EQ(number(switches[0], "ts"), 3000000.0);
-  EXPECT_EQ(arg(switches[0], "from")->str, "BSP");
-  EXPECT_EQ(arg(switches[0], "to")->str, "ASP");
+  EXPECT_EQ(arg(switches[0], "from")->text, "BSP");
+  EXPECT_EQ(arg(switches[0], "to")->text, "ASP");
   EXPECT_EQ(number(switches[1], "ts"), 5000000.0);
-  EXPECT_EQ(arg(switches[1], "from")->str, "ASP");
-  EXPECT_EQ(arg(switches[1], "to")->str, "SSP");
+  EXPECT_EQ(arg(switches[1], "from")->text, "ASP");
+  EXPECT_EQ(arg(switches[1], "to")->text, "SSP");
   EXPECT_EQ(events(doc, "update").size(), 5u);
 }
 
@@ -171,8 +192,28 @@ TEST(TraceSink, CountsDropsAtTheTracersCap) {
   const JsonValue doc = export_trace(sink);
   const auto meta = events(doc, "trace_metadata");
   ASSERT_EQ(meta.size(), 1u);
-  EXPECT_EQ(arg(meta[0], "dropped_events")->number, 7.0);
+  EXPECT_EQ(arg(meta[0], "dropped_events")->number(), 7.0);
   EXPECT_THROW(TraceSink(0), ConfigError);
+}
+
+TEST(TraceSink, ExportsNonFiniteLossAsJsonStrings) {
+  // A diverging phase reports its last update before the finite check ends
+  // it, so the loss a trace carries can be NaN or infinite.
+  TraceSink sink;
+  UpdateObservation u = update(Protocol::kAsp, 1.0);
+  u.train_loss = std::numeric_limits<double>::quiet_NaN();
+  sink.on_update(u);
+  u = update(Protocol::kAsp, 2.0);
+  u.train_loss = std::numeric_limits<double>::infinity();
+  sink.on_update(u);
+  const JsonValue doc = export_trace(sink);
+
+  const auto updates = events(doc, "update");
+  ASSERT_EQ(updates.size(), 2u);
+  EXPECT_EQ(arg(updates[0], "loss")->kind, JsonValue::Kind::kString);
+  EXPECT_EQ(arg(updates[0], "loss")->text, "nan");
+  EXPECT_EQ(arg(updates[1], "loss")->kind, JsonValue::Kind::kString);
+  EXPECT_EQ(arg(updates[1], "loss")->text, "inf");
 }
 
 TEST(TraceSink, SaveRejectsUnwritablePath) {
@@ -212,15 +253,15 @@ TEST(TraceSink, ObservesAFullBspToAspSession) {
   bool saw_bsp = false;
   bool saw_asp = false;
   for (const JsonValue* u : events(doc, "update")) {
-    saw_bsp |= arg(u, "protocol")->str == "BSP";
-    saw_asp |= arg(u, "protocol")->str == "ASP";
+    saw_bsp |= arg(u, "protocol")->text == "BSP";
+    saw_asp |= arg(u, "protocol")->text == "ASP";
   }
   EXPECT_TRUE(saw_bsp);
   EXPECT_TRUE(saw_asp);
   const auto switches = events(doc, "protocol_switch");
   ASSERT_EQ(switches.size(), 1u);
-  EXPECT_EQ(arg(switches[0], "from")->str, "BSP");
-  EXPECT_EQ(arg(switches[0], "to")->str, "ASP");
+  EXPECT_EQ(arg(switches[0], "from")->text, "BSP");
+  EXPECT_EQ(arg(switches[0], "to")->text, "ASP");
 }
 
 }  // namespace

@@ -5,12 +5,12 @@ sim run's virtual-clock trace (``sync_switch_cli --trace``).  Both use one
 vocabulary (``step`` spans on worker tracks, ``protocol_switch`` on track 0),
 so one set of --expect names can check either.
 
-Checks that the file is a well-formed JSON array of event objects, that every
-event carries the mandatory Chrome trace fields for its phase, and (with
---expect NAME, repeatable) that at least one event with each expected name is
-present.  Exits nonzero with a diagnostic on any failure, so CI can gate on
-``sync_switch_cli train --trace-out ...`` actually producing an openable
-Perfetto timeline.
+Checks that the file is a well-formed strict-JSON array of event objects (no
+bare NaN or Infinity), that every event carries the mandatory Chrome trace
+fields for its phase, and (with --expect NAME, repeatable) that at least one
+event with each expected name is present.  Exits nonzero with a diagnostic
+on any failure, so CI can gate on ``sync_switch_cli train --trace-out ...``
+actually producing an openable Perfetto timeline.
 
 Usage: check_trace.py TRACE.json [--expect NAME]... [--min-events N]
 """
@@ -28,6 +28,12 @@ REQUIRED_KEYS = {
     "C": ("pid", "ts", "name"),
     "M": ("pid", "name"),
 }
+
+
+def refuse_constant(name):
+    """Python's json accepts NaN and +/-Infinity; strict JSON, Perfetto and
+    the C++ reader (common/json.h) do not, so neither does this check."""
+    raise ValueError(f"bare {name} is not JSON (the writers emit \"nan\"/\"inf\"/\"-inf\")")
 
 
 def main():
@@ -51,8 +57,8 @@ def main():
 
     try:
         with open(args.trace, "r", encoding="utf-8") as f:
-            events = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+            events = json.load(f, parse_constant=refuse_constant)
+    except (OSError, ValueError) as e:
         print(f"check_trace: {args.trace}: {e}", file=sys.stderr)
         return 1
 
