@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -167,11 +168,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string shortest_decimal(double v) {
+  char buf[32];
+  return {buf, std::to_chars(buf, buf + sizeof(buf), v).ptr};
+}
+
 std::string json_number(double v) {
   if (!std::isfinite(v)) return std::isnan(v) ? "\"nan\"" : v > 0 ? "\"inf\"" : "\"-inf\"";
-  std::ostringstream os;
-  os << v;
-  return os.str();
+  return shortest_decimal(v);
 }
 
 const JsonValue* JsonValue::find(const std::string& key) const {

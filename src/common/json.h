@@ -18,9 +18,14 @@ namespace ss {
 /// JSON string escaping (quotes, backslashes, control characters).
 std::string json_escape(const std::string& s);
 
-/// A double as a JSON value: finite values as `os << v` prints them, and a
-/// non-finite one as the string "nan", "inf" or "-inf" (JSON has no
-/// literal for them).
+/// The shortest decimal that parses back to exactly `v` (std::to_chars):
+/// "0.1", not "0.10000000000000001", and every digit of 0.72509765625.  A
+/// non-finite value is "nan", "-nan", "inf" or "-inf".
+std::string shortest_decimal(double v);
+
+/// A double as a JSON value: finite values as shortest_decimal() writes
+/// them, and a non-finite one as the string "nan", "inf" or "-inf" (JSON
+/// has no literal for them).
 std::string json_number(double v);
 
 struct JsonMember;

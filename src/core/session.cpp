@@ -137,9 +137,9 @@ RunResult TrainingSession::run() {
   else if (req_.stragglers.num_stragglers > 0)
     straggler_schedule = StragglerSchedule::generate(req_.stragglers, n, straggler_rng);
 
-  const std::vector<PlanLeg> plan =
-      lower_plan(req_.policy, wl.total_steps, req_.elastic.plan,
-                 !straggler_schedule.events().empty());
+  PlanCursor cursor(lower_plan(req_.policy, wl.total_steps, req_.elastic.plan,
+                               !straggler_schedule.events().empty()),
+                    wl.total_steps);
 
   const PiecewiseDecay schedule =
       PiecewiseDecay::resnet_style(wl.hyper.learning_rate, wl.total_steps);
@@ -152,7 +152,7 @@ RunResult TrainingSession::run() {
   if (req_.elastic.plan.join_count() > 0) detector.set_active(coord.active());
   DetectorSink detector_sink(detector);
   std::vector<MetricsSink*> sinks{&profiler};
-  if (reads_detector(plan)) sinks.push_back(&detector_sink);
+  if (reads_detector(cursor.legs())) sinks.push_back(&detector_sink);
   if (req_.observer != nullptr) sinks.push_back(req_.observer);
   FanoutSink fanout(sinks);
   MetricsSink& sink = sinks.size() == 1 ? static_cast<MetricsSink&>(profiler) : fanout;
@@ -218,13 +218,13 @@ RunResult TrainingSession::run() {
     ++result.num_switches;
   };
 
-  // ---------- The phase-plan engine: every policy runs through this one
-  // loop.  Each leg of the lowered plan is segmented at snapshot-capture
-  // steps and membership-event steps; each segment runs through run_phase
-  // with the current active set, and every transition re-derives the phase
-  // configuration (lr, batch) for the new cluster size via make_phase.  A
-  // segment the detector stops either ends its leg (a trigger) or runs the
-  // leg's reaction and resumes.  Crashes restore the last snapshot when the
+  // ---------- The sim's actuation of the plan: the cursor (ps/plan.h) says
+  // which leg runs, where its visit ends, what a reaction changes and which
+  // leg follows; the session prices each move in virtual time.  Each visit
+  // is segmented at snapshot-capture steps and membership-event steps; each
+  // segment runs through run_phase with the current active set, and every
+  // transition re-derives the phase configuration (lr, batch) for the new
+  // cluster size via make_phase.  Crashes restore the last snapshot when the
   // policy says so; every membership change is priced through the
   // cluster/actuator models.  All state evolution is deterministic in
   // (plan, seed), so every run is bit-for-bit reproducible and cacheable.
@@ -262,10 +262,11 @@ RunResult TrainingSession::run() {
     result.recovery_overhead_seconds += cost.seconds();
   };
 
-  // Apply every scripted event due at the current step: price it, mutate
-  // the PS / worker-slot state, and log it.
-  auto apply_due_events = [&] {
-    for (const AppliedMembershipEvent& a : coord.advance_to(state.global_step)) {
+  // Apply what the coordinator changed (the scripted events due at the
+  // current step, or a kLeave reaction's evictions): price each change,
+  // mutate the PS / worker-slot state, and log it.
+  auto apply_events = [&](const std::vector<AppliedMembershipEvent>& applied) {
+    for (const AppliedMembershipEvent& a : applied) {
       ++result.num_membership_events;
       const int slot = a.event.worker;
       if (a.event.kind == MembershipEventKind::kJoin) {
@@ -296,27 +297,15 @@ RunResult TrainingSession::run() {
     detector.set_active(active);
   };
 
-  // Reaction::kLeave: the flagged workers leave through the coordinator.
-  auto leave_stragglers = [&] {
-    for (const AppliedMembershipEvent& a : coord.evict(detector.stragglers(), state.global_step)) {
-      ++result.num_membership_events;
-      pay_membership(actuator.resize_time().scaled(ascale));
-      log_info("elastic: evicted straggler slot ", a.event.worker, " at step ",
-               state.global_step, ", ", a.workers_after, " workers remain");
-    }
-    active = coord.active();
-    detector.set_active(active);
-  };
-
   // Reaction::kEvict / kReplace: re-admit provisioned replacements, then
-  // evict every flagged worker or none (never below two).  Any change is
-  // priced as one resize, and the detector restarts either way.
+  // evict the slots the cursor names.  Any change is priced as one resize,
+  // and the detector restarts either way.
   std::vector<std::pair<int, VTime>> pending;  // replace: (slot, ready time)
   auto evict_stragglers = [&](bool replace) {
     const auto ready = std::stable_partition(pending.begin(), pending.end(), [&](const auto& p) {
       return state.clock < p.second;
     });
-    bool resized = ready != pending.end();
+    const bool readmitted = ready != pending.end();
     for (auto it = ready; it != pending.end(); ++it) {
       log_info("replace: fresh node took over slot ", it->first, " at step ", state.global_step);
       straggler_schedule.mask_after(it->first, state.clock);
@@ -324,37 +313,24 @@ RunResult TrainingSession::run() {
     }
     pending.erase(ready, pending.end());
     std::sort(active.begin(), active.end());
-    const std::vector<int> flagged = detector.stragglers();
-    std::vector<int> kept, evicted;
-    for (int w : active)
-      (std::find(flagged.begin(), flagged.end(), w) == flagged.end() ? kept : evicted).push_back(w);
-    if (kept.size() >= 2 && !evicted.empty()) {
-      const VTime ready = state.clock + actuator.provision_time().scaled(ascale);
-      for (int w : evicted) {
-        log_info(replace ? "replace" : "elastic", ": evicting straggler slot ", w, " at step ",
-                 state.global_step);
-        if (replace) pending.emplace_back(w, ready);
-      }
-      active = std::move(kept);
-      resized = true;
+    const std::vector<int> evicted = cursor.react(active, detector.stragglers());
+    for (int w : evicted) {
+      log_info(replace ? "replace" : "elastic", ": evicting straggler slot ", w, " at step ",
+               state.global_step);
+      if (replace) pending.emplace_back(w, state.clock + actuator.provision_time().scaled(ascale));
+      std::erase(active, w);
     }
-    if (resized) state.clock += actuator.resize_time().scaled(ascale);
+    if (readmitted || !evicted.empty()) state.clock += actuator.resize_time().scaled(ascale);
     detector.reset();
   };
 
-  std::vector<std::int64_t> spent(plan.size(), 0);  // quota used per leg, over all visits
   bool diverged = false;
-  std::size_t li = 0;
-  while (li < plan.size() && !diverged && state.global_step < wl.total_steps) {
-    const PlanLeg& leg = plan[li];
-    const std::int64_t leg_end =
-        leg.phase.steps > 0
-            ? std::min(state.global_step + leg.phase.steps - spent[li], wl.total_steps)
-            : wl.total_steps;
+  while (!diverged && !cursor.done()) {
+    const PlanLeg& leg = cursor.leg();
     bool triggered = false;
-    while (!diverged && !triggered && state.global_step < leg_end) {
+    while (!diverged && !triggered && state.global_step < cursor.visit_end()) {
       // Segment the budget at the next snapshot capture or membership step.
-      std::int64_t boundary = leg_end;
+      std::int64_t boundary = cursor.visit_end();
       if (const std::int64_t cap = next_capture(state.global_step); cap > 0)
         boundary = std::min(boundary, cap);
       if (const std::int64_t ev = coord.next_event_step(state.global_step); ev > 0)
@@ -371,17 +347,16 @@ RunResult TrainingSession::run() {
                              [now](const auto& p) { return now >= p.second; });
         };
 
-      const std::int64_t before = state.global_step;
       const PhaseResult pr = runtime.run_phase(state, cfg, active, straggler_schedule, stop);
-      spent[li] += state.global_step - before;
+      cursor.advance_to(state.global_step);
       diverged = pr.end == PhaseEnd::kDiverged;
       if (pr.end == PhaseEnd::kStopRequested) {
         triggered = leg.phase.trigger != SwitchTrigger::kStepCount;
         if (triggered)
           log_info("plan: ", switch_trigger_name(leg.phase.trigger), " fired at step ",
                    pr.trigger_step, ", leaving ", protocol_name(leg.phase.protocol));
-        else if (leg.reaction == Reaction::kLeave)
-          leave_stragglers();
+        else if (leg.reaction == Reaction::kLeave)  // the coordinator clamps the leavers
+          apply_events(coord.evict(cursor.react(active, detector.stragglers()), state.global_step));
         else
           evict_stragglers(leg.reaction == Reaction::kReplace);
       } else if (!diverged) {
@@ -398,20 +373,17 @@ RunResult TrainingSession::run() {
                  capture_steps[next_capture_idx] <= state.global_step)
             ++next_capture_idx;
         }
-        if (coord.events_due(state.global_step)) apply_due_events();
+        if (coord.events_due(state.global_step)) apply_events(coord.advance_to(state.global_step));
       }
     }
     if (diverged) break;
-    const bool quota_left = leg.phase.steps == 0 || spent[li] < leg.phase.steps;
-    const std::size_t next = triggered && quota_left ? leg.on_trigger : leg.next;
-    if (next < plan.size() && state.global_step < wl.total_steps) {
-      if (leg.reaction == Reaction::kEvict && active.size() < n) {
-        state.clock += actuator.resize_time().scaled(ascale);  // the evicted nodes return
-        active = coord.active();  // no membership plan runs beside kEvict
-      }
-      pay_switch();
+    const bool returned = !cursor.finish(triggered).empty();
+    if (cursor.done()) break;
+    if (returned) {
+      state.clock += actuator.resize_time().scaled(ascale);  // the evicted nodes return
+      active = coord.active();  // no membership plan runs beside kEvict
     }
-    li = next;
+    pay_switch();
   }
 
   // ---------- Collect results.

@@ -8,13 +8,13 @@
 // actuator's measured overhead in virtual time.
 //
 // Every policy runs through one phase-plan engine.  run() lowers the
-// request's policy with ps/plan.h's lower_plan(), the same lowering the
-// threaded runtime's BarrierPlanner uses, and walks the legs in one loop in
-// virtual time.  Greedy flips to ASP while a straggler is detected and back
-// once it clears, until the BSP quota is met.  Elastic evicts detected
-// stragglers for the rest of the BSP phase and restores the full cluster for
-// ASP.  Replace evicts them and re-admits each slot once a fresh node is
-// provisioned.
+// request's policy with ps/plan.h's lower_plan() and walks the legs with its
+// PlanCursor, the same lowering and the same walk the threaded runtime's
+// BarrierPlanner uses; the session prices each move in virtual time.  Greedy
+// flips to ASP while a straggler is detected and back once it clears, until
+// the BSP quota is met.  Elastic evicts detected stragglers for the rest of
+// the BSP phase and restores the full cluster for ASP.  Replace evicts them
+// and re-admits each slot once a fresh node is provisioned.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/json.h"
 
 namespace ss::obs {
 
@@ -20,22 +21,6 @@ void add_double(std::atomic<std::uint64_t>& bits, double v) noexcept {
                                    std::memory_order_relaxed))
       return;
   }
-}
-
-/// Shortest decimal form that parses back to exactly `v` (Prometheus prints
-/// doubles the same way): bucket labels stay readable ("0.1", not
-/// "0.10000000000000001") while exposition -> parse -> compare stays exact.
-std::string format_double(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os.precision(precision);
-    os << v;
-    if (std::stod(os.str()) == v) return os.str();
-  }
-  std::ostringstream os;  // NaN: the loop's == can never accept it
-  os.precision(17);
-  os << v;
-  return os.str();
 }
 
 }  // namespace
@@ -162,19 +147,19 @@ std::string MetricsRegistry::expose_text() const {
   }
   for (const auto& g : snap.gauges) {
     header(g.name, g.help, "gauge");
-    os << g.name << " " << format_double(g.value) << "\n";
+    os << g.name << " " << shortest_decimal(g.value) << "\n";
   }
   for (const auto& h : snap.histograms) {
     header(h.name, h.help, "histogram");
     std::int64_t cumulative = 0;
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       cumulative += h.buckets[i];
-      os << h.name << "_bucket{le=\"" << format_double(h.bounds[i]) << "\"} " << cumulative
+      os << h.name << "_bucket{le=\"" << shortest_decimal(h.bounds[i]) << "\"} " << cumulative
          << "\n";
     }
     cumulative += h.buckets.back();
     os << h.name << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-    os << h.name << "_sum " << format_double(h.sum) << "\n";
+    os << h.name << "_sum " << shortest_decimal(h.sum) << "\n";
     os << h.name << "_count " << h.count << "\n";
   }
   return os.str();

@@ -26,9 +26,9 @@ ElasticConfig membership_config(const ThreadedTrainConfig& cfg) {
 
 BarrierPlanner::BarrierPlanner(const ThreadedTrainConfig& cfg)
     : cfg_(cfg),
-      legs_(lower(cfg)),
+      cursor_(lower(cfg), cfg.steps_per_worker),
       coord_(membership_config(cfg), cfg.num_workers),
-      uses_detector_(reads_detector(legs_)),
+      uses_detector_(reads_detector(cursor_.legs())),
       compress_(cfg.compression.enabled()) {
   if (cfg.controller.enabled) controller_.emplace(cfg.controller, cfg.compression);
 }
@@ -71,37 +71,26 @@ double BarrierPlanner::lr(Protocol protocol, std::size_t n) const {
 }
 
 Segment BarrierPlanner::next() {
-  if (steps_done_ == 0) {
-    leg_ = std::min(next_leg_, legs_.size() - 1);
-    const std::int64_t remaining = cfg_.steps_per_worker - done_;
-    const std::int64_t steps = legs_[leg_].phase.steps;
-    phase_quota_ = steps > 0 ? std::min(steps, remaining) : remaining;
-  }
-  const PlanLeg& leg = legs_[leg_];
-  Segment s{.leg = leg_, .plan = leg, .lr = lr(leg.phase.protocol, coord_.alive_count()),
-            .compress = compress_, .start = steps_done_, .quota = phase_quota_};
-  const std::int64_t event = coord_.next_event_step(done_ + steps_done_);
-  if (event > 0) s.quota = std::min(s.quota, event - done_);
-  return s;
+  const PlanLeg& leg = cursor_.leg();
+  const std::int64_t event = coord_.next_event_step(cursor_.progress());
+  const std::int64_t end = event > 0 ? std::min(cursor_.visit_end(), event) : cursor_.visit_end();
+  return {.leg = cursor_.index(), .plan = leg, .lr = lr(leg.phase.protocol, coord_.alive_count()),
+          .compress = compress_, .start = cursor_.progress() - done(), .quota = end - done()};
 }
 
 std::optional<ThreadedPhaseStats> BarrierPlanner::drain(std::int64_t reached, bool fired,
                                                         const StragglerDetector& detector) {
-  const PlanLeg& leg = legs_[leg_];
+  const PlanLeg& leg = cursor_.leg();
   const bool triggered = fired && leg.phase.trigger != SwitchTrigger::kStepCount;
   if (fired && !triggered) {  // the kLeave reaction
     delta_due_ = true;
-    evict_ = detector.stragglers();
+    evict_ = cursor_.react(coord_.active(), detector.stragglers());
   }
-  if (!triggered && reached < phase_quota_) {
-    steps_done_ = reached;
-    return std::nullopt;
-  }
+  cursor_.advance_to(cursor_.visit_start() + reached);
+  if (!triggered && cursor_.progress() < cursor_.visit_end()) return std::nullopt;
   const ThreadedPhaseStats phase{.protocol = leg.phase.protocol, .ended_by_trigger = triggered,
-                                 .start_step = done_, .steps = reached};
-  done_ += reached;
-  steps_done_ = 0;
-  next_leg_ = triggered ? leg.on_trigger : leg.next;
+                                 .start_step = cursor_.visit_start(), .steps = reached};
+  cursor_.finish(triggered);
   return phase;
 }
 
@@ -117,34 +106,29 @@ void BarrierPlanner::decide(const ThreadedPhaseStats& phase,
   const MeasuredPhaseCosts measured = measure();
   if (finished()) return;  // realized gain settled; nothing left to decide
 
-  const PlanLeg& leg = legs_[leg_];
+  // The phase just run is the last leg: the controller appends each one.
+  // Should the controller throw, this hold stands: the runtime calls this
+  // from a noexcept barrier completion, so the run keeps its configuration
+  // rather than go down.
+  const PlanLeg& leg = cursor_.legs().back();
   ControllerDecision d;
-  std::optional<std::string> error;
+  d.at_step = done();
+  d.protocol_before = leg.phase.protocol;
   try {
-    d = controller_->decide(done_, leg.phase.protocol, leg.phase.ssp_staleness_bound, compress_,
-                            measured, done_ - last_move_step_, cfg_.steps_per_worker - done_);
+    d = controller_->decide(done(), leg.phase.protocol, leg.phase.ssp_staleness_bound, compress_,
+                            measured, done() - last_move_step_, cfg_.steps_per_worker - done());
   } catch (const std::exception& e) {
-    error = e.what();
+    d.reason = std::string("hold:error ") + e.what();
   } catch (...) {
-    error = "unknown";
-  }
-  if (error) {
-    // The runtime calls this from a noexcept barrier completion: hold the
-    // current configuration rather than take down the run.
-    d = ControllerDecision{};
-    d.at_step = done_;
-    d.protocol_before = leg.phase.protocol;
-    d.reason = "hold:error " + *error;
+    d.reason = "hold:error unknown";
   }
   enact(std::move(d));
 }
 
 void BarrierPlanner::enact(ControllerDecision d) {
-  PlanLeg next = legs_[leg_];
-  next.phase.steps = cfg_.controller.decision_interval;
-  next.next = next.on_trigger = legs_.size() + 1;
+  PlanLeg next = cursor_.legs().back();  // lower() gave it decision_interval steps
   if (d.enacted) {
-    last_move_step_ = done_;
+    last_move_step_ = done();
     if (d.chosen.evict_straggler) {
       delta_due_ = true;
       evict_.assign(1, d.measured.straggler_worker);
@@ -157,17 +141,16 @@ void BarrierPlanner::enact(ControllerDecision d) {
     }
   }
   decisions_.push_back(std::move(d));
-  legs_.push_back(next);
+  cursor_.append(next);
 }
 
 bool BarrierPlanner::membership_due() const noexcept {
-  return delta_due_ || coord_.events_due(done_ + steps_done_);
+  return delta_due_ || coord_.events_due(cursor_.progress());
 }
 
 std::vector<AppliedMembershipEvent> BarrierPlanner::apply_membership() {
-  const std::int64_t progress = done_ + steps_done_;
-  std::vector<AppliedMembershipEvent> applied = coord_.evict(evict_, progress);
-  const std::vector<AppliedMembershipEvent> scheduled = coord_.advance_to(progress);
+  std::vector<AppliedMembershipEvent> applied = coord_.evict(evict_, cursor_.progress());
+  const std::vector<AppliedMembershipEvent> scheduled = coord_.advance_to(cursor_.progress());
   applied.insert(applied.end(), scheduled.begin(), scheduled.end());
   delta_due_ = false;
   evict_.clear();

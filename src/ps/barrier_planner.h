@@ -3,9 +3,9 @@
 // Every Sync-Switch policy answers one question at a drain barrier — the
 // offline timing policy with a fixed step count, a reactive schedule or
 // membership plan when the straggler detector fires, the controller with a
-// twin-priced move.  The planner answers it from the plan of legs that
-// ps/plan.h's lower_plan() makes, the same lowering the simulator session
-// walks (core/session.cpp):
+// twin-priced move.  The planner answers it by walking the legs ps/plan.h's
+// lower_plan() makes with a PlanCursor, the same lowering and the same walk
+// the simulator session uses (core/session.cpp):
 //
 //  * a fixed protocol is one leg that runs out the run budget;
 //  * a switch schedule is its phases, verbatim;
@@ -16,13 +16,13 @@
 // A leg runs as one or more *segments*: scripted membership events
 // (RecoveryCoordinator::next_event_step) cut it into segments so each event
 // resolves at a drain barrier.  The runtime arms a segment, runs it to its
-// drain barrier, and reports how far it got; the planner settles the phase,
-// books the membership delta due before the next segment, and lowers that
-// segment.  The planner keeps only segment state: the cut, the progress
-// through the phase, the lr, the compression and the membership delta.  A
-// segment is plain data, so the runtime's worker loops and drain completion
-// never branch on where a decision came from, and this header's logic is
-// testable without threads.
+// drain barrier, and reports how far it got; the cursor settles the leg, and
+// the planner books the membership delta due before the next segment and
+// lowers that segment.  The planner holds no leg or phase progress of its
+// own, only the lr rule, the worker set, the compression flag, the
+// controller and the membership delta.  A segment is plain data, so the
+// runtime's worker loops and drain completion never branch on where a
+// decision came from, and this header's logic is testable without threads.
 #pragma once
 
 #include <cstddef>
@@ -73,9 +73,9 @@ class BarrierPlanner {
   /// True when some leg watches the detector, so workers must feed it.
   [[nodiscard]] bool uses_detector() const noexcept { return uses_detector_; }
   /// Per-worker local steps of the finished phases.
-  [[nodiscard]] std::int64_t done() const noexcept { return done_; }
+  [[nodiscard]] std::int64_t done() const noexcept { return cursor_.visit_start(); }
   /// True once the finished phases cover the run's steps_per_worker.
-  [[nodiscard]] bool finished() const noexcept { return done_ >= cfg_.steps_per_worker; }
+  [[nodiscard]] bool finished() const noexcept { return cursor_.done(); }
 
   /// The lr a `protocol` segment trains at with `n` workers.  With
   /// derive_phase_lr off it is the configured lr.  Otherwise schedule and
@@ -130,16 +130,10 @@ class BarrierPlanner {
   [[nodiscard]] static std::vector<PlanLeg> lower(const ThreadedTrainConfig& cfg);
 
   const ThreadedTrainConfig& cfg_;
-  std::vector<PlanLeg> legs_;  ///< the lowered plan, then the controller's legs
+  PlanCursor cursor_;  ///< the lowered plan, then the controller's legs
   RecoveryCoordinator coord_;
   bool uses_detector_ = false;
   bool compress_ = false;  ///< push through the codec; the controller may switch it
-
-  std::size_t leg_ = 0;           ///< leg of the current phase
-  std::size_t next_leg_ = 0;      ///< leg the next phase enters
-  std::int64_t done_ = 0;         ///< steps of the finished phases
-  std::int64_t steps_done_ = 0;   ///< steps of the current phase run so far
-  std::int64_t phase_quota_ = 0;  ///< step the current phase ends at
 
   bool delta_due_ = false;  ///< a membership delta is booked
   std::vector<int> evict_;  ///< slots it evicts

@@ -1,6 +1,8 @@
 #include "ps/plan.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -82,6 +84,32 @@ std::vector<PlanLeg> lower_plan(const SyncSwitchPolicy& p, std::int64_t total,
                         protocol_name(leg.phase.protocol));
   }
   return legs;
+}
+
+std::vector<int> PlanCursor::react(const std::vector<int>& active,
+                                   const std::vector<int>& flagged) {
+  const Reaction reaction = leg().reaction;
+  if (reaction == Reaction::kLeave) return flagged;
+  std::vector<int> out;
+  for (int w : active)
+    if (std::find(flagged.begin(), flagged.end(), w) != flagged.end()) out.push_back(w);
+  if (reaction == Reaction::kNone || active.size() - out.size() < 2) out.clear();
+  if (reaction == Reaction::kEvict) evicted_.insert(evicted_.end(), out.begin(), out.end());
+  return out;
+}
+
+std::vector<int> PlanCursor::finish(bool triggered) {
+  const PlanLeg& leg = this->leg();
+  const bool quota_left = leg.phase.steps == 0 || spent_[leg_] < leg.phase.steps;
+  leg_ = triggered && quota_left ? leg.on_trigger : leg.next;
+  visit_start_ = progress_;
+  return std::exchange(evicted_, {});
+}
+
+void PlanCursor::append(PlanLeg leg) {
+  leg.next = leg.on_trigger = legs_.size() + 1;
+  legs_.push_back(leg);
+  spent_.push_back(0);
 }
 
 }  // namespace ss

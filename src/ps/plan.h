@@ -1,13 +1,16 @@
-// The plan: a Sync-Switch policy and its one lowering onto protocol legs.
+// The plan: a Sync-Switch policy, its one lowering onto protocol legs, and
+// the one cursor that walks them.
 //
 // Sync-Switch is one cluster manager that turns a policy into a plan of
 // protocol phases: the offline timing policy (run `first` for a fraction of
 // the steps, then `second`), an explicit switch schedule, or the online
 // reactions to a detected straggler (Sections IV-B2 and VI-B3), with a
 // membership plan alongside.  lower_plan() is the only place a policy
-// becomes legs, and both runtimes walk what it returns:
+// becomes legs, and PlanCursor is the only walk over them.  Both runtimes
+// walk the legs through a cursor and keep only their own actuation:
 //
-//  * the simulator session (core/session.cpp) runs each leg in virtual time;
+//  * the simulator session (core/session.cpp) prices each move in virtual
+//    time;
 //  * the threaded runtime's BarrierPlanner (ps/barrier_planner.h) cuts legs
 //    into segments at drain barriers and appends the controller's legs.
 //
@@ -22,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config_policy.h"
@@ -137,5 +141,63 @@ void check_plan(const SyncSwitchPolicy& policy, const MembershipPlan& membership
   return reads_detector(trigger, reaction) &&
          (trigger == SwitchTrigger::kStragglerCleared) != detector.any_straggler();
 }
+
+/// The walk over a plan's legs, in a run's step currency (global steps in
+/// the sim, per-worker local steps on threads).  It owns which leg runs, each
+/// leg's quota spent over all its visits, the run's progress against its
+/// budget, and each reaction's membership delta.  It has no threads, no
+/// clock and no parameter server: a runtime reports the steps it ran and
+/// what the detector flagged, and actuates what the cursor answers.
+///
+/// The walk ends when the budget is spent.  Every lowered plan's last leg
+/// has no quota and no trigger, so it runs out the budget; the controller
+/// appends the leg the cursor steps onto before the runtime reads it.
+class PlanCursor {
+ public:
+  PlanCursor(std::vector<PlanLeg> legs, std::int64_t total)
+      : legs_(std::move(legs)), spent_(legs_.size(), 0), total_(total) {}
+
+  [[nodiscard]] const std::vector<PlanLeg>& legs() const noexcept { return legs_; }
+  [[nodiscard]] std::size_t index() const noexcept { return leg_; }
+  [[nodiscard]] const PlanLeg& leg() const { return legs_.at(leg_); }
+  /// Steps run so far, and the progress the current visit began at.
+  [[nodiscard]] std::int64_t progress() const noexcept { return progress_; }
+  [[nodiscard]] std::int64_t visit_start() const noexcept { return visit_start_; }
+  [[nodiscard]] bool done() const noexcept { return progress_ >= total_; }
+  /// Progress the current visit ends at: the leg's quota left over its
+  /// earlier visits, capped at the budget; the budget for a leg with none.
+  [[nodiscard]] std::int64_t visit_end() const {
+    const std::int64_t steps = leg().phase.steps;
+    return steps > 0 ? std::min(progress_ + steps - spent_[leg_], total_) : total_;
+  }
+
+  /// The runtime ran the current leg up to `progress`.
+  void advance_to(std::int64_t progress) {
+    spent_[leg_] += progress - progress_;
+    progress_ = progress;
+  }
+  /// The slots the current leg's reaction takes out of `active` when the
+  /// detector flags `flagged`:
+  ///  * kLeave: `flagged` as it is, for the RecoveryCoordinator to clamp;
+  ///  * kEvict / kReplace: every flagged slot of `active`, or none when
+  ///    fewer than two would remain.  kEvict's come back at the leg's end.
+  [[nodiscard]] std::vector<int> react(const std::vector<int>& active,
+                                       const std::vector<int>& flagged);
+  /// Ends the visit, `triggered` when the leg's trigger fired: the walk
+  /// takes `on_trigger` if the leg had quota left, else `next`.  Returns the
+  /// slots kEvict took out during the visit, which return now.
+  std::vector<int> finish(bool triggered);
+  /// Appends `leg` at the plan's end, with its edges to the leg after it.
+  void append(PlanLeg leg);
+
+ private:
+  std::vector<PlanLeg> legs_;
+  std::vector<std::int64_t> spent_;  ///< quota used per leg, over all visits
+  std::int64_t total_;
+  std::int64_t progress_ = 0;
+  std::int64_t visit_start_ = 0;
+  std::size_t leg_ = 0;
+  std::vector<int> evicted_;  ///< kEvict's slots out for the current visit
+};
 
 }  // namespace ss

@@ -72,10 +72,11 @@ TEST(JsonEscape, ParsesBackToTheSameBytes) {
   EXPECT_EQ(parse_json("\"a\\/b\"").text, "a/b");
 }
 
-TEST(JsonNumber, WritesFiniteValuesAsTheStreamDoesAndNonFiniteAsStrings) {
+TEST(JsonNumber, WritesTheShortestExactDecimalAndNonFiniteAsStrings) {
   EXPECT_EQ(json_number(0.25), "0.25");
   EXPECT_EQ(json_number(-3.0), "-3");
   EXPECT_EQ(json_number(1e6), "1e+06");
+  EXPECT_EQ(json_number(0.72509765625), "0.72509765625");
   EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "\"nan\"");
   EXPECT_EQ(json_number(-std::numeric_limits<double>::quiet_NaN()), "\"nan\"");
   EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "\"inf\"");

@@ -3,6 +3,7 @@
 
     python3 tools/src_lines.py            # total over src/**/*.{h,cpp,inc}
     python3 tools/src_lines.py FILE...    # per file, then the total
+    python3 tools/src_lines.py --help     # this text
 
 A code line is a line that is neither blank nor a `//` comment once its
 leading whitespace is stripped (the same as
@@ -24,8 +25,15 @@ def code_lines(path):
 
 
 def main(argv):
+    if argv and argv[0] in ("-h", "--help"):
+        print(__doc__.strip())
+        return 0
     if argv:
         paths = [pathlib.Path(a) for a in argv]
+        missing = [str(p) for p in paths if not p.is_file()]
+        if missing:
+            print(f"src_lines.py: no such file: {', '.join(missing)}", file=sys.stderr)
+            return 2
         total = 0
         for path in paths:
             n = code_lines(path)
