@@ -234,16 +234,17 @@ RunResult TrainingSession::run() {
   // step, through the snapshotter the real runtimes use.  It runs no
   // cadence thread here: only the last cadence boundary before each crash
   // matters, so the budget is split exactly there instead of at every
-  // interval, and each capture is taken at its boundary.  Only
-  // kRestoreSnapshot reads a snapshot back, so only it takes them (the
-  // threaded runtime's gate); the budget splits at the same steps either way.
-  const bool restores = req_.elastic.recovery == RecoveryMode::kRestoreSnapshot;
+  // interval, and each capture is taken at its boundary.  Only a crash
+  // under kRestoreSnapshot reads a snapshot back, so only it takes them
+  // (ElasticConfig::takes_snapshots); the budget splits at the same steps
+  // either way.
+  const bool restores = req_.elastic.takes_snapshots();
   AsyncSnapshotter snapshotter([&] { return state.ps.snapshot_checkpoint(state.global_step); },
                                [&] { return state.global_step; }, /*interval=*/0);
+  if (restores) snapshotter.snapshot_now();  // run-start floor
   std::vector<std::int64_t> capture_steps;
   for (const MembershipEvent& e : req_.elastic.plan.events()) {
     if (e.kind != MembershipEventKind::kCrash) continue;
-    if (restores && snapshotter.count() == 0) snapshotter.snapshot_now();  // run-start floor
     if (const std::int64_t every = req_.elastic.snapshot_interval; every > 0 && e.at_step >= every)
       capture_steps.push_back(e.at_step / every * every);
   }
@@ -321,7 +322,7 @@ RunResult TrainingSession::run() {
       std::erase(active, w);
     }
     if (readmitted || !evicted.empty()) state.clock += actuator.resize_time().scaled(ascale);
-    detector.reset();
+    detector.set_active(active);  // restarts it on the slots that still report
   };
 
   bool diverged = false;
@@ -382,6 +383,7 @@ RunResult TrainingSession::run() {
     if (returned) {
       state.clock += actuator.resize_time().scaled(ascale);  // the evicted nodes return
       active = coord.active();  // no membership plan runs beside kEvict
+      detector.set_active(active);
     }
     pay_switch();
   }

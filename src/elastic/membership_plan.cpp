@@ -89,6 +89,12 @@ std::string MembershipPlan::label() const {
   return os.str();
 }
 
+bool ElasticConfig::takes_snapshots() const noexcept {
+  return recovery == RecoveryMode::kRestoreSnapshot &&
+         std::any_of(plan.events().begin(), plan.events().end(),
+                     [](const MembershipEvent& e) { return e.kind == MembershipEventKind::kCrash; });
+}
+
 std::string ElasticConfig::label() const {
   if (empty()) return "-";
   std::ostringstream os;

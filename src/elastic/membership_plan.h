@@ -122,6 +122,10 @@ struct ElasticConfig {
   std::size_t min_workers = 1;
 
   [[nodiscard]] bool empty() const noexcept { return plan.empty(); }
+  /// True when a run takes snapshots: only a scripted crash under
+  /// kRestoreSnapshot reads one back.  Join/leave-only, reactive and
+  /// kKeepLive runs take none, in both runtimes.
+  [[nodiscard]] bool takes_snapshots() const noexcept;
   /// Cache-key form: "-" when elasticity is off.
   [[nodiscard]] std::string label() const;
 };

@@ -58,7 +58,7 @@ const Tensor& Conv2D::forward(const Tensor& x) {
   if (x.rank() != 2 || x.dim(1) != in_c_ * h_ * w_px_)
     throw ShapeError("Conv2D::forward: expected (N, " + std::to_string(in_c_ * h_ * w_px_) +
                      ") input, got " + shape_str(x.shape()));
-  x_cache_ = x;
+  x_ = &x;
   const std::size_t n = x.dim(0);
   if (y_.rank() != 2 || y_.dim(0) != n || y_.dim(1) != out_features())
     y_ = Tensor({n, out_features()});
@@ -84,7 +84,7 @@ void Conv2D::backward_params(const Tensor& dy) {
   db_.fill(0.0f);
   for (std::size_t i = 0; i < dy.dim(0); ++i) {
     // Rebuild cols for this sample (cheaper than caching N col matrices).
-    const std::span<const float> image{x_cache_.data() + i * in_c_ * h_ * w_px_,
+    const std::span<const float> image{x_->data() + i * in_c_ * h_ * w_px_,
                                        in_c_ * h_ * w_px_};
     ops::im2col(image, in_c_, h_, w_px_, kh_, kw_, pad_, cols_);
 

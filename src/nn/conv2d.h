@@ -36,7 +36,7 @@ class Conv2D final : public Layer {
   Tensor b_;    // (out_c)
   Tensor dw_;
   Tensor db_;
-  Tensor x_cache_;
+  const Tensor* x_ = nullptr;  // the last forward's input, read in place by backward
   Tensor cols_;      // im2col buffer (in_c*kh*kw, oh*ow)
   Tensor dcols_;     // gradient buffer same shape
   Tensor out_mat_;   // one sample's forward output (out_c, oh*ow)

@@ -26,7 +26,7 @@ Dense::Dense(const Dense& other, int)
       db_(other.db_) {}
 
 const Tensor& Dense::forward(const Tensor& x) {
-  x_cache_ = x;
+  x_ = &x;
   const std::size_t m = x.dim(0);
   if (y_.rank() != 2 || y_.dim(0) != m || y_.dim(1) != out_dim_) y_ = Tensor({m, out_dim_});
   ops::matmul(x, w_, y_);
@@ -35,8 +35,8 @@ const Tensor& Dense::forward(const Tensor& x) {
 }
 
 void Dense::backward_params(const Tensor& dy) {
-  ops::matmul_tn(x_cache_, dy, dw_);  // dW = X^T dY
-  ops::sum_rows(dy, db_);             // db = sum rows of dY
+  ops::matmul_tn(*x_, dy, dw_);  // dW = X^T dY
+  ops::sum_rows(dy, db_);        // db = sum rows of dY
 }
 
 const Tensor& Dense::backward(const Tensor& dy) {

@@ -39,7 +39,7 @@ class Dense final : public Layer {
   Tensor b_;   // (out)
   Tensor dw_;
   Tensor db_;
-  Tensor x_cache_;  // input from the last forward
+  const Tensor* x_ = nullptr;  // the last forward's input, read in place by backward
   Tensor y_;        // output buffer
   Tensor dx_;       // input-gradient buffer
 };

@@ -1,11 +1,13 @@
 // Layer abstraction for the sequential NN models trained by the PS runtimes.
 //
 // Layers hold their parameters and gradients as Tensors and cache whatever
-// they need between forward and backward.  A layer owns them until it is
-// added to a Model; from then on its params() and grads() tensors are views
-// into the model's flat parameter and gradient vectors (nn/model.h), which
-// the parameter-server runtimes pull into and push from.  A clone() owns
-// copies again.
+// they need between forward and backward.  A layer may keep a pointer to its
+// forward's input instead of a copy (Dense and Conv2D do), so that input must
+// stay alive and unchanged until the matching backward returns.  A layer
+// owns its parameters and gradients until it is added to a Model; from then
+// on its params() and grads() tensors are views into the model's flat
+// parameter and gradient vectors (nn/model.h), which the parameter-server
+// runtimes pull into and push from.  A clone() owns copies again.
 #pragma once
 
 #include <memory>
@@ -25,7 +27,8 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Forward pass on a batch; caches activations for backward.
+  /// Forward pass on a batch; caches activations for backward.  `x` must
+  /// outlive the next backward()/backward_params() call, unchanged.
   virtual const Tensor& forward(const Tensor& x) = 0;
 
   /// Backward pass: receives dL/d(output), returns dL/d(input) and

@@ -24,13 +24,38 @@ ElasticConfig membership_config(const ThreadedTrainConfig& cfg) {
 
 }  // namespace
 
-BarrierPlanner::BarrierPlanner(const ThreadedTrainConfig& cfg)
+bool Segment::latch(std::int64_t n_alive, std::int64_t max_clock) {
+  if (fired) return false;
+  fired = true;
+  if (plan.phase.protocol == Protocol::kSsp)
+    quota = std::min(quota, max_clock + 1);
+  else if (plan.phase.trigger != SwitchTrigger::kStepCount)
+    ticket_budget = std::min(ticket_budget, (tickets + n_alive - 1) / n_alive * n_alive);
+  return true;
+}
+
+BarrierPlanner::BarrierPlanner(const ThreadedTrainConfig& cfg, SharedParameterServer& ps,
+                               AsyncSnapshotter& snapshots, Clock clock)
     : cfg_(cfg),
+      ps_(ps),
+      snapshots_(snapshots),
+      clock_(clock),
       cursor_(lower(cfg), cfg.steps_per_worker),
       coord_(membership_config(cfg), cfg.num_workers),
-      uses_detector_(reads_detector(cursor_.legs())),
-      compress_(cfg.compression.enabled()) {
+      watched_(reads_detector(cursor_.legs())),
+      detector_(coord_.max_slots(), cfg.detector),
+      slots_(coord_.max_slots()),
+      clocks_(coord_.max_slots(), 0),
+      compress_(cfg.compression.enabled()),
+      eval_params_(cfg.eval_hook ? ps.num_params() : 0) {
   if (cfg.controller.enabled) controller_.emplace(cfg.controller, cfg.compression);
+  // Retired or not-yet-joined slots must not block the detector's warm-up.
+  detector_.set_active(coord_.active());
+}
+
+void BarrierPlanner::start() {
+  run_start_ = clock_();
+  arm();
 }
 
 std::vector<PlanLeg> BarrierPlanner::lower(const ThreadedTrainConfig& cfg) {
@@ -70,45 +95,133 @@ double BarrierPlanner::lr(Protocol protocol, std::size_t n) const {
   return cfg_.lr * (multiplier(n) / (relative ? multiplier(cfg_.num_workers) : 1.0));
 }
 
-Segment BarrierPlanner::next() {
+void BarrierPlanner::arm() {
   const PlanLeg& leg = cursor_.leg();
   const std::int64_t event = coord_.next_event_step(cursor_.progress());
   const std::int64_t end = event > 0 ? std::min(cursor_.visit_end(), event) : cursor_.visit_end();
-  return {.leg = cursor_.index(), .plan = leg, .lr = lr(leg.phase.protocol, coord_.alive_count()),
-          .compress = compress_, .start = cursor_.progress() - done(), .quota = end - done()};
+  const std::size_t n = coord_.alive_count();
+  seg_.leg = cursor_.index();
+  seg_.plan = leg;
+  seg_.lr = lr(leg.phase.protocol, n);
+  seg_.compress = compress_;
+  seg_.start = cursor_.progress() - done();
+  seg_.quota = end - done();
+  seg_.ticket_budget = static_cast<std::int64_t>(n) * (seg_.quota - seg_.start);
+  seg_.tickets = 0;
+  seg_.fired = false;
+  std::fill(clocks_.begin(), clocks_.end(), seg_.start);
+  if (seg_.start == 0) phase_start_ = clock_();
+  // Every push of the previous segment is applied (pushes are synchronous
+  // and every worker is parked or joined), so this is the reconciled state
+  // the segment starts from.
+  seg_.params.resize(ps_.num_params());
+  ps_.pull_with_versions(seg_.params, seg_.versions);
 }
 
-std::optional<ThreadedPhaseStats> BarrierPlanner::drain(std::int64_t reached, bool fired,
-                                                        const StragglerDetector& detector) {
-  const PlanLeg& leg = cursor_.leg();
-  const bool triggered = fired && leg.phase.trigger != SwitchTrigger::kStepCount;
-  if (fired && !triggered) {  // the kLeave reaction
+BarrierPlanner::Drained BarrierPlanner::drain(std::int64_t updates) {
+  const TimePoint now = clock_();
+  // BSP and SSP clocks are equal across alive workers.  An ASP segment
+  // always ends on a multiple of n_alive tickets (its budget, or the one
+  // latch() rounded), so its per-worker step count is exact.
+  const std::int64_t reached =
+      seg_.plan.phase.protocol == Protocol::kAsp
+          ? seg_.start + seg_.tickets / static_cast<std::int64_t>(coord_.alive_count())
+          : clocks_[leader()];
+  const bool triggered = seg_.fired && seg_.plan.phase.trigger != SwitchTrigger::kStepCount;
+  if (seg_.fired && !triggered) {  // the kLeave reaction
     delta_due_ = true;
-    evict_ = cursor_.react(coord_.active(), detector.stragglers());
+    evict_ = cursor_.react(coord_.active(), detector_.stragglers());
   }
   cursor_.advance_to(cursor_.visit_start() + reached);
-  if (!triggered && cursor_.progress() < cursor_.visit_end()) return std::nullopt;
-  const ThreadedPhaseStats phase{.protocol = leg.phase.protocol, .ended_by_trigger = triggered,
-                                 .start_step = cursor_.visit_start(), .steps = reached};
-  cursor_.finish(triggered);
-  return phase;
+  if (triggered || cursor_.progress() >= cursor_.visit_end())
+    finish_phase(reached, triggered, updates, now);
+  if (finished()) return Drained::kOver;
+  if (delta_due_ || coord_.events_due(cursor_.progress())) return Drained::kMembership;
+  arm();
+  return Drained::kArmed;
 }
 
-void BarrierPlanner::decide(const ThreadedPhaseStats& phase,
-                            const std::function<MeasuredPhaseCosts()>& measure) {
+void BarrierPlanner::finish_phase(std::int64_t steps, bool triggered, std::int64_t updates,
+                                  TimePoint now) {
+  ThreadedPhaseStats s{.protocol = seg_.plan.phase.protocol, .ended_by_trigger = triggered,
+                       .start_step = cursor_.visit_start(), .steps = steps,
+                       .updates = updates - phase_start_updates_};
+  std::int64_t staleness_sum = 0;
+  for (SlotCounters& c : slots_) {
+    staleness_sum += c.staleness_sum;
+    s.push_bytes += c.push_bytes;
+    s.max_clock_gap = std::max(s.max_clock_gap, c.max_gap);
+    c.staleness_sum = c.push_bytes = c.max_gap = 0;
+  }
+  if (s.protocol != Protocol::kBsp && s.updates > 0) {
+    s.mean_staleness = static_cast<double>(staleness_sum) / static_cast<double>(s.updates);
+    async_staleness_ += staleness_sum;
+    async_updates_ += s.updates;
+  }
+  s.wall_seconds = std::chrono::duration<double>(now - phase_start_).count();
+  if (s.wall_seconds > 0.0) s.updates_per_sec = static_cast<double>(s.updates) / s.wall_seconds;
+  phase_start_updates_ = updates;
+  cursor_.finish(triggered);
+  result_.phases.push_back(s);
+  result_.max_clock_gap = std::max(result_.max_clock_gap, s.max_clock_gap);
+  result_.push_bytes += s.push_bytes;
+  if (cfg_.eval_hook) {
+    // Every worker is parked and every push applied, so the pull is
+    // consistent.  Hook time is charged to the run clock, as the
+    // controller's decision time is, not to any phase or worker step.
+    ps_.pull(eval_params_);
+    cfg_.eval_hook(done(), std::chrono::duration<double>(now - run_start_).count(), eval_params_);
+  }
+  decide(s);
+}
+
+MeasuredPhaseCosts BarrierPlanner::measure() {
+  MeasuredPhaseCosts measured;
+  measured.num_workers = coord_.alive_count();
+  measured.batch_size = cfg_.batch_size;
+  measured.push_bytes = static_cast<double>(ps_.num_params() * sizeof(float));
+  std::vector<double> means;
+  int slowest = -1;  ///< first alive slot with the largest mean
+  for (std::size_t w = 0; w < slots_.size(); ++w) {
+    SlotCounters& c = slots_[w];
+    // Under the shared ASP budget a slot can finish no step in a short
+    // interval: its peers spend every ticket before it draws one.  That
+    // says nothing about its speed, so it keeps its last measured mean —
+    // dropping it would hide a straggler from the controller.
+    if (c.step_count > 0)
+      c.last_step_mean = c.step_seconds / static_cast<double>(c.step_count);
+    c.step_seconds = 0.0;
+    c.step_count = 0;
+    if (!coord_.is_alive(static_cast<int>(w)) || c.last_step_mean <= 0.0) continue;
+    means.push_back(c.last_step_mean);
+    if (slowest < 0 || c.last_step_mean > slots_[slowest].last_step_mean)
+      slowest = static_cast<int>(w);
+  }
+  if (!means.empty()) {
+    std::sort(means.begin(), means.end());
+    // Lower median: robust to the straggler itself for any cluster >= 2.
+    const double median = means[(means.size() - 1) / 2];
+    measured.step_seconds = median;
+    measured.straggler_factor = median > 0.0 ? slots_[slowest].last_step_mean / median : 1.0;
+    measured.straggler_worker = slowest;
+  }
+  return measured;
+}
+
+void BarrierPlanner::decide(const ThreadedPhaseStats& phase) {
   if (!controller_) return;
   const double sec_per_step = phase.steps > 0 && phase.wall_seconds > 0.0
                                   ? phase.wall_seconds / static_cast<double>(phase.steps)
                                   : 0.0;
-  if (!decisions_.empty() && prev_sec_per_step_ > 0.0 && sec_per_step > 0.0)
-    decisions_.back().realized_gain = 1.0 - sec_per_step / prev_sec_per_step_;
+  if (!result_.decisions.empty() && prev_sec_per_step_ > 0.0 && sec_per_step > 0.0)
+    result_.decisions.back().realized_gain = 1.0 - sec_per_step / prev_sec_per_step_;
   prev_sec_per_step_ = sec_per_step;
   const MeasuredPhaseCosts measured = measure();
   if (finished()) return;  // realized gain settled; nothing left to decide
 
   // The phase just run is the last leg: the controller appends each one.
-  // Should the controller throw, this hold stands: the runtime calls this
-  // from a noexcept barrier completion, so the run keeps its configuration
+  // Should the controller throw, this hold stands: the runtime drains from
+  // a noexcept barrier completion, so the run keeps its configuration
   // rather than go down.
   const PlanLeg& leg = cursor_.legs().back();
   ControllerDecision d;
@@ -140,21 +253,60 @@ void BarrierPlanner::enact(ControllerDecision d) {
       compress_ = d.chosen.compress && cfg_.compression.enabled();
     }
   }
-  decisions_.push_back(std::move(d));
+  result_.decisions.push_back(std::move(d));
   cursor_.append(next);
 }
 
-bool BarrierPlanner::membership_due() const noexcept {
-  return delta_due_ || coord_.events_due(cursor_.progress());
-}
-
-std::vector<AppliedMembershipEvent> BarrierPlanner::apply_membership() {
+std::span<const ThreadedMembershipStats> BarrierPlanner::recover() {
+  const TimePoint start = clock_();
   std::vector<AppliedMembershipEvent> applied = coord_.evict(evict_, cursor_.progress());
   const std::vector<AppliedMembershipEvent> scheduled = coord_.advance_to(cursor_.progress());
   applied.insert(applied.end(), scheduled.begin(), scheduled.end());
   delta_due_ = false;
   evict_.clear();
-  return applied;
+  std::int64_t updates_lost = 0;
+  if (cfg_.elastic.takes_snapshots() &&
+      std::any_of(applied.begin(), applied.end(), [](const AppliedMembershipEvent& a) {
+        return a.event.kind == MembershipEventKind::kCrash;
+      })) {
+    // Roll parameters + velocity back to the last snapshot: every update
+    // since it is lost, bounding the damage to one snapshot interval.
+    // Surviving workers keep their error-feedback residuals — the mass a
+    // codec dropped is still untransmitted after the rollback.
+    updates_lost = snapshots_.restore_latest([&](const Checkpoint& snap) { ps_.restore(snap); })
+                       .value_or(0);
+  }
+  // Throughput history is not comparable across a cluster change.
+  detector_.set_active(coord_.active());
+  // Resume the interrupted phase, or enter the next one if the previous
+  // epoch finished its phase exactly at the membership boundary.
+  arm();
+  const double seconds = std::chrono::duration<double>(clock_() - start).count();
+  const std::size_t first = result_.membership.size();
+  bool charged = false;  // one restore per pass -> charge it once
+  for (const AppliedMembershipEvent& a : applied) {
+    const bool charge = a.event.kind == MembershipEventKind::kCrash && !charged;
+    charged |= charge;
+    result_.membership.push_back({.kind = a.event.kind,
+                                  .worker = a.event.worker,
+                                  .at_step = a.event.at_step,
+                                  .workers_after = a.workers_after,
+                                  .lr_after = seg_.lr,
+                                  .updates_lost = charge ? updates_lost : 0,
+                                  .recovery_wall_seconds = seconds});
+  }
+  return std::span<const ThreadedMembershipStats>(result_.membership).subspan(first);
+}
+
+ThreadedTrainResult BarrierPlanner::finish(std::int64_t updates) {
+  result_.total_updates = updates;
+  result_.snapshots_taken = snapshots_.count();
+  if (async_updates_ > 0)
+    result_.mean_staleness =
+        static_cast<double>(async_staleness_) / static_cast<double>(async_updates_);
+  result_.final_params.resize(ps_.num_params());
+  ps_.pull(result_.final_params);
+  return std::move(result_);
 }
 
 }  // namespace ss

@@ -1,4 +1,6 @@
-// BarrierPlanner: what the threaded runtime runs next, and on which workers.
+// BarrierPlanner: the threaded run's drain side.  It decides what runs next
+// and on which workers, and it records what each finished phase and each
+// membership change cost.
 //
 // Every Sync-Switch policy answers one question at a drain barrier — the
 // offline timing policy with a fixed step count, a reactive schedule or
@@ -15,25 +17,48 @@
 //
 // A leg runs as one or more *segments*: scripted membership events
 // (RecoveryCoordinator::next_event_step) cut it into segments so each event
-// resolves at a drain barrier.  The runtime arms a segment, runs it to its
-// drain barrier, and reports how far it got; the cursor settles the leg, and
-// the planner books the membership delta due before the next segment and
-// lowers that segment.  The planner holds no leg or phase progress of its
-// own, only the lr rule, the worker set, the compression flag, the
-// controller and the membership delta.  A segment is plain data, so the
-// runtime's worker loops and drain completion never branch on where a
-// decision came from, and this header's logic is testable without threads.
+// resolves at a drain barrier.
+//
+// threaded_train (ps/threaded_runtime.cpp) keeps the thread mechanics: the
+// epoch loop, the two barriers, the clock lock with the SSP wait and the ASP
+// ticket draw, BSP aggregation, failure containment, straggler injection
+// and the obs sites.  Everything done with every worker parked is here:
+//
+//  * the worker set: the alive slots, the BSP leader and the detector's
+//    scope;
+//  * the armed segment, re-armed in place at each drain or recovery: its
+//    leg, lr, compression, quota, ASP ticket budget and the latch that
+//    lowers it, and the parameters and shard versions it starts from, with
+//    the phase-entry resets;
+//  * the per-slot clocks and counters the workers advance, and the
+//    controller's measurement taken from them;
+//  * each finished phase's ThreadedPhaseStats, the eval hook and the
+//    controller's decision;
+//  * the membership delta, the AsyncSnapshotter crash restore and each
+//    event's ThreadedMembershipStats;
+//  * the run's result.
+//
+// The planner starts no thread and reads the time only through the clock
+// it is given, at start() and at drains and recoveries, never per step, so
+// tests drive whole drain transitions with a fake clock.  Between drains
+// the runtime's workers read the segment and write their own slot's clock
+// and counters, and the tickets and Segment::latch under the runtime's
+// clock lock; the planner touches them only while every worker is parked
+// or joined.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/controller.h"
 #include "core/straggler_detector.h"
+#include "elastic/async_snapshotter.h"
 #include "elastic/recovery_coordinator.h"
+#include "ps/param_server.h"
 #include "ps/plan.h"
 #include "ps/protocol.h"
 #include "ps/threaded_runtime.h"
@@ -54,24 +79,98 @@ struct Segment {
   /// opens the phase.  A phase is only ever interrupted after a step, so a
   /// resumed segment always has start > 0.
   std::int64_t start = 0;
-  /// Step the segment runs to.  BSP and SSP run every worker's clock there;
-  /// ASP spends n_alive x (quota - start) shared step tickets.
+  /// Step the segment runs to.  BSP and SSP run every worker's clock there
+  /// (an SSP latch lowers it to a clock every worker can still reach).
   std::int64_t quota = 0;
+  /// ASP: the step tickets the segment shares out, n_alive x (quota -
+  /// start).  A latched trigger lowers it to the next multiple of n_alive.
+  /// The ticket fields are written under the runtime's clock lock on every
+  /// ASP step, so they sit on their own cache line, apart from the fields
+  /// above that every worker reads each step.
+  alignas(64) std::int64_t ticket_budget = 0;
+  std::int64_t tickets = 0;  ///< ASP tickets drawn so far
+  bool fired = false;        ///< the segment's watch latched
+  /// The parameters and shard versions the segment starts from, pulled when
+  /// it is armed; BSP rounds compute on them and the leader re-pulls them
+  /// after each update.
+  alignas(64) std::vector<float> params;
+  std::vector<std::int64_t> versions;
+
+  /// Latches the segment's fired watch so that it ends as soon as it can end
+  /// exactly, with `n_alive` workers whose fastest clock is `max_clock`.
+  /// SSP lowers the quota to max_clock + 1, a clock every worker can still
+  /// reach.  An ASP trigger rounds the tickets drawn so far up to the next
+  /// multiple of n_alive, so the segment closes within n_alive tickets on a
+  /// whole per-worker step count (the drain divides by n_alive).  An ASP
+  /// reaction keeps its budget.  Returns false when it was already latched.
+  /// The runtime calls it from a worker, under its clock lock.
+  bool latch(std::int64_t n_alive, std::int64_t max_clock);
+};
+
+/// One worker slot's counters.  Its worker writes them, `max_gap` under the
+/// runtime's clock lock; the planner reads and resets them only while every
+/// worker is parked.  Each slot has its own cache line, since every worker
+/// writes its own each step and no peer reads them.
+struct alignas(64) SlotCounters {
+  std::int64_t max_gap = 0;  ///< largest clock gap at this slot's step starts in the phase
+  std::int64_t staleness_sum = 0;  ///< over the phase's pushes
+  std::int64_t push_bytes = 0;     ///< wire bytes pushed in the phase
+  /// Compute-side step time (barrier and SSP waits excluded) since the
+  /// controller last measured: a straggler's injected delay lands in its own
+  /// slot instead of being smeared over everyone by barrier waits.
+  double step_seconds = 0.0;
+  std::int64_t step_count = 0;
+  /// Mean step time over the slot's last interval with a finished step.
+  double last_step_mean = 0.0;
 };
 
 class BarrierPlanner {
  public:
-  /// Lowers `cfg` onto legs.  Throws ConfigError for an invalid or
-  /// non-composable config: the controller picks its own legs and owns the
-  /// worker set, so it excludes a schedule and a membership plan; the
-  /// checks the sim shares are lower_plan()'s.  `cfg` must outlive the
-  /// planner.
-  explicit BarrierPlanner(const ThreadedTrainConfig& cfg);
+  using TimePoint = std::chrono::steady_clock::time_point;
+  /// The planner's one time source.
+  using Clock = TimePoint (*)();
+  static TimePoint steady_now() { return std::chrono::steady_clock::now(); }
 
-  /// The worker set: slot ids and the scripted events still to come.
-  [[nodiscard]] const RecoveryCoordinator& membership() const noexcept { return coord_; }
-  /// True when some leg watches the detector, so workers must feed it.
-  [[nodiscard]] bool uses_detector() const noexcept { return uses_detector_; }
+  /// What a drain leaves the runtime to do.
+  enum class Drained {
+    kArmed,       ///< the next segment is armed on the same workers: run it
+    kMembership,  ///< a membership delta is due: join the threads, then recover()
+    kOver,        ///< the run is over: join the threads, then finish()
+  };
+
+  /// Lowers `cfg` onto legs on the initial workers; start() arms the first
+  /// segment.  Throws ConfigError for an invalid or non-composable config:
+  /// the controller picks its own legs and owns the worker set, so it
+  /// excludes a schedule and a membership plan; the checks the sim shares
+  /// are lower_plan()'s.  `cfg`, `ps` and `snapshots` must outlive the
+  /// planner; `snapshots` holds the crash-restore floor.
+  BarrierPlanner(const ThreadedTrainConfig& cfg, SharedParameterServer& ps,
+                 AsyncSnapshotter& snapshots, Clock clock = &steady_now);
+
+  /// Starts the run's clock and arms the first segment.  Call it once, after
+  /// the runtime's setup (worker models, codec bank, snapshot floor), so
+  /// that setup is charged to no phase and to no eval hook's wall time.
+  void start();
+
+  /// Alive slot ids, ascending.
+  [[nodiscard]] const std::vector<int>& active() const noexcept { return coord_.active(); }
+  /// The BSP aggregator: the first alive slot.
+  [[nodiscard]] std::size_t leader() const noexcept {
+    return static_cast<std::size_t>(coord_.active().front());
+  }
+  /// Slot ids ever used: the initial workers plus the scripted joins.
+  [[nodiscard]] std::size_t max_slots() const noexcept { return slots_.size(); }
+  /// The straggler detector the workers feed, or null when no leg watches
+  /// it (then nothing feeds it).  Scoped to the alive slots.
+  [[nodiscard]] StragglerDetector* detector() noexcept { return watched_ ? &detector_ : nullptr; }
+
+  /// The armed segment.
+  [[nodiscard]] Segment& segment() noexcept { return seg_; }
+  [[nodiscard]] SlotCounters& slot(std::size_t w) noexcept { return slots_[w]; }
+  /// Slot `w`'s local steps in the current phase.  Its worker writes it,
+  /// under the runtime's clock lock in async phases.
+  [[nodiscard]] std::int64_t& clock(std::size_t w) noexcept { return clocks_[w]; }
+
   /// Per-worker local steps of the finished phases.
   [[nodiscard]] std::int64_t done() const noexcept { return cursor_.visit_start(); }
   /// True once the finished phases cover the run's steps_per_worker.
@@ -85,43 +184,34 @@ class BarrierPlanner {
   /// the cluster changes.
   [[nodiscard]] double lr(Protocol protocol, std::size_t n) const;
 
-  /// The segment to run next on the current worker set: the rest of an
-  /// interrupted phase, else the next leg (the first one at run start).
-  /// Its quota stops at the next scripted membership event.
-  [[nodiscard]] Segment next();
+  /// The drain transition, with every worker parked at the drain barrier
+  /// and `updates` PS updates applied so far.  Settles the segment against
+  /// the cursor: BSP and SSP reached the leader's clock, ASP its tickets /
+  /// n_alive.  A fired watch is the leg's trigger when it has one;
+  /// otherwise its kLeave reaction books the workers the detector flags for
+  /// eviction.  When the phase completes (at its quota or on its trigger)
+  /// the planner records its stats, calls the eval hook and, on controller
+  /// runs, measures the interval and enacts the controller's move.  Then
+  /// the run ends, a due membership delta asks for recover(), or the next
+  /// segment is armed.
+  Drained drain(std::int64_t updates);
 
-  /// The segment from next() reached its drain barrier after `reached`
-  /// phase steps, and `fired` says the detector fired it.  A fire is the
-  /// leg's trigger when it has one; otherwise its kLeave reaction books the
-  /// workers `detector` flags at the barrier for eviction.  The phase
-  /// completes at its quota or when its trigger fired: then
-  /// the result is its stats, with the protocol, ended_by_trigger,
-  /// start_step and steps filled in for the caller to complete.  Otherwise
-  /// the next segment resumes the phase.
-  std::optional<ThreadedPhaseStats> drain(std::int64_t reached, bool fired,
-                                          const StragglerDetector& detector);
+  /// Applies the due membership delta with every worker thread joined:
+  /// evictions first, then the scripted events.  A crash under
+  /// kRestoreSnapshot restores the latest snapshot and charges the updates
+  /// it loses to the pass's first crash.  Then it adopts the new worker
+  /// set, arms the next segment with the lr re-derived for the new size,
+  /// and returns the pass's records.  May throw ConfigError when reactive
+  /// evictions leave a scripted event infeasible.
+  std::span<const ThreadedMembershipStats> recover();
 
-  /// Controller runs, after a completed phase: settles the previous
-  /// decision's realized gain from `phase`, and unless the run is over
-  /// asks the controller for the next move from `measure()` (holding if it
-  /// throws) and enacts it.  No-op without a controller, which leaves
-  /// `measure` uncalled.
-  void decide(const ThreadedPhaseStats& phase, const std::function<MeasuredPhaseCosts()>& measure);
-  /// Appends the leg `d` chooses: the current leg for `decision_interval`
-  /// steps, with the chosen protocol and bound (the compression switches
-  /// with it), or with the measured straggler's slot booked for eviction.
-  void enact(ControllerDecision d);
-  [[nodiscard]] std::vector<ControllerDecision> take_decisions() { return std::move(decisions_); }
-
-  /// True when a membership delta is due before the next segment: slots
-  /// booked for eviction, a fired kLeave reaction (even if its flags
-  /// cleared by the barrier), or scripted events at the current progress.
-  [[nodiscard]] bool membership_due() const noexcept;
-  /// Applies the due delta to the worker set — evictions first, then the
-  /// scripted events — and returns what changed.  Call with every worker
-  /// quiesced, before next(); may throw ConfigError when reactive evictions
-  /// leave a scripted event infeasible.
-  std::vector<AppliedMembershipEvent> apply_membership();
+  /// What the run has recorded so far: its finished phases, membership
+  /// events and controller decisions.
+  [[nodiscard]] const ThreadedTrainResult& recorded() const noexcept { return result_; }
+  /// The run's result, once it is over, with `updates` PS updates applied:
+  /// the run totals and the final parameters join the records.  Moves them
+  /// out; call once.
+  ThreadedTrainResult finish(std::int64_t updates);
 
  private:
   /// Validates `cfg`, checking in a fixed order so the first error reported
@@ -129,17 +219,52 @@ class BarrierPlanner {
   /// planner starts from.
   [[nodiscard]] static std::vector<PlanLeg> lower(const ThreadedTrainConfig& cfg);
 
+  /// Arms the segment the cursor is at on the current workers: the rest of
+  /// an interrupted phase (clocks fast-forwarded to the steps it already
+  /// ran), else the next leg.  Its quota stops at the next scripted event.
+  void arm();
+  /// Records the finished phase, calls the eval hook and decides.
+  void finish_phase(std::int64_t steps, bool triggered, std::int64_t updates, TimePoint now);
+  /// The controller's measurement of the finished interval: the lower
+  /// median of the alive slots' step times, and the slowest slot's factor
+  /// over it.
+  MeasuredPhaseCosts measure();
+  /// Controller runs: settles the previous decision's realized gain from
+  /// `phase`, and unless the run is over enacts the controller's next move
+  /// (a hold should the controller throw).
+  void decide(const ThreadedPhaseStats& phase);
+  /// Appends the leg `d` chooses: the current leg for `decision_interval`
+  /// steps, with the chosen protocol and bound (the compression switches
+  /// with it), or with the measured straggler's slot booked for eviction.
+  void enact(ControllerDecision d);
+
   const ThreadedTrainConfig& cfg_;
+  SharedParameterServer& ps_;
+  AsyncSnapshotter& snapshots_;
+  Clock clock_;
   PlanCursor cursor_;  ///< the lowered plan, then the controller's legs
   RecoveryCoordinator coord_;
-  bool uses_detector_ = false;
+  bool watched_ = false;  ///< some leg reads the detector
+  StragglerDetector detector_;
+  std::vector<SlotCounters> slots_;
+  /// One contiguous vector: an async step reads every alive clock under the
+  /// clock lock (the SSP bound and the clock gap).
+  std::vector<std::int64_t> clocks_;
+  Segment seg_;
   bool compress_ = false;  ///< push through the codec; the controller may switch it
 
   bool delta_due_ = false;  ///< a membership delta is booked
   std::vector<int> evict_;  ///< slots it evicts
 
+  TimePoint run_start_;
+  TimePoint phase_start_;
+  std::int64_t phase_start_updates_ = 0;
+  std::int64_t async_staleness_ = 0;  ///< run totals over async-phase pushes
+  std::int64_t async_updates_ = 0;
+  std::vector<float> eval_params_;  ///< eval_hook scratch
+  ThreadedTrainResult result_;
+
   std::optional<OnlineController> controller_;
-  std::vector<ControllerDecision> decisions_;
   std::int64_t last_move_step_ = 0;  ///< done() when the last move was enacted
   double prev_sec_per_step_ = 0.0;   ///< the previous interval's wall/step
 };

@@ -6,7 +6,8 @@
 // (ps/param_server.h) that the simulator and the socket server use too (one
 // lock when num_ps_shards == 1):
 //
-//  * BSP uses a std::barrier per round; worker 0 aggregates and applies.
+//  * BSP uses a std::barrier per round; the leader (the first alive slot)
+//    aggregates and applies.
 //  * ASP workers freely pull/push under the shard locks at their own pace.  An
 //    ASP phase is work-conserving, as the simulator counts it: it holds one
 //    budget of n_alive x (per-worker steps) step tickets, and whichever
@@ -26,24 +27,27 @@
 // its pushes are synchronous calls into the PS, so arriving at the barrier
 // means its updates are durably applied; SSP waiters are released because
 // the phase quota is a common local-step count every worker reaches, and
-// ASP workers leave once the phase's tickets are spent — and the one-shot
-// transition step (run inside the barrier's completion, with every worker
-// parked) records per-phase metrics, re-snapshots parameters and versions,
+// ASP workers leave once the phase's tickets are spent — and the barrier's
+// completion (with every worker parked) is one BarrierPlanner::drain call,
+// which records the phase's metrics, re-snapshots parameters and versions,
 // and arms the next phase.  No checkpoint, no restart, no
 // lost update.  Phases end on a fixed step quota or reactively, when the
 // shared StragglerDetector (fed by per-step wall-clock throughput
 // observations) flags or clears a straggler — the paper's Section VI-B3
 // policies on real threads.
 //
-// What runs next, and on which workers, is decided in one place: a
-// BarrierPlanner (ps/barrier_planner.h) walks the plan of legs that
+// Everything done at a drain lives in one thread-free class, the
+// BarrierPlanner (ps/barrier_planner.h).  It walks the plan of legs that
 // ps/plan.h lowers the fixed protocol or the schedule and the elastic
-// membership plan onto, appends the online controller's legs, and hands the
-// runtime the next Segment — protocol, bound, lr, compression, step quota,
-// trigger and reaction — at every drain barrier, after any membership
-// delta due before it.  The worker loops and
-// the drain completion run segments and never branch on where one came
-// from.
+// membership plan onto, appends the online controller's legs, holds the
+// worker set and the armed Segment — protocol, bound, lr, compression, step
+// quota, ticket budget and the latch that lowers it, trigger and reaction —
+// and records the per-phase and per-event stats and the result; its run
+// clock starts once this file's setup is done.  This file keeps the thread
+// mechanics: the epoch loop, the barriers, the clock lock with the SSP wait
+// and the ASP ticket draw, BSP aggregation, failure containment, straggler
+// injection and the obs sites.  The worker loops run segments and never
+// branch on where one came from.
 //
 // Transient stragglers are injected from a `StragglerSchedule` evaluated
 // against the wall clock: after computing its gradient, a slowed worker
@@ -53,12 +57,12 @@
 // Elastic membership (`ThreadedTrainConfig::elastic`, src/elastic/): the
 // worker set itself can change mid-run.  Scripted crash/join/leave events —
 // or the reactive evict-on-detect rule — resolve at the drain barrier: the
-// epoch's threads quiesce and exit, the planner applies the membership
-// delta to its RecoveryCoordinator on the main thread (crash recovery
-// restores the AsyncSnapshotter's last copy-on-read checkpoint when the
-// policy says so), the next segment's lr is re-derived for the new cluster
-// size via derive_hyper, and a fresh set of threads (with barriers sized to
-// the new count) carries the same plan forward.  Protocol switches with no
+// epoch's threads quiesce and exit, BarrierPlanner::recover applies the
+// membership delta to its RecoveryCoordinator on the main thread (crash
+// recovery restores the AsyncSnapshotter's last copy-on-read checkpoint
+// when ElasticConfig::takes_snapshots), the next segment's lr is re-derived
+// for the new cluster size via derive_hyper, and a fresh set of threads
+// (with barriers sized to the new count) carries the same plan forward.  Protocol switches with no
 // membership event due still transition live.
 //
 // All protocols support gradient compression (`ThreadedTrainConfig::

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -551,6 +552,46 @@ TEST(SimElastic, CompressedRunSurvivesAJoin) {
   EXPECT_FALSE(r.diverged);
   EXPECT_EQ(r.steps_completed, 256);
   EXPECT_EQ(r.num_membership_events, 3);
+}
+
+/// Records, per worker slot, the last BSP update its tasks fed, and the BSP
+/// leg's last update: the sink sees an update's on_task calls before its
+/// on_update.
+struct BspTaskLog final : MetricsSink {
+  std::vector<int> pending;
+  std::map<int, std::int64_t> last_bsp_task;
+  std::int64_t bsp_end = 0;
+  void on_task(const TaskObservation& obs) override { pending.push_back(obs.worker); }
+  void on_update(const UpdateObservation& obs) override {
+    if (obs.protocol == Protocol::kBsp) {
+      for (int w : pending) last_bsp_task[w] = obs.global_step;
+      bsp_end = obs.global_step;
+    }
+    pending.clear();
+  }
+  void on_eval(std::int64_t, VTime, double) override {}
+};
+
+TEST(SimElastic, AnElasticLegEvictsASecondStragglerAfterTheFirst) {
+  // Two permanent 3x stragglers, the second slowing down well after the
+  // first was evicted.  The leg's detector must restart on the slots still
+  // active after each eviction, or the evicted slot, which never reports a
+  // task again, keeps it from warming up and the second is never flagged.
+  RunRequest req =
+      online_policy_request(SyncSwitchPolicy::bsp_to_asp(0.75), OnlinePolicy::kElastic, true);
+  req.workload.total_steps = 1024;
+  req.cluster.num_workers = 6;
+  const VTime forever = VTime::from_minutes(1e6);
+  req.straggler_schedule = StragglerSchedule(
+      {{1, VTime::from_seconds(0.2), forever, 3.0}, {2, VTime::from_seconds(3.0), forever, 3.0}});
+  BspTaskLog log;
+  req.observer = &log;
+  const RunResult r = TrainingSession(req).run();
+  EXPECT_EQ(r.steps_completed, 1024);
+  ASSERT_GT(log.bsp_end, 0);
+  for (int w : {0, 3, 4, 5}) EXPECT_EQ(log.last_bsp_task[w], log.bsp_end) << "slot " << w;
+  for (int w : {1, 2}) EXPECT_LT(log.last_bsp_task[w], log.bsp_end) << "slot " << w;
+  EXPECT_EQ(result_fingerprint(r), "b406913324d4f5e3") << "train_time=" << r.train_time_seconds;
 }
 
 TEST(SimElastic, RejectsCombinationWithOnlinePolicies) {

@@ -281,6 +281,56 @@ TEST_F(ObsGlobalTest, ThreadedRunExportsExpectedSpans) {
   EXPECT_NE(text.find("# TYPE ss_threaded_step_seconds histogram"), std::string::npos);
 }
 
+// A crash restore on threads: the run-start snapshot and the recovery pass
+// are spans on the control track, and the recovery span's updates_lost is
+// the one the membership stats charge.
+TEST_F(ObsGlobalTest, ThreadedCrashRestoreExportsSnapshotAndRecoverySpans) {
+  obs::enable_tracing();
+  obs::enable_metrics();
+
+  const DataSplit split = easy_data();
+  Rng rng(11);
+  const Model proto = make_model(ModelArch::kLinear, split.train.feature_dim(), 4, rng);
+  ThreadedTrainConfig cfg;
+  cfg.protocol = Protocol::kBsp;
+  cfg.num_workers = 3;
+  cfg.steps_per_worker = 16;
+  cfg.elastic.plan = MembershipPlan::crash(1, 8);
+  cfg.elastic.recovery = RecoveryMode::kRestoreSnapshot;
+  cfg.elastic.snapshot_interval = 0;  // only the run-start floor: the loss is exact
+  const auto result = threaded_train(proto, split.train, cfg);
+  ASSERT_EQ(result.membership.size(), 1u);
+  EXPECT_EQ(result.membership[0].updates_lost, 8);  // every BSP round before the crash
+  EXPECT_EQ(result.snapshots_taken, 1);
+
+  std::ostringstream os;
+  obs::tracer().write_chrome_trace(os);
+  const JsonValue doc = parse_json(os.str());
+  int snapshots = 0;
+  int recoveries = 0;
+  for (const JsonValue& ev : doc.array) {
+    const JsonValue* name = ev.find("name");
+    const JsonValue* tid = ev.find("tid");
+    if (name == nullptr || tid == nullptr || ev.find("ph")->text != "X") continue;
+    if (name->text == "snapshot") {
+      EXPECT_EQ(tid->number(), 0.0);
+      ++snapshots;
+    } else if (name->text == "recovery") {
+      EXPECT_EQ(tid->number(), 0.0);
+      ++recoveries;
+      EXPECT_EQ(ev.find("args")->find("updates_lost")->number(),
+                static_cast<double>(result.membership[0].updates_lost));
+      EXPECT_EQ(ev.find("args")->find("events")->number(), 1.0);
+    }
+  }
+  EXPECT_EQ(snapshots, 1) << os.str().substr(0, 2000);
+  EXPECT_EQ(recoveries, 1);
+
+  const std::string text = obs::metrics().expose_text();
+  EXPECT_NE(text.find("ss_threaded_snapshots_total 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ss_threaded_recoveries_total 1\n"), std::string::npos) << text;
+}
+
 TEST_F(ObsGlobalTest, OffByDefaultAndBitIdenticalOffVsOn) {
   ASSERT_FALSE(obs::enabled());
 
