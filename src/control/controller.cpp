@@ -11,6 +11,12 @@
 namespace ss {
 namespace {
 
+/// The seed of every twin query: fixed, so identical quantized stats
+/// reproduce identical cache keys across barriers and runs.
+constexpr std::uint64_t kTwinSeed = 1;
+/// The staleness bound of the grid's SSP candidates.
+constexpr int kGridSspBound = 3;
+
 bool same_config(const ControllerCandidate& a, const ControllerCandidate& b) {
   if (a.protocol != b.protocol || a.compress != b.compress ||
       a.evict_straggler != b.evict_straggler) {
@@ -84,21 +90,18 @@ std::vector<ControllerCandidate> OnlineController::build_grid(
   hold.compress = compression_active;
   push_unique(hold);
 
-  const bool offer_compression = cfg_.consider_compression && run_compression_.enabled();
+  // Compression-on/off variants, when the run has a codec.
+  const bool offer_compression = run_compression_.enabled();
   for (Protocol proto : cfg_.protocols) {
     if (!threaded_supported(proto)) continue;
-    std::vector<int> bounds =
-        proto == Protocol::kSsp ? cfg_.ssp_bounds : std::vector<int>{current_ssp_bound};
-    for (int bound : bounds) {
-      ControllerCandidate cand;
-      cand.protocol = proto;
-      cand.ssp_staleness_bound = bound;
-      cand.compress = compression_active;
+    ControllerCandidate cand;
+    cand.protocol = proto;
+    cand.ssp_staleness_bound = proto == Protocol::kSsp ? kGridSspBound : current_ssp_bound;
+    cand.compress = compression_active;
+    push_unique(cand);
+    if (offer_compression) {
+      cand.compress = !compression_active;
       push_unique(cand);
-      if (offer_compression) {
-        cand.compress = !compression_active;
-        push_unique(cand);
-      }
     }
   }
 
@@ -144,7 +147,7 @@ ControllerDecision OnlineController::decide(std::int64_t at_step, Protocol curre
       query.straggler_factor = decision.measured.straggler_factor;
     }
     query.horizon_steps = cfg_.twin_horizon_steps;
-    query.seed = cfg_.twin_seed;
+    query.seed = kTwinSeed;
     requests.push_back(query.to_run_request());
   }
 

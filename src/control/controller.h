@@ -106,9 +106,6 @@ struct ControllerConfig {
   double target_accuracy = 0.60;
   /// Global minibatch steps each twin query simulates.
   std::int64_t twin_horizon_steps = 192;
-  /// Fixed seed for every twin query (fixed => identical quantized stats
-  /// reproduce identical cache keys across barriers and runs).
-  std::uint64_t twin_seed = 1;
   /// Run-cache directory for twin results ("" = in-process only, no reuse
   /// across barriers or runs).
   std::string cache_dir;
@@ -118,10 +115,6 @@ struct ControllerConfig {
   // --- grid -------------------------------------------------------------
   /// Protocols considered (threaded-supported only; others are skipped).
   std::vector<Protocol> protocols = {Protocol::kBsp, Protocol::kAsp, Protocol::kSsp};
-  /// SSP staleness bounds considered (the "K" knob of the grid).
-  std::vector<int> ssp_bounds = {3};
-  /// Offer compression-on/off variants (only when the run has a codec).
-  bool consider_compression = true;
   /// Offer evicting the measured straggler (enacted through the recovery
   /// machinery; bounded by min_workers).
   bool consider_eviction = false;

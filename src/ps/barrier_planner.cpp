@@ -24,31 +24,21 @@ ElasticConfig membership_config(const ThreadedTrainConfig& cfg) {
 
 }  // namespace
 
-bool Segment::latch(std::int64_t n_alive, std::int64_t max_clock) {
-  if (fired) return false;
-  fired = true;
-  if (plan.phase.protocol == Protocol::kSsp)
-    quota = std::min(quota, max_clock + 1);
-  else if (plan.phase.trigger != SwitchTrigger::kStepCount)
-    ticket_budget = std::min(ticket_budget, (tickets + n_alive - 1) / n_alive * n_alive);
-  return true;
-}
-
-BarrierPlanner::BarrierPlanner(const ThreadedTrainConfig& cfg, SharedParameterServer& ps,
+BarrierPlanner::BarrierPlanner(ThreadedTrainConfig cfg, SharedParameterServer& ps,
                                AsyncSnapshotter& snapshots, Clock clock)
-    : cfg_(cfg),
+    : cfg_(std::move(cfg)),
       ps_(ps),
       snapshots_(snapshots),
       clock_(clock),
-      cursor_(lower(cfg), cfg.steps_per_worker),
-      coord_(membership_config(cfg), cfg.num_workers),
+      cursor_(lower(cfg_), cfg_.steps_per_worker),
+      coord_(membership_config(cfg_), cfg_.num_workers),
       watched_(reads_detector(cursor_.legs())),
-      detector_(coord_.max_slots(), cfg.detector),
+      detector_(coord_.max_slots(), cfg_.detector),
       slots_(coord_.max_slots()),
       clocks_(coord_.max_slots(), 0),
-      compress_(cfg.compression.enabled()),
-      eval_params_(cfg.eval_hook ? ps.num_params() : 0) {
-  if (cfg.controller.enabled) controller_.emplace(cfg.controller, cfg.compression);
+      compress_(cfg_.compression.enabled()),
+      eval_params_(cfg_.eval_hook ? ps.num_params() : 0) {
+  if (cfg_.controller.enabled) controller_.emplace(cfg_.controller, cfg_.compression);
   // Retired or not-yet-joined slots must not block the detector's warm-up.
   detector_.set_active(coord_.active());
 }
@@ -111,14 +101,82 @@ void BarrierPlanner::arm() {
   seg_.fired = false;
   std::fill(clocks_.begin(), clocks_.end(), seg_.start);
   if (seg_.start == 0) phase_start_ = clock_();
-  // Every push of the previous segment is applied (pushes are synchronous
-  // and every worker is parked or joined), so this is the reconciled state
-  // the segment starts from.
-  seg_.params.resize(ps_.num_params());
-  ps_.pull_with_versions(seg_.params, seg_.versions);
+}
+
+bool BarrierPlanner::admit(std::size_t w) {
+  std::unique_lock<std::mutex> lock(clock_mu_);
+  const std::int64_t& clock = clocks_[w];
+  const bool bounded = seg_.plan.phase.protocol == Protocol::kSsp;
+  const auto gap = [&] {  // to the alive slots' slowest clock
+    std::int64_t slowest = clock;
+    for (int s : coord_.active()) slowest = std::min(slowest, clocks_[s]);
+    return clock - slowest;
+  };
+  // A dead peer's clock stops advancing, so without the abort check an SSP
+  // waiter whose bound the dead peer anchors would park forever; abort()
+  // raises the flag under this lock and notifies, so the wake cannot be lost.
+  const auto spent = [&] {
+    return aborted_.load() ||
+           (bounded ? clock >= seg_.quota : seg_.tickets >= seg_.ticket_budget);
+  };
+  if (bounded)
+    clock_cv_.wait(lock, [&] { return spent() || gap() <= seg_.plan.phase.ssp_staleness_bound; });
+  if (spent()) return false;
+  if (!bounded) ++seg_.tickets;
+  slots_[w].max_gap = std::max(slots_[w].max_gap, gap());
+  return true;
+}
+
+void BarrierPlanner::stepped(std::size_t w) {
+  {
+    const std::lock_guard<std::mutex> lock(clock_mu_);
+    ++clocks_[w];
+  }
+  clock_cv_.notify_all();
+}
+
+bool BarrierPlanner::observe(std::size_t w, double seconds) {
+  SlotCounters& c = slots_[w];
+  c.step_seconds += seconds;
+  ++c.step_count;
+  if (!watched_) return false;
+  const std::lock_guard<std::mutex> lock(det_mu_);
+  return detector_.observe(static_cast<int>(w), cfg_.batch_size, VTime::from_seconds(seconds)) &&
+         detector_fires(seg_.plan.phase.trigger, seg_.plan.reaction, detector_);
+}
+
+bool BarrierPlanner::fires() {
+  if (!watched_) return false;
+  const std::lock_guard<std::mutex> lock(det_mu_);
+  return detector_fires(seg_.plan.phase.trigger, seg_.plan.reaction, detector_);
+}
+
+std::optional<Segment> BarrierPlanner::latch() {
+  std::unique_lock<std::mutex> lock(clock_mu_);
+  if (seg_.fired) return std::nullopt;
+  seg_.fired = true;
+  const auto n = static_cast<std::int64_t>(coord_.alive_count());
+  if (seg_.plan.phase.protocol == Protocol::kSsp) {
+    std::int64_t fastest = 0;
+    for (int s : coord_.active()) fastest = std::max(fastest, clocks_[s]);
+    seg_.quota = std::min(seg_.quota, fastest + 1);
+  } else if (seg_.plan.phase.trigger != SwitchTrigger::kStepCount) {
+    seg_.ticket_budget = std::min(seg_.ticket_budget, (seg_.tickets + n - 1) / n * n);
+  }
+  const Segment latched = seg_;
+  lock.unlock();
+  clock_cv_.notify_all();
+  return latched;
+}
+
+void BarrierPlanner::abort() {
+  const std::lock_guard<std::mutex> lock(clock_mu_);
+  aborted_.store(true);
+  clock_cv_.notify_all();
 }
 
 BarrierPlanner::Drained BarrierPlanner::drain(std::int64_t updates) {
+  if (aborted_.load()) return Drained::kOver;
   const TimePoint now = clock_();
   // BSP and SSP clocks are equal across alive workers.  An ASP segment
   // always ends on a multiple of n_alive tickets (its budget, or the one

@@ -20,16 +20,19 @@
 // resolves at a drain barrier.
 //
 // threaded_train (ps/threaded_runtime.cpp) keeps the thread mechanics: the
-// epoch loop, the two barriers, the clock lock with the SSP wait and the ASP
-// ticket draw, BSP aggregation, failure containment, straggler injection
-// and the obs sites.  Everything done with every worker parked is here:
+// epoch loop, the two barriers, BSP aggregation, failure containment,
+// straggler injection and the obs sites.  Everything else is here:
 //
+//  * a segment's step rules, under the planner's own locks: admit() lets an
+//    async worker take its next step (SSP within its clock bound, ASP on a
+//    drawn ticket) and records its clock gap, stepped() advances its clock,
+//    observe() feeds the detector, latch() ends a fired segment early and
+//    abort() stops every worker after a failure;
 //  * the worker set: the alive slots, the BSP leader and the detector's
 //    scope;
 //  * the armed segment, re-armed in place at each drain or recovery: its
 //    leg, lr, compression, quota, ASP ticket budget and the latch that
-//    lowers it, and the parameters and shard versions it starts from, with
-//    the phase-entry resets;
+//    lowers it, with the phase-entry resets;
 //  * the per-slot clocks and counters the workers advance, and the
 //    controller's measurement taken from them;
 //  * each finished phase's ThreadedPhaseStats, the eval hook and the
@@ -41,15 +44,17 @@
 // The planner starts no thread and reads the time only through the clock
 // it is given, at start() and at drains and recoveries, never per step, so
 // tests drive whole drain transitions with a fake clock.  Between drains
-// the runtime's workers read the segment and write their own slot's clock
-// and counters, and the tickets and Segment::latch under the runtime's
-// clock lock; the planner touches them only while every worker is parked
-// or joined.
+// the workers read the segment, write their own slot's counters, and reach
+// the clocks, the tickets and the latch only through the step-rule calls;
+// the drain side touches them only while every worker is parked or joined.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -83,32 +88,18 @@ struct Segment {
   /// (an SSP latch lowers it to a clock every worker can still reach).
   std::int64_t quota = 0;
   /// ASP: the step tickets the segment shares out, n_alive x (quota -
-  /// start).  A latched trigger lowers it to the next multiple of n_alive.
-  /// The ticket fields are written under the runtime's clock lock on every
+  /// start).  A latched trigger lowers it (BarrierPlanner::latch).  The
+  /// ticket fields are written under the planner's clock lock on every
   /// ASP step, so they sit on their own cache line, apart from the fields
   /// above that every worker reads each step.
   alignas(64) std::int64_t ticket_budget = 0;
   std::int64_t tickets = 0;  ///< ASP tickets drawn so far
   bool fired = false;        ///< the segment's watch latched
-  /// The parameters and shard versions the segment starts from, pulled when
-  /// it is armed; BSP rounds compute on them and the leader re-pulls them
-  /// after each update.
-  alignas(64) std::vector<float> params;
-  std::vector<std::int64_t> versions;
-
-  /// Latches the segment's fired watch so that it ends as soon as it can end
-  /// exactly, with `n_alive` workers whose fastest clock is `max_clock`.
-  /// SSP lowers the quota to max_clock + 1, a clock every worker can still
-  /// reach.  An ASP trigger rounds the tickets drawn so far up to the next
-  /// multiple of n_alive, so the segment closes within n_alive tickets on a
-  /// whole per-worker step count (the drain divides by n_alive).  An ASP
-  /// reaction keeps its budget.  Returns false when it was already latched.
-  /// The runtime calls it from a worker, under its clock lock.
-  bool latch(std::int64_t n_alive, std::int64_t max_clock);
 };
 
-/// One worker slot's counters.  Its worker writes them, `max_gap` under the
-/// runtime's clock lock; the planner reads and resets them only while every
+/// One worker slot's counters.  Its worker writes them, directly or through
+/// BarrierPlanner::admit (`max_gap`, under the clock lock) and observe (the
+/// step time); the drain side reads and resets them only while every
 /// worker is parked.  Each slot has its own cache line, since every worker
 /// writes its own each step and no peer reads them.
 struct alignas(64) SlotCounters {
@@ -142,9 +133,9 @@ class BarrierPlanner {
   /// segment.  Throws ConfigError for an invalid or non-composable config:
   /// the controller picks its own legs and owns the worker set, so it
   /// excludes a schedule and a membership plan; the checks the sim shares
-  /// are lower_plan()'s.  `cfg`, `ps` and `snapshots` must outlive the
-  /// planner; `snapshots` holds the crash-restore floor.
-  BarrierPlanner(const ThreadedTrainConfig& cfg, SharedParameterServer& ps,
+  /// are lower_plan()'s.  `ps` and `snapshots` must outlive the planner;
+  /// `snapshots` holds the crash-restore floor.
+  BarrierPlanner(ThreadedTrainConfig cfg, SharedParameterServer& ps,
                  AsyncSnapshotter& snapshots, Clock clock = &steady_now);
 
   /// Starts the run's clock and arms the first segment.  Call it once, after
@@ -160,16 +151,52 @@ class BarrierPlanner {
   }
   /// Slot ids ever used: the initial workers plus the scripted joins.
   [[nodiscard]] std::size_t max_slots() const noexcept { return slots_.size(); }
-  /// The straggler detector the workers feed, or null when no leg watches
+  /// The straggler detector observe() feeds, or null when no leg watches
   /// it (then nothing feeds it).  Scoped to the alive slots.
   [[nodiscard]] StragglerDetector* detector() noexcept { return watched_ ? &detector_ : nullptr; }
 
   /// The armed segment.
   [[nodiscard]] Segment& segment() noexcept { return seg_; }
   [[nodiscard]] SlotCounters& slot(std::size_t w) noexcept { return slots_[w]; }
-  /// Slot `w`'s local steps in the current phase.  Its worker writes it,
-  /// under the runtime's clock lock in async phases.
+  /// Slot `w`'s local steps in the current phase.  A BSP worker advances
+  /// its own between round barriers; an async one through stepped().
   [[nodiscard]] std::int64_t& clock(std::size_t w) noexcept { return clocks_[w]; }
+
+  // A segment's step rules, called by its workers.  The clock lock guards
+  // the clocks, the ASP tickets, the latch and the abort flag; the
+  // detector's lock guards the detector.
+
+  /// Admits worker `w`'s next async step.  SSP waits while `w`'s clock is
+  /// more than the segment's bound ahead of the slowest alive clock; ASP
+  /// draws a ticket.  Both record `w`'s clock gap.  Returns false, and
+  /// admits nothing, once the segment is spent (SSP: `w` at the quota; ASP:
+  /// every ticket drawn) or the run is aborted.
+  bool admit(std::size_t w);
+  /// Worker `w` finished the async step admit() gave it: advances its clock
+  /// and wakes the SSP waiters.
+  void stepped(std::size_t w);
+  /// Records worker `w`'s step of `seconds` (compute side, waits excluded):
+  /// into its slot's step time for the controller, and to the detector.
+  /// True when a detection pass ran and the segment's watch then fires;
+  /// false when no leg watches the detector.
+  bool observe(std::size_t w, double seconds);
+  /// True when the segment's watch fires on the detector's current flags:
+  /// the BSP leader's check, once a round.
+  bool fires();
+  /// Latches the segment's fired watch so that it ends as soon as it can
+  /// end exactly.  SSP lowers the quota to the alive slots' fastest clock
+  /// + 1, a clock every worker can still reach, and wakes the waiters to
+  /// re-check it.  An ASP trigger rounds the tickets drawn so far up to the
+  /// next multiple of n_alive, so the segment closes within n_alive tickets
+  /// on a whole per-worker step count (the drain divides by n_alive).  An
+  /// ASP reaction keeps its budget.  Returns the segment as latched, or
+  /// nothing when it already was.
+  std::optional<Segment> latch();
+  /// A worker failed: every admit() refuses from now on, parked SSP waiters
+  /// wake, and the next drain ends the run.
+  void abort();
+  /// True once abort() was called.
+  [[nodiscard]] bool failed() const noexcept { return aborted_.load(); }
 
   /// Per-worker local steps of the finished phases.
   [[nodiscard]] std::int64_t done() const noexcept { return cursor_.visit_start(); }
@@ -185,9 +212,10 @@ class BarrierPlanner {
   [[nodiscard]] double lr(Protocol protocol, std::size_t n) const;
 
   /// The drain transition, with every worker parked at the drain barrier
-  /// and `updates` PS updates applied so far.  Settles the segment against
-  /// the cursor: BSP and SSP reached the leader's clock, ASP its tickets /
-  /// n_alive.  A fired watch is the leg's trigger when it has one;
+  /// and `updates` PS updates applied so far.  After abort() it only
+  /// returns kOver, recording nothing.  Otherwise it settles the segment
+  /// against the cursor: BSP and SSP reached the leader's clock, ASP its
+  /// tickets / n_alive.  A fired watch is the leg's trigger when it has one;
   /// otherwise its kLeave reaction books the workers the detector flags for
   /// eviction.  When the phase completes (at its quota or on its trigger)
   /// the planner records its stats, calls the eval hook and, on controller
@@ -238,19 +266,25 @@ class BarrierPlanner {
   /// with it), or with the measured straggler's slot booked for eviction.
   void enact(ControllerDecision d);
 
-  const ThreadedTrainConfig& cfg_;
+  const ThreadedTrainConfig cfg_;
   SharedParameterServer& ps_;
   AsyncSnapshotter& snapshots_;
   Clock clock_;
   PlanCursor cursor_;  ///< the lowered plan, then the controller's legs
   RecoveryCoordinator coord_;
   bool watched_ = false;  ///< some leg reads the detector
+  std::mutex det_mu_;     ///< guards detector_ while workers run
   StragglerDetector detector_;
   std::vector<SlotCounters> slots_;
   /// One contiguous vector: an async step reads every alive clock under the
   /// clock lock (the SSP bound and the clock gap).
   std::vector<std::int64_t> clocks_;
   Segment seg_;
+  /// Taken on every async step, so off the line of the segment fields that
+  /// every step reads.
+  alignas(64) std::mutex clock_mu_;
+  std::condition_variable clock_cv_;  ///< SSP waiters park on it
+  std::atomic<bool> aborted_{false};  ///< written under clock_mu_; BSP reads it unlocked
   bool compress_ = false;  ///< push through the codec; the controller may switch it
 
   bool delta_due_ = false;  ///< a membership delta is booked

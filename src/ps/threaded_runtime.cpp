@@ -3,8 +3,6 @@
 #include <atomic>
 #include <barrier>
 #include <chrono>
-#include <condition_variable>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -107,7 +105,6 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   BarrierPlanner planner(cfg, ps_impl, snapshotter);
   Segment& seg = planner.segment();  ///< the armed segment, re-armed in place
   const std::size_t max_slots = planner.max_slots();
-  StragglerDetector* const detector = planner.detector();
   if (snapshots_needed) snapshotter.snapshot_now();  // run-start floor; also arms the cadence
   if (obs_on && obs::tracing()) {
     obs::tracer().set_track_name(0, "ps/control");
@@ -119,39 +116,34 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   // because each worker thread only ever touches its own slot (and RNG).
   std::optional<CompressorBank> bank = cfg.compression.make_bank(max_slots);
   CompressorBank* const codec = bank ? &*bank : nullptr;
-  const bool inject_stragglers = !cfg.stragglers.events().empty();
   std::vector<WorkerSlot> slots;
   slots.reserve(max_slots);
   for (std::size_t w = 0; w < max_slots; ++w)
     slots.emplace_back(prototype.clone(), train, cfg.batch_size, cfg.seed, w, cfg.num_workers);
 
   // ------------------------------------------------------------------
-  // Three synchronization domains:
-  //  * clock_mu/clock_cv guard the per-worker local clocks, the segment's
-  //    step quota, the ASP step tickets, and the watch latch during async
-  //    phases;
-  //  * det_mu guards the straggler detector;
+  // Two synchronization domains:
+  //  * the planner's step-rule calls (admit, stepped, observe, fires,
+  //    latch, abort) take its own locks: the clocks, the ASP tickets, the
+  //    latch and the abort flag under its clock lock, the detector under
+  //    the detector's;
   //  * everything else the planner holds (the segment, the worker set, the
   //    records) is only mutated inside the drain-barrier completion, by the
   //    BSP leader between round barriers, or on the main thread while every
   //    worker thread is joined — all points where a barrier or thread
   //    join/spawn provides the happens-before edge.
   // ------------------------------------------------------------------
-  std::mutex clock_mu;
-  std::condition_variable clock_cv;
-  std::mutex det_mu;
   std::vector<float> agg(ps_impl.num_params());  // BSP aggregation buffer (leader)
 
   // Worker-thread failure containment: an exception escaping a worker body
   // must surface as a catchable error on the calling thread, not a
-  // std::terminate.  The first thrower records itself, raises `aborted`
-  // (under clock_mu so parked SSP waiters cannot miss the wake), and drops
-  // out of both barriers; every other worker observes the flag at its next
-  // coherent point and drains out, the drain completion ends the run, and
-  // the main thread rethrows after joining.
+  // std::terminate.  The first thrower records itself, aborts the planner
+  // (which wakes parked SSP waiters), and drops out of both barriers; every
+  // other worker sees the abort at its next coherent point and drains out,
+  // the drain completion ends the run, and the main thread rethrows after
+  // joining.
   std::mutex error_mu;
   std::exception_ptr worker_error;
-  std::atomic<bool> aborted{false};
   planner.start();  // setup is done: the run's clock starts here
   const SteadyClock::time_point run_start = SteadyClock::now();
 
@@ -172,17 +164,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   };
   trace_armed(seg.plan.phase.protocol);
 
-  auto min_clock = [&] {  // callers hold clock_mu; alive slots only
-    std::int64_t m = std::numeric_limits<std::int64_t>::max();
-    for (int s : planner.active()) m = std::min(m, planner.clock(s));
-    return m;
-  };
-
   /// Wall-clock straggler injection: a worker slowed at the current elapsed
   /// time sleeps (factor - 1) x its measured step time, emulating the
   /// paper's injected per-message latency without consuming CPU.
   auto inject_delay = [&](std::size_t w, SteadyClock::time_point step_start) {
-    if (!inject_stragglers) return;
+    if (cfg.stragglers.events().empty()) return;
     const double elapsed = seconds_between(run_start, SteadyClock::now());
     const double factor =
         cfg.stragglers.slow_factor(static_cast<int>(w), VTime::from_seconds(elapsed));
@@ -206,46 +192,34 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
   /// value; during BSP phases the leader evaluates the watch once per round
   /// instead, so every worker of a round sees the same decision.
   auto end_step = [&](std::size_t w, SteadyClock::time_point step_start) -> bool {
-    SlotCounters& c = planner.slot(w);
     const SteadyClock::time_point step_end = SteadyClock::now();
-    c.step_seconds += seconds_between(step_start, step_end);
-    ++c.step_count;
     if (obs_on) {
       m_steps->add();
       h_step_seconds->observe(seconds_between(step_start, step_end));
       obs_span(static_cast<int>(w) + 1, "step", step_start, step_end);
     }
-    if (detector == nullptr) return false;
-    const double secs = seconds_between(step_start, SteadyClock::now());
-    const std::lock_guard<std::mutex> lock(det_mu);
-    return detector->observe(static_cast<int>(w), cfg.batch_size, VTime::from_seconds(secs)) &&
-           detector_fires(seg.plan.phase.trigger, seg.plan.reaction, *detector);
+    return planner.observe(w, seconds_between(step_start, step_end));
   };
 
   /// Latch a fired watch (async phases) so the segment ends as soon as it
-  /// can end exactly (Segment::latch), and wake SSP waiters to re-check a
-  /// lowered quota.  An ASP kLeave reaction does not cut the segment short:
-  /// a straggler costs a work-conserving segment no more than its in-flight
-  /// step, so the flagged worker leaves at the segment's own drain (the
-  /// next phase boundary or scripted event; a run-ending drain evicts no
-  /// one).  Evicting mid-segment would let one noisy detector window (a
-  /// healthy worker descheduled for a step) retire a second worker within a
-  /// few steps of the first.
+  /// can end exactly (BarrierPlanner::latch), and trace it.  An ASP kLeave
+  /// reaction does not cut the segment short: a straggler costs a
+  /// work-conserving segment no more than its in-flight step, so the
+  /// flagged worker leaves at the segment's own drain (the next phase
+  /// boundary or scripted event; a run-ending drain evicts no one).
+  /// Evicting mid-segment would let one noisy detector window (a healthy
+  /// worker descheduled for a step) retire a second worker within a few
+  /// steps of the first.
   auto latch = [&] {
+    const std::optional<Segment> latched = planner.latch();
+    if (!latched || !obs_on || !obs::tracing()) return;
     std::vector<obs::TraceArg> args;
-    {
-      const std::lock_guard<std::mutex> lock(clock_mu);
-      std::int64_t fastest = 0;  // the alive slots' largest clock
-      for (int s : planner.active()) fastest = std::max(fastest, planner.clock(s));
-      if (!seg.latch(static_cast<std::int64_t>(planner.active().size()), fastest)) return;
-      if (obs_on && seg.plan.phase.protocol == Protocol::kSsp)
-        args = {obs::arg("quota", seg.quota)};
-      else if (obs_on && seg.plan.phase.trigger != SwitchTrigger::kStepCount)
-        args = {obs::arg("tickets", seg.tickets), obs::arg("ticket_budget", seg.ticket_budget)};
-    }
-    clock_cv.notify_all();
-    if (obs_on && obs::tracing())
-      obs::tracer().instant(0, "latch", obs::tracer().now_us(), std::move(args));
+    if (latched->plan.phase.protocol == Protocol::kSsp)
+      args = {obs::arg("quota", latched->quota)};
+    else if (latched->plan.phase.trigger != SwitchTrigger::kStepCount)
+      args = {obs::arg("tickets", latched->tickets),
+              obs::arg("ticket_budget", latched->ticket_budget)};
+    obs::tracer().instant(0, "latch", obs::tracer().now_us(), std::move(args));
   };
 
   // ------------------------------------------------------------------
@@ -266,21 +240,20 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // rethrow.
     std::barrier drain_barrier(static_cast<std::ptrdiff_t>(n_alive), [&]() noexcept {
       const Protocol before = seg.plan.phase.protocol;
-      drained = aborted.load() ? BarrierPlanner::Drained::kOver
-                               : planner.drain(total_updates.load(std::memory_order_relaxed));
+      drained = planner.drain(total_updates.load(std::memory_order_relaxed));
       if (drained == BarrierPlanner::Drained::kArmed) trace_armed(before);
     });
 
-    // Round-based BSP: all workers compute on the same snapshot, the leader
-    // aggregates after the barrier and applies one averaged update.  The
-    // end-of-segment decision (quota reached, or the segment's watch fired)
-    // is made once per round by the leader between the two barriers, so
-    // every worker leaves the segment at the same round.
+    // Round-based BSP: every worker pulls the same parameters (only the
+    // leader writes the PS, between the round's two barriers), and the
+    // leader aggregates after the first barrier and applies one averaged
+    // update.  The end-of-segment decision (quota reached, or the segment's
+    // watch fired) is made once per round by the leader between the two
+    // barriers, so every worker leaves the segment at the same round.
     auto run_bsp_phase = [&](std::size_t w) {
-      SlotCounters& c = planner.slot(w);
       std::int64_t& clock = planner.clock(w);
       while (clock < seg.quota && !seg.fired) {
-        if (aborted.load()) {
+        if (planner.failed()) {
           // A peer failed.  Leave its barrier slot behind so workers still
           // parked in this round are released, then head for the drain
           // barrier (worker_fn arrives there after we return).  Arriving at
@@ -291,11 +264,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         }
         if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + clock);
         const SteadyClock::time_point step_start = SteadyClock::now();
-        slots[w].gradient_at(seg.params);
+        slots[w].pull_gradient(ps);
         // Each worker compresses its own push through its bank slot; the
         // aggregator decodes, so the PS math sees the lossy values exactly as
         // the simulator's BSP path does.
-        c.push_bytes += slots[w].encode(seg.compress ? codec : nullptr);
+        planner.slot(w).push_bytes += slots[w].encode(seg.compress ? codec : nullptr);
         inject_delay(w, step_start);
         end_step(w, step_start);  // the leader evaluates the watch below
         round_barrier.arrive_and_wait();  // all gradients ready
@@ -304,15 +277,11 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           for (int s : planner.active()) slots[s].add_into(agg, seg.compress);
           ops::scale_inplace(std::span<float>(agg), 1.0f / static_cast<float>(n_alive));
           // The leader is the round's only writer, so the push is never stale.
-          (void)ps.push(agg, seg.lr, seg.versions);
+          (void)ps.push(agg, seg.lr, slots[w].pull_versions());
           total_updates.fetch_add(1, std::memory_order_relaxed);
-          ps.pull_with_versions(seg.params, seg.versions);
-          if (clock + 1 < seg.quota && reads_detector(seg.plan.phase.trigger, seg.plan.reaction)) {
-            const std::lock_guard<std::mutex> lock(det_mu);
-            seg.fired = detector_fires(seg.plan.phase.trigger, seg.plan.reaction, *detector);
-          }
+          if (clock + 1 < seg.quota && planner.fires()) seg.fired = true;
         }
-        round_barrier.arrive_and_wait();  // updated snapshot + decision visible
+        round_barrier.arrive_and_wait();  // update applied + decision visible
         ++clock;  // own slot; read again only after the next barrier
       }
     };
@@ -321,36 +290,13 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     // budget until it runs out, so fast workers keep working while a
     // straggler finishes its step.  SSP: free-running within the staleness
     // bound — a worker whose local clock would run more than `bound` steps
-    // ahead of the slowest parks on the condition variable until the
-    // laggard catches up (or a latch lowers the quota below its clock).
+    // ahead of the slowest waits in admit() until the laggard catches up
+    // (or a latch lowers the quota below its clock).
     auto run_async_phase = [&](std::size_t w) {
       SlotCounters& c = planner.slot(w);
-      std::int64_t& clock = planner.clock(w);
-      const bool bounded = seg.plan.phase.protocol == Protocol::kSsp;
-      const int bound = seg.plan.phase.ssp_staleness_bound;
-      while (true) {
-        std::int64_t my = 0;
-        {
-          std::unique_lock<std::mutex> lock(clock_mu);
-          // A dead peer's clock stops advancing, so without the aborted
-          // check an SSP waiter whose bound the dead peer anchors would
-          // park forever; the thrower raises the flag under clock_mu and
-          // notifies, so the wake cannot be lost.
-          const auto spent = [&] {
-            return aborted.load() ||
-                   (bounded ? clock >= seg.quota : seg.tickets >= seg.ticket_budget);
-          };
-          if (spent()) break;
-          if (bounded) {
-            clock_cv.wait(lock, [&] { return spent() || clock - min_clock() <= bound; });
-            if (spent()) break;
-          } else {
-            ++seg.tickets;
-          }
-          c.max_gap = std::max(c.max_gap, clock - min_clock());
-          my = clock;
-        }
-        if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + my);
+      const std::int64_t& clock = planner.clock(w);  // only this worker writes it
+      while (planner.admit(w)) {
+        if (cfg.pre_step_hook) cfg.pre_step_hook(w, planner.done() + clock);
         const SteadyClock::time_point step_start = SteadyClock::now();
         slots[w].pull_gradient(ps);
         inject_delay(w, step_start);
@@ -359,11 +305,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
         c.staleness_sum += push.staleness;
         total_updates.fetch_add(1, std::memory_order_relaxed);
         if (end_step(w, step_start)) latch();
-        {
-          const std::lock_guard<std::mutex> lock(clock_mu);
-          ++clock;
-        }
-        clock_cv.notify_all();
+        planner.stepped(w);
       }
     };
 
@@ -395,13 +337,7 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
           const std::lock_guard<std::mutex> lock(error_mu);
           if (!worker_error) worker_error = std::current_exception();
         }
-        {
-          // Under clock_mu so a concurrently-parking SSP waiter either sees
-          // the flag in its predicate or is woken by the notify below.
-          const std::lock_guard<std::mutex> lock(clock_mu);
-          aborted.store(true);
-        }
-        clock_cv.notify_all();
+        planner.abort();
         // Leave both barriers for good: peers parked at either are released
         // now, and the phases no longer expect this thread.
         round_barrier.arrive_and_drop();
@@ -415,8 +351,8 @@ ThreadedTrainResult threaded_train(const Model& prototype, const Dataset& train,
     for (auto& t : threads) t.join();
 
     // Every thread is joined (throwers via barrier drops, survivors via the
-    // aborted run end), so a failure surfaces as a plain exception on the
-    // calling thread instead of a std::terminate.
+    // run-ending drain after an abort), so a failure surfaces as a plain
+    // exception on the calling thread instead of a std::terminate.
     if (worker_error) std::rethrow_exception(worker_error);
     if (drained == BarrierPlanner::Drained::kOver) break;
     // A membership delta is due.  The snapshotter's lock keeps a cadence

@@ -6,8 +6,9 @@
 // (ps/param_server.h) that the simulator and the socket server use too (one
 // lock when num_ps_shards == 1):
 //
-//  * BSP uses a std::barrier per round; the leader (the first alive slot)
-//    aggregates and applies.
+//  * BSP uses a std::barrier per round: every worker pulls through the
+//    Transport, and the leader (the first alive slot) aggregates and
+//    applies.
 //  * ASP workers freely pull/push under the shard locks at their own pace.  An
 //    ASP phase is work-conserving, as the simulator counts it: it holds one
 //    budget of n_alive x (per-worker steps) step tickets, and whichever
@@ -17,7 +18,7 @@
 //    remote worker process, but still over its own steps_per_worker loop.)
 //  * SSP workers free-run within the staleness bound: a worker whose local
 //    clock is more than `ssp_staleness_bound` steps ahead of the slowest
-//    parks on a condition variable until the laggard catches up.  SSP keeps
+//    waits in BarrierPlanner::admit until the laggard catches up.  SSP keeps
 //    a per-worker step quota, because its bound is defined on local clocks.
 //
 // Beyond the fixed-protocol mode, the runtime executes live protocol
@@ -29,25 +30,26 @@
 // the phase quota is a common local-step count every worker reaches, and
 // ASP workers leave once the phase's tickets are spent — and the barrier's
 // completion (with every worker parked) is one BarrierPlanner::drain call,
-// which records the phase's metrics, re-snapshots parameters and versions,
-// and arms the next phase.  No checkpoint, no restart, no
+// which records the phase's metrics and arms the next phase.  No checkpoint, no restart, no
 // lost update.  Phases end on a fixed step quota or reactively, when the
 // shared StragglerDetector (fed by per-step wall-clock throughput
 // observations) flags or clears a straggler — the paper's Section VI-B3
 // policies on real threads.
 //
-// Everything done at a drain lives in one thread-free class, the
-// BarrierPlanner (ps/barrier_planner.h).  It walks the plan of legs that
-// ps/plan.h lowers the fixed protocol or the schedule and the elastic
-// membership plan onto, appends the online controller's legs, holds the
-// worker set and the armed Segment — protocol, bound, lr, compression, step
-// quota, ticket budget and the latch that lowers it, trigger and reaction —
-// and records the per-phase and per-event stats and the result; its run
-// clock starts once this file's setup is done.  This file keeps the thread
-// mechanics: the epoch loop, the barriers, the clock lock with the SSP wait
-// and the ASP ticket draw, BSP aggregation, failure containment, straggler
-// injection and the obs sites.  The worker loops run segments and never
-// branch on where one came from.
+// Everything that decides who may step and when a segment ends lives in
+// one class that starts no thread, the BarrierPlanner
+// (ps/barrier_planner.h).  It walks the plan of legs that ps/plan.h lowers
+// the fixed protocol or the schedule and the elastic membership plan onto,
+// appends the online controller's legs, holds the worker set and the armed
+// Segment — protocol, bound, lr, compression, step quota, ticket budget and
+// the latch that lowers it, trigger and reaction — admits every async step
+// under its own clock lock (the SSP wait, the ASP ticket draw), feeds the
+// detector under its own lock, and records the per-phase and per-event
+// stats and the result; its run clock starts once this file's setup is
+// done.  This file keeps only the thread mechanics: the epoch loop, the
+// barriers, BSP aggregation, failure containment, straggler injection and
+// the obs sites.  The worker loops run segments and never branch on where
+// one came from.
 //
 // Transient stragglers are injected from a `StragglerSchedule` evaluated
 // against the wall clock: after computing its gradient, a slowed worker

@@ -48,11 +48,6 @@ void WorkerSlot::pull_gradient(Transport& ps) {
   compute_gradient();
 }
 
-void WorkerSlot::gradient_at(std::span<const float> params) {
-  model_.set_params(params);
-  compute_gradient();
-}
-
 void WorkerSlot::compute_gradient() {
   sampler_.next_batch(indices_);
   train_->gather(indices_, batch_x_, batch_y_);

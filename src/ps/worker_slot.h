@@ -16,9 +16,10 @@
 //    one Transport::push_pull between.  The socket worker process
 //    (net/worker_process.h) runs its quota as one `pull_gradient`, then
 //    this, then a last `push`, so each step is one exchange on the wire.
-//  * `gradient_at` + `encode` — the synchronous step (BSP): every slot
-//    computes at the round's shared parameters and encodes; the leader
-//    sums the slots with `add_into` and pushes once.
+//  * `pull_gradient` + `encode` — the synchronous step (BSP): every slot
+//    pulls the round's parameters through the Transport and encodes; the
+//    leader sums the slots with `add_into` and pushes the mean once,
+//    against its own `pull_versions`.
 //
 // A slot keeps no parameter or gradient vector of its own: the replica's
 // layer tensors are views into the model's flat params() and grads()
@@ -69,10 +70,6 @@ class WorkerSlot {
   /// params(), then the gradient at them.
   void pull_gradient(Transport& ps);
 
-  /// The gradient at `params` (the BSP round's shared snapshot), copied
-  /// into the replica first.
-  void gradient_at(std::span<const float> params);
-
   /// Encode the gradient through this slot's `bank` slot; null `bank` sends
   /// it dense.  Returns the push's wire bytes.
   std::int64_t encode(CompressorBank* bank);
@@ -83,6 +80,11 @@ class WorkerSlot {
   /// `push`, then `pull_gradient`, with the push and the pull in one
   /// Transport::push_pull: bit for bit the two calls in turn.
   Push push_pull_gradient(Transport& ps, CompressorBank* bank, double lr);
+
+  /// The per-shard versions of the last pull.
+  [[nodiscard]] std::span<const std::int64_t> pull_versions() const noexcept {
+    return pull_versions_;
+  }
 
   /// Add the last encoded gradient into `sum`: the decoded push when
   /// `compressed`, the raw gradient otherwise.

@@ -1,15 +1,18 @@
-// BarrierPlanner without threads: the segments it lowers a config onto, its
-// lr rule, the elastic cap, controller legs and membership deltas, the
+// BarrierPlanner without the runtime: the segments it lowers a config onto,
+// its lr rule, the elastic cap, controller legs and membership deltas, the
 // detector watches, and whole drain transitions — the phase stats, the eval
 // hook, the crash restore and the membership records — on a fake clock.
 // The threaded suites exercise the same decisions on real threads; here each
 // segment is run by setting the counters its workers would advance, then
-// drained.
+// drained.  The step rules (admit, stepped, abort) are driven directly, with
+// one extra thread where a waiter must park.
 #include "ps/barrier_planner.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -41,23 +44,33 @@ ThreadedTrainConfig base_config() {
   return cfg;
 }
 
-/// A planner over its own copy of `cfg` and a 250-parameter PS (1000 dense
-/// bytes a push), with a snapshotter that runs no cadence, on the fake
-/// clock, started after `setup_seconds` of the runtime's setup.  `updates`
-/// stands in for the runtime's update counter.
+/// A planner over `cfg` and a 250-parameter PS (1000 dense bytes a push),
+/// with a snapshotter that runs no cadence, on the fake clock, started after
+/// `setup_seconds` of the runtime's setup.  `updates` stands in for the
+/// runtime's update counter.
 struct Rig {
-  explicit Rig(ThreadedTrainConfig c, double setup_seconds = 0.0)
-      : cfg(std::move(c)), planner(cfg, ps, snapshots, &fake_now) {
+  explicit Rig(ThreadedTrainConfig cfg, double setup_seconds = 0.0)
+      : planner(std::move(cfg), ps, snapshots, &fake_now) {
     advance_clock(setup_seconds);
     planner.start();
   }
-  ThreadedTrainConfig cfg;
   SharedParameterServer ps{std::vector<float>(250, 0.5f), 0.9};
   std::int64_t updates = 0;
   AsyncSnapshotter snapshots{[this] { return ps.snapshot_checkpoint(updates); },
                              [this] { return updates; }, 0};
   BarrierPlanner planner;
 };
+
+/// The parameters and shard versions a worker's pull reads from `ps`.
+struct Pulled {
+  std::vector<float> params;
+  std::vector<std::int64_t> versions;
+};
+Pulled pull(const SharedParameterServer& ps) {
+  Pulled out{std::vector<float>(ps.num_params()), {}};
+  ps.pull_with_versions(out.params, out.versions);
+  return out;
+}
 
 /// Feeds `windows` full detection windows of 4 workers; `slow` (if >= 0)
 /// takes 4x longer per step.
@@ -498,9 +511,11 @@ TEST(BarrierPlanner, AnAspTriggerEndsOnWholeStepsOfItsTickets) {
   BarrierPlanner& planner = rig.planner;
   Segment& seg = planner.segment();
   seg.tickets = 10;
-  EXPECT_TRUE(seg.latch(4, 0));
-  EXPECT_EQ(seg.ticket_budget, 12) << "rounded up to 3 steps of 4 workers";
-  EXPECT_FALSE(seg.latch(4, 0)) << "latched once";
+  const std::optional<Segment> latched = planner.latch();
+  ASSERT_TRUE(latched.has_value());
+  EXPECT_EQ(latched->ticket_budget, 12) << "rounded up to 3 steps of 4 workers";
+  EXPECT_EQ(seg.ticket_budget, 12);
+  EXPECT_FALSE(planner.latch()) << "latched once";
   seg.tickets = 12;
   EXPECT_EQ(planner.drain(12), Drained::kArmed);
   ASSERT_EQ(planner.recorded().phases.size(), 1u);
@@ -514,21 +529,26 @@ TEST(BarrierPlanner, AnAspTriggerEndsOnWholeStepsOfItsTickets) {
 }
 
 TEST(BarrierPlanner, ALatchLowersAnSspQuotaAndKeepsAnAspReactionsBudget) {
-  Segment ssp;
-  ssp.plan.phase.protocol = Protocol::kSsp;
-  ssp.quota = 30;
-  EXPECT_TRUE(ssp.latch(4, 6));
-  EXPECT_EQ(ssp.quota, 7) << "the fastest clock plus one";
-  EXPECT_TRUE(ssp.fired);
+  ThreadedTrainConfig ssp_cfg = base_config();
+  ssp_cfg.protocol = Protocol::kSsp;
+  Rig ssp(ssp_cfg);
+  ASSERT_EQ(ssp.planner.segment().quota, 30);
+  ssp.planner.clock(2) = 6;
+  ASSERT_TRUE(ssp.planner.latch());
+  EXPECT_EQ(ssp.planner.segment().quota, 7) << "the fastest clock plus one";
+  EXPECT_TRUE(ssp.planner.segment().fired);
 
-  Segment leave;  // an ASP step leg watching for a kLeave reaction
-  leave.plan.phase.protocol = Protocol::kAsp;
-  leave.plan.phase.trigger = SwitchTrigger::kStepCount;
-  leave.plan.reaction = Reaction::kLeave;
-  leave.ticket_budget = 120;
-  leave.tickets = 10;
-  EXPECT_TRUE(leave.latch(4, 0));
-  EXPECT_EQ(leave.ticket_budget, 120) << "the flagged worker leaves at the segment's drain";
+  ThreadedTrainConfig leave_cfg = base_config();  // ASP legs watching for a kLeave reaction
+  leave_cfg.protocol = Protocol::kAsp;
+  leave_cfg.elastic.plan = MembershipPlan::reactive_evict();
+  Rig leave(leave_cfg);
+  Segment& seg = leave.planner.segment();
+  ASSERT_EQ(seg.plan.phase.trigger, SwitchTrigger::kStepCount);
+  ASSERT_EQ(seg.plan.reaction, Reaction::kLeave);
+  ASSERT_EQ(seg.ticket_budget, 120);
+  seg.tickets = 10;
+  EXPECT_TRUE(leave.planner.latch());
+  EXPECT_EQ(seg.ticket_budget, 120) << "the flagged worker leaves at the segment's drain";
 }
 
 TEST(BarrierPlanner, ACrashRestoresTheFloorAndChargesTheLossOnce) {
@@ -542,7 +562,7 @@ TEST(BarrierPlanner, ACrashRestoresTheFloorAndChargesTheLossOnce) {
   rig.snapshots.snapshot_now();  // the run-start floor, at 0 updates
 
   // Eight BSP rounds move the parameters off the floor.
-  const std::vector<std::int64_t> versions = planner.segment().versions;
+  const std::vector<std::int64_t> versions = pull(rig.ps).versions;
   for (int round = 0; round < 8; ++round)
     rig.ps.push(std::vector<float>(250, 1.0f), 0.1, versions);
   rig.updates = 8;
@@ -555,9 +575,10 @@ TEST(BarrierPlanner, ACrashRestoresTheFloorAndChargesTheLossOnce) {
   EXPECT_EQ(applied[0].updates_lost, 8) << "every update since the floor";
   EXPECT_EQ(applied[1].updates_lost, 0) << "one restore per pass, charged once";
   EXPECT_EQ(applied[1].workers_after, 2u);
-  EXPECT_EQ(rig.ps.snapshot(), std::vector<float>(250, 0.5f));
-  EXPECT_EQ(planner.segment().params, std::vector<float>(250, 0.5f))
-      << "the resumed segment starts from the restored state";
+  const Pulled resumed = pull(rig.ps);
+  EXPECT_EQ(resumed.params, std::vector<float>(250, 0.5f))
+      << "the resumed segment's first pull reads the restored state";
+  EXPECT_GE(resumed.versions, versions) << "versions never roll back";
   EXPECT_EQ(planner.active(), (std::vector<int>{0, 3}));
   EXPECT_EQ(planner.leader(), 0u);
   EXPECT_EQ(planner.segment().ticket_budget, 2 * 22);
@@ -575,13 +596,86 @@ TEST(BarrierPlanner, KeepLiveCrashesRestoreNothing) {
   ASSERT_FALSE(cfg.elastic.takes_snapshots());
   Rig rig(cfg);
   rig.snapshots.snapshot_now();
-  rig.ps.push(std::vector<float>(250, 1.0f), 0.1, rig.planner.segment().versions);
+  rig.ps.push(std::vector<float>(250, 1.0f), 0.1, pull(rig.ps).versions);
   const std::vector<float> live = rig.ps.snapshot();
   EXPECT_EQ(run_to(rig.planner, 8, false, 8), Drained::kMembership);
   const std::span<const ThreadedMembershipStats> applied = rig.planner.recover();
   ASSERT_EQ(applied.size(), 1u);
   EXPECT_EQ(applied[0].updates_lost, 0);
   EXPECT_EQ(rig.ps.snapshot(), live);
+}
+
+/// Long enough for a waiter that would not park to have returned.
+constexpr std::chrono::milliseconds kParks{50};
+/// Long enough for a woken waiter to return, even on a loaded host.
+constexpr std::chrono::seconds kWakes{10};
+
+TEST(BarrierPlanner, AnSspAdmitParksWhileItsSlotIsTheBoundAheadOfTheLaggard) {
+  ThreadedTrainConfig cfg = base_config();
+  cfg.protocol = Protocol::kSsp;  // bound 3
+  Rig rig(cfg);
+  BarrierPlanner& planner = rig.planner;
+  planner.clock(0) = 4;
+  planner.clock(1) = planner.clock(2) = 1;
+  planner.clock(3) = 0;  // the laggard
+  EXPECT_TRUE(planner.admit(1)) << "one step ahead of the laggard";
+  std::future<bool> ahead = std::async(std::launch::async, [&] { return planner.admit(0); });
+  EXPECT_EQ(ahead.wait_for(kParks), std::future_status::timeout) << "4 ahead of a bound of 3";
+  planner.stepped(3);
+  const bool woke = ahead.wait_for(kWakes) == std::future_status::ready;
+  EXPECT_TRUE(woke) << "the laggard's step brings slot 0 within the bound";
+  if (!woke) planner.abort();  // releases the waiter
+  EXPECT_TRUE(ahead.get());
+  EXPECT_EQ(planner.clock(3), 1);
+  EXPECT_EQ(planner.slot(0).max_gap, 3) << "the gap at the admitted step";
+  EXPECT_EQ(planner.slot(1).max_gap, 1);
+}
+
+TEST(BarrierPlanner, AbortFreesAParkedWaiterAndTheNextDrainRecordsNothing) {
+  ThreadedTrainConfig cfg = base_config();
+  cfg.schedule = SwitchSchedule({{Protocol::kSsp, SwitchTrigger::kStepCount, 10, -1},
+                                 {Protocol::kBsp, SwitchTrigger::kStepCount, 0, -1}});
+  Rig rig(cfg);
+  BarrierPlanner& planner = rig.planner;
+  planner.clock(0) = 4;  // one past the bound of 3 ahead of every peer
+  std::future<bool> parked = std::async(std::launch::async, [&] { return planner.admit(0); });
+  EXPECT_EQ(parked.wait_for(kParks), std::future_status::timeout);
+  planner.abort();
+  const bool woke = parked.wait_for(kWakes) == std::future_status::ready;
+  EXPECT_TRUE(woke) << "abort wakes the waiter";
+  if (!woke) planner.stepped(1);  // its notify releases the waiter
+  EXPECT_FALSE(parked.get()) << "an aborted run admits nothing";
+  EXPECT_TRUE(planner.failed());
+  EXPECT_FALSE(planner.admit(1));
+
+  // Drained normally, these clocks would finish the SSP phase and arm BSP.
+  for (int w : planner.active()) planner.clock(static_cast<std::size_t>(w)) = 10;
+  EXPECT_EQ(planner.drain(40), Drained::kOver);
+  EXPECT_TRUE(planner.recorded().phases.empty());
+  EXPECT_EQ(planner.segment().plan.phase.protocol, Protocol::kSsp) << "nothing re-armed";
+}
+
+TEST(BarrierPlanner, AnAspAdmitGrantsExactlyTheTicketBudgetThenRefuses) {
+  ThreadedTrainConfig cfg = base_config();
+  cfg.protocol = Protocol::kAsp;
+  Rig rig(cfg);
+  BarrierPlanner& planner = rig.planner;
+  const Segment& seg = planner.segment();
+  ASSERT_EQ(seg.ticket_budget, 4 * 30);
+  // Slot 0 draws every ticket while its peers never step.
+  std::int64_t granted = 0;
+  while (granted < 1000 && planner.admit(0)) {
+    planner.stepped(0);
+    ++granted;
+  }
+  EXPECT_EQ(granted, 4 * 30);
+  EXPECT_EQ(seg.tickets, 4 * 30);
+  EXPECT_FALSE(planner.admit(1)) << "no ticket is left for any slot";
+  EXPECT_EQ(planner.slot(0).max_gap, 4 * 30 - 1) << "slot 0's gap at its last step start";
+  EXPECT_EQ(planner.drain(4 * 30), Drained::kOver);
+  ASSERT_EQ(planner.recorded().phases.size(), 1u);
+  EXPECT_EQ(planner.recorded().phases[0].steps, 30) << "the tickets over 4 workers";
+  EXPECT_EQ(planner.recorded().phases[0].max_clock_gap, 4 * 30 - 1);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <latch>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -362,18 +363,22 @@ struct PacedRun {
 
 /// Four workers; slot 0 sleeps 10 ms before every step and the others
 /// 0.25 ms.  Sleeping rather than spinning keeps the pacing independent of
-/// how loaded the host is.
+/// how loaded the host is.  A start gate holds each worker in its first
+/// call until every worker has made one, so the pacing does not depend on
+/// when each thread starts: a late thread still draws its first ASP ticket
+/// before its peers run on.
 PacedRun run_with_slow_slot(Protocol protocol) {
   const DataSplit split = easy_data();
   const Model proto = proto_model(split);
   std::array<std::atomic<std::int64_t>, 4> counts{};
+  std::latch started(4);
   ThreadedTrainConfig cfg;
   cfg.protocol = protocol;
   cfg.num_workers = 4;
   cfg.steps_per_worker = 20;
   cfg.ssp_staleness_bound = 2;
-  cfg.pre_step_hook = [&counts](std::size_t worker, std::int64_t) {
-    counts[worker].fetch_add(1);
+  cfg.pre_step_hook = [&counts, &started](std::size_t worker, std::int64_t) {
+    if (counts[worker].fetch_add(1) == 0) started.arrive_and_wait();
     std::this_thread::sleep_for(worker == 0 ? std::chrono::microseconds(10000)
                                             : std::chrono::microseconds(250));
   };
