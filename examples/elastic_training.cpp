@@ -4,9 +4,10 @@
 //
 //   * 30% in, worker 1 CRASHES.  The AsyncSnapshotter has been taking
 //     copy-on-read snapshots of the sharded PS in the background, so the
-//     RecoveryCoordinator rolls parameters + optimizer velocity back to the
-//     last snapshot (losing at most one snapshot interval of updates),
-//     retires the dead thread, and re-derives hyper-parameters for n = 3.
+//     RecoveryCoordinator retires the dead slot and rolls parameters +
+//     optimizer velocity back to the last snapshot (losing at most one
+//     snapshot interval of updates); the runtime joins the dead thread and
+//     re-derives hyper-parameters for n = 3.
 //   * 60% in, a replacement JOINS: a fresh worker slot (own data shard, own
 //     RNG streams) is spawned, pulls the current parameters, and the
 //     cluster is back to 4.

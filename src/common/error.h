@@ -21,13 +21,6 @@ class ShapeError : public std::runtime_error {
   explicit ShapeError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Training diverged (loss went non-finite or exploded) — the paper's
-/// "divergence error" (Section VI-B1, exp. setup 3 under ASP).
-class DivergenceError : public std::runtime_error {
- public:
-  explicit DivergenceError(const std::string& what) : std::runtime_error(what) {}
-};
-
 /// A file could not be opened, read or written.
 class IoError : public std::runtime_error {
  public:

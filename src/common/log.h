@@ -35,11 +35,6 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-  if (log_level() <= LogLevel::kDebug)
-    log_line(LogLevel::kDebug, detail::concat(std::forward<Args>(args)...));
-}
-template <typename... Args>
 void log_info(Args&&... args) {
   if (log_level() <= LogLevel::kInfo)
     log_line(LogLevel::kInfo, detail::concat(std::forward<Args>(args)...));
@@ -48,11 +43,6 @@ template <typename... Args>
 void log_warn(Args&&... args) {
   if (log_level() <= LogLevel::kWarn)
     log_line(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
-}
-template <typename... Args>
-void log_error(Args&&... args) {
-  if (log_level() <= LogLevel::kError)
-    log_line(LogLevel::kError, detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace ss

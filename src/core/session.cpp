@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/error.h"
@@ -144,13 +145,24 @@ RunResult TrainingSession::run() {
   const PiecewiseDecay schedule =
       PiecewiseDecay::resnet_style(wl.hyper.learning_rate, wl.total_steps);
 
+  // Crash recovery restores the latest snapshot at or before the crash
+  // step, through the snapshotter the real runtimes use.  It runs no
+  // cadence thread here: only the last cadence boundary before each crash
+  // matters, so the budget is split exactly there instead of at every
+  // interval, and each capture is taken at its boundary.  Only a crash
+  // under kRestoreSnapshot reads a snapshot back, so only it takes them
+  // (ElasticConfig::takes_snapshots); the budget splits at the same steps
+  // either way.
+  const bool restores = req_.elastic.takes_snapshots();
+  AsyncSnapshotter snapshotter([&] { return state.ps.snapshot_checkpoint(state.global_step); },
+                               [&] { return state.global_step; }, /*interval=*/0);
+  if (restores) snapshotter.snapshot_now();  // run-start floor
+
   Profiler profiler;
-  // Elastic joins extend the worker-slot space past n; size the detector for
-  // every slot the run can ever see, but only the initial cluster is active.
-  RecoveryCoordinator coord(req_.elastic, n);
-  StragglerDetector detector(n + req_.elastic.plan.join_count(), req_.policy.detector);
-  if (req_.elastic.plan.join_count() > 0) detector.set_active(coord.active());
-  DetectorSink detector_sink(detector);
+  // The run's worker set and straggler detector.  Elastic joins extend the
+  // worker-slot space past n.
+  RecoveryCoordinator coord(req_.elastic, n, req_.policy.detector, &snapshotter, &state.ps);
+  DetectorSink detector_sink(coord.detector());
   std::vector<MetricsSink*> sinks{&profiler};
   if (reads_detector(cursor.legs())) sinks.push_back(&detector_sink);
   if (req_.observer != nullptr) sinks.push_back(req_.observer);
@@ -222,51 +234,29 @@ RunResult TrainingSession::run() {
   // which leg runs, where its visit ends, what a reaction changes and which
   // leg follows; the session prices each move in virtual time.  Each visit
   // is segmented at snapshot-capture steps and membership-event steps; each
-  // segment runs through run_phase with the current active set, and every
-  // transition re-derives the phase configuration (lr, batch) for the new
-  // cluster size via make_phase.  Crashes restore the last snapshot when the
-  // policy says so; every membership change is priced through the
-  // cluster/actuator models.  All state evolution is deterministic in
-  // (plan, seed), so every run is bit-for-bit reproducible and cacheable.
-  std::vector<int> active = coord.active();
-
-  // Crash recovery restores the latest snapshot at or before the crash
-  // step, through the snapshotter the real runtimes use.  It runs no
-  // cadence thread here: only the last cadence boundary before each crash
-  // matters, so the budget is split exactly there instead of at every
-  // interval, and each capture is taken at its boundary.  Only a crash
-  // under kRestoreSnapshot reads a snapshot back, so only it takes them
-  // (ElasticConfig::takes_snapshots); the budget splits at the same steps
-  // either way.
-  const bool restores = req_.elastic.takes_snapshots();
-  AsyncSnapshotter snapshotter([&] { return state.ps.snapshot_checkpoint(state.global_step); },
-                               [&] { return state.global_step; }, /*interval=*/0);
-  if (restores) snapshotter.snapshot_now();  // run-start floor
-  std::vector<std::int64_t> capture_steps;
-  for (const MembershipEvent& e : req_.elastic.plan.events()) {
-    if (e.kind != MembershipEventKind::kCrash) continue;
-    if (const std::int64_t every = req_.elastic.snapshot_interval; every > 0 && e.at_step >= every)
-      capture_steps.push_back(e.at_step / every * every);
-  }
-  std::sort(capture_steps.begin(), capture_steps.end());
-  capture_steps.erase(std::unique(capture_steps.begin(), capture_steps.end()),
-                      capture_steps.end());
-  std::size_t next_capture_idx = 0;
-  auto next_capture = [&](std::int64_t after) -> std::int64_t {
-    for (std::size_t i = next_capture_idx; i < capture_steps.size(); ++i)
-      if (capture_steps[i] > after) return capture_steps[i];
-    return -1;
-  };
+  // segment runs through run_phase on the coordinator's worker set, and
+  // every transition re-derives the phase configuration (lr, batch) for the
+  // new cluster size via make_phase.  The coordinator applies each
+  // membership change (and a crash's restore); the session prices it
+  // through the cluster/actuator models.  All state evolution is
+  // deterministic in (plan, seed), so every run is bit-for-bit reproducible
+  // and cacheable.
+  std::set<std::int64_t> capture_steps;  // each one leaves the set once passed
+  for (const MembershipEvent& e : req_.elastic.plan.events())
+    if (const std::int64_t every = req_.elastic.snapshot_interval;
+        e.kind == MembershipEventKind::kCrash && every > 0 && e.at_step >= every)
+      capture_steps.insert(e.at_step / every * every);
 
   auto pay_membership = [&](VTime cost) {
     state.clock += cost;
     result.recovery_overhead_seconds += cost.seconds();
   };
 
-  // Apply what the coordinator changed (the scripted events due at the
-  // current step, or a kLeave reaction's evictions): price each change,
-  // mutate the PS / worker-slot state, and log it.
-  auto apply_events = [&](const std::vector<AppliedMembershipEvent>& applied) {
+  // Price and record a membership pass (the scripted events due at the
+  // current step, or a kLeave reaction's evictions): one resize per event
+  // (a join's hand-off instead), the restore on the crash it is charged to,
+  // and each joined slot's sampler and RNG.
+  auto price_pass = [&](const std::vector<AppliedMembershipEvent>& applied) {
     for (const AppliedMembershipEvent& a : applied) {
       ++result.num_membership_events;
       const int slot = a.event.worker;
@@ -278,51 +268,32 @@ RunResult TrainingSession::run() {
       } else {
         pay_membership(actuator.resize_time().scaled(ascale));
       }
-      if (a.event.kind == MembershipEventKind::kCrash && restores) {
-        // Parameters + velocity roll back to the snapshot; the global step
-        // and versions do not (batches are not replayed, exactly like the
-        // threaded runtime's recovery).  Surviving workers keep their
-        // error-feedback residuals.
-        if (const std::optional<std::int64_t> lost = snapshotter.restore_latest(
-                [&](const Checkpoint& snap) { state.ps.restore(snap); })) {
-          pay_membership(cluster.recovery_restore_time());
-          result.updates_lost += *lost;
-        }
-      }
+      if (a.restored) pay_membership(cluster.recovery_restore_time());
+      result.updates_lost += a.updates_lost;
       log_info("elastic: worker ", slot, " ", membership_event_name(a.event.kind), " at step ",
                state.global_step, ", ", coord.alive_count(), " workers alive");
     }
-    // Throughput history is not comparable across resizes, and retired
-    // slots must not block detector warm-up.
-    active = coord.active();
-    detector.set_active(active);
   };
 
-  // Reaction::kEvict / kReplace: re-admit provisioned replacements, then
-  // evict the slots the cursor names.  Any change is priced as one resize,
-  // and the detector restarts either way.
-  std::vector<std::pair<int, VTime>> pending;  // replace: (slot, ready time)
+  // Reaction::kEvict / kReplace: re-admit provisioned replacements, then set
+  // aside the slots the cursor names (kReplace's until a fresh node is
+  // provisioned).  Any change is priced as one resize.  The flags are read
+  // before the re-admission rescopes the detector.
   auto evict_stragglers = [&](bool replace) {
-    const auto ready = std::stable_partition(pending.begin(), pending.end(), [&](const auto& p) {
-      return state.clock < p.second;
-    });
-    const bool readmitted = ready != pending.end();
-    for (auto it = ready; it != pending.end(); ++it) {
-      log_info("replace: fresh node took over slot ", it->first, " at step ", state.global_step);
-      straggler_schedule.mask_after(it->first, state.clock);
-      active.push_back(it->first);
+    const std::vector<int> flagged = coord.detector().stragglers();
+    const std::vector<int> readmitted = coord.readmit(state.clock);
+    for (int w : readmitted) {
+      log_info("replace: fresh node took over slot ", w, " at step ", state.global_step);
+      straggler_schedule.mask_after(w, state.clock);
     }
-    pending.erase(ready, pending.end());
-    std::sort(active.begin(), active.end());
-    const std::vector<int> evicted = cursor.react(active, detector.stragglers());
-    for (int w : evicted) {
+    const std::vector<int> evicted = cursor.react(coord.active(), flagged);
+    for (int w : evicted)
       log_info(replace ? "replace" : "elastic", ": evicting straggler slot ", w, " at step ",
                state.global_step);
-      if (replace) pending.emplace_back(w, state.clock + actuator.provision_time().scaled(ascale));
-      std::erase(active, w);
-    }
-    if (readmitted || !evicted.empty()) state.clock += actuator.resize_time().scaled(ascale);
-    detector.set_active(active);  // restarts it on the slots that still report
+    const VTime provisioned = state.clock + actuator.provision_time().scaled(ascale);
+    coord.set_aside(evicted, replace ? std::optional(provisioned) : std::nullopt);
+    if (!readmitted.empty() || !evicted.empty())
+      state.clock += actuator.resize_time().scaled(ascale);
   };
 
   bool diverged = false;
@@ -332,23 +303,23 @@ RunResult TrainingSession::run() {
     while (!diverged && !triggered && state.global_step < cursor.visit_end()) {
       // Segment the budget at the next snapshot capture or membership step.
       std::int64_t boundary = cursor.visit_end();
-      if (const std::int64_t cap = next_capture(state.global_step); cap > 0)
-        boundary = std::min(boundary, cap);
+      if (const auto cap = capture_steps.upper_bound(state.global_step); cap != capture_steps.end())
+        boundary = std::min(boundary, *cap);
       if (const std::int64_t ev = coord.next_event_step(state.global_step); ev > 0)
         boundary = std::min(boundary, ev);
 
-      const PhaseConfig cfg = make_phase(leg, boundary - state.global_step, active.size());
+      const PhaseConfig cfg = make_phase(leg, boundary - state.global_step, coord.alive_count());
       // Watching legs stop when the detector fires them or a replacement
       // is provisioned.
       StopPredicate stop;
       if (reads_detector(leg.phase.trigger, leg.reaction))
         stop = [&](VTime now, std::int64_t) {
-          return detector_fires(leg.phase.trigger, leg.reaction, detector) ||
-                 std::any_of(pending.begin(), pending.end(),
-                             [now](const auto& p) { return now >= p.second; });
+          return detector_fires(leg.phase.trigger, leg.reaction, coord.detector()) ||
+                 coord.replacement_due(now);
         };
 
-      const PhaseResult pr = runtime.run_phase(state, cfg, active, straggler_schedule, stop);
+      const PhaseResult pr =
+          runtime.run_phase(state, cfg, coord.active(), straggler_schedule, stop);
       cursor.advance_to(state.global_step);
       diverged = pr.end == PhaseEnd::kDiverged;
       if (pr.end == PhaseEnd::kStopRequested) {
@@ -357,7 +328,8 @@ RunResult TrainingSession::run() {
           log_info("plan: ", switch_trigger_name(leg.phase.trigger), " fired at step ",
                    pr.trigger_step, ", leaving ", protocol_name(leg.phase.protocol));
         else if (leg.reaction == Reaction::kLeave)  // the coordinator clamps the leavers
-          apply_events(coord.evict(cursor.react(active, detector.stragglers()), state.global_step));
+          price_pass(coord.apply(cursor.react(coord.active(), coord.detector().stragglers()),
+                                 state.global_step));
         else
           evict_stragglers(leg.reaction == Reaction::kReplace);
       } else if (!diverged) {
@@ -365,25 +337,22 @@ RunResult TrainingSession::run() {
         // at the same step as a crash happens before the crash, matching a
         // cadence snapshotter that completed just in time), then resolve
         // membership.  A BSP round can overshoot the boundary by up to n-1
-        // steps, so captures are consumed by index with <=, not matched
-        // exactly.
-        if (next_capture_idx < capture_steps.size() &&
-            capture_steps[next_capture_idx] <= state.global_step) {
+        // steps, so every capture at or before the step is consumed, not
+        // only an exact match.
+        if (const auto passed = capture_steps.upper_bound(state.global_step);
+            passed != capture_steps.begin()) {
           if (restores) snapshotter.snapshot_now();
-          while (next_capture_idx < capture_steps.size() &&
-                 capture_steps[next_capture_idx] <= state.global_step)
-            ++next_capture_idx;
+          capture_steps.erase(capture_steps.begin(), passed);
         }
-        if (coord.events_due(state.global_step)) apply_events(coord.advance_to(state.global_step));
+        if (coord.events_due(state.global_step)) price_pass(coord.apply({}, state.global_step));
       }
     }
     if (diverged) break;
-    const bool returned = !cursor.finish(triggered).empty();
+    const std::vector<int> returned = cursor.finish(triggered);
     if (cursor.done()) break;
-    if (returned) {
+    if (!returned.empty()) {
       state.clock += actuator.resize_time().scaled(ascale);  // the evicted nodes return
-      active = coord.active();  // no membership plan runs beside kEvict
-      detector.set_active(active);
+      coord.readmit(returned);
     }
     pay_switch();
   }

@@ -7,14 +7,17 @@
 // membership analogue of SwitchSchedule (ps/switch_schedule.h): a validated
 // event list consumed by BOTH runtimes.
 //
+//  * both resolve events through one RecoveryCoordinator
+//    (elastic/recovery_coordinator.h): it applies the worker-set change,
+//    restores a crash's losses from the AsyncSnapshotter's latest checkpoint
+//    once per pass, and rescopes the straggler detector;
 //  * the simulator (core/session.h) splits phase budgets at event steps,
-//    prices each transition through the cluster/actuator models, and keys
-//    the plan into the run-cache key — elastic runs are bit-for-bit
+//    prices each pass through the cluster/actuator models, and keys the
+//    plan into the run-cache key — elastic runs are bit-for-bit
 //    reproducible and cacheable like any other;
 //  * the threaded runtime (ps/threaded_runtime.h) resolves events at the
-//    drain barrier: the RecoveryCoordinator retires/spawns real OS threads,
-//    restores crash losses from the AsyncSnapshotter's last checkpoint, and
-//    re-derives hyper-parameters for the new cluster size.
+//    drain barrier, where BarrierPlanner re-derives hyper-parameters for the
+//    new cluster size and threaded_train retires/spawns real OS threads.
 //
 // Step currency is runtime-local, exactly like SwitchSchedule: the
 // simulator resolves `at_step` against global minibatch steps (the unit of

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "elastic/async_snapshotter.h"
+#include "ps/param_server.h"
 
 namespace ss {
 
@@ -10,43 +12,60 @@ namespace {
 
 std::size_t floor_of(const ElasticConfig& cfg) { return std::max<std::size_t>(cfg.min_workers, 1); }
 
+bool contains(const std::vector<int>& slots, int slot) {
+  return std::find(slots.begin(), slots.end(), slot) != slots.end();
+}
+
+/// Resolves scripted event `e` against the ascending `alive` set: a join
+/// claims `next_slot`; a crash or leave retires its target, which must be
+/// alive, and may not shrink the set below `floor`.
+void resolve(MembershipEvent& e, std::vector<int>& alive, std::size_t& next_slot,
+             std::size_t floor) {
+  if (e.kind == MembershipEventKind::kJoin) {
+    e.worker = static_cast<int>(next_slot++);
+    alive.push_back(e.worker);
+    std::sort(alive.begin(), alive.end());
+    return;
+  }
+  if (!contains(alive, e.worker))
+    throw ConfigError("MembershipPlan: " + membership_event_name(e.kind) + " of worker " +
+                      std::to_string(e.worker) + " at step " + std::to_string(e.at_step) +
+                      " targets a slot that is not alive at that point");
+  if (alive.size() <= floor)
+    throw ConfigError("MembershipPlan: " + membership_event_name(e.kind) + " at step " +
+                      std::to_string(e.at_step) + " would shrink the cluster below " +
+                      std::to_string(floor) + " worker(s)");
+  std::erase(alive, e.worker);
+}
+
 }  // namespace
 
-RecoveryCoordinator::RecoveryCoordinator(const ElasticConfig& cfg, std::size_t initial_workers)
-    : cfg_(cfg), next_slot_(initial_workers) {
+RecoveryCoordinator::RecoveryCoordinator(const ElasticConfig& cfg, std::size_t initial_workers,
+                                         const DetectorConfig& detector,
+                                         AsyncSnapshotter* snapshots, SharedParameterServer* ps)
+    : cfg_(cfg),
+      snapshots_(snapshots),
+      ps_(ps),
+      next_slot_(initial_workers),
+      max_slots_(initial_workers + cfg.plan.join_count()),
+      detector_(max_slots_, detector) {
   if (initial_workers == 0)
     throw ConfigError("RecoveryCoordinator: initial cluster must have at least one worker");
-  active_.reserve(initial_workers + cfg_.plan.join_count());
+  active_.reserve(max_slots_);
   for (std::size_t w = 0; w < initial_workers; ++w) active_.push_back(static_cast<int>(w));
-  max_slots_ = initial_workers + cfg_.plan.join_count();
-
+  // Retired or not-yet-joined slots must not block the detector's warm-up.
+  detector_.set_active(active_);
   // Dry-run the scripted plan so infeasible plans fail at configuration
-  // time.  The simulation mirrors advance_to exactly: joins claim slot ids
-  // in order, crashes/leaves must target a currently-alive slot and may not
-  // shrink the cluster below the floor.
+  // time, through the rule apply() resolves them with.
   std::vector<int> alive = active_;
   std::size_t slot = next_slot_;
-  for (const MembershipEvent& e : cfg_.plan.events()) {
-    if (e.kind == MembershipEventKind::kJoin) {
-      alive.push_back(static_cast<int>(slot++));
-      continue;
-    }
-    const auto it = std::find(alive.begin(), alive.end(), e.worker);
-    if (it == alive.end())
-      throw ConfigError("MembershipPlan: " + membership_event_name(e.kind) + " of worker " +
-                        std::to_string(e.worker) + " at step " + std::to_string(e.at_step) +
-                        " targets a slot that is not alive at that point");
-    if (alive.size() <= floor_of(cfg_))
-      throw ConfigError("MembershipPlan: " + membership_event_name(e.kind) + " at step " +
-                        std::to_string(e.at_step) + " would shrink the cluster below " +
-                        std::to_string(floor_of(cfg_)) + " worker(s)");
-    alive.erase(it);
-  }
+  for (MembershipEvent e : cfg_.plan.events()) resolve(e, alive, slot, floor_of(cfg_));
+  if (cfg_.takes_snapshots() && (snapshots_ == nullptr || ps_ == nullptr))
+    throw ConfigError("RecoveryCoordinator: a crash under kRestoreSnapshot needs the "
+                      "snapshotter and the parameter server it restores");
 }
 
-bool RecoveryCoordinator::is_alive(int slot) const noexcept {
-  return std::find(active_.begin(), active_.end(), slot) != active_.end();
-}
+bool RecoveryCoordinator::is_alive(int slot) const noexcept { return contains(active_, slot); }
 
 std::int64_t RecoveryCoordinator::next_event_step(std::int64_t progress) const noexcept {
   const auto& events = cfg_.plan.events();
@@ -60,51 +79,73 @@ bool RecoveryCoordinator::events_due(std::int64_t progress) const noexcept {
   return next_event_ < events.size() && events[next_event_].at_step <= progress;
 }
 
-void RecoveryCoordinator::retire(int slot) {
-  active_.erase(std::find(active_.begin(), active_.end(), slot));
-}
-
-int RecoveryCoordinator::claim_slot() {
-  const int slot = static_cast<int>(next_slot_++);
-  active_.push_back(slot);
-  std::sort(active_.begin(), active_.end());
-  return slot;
-}
-
-std::vector<AppliedMembershipEvent> RecoveryCoordinator::advance_to(std::int64_t progress) {
-  std::vector<AppliedMembershipEvent> applied;
-  const auto& events = cfg_.plan.events();
-  while (next_event_ < events.size() && events[next_event_].at_step <= progress) {
-    MembershipEvent e = events[next_event_++];
-    if (e.kind == MembershipEventKind::kJoin) {
-      e.worker = claim_slot();
-    } else {
-      // The constructor dry-ran the plan, so the target is alive and the
-      // floor holds unless reactive evictions interleaved; re-check so the
-      // combination still fails loudly instead of corrupting the set.
-      if (!is_alive(e.worker))
-        throw ConfigError("RecoveryCoordinator: scripted " + membership_event_name(e.kind) +
-                          " targets dead worker " + std::to_string(e.worker));
-      if (active_.size() <= floor_of(cfg_))
-        throw ConfigError("RecoveryCoordinator: scripted " + membership_event_name(e.kind) +
-                          " would shrink the cluster below its floor");
-      retire(e.worker);
-    }
-    applied.push_back({e, active_.size()});
-  }
-  return applied;
-}
-
-std::vector<AppliedMembershipEvent> RecoveryCoordinator::evict(const std::vector<int>& flagged,
+std::vector<AppliedMembershipEvent> RecoveryCoordinator::apply(const std::vector<int>& leavers,
                                                                std::int64_t progress) {
   std::vector<AppliedMembershipEvent> applied;
-  for (int slot : flagged) {
+  for (int slot : leavers) {
     if (!is_alive(slot)) continue;
     if (active_.size() <= floor_of(cfg_)) break;  // keep the floor, drop the rest
-    retire(slot);
+    std::erase(active_, slot);
     applied.push_back({{MembershipEventKind::kLeave, slot, progress}, active_.size()});
   }
+  // The dry run holds unless reactive leavers interleaved; resolve()
+  // re-checks, so that combination fails loudly instead of corrupting the set.
+  while (events_due(progress)) {
+    MembershipEvent e = cfg_.plan.events()[next_event_++];
+    resolve(e, active_, next_slot_, floor_of(cfg_));
+    applied.push_back({e, active_.size()});
+  }
+  // Parameters + velocity roll back to the latest snapshot; the step
+  // counters and versions do not (batches are not replayed), and surviving
+  // workers keep their error-feedback residuals.  One rollback serves every
+  // crash of the pass, so its loss is charged once, to the first.
+  const auto crash = std::find_if(applied.begin(), applied.end(), [](const auto& a) {
+    return a.event.kind == MembershipEventKind::kCrash;
+  });
+  if (crash != applied.end() && cfg_.takes_snapshots())
+    if (const std::optional<std::int64_t> lost = snapshots_->restore_latest(
+            [this](const Checkpoint& snap) { ps_->restore(snap); })) {
+      crash->restored = true;
+      crash->updates_lost = *lost;
+    }
+  // Throughput history is not comparable across a cluster change.
+  detector_.set_active(active_);
   return applied;
+}
+
+void RecoveryCoordinator::set_aside(const std::vector<int>& slots, std::optional<VTime> ready) {
+  for (int slot : slots) {
+    std::erase(active_, slot);
+    aside_.push_back({slot, ready});
+  }
+  detector_.set_active(active_);
+}
+
+template <class Due>
+std::vector<int> RecoveryCoordinator::readmit_where(Due due) {
+  const auto back = std::stable_partition(aside_.begin(), aside_.end(),
+                                          [&](const SetAside& s) { return !due(s); });
+  std::vector<int> slots;
+  for (auto it = back; it != aside_.end(); ++it) slots.push_back(it->slot);
+  aside_.erase(back, aside_.end());
+  if (slots.empty()) return slots;
+  active_.insert(active_.end(), slots.begin(), slots.end());
+  std::sort(active_.begin(), active_.end());
+  detector_.set_active(active_);
+  return slots;
+}
+
+std::vector<int> RecoveryCoordinator::readmit(VTime now) {
+  return readmit_where([now](const SetAside& s) { return s.ready && *s.ready <= now; });
+}
+
+void RecoveryCoordinator::readmit(const std::vector<int>& slots) {
+  readmit_where([&](const SetAside& s) { return contains(slots, s.slot); });
+}
+
+bool RecoveryCoordinator::replacement_due(VTime now) const noexcept {
+  return std::any_of(aside_.begin(), aside_.end(),
+                     [now](const SetAside& s) { return s.ready && *s.ready <= now; });
 }
 
 }  // namespace ss

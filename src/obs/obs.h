@@ -6,12 +6,12 @@
 // extra work and stays bit-identical to a build without obs at all.
 // Enabling observability never alters computation — it only records.
 //
-// Typical wiring (sync_switch_cli):
-//   if (trace_out) obs::enable_tracing();
-//   if (metrics_out) obs::enable_metrics();
+// Typical wiring (sync_switch_cli's --trace-out / --metrics-out):
+//   if (!trace_out.empty()) obs::enable_tracing();
+//   if (!metrics_out.empty()) obs::enable_metrics();
 //   ... run ...
-//   if (trace_out) obs::tracer().save_chrome_trace(*trace_out);
-//   if (metrics_out) write_file(*metrics_out, obs::metrics().expose_text());
+//   if (!trace_out.empty()) obs::tracer().save_chrome_trace(trace_out);
+//   if (!metrics_out.empty()) std::ofstream(metrics_out) << obs::metrics().expose_text();
 //
 // Tracks follow the layout the sim's TraceSink shares: track 0 = PS/control
 // row, track w+1 = worker slot w.  Threads that serve no fixed slot (e.g. PS

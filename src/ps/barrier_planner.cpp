@@ -31,16 +31,13 @@ BarrierPlanner::BarrierPlanner(ThreadedTrainConfig cfg, SharedParameterServer& p
       snapshots_(snapshots),
       clock_(clock),
       cursor_(lower(cfg_), cfg_.steps_per_worker),
-      coord_(membership_config(cfg_), cfg_.num_workers),
+      coord_(membership_config(cfg_), cfg_.num_workers, cfg_.detector, &snapshots, &ps),
       watched_(reads_detector(cursor_.legs())),
-      detector_(coord_.max_slots(), cfg_.detector),
       slots_(coord_.max_slots()),
       clocks_(coord_.max_slots(), 0),
       compress_(cfg_.compression.enabled()),
       eval_params_(cfg_.eval_hook ? ps.num_params() : 0) {
   if (cfg_.controller.enabled) controller_.emplace(cfg_.controller, cfg_.compression);
-  // Retired or not-yet-joined slots must not block the detector's warm-up.
-  detector_.set_active(coord_.active());
 }
 
 void BarrierPlanner::start() {
@@ -141,14 +138,15 @@ bool BarrierPlanner::observe(std::size_t w, double seconds) {
   ++c.step_count;
   if (!watched_) return false;
   const std::lock_guard<std::mutex> lock(det_mu_);
-  return detector_.observe(static_cast<int>(w), cfg_.batch_size, VTime::from_seconds(seconds)) &&
-         detector_fires(seg_.plan.phase.trigger, seg_.plan.reaction, detector_);
+  StragglerDetector& detector = coord_.detector();
+  return detector.observe(static_cast<int>(w), cfg_.batch_size, VTime::from_seconds(seconds)) &&
+         detector_fires(seg_.plan.phase.trigger, seg_.plan.reaction, detector);
 }
 
 bool BarrierPlanner::fires() {
   if (!watched_) return false;
   const std::lock_guard<std::mutex> lock(det_mu_);
-  return detector_fires(seg_.plan.phase.trigger, seg_.plan.reaction, detector_);
+  return detector_fires(seg_.plan.phase.trigger, seg_.plan.reaction, coord_.detector());
 }
 
 std::optional<Segment> BarrierPlanner::latch() {
@@ -186,15 +184,13 @@ BarrierPlanner::Drained BarrierPlanner::drain(std::int64_t updates) {
           ? seg_.start + seg_.tickets / static_cast<std::int64_t>(coord_.alive_count())
           : clocks_[leader()];
   const bool triggered = seg_.fired && seg_.plan.phase.trigger != SwitchTrigger::kStepCount;
-  if (seg_.fired && !triggered) {  // the kLeave reaction
-    delta_due_ = true;
-    evict_ = cursor_.react(coord_.active(), detector_.stragglers());
-  }
+  if (seg_.fired && !triggered)  // the kLeave reaction
+    evict_ = cursor_.react(coord_.active(), coord_.detector().stragglers());
   cursor_.advance_to(cursor_.visit_start() + reached);
   if (triggered || cursor_.progress() >= cursor_.visit_end())
     finish_phase(reached, triggered, updates, now);
   if (finished()) return Drained::kOver;
-  if (delta_due_ || coord_.events_due(cursor_.progress())) return Drained::kMembership;
+  if (evict_ || coord_.events_due(cursor_.progress())) return Drained::kMembership;
   arm();
   return Drained::kArmed;
 }
@@ -301,8 +297,7 @@ void BarrierPlanner::enact(ControllerDecision d) {
   if (d.enacted) {
     last_move_step_ = done();
     if (d.chosen.evict_straggler) {
-      delta_due_ = true;
-      evict_.assign(1, d.measured.straggler_worker);
+      evict_ = std::vector<int>{d.measured.straggler_worker};
     } else {
       next.phase.protocol = d.chosen.protocol;
       next.phase.ssp_staleness_bound = d.chosen.ssp_staleness_bound >= 0
@@ -317,42 +312,22 @@ void BarrierPlanner::enact(ControllerDecision d) {
 
 std::span<const ThreadedMembershipStats> BarrierPlanner::recover() {
   const TimePoint start = clock_();
-  std::vector<AppliedMembershipEvent> applied = coord_.evict(evict_, cursor_.progress());
-  const std::vector<AppliedMembershipEvent> scheduled = coord_.advance_to(cursor_.progress());
-  applied.insert(applied.end(), scheduled.begin(), scheduled.end());
-  delta_due_ = false;
-  evict_.clear();
-  std::int64_t updates_lost = 0;
-  if (cfg_.elastic.takes_snapshots() &&
-      std::any_of(applied.begin(), applied.end(), [](const AppliedMembershipEvent& a) {
-        return a.event.kind == MembershipEventKind::kCrash;
-      })) {
-    // Roll parameters + velocity back to the last snapshot: every update
-    // since it is lost, bounding the damage to one snapshot interval.
-    // Surviving workers keep their error-feedback residuals — the mass a
-    // codec dropped is still untransmitted after the rollback.
-    updates_lost = snapshots_.restore_latest([&](const Checkpoint& snap) { ps_.restore(snap); })
-                       .value_or(0);
-  }
-  // Throughput history is not comparable across a cluster change.
-  detector_.set_active(coord_.active());
+  const std::vector<AppliedMembershipEvent> applied =
+      coord_.apply(std::exchange(evict_, std::nullopt).value_or(std::vector<int>{}),
+                   cursor_.progress());
   // Resume the interrupted phase, or enter the next one if the previous
   // epoch finished its phase exactly at the membership boundary.
   arm();
   const double seconds = std::chrono::duration<double>(clock_() - start).count();
   const std::size_t first = result_.membership.size();
-  bool charged = false;  // one restore per pass -> charge it once
-  for (const AppliedMembershipEvent& a : applied) {
-    const bool charge = a.event.kind == MembershipEventKind::kCrash && !charged;
-    charged |= charge;
+  for (const AppliedMembershipEvent& a : applied)
     result_.membership.push_back({.kind = a.event.kind,
                                   .worker = a.event.worker,
                                   .at_step = a.event.at_step,
                                   .workers_after = a.workers_after,
                                   .lr_after = seg_.lr,
-                                  .updates_lost = charge ? updates_lost : 0,
+                                  .updates_lost = a.updates_lost,
                                   .recovery_wall_seconds = seconds});
-  }
   return std::span<const ThreadedMembershipStats>(result_.membership).subspan(first);
 }
 

@@ -28,8 +28,8 @@
 //    drawn ticket) and records its clock gap, stepped() advances its clock,
 //    observe() feeds the detector, latch() ends a fired segment early and
 //    abort() stops every worker after a failure;
-//  * the worker set: the alive slots, the BSP leader and the detector's
-//    scope;
+//  * the BSP leader and the detector's lock; the worker set and the
+//    detector are its RecoveryCoordinator's;
 //  * the armed segment, re-armed in place at each drain or recovery: its
 //    leg, lr, compression, quota, ASP ticket budget and the latch that
 //    lowers it, with the phase-entry resets;
@@ -37,8 +37,9 @@
 //    controller's measurement taken from them;
 //  * each finished phase's ThreadedPhaseStats, the eval hook and the
 //    controller's decision;
-//  * the membership delta, the AsyncSnapshotter crash restore and each
-//    event's ThreadedMembershipStats;
+//  * the membership delta it books (a kLeave reaction's or the controller's
+//    eviction) and each event's ThreadedMembershipStats; the
+//    RecoveryCoordinator applies the delta and restores a crash;
 //  * the run's result.
 //
 // The planner starts no thread and reads the time only through the clock
@@ -153,7 +154,9 @@ class BarrierPlanner {
   [[nodiscard]] std::size_t max_slots() const noexcept { return slots_.size(); }
   /// The straggler detector observe() feeds, or null when no leg watches
   /// it (then nothing feeds it).  Scoped to the alive slots.
-  [[nodiscard]] StragglerDetector* detector() noexcept { return watched_ ? &detector_ : nullptr; }
+  [[nodiscard]] StragglerDetector* detector() noexcept {
+    return watched_ ? &coord_.detector() : nullptr;
+  }
 
   /// The armed segment.
   [[nodiscard]] Segment& segment() noexcept { return seg_; }
@@ -224,12 +227,12 @@ class BarrierPlanner {
   /// segment is armed.
   Drained drain(std::int64_t updates);
 
-  /// Applies the due membership delta with every worker thread joined:
-  /// evictions first, then the scripted events.  A crash under
-  /// kRestoreSnapshot restores the latest snapshot and charges the updates
-  /// it loses to the pass's first crash.  Then it adopts the new worker
-  /// set, arms the next segment with the lr re-derived for the new size,
-  /// and returns the pass's records.  May throw ConfigError when reactive
+  /// Applies the due membership delta with every worker thread joined, as
+  /// one RecoveryCoordinator::apply pass: evictions first, then the
+  /// scripted events, and a crash under kRestoreSnapshot restores the
+  /// latest snapshot, its loss charged to the pass's first crash.  Then it
+  /// arms the next segment with the lr re-derived for the new size and
+  /// returns the pass's records.  May throw ConfigError when reactive
   /// evictions leave a scripted event infeasible.
   std::span<const ThreadedMembershipStats> recover();
 
@@ -271,10 +274,9 @@ class BarrierPlanner {
   AsyncSnapshotter& snapshots_;
   Clock clock_;
   PlanCursor cursor_;  ///< the lowered plan, then the controller's legs
-  RecoveryCoordinator coord_;
-  bool watched_ = false;  ///< some leg reads the detector
-  std::mutex det_mu_;     ///< guards detector_ while workers run
-  StragglerDetector detector_;
+  RecoveryCoordinator coord_;  ///< the worker set, the detector and the crash restore
+  bool watched_ = false;       ///< some leg reads the detector
+  std::mutex det_mu_;          ///< guards coord_'s detector while workers run
   std::vector<SlotCounters> slots_;
   /// One contiguous vector: an async step reads every alive clock under the
   /// clock lock (the SSP bound and the clock gap).
@@ -287,8 +289,8 @@ class BarrierPlanner {
   std::atomic<bool> aborted_{false};  ///< written under clock_mu_; BSP reads it unlocked
   bool compress_ = false;  ///< push through the codec; the controller may switch it
 
-  bool delta_due_ = false;  ///< a membership delta is booked
-  std::vector<int> evict_;  ///< slots it evicts
+  /// A booked membership delta: the slots it evicts (maybe none).
+  std::optional<std::vector<int>> evict_;
 
   TimePoint run_start_;
   TimePoint phase_start_;

@@ -59,13 +59,13 @@
 // Elastic membership (`ThreadedTrainConfig::elastic`, src/elastic/): the
 // worker set itself can change mid-run.  Scripted crash/join/leave events —
 // or the reactive evict-on-detect rule — resolve at the drain barrier: the
-// epoch's threads quiesce and exit, BarrierPlanner::recover applies the
-// membership delta to its RecoveryCoordinator on the main thread (crash
-// recovery restores the AsyncSnapshotter's last copy-on-read checkpoint
+// epoch's threads quiesce and exit, BarrierPlanner::recover runs one pass of
+// its RecoveryCoordinator on the main thread (the worker-set change, and a
+// crash's restore of the AsyncSnapshotter's latest copy-on-read checkpoint
 // when ElasticConfig::takes_snapshots), the next segment's lr is re-derived
 // for the new cluster size via derive_hyper, and a fresh set of threads
-// (with barriers sized to the new count) carries the same plan forward.  Protocol switches with no
-// membership event due still transition live.
+// (with barriers sized to the new count) carries the same plan forward.
+// Protocol switches with no membership event due still transition live.
 //
 // All protocols support gradient compression (`ThreadedTrainConfig::
 // compression`): each worker thread encodes its gradient through its own

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -290,6 +291,19 @@ TEST(ThreadedController, RejectsComposingWithScheduleOrElastic) {
   EXPECT_THROW(threaded_train(proto, split.train, bad_interval), ConfigError);
 }
 
+/// One row per decision: the step, the protocol before and the one chosen,
+/// whether it was enacted and why, and the measurement it saw.
+std::string decision_table(const std::vector<ControllerDecision>& decisions) {
+  std::ostringstream os;
+  os << "decisions (step before->chosen enacted reason | step_s factor worker):\n";
+  for (const ControllerDecision& d : decisions)
+    os << "  " << d.at_step << " " << protocol_name(d.protocol_before) << "->"
+       << d.chosen.label() << " enacted=" << d.enacted << " " << d.reason
+       << " | " << d.measured.step_seconds << " " << d.measured.straggler_factor << " w"
+       << d.measured.straggler_worker << "\n";
+  return os.str();
+}
+
 ThreadedTrainConfig controller_run_config() {
   ThreadedTrainConfig cfg;
   cfg.protocol = Protocol::kBsp;
@@ -311,6 +325,7 @@ TEST(ThreadedController, DiscoversInjectedStragglerAndSwitchesOffBsp) {
   cfg.stragglers = StragglerSchedule::transient(2, VTime::from_seconds(0.0),
                                                 VTime::from_seconds(1e9), 12.0);
   const auto result = threaded_train(proto, split.train, cfg);
+  SCOPED_TRACE(decision_table(result.decisions));
 
   ASSERT_FALSE(result.decisions.empty());
   ASSERT_GE(result.phases.size(), 2u);

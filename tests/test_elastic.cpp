@@ -1,14 +1,16 @@
 // Elastic membership & fault tolerance (src/elastic/) on both runtimes:
 //
-//  * MembershipPlan validation and the RecoveryCoordinator's dry-run
-//    feasibility checks;
+//  * MembershipPlan validation, and the RecoveryCoordinator's dry-run
+//    feasibility checks, its membership pass (one restore, charged once)
+//    and its online set-asides;
 //  * the AsyncSnapshotter's copy-on-read cadence snapshots;
 //  * threaded runtime: a crash mid-run recovers from the last snapshot and
 //    still converges; join/leave resize the cluster, re-derive the learning
 //    rate, and keep the BSP/SSP quota accounting exact; reactive eviction
 //    removes an injected straggler;
 //  * simulator: an elastic run with a fixed MembershipPlan is bit-for-bit
-//    reproducible, keyed into the run cache, and prices its recoveries;
+//    reproducible, keyed into the run cache, and prices its recoveries (two
+//    crashes in one pass pay one restore);
 //  * checkpoint v2 round-trips under an *active* CompressorBank — restoring
 //    the per-worker error-feedback residuals alongside the PS state resumes
 //    training bit-identically.
@@ -32,6 +34,7 @@
 #include "elastic/membership_plan.h"
 #include "elastic/recovery_coordinator.h"
 #include "nn/zoo.h"
+#include "ps/param_server.h"
 #include "ps/threaded_runtime.h"
 
 namespace ss {
@@ -92,22 +95,24 @@ TEST(RecoveryCoordinator, AppliesEventsAndAssignsJoinSlots) {
   ElasticConfig cfg;
   cfg.plan = MembershipPlan({{MembershipEventKind::kJoin, -1, 10},
                              {MembershipEventKind::kCrash, 1, 20}});
+  cfg.recovery = RecoveryMode::kKeepLive;  // nothing to restore
   RecoveryCoordinator coord(cfg, 2);
   EXPECT_EQ(coord.max_slots(), 3u);
   EXPECT_EQ(coord.next_event_step(0), 10);
   EXPECT_FALSE(coord.events_due(9));
   ASSERT_TRUE(coord.events_due(10));
 
-  const auto joined = coord.advance_to(10);
+  const auto joined = coord.apply({}, 10);
   ASSERT_EQ(joined.size(), 1u);
   EXPECT_EQ(joined[0].event.worker, 2);  // next free slot id
   EXPECT_EQ(joined[0].workers_after, 3u);
   EXPECT_TRUE(coord.is_alive(2));
   EXPECT_EQ(coord.next_event_step(10), 20);
 
-  const auto crashed = coord.advance_to(20);
+  const auto crashed = coord.apply({}, 20);
   ASSERT_EQ(crashed.size(), 1u);
   EXPECT_EQ(crashed[0].event.kind, MembershipEventKind::kCrash);
+  EXPECT_FALSE(crashed[0].restored);
   EXPECT_FALSE(coord.is_alive(1));
   EXPECT_EQ(coord.alive_count(), 2u);
   EXPECT_EQ(coord.next_event_step(20), -1);
@@ -118,13 +123,65 @@ TEST(RecoveryCoordinator, EvictionRespectsTheFloor) {
   cfg.plan = MembershipPlan::reactive_evict();
   cfg.min_workers = 2;
   RecoveryCoordinator coord(cfg, 3);
-  const auto evicted = coord.evict({0, 1, 2}, 42);
+  const auto evicted = coord.apply({0, 1, 2}, 42);
   ASSERT_EQ(evicted.size(), 1u);  // floor of 2 keeps the rest
   EXPECT_EQ(evicted[0].event.kind, MembershipEventKind::kLeave);
   EXPECT_EQ(evicted[0].event.at_step, 42);
   EXPECT_EQ(coord.alive_count(), 2u);
   // Dead slots are ignored silently.
-  EXPECT_TRUE(coord.evict({0}, 43).empty());
+  EXPECT_TRUE(coord.apply({0}, 43).empty());
+}
+
+TEST(RecoveryCoordinator, APassRestoresOnceAndChargesItsFirstCrash) {
+  ElasticConfig cfg;
+  cfg.plan = MembershipPlan({{MembershipEventKind::kCrash, 0, 8},
+                             {MembershipEventKind::kJoin, -1, 8},
+                             {MembershipEventKind::kCrash, 2, 8}});
+  EXPECT_THROW(RecoveryCoordinator(cfg, 3), ConfigError) << "a restoring plan needs a snapshotter";
+  SharedParameterServer ps({1.0f}, 0.0);
+  std::int64_t progress = 0;
+  AsyncSnapshotter snapshots([&] { return ps.snapshot_checkpoint(progress); },
+                             [&] { return progress; }, /*interval=*/0);
+  snapshots.snapshot_now();
+  RecoveryCoordinator coord(cfg, 3, {}, &snapshots, &ps);
+  const float grad = 1.0f;
+  const std::vector<std::int64_t> versions(1, 0);
+  ps.push(std::span<const float>(&grad, 1), 0.5, versions);
+  progress = 8;
+  const auto applied = coord.apply({}, 8);
+  ASSERT_EQ(applied.size(), 3u);
+  EXPECT_TRUE(applied[0].restored);
+  EXPECT_EQ(applied[0].updates_lost, 8);
+  for (std::size_t i = 1; i < applied.size(); ++i) {
+    EXPECT_FALSE(applied[i].restored) << i;
+    EXPECT_EQ(applied[i].updates_lost, 0) << i;
+  }
+  EXPECT_EQ(ps.snapshot(), std::vector<float>{1.0f}) << "the push is rolled back";
+  EXPECT_EQ(coord.active(), (std::vector<int>{1, 3}));
+}
+
+TEST(RecoveryCoordinator, SetAsideSlotsLeaveTheWorkerSetUntilReadmitted) {
+  DetectorConfig detector;
+  detector.window_size = 1;
+  detector.consecutive_required = 1;
+  RecoveryCoordinator coord(ElasticConfig{}, 5, detector);
+  coord.set_aside({1}, VTime::from_seconds(5.0));  // kReplace: back once provisioned
+  coord.set_aside({4}, std::nullopt);              // kEvict: back at the leg's end
+  EXPECT_EQ(coord.active(), (std::vector<int>{0, 2, 3}));
+  EXPECT_FALSE(coord.replacement_due(VTime::from_seconds(4.0)));
+  EXPECT_TRUE(coord.readmit(VTime::from_seconds(4.0)).empty());
+  // Set-aside slots do not report; the detector runs on the three that do.
+  coord.detector().observe(0, 1, VTime::from_seconds(1.0));
+  coord.detector().observe(3, 1, VTime::from_seconds(1.0));
+  EXPECT_TRUE(coord.detector().observe(2, 1, VTime::from_seconds(10.0)));
+  EXPECT_EQ(coord.detector().stragglers(), std::vector<int>{2});
+  ASSERT_TRUE(coord.replacement_due(VTime::from_seconds(5.0)));
+  EXPECT_EQ(coord.readmit(VTime::from_seconds(5.0)), std::vector<int>{1});
+  EXPECT_EQ(coord.active(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_FALSE(coord.detector().any_straggler()) << "a re-admission rescopes the detector";
+  coord.readmit(std::vector<int>{4});
+  EXPECT_EQ(coord.active(), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_FALSE(coord.replacement_due(VTime::from_seconds(1e6)));
 }
 
 // ---------------------------------------------------------------------------
@@ -504,6 +561,49 @@ TEST(SimElastic, KeepLiveCrashDigestIsPinned) {
   EXPECT_EQ(r.updates_lost, 0);
   EXPECT_EQ(r.num_membership_events, 3);
   EXPECT_EQ(result_fingerprint(r), "b9cc0c74ed271eea");
+}
+
+TEST(SimElastic, ReactiveLeaveDigestIsPinned) {
+  // A reactive membership plan's kLeave reaction above a two-worker floor:
+  // the detector flags the permanent straggler and the coordinator evicts
+  // it.  Digest recorded from the engine before the membership transition
+  // moved into the RecoveryCoordinator; it must hold.
+  RunRequest req =
+      online_policy_request(SyncSwitchPolicy::bsp_to_asp(0.5), OnlinePolicy::kNone, true);
+  req.elastic.plan = MembershipPlan::reactive_evict();
+  req.elastic.min_workers = 2;
+  const RunResult r = TrainingSession(req).run();
+  EXPECT_EQ(r.steps_completed, 512);
+  EXPECT_EQ(r.num_membership_events, 1);
+  EXPECT_EQ(r.updates_lost, 0);
+  EXPECT_EQ(result_fingerprint(r), "fac554127b1c80e9");
+}
+
+TEST(SimElastic, TwoCrashesInOnePassChargeTheLossOnce) {
+  // Two crashes due at one step resolve in one pass: the PS rolls back to
+  // the latest snapshot once, so the pass loses what one crash loses, and
+  // pays one restore beside a resize per event.
+  for (const std::int64_t interval : {0, 64}) {
+    SCOPED_TRACE("snapshot_interval=" + std::to_string(interval));
+    RunRequest one = elastic_request();
+    one.elastic.plan = MembershipPlan::crash(1, 96);
+    one.elastic.snapshot_interval = interval;
+    RunRequest two = one;
+    two.elastic.plan = MembershipPlan({{MembershipEventKind::kCrash, 1, 96},
+                                       {MembershipEventKind::kCrash, 2, 96}});
+    const RunResult r1 = TrainingSession(one).run();
+    const RunResult r2 = TrainingSession(two).run();
+    EXPECT_EQ(r1.updates_lost, interval == 0 ? 96 : 32);
+    EXPECT_EQ(r2.updates_lost, r1.updates_lost);
+    EXPECT_EQ(r2.num_membership_events, 2);
+    const double resize = ActuatorModel::paper_calibrated(two.actuator)
+                              .resize_time()
+                              .scaled(two.actuator_time_scale)
+                              .seconds();
+    const double restore = ClusterModel(two.cluster).recovery_restore_time().seconds();
+    EXPECT_DOUBLE_EQ(r1.recovery_overhead_seconds, resize + restore);
+    EXPECT_DOUBLE_EQ(r2.recovery_overhead_seconds, 2 * resize + restore);
+  }
 }
 
 TEST(SimElastic, PlanIsKeyedIntoTheRunCache) {
