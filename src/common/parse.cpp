@@ -1,6 +1,7 @@
 #include "common/parse.h"
 
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <system_error>
 
@@ -44,7 +45,9 @@ int parse_int(const std::string& flag, const std::string& value) {
 }
 
 double parse_double(const std::string& flag, const std::string& value) {
-  return parse_with_from_chars<double>(flag, "number", value);
+  const double v = parse_with_from_chars<double>(flag, "number", value);
+  if (!std::isfinite(v)) fail(flag, "number", value);
+  return v;
 }
 
 }  // namespace ss

@@ -21,6 +21,12 @@ std::string codec_kind_name(CodecKind k) {
   return "?";
 }
 
+std::optional<CodecKind> parse_codec_kind(const std::string& name) {
+  for (int i = 0; i <= static_cast<int>(CodecKind::kQsgd); ++i)
+    if (codec_kind_name(static_cast<CodecKind>(i)) == name) return static_cast<CodecKind>(i);
+  return std::nullopt;
+}
+
 CompressionSpec CompressionSpec::topk(double fraction) {
   CompressionSpec s;
   s.kind = CodecKind::kTopK;

@@ -23,6 +23,9 @@ enum class CodecKind {
 
 std::string codec_kind_name(CodecKind k);
 
+/// The kind whose codec_kind_name() is `name`; nullopt for anything else.
+std::optional<CodecKind> parse_codec_kind(const std::string& name);
+
 struct CompressionSpec {
   CodecKind kind = CodecKind::kNone;
   double topk_fraction = 0.01;  ///< for kTopK

@@ -28,6 +28,12 @@ std::string arch_name(ModelArch arch) {
   return "unknown";
 }
 
+std::optional<ModelArch> parse_arch(const std::string& name) {
+  for (int i = 0; i <= static_cast<int>(ModelArch::kResNet50BnLite); ++i)
+    if (arch_name(static_cast<ModelArch>(i)) == name) return static_cast<ModelArch>(i);
+  return std::nullopt;
+}
+
 Model make_model(ModelArch arch, std::size_t input_dim, int num_classes, Rng& rng) {
   Model m;
   const auto classes = static_cast<std::size_t>(num_classes);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/rng.h"
@@ -28,6 +29,9 @@ enum class ModelArch {
 
 /// Name used in reports.
 std::string arch_name(ModelArch arch);
+
+/// The arch whose arch_name() is `name`; nullopt for anything else.
+std::optional<ModelArch> parse_arch(const std::string& name);
 
 /// Build a model for `input_dim` features and `num_classes` outputs.
 /// For kConvNetTiny, input must be 3x16x16 = 768 features.

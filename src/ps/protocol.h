@@ -13,6 +13,8 @@
 // are measured by the profiler's staleness counters.
 #pragma once
 
+#include <cctype>
+#include <optional>
 #include <string>
 
 namespace ss {
@@ -54,6 +56,22 @@ inline std::string protocol_name(Protocol p) {
       return "K-batch-async";
   }
   return "?";
+}
+
+/// The protocol `name` denotes: a protocol_name() spelling in any case, with
+/// '-' ignored ("bsp", "K-sync", "kbatchasync"); nullopt for anything else.
+inline std::optional<Protocol> parse_protocol(const std::string& name) {
+  const auto fold = [](const std::string& s) {
+    std::string key;
+    for (char c : s)
+      if (c != '-') key += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return key;
+  };
+  for (int i = 0; i <= static_cast<int>(Protocol::kKBatchAsync); ++i) {
+    const auto p = static_cast<Protocol>(i);
+    if (fold(protocol_name(p)) == fold(name)) return p;
+  }
+  return std::nullopt;
 }
 
 /// True for protocols whose workers all compute on one parameter version per

@@ -230,6 +230,7 @@ void check_threaded(const Scenario& s, std::vector<std::string>& violations) {
     viol("resolved " + std::to_string(tr.membership.size()) + " membership events, planned " +
          std::to_string(plan_events.size()));
   } else {
+    std::int64_t charged_at = -1;  // step of the last pass that charged a restore
     for (std::size_t i = 0; i < tr.membership.size(); ++i) {
       const ThreadedMembershipStats& m = tr.membership[i];
       const std::string tag = "membership event " + std::to_string(i) + " (" +
@@ -245,7 +246,11 @@ void check_threaded(const Scenario& s, std::vector<std::string>& violations) {
           viol(tag + ": updates_lost = " + std::to_string(m.updates_lost) +
                " on a non-restoring event");
       } else {
-        const std::int64_t before = expected_updates_until(cfg, slots, m.at_step);
+        // The events at one step resolve in one pass, whose one restore
+        // charges its loss to the pass's first crash and 0 to the others.
+        const std::int64_t before =
+            m.at_step == charged_at ? 0 : expected_updates_until(cfg, slots, m.at_step);
+        charged_at = m.at_step;
         if (cfg.elastic.snapshot_interval == 0) {
           // Only the run-start snapshot exists, so the rollback distance is
           // exactly the progress before the crash.
@@ -373,11 +378,15 @@ ScenarioReport check_scenario(const Scenario& s, const CheckOptions& opts) {
          " without membership events");
   if (r.recovery_overhead_seconds < 0.0) viol("recovery_overhead_seconds is negative");
 
-  // Crash-loss window.  Per crash: nothing under kKeepLive; everything since
-  // the last cadence snapshot otherwise, which the interval bounds up to the
-  // round overshoot at the capture boundary.  With snapshot_interval == 0
-  // only the run-start snapshot exists, so each crash loses all progress —
-  // at least its event step, at most that plus the overshoot.
+  // Crash-loss window.  Per restore: nothing under kKeepLive; everything
+  // since the last cadence snapshot otherwise, which the interval bounds up
+  // to the round overshoot at the capture boundary.  With snapshot_interval
+  // == 0 only the run-start snapshot exists, so each restore loses all
+  // progress — at least its event step, at most that plus the overshoot.
+  // One restore serves every crash of a membership pass, and a pass takes
+  // the crashes within one round's overshoot (max_slots - 1) of its first
+  // step: such a group adds only its first step to the floor.  The ceiling
+  // still counts every crash, which covers the groups that split.
   const auto crashes = static_cast<std::int64_t>(sh.num_crashes);
   if (crashes == 0 || s.elastic.recovery == RecoveryMode::kKeepLive) {
     if (r.updates_lost != 0)
@@ -389,10 +398,13 @@ ScenarioReport check_scenario(const Scenario& s, const CheckOptions& opts) {
       viol("updates_lost = " + std::to_string(r.updates_lost) + " outside [0, " +
            std::to_string(crashes * per_crash) + "] (crashes x (interval + overshoot))");
   } else {
-    std::int64_t lo = 0, hi = 0;
+    std::int64_t lo = 0, hi = 0, group = -1;
     for (const MembershipEvent& e : s.elastic.plan.events())
       if (e.kind == MembershipEventKind::kCrash) {
-        lo += e.at_step;
+        if (group < 0 || e.at_step > group + sh.max_slots - 1) {
+          group = e.at_step;  // a new pass's first crash
+          lo += group;
+        }
         hi += e.at_step + sh.max_slots;
       }
     if (r.updates_lost < lo || r.updates_lost > hi)

@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/parse.h"
 
 namespace ss {
 
@@ -19,9 +19,15 @@ namespace {
 
 constexpr const char* kEventHeader = "event,at,worker,value,duration";
 
+/// "<file>:<line>: <field>", the label every trace error starts with; the
+/// number readers (common/parse.h) take it as their flag name.
+std::string where(const std::string& file, int line, const std::string& field) {
+  return file + ":" + std::to_string(line) + ": " + field;
+}
+
 [[noreturn]] void fail(const std::string& file, int line, const std::string& field,
                        const std::string& why) {
-  throw ConfigError(file + ":" + std::to_string(line) + ": " + field + ": " + why);
+  throw ConfigError(where(file, line, field) + ": " + why);
 }
 
 std::string trim(const std::string& s) {
@@ -60,53 +66,13 @@ struct RawTrace {
   std::vector<EventRow> rows;
 };
 
-std::int64_t parse_i64(const std::string& file, int line, const std::string& field,
-                       const std::string& text) {
-  const std::string t = trim(text);
-  if (t.empty()) fail(file, line, field, "expected an integer, got an empty field");
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(t.c_str(), &end, 10);
-  if (errno != 0 || end != t.c_str() + t.size())
-    fail(file, line, field, "expected an integer, got '" + t + "'");
-  return static_cast<std::int64_t>(v);
-}
-
-double parse_f64(const std::string& file, int line, const std::string& field,
-                 const std::string& text) {
-  const std::string t = trim(text);
-  if (t.empty()) fail(file, line, field, "expected a number, got an empty field");
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(t.c_str(), &end);
-  if (errno != 0 || end != t.c_str() + t.size())
-    fail(file, line, field, "expected a number, got '" + t + "'");
-  return v;
-}
-
-/// A staleness bound: an integer in [0, INT_MAX].
-int parse_bound(const std::string& file, int line, const std::string& field,
-                const std::string& text) {
-  const std::int64_t v = parse_i64(file, line, field, text);
+/// A staleness bound: an integer in [0, INT_MAX].  `label` is a where().
+int parse_bound(const std::string& label, const std::string& text) {
+  const std::int64_t v = parse_i64(label, text);
   if (v < 0 || v > std::numeric_limits<int>::max())
-    fail(file, line, field, "staleness bound " + std::to_string(v) + " is outside [0, " +
-                                std::to_string(std::numeric_limits<int>::max()) + "]");
+    throw ConfigError(label + ": staleness bound " + std::to_string(v) + " is outside [0, " +
+                      std::to_string(std::numeric_limits<int>::max()) + "]");
   return static_cast<int>(v);
-}
-
-Protocol parse_protocol(const std::string& file, int line, const std::string& text) {
-  std::string t;
-  for (char c : lower(trim(text)))
-    if (c != '-') t += c;
-  if (t == "bsp") return Protocol::kBsp;
-  if (t == "asp") return Protocol::kAsp;
-  if (t == "ssp") return Protocol::kSsp;
-  if (t == "dssp") return Protocol::kDssp;
-  if (t == "ksync") return Protocol::kKSync;
-  if (t == "kbatchsync") return Protocol::kKBatchSync;
-  if (t == "kasync") return Protocol::kKAsync;
-  if (t == "kbatchasync") return Protocol::kKBatchAsync;
-  fail(file, line, "value", "unknown protocol '" + trim(text) + "'");
 }
 
 // --- CSV frontend ----------------------------------------------------------
@@ -230,17 +196,17 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
   Scenario s;
   s.name = "trace";
 
-  auto meta_i64 = [&](const char* key, std::int64_t fallback) {
-    auto it = raw.meta.find(key);
+  // A preamble value read by `parse` (a common/parse.h reader), or `fallback`.
+  auto meta = [&](const char* key, auto parse, auto fallback) -> decltype(fallback) {
+    const auto it = raw.meta.find(key);
     if (it == raw.meta.end()) return fallback;
-    return parse_i64(file, it->second.line, key, it->second.value);
+    return parse(where(file, it->second.line, key), it->second.value);
   };
-  for (const auto& [key, mv] : raw.meta) {
+  for (const auto& [key, mv] : raw.meta)
     if (key != "name" && key != "workers" && key != "steps" && key != "seed" &&
         key != "ssp_bound" && key != "min_workers" && key != "snapshot_interval" &&
         key != "recovery")
       fail(file, mv.line, key, "unknown trace key");
-  }
   if (auto it = raw.meta.find("name"); it != raw.meta.end()) {
     // The CSV writer emits the name as one bare cell, which the CSV reader
     // trims and splits on commas: only a name that survives that round-trips.
@@ -253,22 +219,14 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
            "must not contain a comma or a control character, or start or end with whitespace");
     s.name = name;
   }
-  {
-    const std::int64_t workers = meta_i64("workers", 4);
-    if (workers < 1) fail(file, raw.meta.at("workers").line, "workers", "must be >= 1");
-    s.num_workers = static_cast<std::size_t>(workers);
-  }
-  s.total_steps = meta_i64("steps", 256);
+  s.num_workers = meta("workers", parse_u64, s.num_workers);
+  if (s.num_workers < 1) fail(file, raw.meta.at("workers").line, "workers", "must be >= 1");
+  s.total_steps = meta("steps", parse_i64, s.total_steps);
   if (s.total_steps < 1) fail(file, raw.meta.at("steps").line, "steps", "must be >= 1");
-  s.seed = static_cast<std::uint64_t>(meta_i64("seed", 1));
-  if (auto it = raw.meta.find("ssp_bound"); it != raw.meta.end())
-    s.ssp_staleness_bound = parse_bound(file, it->second.line, "ssp_bound", it->second.value);
-  {
-    const std::int64_t mw = meta_i64("min_workers", static_cast<std::int64_t>(s.elastic.min_workers));
-    if (mw < 0) fail(file, raw.meta.at("min_workers").line, "min_workers", "must be >= 0");
-    s.elastic.min_workers = static_cast<std::size_t>(mw);
-  }
-  s.elastic.snapshot_interval = meta_i64("snapshot_interval", 0);
+  s.seed = meta("seed", parse_u64, s.seed);
+  s.ssp_staleness_bound = meta("ssp_bound", parse_bound, s.ssp_staleness_bound);
+  s.elastic.min_workers = meta("min_workers", parse_u64, s.elastic.min_workers);
+  s.elastic.snapshot_interval = meta("snapshot_interval", parse_i64, std::int64_t{0});
   if (s.elastic.snapshot_interval < 0)
     fail(file, raw.meta.at("snapshot_interval").line, "snapshot_interval", "must be >= 0");
   if (auto it = raw.meta.find("recovery"); it != raw.meta.end()) {
@@ -303,9 +261,13 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
       if (!row.at.set) fail(file, row.line, "at", "switch rows need a start step");
       if (!row.value.set) fail(file, row.line, "value", "switch rows need a protocol");
       Boundary b;
-      b.at = parse_i64(file, row.line, "at", row.at.value);
-      b.protocol = parse_protocol(file, row.line, row.value.value);
-      b.bound = row.duration.set ? parse_bound(file, row.line, "duration", row.duration.value) : -1;
+      b.at = parse_i64(where(file, row.line, "at"), row.at.value);
+      const std::optional<Protocol> protocol = parse_protocol(row.value.value);
+      if (!protocol) fail(file, row.line, "value", "unknown protocol '" + row.value.value + "'");
+      b.protocol = *protocol;
+      b.bound = row.duration.set
+                    ? parse_bound(where(file, row.line, "duration"), row.duration.value)
+                    : -1;
       if (boundaries.empty() && b.at != 0)
         fail(file, row.line, "at", "the first switch row must start at step 0");
       if (!boundaries.empty() && b.at <= boundaries.back().at)
@@ -319,7 +281,7 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
       boundaries.push_back(b);
     } else if (row.event == "crash" || row.event == "leave" || row.event == "join") {
       if (!row.at.set) fail(file, row.line, "at", row.event + " rows need a step");
-      const std::int64_t at = parse_i64(file, row.line, "at", row.at.value);
+      const std::int64_t at = parse_i64(where(file, row.line, "at"), row.at.value);
       if (at <= 0) fail(file, row.line, "at", "membership events must have at > 0");
       if (at >= s.total_steps)
         fail(file, row.line, "at",
@@ -342,7 +304,7 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
         ++joins;
       } else {
         if (!row.worker.set) fail(file, row.line, "worker", row.event + " rows need a worker");
-        const std::int64_t w = parse_i64(file, row.line, "worker", row.worker.value);
+        const std::int64_t w = parse_i64(where(file, row.line, "worker"), row.worker.value);
         auto it = std::find(alive.begin(), alive.end(), w);  // compared in 64 bits
         if (w < 0 || it == alive.end())
           fail(file, row.line, "worker",
@@ -364,19 +326,19 @@ Scenario build_scenario(const RawTrace& raw, const std::string& file) {
       if (!row.duration.set)
         fail(file, row.line, "duration", "slow rows need a duration (microseconds)");
       StragglerEvent ev;
-      const std::int64_t w = parse_i64(file, row.line, "worker", row.worker.value);
+      const std::int64_t w = parse_i64(where(file, row.line, "worker"), row.worker.value);
       if (w < 0 || w >= static_cast<std::int64_t>(s.num_workers))
         fail(file, row.line, "worker",
              "unknown worker id " + std::to_string(w) + " (cluster has " +
                  std::to_string(s.num_workers) + " initial workers)");
       ev.worker = static_cast<int>(w);
-      const std::int64_t start_us = parse_i64(file, row.line, "at", row.at.value);
+      const std::int64_t start_us = parse_i64(where(file, row.line, "at"), row.at.value);
       if (start_us < 0) fail(file, row.line, "at", "slow start must be >= 0 microseconds");
       ev.start = VTime::from_us(start_us);
-      const std::int64_t dur_us = parse_i64(file, row.line, "duration", row.duration.value);
+      const std::int64_t dur_us = parse_i64(where(file, row.line, "duration"), row.duration.value);
       if (dur_us <= 0) fail(file, row.line, "duration", "slow duration must be > 0 microseconds");
       ev.duration = VTime::from_us(dur_us);
-      ev.slow_factor = parse_f64(file, row.line, "value", row.value.value);
+      ev.slow_factor = parse_double(where(file, row.line, "value"), row.value.value);
       if (ev.slow_factor < 1.0) fail(file, row.line, "value", "slow factor must be >= 1");
       episodes.push_back(ev);
     } else {

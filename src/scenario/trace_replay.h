@@ -37,6 +37,8 @@
 //    the next slot automatically.
 //  * slow rows: `at`/`duration` in integral virtual microseconds, `value` =
 //    slowdown factor (>= 1), `worker` in [0, workers).
+//  * numbers are plain decimals read by common/parse.h (no '+', no hex, no
+//    inf/nan); `seed` is unsigned, so every uint64 seed round-trips.
 //
 // Every parse error throws ConfigError with "<file>:<line>: <field>: why" —
 // malformed traces never crash, which is what the table-driven error-path

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
+#include "common/log.h"
+#include "compress/spec.h"
+#include "nn/zoo.h"
+#include "ps/protocol.h"
 
 namespace ss {
 namespace {
@@ -93,6 +98,10 @@ TEST(CliParse, RejectsMalformedDoubles) {
       {"--lr", "0.05x"},
       {"--lr", "fast"},
       {"--lr", " 0.1"},
+      {"--lr", "inf"},
+      {"--lr", "-inf"},
+      {"--lr", "nan"},
+      {"--lr", "1e999"},  // past double's range
   };
   for (const RejectCase& c : cases) {
     try {
@@ -103,6 +112,49 @@ TEST(CliParse, RejectsMalformedDoubles) {
                 std::string(c.flag) + ": expected number, got '" + c.value + "'");
     }
   }
+}
+
+// Each enum has one name table, beside its *_name function; every flag and
+// trace field that names an enumerator reads it.  Each must read back every
+// name its *_name function writes.
+
+TEST(NameTables, EveryProtocolRoundTrips) {
+  for (int i = 0; i <= static_cast<int>(Protocol::kKBatchAsync); ++i) {
+    const auto p = static_cast<Protocol>(i);
+    EXPECT_EQ(parse_protocol(protocol_name(p)), p) << protocol_name(p);
+  }
+  // Case-insensitive, with '-' ignored: the trace's and the CLI's spelling.
+  EXPECT_EQ(parse_protocol("bsp"), Protocol::kBsp);
+  EXPECT_EQ(parse_protocol("kbatchasync"), Protocol::kKBatchAsync);
+  EXPECT_EQ(parse_protocol("K-Sync"), Protocol::kKSync);
+  EXPECT_EQ(parse_protocol("tcp"), std::nullopt);
+  EXPECT_EQ(parse_protocol(""), std::nullopt);
+}
+
+TEST(NameTables, EveryArchRoundTrips) {
+  for (int i = 0; i <= static_cast<int>(ModelArch::kResNet50BnLite); ++i) {
+    const auto a = static_cast<ModelArch>(i);
+    EXPECT_EQ(parse_arch(arch_name(a)), a) << arch_name(a);
+  }
+  EXPECT_EQ(parse_arch("unknown"), std::nullopt);
+  EXPECT_EQ(parse_arch("Linear"), std::nullopt);
+}
+
+TEST(NameTables, EveryCodecKindRoundTrips) {
+  for (int i = 0; i <= static_cast<int>(CodecKind::kQsgd); ++i) {
+    const auto k = static_cast<CodecKind>(i);
+    EXPECT_EQ(parse_codec_kind(codec_kind_name(k)), k) << codec_kind_name(k);
+  }
+  EXPECT_EQ(parse_codec_kind("?"), std::nullopt);
+  EXPECT_EQ(parse_codec_kind("zstd"), std::nullopt);
+}
+
+TEST(NameTables, LogLevelNamesCoverEveryLevel) {
+  // LogLevel has no *_name function; its names are the --log-level spellings.
+  const char* names[] = {"debug", "info", "warn", "error", "off"};
+  for (int i = 0; i <= static_cast<int>(LogLevel::kOff); ++i)
+    EXPECT_EQ(parse_log_level(names[i]), static_cast<LogLevel>(i)) << names[i];
+  EXPECT_EQ(parse_log_level("loud"), std::nullopt);
 }
 
 }  // namespace

@@ -7,14 +7,18 @@
 //  * table-driven error paths: malformed traces — out-of-order steps,
 //    unknown worker ids, events past the budget, bad numbers, unknown
 //    keys/events — throw ConfigError carrying the "<file>:<line>: <field>:"
-//    prefix, and never crash.
+//    prefix, and never crash;
+//  * a replayed trace is checked against the conformance invariants on both
+//    runtimes (check_scenario with run_threaded).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
 #include "scenario/generator.h"
+#include "scenario/invariants.h"
 #include "scenario/trace_replay.h"
 
 namespace ss {
@@ -108,7 +112,9 @@ TEST(TraceParse, JsonUnicodeEscapeDecodes) {
 }
 
 TEST(TraceParse, GeneratedScenariosRoundTripThroughBothFormats) {
-  for (std::uint64_t seed : {1ULL, 7ULL, 13ULL, 42ULL, 99ULL}) {
+  // The seed is unsigned: seeds past INT64_MAX survive both forms too.
+  const std::uint64_t seeds[] = {1, 7, 13, 42, 99, std::uint64_t{1} << 63, UINT64_MAX};
+  for (std::uint64_t seed : seeds) {
     const Scenario s = generate_scenario(seed);
     const std::string key = s.to_run_request().cache_key();
     const Scenario via_csv = parse_trace_csv(write_trace_csv(s));
@@ -118,6 +124,23 @@ TEST(TraceParse, GeneratedScenariosRoundTripThroughBothFormats) {
     EXPECT_EQ(via_json.to_run_request().cache_key(), key) << "seed " << seed;
     EXPECT_EQ(via_json.label(), s.label()) << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Conformance of a replayed trace.
+// ---------------------------------------------------------------------------
+
+TEST(TraceCheck, TwoCrashesInOnePassPassOnBothRuntimes) {
+  // Both crashes resolve in one membership pass, whose one restore of the
+  // run-start snapshot loses the 96 updates before it, charged once.
+  const Scenario s = parse_trace_csv(std::string("workers,4\nsteps,256\nsnapshot_interval,0\n") +
+                                     kHeader + "\nswitch,0,,asp,\ncrash,96,1,,\ncrash,96,2,,\n");
+  CheckOptions opts;
+  opts.run_threaded = true;
+  const ScenarioReport rep = check_scenario(s, opts);
+  EXPECT_TRUE(rep.threaded_ran);
+  EXPECT_TRUE(rep.passed()) << rep.summary();
+  EXPECT_EQ(rep.result.updates_lost, 96);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,6 +224,11 @@ TEST(TraceParseErrors, MalformedCsvTable) {
        csv_preamble() + "switch,0,,ssp,4294967299\n", {"duration: staleness bound", "outside"}},
       {"negative switch bound",
        csv_preamble() + "switch,0,,ssp,-2\n", {"duration: staleness bound", "outside"}},
+      {"infinite slow factor",
+       csv_preamble() + "slow,0,1,inf,1000000\n", {"bad.csv:6: value", "number"}},
+      {"NaN slow factor",
+       csv_preamble() + "slow,0,1,nan,1000000\n", {"bad.csv:6: value", "number"}},
+      {"negative seed", "seed,-1\n" + std::string(kHeader) + "\n", {"bad.csv:1: seed", "integer"}},
   };
   for (const BadTrace& bad : table) expect_config_error(bad, "bad.csv");
 }
@@ -252,6 +280,10 @@ TEST(TraceParseErrors, MalformedJsonTable) {
       {"nesting past the depth bound",
        "{\"events\": " + std::string(100, '[') + std::string(100, ']') + "}",
        {"bad.json:1: events", "nested deeper"}},
+      {"non-finite slow factor",
+       "{\"events\": [{\"event\": \"slow\", \"at\": 0, \"worker\": 1, \"value\": \"nan\","
+       " \"duration\": 1000}]}",
+       {"bad.json:1: value", "number"}},
   };
   for (const BadTrace& bad : table) expect_config_error(bad, "bad.json");
 }

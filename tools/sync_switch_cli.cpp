@@ -5,11 +5,16 @@
 // entry point for the simulated cluster.
 //
 //   sync_switch_cli [--workers N] [--steps S] [--batch B] [--lr ETA]
-//                   [--policy bsp|asp|ssp|dssp|switch] [--fraction F]
-//                   [--arch resnet32_lite|resnet50_lite|linear]
+//                   [--policy bsp|asp|ssp|dssp|...|switch] [--fraction F]
+//                   [--arch resnet32_lite|resnet50_lite|linear|...]
 //                   [--classes C] [--online none|greedy|elastic|replace]
 //                   [--stragglers K] [--latency MS] [--seed X]
 //                   [--trace FILE] [--verbose]
+//
+// Every subcommand reads its flags through one reader (Flags below): a flag
+// takes its value as `--flag value` or `--flag=value`, a boolean flag takes
+// none, and any misuse prints an error naming the flag plus the
+// subcommand's usage, exiting 2.
 //
 // Example: the paper's P1 policy on an 8-node cluster:
 //   sync_switch_cli --workers 8 --policy switch --fraction 0.0625
@@ -69,55 +74,161 @@ using namespace ss;
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " [options]\n"
-      << "       " << argv0 << " scenario gen|replay|fuzz [options]\n"
-      << "       " << argv0 << " sweep [options]\n"
-      << "       " << argv0 << " train [options]   (threaded runtime + online controller)\n"
-      << "       " << argv0 << " serve|worker [options]\n"
-      << "  --workers N        cluster size (default 8)\n"
-      << "  --steps S          minibatch-step budget (default 2048)\n"
-      << "  --batch B          per-worker batch size (default 64)\n"
-      << "  --lr ETA           base learning rate (default 0.05)\n"
-      << "  --momentum MU      momentum (default 0.9)\n"
-      << "  --policy P         bsp | asp | ssp | dssp | switch (default switch)\n"
-      << "  --fraction F       BSP fraction before the switch (default 0.0625)\n"
-      << "  --arch A           resnet32_lite | resnet50_lite | linear\n"
-      << "  --classes C        10 (cifar10-like) or 100 (cifar100-like)\n"
-      << "  --online O         none | greedy | elastic | replace (default none)\n"
-      << "  --stragglers K     inject K transient stragglers (default 0)\n"
-      << "  --latency MS       straggler emulated latency in ms (default 30)\n"
-      << "  --seed X           repetition seed (default 1)\n"
-      << "  --trace FILE       write a Chrome trace-event JSON of the run\n"
-      << "  --verbose          info-level logging of switches/evictions\n";
+/// Prints `error` (when given) and `text`, each "$0" in it read as the
+/// program name, then exits 2: every misuse of a subcommand ends here.
+[[noreturn]] void usage(const char* argv0, std::string text, const char* error = nullptr) {
+  if (error != nullptr) std::cerr << "error: " << error << "\n";
+  for (std::size_t at; (at = text.find("$0")) != std::string::npos;) text.replace(at, 2, argv0);
+  std::cerr << text;
   std::exit(2);
 }
 
-[[noreturn]] void scenario_usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " scenario <subcommand> [options]\n"
-      << "subcommands:\n"
-      << "  gen      generate a seeded scenario and print it as a trace file\n"
-      << "  replay   run one scenario (seeded or from a trace) against the\n"
-      << "           conformance invariants\n"
-      << "  fuzz     check a whole seed range, printing failing seeds as\n"
-      << "           copy-pasteable replay commands\n"
-      << "options (flags take '--flag value' or '--flag=value'):\n"
-      << "  --seed N            scenario seed (gen/replay; default 1)\n"
-      << "  --file TRACE        replay a CSV/JSON trace file instead of a seed\n"
-      << "  --out FILE          gen: write the trace here instead of stdout\n"
-      << "  --json              gen: emit the JSON trace form (default CSV)\n"
-      << "  --threaded          replay: also cross-check on the threaded runtime\n"
-      << "  --seeds N           fuzz: number of seeds to check (default 200)\n"
-      << "  --start K           fuzz: first seed (default 1)\n"
-      << "  --threaded-every M  fuzz: threaded cross-check every M-th seed\n"
-      << "                      (default 25; 0 = simulator only)\n"
-      << "  --workers N         generator cluster size (default 4)\n"
-      << "  --steps S           generator step budget (default 256)\n"
-      << "  --verbose           info-level logging\n";
-  std::exit(2);
+/// `parse(value)` from a name table (it returns a std::optional), or a
+/// ConfigError naming `flag`.
+template <class Parse>
+auto lookup(const std::string& flag, const std::string& value, Parse parse) {
+  if (auto found = parse(value)) return *found;
+  throw ConfigError(flag + ": unknown name '" + value + "'");
 }
+
+/// The one reader of a subcommand's flags.  A flag takes its value as
+/// `--flag value` or `--flag=value`; a boolean flag takes none.  Every misuse
+/// (an unknown flag, a missing value, a boolean given `=value`, a value its
+/// number reader or name table refuses) throws a ConfigError that starts
+/// with the flag's name; each subcommand catches it once and prints usage.
+///
+///   for (Flags f(argc, argv, 2); f.next();)
+///     if (f.is("--steps")) steps = f.i64();
+///     else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
+class Flags {
+ public:
+  Flags(int argc, char** argv, int first) : argc_(argc), argv_(argv), at_(first) {}
+
+  /// Moves to the next flag; false when none is left.  Throws when no is()
+  /// matched the flag before it.
+  bool next() {
+    if (!matched_) throw ConfigError(name_ + ": unknown flag");
+    if (at_ >= argc_) return false;
+    name_ = argv_[at_++];
+    matched_ = false;
+    inline_.reset();
+    const std::size_t eq = name_.find('=');
+    if (name_.rfind("--", 0) == 0 && eq != std::string::npos) {
+      inline_ = name_.substr(eq + 1);
+      name_.resize(eq);
+    }
+    return true;
+  }
+
+  /// True when the current flag is `flag`, which then counts as known.
+  bool is(const char* flag) {
+    if (name_ != flag) return false;
+    return matched_ = true;
+  }
+
+  /// The flag's value: its `=value`, else the next argument.
+  std::string value() {
+    if (inline_) return *inline_;
+    if (at_ >= argc_) throw ConfigError(name_ + ": missing value");
+    return argv_[at_++];
+  }
+
+  /// A boolean flag: true, unless it was given `=value`.
+  bool set() const {
+    if (inline_) throw ConfigError(name_ + ": takes no value, got '" + *inline_ + "'");
+    return true;
+  }
+
+  std::uint64_t u64() { return parse_u64(name_, value()); }
+  std::int64_t i64() { return parse_i64(name_, value()); }
+  int integer() { return parse_int(name_, value()); }
+  double real() { return parse_double(name_, value()); }
+  /// The value looked up in a name table, such as parse_arch (nn/zoo.h).
+  template <class Parse>
+  auto named(Parse parse) {
+    return lookup(name_, value(), parse);
+  }
+
+ private:
+  int argc_;
+  char** argv_;
+  int at_;
+  std::string name_;
+  std::optional<std::string> inline_;
+  bool matched_ = true;
+};
+
+// The CLI's own names; every other name flag reads its enum's table.
+
+/// --policy / --policies: a protocol name (parse_protocol) runs that
+/// protocol throughout; "switch" is the paper's BSP -> ASP at `fraction`.
+std::optional<SyncSwitchPolicy> parse_policy(const std::string& name, double fraction) {
+  if (name == "switch") return SyncSwitchPolicy::bsp_to_asp(fraction);
+  if (const auto p = parse_protocol(name)) return SyncSwitchPolicy::pure(*p);
+  return std::nullopt;
+}
+
+/// --online: none | greedy | elastic | replace.
+std::optional<OnlinePolicy> parse_online(const std::string& name) {
+  if (name == "none") return OnlinePolicy::kNone;
+  if (name == "greedy") return OnlinePolicy::kGreedy;
+  if (name == "elastic") return OnlinePolicy::kElastic;
+  if (name == "replace") return OnlinePolicy::kReplace;
+  return std::nullopt;
+}
+
+/// --classes: 10 (cifar10-like) or 100 (cifar100-like).
+std::optional<SyntheticSpec> parse_classes(const std::string& classes) {
+  if (classes == "10") return SyntheticSpec::cifar10_like();
+  if (classes == "100") return SyntheticSpec::cifar100_like();
+  return std::nullopt;
+}
+
+const char* kUsage =
+    "usage: $0 [options]\n"
+    "       $0 scenario gen|replay|fuzz [options]\n"
+    "       $0 sweep [options]\n"
+    "       $0 train [options]   (threaded runtime + online controller)\n"
+    "       $0 serve|worker [options]\n"
+    "options (every subcommand takes '--flag value' or '--flag=value'):\n"
+    "  --workers N        cluster size (default 8)\n"
+    "  --steps S          minibatch-step budget (default 2048)\n"
+    "  --batch B          per-worker batch size (default 64)\n"
+    "  --lr ETA           base learning rate (default 0.05)\n"
+    "  --momentum MU      momentum (default 0.9)\n"
+    "  --policy P         a protocol (bsp | asp | ssp | dssp | k-sync | ...) or\n"
+    "                     switch, BSP then ASP (default switch)\n"
+    "  --fraction F       BSP fraction before the switch (default 0.0625)\n"
+    "  --arch A           resnet32_lite | resnet50_lite | linear | ... (nn/zoo.h)\n"
+    "  --classes C        10 (cifar10-like) or 100 (cifar100-like)\n"
+    "  --online O         none | greedy | elastic | replace (default none)\n"
+    "  --stragglers K     inject K transient stragglers (default 0)\n"
+    "  --latency MS       straggler emulated latency in ms (default 30)\n"
+    "  --seed X           repetition seed (default 1)\n"
+    "  --trace FILE       write a Chrome trace-event JSON of the run\n"
+    "  --verbose          info-level logging of switches/evictions\n";
+
+const char* kScenarioUsage =
+    "usage: $0 scenario <subcommand> [options]\n"
+    "subcommands:\n"
+    "  gen      generate a seeded scenario and print it as a trace file\n"
+    "  replay   run one scenario (seeded or from a trace) against the\n"
+    "           conformance invariants\n"
+    "  fuzz     check a whole seed range, printing failing seeds as\n"
+    "           copy-pasteable replay commands\n"
+    "options (flags take '--flag value' or '--flag=value'):\n"
+    "  --seed N            scenario seed (gen/replay; default 1)\n"
+    "  --file TRACE        replay a CSV/JSON trace file instead of a seed\n"
+    "  --out FILE          gen: write the trace here instead of stdout\n"
+    "  --json              gen: emit the JSON trace form (default CSV)\n"
+    "  --threaded          replay: also cross-check on the threaded runtime\n"
+    "  --seeds N           fuzz: number of seeds to check (default 200)\n"
+    "  --start K           fuzz: first seed (default 1)\n"
+    "  --threaded-every M  fuzz: threaded cross-check every M-th seed\n"
+    "                      (default 25; 0 = simulator only)\n"
+    "  --workers N         generator cluster size (default 4)\n"
+    "  --steps S           generator step budget (default 256)\n"
+    "  --verbose           info-level logging\n";
 
 void print_scenario_result(const ScenarioReport& rep) {
   const RunResult& r = rep.result;
@@ -130,49 +241,29 @@ void print_scenario_result(const ScenarioReport& rep) {
 }
 
 int scenario_main(int argc, char** argv) {
-  if (argc < 3) scenario_usage(argv[0]);
-  const std::string sub = argv[2];
-  if (sub != "gen" && sub != "replay" && sub != "fuzz") scenario_usage(argv[0]);
+  const std::string sub = argc < 3 ? "" : argv[2];
+  if (sub != "gen" && sub != "replay" && sub != "fuzz") usage(argv[0], kScenarioUsage);
 
   std::uint64_t seed = 1, seeds = 200, start = 1, threaded_every = 25;
   std::string file, out;
   bool json = false, threaded = false;
   ScenarioGenConfig gen_cfg;
-
-  for (int i = 3; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-        has_inline = true;
-      }
+  try {
+    for (Flags f(argc, argv, 3); f.next();) {
+      if (f.is("--seed")) seed = f.u64();
+      else if (f.is("--file")) file = f.value();
+      else if (f.is("--out")) out = f.value();
+      else if (f.is("--json")) json = f.set();
+      else if (f.is("--threaded")) threaded = f.set();
+      else if (f.is("--seeds")) seeds = f.u64();
+      else if (f.is("--start")) start = f.u64();
+      else if (f.is("--threaded-every")) threaded_every = f.u64();
+      else if (f.is("--workers")) gen_cfg.num_workers = f.u64();
+      else if (f.is("--steps")) gen_cfg.total_steps = f.i64();
+      else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
     }
-    auto value = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) scenario_usage(argv[0]);
-      return argv[++i];
-    };
-    try {
-      if (arg == "--seed") seed = parse_u64(arg, value());
-      else if (arg == "--file") file = value();
-      else if (arg == "--out") out = value();
-      else if (arg == "--json") json = true;
-      else if (arg == "--threaded") threaded = true;
-      else if (arg == "--seeds") seeds = parse_u64(arg, value());
-      else if (arg == "--start") start = parse_u64(arg, value());
-      else if (arg == "--threaded-every") threaded_every = parse_u64(arg, value());
-      else if (arg == "--workers") gen_cfg.num_workers = parse_u64(arg, value());
-      else if (arg == "--steps") gen_cfg.total_steps = parse_i64(arg, value());
-      else if (arg == "--verbose") set_log_level(LogLevel::kInfo);
-      else scenario_usage(argv[0]);
-    } catch (const ConfigError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      scenario_usage(argv[0]);
-    }
+  } catch (const ConfigError& e) {
+    usage(argv[0], kScenarioUsage, e.what());
   }
 
   try {
@@ -232,38 +323,35 @@ int scenario_main(int argc, char** argv) {
   }
 }
 
-[[noreturn]] void sweep_usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " sweep [options]\n"
-      << "Evaluate a grid of independent configurations across a thread pool.\n"
-      << "Each simulation is serial and bit-identical to a lone run; only the\n"
-      << "scheduling across configs is parallel, so results never depend on\n"
-      << "--jobs.\n"
-      << "grid mode (default): policies x repetition seeds\n"
-      << "  --policies LIST    comma list of bsp|asp|ssp|dssp|switch\n"
-      << "                     (default bsp,asp,ssp,dssp)\n"
-      << "  --seeds N          repetition seeds per policy (default 8)\n"
-      << "  --start K          first seed (default 1)\n"
-      << "  --fraction F       'switch' policy's BSP fraction (default 0.0625)\n"
-      << "  --workers N        cluster size (default 8)\n"
-      << "  --steps S          step budget per run (default 512)\n"
-      << "  --batch B          per-worker batch size (default 64)\n"
-      << "  --arch A           resnet32_lite | resnet50_lite | linear\n"
-      << "scenario mode:\n"
-      << "  --scenario         sweep generated fuzz scenarios for the seed\n"
-      << "                     range [start, start + seeds) instead of a grid\n"
-      << "shared:\n"
-      << "  --jobs J           pool threads (default 0 = all hardware cores)\n"
-      << "  --cache DIR        shared run-cache directory; hits skip the run\n"
-      << "                     (concurrent writers are safe: tmp + rename)\n"
-      << "  --verbose          info-level logging\n";
-  std::exit(2);
-}
+const char* kSweepUsage =
+    "usage: $0 sweep [options]\n"
+    "Evaluate a grid of independent configurations across a thread pool.\n"
+    "Each simulation is serial and bit-identical to a lone run; only the\n"
+    "scheduling across configs is parallel, so results never depend on\n"
+    "--jobs.  Flags take '--flag value' or '--flag=value'.\n"
+    "grid mode (default): policies x repetition seeds\n"
+    "  --policies LIST    comma list of protocols (bsp|asp|ssp|dssp|...) and\n"
+    "                     switch (default bsp,asp,ssp,dssp)\n"
+    "  --seeds N          repetition seeds per policy (default 8)\n"
+    "  --start K          first seed (default 1)\n"
+    "  --fraction F       'switch' policy's BSP fraction (default 0.0625)\n"
+    "  --workers N        cluster size (default 8)\n"
+    "  --steps S          step budget per run (default 512)\n"
+    "  --batch B          per-worker batch size (default 64)\n"
+    "  --arch A           resnet32_lite | resnet50_lite | linear | ...\n"
+    "scenario mode:\n"
+    "  --scenario         sweep generated fuzz scenarios for the seed\n"
+    "                     range [start, start + seeds) instead of a grid\n"
+    "shared:\n"
+    "  --jobs J           pool threads (default 0 = all hardware cores)\n"
+    "  --cache DIR        shared run-cache directory; hits skip the run\n"
+    "                     (concurrent writers are safe: tmp + rename)\n"
+    "  --verbose          info-level logging\n";
 
 int sweep_main(int argc, char** argv) {
   std::string policies = "bsp,asp,ssp,dssp";
   std::uint64_t seeds = 8, start = 1, jobs = 0;
-  std::string cache_dir, arch;
+  std::string cache_dir;
   double fraction = 0.0625;
   bool scenario_mode = false;
 
@@ -280,45 +368,37 @@ int sweep_main(int argc, char** argv) {
   base.cluster.sync_base = VTime::from_ms(287.0);
   base.cluster.sync_quad = VTime::from_ms(6.4);
 
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-        has_inline = true;
-      }
+  std::vector<std::string> names;
+  std::vector<SyncSwitchPolicy> grid_policies;
+  try {
+    for (Flags f(argc, argv, 2); f.next();) {
+      if (f.is("--policies")) policies = f.value();
+      else if (f.is("--seeds")) seeds = f.u64();
+      else if (f.is("--start")) start = f.u64();
+      else if (f.is("--fraction")) fraction = f.real();
+      else if (f.is("--workers")) base.cluster.num_workers = f.u64();
+      else if (f.is("--steps")) base.workload.total_steps = f.i64();
+      else if (f.is("--batch")) base.workload.hyper.batch_size = f.u64();
+      else if (f.is("--arch")) base.workload.arch = f.named(parse_arch);
+      else if (f.is("--scenario")) scenario_mode = f.set();
+      else if (f.is("--jobs")) jobs = f.u64();
+      else if (f.is("--cache")) cache_dir = f.value();
+      else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
     }
-    auto value = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) sweep_usage(argv[0]);
-      return argv[++i];
-    };
-    try {
-      if (arg == "--policies") policies = value();
-      else if (arg == "--seeds") seeds = parse_u64(arg, value());
-      else if (arg == "--start") start = parse_u64(arg, value());
-      else if (arg == "--fraction") fraction = parse_double(arg, value());
-      else if (arg == "--workers") base.cluster.num_workers = parse_u64(arg, value());
-      else if (arg == "--steps") base.workload.total_steps = parse_i64(arg, value());
-      else if (arg == "--batch") base.workload.hyper.batch_size = parse_u64(arg, value());
-      else if (arg == "--arch") arch = value();
-      else if (arg == "--scenario") scenario_mode = true;
-      else if (arg == "--jobs") jobs = parse_u64(arg, value());
-      else if (arg == "--cache") cache_dir = value();
-      else if (arg == "--verbose") set_log_level(LogLevel::kInfo);
-      else sweep_usage(argv[0]);
-    } catch (const ConfigError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      sweep_usage(argv[0]);
+    for (std::size_t pos = 0; pos < policies.size();) {
+      const std::size_t comma = policies.find(',', pos);
+      const std::size_t end = comma == std::string::npos ? policies.size() : comma;
+      if (end > pos) names.push_back(policies.substr(pos, end - pos));
+      pos = end + 1;
     }
+    if (names.empty()) throw ConfigError("--policies: no policy named");
+    for (const std::string& name : names)
+      grid_policies.push_back(lookup("--policies", name, [&](const std::string& n) {
+        return parse_policy(n, fraction);
+      }));
+  } catch (const ConfigError& e) {
+    usage(argv[0], kSweepUsage, e.what());
   }
-  if (arch == "linear") base.workload.arch = ModelArch::kLinear;
-  else if (arch == "resnet50_lite") base.workload.arch = ModelArch::kResNet50Lite;
-  else if (!arch.empty() && arch != "resnet32_lite") sweep_usage(argv[0]);
   base.actuator_time_scale = static_cast<double>(base.workload.total_steps) / 65536.0;
 
   std::vector<RunRequest> grid;
@@ -330,28 +410,13 @@ int sweep_main(int argc, char** argv) {
       labels.push_back("scenario seed " + std::to_string(sd));
     }
   } else {
-    std::vector<std::string> names;
-    for (std::size_t pos = 0; pos < policies.size();) {
-      const std::size_t comma = policies.find(',', pos);
-      const std::size_t end = comma == std::string::npos ? policies.size() : comma;
-      if (end > pos) names.push_back(policies.substr(pos, end - pos));
-      pos = end + 1;
-    }
-    if (names.empty()) sweep_usage(argv[0]);
-    for (const std::string& name : names) {
-      SyncSwitchPolicy policy;
-      if (name == "bsp") policy = SyncSwitchPolicy::pure(Protocol::kBsp);
-      else if (name == "asp") policy = SyncSwitchPolicy::pure(Protocol::kAsp);
-      else if (name == "ssp") policy = SyncSwitchPolicy::pure(Protocol::kSsp);
-      else if (name == "dssp") policy = SyncSwitchPolicy::pure(Protocol::kDssp);
-      else if (name == "switch") policy = SyncSwitchPolicy::bsp_to_asp(fraction);
-      else sweep_usage(argv[0]);
+    for (std::size_t p = 0; p < names.size(); ++p) {
       for (std::uint64_t s = 0; s < seeds; ++s) {
         RunRequest req = base;
-        req.policy = policy;
+        req.policy = grid_policies[p];
         req.seed = start + s;
         grid.push_back(std::move(req));
-        labels.push_back(name + " seed " + std::to_string(start + s));
+        labels.push_back(names[p] + " seed " + std::to_string(start + s));
       }
     }
   }
@@ -404,21 +469,11 @@ struct ObsFlags {
   std::string trace_out;
   std::string metrics_out;
 
-  /// Returns true when `arg` is an obs flag (and consumes its value).
-  template <typename ValueFn, typename UsageFn>
-  bool parse(const std::string& arg, ValueFn&& value, UsageFn&& usage_fn) {
-    if (arg == "--trace-out") {
-      trace_out = value();
-    } else if (arg == "--metrics-out") {
-      metrics_out = value();
-    } else if (arg == "--log-level") {
-      const std::string level = value();
-      if (const auto parsed = parse_log_level(level)) set_log_level(*parsed);
-      else usage_fn();
-    } else {
-      return false;
-    }
-    return true;
+  /// Reads the current flag when it is an obs flag.
+  void read(Flags& f) {
+    if (f.is("--trace-out")) trace_out = f.value();
+    else if (f.is("--metrics-out")) metrics_out = f.value();
+    else if (f.is("--log-level")) set_log_level(f.named(parse_log_level));
   }
 
   void arm() const {
@@ -446,48 +501,45 @@ struct ObsFlags {
   }
 };
 
-const char* kObsUsage =
+const std::string kObsUsage =
     "observability (off by default; see docs/ARCHITECTURE.md):\n"
     "  --trace-out FILE   record wall-clock spans; write a Chrome trace JSON\n"
     "  --metrics-out FILE record counters/histograms; write Prometheus text\n"
     "  --log-level L      debug | info | warn | error | off (or SS_LOG_LEVEL)\n";
 
-[[noreturn]] void train_usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " train [options]\n"
-      << "Train on the real threaded parameter-server runtime (OS threads, one\n"
-      << "shared PS).  With --controller, the online policy controller runs the\n"
-      << "simulator as a digital twin at every decision barrier and switches\n"
-      << "protocol / compression / membership live (docs/CONTROLLER.md).\n"
-      << "run options (flags take '--flag value' or '--flag=value'):\n"
-      << "  --workers N        worker threads (default 4)\n"
-      << "  --steps S          local steps per worker (default 240)\n"
-      << "  --batch B          per-worker batch size (default 32)\n"
-      << "  --lr ETA           learning rate (default 0.05)\n"
-      << "  --momentum MU      momentum (default 0.9)\n"
-      << "  --protocol P       bsp | asp | ssp starting protocol (default bsp)\n"
-      << "  --ssp-bound K      SSP staleness bound (default 3)\n"
-      << "  --shards K         PS shard count (default 1)\n"
-      << "  --arch A           linear | resnet32_lite | resnet50_lite (default linear)\n"
-      << "  --classes C        10 or 100 (default 10)\n"
-      << "  --compress C       none | topk | terngrad | qsgd (default none)\n"
-      << "  --straggler W      inject a wall-clock straggler on worker slot W\n"
-      << "  --factor F         straggler slowdown factor (default 8)\n"
-      << "  --switch-at N      schedule: BSP for the first N steps, then ASP\n"
-      << "  --seed X           run seed (default 99)\n"
-      << "controller options:\n"
-      << "  --controller       enable the online controller\n"
-      << "  --interval I       local steps between decision barriers (default 32)\n"
-      << "  --min-gain G       min predicted relative gain to move (default 0.10)\n"
-      << "  --move-gap M       min local steps between enacted moves (default 64)\n"
-      << "  --target-acc A     twin time-to-accuracy target (default 0.60)\n"
-      << "  --horizon H        twin simulation horizon in steps (default 192)\n"
-      << "  --cache DIR        twin run-cache directory (persists across runs)\n"
-      << "  --evict            let the controller evict the measured straggler\n"
-      << "  --verbose          info-level logging\n"
-      << kObsUsage;
-  std::exit(2);
-}
+const std::string kTrainUsage =
+    "usage: $0 train [options]\n"
+    "Train on the real threaded parameter-server runtime (OS threads, one\n"
+    "shared PS).  With --controller, the online policy controller runs the\n"
+    "simulator as a digital twin at every decision barrier and switches\n"
+    "protocol / compression / membership live (docs/CONTROLLER.md).\n"
+    "run options (flags take '--flag value' or '--flag=value'):\n"
+    "  --workers N        worker threads (default 4)\n"
+    "  --steps S          local steps per worker (default 240)\n"
+    "  --batch B          per-worker batch size (default 32)\n"
+    "  --lr ETA           learning rate (default 0.05)\n"
+    "  --momentum MU      momentum (default 0.9)\n"
+    "  --protocol P       bsp | asp | ssp starting protocol (default bsp)\n"
+    "  --ssp-bound K      SSP staleness bound (default 3)\n"
+    "  --shards K         PS shard count (default 1)\n"
+    "  --arch A           linear | resnet32_lite | resnet50_lite (default linear)\n"
+    "  --classes C        10 or 100 (default 10)\n"
+    "  --compress C       none | topk | terngrad | qsgd (default none)\n"
+    "  --straggler W      inject a wall-clock straggler on worker slot W\n"
+    "  --factor F         straggler slowdown factor (default 8)\n"
+    "  --switch-at N      schedule: BSP for the first N (> 0) steps, then ASP\n"
+    "  --seed X           run seed (default 99)\n"
+    "controller options:\n"
+    "  --controller       enable the online controller\n"
+    "  --interval I       local steps between decision barriers (default 32)\n"
+    "  --min-gain G       min predicted relative gain to move (default 0.10)\n"
+    "  --move-gap M       min local steps between enacted moves (default 64)\n"
+    "  --target-acc A     twin time-to-accuracy target (default 0.60)\n"
+    "  --horizon H        twin simulation horizon in steps (default 192)\n"
+    "  --cache DIR        twin run-cache directory (persists across runs)\n"
+    "  --evict            let the controller evict the measured straggler\n"
+    "  --verbose          info-level logging\n" +
+    kObsUsage;
 
 void print_threaded_phases(const ThreadedTrainResult& result) {
   std::printf("  %-5s %-9s %7s %8s %10s %10s %8s\n", "phase", "protocol", "steps", "updates",
@@ -519,120 +571,71 @@ int train_main(int argc, char** argv) {
   cfg.num_workers = 4;
   cfg.steps_per_worker = 240;
   cfg.batch_size = 32;
-  std::string protocol = "bsp", arch = "linear", compress = "none";
-  int classes = 10;
+  ModelArch arch = ModelArch::kLinear;
+  SyntheticSpec spec = SyntheticSpec::cifar10_like();
   int straggler = -1;
   double factor = 8.0;
-  std::int64_t switch_at = -1;
+  std::optional<std::int64_t> switch_at;
   ObsFlags obs_flags;
-
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string inline_value;
-    bool has_inline = false;
-    if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-        has_inline = true;
-      }
+  try {
+    for (Flags f(argc, argv, 2); f.next();) {
+      if (f.is("--workers")) cfg.num_workers = f.u64();
+      else if (f.is("--steps")) cfg.steps_per_worker = f.i64();
+      else if (f.is("--batch")) cfg.batch_size = f.u64();
+      else if (f.is("--lr")) cfg.lr = f.real();
+      else if (f.is("--momentum")) cfg.momentum = f.real();
+      else if (f.is("--protocol")) cfg.protocol = f.named(parse_protocol);
+      else if (f.is("--ssp-bound")) cfg.ssp_staleness_bound = f.integer();
+      else if (f.is("--shards")) cfg.num_ps_shards = f.u64();
+      else if (f.is("--arch")) arch = f.named(parse_arch);
+      else if (f.is("--classes")) spec = f.named(parse_classes);
+      // The spec's defaults are the CLI's codecs: top-k 1%, QSGD 15 levels.
+      else if (f.is("--compress")) cfg.compression.kind = f.named(parse_codec_kind);
+      else if (f.is("--straggler")) straggler = f.integer();
+      else if (f.is("--factor")) factor = f.real();
+      else if (f.is("--switch-at")) switch_at = f.i64();
+      else if (f.is("--seed")) cfg.seed = f.u64();
+      else if (f.is("--controller")) cfg.controller.enabled = f.set();
+      else if (f.is("--interval")) cfg.controller.decision_interval = f.i64();
+      else if (f.is("--min-gain")) cfg.controller.min_predicted_gain = f.real();
+      else if (f.is("--move-gap")) cfg.controller.min_steps_between_moves = f.i64();
+      else if (f.is("--target-acc")) cfg.controller.target_accuracy = f.real();
+      else if (f.is("--horizon")) cfg.controller.twin_horizon_steps = f.i64();
+      else if (f.is("--cache")) cfg.controller.cache_dir = f.value();
+      else if (f.is("--evict")) cfg.controller.consider_eviction = f.set();
+      else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
+      else obs_flags.read(f);
     }
-    auto value = [&]() -> std::string {
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) train_usage(argv[0]);
-      return argv[++i];
-    };
-    try {
-      if (arg == "--workers") cfg.num_workers = parse_u64(arg, value());
-      else if (arg == "--steps") cfg.steps_per_worker = parse_i64(arg, value());
-      else if (arg == "--batch") cfg.batch_size = parse_u64(arg, value());
-      else if (arg == "--lr") cfg.lr = parse_double(arg, value());
-      else if (arg == "--momentum") cfg.momentum = parse_double(arg, value());
-      else if (arg == "--protocol") protocol = value();
-      else if (arg == "--ssp-bound") cfg.ssp_staleness_bound = parse_int(arg, value());
-      else if (arg == "--shards") cfg.num_ps_shards = parse_u64(arg, value());
-      else if (arg == "--arch") arch = value();
-      else if (arg == "--classes") classes = parse_int(arg, value());
-      else if (arg == "--compress") compress = value();
-      else if (arg == "--straggler") straggler = parse_int(arg, value());
-      else if (arg == "--factor") factor = parse_double(arg, value());
-      else if (arg == "--switch-at") switch_at = parse_i64(arg, value());
-      else if (arg == "--seed") cfg.seed = parse_u64(arg, value());
-      else if (arg == "--controller") cfg.controller.enabled = true;
-      else if (arg == "--interval") cfg.controller.decision_interval = parse_i64(arg, value());
-      else if (arg == "--min-gain") cfg.controller.min_predicted_gain = parse_double(arg, value());
-      else if (arg == "--move-gap")
-        cfg.controller.min_steps_between_moves = parse_i64(arg, value());
-      else if (arg == "--target-acc") cfg.controller.target_accuracy = parse_double(arg, value());
-      else if (arg == "--horizon") cfg.controller.twin_horizon_steps = parse_i64(arg, value());
-      else if (arg == "--cache") cfg.controller.cache_dir = value();
-      else if (arg == "--evict") cfg.controller.consider_eviction = true;
-      else if (arg == "--verbose") set_log_level(LogLevel::kInfo);
-      else if (obs_flags.parse(arg, value, [&] { train_usage(argv[0]); })) {}
-      else train_usage(argv[0]);
-    } catch (const ConfigError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      train_usage(argv[0]);
-    }
+    if (straggler >= 0 && static_cast<std::size_t>(straggler) >= cfg.num_workers)
+      throw ConfigError("--straggler: slot " + std::to_string(straggler) +
+                        " out of range for " + std::to_string(cfg.num_workers) + " workers");
+    if (switch_at && *switch_at <= 0)
+      throw ConfigError("--switch-at: the BSP leg needs at least one step");
+  } catch (const ConfigError& e) {
+    usage(argv[0], kTrainUsage, e.what());
   }
-
-  if (protocol == "bsp") cfg.protocol = Protocol::kBsp;
-  else if (protocol == "asp") cfg.protocol = Protocol::kAsp;
-  else if (protocol == "ssp") cfg.protocol = Protocol::kSsp;
-  else train_usage(argv[0]);
-
-  if (compress == "topk") cfg.compression = CompressionSpec::topk(0.01);
-  else if (compress == "terngrad") cfg.compression = CompressionSpec::terngrad();
-  else if (compress == "qsgd") cfg.compression = CompressionSpec::qsgd(15);
-  else if (compress != "none") train_usage(argv[0]);
-
-  ModelArch model_arch;
-  if (arch == "linear") model_arch = ModelArch::kLinear;
-  else if (arch == "resnet32_lite") model_arch = ModelArch::kResNet32Lite;
-  else if (arch == "resnet50_lite") model_arch = ModelArch::kResNet50Lite;
-  else train_usage(argv[0]);
-
-  if (straggler >= 0) {
-    if (static_cast<std::size_t>(straggler) >= cfg.num_workers) {
-      std::cerr << "error: --straggler slot " << straggler << " out of range for "
-                << cfg.num_workers << " workers\n";
-      return 2;
-    }
+  if (straggler >= 0)
     cfg.stragglers = StragglerSchedule::transient(straggler, VTime::from_seconds(0.0),
                                                   VTime::from_seconds(1e9), factor);
-  }
+  if (switch_at) cfg.schedule = SwitchSchedule::bsp_to_asp(*switch_at);
 
-  if (switch_at >= 0) {
-    try {
-      cfg.schedule = SwitchSchedule::bsp_to_asp(switch_at);
-    } catch (const ConfigError& e) {
-      std::cerr << "error: --switch-at " << switch_at << ": " << e.what() << "\n";
-      return 2;
-    }
-  }
-
-  SyntheticSpec spec = classes == 100 ? SyntheticSpec::cifar100_like()
-                                      : SyntheticSpec::cifar10_like();
-  if (classes != 10 && classes != 100) train_usage(argv[0]);
-  spec.train_size = 2048;
-  spec.test_size = 512;
-  const DataSplit data = make_synthetic(spec);
-
-  Rng rng(21);
-  Model model = make_model(model_arch, spec.feature_dim, spec.num_classes, rng);
-
-  std::cout << "threaded training: " << arch_name(model_arch) << ", " << cfg.num_workers
+  std::cout << "threaded training: " << arch_name(arch) << ", " << cfg.num_workers
             << " worker threads, " << cfg.steps_per_worker << " steps/worker, start protocol "
-            << protocol;
+            << protocol_name(cfg.protocol);
   if (cfg.controller.enabled)
     std::cout << ", controller on (interval " << cfg.controller.decision_interval << ")";
   if (straggler >= 0)
     std::cout << ", straggler on worker " << straggler << " (x" << factor << ")";
-  if (switch_at >= 0) std::cout << ", switch BSP->ASP at step " << switch_at;
+  if (switch_at) std::cout << ", switch BSP->ASP at step " << *switch_at;
   std::cout << "\n";
 
   try {
+    spec.train_size = 2048;
+    spec.test_size = 512;
+    const DataSplit data = make_synthetic(spec);
+    Rng rng(21);
+    Model model = make_model(arch, spec.feature_dim, spec.num_classes, rng);
+
     obs_flags.arm();
     const auto t0 = std::chrono::steady_clock::now();
     const ThreadedTrainResult result = threaded_train(model, data.train, cfg);
@@ -658,109 +661,54 @@ int train_main(int argc, char** argv) {
   }
 }
 
-[[noreturn]] void net_usage(const char* argv0) {
-  std::cerr
-      << "usage: " << argv0 << " serve [options]   (host the parameter server)\n"
-      << "       " << argv0 << " worker [options]  (connect one training worker)\n"
-      << "serve options (flags take '--flag value' or '--flag=value'):\n"
-      << "  --listen EP            unix:<path> or tcp:<host>:<port>; tcp port 0 binds an\n"
-      << "                         ephemeral port (default unix:/tmp/sync_switch_ps.sock)\n"
-      << "  --workers N            worker processes to admit (default 2)\n"
-      << "  --steps S              steps per worker (default 100)\n"
-      << "  --batch B              per-worker batch size (default 32)\n"
-      << "  --lr ETA               learning rate (default 0.05)\n"
-      << "  --momentum MU          momentum (default 0.9)\n"
-      << "  --seed X               run seed, shipped to workers (default 99)\n"
-      << "  --shards K             PS shard count (default 1)\n"
-      << "  --snapshot-interval U  PS updates between async snapshots; 0 = run-start\n"
-      << "                         snapshot only (default 64)\n"
-      << "  --arch A               linear | resnet32_lite | resnet50_lite (default linear)\n"
-      << "  --classes C            10 or 100 (default 10)\n"
-      << "  --compress C           none | topk | terngrad | qsgd (default none)\n"
-      << "worker options:\n"
-      << "  --connect EP           server endpoint (default unix:/tmp/sync_switch_ps.sock)\n"
-      << "  --crash-after N        abruptly disconnect after N steps (recovery testing)\n"
-      << "both:\n"
-      << "  --verbose              info-level logging\n"
-      << kObsUsage
-      << "  (serve with --metrics-out also logs a metrics line every 5 s)\n";
-  std::exit(2);
-}
-
-/// Shared '--flag value' / '--flag=value' splitter for the net subcommands.
-struct FlagCursor {
-  int argc;
-  char** argv;
-  int i;
-  std::string arg{};
-  std::string inline_value{};
-  bool has_inline = false;
-
-  bool next() {
-    if (i >= argc) return false;
-    arg = argv[i];
-    has_inline = false;
-    if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-        has_inline = true;
-      }
-    }
-    return true;
-  }
-
-  std::string value(const char* argv0) {
-    if (has_inline) return inline_value;
-    if (i + 1 >= argc) net_usage(argv0);
-    return argv[++i];
-  }
-};
+const std::string kNetUsage =
+    "usage: $0 serve [options]   (host the parameter server)\n"
+    "       $0 worker [options]  (connect one training worker)\n"
+    "serve options (flags take '--flag value' or '--flag=value'):\n"
+    "  --listen EP            unix:<path> or tcp:<host>:<port>; tcp port 0 binds an\n"
+    "                         ephemeral port (default unix:/tmp/sync_switch_ps.sock)\n"
+    "  --workers N            worker processes to admit (default 2)\n"
+    "  --steps S              steps per worker (default 100)\n"
+    "  --batch B              per-worker batch size (default 32)\n"
+    "  --lr ETA               learning rate (default 0.05)\n"
+    "  --momentum MU          momentum (default 0.9)\n"
+    "  --seed X               run seed, shipped to workers (default 99)\n"
+    "  --shards K             PS shard count (default 1)\n"
+    "  --snapshot-interval U  PS updates between async snapshots; 0 = run-start\n"
+    "                         snapshot only (default 64)\n"
+    "  --arch A               linear | resnet32_lite | resnet50_lite (default linear)\n"
+    "  --classes C            10 or 100 (default 10)\n"
+    "  --compress C           none | topk | terngrad | qsgd (default none)\n"
+    "worker options:\n"
+    "  --connect EP           server endpoint (default unix:/tmp/sync_switch_ps.sock)\n"
+    "  --crash-after N        abruptly disconnect after N steps (recovery testing)\n"
+    "both:\n"
+    "  --verbose              info-level logging\n" +
+    kObsUsage + "  (serve with --metrics-out also logs a metrics line every 5 s)\n";
 
 int serve_main(int argc, char** argv) {
   PsServerConfig cfg;
   cfg.snapshot_interval = 64;
   ObsFlags obs_flags;
-  for (FlagCursor c{argc, argv, 2}; c.next(); ++c.i) {
-    auto value = [&] { return c.value(argv[0]); };
-    try {
-      if (c.arg == "--listen") cfg.listen = value();
-      else if (c.arg == "--workers") cfg.num_workers = parse_u64(c.arg, value());
-      else if (c.arg == "--steps") cfg.steps_per_worker = parse_i64(c.arg, value());
-      else if (c.arg == "--batch") cfg.batch_size = parse_u64(c.arg, value());
-      else if (c.arg == "--lr") cfg.lr = parse_double(c.arg, value());
-      else if (c.arg == "--momentum") cfg.momentum = parse_double(c.arg, value());
-      else if (c.arg == "--seed") cfg.seed = parse_u64(c.arg, value());
-      else if (c.arg == "--shards") cfg.num_ps_shards = parse_u64(c.arg, value());
-      else if (c.arg == "--snapshot-interval") cfg.snapshot_interval = parse_i64(c.arg, value());
-      else if (c.arg == "--verbose") set_log_level(LogLevel::kInfo);
-      else if (c.arg == "--arch") {
-        const std::string a = value();
-        if (a == "linear") cfg.arch = ModelArch::kLinear;
-        else if (a == "resnet32_lite") cfg.arch = ModelArch::kResNet32Lite;
-        else if (a == "resnet50_lite") cfg.arch = ModelArch::kResNet50Lite;
-        else net_usage(argv[0]);
-      } else if (c.arg == "--classes") {
-        const int cls = parse_int(c.arg, value());
-        if (cls == 10) cfg.data = SyntheticSpec::cifar10_like();
-        else if (cls == 100) cfg.data = SyntheticSpec::cifar100_like();
-        else net_usage(argv[0]);
-      } else if (c.arg == "--compress") {
-        const std::string k = value();
-        if (k == "none") cfg.compression = CompressionSpec::none();
-        else if (k == "topk") cfg.compression = CompressionSpec::topk(0.01);
-        else if (k == "terngrad") cfg.compression = CompressionSpec::terngrad();
-        else if (k == "qsgd") cfg.compression = CompressionSpec::qsgd(15);
-        else net_usage(argv[0]);
-      } else if (obs_flags.parse(c.arg, value, [&] { net_usage(argv[0]); })) {
-      } else {
-        net_usage(argv[0]);
-      }
-    } catch (const ConfigError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      net_usage(argv[0]);
+  try {
+    for (Flags f(argc, argv, 2); f.next();) {
+      if (f.is("--listen")) cfg.listen = f.value();
+      else if (f.is("--workers")) cfg.num_workers = f.u64();
+      else if (f.is("--steps")) cfg.steps_per_worker = f.i64();
+      else if (f.is("--batch")) cfg.batch_size = f.u64();
+      else if (f.is("--lr")) cfg.lr = f.real();
+      else if (f.is("--momentum")) cfg.momentum = f.real();
+      else if (f.is("--seed")) cfg.seed = f.u64();
+      else if (f.is("--shards")) cfg.num_ps_shards = f.u64();
+      else if (f.is("--snapshot-interval")) cfg.snapshot_interval = f.i64();
+      else if (f.is("--arch")) cfg.arch = f.named(parse_arch);
+      else if (f.is("--classes")) cfg.data = f.named(parse_classes);
+      else if (f.is("--compress")) cfg.compression.kind = f.named(parse_codec_kind);
+      else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
+      else obs_flags.read(f);
     }
+  } catch (const ConfigError& e) {
+    usage(argv[0], kNetUsage, e.what());
   }
   try {
     obs_flags.arm();
@@ -784,18 +732,15 @@ int worker_main(int argc, char** argv) {
   WorkerProcessConfig cfg;
   cfg.endpoint = "unix:/tmp/sync_switch_ps.sock";
   ObsFlags obs_flags;
-  for (FlagCursor c{argc, argv, 2}; c.next(); ++c.i) {
-    auto value = [&] { return c.value(argv[0]); };
-    try {
-      if (c.arg == "--connect") cfg.endpoint = value();
-      else if (c.arg == "--crash-after") cfg.crash_after_steps = parse_i64(c.arg, value());
-      else if (c.arg == "--verbose") set_log_level(LogLevel::kInfo);
-      else if (obs_flags.parse(c.arg, value, [&] { net_usage(argv[0]); })) {}
-      else net_usage(argv[0]);
-    } catch (const ConfigError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      net_usage(argv[0]);
+  try {
+    for (Flags f(argc, argv, 2); f.next();) {
+      if (f.is("--connect")) cfg.endpoint = f.value();
+      else if (f.is("--crash-after")) cfg.crash_after_steps = f.i64();
+      else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
+      else obs_flags.read(f);
     }
+  } catch (const ConfigError& e) {
+    usage(argv[0], kNetUsage, e.what());
   }
   try {
     obs_flags.arm();
@@ -837,7 +782,6 @@ int main(int argc, char** argv) {
   req.cluster.compute_per_batch = VTime::from_ms(120.0);
   req.cluster.sync_base = VTime::from_ms(287.0);
   req.cluster.sync_quad = VTime::from_ms(6.4);
-  req.policy = SyncSwitchPolicy::bsp_to_asp(0.0625);
   req.seed = 1;
 
   std::string policy = "switch";
@@ -845,61 +789,30 @@ int main(int argc, char** argv) {
   double fraction = 0.0625;
   int stragglers = 0;
   double latency_ms = 30.0;
-
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage(argv[0]);
-    return argv[++i];
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg == "--workers") req.cluster.num_workers = parse_u64(arg, need_value(i));
-      else if (arg == "--steps") req.workload.total_steps = parse_i64(arg, need_value(i));
-      else if (arg == "--batch") req.workload.hyper.batch_size = parse_u64(arg, need_value(i));
-      else if (arg == "--lr") req.workload.hyper.learning_rate = parse_double(arg, need_value(i));
-      else if (arg == "--momentum") req.workload.hyper.momentum = parse_double(arg, need_value(i));
-      else if (arg == "--policy") policy = need_value(i);
-      else if (arg == "--fraction") fraction = parse_double(arg, need_value(i));
-      else if (arg == "--seed") req.seed = parse_u64(arg, need_value(i));
-      else if (arg == "--trace") trace_path = need_value(i);
-      else if (arg == "--stragglers") stragglers = parse_int(arg, need_value(i));
-      else if (arg == "--latency") latency_ms = parse_double(arg, need_value(i));
-      else if (arg == "--verbose") set_log_level(LogLevel::kInfo);
-      else if (arg == "--arch") {
-        const std::string a = need_value(i);
-        if (a == "resnet32_lite") req.workload.arch = ModelArch::kResNet32Lite;
-        else if (a == "resnet50_lite") req.workload.arch = ModelArch::kResNet50Lite;
-        else if (a == "linear") req.workload.arch = ModelArch::kLinear;
-        else usage(argv[0]);
-      } else if (arg == "--classes") {
-        const int c = parse_int(arg, need_value(i));
-        if (c == 10) req.workload.data = SyntheticSpec::cifar10_like();
-        else if (c == 100) req.workload.data = SyntheticSpec::cifar100_like();
-        else usage(argv[0]);
-      } else if (arg == "--online") {
-        const std::string o = need_value(i);
-        if (o == "none") req.policy.online = OnlinePolicy::kNone;
-        else if (o == "greedy") req.policy.online = OnlinePolicy::kGreedy;
-        else if (o == "elastic") req.policy.online = OnlinePolicy::kElastic;
-        else if (o == "replace") req.policy.online = OnlinePolicy::kReplace;
-        else usage(argv[0]);
-      } else {
-        usage(argv[0]);
-      }
-    } catch (const ConfigError& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      usage(argv[0]);
+  OnlinePolicy online = OnlinePolicy::kNone;
+  try {
+    for (Flags f(argc, argv, 1); f.next();) {
+      if (f.is("--workers")) req.cluster.num_workers = f.u64();
+      else if (f.is("--steps")) req.workload.total_steps = f.i64();
+      else if (f.is("--batch")) req.workload.hyper.batch_size = f.u64();
+      else if (f.is("--lr")) req.workload.hyper.learning_rate = f.real();
+      else if (f.is("--momentum")) req.workload.hyper.momentum = f.real();
+      else if (f.is("--policy")) policy = f.value();
+      else if (f.is("--fraction")) fraction = f.real();
+      else if (f.is("--seed")) req.seed = f.u64();
+      else if (f.is("--trace")) trace_path = f.value();
+      else if (f.is("--stragglers")) stragglers = f.integer();
+      else if (f.is("--latency")) latency_ms = f.real();
+      else if (f.is("--arch")) req.workload.arch = f.named(parse_arch);
+      else if (f.is("--classes")) req.workload.data = f.named(parse_classes);
+      else if (f.is("--online")) online = f.named(parse_online);
+      else if (f.is("--verbose") && f.set()) set_log_level(LogLevel::kInfo);
     }
+    req.policy = lookup("--policy", policy,
+                        [&](const std::string& name) { return parse_policy(name, fraction); });
+  } catch (const ConfigError& e) {
+    usage(argv[0], kUsage, e.what());
   }
-
-  const OnlinePolicy online = req.policy.online;
-  if (policy == "bsp") req.policy = SyncSwitchPolicy::pure(Protocol::kBsp);
-  else if (policy == "asp") req.policy = SyncSwitchPolicy::pure(Protocol::kAsp);
-  else if (policy == "ssp") req.policy = SyncSwitchPolicy::pure(Protocol::kSsp);
-  else if (policy == "dssp") req.policy = SyncSwitchPolicy::pure(Protocol::kDssp);
-  else if (policy == "switch") req.policy = SyncSwitchPolicy::bsp_to_asp(fraction);
-  else usage(argv[0]);
   req.policy.online = online;
 
   req.actuator_time_scale = static_cast<double>(req.workload.total_steps) / 65536.0;
